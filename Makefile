@@ -35,10 +35,11 @@ soak:
 
 # Short fuzz pass over everything a peer can put on the wire or on disk:
 # the MCMNET1 frame reader and per-frame body decoders (now including
-# PING/PONG/OBS), the POST delivery shape, the delta-varint codec, and the
+# PING/PONG/OBS), the POST delivery shape, the delta-varint codec, the
 # observation-shipping / flight-dump codecs whose decoders face network and
-# crash-recovered bytes. Go allows one -fuzz pattern per invocation, so
-# each target gets its own run; FUZZTIME scales the pass.
+# crash-recovered bytes, the checkpoint decoder, and the job-spec decoder a
+# worker runs on the rendezvous blob. Go allows one -fuzz pattern per
+# invocation, so each target gets its own run; FUZZTIME scales the pass.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/mpi/tcpnet/
@@ -46,6 +47,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePostDelivery$$' -fuzztime $(FUZZTIME) ./internal/mpi/tcpnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzObsDecode$$' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) ./internal/distjob/
 
 # Cross-process chaos smoke: a supervised 4-process TCP solve whose rank-2
 # worker is SIGKILLed mid-solve; the world must restart, a replacement
@@ -69,7 +72,7 @@ bench:
 # cmd/tracelint and uploaded as a CI artifact.
 bench-smoke:
 	$(GO) test -bench TableI -benchtime=1x -run '^$$' .
-	$(GO) run ./cmd/bench -exp profile -scale 12 -procs 4 -matrix g500 -direction auto -compress on -timeseries direction-series.csv
+	$(GO) run ./cmd/bench -exp profile -scale 12 -procs 4 -matrix g500 -direction auto -compress -timeseries direction-series.csv
 	$(GO) run ./cmd/tracelint direction-series.csv
 
 # Multi-process transport smoke: one solve spanning four OS processes over

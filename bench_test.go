@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"mcmdist/internal/core"
 	"mcmdist/internal/experiments"
 )
 
@@ -35,6 +36,9 @@ func BenchmarkTableIPrimitives(b *testing.B) {
 }
 
 // BenchmarkTable2Suite regenerates the Table II inventory.
+// benchConfig is cmd/bench's threading (12 per rank) on a 2x2 grid.
+var benchConfig = core.Config{Procs: 4, Threads: 12}
+
 func BenchmarkTable2Suite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.Table2(io.Discard, 8)
@@ -45,42 +49,42 @@ func BenchmarkTable2Suite(b *testing.B) {
 // Karp-Sipser vs dynamic mindegree) on the figure's representative graphs.
 func BenchmarkFig3Initializers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig3(io.Discard, 7, 4)
+		experiments.Fig3(io.Discard, benchConfig, 7)
 	}
 }
 
 // BenchmarkFig4StrongScaling runs the real-matrix strong-scaling sweep.
 func BenchmarkFig4StrongScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig4(io.Discard, 10, []int{4, 16}, []string{"road_usa", "amazon-2008"})
+		experiments.Fig4(io.Discard, benchConfig, 10, []int{4, 16}, []string{"road_usa", "amazon-2008"})
 	}
 }
 
 // BenchmarkFig5Breakdown runs the per-primitive runtime decomposition.
 func BenchmarkFig5Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig5(io.Discard, 9, []int{4, 16})
+		experiments.Fig5(io.Discard, benchConfig, 9, []int{4, 16})
 	}
 }
 
 // BenchmarkFig6SyntheticScaling runs the ER/G500/SSCA scaling sweep.
 func BenchmarkFig6SyntheticScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig6(io.Discard, []int{10}, []int{4, 16})
+		experiments.Fig6(io.Discard, benchConfig, []int{10}, []int{4, 16})
 	}
 }
 
 // BenchmarkFig7HybridVsFlat runs the multithreading comparison.
 func BenchmarkFig7HybridVsFlat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig7(io.Discard, 10, []int{48})
+		experiments.Fig7(io.Discard, benchConfig, 10, []int{48})
 	}
 }
 
 // BenchmarkFig8PruneAblation runs the pruning on/off ablation.
 func BenchmarkFig8PruneAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig8(io.Discard, 8, 4, []string{"road_usa", "kkt_power"})
+		experiments.Fig8(io.Discard, benchConfig, 8, []string{"road_usa", "kkt_power"})
 	}
 }
 
@@ -95,7 +99,7 @@ func BenchmarkFig9GatherScatter(b *testing.B) {
 // crossover sweep.
 func BenchmarkAugmentVariants(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.AugmentCrossover(io.Discard, 4, 8, []int{1, 16})
+		experiments.AugmentCrossover(io.Discard, benchConfig, 8, []int{1, 16})
 	}
 }
 

@@ -5,8 +5,9 @@
 // Usage:
 //
 //	bench -exp table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|augment|enginesweep|recovery|profile|all
-//	      [-scale N] [-procs P] [-threads T] [-no-overlap] [-transport inproc|tcp]
-//	      [-direction push|pull|auto|default] [-compress off|on]
+//	      [-scale N] [-transport inproc|tcp] [solver flags: -procs P -threads T
+//	      -engine E -init I -semiring S -augment A -direction push|pull|auto
+//	      -compress -no-prune -no-permute -no-overlap -seed N]
 //	      [-checkpoint-every K] [-fault none|crash|straggler|rma]
 //	      [-fault-rank R] [-fault-at N] [-fault-delay D] [-watchdog D]
 //	      [-json out.json] [-trace out.json] [-timeseries out.csv]
@@ -17,10 +18,14 @@
 // calls for it (fig7); EXPERIMENTS.md compares their shapes against the
 // paper's. Larger -scale values sharpen the shapes but take longer.
 //
-// -json writes a machine-readable envelope: every experiment's row structs
-// keyed by name, plus a measured solve profile (per-op wall seconds, exact
-// communication meters, worker-pool utilization, heap traffic, and the
-// per-iteration time-series) at the requested scale/procs/threads. When
+// The solver flags are core.BindFlags's: the measured solve profile runs
+// exactly that configuration, while the paper's experiments take its rank
+// count, thread count and overlap switch and fix the options they sweep.
+//
+// -json writes a machine-readable envelope: the solver configuration,
+// every experiment's row structs keyed by name, plus a measured solve
+// profile (per-op wall seconds, exact communication meters, worker-pool
+// utilization, heap traffic, and the per-iteration time-series). When
 // checkpointing or fault injection is requested (-checkpoint-every, -fault,
 // or -exp recovery) the envelope also carries a recovery section:
 // checkpoint wall time, bytes serialized, and retry count next to the clean
@@ -61,16 +66,12 @@ import (
 )
 
 func main() {
+	cfg := core.Config{Procs: 16, Threads: 12, Init: core.InitDynMinDegree, Permute: true, Seed: 9}
+	core.BindFlags(flag.CommandLine, &cfg)
 	exp := flag.String("exp", "all", "experiment to run: table2, fig3..fig9, augment, direction, dirsweep, enginesweep, gridshape, graft, quality, balance, ssms, dynamics, recovery, profile, all")
 	scale := flag.Int("scale", 12, "matrix scale (~2^scale vertices per side)")
-	procs := flag.Int("procs", 16, "simulated ranks for single-p experiments (perfect square)")
-	threads := flag.Int("threads", 0, "threads per rank for hybrid configurations (0 = paper default of 12)")
-	noOverlap := flag.Bool("no-overlap", false, "disable the split-phase compute/communication overlap (results are bit-identical; wall clocks and the exposed-comm ledger change)")
 	matrix := flag.String("matrix", "road_usa", "matrix for the -json measured solve profile: a Table II stand-in name or g500/er/ssca (RMAT)")
 	transport := flag.String("transport", "inproc", "transport backend for the measured solve profile: inproc, or tcp (loopback sockets, one endpoint per rank)")
-	direction := flag.String("direction", "default", "SpMV kernel policy for the measured solve profile: push, pull, auto, or default (follow the config's direction-optimized setting)")
-	engine := flag.String("engine", "", "matching engine for the measured solve profile: bfs, bfs-ss, bfs-graft, auction, auto (cost-model selection), or empty for the default (bfs); graft is a deprecated alias for bfs-graft")
-	compress := flag.String("compress", "off", "delta-varint wire compression for the measured solve profile: off or on (results are bit-identical; wire volume and the WordsEnc meters change)")
 	jsonPath := flag.String("json", "", "write machine-readable results (experiment rows + measured solve profile) to this path")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint stride (phases) for the recovery benchmark; 0 means every phase")
 	fault := flag.String("fault", "none", "fault injected into the recovery benchmark: none, crash, straggler, rma")
@@ -85,33 +86,16 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve live Prometheus metrics at this address's /metrics while the bench runs (e.g. :9090)")
 	flag.Parse()
 
-	if *threads > 0 {
-		experiments.DefaultThreads = *threads
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "bench: unexpected arguments %q\n", flag.Args())
+		os.Exit(1)
 	}
-	experiments.DisableOverlap = *noOverlap
+	if cfg.Threads < 1 {
+		fmt.Fprintf(os.Stderr, "bench: -threads %d must be at least 1\n", cfg.Threads)
+		os.Exit(1)
+	}
 	if !slices.Contains(mpi.Transports(), *transport) {
 		fmt.Fprintf(os.Stderr, "bench: unknown -transport %q (have %v)\n", *transport, mpi.Transports())
-		os.Exit(1)
-	}
-	experiments.TransportBackend = *transport
-	dir, err := core.ParseDirection(*direction)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	experiments.DefaultDirection = dir
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	experiments.Engine = eng
-	switch *compress {
-	case "off":
-	case "on":
-		experiments.Compress = true
-	default:
-		fmt.Fprintf(os.Stderr, "bench: unknown -compress %q (want off or on)\n", *compress)
 		os.Exit(1)
 	}
 	if *cpuProfile != "" {
@@ -145,43 +129,45 @@ func main() {
 		case "table2":
 			rows = experiments.Table2(w, *scale)
 		case "fig3":
-			rows = experiments.Fig3(w, min(*scale, 9), *procs)
+			rows = experiments.Fig3(w, cfg, min(*scale, 9))
 		case "fig4":
-			rows = experiments.Fig4(w, *scale, nil, nil)
+			rows = experiments.Fig4(w, cfg, *scale, nil, nil)
 		case "fig5":
-			rows = experiments.Fig5(w, *scale, nil)
+			rows = experiments.Fig5(w, cfg, *scale, nil)
 		case "fig6":
-			rows = experiments.Fig6(w, []int{*scale - 2, *scale}, nil)
+			rows = experiments.Fig6(w, cfg, []int{*scale - 2, *scale}, nil)
 		case "fig7":
-			rows = experiments.Fig7(w, *scale, nil)
+			rows = experiments.Fig7(w, cfg, *scale, nil)
 		case "fig8":
-			rows = experiments.Fig8(w, min(*scale, 9), *procs, nil)
+			rows = experiments.Fig8(w, cfg, min(*scale, 9), nil)
 		case "fig9":
 			rows = experiments.Fig9(w, nil, 2048, 8)
 		case "augment":
-			rows = experiments.AugmentCrossover(w, 4, 16, nil)
+			four := cfg
+			four.Procs = 4 // the k < 2p² crossover is charted at p = 4
+			rows = experiments.AugmentCrossover(w, four, 16, nil)
 		case "direction":
-			rows = experiments.DirectionAblation(w, *scale, *procs, nil)
+			rows = experiments.DirectionAblation(w, cfg, *scale, nil)
 		case "dirsweep":
-			rows = experiments.DirectionSweep(w, []int{min(*scale, 14), min(*scale+1, 15), min(*scale+2, 16)}, *procs)
+			rows = experiments.DirectionSweep(w, cfg, []int{min(*scale, 14), min(*scale+1, 15), min(*scale+2, 16)})
 		case "enginesweep":
-			rows = experiments.EngineSweep(w, *matrix, *scale, *procs)
+			rows = experiments.EngineSweep(w, cfg, *matrix, *scale)
 		case "gridshape":
-			rows = experiments.GridShapeAblation(w, *scale, *procs)
+			rows = experiments.GridShapeAblation(w, *scale, cfg.Procs)
 		case "graft":
-			rows = experiments.GraftAblation(w, *scale, *procs, nil)
+			rows = experiments.GraftAblation(w, cfg, *scale, nil)
 		case "quality":
 			rows = experiments.InitQuality(w, *scale, nil)
 		case "balance":
-			rows = experiments.BalanceAblation(w, *scale, *procs, nil)
+			rows = experiments.BalanceAblation(w, cfg, *scale, nil)
 		case "ssms":
-			rows = experiments.SingleVsMultiSource(w, min(*scale, 10), *procs, nil)
+			rows = experiments.SingleVsMultiSource(w, cfg, min(*scale, 10), nil)
 		case "treebalance":
-			rows = experiments.TreeBalance(w, *scale, *procs, nil)
+			rows = experiments.TreeBalance(w, *scale, cfg.Procs, nil)
 		case "dynamics":
-			experiments.FrontierDynamics(w, "road_usa", *scale, *procs)
+			experiments.FrontierDynamics(w, "road_usa", *scale, cfg.Procs)
 		case "recovery":
-			p := experiments.RecoveryBench(w, *matrix, *scale, *procs, recOpts)
+			p := experiments.RecoveryBench(w, cfg, *matrix, *scale, recOpts)
 			recProfile = &p
 			rows = p
 		case "profile":
@@ -214,7 +200,6 @@ func main() {
 	needProfile := ok && (*jsonPath != "" || *tracePath != "" || *seriesPath != "" ||
 		*metricsAddr != "" || *exp == "profile")
 	if needProfile {
-		t := experiments.DefaultThreads
 		var reg *obs.Registry
 		if *metricsAddr != "" {
 			reg = obs.NewRegistry()
@@ -227,17 +212,18 @@ func main() {
 			}()
 			fmt.Fprintf(w, "serving metrics at http://%s/metrics\n", *metricsAddr)
 		}
-		col := obs.NewCollector(*procs, obs.Options{
+		pc := cfg
+		pc.Obs = obs.NewCollector(cfg.Procs, obs.Options{
 			Spans:      *tracePath != "",
 			TimeSeries: true,
 			Metrics:    reg,
 		})
-		prof := experiments.ProfileObserved(*matrix, *scale, *procs, t, col)
+		prof := experiments.Profile(pc, *transport, *matrix, *scale)
 		if reg != nil {
 			reg.Counter("mcm_solves_total", "Solves completed by this bench process.").Inc()
 		}
 		if *tracePath != "" {
-			if err := writeArtifact(*tracePath, col.WriteTrace); err != nil {
+			if err := writeArtifact(*tracePath, pc.Obs.WriteTrace); err != nil {
 				fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 				os.Exit(1)
 			}
@@ -245,7 +231,7 @@ func main() {
 			fmt.Fprintf(w, "wrote %s (load in ui.perfetto.dev)\n", *tracePath)
 		}
 		if *seriesPath != "" {
-			if err := writeArtifact(*seriesPath, col.WriteSeriesCSV); err != nil {
+			if err := writeArtifact(*seriesPath, pc.Obs.WriteSeriesCSV); err != nil {
 				fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 				os.Exit(1)
 			}
@@ -260,31 +246,23 @@ func main() {
 			if recProfile == nil && (*fault != "none" || *checkpointEvery > 0) {
 				// Recovery instrumentation was requested but no recovery
 				// experiment ran: measure it now (quietly) for the envelope.
-				p := experiments.RecoveryBench(io.Discard, *matrix, *scale, *procs, recOpts)
+				p := experiments.RecoveryBench(io.Discard, cfg, *matrix, *scale, recOpts)
 				recProfile = &p
 			}
 			envelope := struct {
-				Exp       string                       `json:"exp"`
-				Scale     int                          `json:"scale"`
-				Procs     int                          `json:"procs"`
-				Threads   int                          `json:"threads"`
-				Transport string                       `json:"transport"`
-				Direction string                       `json:"direction"`
-				Engine    string                       `json:"engine"`
-				Compress  bool                         `json:"compress"`
-				HostCPUs  int                          `json:"host_cpus"`
-				Results   map[string]any               `json:"results"`
-				Profile   experiments.SolveProfile     `json:"profile"`
-				Recovery  *experiments.RecoveryProfile `json:"recovery,omitempty"`
+				Exp       string `json:"exp"`
+				Scale     int    `json:"scale"`
+				Transport string `json:"transport"`
+				core.Config
+				HostCPUs int                          `json:"host_cpus"`
+				Results  map[string]any               `json:"results"`
+				Profile  experiments.SolveProfile     `json:"profile"`
+				Recovery *experiments.RecoveryProfile `json:"recovery,omitempty"`
 			}{
 				Exp:       *exp,
 				Scale:     *scale,
-				Procs:     *procs,
-				Threads:   t,
 				Transport: *transport,
-				Direction: dir.String(),
-				Engine:    prof.Engine,
-				Compress:  experiments.Compress,
+				Config:    cfg,
 				HostCPUs:  runtime.NumCPU(),
 				Results:   results,
 				Profile:   prof,

@@ -20,6 +20,11 @@
 // the crash flight recorder — a failed generation leaves
 // flight-g<gen>-r<rank>.dump post-mortems there (decode with cmd/tracelint).
 //
+// The solver flags (-procs -threads -engine -init -semiring -augment
+// -direction -compress -no-prune -no-permute -no-overlap -seed) are
+// core.BindFlags's; every mode ships them, with the graph source, as one
+// distjob.Spec.
+//
 // Examples:
 //
 //	mcm -rmat g500 -scale 14 -procs 16 -init mindegree
@@ -39,16 +44,18 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
-	"mcmdist"
+	"mcmdist/internal/core"
+	"mcmdist/internal/costmodel"
 	"mcmdist/internal/distjob"
+	"mcmdist/internal/gen"
 	"mcmdist/internal/matching"
+	"mcmdist/internal/mpi"
 	"mcmdist/internal/mpi/tcpnet"
 	"mcmdist/internal/obs"
-	"mcmdist/internal/semiring"
+	"mcmdist/internal/spmat"
 	"mcmdist/internal/verify"
 )
 
@@ -56,26 +63,15 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mcm: ")
 
+	cfg := core.Config{Procs: 4, Threads: 12, Init: core.InitDynMinDegree, Permute: true, Seed: 1}
+	core.BindFlags(flag.CommandLine, &cfg)
 	in := flag.String("in", "", "Matrix Market input file")
 	rmatClass := flag.String("rmat", "", "generate an R-MAT matrix: g500, ssca or er")
 	matrix := flag.String("matrix", "", "generate a Table II stand-in by name (see -list)")
 	list := flag.Bool("list", false, "list the Table II stand-in names and exit")
 	scale := flag.Int("scale", 12, "scale of generated matrices (2^scale vertices per side)")
-	seed := flag.Int64("seed", 1, "generator / permutation seed")
-	procs := flag.Int("procs", 4, "simulated ranks (perfect square)")
-	threads := flag.Int("threads", 12, "worker threads per rank (also divides the modeled work term)")
-	initAlg := flag.String("init", "mindegree", "initializer: none, greedy, karpsipser, mindegree")
-	semiringFlag := flag.String("semiring", "minparent", "SpMV semiring: minparent, randroot, randparent")
-	augment := flag.String("augment", "auto", "augmentation: auto, level, path")
-	noPrune := flag.Bool("no-prune", false, "disable tree pruning (Fig. 8 ablation)")
-	dirOpt := flag.Bool("direction-optimized", false, "enable bottom-up BFS for large frontiers")
-	direction := flag.String("direction", "default", "SpMV kernel policy: push, pull, auto, or default (follow -direction-optimized)")
-	compress := flag.Bool("compress", false, "enable the delta-varint wire codec (tcp payload compression; all backends meter the encoded volume)")
-	engine := flag.String("engine", "", "matching engine: bfs, bfs-ss, bfs-graft, auction, or auto (cost-model selection); empty follows -graft")
-	graft := flag.Bool("graft", false, "use the tree-grafting MCM variant (deprecated alias for -engine bfs-graft)")
 	serial := flag.String("serial", "", "also run a serial baseline for comparison: hk, pf, msbfs, graft, pr")
-	noPermute := flag.Bool("no-permute", false, "skip the load-balancing random permutation")
-	verify := flag.Bool("verify", false, "certify the result with the König vertex-cover certificate")
+	verifyFlag := flag.Bool("verify", false, "certify the result with the König vertex-cover certificate")
 	breakdown := flag.Bool("breakdown", false, "print the per-primitive runtime breakdown")
 	trace := flag.Bool("trace", false, "print one line per BFS iteration")
 	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace of the solve to this file (tcp coordinator: one merged world trace, all ranks)")
@@ -92,8 +88,13 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 1, "tcp transport: checkpoint every Nth phase (with -recover); 0 restarts from scratch")
 	flag.Parse()
 
+	if flag.NArg() > 0 {
+		log.Fatalf("unexpected arguments %q (a bool flag takes no separate value)", flag.Args())
+	}
 	if *list {
-		fmt.Println(strings.Join(mcmdist.TableIINames(), "\n"))
+		for _, sp := range gen.Suite() {
+			fmt.Println(sp.Name)
+		}
 		return
 	}
 
@@ -125,56 +126,22 @@ func main() {
 		return
 	}
 
-	g, err := loadGraph(*in, *rmatClass, *matrix, *scale, *seed)
+	wantMetrics := *metricsAddr != "" || *metricsOut != ""
+	spec := &distjob.Spec{
+		RMAT: *rmatClass, Matrix: *matrix, Scale: *scale, Config: cfg,
+		ObsSpans: *traceOut != "", ObsSeries: *timeseries != "", ObsMetrics: wantMetrics,
+		FlightDir: *flightDir,
+	}
+	if err := readInput(spec, *in); err != nil {
+		log.Fatal(err)
+	}
+	a, err := spec.BuildMatrix()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(g)
-
-	opts := mcmdist.Options{
-		Procs:              *procs,
-		Threads:            *threads,
-		DisablePrune:       *noPrune,
-		DirectionOptimized: *dirOpt,
-		Direction:          *direction,
-		Compress:           *compress,
-		Engine:             *engine,
-		TreeGrafting:       *graft,
-		Permute:            !*noPermute,
-		Seed:               *seed,
-	}
-	switch *initAlg {
-	case "none":
-		opts.Init = mcmdist.NoInit
-	case "greedy":
-		opts.Init = mcmdist.GreedyInit
-	case "karpsipser":
-		opts.Init = mcmdist.KarpSipserInit
-	case "mindegree":
-		opts.Init = mcmdist.DynamicMindegreeInit
-	default:
-		log.Fatalf("unknown -init %q", *initAlg)
-	}
-	switch *semiringFlag {
-	case "minparent":
-		opts.Semiring = mcmdist.MinParent
-	case "randroot":
-		opts.Semiring = mcmdist.RandRoot
-	case "randparent":
-		opts.Semiring = mcmdist.RandParent
-	default:
-		log.Fatalf("unknown -semiring %q", *semiringFlag)
-	}
+	fmt.Printf("bipartite graph %d x %d, %d edges\n", a.NRows, a.NCols, a.NNZ())
 	if *trace {
-		opts.Trace = os.Stdout
-	}
-	wantMetrics := *metricsAddr != "" || *metricsOut != ""
-	if *traceOut != "" || *timeseries != "" || wantMetrics {
-		opts.Observe = &mcmdist.Observe{
-			Spans:      *traceOut != "",
-			TimeSeries: *timeseries != "",
-			Metrics:    wantMetrics,
-		}
+		spec.OnIteration = func(ii core.IterInfo) { fmt.Println(ii) }
 	}
 	var msrv metricsServer
 	if *metricsAddr != "" {
@@ -183,114 +150,77 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("serving metrics at http://%s/metrics\n", bound)
-		opts.Observe.OnLive = func(r *mcmdist.ObsReport) { msrv.install(r.MetricsHandler()) }
 	}
-	switch *augment {
-	case "auto":
-		opts.Augment = mcmdist.AutoAugment
-	case "level":
-		opts.Augment = mcmdist.LevelParallel
-	case "path":
-		opts.Augment = mcmdist.PathParallel
-	default:
-		log.Fatalf("unknown -augment %q", *augment)
-	}
+	oo := obsOutputs{trace: *traceOut, series: *timeseries, metrics: *metricsOut, srv: &msrv}
 
-	var tr *mcmdist.Transport
+	if *recoverFlag {
+		runSupervisor(*addr, spec, a, *maxRestarts, *ckptEvery, *verifyFlag, *out, oo)
+		return
+	}
+	var tr mpi.Transport // nil: the in-process backend hosts every rank
 	if *transport == "tcp" {
-		spec := &distjob.Spec{
-			RMAT: *rmatClass, Matrix: *matrix, Scale: *scale, Seed: *seed,
-			Procs: *procs, Threads: *threads,
-			Init: *initAlg, Semiring: *semiringFlag, Augment: *augment,
-			NoPrune: *noPrune, DirectionOptimized: *dirOpt, Direction: *direction,
-			Compress: *compress, Engine: *engine, Graft: *graft, NoPermute: *noPermute,
-			ObsSpans: *traceOut != "", ObsSeries: *timeseries != "", ObsMetrics: wantMetrics,
-			FlightDir: *flightDir,
-		}
-		if *in != "" {
-			// Workers may not share our filesystem: embed the file.
-			content, err := os.ReadFile(*in)
-			if err != nil {
-				log.Fatal(err)
-			}
-			spec.MTX = string(content)
-		}
-		if *recoverFlag {
-			runSupervisor(*addr, spec, *maxRestarts, *ckptEvery, *verify, *out,
-				obsOutputs{trace: *traceOut, series: *timeseries, metrics: *metricsOut, srv: &msrv})
-			return
-		}
 		blob, err := spec.Encode()
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("coordinating %d-rank tcp world at %s (waiting for %d workers)\n",
-			*procs, *addr, *procs-1)
-		if tr, err = mcmdist.CoordinateTCPWithConfig(*addr, *procs, blob); err != nil {
+			cfg.Procs, *addr, cfg.Procs-1)
+		rv, err := tcpnet.Listen(*addr, tcpnet.Options{})
+		if err != nil {
 			log.Fatal(err)
 		}
-		defer tr.Close()
+		n, err := rv.Coordinate(cfg.Procs, blob)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer n.Close()
+		tr = n
 	}
+	// Build the collector up front so the live metrics endpoint serves it
+	// while the solve runs.
+	spec.Obs = spec.NewCollector()
+	msrv.install(spec.Obs)
 
-	m, st, err := mcmdist.MaximumMatchingOn(tr, g, opts)
+	res, col, err := spec.Solve(tr, a)
 	if err != nil {
 		log.Fatal(err)
 	}
+	st := res.Stats
 	fmt.Printf("|M| = %d (initializer found %d), deficiency %d, engine %s\n",
-		st.Cardinality, st.InitCardinality, g.Cols()-st.Cardinality, st.Engine)
+		st.Cardinality, st.InitCardinality, a.NCols-st.Cardinality, st.Engine)
 	fmt.Printf("phases %d, iterations %d (push %d / pull %d), augmenting paths %d (level-parallel %d, path-parallel %d)\n",
 		st.Phases, st.Iterations, st.PushIterations, st.PullIterations,
 		st.AugmentedPaths, st.LevelParallelAugments, st.PathParallelAugments)
 	fmt.Printf("modeled time on %s with p=%d t=%d: %.3gs\n",
-		mcmdist.EdisonXC30.Name, st.Procs, st.Threads, st.ModeledSeconds(mcmdist.EdisonXC30))
+		costmodel.Edison.Name, res.Procs, res.Threads, costmodel.Edison.CriticalTime(res.PerRank, res.Threads))
 
 	if *breakdown {
-		bd := st.ModeledBreakdown(mcmdist.EdisonXC30)
-		keys := make([]string, 0, len(bd))
-		for k := range bd {
-			keys = append(keys, k)
+		ops := make([]core.Op, 0, len(st.Meter))
+		for op := range st.Meter {
+			ops = append(ops, op)
 		}
-		sort.Strings(keys)
+		sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
 		fmt.Println("breakdown (modeled seconds):")
-		for _, k := range keys {
-			fmt.Printf("  %-8s %.3g  (wall %v)\n", k, bd[k], st.WallByOp[k])
+		for _, op := range ops {
+			fmt.Printf("  %-8s %.3g  (wall %v)\n", op, costmodel.Edison.Time(st.Meter[op], res.Threads), st.Wall[op])
 		}
 	}
-
-	if st.Obs != nil {
-		writeObsOutputs(st.Obs, *traceOut, *timeseries, *metricsOut)
-	}
-
-	if *verify {
-		if err := g.VerifyMaximum(m); err != nil {
-			log.Fatalf("verification FAILED: %v", err)
-		}
-		fmt.Println("verified: König certificate confirms the matching is maximum")
-	}
-
-	if *out != "" {
-		if err := writeMatching(*out, m); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("matching written to %s\n", *out)
-	}
+	writeObsOutputs(col, oo)
+	verifyAndWrite(a, res.Matching, *verifyFlag, *out)
 
 	if *serial != "" {
-		alg, ok := map[string]mcmdist.SerialAlgorithm{
-			"hk": mcmdist.HopcroftKarp, "pf": mcmdist.PothenFan,
-			"msbfs": mcmdist.MSBFS, "graft": mcmdist.MSBFSGraft,
-			"pr": mcmdist.PushRelabelAlg,
+		alg, ok := map[string]func(*spmat.CSC, *matching.Matching) *matching.Matching{
+			"hk": matching.HopcroftKarp, "pf": matching.PothenFan,
+			"msbfs": matching.MSBFS, "graft": matching.MSBFSGraft,
+			"pr": matching.PushRelabel,
 		}[*serial]
 		if !ok {
 			log.Fatalf("unknown -serial %q", *serial)
 		}
 		start := time.Now()
-		sm, err := mcmdist.MaximumMatchingSerial(g, alg, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("serial %s: |M| = %d in %v", *serial, sm.Cardinality(), time.Since(start))
-		if sm.Cardinality() == st.Cardinality {
+		card := alg(a, nil).Cardinality()
+		fmt.Printf("serial %s: |M| = %d in %v", *serial, card, time.Since(start))
+		if card == st.Cardinality {
 			fmt.Println(" (agrees with MCM-DIST)")
 		} else {
 			fmt.Println(" (DISAGREES with MCM-DIST!)")
@@ -298,10 +228,41 @@ func main() {
 	}
 }
 
+// readInput embeds the -in Matrix Market file in the spec: workers may not
+// share this process's filesystem, so the content travels in the job.
+func readInput(spec *distjob.Spec, path string) error {
+	if path == "" {
+		return nil
+	}
+	content, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	spec.MTX = string(content)
+	return nil
+}
+
+// verifyAndWrite certifies and writes the matching as the -verify and -out
+// flags ask.
+func verifyAndWrite(a *spmat.CSC, m *matching.Matching, verifyFlag bool, out string) {
+	if verifyFlag {
+		if err := verify.Maximum(a, m); err != nil {
+			log.Fatalf("verification FAILED: %v", err)
+		}
+		fmt.Println("verified: König certificate confirms the matching is maximum")
+	}
+	if out != "" {
+		if err := distjob.WriteMatching(out, m); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("matching written to %s\n", out)
+	}
+}
+
 // runSupervisor is the coordinator side of a recoverable multi-process
 // solve: it supervises the world across generations, restarting failed
 // worlds from the last phase-boundary checkpoint (see internal/distjob).
-func runSupervisor(addr string, spec *distjob.Spec, maxRestarts, ckptEvery int, verifyFlag bool, out string, oo obsOutputs) {
+func runSupervisor(addr string, spec *distjob.Spec, a *spmat.CSC, maxRestarts, ckptEvery int, verifyFlag bool, out string, oo obsOutputs) {
 	spec.CheckpointEvery = ckptEvery
 	pol := distjob.SupervisePolicy{MaxRestarts: maxRestarts, Log: log.Printf}
 	fmt.Printf("supervising %d-rank tcp world at %s (waiting for %d workers, up to %d restarts)\n",
@@ -320,26 +281,9 @@ func runSupervisor(addr string, spec *distjob.Spec, maxRestarts, ckptEvery int, 
 		fmt.Printf(" (resumed from phase %d)", stats.ResumedPhase)
 	}
 	fmt.Println()
-	if stats.Obs != nil {
-		oo.srv.install(collectorOutputs{stats.Obs}.metricsHandler())
-		writeObsOutputs(collectorOutputs{stats.Obs}, oo.trace, oo.series, oo.metrics)
-	}
-	if verifyFlag {
-		a, err := spec.BuildMatrix()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := verify.Maximum(a, res.Matching); err != nil {
-			log.Fatalf("verification FAILED: %v", err)
-		}
-		fmt.Println("verified: König certificate confirms the matching is maximum")
-	}
-	if out != "" {
-		if err := writeMateVector(out, res.Matching); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("matching written to %s\n", out)
-	}
+	oo.srv.install(stats.Obs)
+	writeObsOutputs(stats.Obs, oo)
+	verifyAndWrite(a, res.Matching, verifyFlag, out)
 }
 
 // runWorker joins a TCP world as a non-coordinator rank: the job spec
@@ -355,54 +299,26 @@ func runWorker(addr string, rank int, out string) {
 	fmt.Printf("|M| = %d (worker rank %d of %d)\n",
 		res.Stats.Cardinality, rank, res.Procs)
 	if out != "" {
-		if err := writeMateVector(out, res.Matching); err != nil {
+		if err := distjob.WriteMatching(out, res.Matching); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("matching written to %s\n", out)
 	}
 }
 
-// obsOutputs carries the observability artifact destinations into the
-// supervisor path.
+// obsOutputs carries the observability artifact destinations.
 type obsOutputs struct {
 	trace, series, metrics string
 	srv                    *metricsServer
 }
 
-// obsWriter is the slice of the observability report the artifact writer
-// needs; *mcmdist.ObsReport and collectorOutputs both satisfy it.
-type obsWriter interface {
-	WriteTrace(io.Writer) error
-	WriteTimeSeriesCSV(io.Writer) error
-	WriteMetrics(io.Writer) error
-}
-
-// collectorOutputs adapts the supervisor path's internal collector (the
-// final generation's merged world observation) to obsWriter.
-type collectorOutputs struct{ col *obs.Collector }
-
-func (c collectorOutputs) WriteTrace(w io.Writer) error          { return c.col.WriteTrace(w) }
-func (c collectorOutputs) WriteTimeSeriesCSV(w io.Writer) error  { return c.col.WriteSeriesCSV(w) }
-func (c collectorOutputs) WriteMetrics(w io.Writer) error {
-	reg := c.col.Registry()
-	if reg == nil {
-		return nil
+// writeObsOutputs writes whichever observability artifacts were requested
+// from the solve's collector: the merged Perfetto trace, the rank-merged
+// time-series CSV, and the final metrics registry in Prometheus text format.
+func writeObsOutputs(col *obs.Collector, oo obsOutputs) {
+	if col == nil {
+		return
 	}
-	return reg.WritePrometheus(w)
-}
-
-func (c collectorOutputs) metricsHandler() http.Handler {
-	reg := c.col.Registry()
-	if reg == nil {
-		return nil
-	}
-	return reg.Handler()
-}
-
-// writeObsOutputs writes whichever observability artifacts were requested:
-// the merged Perfetto trace, the rank-merged time-series CSV, and the final
-// metrics registry in Prometheus text format.
-func writeObsOutputs(r obsWriter, traceOut, seriesOut, metricsOut string) {
 	write := func(path, what string, f func(io.Writer) error) {
 		if path == "" {
 			return
@@ -420,9 +336,14 @@ func writeObsOutputs(r obsWriter, traceOut, seriesOut, metricsOut string) {
 		}
 		fmt.Printf("%s written to %s\n", what, path)
 	}
-	write(traceOut, "trace", r.WriteTrace)
-	write(seriesOut, "time-series", r.WriteTimeSeriesCSV)
-	write(metricsOut, "metrics", r.WriteMetrics)
+	write(oo.trace, "trace", col.WriteTrace)
+	write(oo.series, "time-series", col.WriteSeriesCSV)
+	write(oo.metrics, "metrics", func(w io.Writer) error {
+		if reg := col.Registry(); reg != nil {
+			return reg.WritePrometheus(w)
+		}
+		return nil
+	})
 }
 
 // reportFlightDumps points the operator at the post-mortem bundle a
@@ -455,9 +376,10 @@ func (s *metricsServer) listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-func (s *metricsServer) install(h http.Handler) {
-	if h != nil {
-		s.h.Store(h)
+// install starts serving col's registry, if it has one.
+func (s *metricsServer) install(col *obs.Collector) {
+	if reg := col.Registry(); reg != nil {
+		s.h.Store(reg.Handler())
 	}
 }
 
@@ -468,72 +390,4 @@ func (s *metricsServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.ServeHTTP(w, r)
-}
-
-// writeMateVector is writeMatching for the internal representation the
-// worker path holds; both produce identical files for identical matchings.
-func writeMateVector(path string, m *matching.Matching) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for i, j := range m.MateR {
-		if j == semiring.None {
-			continue
-		}
-		if _, err := fmt.Fprintf(f, "%d %d\n", i, j); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// writeMatching stores the matched pairs, one "row col" line each.
-func writeMatching(path string, m *mcmdist.Matching) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for i, j := range m.MateR {
-		if j == mcmdist.Unmatched {
-			continue
-		}
-		if _, err := fmt.Fprintf(f, "%d %d\n", i, j); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-func loadGraph(in, rmatClass, matrix string, scale int, seed int64) (*mcmdist.Graph, error) {
-	nSources := 0
-	for _, s := range []string{in, rmatClass, matrix} {
-		if s != "" {
-			nSources++
-		}
-	}
-	if nSources != 1 {
-		return nil, fmt.Errorf("specify exactly one of -in, -rmat, -matrix (got %d); see -h", nSources)
-	}
-	switch {
-	case in != "":
-		return mcmdist.FromMatrixMarketFile(in)
-	case matrix != "":
-		return mcmdist.TableII(matrix, scale)
-	default:
-		var class mcmdist.RMATClass
-		switch strings.ToLower(rmatClass) {
-		case "g500":
-			class = mcmdist.G500
-		case "ssca":
-			class = mcmdist.SSCA
-		case "er":
-			class = mcmdist.ER
-		default:
-			return nil, fmt.Errorf("unknown -rmat class %q", rmatClass)
-		}
-		return mcmdist.RMAT(class, scale, 0, seed)
-	}
 }

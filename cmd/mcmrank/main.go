@@ -21,14 +21,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"mcmdist/internal/distjob"
-	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/mpi/tcpnet"
-	"mcmdist/internal/semiring"
 )
 
 func main() {
@@ -83,29 +80,9 @@ func main() {
 		res.Stats.Cardinality, res.Stats.Phases, res.Stats.Iterations)
 
 	if *out != "" {
-		if err := writeMatching(*out, res.Matching); err != nil {
+		if err := distjob.WriteMatching(*out, res.Matching); err != nil {
 			log.Fatal(err)
 		}
 		say("matching written to %s", *out)
 	}
-}
-
-// writeMatching stores the matched pairs in cmd/mcm's format, one
-// "row col" line each, so outputs from the two binaries can be compared
-// byte for byte.
-func writeMatching(path string, m *matching.Matching) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for i, j := range m.MateR {
-		if j == semiring.None {
-			continue
-		}
-		if _, err := fmt.Fprintf(f, "%d %d\n", i, j); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }

@@ -16,12 +16,8 @@ import (
 // the mate vectors are stored delta-varint compressed (internal/wire, the
 // same codec the tcp transport applies to id streams) instead of as raw
 // 8-byte words — mate vectors are mostly sorted-ish small integers with
-// long None runs, so the payload typically shrinks 4-6x. Version 1 blobs
-// ("MCMCKPT1") are rejected loudly by DecodeCheckpoint.
+// long None runs, so the payload typically shrinks 4-6x.
 const checkpointMagic = "MCMCKPT2"
-
-// checkpointMagicV1 is recognized only to produce a clear version error.
-const checkpointMagicV1 = "MCMCKPT1"
 
 // Checkpoint is a phase-boundary snapshot of a distributed matching run.
 // MCM-DIST's invariant (the observation this subsystem exploits) is that
@@ -90,9 +86,6 @@ func (ck *Checkpoint) Encode() []byte {
 // wrong matching (the recovery driver additionally verifies restored
 // matchings against the matrix).
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) >= len(checkpointMagicV1) && string(data[:len(checkpointMagicV1)]) == checkpointMagicV1 {
-		return nil, fmt.Errorf("core: checkpoint is format version 1 (%q), which this version no longer reads; re-take the checkpoint", checkpointMagicV1)
-	}
 	if len(data) < len(checkpointMagic)+5*8 {
 		return nil, fmt.Errorf("core: checkpoint too short (%d bytes)", len(data))
 	}
@@ -127,6 +120,12 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		if n <= 0 || blen > uint64(len(rest)-n) {
 			return nil, fmt.Errorf("core: checkpoint mate vector %d length prefix truncated", i)
 		}
+		// Every value takes at least one byte, so a header claiming more
+		// values than the payload has bytes is forged or corrupt; rejecting it
+		// here bounds the allocation below by the blob's own length.
+		if uint64(want) > blen {
+			return nil, fmt.Errorf("core: checkpoint mate vector %d claims %d values in %d bytes", i, want, blen)
+		}
 		vals, err := wire.Decode(make([]int64, 0, want), want, rest[n:n+int(blen)])
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint mate vector %d corrupt: %w", i, err)
@@ -145,19 +144,16 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 }
 
 // CheckpointHash fingerprints the parts of the configuration that determine
-// the solve trajectory for an n1 x n2 problem, so a restore onto a changed
-// configuration is rejected instead of silently diverging. The engine name
-// (resolved from the legacy TreeGrafting knob when Engine is unset)
-// replaces the v2 TreeGrafting boolean, which it subsumes. AddOp is a
-// function value and deliberately excluded; callers that vary the semiring
-// across restarts must carry that discipline themselves.
+// the solve trajectory for an n1 x n2 problem — engine, initializer,
+// semiring, augmentation, pruning, direction, permutation and grid — so a
+// restore onto a changed configuration is rejected instead of silently
+// diverging. Enums enter by name.
 func (c Config) CheckpointHash(n1, n2 int) uint64 {
 	c = c.withDefaults()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v3|%s|%d|%d|%d|%d|%d|%v|%v|%g|%d|%v|%d|%d",
-		c.engineOrDefault(), n1, n2, c.Procs, int(c.Init), int(c.Augment),
-		c.DisablePrune, c.DirectionOptimized,
-		c.PullThreshold, int(c.Direction), c.Permute, c.Seed, c.GridRows*1000+c.GridCols)
+	fmt.Fprintf(h, "v4|%s|%d|%d|%d|%v|%v|%v|%v|%g|%v|%v|%d|%d",
+		c.Engine, n1, n2, c.Procs, c.Init, c.AddOp, c.Augment,
+		c.DisablePrune, c.PullThreshold, c.Direction, c.Permute, c.Seed, c.GridRows*1000+c.GridCols)
 	return h.Sum64()
 }
 
@@ -185,7 +181,7 @@ func (s *Solver) maybeCheckpoint(phase int, mater, matec *dvec.Dense) {
 			Phase:       phase,
 			Cardinality: card,
 			ConfigHash:  s.Cfg.CheckpointHash(s.N1, s.N2),
-			Engine:      s.Cfg.engineOrDefault(),
+			Engine:      s.Cfg.Engine,
 			N1:          s.N1,
 			N2:          s.N2,
 			MateR:       fullR,
@@ -216,7 +212,7 @@ func (s *Solver) RestoreMates(ck *Checkpoint) (mater, matec *dvec.Dense, err err
 		return nil, nil, fmt.Errorf("core: checkpoint mate vectors are %dx%d, header says %dx%d",
 			len(ck.MateR), len(ck.MateC), ck.N1, ck.N2)
 	}
-	if want := s.Cfg.engineOrDefault(); ck.Engine != "" && ck.Engine != want {
+	if want := s.Cfg.Engine; ck.Engine != "" && ck.Engine != want {
 		return nil, nil, fmt.Errorf("core: checkpoint was taken by engine %q, refusing cross-engine resume with %q", ck.Engine, want)
 	}
 	if want := s.Cfg.CheckpointHash(s.N1, s.N2); ck.ConfigHash != want {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -64,12 +65,19 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	if _, err := DecodeCheckpoint(append(append([]byte(nil), good...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	// A version-1 blob must be rejected with a version error, not
-	// misdecoded: fake one by splicing the old magic in.
+	// A version-1 blob must be rejected, not misdecoded: fake one by
+	// splicing the old magic in.
 	v1 := append([]byte(nil), good...)
 	copy(v1, "MCMCKPT1")
 	if _, err := DecodeCheckpoint(v1); err == nil {
 		t.Fatal("format version 1 blob accepted")
+	}
+	// A forged header claiming 2^40 rows must be refused before the decoder
+	// sizes a mate vector from it, not kill the process allocating one.
+	forged := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(forged[len(checkpointMagic)+3*8:], 1<<40)
+	if _, err := DecodeCheckpoint(forged); err == nil {
+		t.Fatal("forged N1 accepted")
 	}
 }
 
@@ -152,9 +160,11 @@ func TestCheckpointHashSensitivity(t *testing.T) {
 		{Procs: 4, Init: InitKarpSipser},
 		{Procs: 4, Init: InitGreedy, Augment: AugmentPathParallel},
 		{Procs: 4, Init: InitGreedy, DisablePrune: true},
-		{Procs: 4, Init: InitGreedy, TreeGrafting: true},
+		{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft},
 		{Procs: 4, Init: InitGreedy, Permute: true},
 		{Procs: 4, Init: InitGreedy, Seed: 7},
+		{Procs: 4, Init: InitGreedy, AddOp: semiring.RandRoot},
+		{Procs: 4, Init: InitGreedy, Direction: DirectionAuto},
 	}
 	for i, v := range variants {
 		if v.CheckpointHash(50, 50) == h {

@@ -8,9 +8,14 @@
 package core
 
 import (
+	"encoding"
+	"flag"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
+	"mcmdist/internal/enum"
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/obs"
 	"mcmdist/internal/semiring"
@@ -33,21 +38,16 @@ const (
 	InitDynMinDegree
 )
 
-// String names the initializer like the paper's figures.
-func (in Init) String() string {
-	switch in {
-	case InitNone:
-		return "none"
-	case InitGreedy:
-		return "greedy"
-	case InitKarpSipser:
-		return "karp-sipser"
-	case InitDynMinDegree:
-		return "dynamic-mindegree"
-	default:
-		return fmt.Sprintf("Init(%d)", int(in))
-	}
-}
+var initNames = []string{InitNone: "none", InitGreedy: "greedy", InitKarpSipser: "karpsipser", InitDynMinDegree: "mindegree"}
+
+// String names the initializer with its flag spelling.
+func (in Init) String() string { return enum.Name(initNames, "Init", in) }
+
+// MarshalText spells the initializer for flags and JSON.
+func (in Init) MarshalText() ([]byte, error) { return enum.Marshal(initNames, "init", in) }
+
+// UnmarshalText parses a flag or JSON spelling.
+func (in *Init) UnmarshalText(text []byte) error { return enum.Unmarshal(initNames, "init", text, in) }
 
 // AugmentMode selects how discovered augmenting paths are applied.
 type AugmentMode int
@@ -64,18 +64,17 @@ const (
 	AugmentPathParallel
 )
 
-// String names the mode.
-func (am AugmentMode) String() string {
-	switch am {
-	case AugmentAuto:
-		return "auto"
-	case AugmentLevelParallel:
-		return "level-parallel"
-	case AugmentPathParallel:
-		return "path-parallel"
-	default:
-		return fmt.Sprintf("AugmentMode(%d)", int(am))
-	}
+var augmentNames = []string{AugmentAuto: "auto", AugmentLevelParallel: "level", AugmentPathParallel: "path"}
+
+// String names the mode with its flag spelling.
+func (am AugmentMode) String() string { return enum.Name(augmentNames, "AugmentMode", am) }
+
+// MarshalText spells the mode for flags and JSON.
+func (am AugmentMode) MarshalText() ([]byte, error) { return enum.Marshal(augmentNames, "augment", am) }
+
+// UnmarshalText parses a flag or JSON spelling.
+func (am *AugmentMode) UnmarshalText(text []byte) error {
+	return enum.Unmarshal(augmentNames, "augment", text, am)
 }
 
 // Direction pins or frees the per-iteration SpMV kernel choice (top-down
@@ -83,116 +82,86 @@ func (am AugmentMode) String() string {
 type Direction int
 
 const (
-	// DirectionDefault preserves the historical behavior: the per-iteration
-	// heuristic when DirectionOptimized is set, static push otherwise.
-	DirectionDefault Direction = iota
 	// DirectionPush pins every iteration to the top-down kernel.
-	DirectionPush
+	DirectionPush Direction = iota
 	// DirectionPull pins every iteration to the bottom-up kernel.
 	DirectionPull
-	// DirectionAuto enables the per-iteration heuristic regardless of
-	// DirectionOptimized.
+	// DirectionAuto runs the per-iteration push/pull heuristic.
 	DirectionAuto
 )
 
-// String names the direction mode like the cmd/bench flag values.
-func (d Direction) String() string {
-	switch d {
-	case DirectionDefault:
-		return "default"
-	case DirectionPush:
-		return "push"
-	case DirectionPull:
-		return "pull"
-	case DirectionAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("Direction(%d)", int(d))
-	}
+var directionNames = []string{DirectionPush: "push", DirectionPull: "pull", DirectionAuto: "auto"}
+
+// String names the direction with its flag spelling.
+func (d Direction) String() string { return enum.Name(directionNames, "Direction", d) }
+
+// MarshalText spells the direction for flags and JSON.
+func (d Direction) MarshalText() ([]byte, error) { return enum.Marshal(directionNames, "direction", d) }
+
+// UnmarshalText parses a flag or JSON spelling.
+func (d *Direction) UnmarshalText(text []byte) error {
+	return enum.Unmarshal(directionNames, "direction", text, d)
 }
 
-// ParseDirection maps the flag spellings to a Direction.
-func ParseDirection(s string) (Direction, error) {
-	switch s {
-	case "", "default":
-		return DirectionDefault, nil
-	case "push":
-		return DirectionPush, nil
-	case "pull":
-		return DirectionPull, nil
-	case "auto":
-		return DirectionAuto, nil
-	}
-	return DirectionDefault, fmt.Errorf("core: unknown direction %q (want push, pull or auto)", s)
-}
-
-// Config controls a distributed matching run.
+// Config controls a distributed matching run. It is the one solver-option
+// schema: BindFlags registers its command-line flags, encoding/json over its
+// tags is its wire and record format, the multi-process job spec and the
+// bench drivers carry it, and the public Options convert to it.
 type Config struct {
 	// Engine names the matching engine to run: a registered engine name
 	// ("bfs", "bfs-ss", "bfs-graft", "auction" — see EngineNames), "auto"
-	// to let ResolveEngineConfig pick per instance via the cost model, or
-	// "" to defer to the legacy TreeGrafting knob (the historical default,
-	// so existing configurations behave identically). Parse user input
-	// with ParseEngine.
-	Engine string
+	// to let ResolveEngineConfig pick per instance via the cost model, or ""
+	// for the default, bfs.
+	Engine string `json:"engine,omitempty"`
 	// Procs is the number of simulated MPI ranks. Unless GridRows/GridCols
 	// are set it must be a perfect square (the configuration the paper
 	// evaluates; its CombBLAS build "does not support rectangular grids" —
 	// this implementation does, see GridRows). 0 means 1.
-	Procs int
+	Procs int `json:"procs,omitempty"`
 	// GridRows and GridCols select an explicit (possibly rectangular)
 	// process grid; both must be set together and their product becomes
 	// the rank count. Zero means the square grid derived from Procs.
-	GridRows, GridCols int
+	GridRows int `json:"grid_rows,omitempty"`
+	GridCols int `json:"grid_cols,omitempty"`
 	// Threads is the number of compute threads modeled per rank (the
 	// paper's OpenMP threads, 12 per socket on Edison). It divides the
 	// local-work term of the cost model. 0 means 1.
-	Threads int
+	Threads int `json:"threads,omitempty"`
 	// Init selects the maximal-matching initializer.
-	Init Init
+	Init Init `json:"init,omitempty"`
 	// AddOp selects the SpMV semiring addition (minParent, randRoot,
 	// randParent).
-	AddOp semiring.AddOp
+	AddOp semiring.AddOp `json:"semiring,omitempty"`
 	// Augment selects the augmentation strategy.
-	Augment AugmentMode
+	Augment AugmentMode `json:"augment,omitempty"`
 	// DisablePrune turns off Step 6 of Algorithm 2 (the Fig. 8 ablation).
-	DisablePrune bool
-	// TreeGrafting selects the tree-grafting MCM variant (MCMGraft), the
-	// distributed MS-BFS-Graft the paper lists as future work: alternating
-	// trees persist across phases and only augmented trees release their
-	// vertices.
-	TreeGrafting bool
-	// DirectionOptimized enables the bottom-up ("pull") BFS step for large
-	// frontiers — the direction optimization the paper lists as future
-	// work. When the frontier exceeds PullThreshold of the columns, the
-	// SpMV switches from scattering frontier columns to having unvisited
-	// rows scan their own adjacency with early exit.
-	DirectionOptimized bool
+	DisablePrune bool `json:"no_prune,omitempty"`
 	// PullThreshold is the minimum frontier fraction (of n2) for the pull
 	// direction to be considered; 0 derives the threshold online from the
 	// alpha-beta cost model's push/pull crossover at the run's thread count
 	// and average degree (costmodel.PullCrossover). The pull choice
 	// additionally requires the Beamer-style edge-count condition (see
 	// internal/core/direction.go and docs/KERNELS.md).
-	PullThreshold float64
-	// Direction pins the SpMV kernel choice: DirectionPush or DirectionPull
-	// hold one kernel for every iteration (deterministic for tests and
-	// ablations), DirectionAuto runs the per-iteration heuristic, and the
-	// zero value DirectionDefault defers to DirectionOptimized.
-	Direction Direction
+	PullThreshold float64 `json:"pull_threshold,omitempty"`
+	// Direction pins the SpMV kernel choice: DirectionPush (the zero value)
+	// or DirectionPull hold one kernel for every iteration (deterministic for
+	// tests and ablations), and DirectionAuto runs the per-iteration
+	// bottom-up ("pull") heuristic for large frontiers — the direction
+	// optimization the paper lists as future work.
+	Direction Direction `json:"direction,omitempty"`
 	// Compress enables the delta-varint wire codec (internal/wire) on the
 	// communication layer: id-stream payloads are delta+varint encoded on
 	// the tcp backend and the encoded volume is metered as Meter.WordsEnc on
 	// every backend. Results are bit-identical with it on or off.
-	Compress bool
+	Compress bool `json:"compress,omitempty"`
 	// Permute applies a random symmetric permutation before distributing,
 	// the load-balancing step of Section IV-A.
-	Permute bool
+	Permute bool `json:"permute,omitempty"`
 	// DisableReuse turns off the per-rank runtime context's buffer arena
 	// and scratch reuse: every borrow falls back to a fresh allocation.
 	// The pooling on/off equivalence tests use this; production runs leave
 	// it false.
-	DisableReuse bool
+	DisableReuse bool `json:"disable_reuse,omitempty"`
 	// DisableOverlap turns off the split-phase compute/communication
 	// overlap: every collective runs in its blocking start-then-wait form
 	// and the solver's pipelined frontier count reverts to the loop-top
@@ -200,43 +169,111 @@ type Config struct {
 	// way (the overlap-equivalence tests assert this); the switch exists
 	// for those tests and for measuring how much latency the overlapped
 	// schedules hide. Production runs leave it false.
-	DisableOverlap bool
+	DisableOverlap bool `json:"no_overlap,omitempty"`
 	// Seed drives the permutation and any randomized initializer.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// OnIteration, when non-nil, is invoked by rank 0 after every
 	// level-synchronous iteration with SPMD-replicated counters — a
 	// lightweight trace for debugging and teaching.
-	OnIteration func(IterInfo)
+	OnIteration func(IterInfo) `json:"-"`
 	// Obs attaches the observability plane (internal/obs) to the run: span
 	// tracing onto per-rank ring buffers, per-iteration time-series, and an
 	// optional live metrics registry, per the collector's own options. The
 	// collector must be built for at least the run's rank count. Nil (the
 	// default) records nothing and keeps the hot path at its untraced cost.
-	Obs *obs.Collector
+	Obs *obs.Collector `json:"-"`
 
 	// Fault attaches a deterministic fault injector to the run's simulated
 	// world (crash at the Nth collective, straggler latency, RMA failure);
 	// nil injects nothing. See mpi.FaultPlan.
-	Fault *mpi.FaultPlan
+	Fault *mpi.FaultPlan `json:"-"`
 	// WatchdogTimeout arms the runtime's progress watchdog: a run making no
 	// communication progress for this long is aborted with an
 	// mpi.DeadlockError naming the stuck collective and lagging ranks. It
 	// must comfortably exceed the longest communication-free compute stretch
 	// and any injected straggler delay. Zero disables the watchdog.
-	WatchdogTimeout time.Duration
+	WatchdogTimeout time.Duration `json:"watchdog,omitempty"`
 	// CheckpointEvery takes a phase-boundary checkpoint after every Nth
 	// augmentation phase (and after the initializer). Between phases the
 	// mate vectors always encode a valid matching, which is what makes the
 	// phase boundary a restart point. Zero disables checkpointing.
-	CheckpointEvery int
+	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// OnCheckpoint receives each checkpoint on rank 0. Required for
 	// CheckpointEvery to take effect; the recovery driver installs its own
 	// handler and chains to any caller-supplied one.
-	OnCheckpoint func(*Checkpoint)
+	OnCheckpoint func(*Checkpoint) `json:"-"`
 	// Resume restarts the solve from a prior checkpoint instead of running
 	// the maximal-matching initializer: the checkpointed mate vectors are
 	// scattered back over the grid and the MCM phases continue from there.
-	Resume *Checkpoint
+	Resume *Checkpoint `json:"-"`
+}
+
+// BindFlags registers the solver options on fs as the command-line flags
+// -procs -threads -engine -init -semiring -augment -direction -compress
+// -no-prune -no-permute -no-overlap -seed, parsing into cfg. cfg's current
+// values are the flag defaults.
+func BindFlags(fs *flag.FlagSet, cfg *Config) {
+	fs.IntVar(&cfg.Procs, "procs", cfg.Procs, "simulated ranks (perfect square)")
+	fs.IntVar(&cfg.Threads, "threads", cfg.Threads, "worker threads per rank (also divides the modeled work term)")
+	fs.Var(engineFlag{&cfg.Engine}, "engine", "matching engine: bfs (the default), bfs-ss, bfs-graft, auction, or auto (cost-model selection)")
+	fs.TextVar(&cfg.Init, "init", cfg.Init, "initializer: "+strings.Join(initNames, ", "))
+	fs.TextVar(&cfg.AddOp, "semiring", cfg.AddOp, "SpMV semiring: minparent, randroot, randparent")
+	fs.TextVar(&cfg.Augment, "augment", cfg.Augment, "augmentation: "+strings.Join(augmentNames, ", "))
+	fs.TextVar(&cfg.Direction, "direction", cfg.Direction, "SpMV kernel policy: "+strings.Join(directionNames, ", ")+" (per-iteration heuristic)")
+	fs.BoolVar(&cfg.Compress, "compress", cfg.Compress, "enable the delta-varint wire codec (tcp payload compression; all backends meter the encoded volume; results are bit-identical)")
+	fs.BoolVar(&cfg.DisablePrune, "no-prune", cfg.DisablePrune, "disable tree pruning (Fig. 8 ablation)")
+	fs.Var(notFlag{&cfg.Permute}, "no-permute", "skip the load-balancing random permutation")
+	fs.BoolVar(&cfg.DisableOverlap, "no-overlap", cfg.DisableOverlap, "disable the split-phase compute/communication overlap (results are bit-identical; wall clocks and the exposed-comm ledger change)")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "seed of the permutation, the randomized initializers and generated graphs")
+}
+
+// engineFlag is the -engine flag: an engine spelling checked at parse time.
+type engineFlag struct{ name *string }
+
+func (f engineFlag) String() string {
+	if f.name == nil {
+		return ""
+	}
+	return *f.name
+}
+
+func (f engineFlag) Set(s string) error {
+	if err := checkEngine(s); err != nil {
+		return err
+	}
+	*f.name = s
+	return nil
+}
+
+// notFlag is a boolean flag that stores its negation (-no-permute clears
+// Permute).
+type notFlag struct{ b *bool }
+
+func (f notFlag) String() string { return strconv.FormatBool(f.b != nil && !*f.b) }
+
+func (f notFlag) Set(s string) error {
+	v, err := strconv.ParseBool(s)
+	if err != nil {
+		return err
+	}
+	*f.b = !v
+	return nil
+}
+
+func (f notFlag) IsBoolFlag() bool { return true }
+
+// Validate rejects option values the schema has no name for: an unknown
+// engine spelling or an out-of-range enum.
+func (c Config) Validate() error {
+	if err := checkEngine(c.Engine); err != nil {
+		return err
+	}
+	for _, v := range []encoding.TextMarshaler{c.Init, c.AddOp, c.Augment, c.Direction} {
+		if _, err := v.MarshalText(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	return nil
 }
 
 // IterInfo is one iteration's trace record.
@@ -248,6 +285,16 @@ type IterInfo struct {
 	Pull         bool // whether the bottom-up SpMV direction was used
 }
 
+// String renders the record as one trace line.
+func (ii IterInfo) String() string {
+	dir := "push"
+	if ii.Pull {
+		dir = "pull"
+	}
+	return fmt.Sprintf("phase %d iter %d: frontier %d, %d paths, %s",
+		ii.Phase, ii.Iteration, ii.FrontierSize, ii.NewPaths, dir)
+}
+
 // withDefaults normalizes zero values.
 func (c Config) withDefaults() Config {
 	if c.Procs <= 0 {
@@ -255,6 +302,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Threads <= 0 {
 		c.Threads = 1
+	}
+	if c.Engine == "" {
+		c.Engine = EngineBFS
 	}
 	// PullThreshold 0 is meaningful (resolve from the cost model online);
 	// negative values are normalized to it.

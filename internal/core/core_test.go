@@ -50,14 +50,14 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEnumStrings(t *testing.T) {
 	if InitNone.String() != "none" || InitGreedy.String() != "greedy" ||
-		InitKarpSipser.String() != "karp-sipser" || InitDynMinDegree.String() != "dynamic-mindegree" {
+		InitKarpSipser.String() != "karpsipser" || InitDynMinDegree.String() != "mindegree" {
 		t.Fatal("Init names wrong")
 	}
 	if Init(42).String() != "Init(42)" {
 		t.Fatal("unknown Init name wrong")
 	}
-	if AugmentAuto.String() != "auto" || AugmentLevelParallel.String() != "level-parallel" ||
-		AugmentPathParallel.String() != "path-parallel" {
+	if AugmentAuto.String() != "auto" || AugmentLevelParallel.String() != "level" ||
+		AugmentPathParallel.String() != "path" {
 		t.Fatal("AugmentMode names wrong")
 	}
 	if AugmentMode(9).String() != "AugmentMode(9)" {
@@ -121,7 +121,9 @@ func TestWorkedExamplePhase(t *testing.T) {
 		Config{Procs: side * side, AddOp: semiring.MinParent}, func(s *Solver) error {
 			mater := dvec.NewDenseFrom(s.RowL, []int64{-1, 2, -1, 3, -1})
 			matec := dvec.NewDenseFrom(s.ColL, []int64{-1, -1, 1, 3, -1})
-			s.MCM(mater, matec)
+			if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
+				return err
+			}
 			fullR := mater.Gather()
 			fullC := matec.Gather()
 			if s.G.World.Rank() == 0 {
@@ -387,7 +389,7 @@ func TestDirectionOptimizedMatchesOracle(t *testing.T) {
 		a := randomBipartite(rng, nr, nc, 4*(nr+nc))
 		want := matching.HopcroftKarp(a, nil).Cardinality()
 		for _, procs := range []int{1, 4, 9} {
-			res := mustSolve(t, a, Config{Procs: procs, DirectionOptimized: true})
+			res := mustSolve(t, a, Config{Procs: procs, Direction: DirectionAuto})
 			if res.Stats.Cardinality != want {
 				t.Fatalf("trial %d p=%d: %d, oracle %d", trial, procs, res.Stats.Cardinality, want)
 			}
@@ -401,7 +403,7 @@ func TestDirectionOptimizedUsesBothDirections(t *testing.T) {
 	// frontiers, forcing push.
 	rng := rand.New(rand.NewSource(24))
 	a := randomBipartite(rng, 200, 200, 900)
-	res := mustSolve(t, a, Config{Procs: 4, DirectionOptimized: true, Init: InitNone})
+	res := mustSolve(t, a, Config{Procs: 4, Direction: DirectionAuto, Init: InitNone})
 	if res.Stats.PullIterations == 0 {
 		t.Fatal("direction optimization never used pull despite full initial frontier")
 	}
@@ -419,7 +421,7 @@ func TestDirectionOptimizedOffUsesOnlyPush(t *testing.T) {
 	a := randomBipartite(rng, 50, 50, 200)
 	res := mustSolve(t, a, Config{Procs: 4})
 	if res.Stats.PullIterations != 0 {
-		t.Fatal("pull used without DirectionOptimized")
+		t.Fatal("pull used under the default push direction")
 	}
 	if res.Stats.PushIterations != res.Stats.Iterations {
 		t.Fatal("push iteration accounting wrong")
@@ -430,7 +432,7 @@ func TestPullThresholdRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	a := randomBipartite(rng, 100, 100, 500)
 	// Threshold above 1.0 can never trigger: all pushes.
-	res := mustSolve(t, a, Config{Procs: 4, DirectionOptimized: true, PullThreshold: 1.5})
+	res := mustSolve(t, a, Config{Procs: 4, Direction: DirectionAuto, PullThreshold: 1.5})
 	if res.Stats.PullIterations != 0 {
 		t.Fatal("pull used despite impossible threshold")
 	}
@@ -524,7 +526,7 @@ func TestTreeGraftingMatchesOracle(t *testing.T) {
 		want := matching.HopcroftKarp(a, nil).Cardinality()
 		for _, procs := range []int{1, 4, 9} {
 			for _, init := range []Init{InitNone, InitGreedy, InitDynMinDegree} {
-				res := mustSolve(t, a, Config{Procs: procs, Init: init, TreeGrafting: true})
+				res := mustSolve(t, a, Config{Procs: procs, Init: init, Engine: EngineBFSGraft})
 				if res.Stats.Cardinality != want {
 					t.Fatalf("trial %d p=%d init=%v: graft %d, oracle %d",
 						trial, procs, init, res.Stats.Cardinality, want)
@@ -538,7 +540,7 @@ func TestTreeGraftingOnStructuredGraphs(t *testing.T) {
 	for _, sp := range gen.Suite()[:5] {
 		a := gen.MustGenerate(sp, 6)
 		want := matching.HopcroftKarp(a, nil).Cardinality()
-		res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, TreeGrafting: true, Permute: true})
+		res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft, Permute: true})
 		if res.Stats.Cardinality != want {
 			t.Fatalf("%s: graft %d, oracle %d", sp.Name, res.Stats.Cardinality, want)
 		}
@@ -558,7 +560,7 @@ func TestTreeGraftingAllAugmentModes(t *testing.T) {
 	}
 	a := coo.ToCSC()
 	for _, mode := range []AugmentMode{AugmentLevelParallel, AugmentPathParallel} {
-		res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, TreeGrafting: true, Augment: mode})
+		res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft, Augment: mode})
 		if res.Stats.Cardinality != n {
 			t.Fatalf("mode=%v: %d, want %d", mode, res.Stats.Cardinality, n)
 		}
@@ -568,7 +570,7 @@ func TestTreeGraftingAllAugmentModes(t *testing.T) {
 func TestTreeGraftingStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := randomBipartite(rng, 120, 120, 400) // sparse enough for several phases
-	res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, TreeGrafting: true})
+	res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft})
 	if res.Stats.Phases > 0 && res.Stats.GraftReleasedRows == 0 {
 		t.Error("phases augmented but no rows ever released")
 	}
@@ -586,9 +588,9 @@ func TestAugmentedPathsAccounting(t *testing.T) {
 		a := randomBipartite(rng, 60, 60, 250)
 		for _, cfg := range []Config{
 			{Procs: 4, Init: InitGreedy},
-			{Procs: 4, Init: InitGreedy, TreeGrafting: true},
+			{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft},
 			{Procs: 9, Init: InitNone, Augment: AugmentLevelParallel},
-			{Procs: 4, Init: InitDynMinDegree, DirectionOptimized: true},
+			{Procs: 4, Init: InitDynMinDegree, Direction: DirectionAuto},
 		} {
 			res := mustSolve(t, a, cfg)
 			if res.Stats.Cardinality != res.Stats.InitCardinality+res.Stats.AugmentedPaths {
@@ -652,8 +654,8 @@ func TestEmptyRowsAndColumns(t *testing.T) {
 	a := coo.ToCSC()
 	for _, cfg := range []Config{
 		{Procs: 4},
-		{Procs: 4, TreeGrafting: true},
-		{Procs: 4, DirectionOptimized: true},
+		{Procs: 4, Engine: EngineBFSGraft},
+		{Procs: 4, Direction: DirectionAuto},
 		{Procs: 4, Init: InitKarpSipser},
 	} {
 		res := mustSolve(t, a, cfg)
@@ -680,7 +682,9 @@ func TestCommKindAttribution(t *testing.T) {
 			Config{Procs: side * side, Init: InitGreedy, Augment: mode},
 			func(s *Solver) error {
 				mater, matec := s.MaximalInit()
-				s.MCM(mater, matec)
+				if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
+					return err
+				}
 				if s.G.World.Rank() == 0 {
 					w = s.G.World.World()
 				}
@@ -718,12 +722,12 @@ func TestRectangularGrids(t *testing.T) {
 	a := randomBipartite(rng, 70, 50, 320)
 	want := matching.HopcroftKarp(a, nil).Cardinality()
 	for _, shape := range [][2]int{{1, 4}, {4, 1}, {2, 3}, {3, 2}, {2, 8}, {1, 9}} {
-		for _, graft := range []bool{false, true} {
+		for _, engine := range []string{EngineBFS, EngineBFSGraft} {
 			cfg := Config{GridRows: shape[0], GridCols: shape[1],
-				Init: InitDynMinDegree, TreeGrafting: graft, Permute: true, Seed: 4}
+				Init: InitDynMinDegree, Engine: engine, Permute: true, Seed: 4}
 			res := mustSolve(t, a, cfg)
 			if res.Stats.Cardinality != want {
-				t.Fatalf("grid %v graft=%v: %d, oracle %d", shape, graft, res.Stats.Cardinality, want)
+				t.Fatalf("grid %v %s: %d, oracle %d", shape, engine, res.Stats.Cardinality, want)
 			}
 			if res.Procs != shape[0]*shape[1] {
 				t.Fatalf("grid %v: procs %d", shape, res.Procs)
@@ -751,7 +755,9 @@ func TestSingleSourceMatchesOracle(t *testing.T) {
 		err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
 			Config{Procs: 4, Init: InitGreedy}, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
-				s.MCMSingleSource(mater, matec)
+				if err := s.RunEngineByName(EngineBFSSingleSource, mater, matec); err != nil {
+					return err
+				}
 				if s.G.World.Rank() == 0 {
 					card = s.Stats.Cardinality
 				}
@@ -783,9 +789,13 @@ func TestSingleSourceNeedsFarMoreIterations(t *testing.T) {
 			Config{Procs: 4, Init: InitNone}, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
 				if single {
-					s.MCMSingleSource(mater, matec)
+					if err := s.RunEngineByName(EngineBFSSingleSource, mater, matec); err != nil {
+						return err
+					}
 				} else {
-					s.MCM(mater, matec)
+					if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
+						return err
+					}
 				}
 				if s.G.World.Rank() == 0 {
 					n = s.Stats.Iterations

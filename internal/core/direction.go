@@ -38,8 +38,7 @@ func (d *dirState) resetPhase() { d.visitedRows = 0 }
 // adaptiveDirection reports whether the per-iteration heuristic is live —
 // the case that needs visited-row tracking and scan-productivity feedback.
 func (s *Solver) adaptiveDirection() bool {
-	return s.Cfg.Direction == DirectionAuto ||
-		(s.Cfg.Direction == DirectionDefault && s.Cfg.DirectionOptimized)
+	return s.Cfg.Direction == DirectionAuto
 }
 
 // chooseDirection decides the SpMV direction for one iteration: true means
@@ -85,7 +84,7 @@ func (s *Solver) resolveThreshold() float64 {
 
 // noteDiscovered folds one iteration's newly discovered rows into the
 // heuristic state (the same frontier-size bookkeeping real
-// direction-optimized BFS implementations perform each level).
+// direction-optimizing BFS implementations perform each level).
 func (d *dirState) noteDiscovered(n int) { d.visitedRows += n }
 
 // notePullScan applies the hit-rate feedback after a pull iteration:

@@ -43,7 +43,7 @@ type EngineCaps struct {
 	// every Iterate boundary, so phase-boundary checkpoint/restart works.
 	Checkpointable bool
 	// DirectionOptimized: the engine consults the push/pull direction
-	// heuristic (Config.Direction / DirectionOptimized have an effect).
+	// heuristic (Config.Direction has an effect).
 	DirectionOptimized bool
 	// Augmenting: the engine applies augmenting paths (Config.Augment has
 	// an effect).
@@ -120,71 +120,36 @@ func EngineNames() []string {
 	return out
 }
 
-// ParseEngine canonicalizes an engine spelling: the empty string (defer to
-// the legacy Config knobs), "auto", a canonical engine name, or one of the
-// deprecated aliases that the old boolean flags collapse into ("graft",
-// "ss"). It validates spelling only; whether the engine is registered in
-// this binary is checked by ResolveEngineConfig, so flag parsing does not
-// depend on package import order.
-func ParseEngine(s string) (string, error) {
-	switch s {
-	case "":
-		return "", nil
-	case EngineAuto:
-		return EngineAuto, nil
-	case EngineBFS, "ms-bfs":
-		return EngineBFS, nil
-	case EngineBFSSingleSource, "ss", "single-source":
-		return EngineBFSSingleSource, nil
-	case EngineBFSGraft, "graft":
-		return EngineBFSGraft, nil
-	case EngineAuction:
-		return EngineAuction, nil
+// checkEngine validates an engine spelling: "" (the default, bfs), "auto",
+// or a canonical engine name. It checks spelling only; whether the engine is
+// registered in this binary is checked by ResolveEngineConfig, so flag
+// parsing does not depend on package import order.
+func checkEngine(name string) error {
+	switch name {
+	case "", EngineAuto, EngineBFS, EngineBFSSingleSource, EngineBFSGraft, EngineAuction:
+		return nil
 	}
-	return "", fmt.Errorf("core: unknown engine %q (want %s, %s, %s, %s or %s)",
-		s, EngineBFS, EngineBFSSingleSource, EngineBFSGraft, EngineAuction, EngineAuto)
+	return fmt.Errorf("core: unknown engine %q (want %s, %s, %s, %s or %s)",
+		name, EngineBFS, EngineBFSSingleSource, EngineBFSGraft, EngineAuction, EngineAuto)
 }
 
-// engineOrDefault maps the legacy boolean knob onto the engine enum: an
-// explicit Engine wins, otherwise TreeGrafting selects bfs-graft and the
-// zero config keeps the historical default, plain MCM-DIST.
-func (c Config) engineOrDefault() string {
-	if c.Engine != "" {
-		return c.Engine
-	}
-	if c.TreeGrafting {
-		return EngineBFSGraft
-	}
-	return EngineBFS
-}
-
-// ResolveEngineConfig pins cfg.Engine to a concrete registered engine:
-// it canonicalizes the spelling, maps the legacy TreeGrafting knob, and
-// replaces "auto" with the cost model's per-instance choice computed from
-// the distributed blocks (degree distribution, density, grid size, thread
-// count — all SPMD-replicated, so every rank resolves identically). The
-// solve drivers call it once before building solvers, so checkpoint hashes
-// and Stats always see the concrete engine.
+// ResolveEngineConfig validates cfg and pins cfg.Engine to a concrete
+// registered engine, replacing "auto" with the cost model's per-instance
+// choice computed from the distributed blocks (degree distribution,
+// density, grid size, thread count — all SPMD-replicated, so every rank
+// resolves identically). The solve drivers call it once before building
+// solvers, so checkpoint hashes and Stats always see the concrete engine.
 func ResolveEngineConfig(cfg Config, n1, n2 int, blocks [][]*spmat.LocalMatrix) (Config, error) {
-	cfg = cfg.withDefaults()
-	name, err := ParseEngine(cfg.Engine)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}
-	switch name {
-	case "":
-		name = cfg.engineOrDefault()
-	case EngineAuto:
-		choice := costmodel.SelectEngine(costmodel.Laptop, engineFeatures(cfg, n1, n2, blocks))
-		name = choice.Engine
+	cfg = cfg.withDefaults()
+	if cfg.Engine == EngineAuto {
+		cfg.Engine = costmodel.SelectEngine(costmodel.Laptop, engineFeatures(cfg, n1, n2, blocks)).Engine
 	}
-	if _, ok := EngineByName(name); !ok {
-		return cfg, fmt.Errorf("core: engine %q is not registered in this binary (have %v)", name, EngineNames())
+	if _, ok := EngineByName(cfg.Engine); !ok {
+		return cfg, fmt.Errorf("core: engine %q is not registered in this binary (have %v)", cfg.Engine, EngineNames())
 	}
-	cfg.Engine = name
-	// Keep the deprecated alias coherent so CheckpointHash and any residual
-	// reader of the old knob agree with the resolved engine.
-	cfg.TreeGrafting = name == EngineBFSGraft
 	return cfg, nil
 }
 
@@ -245,14 +210,6 @@ func (s *Solver) RunEngineByName(name string, mater, matec *dvec.Dense) error {
 		return fmt.Errorf("core: engine %q is not registered in this binary (have %v)", name, EngineNames())
 	}
 	return s.RunEngine(e, mater, matec)
-}
-
-// mustRunEngine backs the deprecated MCM* wrapper methods, whose signatures
-// predate error returns; the BFS engines never error.
-func (s *Solver) mustRunEngine(name string, mater, matec *dvec.Dense) {
-	if err := s.RunEngineByName(name, mater, matec); err != nil {
-		panic(err)
-	}
 }
 
 // Track runs fn, attributing its wall time, meter delta and comm-time delta

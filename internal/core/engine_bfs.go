@@ -8,11 +8,9 @@ import (
 )
 
 // This file holds the three MS-BFS engines behind the Engine seam. Each
-// Iterate() executes exactly one phase of the historical MCM, MCMSingleSource
-// or MCMGraft loop — same statements, same collective order, same tracer
-// spans — so the engines are bit-identical to the pre-seam solver (the
-// direction × compression × backend × threads sweep tests pin this). The
-// engines live in core rather than internal/engine because their phase
+// Iterate() executes exactly one phase of the multi-source, single-source or
+// tree-grafting search — the direction × compression × backend × threads
+// sweep tests pin that every trajectory is bit-identical. The engines live in core rather than internal/engine because their phase
 // kernels are core's private SpMV/select/augment machinery and because
 // core's own in-package tests drive them through Solve; internal/engine
 // hosts the external plug-ins (docs/ENGINES.md discusses the trade-off).
@@ -108,7 +106,7 @@ func (r *bfsRun) Iterate() (bool, error) {
 		})
 		if s.adaptiveDirection() {
 			// Track discovered rows for the direction heuristic (the
-			// same frontier-size allreduce real direction-optimized
+			// same frontier-size allreduce real direction-optimizing
 			// BFS implementations perform each level).
 			s.tr.track(OpOther, func() {
 				r.dir.noteDiscovered(fr.Nnz() + ufr.Nnz())

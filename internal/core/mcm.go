@@ -29,24 +29,3 @@ func (s *Solver) waitFrontierCount(rq *mpi.ValueRequest, fc *dvec.SparseV) int {
 	}
 	return fc.Nnz()
 }
-
-// MCM runs Algorithm 2 (MCM-DIST) on the given mate vectors, updating them
-// in place to a maximum cardinality matching. Collective: every rank of the
-// grid calls it together with its own mate vector pieces.
-//
-// Deprecated: MCM is a thin alias for the "bfs" engine (engine_bfs.go);
-// new callers should route through the engine registry (Config.Engine,
-// Solver.RunEngineByName) so the solve path stays pluggable.
-func (s *Solver) MCM(mater, matec *dvec.Dense) {
-	s.mustRunEngine(EngineBFS, mater, matec)
-}
-
-// MCMSingleSource runs the single-source (SS-BFS) variant the paper's
-// Section III-A dismisses: each phase searches from ONE unmatched column
-// instead of all of them. Collective.
-//
-// Deprecated: MCMSingleSource is a thin alias for the "bfs-ss" engine
-// (engine_bfs.go); new callers should route through the engine registry.
-func (s *Solver) MCMSingleSource(mater, matec *dvec.Dense) {
-	s.mustRunEngine(EngineBFSSingleSource, mater, matec)
-}

@@ -88,12 +88,12 @@ func TestOverlapOnOffEquivalenceVariants(t *testing.T) {
 		{"dyn-mindegree", Config{Procs: 4, Init: InitDynMinDegree}},
 		{"rand-root", Config{Procs: 4, AddOp: semiring.RandRoot}},
 		{"rand-parent", Config{Procs: 4, AddOp: semiring.RandParent}},
-		{"graft-permuted", Config{Procs: 4, Init: InitDynMinDegree, TreeGrafting: true, Permute: true, Seed: 6}},
-		{"dir-opt", Config{Procs: 4, Init: InitGreedy, DirectionOptimized: true}},
-		{"dir-opt-ks", Config{Procs: 4, Init: InitKarpSipser, DirectionOptimized: true, Permute: true, Seed: 6}},
+		{"graft-permuted", Config{Procs: 4, Init: InitDynMinDegree, Engine: EngineBFSGraft, Permute: true, Seed: 6}},
+		{"dir-opt", Config{Procs: 4, Init: InitGreedy, Direction: DirectionAuto}},
+		{"dir-opt-ks", Config{Procs: 4, Init: InitKarpSipser, Direction: DirectionAuto, Permute: true, Seed: 6}},
 		{"grid-2x3", Config{GridRows: 2, GridCols: 3, Init: InitDynMinDegree, Permute: true, Seed: 6}},
 		{"grid-1x4", Config{GridRows: 1, GridCols: 4, Init: InitGreedy}},
-		{"grid-3x2", Config{GridRows: 3, GridCols: 2, Init: InitGreedy, TreeGrafting: true}},
+		{"grid-3x2", Config{GridRows: 3, GridCols: 2, Init: InitGreedy, Engine: EngineBFSGraft}},
 	}
 	for _, g := range graphs {
 		for _, c := range configs {

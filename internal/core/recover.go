@@ -249,7 +249,7 @@ func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint, po
 	if len(ck.MateR) != n1 || len(ck.MateC) != n2 {
 		return fmt.Errorf("checkpoint mate vectors are %dx%d, want %dx%d", len(ck.MateR), len(ck.MateC), n1, n2)
 	}
-	if want := cfg.engineOrDefault(); ck.Engine != "" && ck.Engine != want {
+	if want := cfg.Engine; ck.Engine != "" && ck.Engine != want {
 		return fmt.Errorf("checkpoint was taken by engine %q, refusing cross-engine resume with %q", ck.Engine, want)
 	}
 	if want := cfg.CheckpointHash(n1, n2); ck.ConfigHash != want {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -38,12 +37,20 @@ func faultPlans() map[string]func() *mpi.FaultPlan {
 func TestRecoverableFaultMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	a := randomBipartite(rng, 60, 60, 140) // sparse: initializers leave augmenting work
-	for _, init := range []Init{InitGreedy, InitKarpSipser} {
-		for _, aug := range []AugmentMode{AugmentLevelParallel, AugmentPathParallel} {
-			base := Config{Procs: 4, Init: init, Augment: aug}
+	inits := []struct {
+		name string
+		init Init
+	}{{"greedy", InitGreedy}, {"karp-sipser", InitKarpSipser}}
+	augs := []struct {
+		name string
+		aug  AugmentMode
+	}{{"level-parallel", AugmentLevelParallel}, {"path-parallel", AugmentPathParallel}}
+	for _, in := range inits {
+		for _, am := range augs {
+			base := Config{Procs: 4, Init: in.init, Augment: am.aug}
 			clean := mustSolve(t, a, base)
 			for kind, mk := range faultPlans() {
-				t.Run(fmt.Sprintf("%s/%v/%v", kind, init, aug), func(t *testing.T) {
+				t.Run(kind+"/"+in.name+"/"+am.name, func(t *testing.T) {
 					plan := mk()
 					cfg := base
 					cfg.Fault = plan

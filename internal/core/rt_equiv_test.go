@@ -78,8 +78,8 @@ func TestPoolingOnOffEquivalenceVariants(t *testing.T) {
 		{"dyn-mindegree", Config{Procs: 4, Init: InitDynMinDegree}},
 		{"rand-root", Config{Procs: 4, AddOp: semiring.RandRoot}},
 		{"rand-parent", Config{Procs: 4, AddOp: semiring.RandParent}},
-		{"graft-permuted", Config{Procs: 4, Init: InitDynMinDegree, TreeGrafting: true, Permute: true, Seed: 4}},
-		{"dir-opt", Config{Procs: 4, Init: InitGreedy, DirectionOptimized: true}},
+		{"graft-permuted", Config{Procs: 4, Init: InitDynMinDegree, Engine: EngineBFSGraft, Permute: true, Seed: 4}},
+		{"dir-opt", Config{Procs: 4, Init: InitGreedy, Direction: DirectionAuto}},
 		{"grid-2x3", Config{GridRows: 2, GridCols: 3, Init: InitDynMinDegree, Permute: true, Seed: 4}},
 		{"grid-1x4", Config{GridRows: 1, GridCols: 4, Init: InitGreedy}},
 	}

@@ -33,7 +33,7 @@ type Solver struct {
 	ColTL dvec.Layout // length n2, row-aligned
 
 	// rowAdj is the local block in row-major (CSR) form, built lazily for
-	// the bottom-up SpMV direction (Config.DirectionOptimized).
+	// the bottom-up SpMV direction (see direction.go).
 	rowAdj *spmat.CSC
 
 	Stats *Stats

@@ -42,7 +42,7 @@ type Stats struct {
 	AugmentedPaths        int // total augmenting paths applied
 	InitCardinality       int // matching size after the initializer
 	Cardinality           int // final matching size
-	// Tree-grafting counters (MCMGraft): full resets performed and total
+	// Tree-grafting counters (the bfs-graft engine): full resets performed and total
 	// rows released from augmented trees.
 	GraftResets       int
 	GraftReleasedRows int

@@ -48,13 +48,13 @@ func TestSolveThreadInvariant(t *testing.T) {
 		oracle := matching.HopcroftKarp(c.a, nil).Cardinality()
 		for _, sh := range shapes {
 			for _, init := range []Init{InitGreedy, InitDynMinDegree} {
-				for _, graft := range []bool{false, true} {
+				for _, engine := range []string{EngineBFS, EngineBFSGraft} {
 					cfg := Config{
 						Procs: sh.procs, GridRows: sh.gr, GridCols: sh.gc,
 						Init: init, AddOp: semiring.MinParent,
-						TreeGrafting: graft, Permute: true, Seed: 9,
+						Engine: engine, Permute: true, Seed: 9,
 					}
-					name := fmt.Sprintf("%s/p%d-%dx%d/%s/graft=%v", c.name, sh.procs, sh.gr, sh.gc, init, graft)
+					name := fmt.Sprintf("%s/p%d-%dx%d/%s/%s", c.name, sh.procs, sh.gr, sh.gc, init, engine)
 					cfg.Threads = 1
 					base := mustSolve(t, c.a, cfg)
 					if base.Stats.Cardinality != oracle {

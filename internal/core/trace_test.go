@@ -42,7 +42,7 @@ func computeKind(k obs.Kind) bool {
 
 func TestTraceSpansNestPerRank(t *testing.T) {
 	t.Run("mcm", func(t *testing.T) { checkNesting(t, Config{}) })
-	t.Run("graft", func(t *testing.T) { checkNesting(t, Config{TreeGrafting: true}) })
+	t.Run("graft", func(t *testing.T) { checkNesting(t, Config{Engine: EngineBFSGraft}) })
 }
 
 // checkNesting solves with cfg under a collector and asserts every rank's

@@ -167,7 +167,9 @@ func TestEndToEndFromDistributedLoad(t *testing.T) {
 		s := core.NewSolver(g, core.Config{Procs: side * side, Init: core.InitGreedy},
 			a.NRows, a.NCols, lm, at)
 		mater, matec := s.MaximalInit()
-		s.MCM(mater, matec)
+		if err := s.RunEngineByName(core.EngineBFS, mater, matec); err != nil {
+			return err
+		}
 		if c.Rank() == 0 {
 			card = s.Stats.Cardinality
 		}

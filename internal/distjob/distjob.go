@@ -12,16 +12,17 @@
 package distjob
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"mcmdist/internal/core"
 	_ "mcmdist/internal/engine" // register the out-of-core engines for worker solves
 	"mcmdist/internal/gen"
+	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/mtx"
 	"mcmdist/internal/obs"
@@ -30,25 +31,13 @@ import (
 	"mcmdist/internal/spmat"
 )
 
-// Run decodes a job blob and solves it on the given transport endpoint: the
-// whole worker side of a distributed job, shared by cmd/mcmrank and
-// cmd/mcm's worker mode. The matrix and configuration are rebuilt locally
-// from the spec, so only the blob ever crosses the wire.
-func Run(tr mpi.Transport, blob []byte) (*core.Result, error) {
-	spec, err := Decode(blob)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := spec.Solve(tr, nil)
-	return res, err
-}
-
-// Solve runs an already-decoded spec on the given endpoint, rebuilding the
-// matrix and configuration locally. onCheckpoint, when non-nil, receives
-// each phase-boundary checkpoint on the process hosting rank 0 (the
-// supervisor captures the freshest one there to seed the next generation);
-// other processes keep the symmetric noop handler CoreConfig installs, so
-// the collective checkpoint gathers stay SPMD.
+// Solve runs the spec on the given endpoint (nil means an in-process world
+// hosting every rank) over a, the matrix BuildMatrix rebuilds from the spec.
+// The embedded Config's hooks, which never travel in the blob, apply to
+// this process only: OnCheckpoint receives each phase-boundary checkpoint
+// on the process hosting rank 0 (the supervisor captures the freshest one
+// there to seed the next generation), and a preset Obs collector replaces
+// the one the Obs* fields would build.
 //
 // The returned collector is the process's observability state (nil when the
 // spec enables none of it): on the coordinator of a successful tcp solve it
@@ -57,20 +46,16 @@ func Run(tr mpi.Transport, blob []byte) (*core.Result, error) {
 // solve dies, the collector's state is persisted to FlightDir before
 // returning — that dump is the post-mortem, written even though the error
 // unwinds.
-func (s *Spec) Solve(tr mpi.Transport, onCheckpoint func(*core.Checkpoint)) (*core.Result, *obs.Collector, error) {
+func (s *Spec) Solve(tr mpi.Transport, a *spmat.CSC) (*core.Result, *obs.Collector, error) {
+	if tr == nil {
+		tr = mpi.NewInproc(s.Procs)
+	}
 	if s.Procs != tr.WorldSize() {
 		return nil, nil, fmt.Errorf("distjob: job spec procs %d != transport world size %d", s.Procs, tr.WorldSize())
 	}
-	a, err := s.BuildMatrix()
+	cfg, err := s.coreConfig()
 	if err != nil {
 		return nil, nil, err
-	}
-	cfg, err := s.CoreConfig()
-	if err != nil {
-		return nil, nil, err
-	}
-	if onCheckpoint != nil && cfg.CheckpointEvery > 0 {
-		cfg.OnCheckpoint = onCheckpoint
 	}
 	res, err := core.SolveOn(tr, a, cfg)
 	if err != nil && s.FlightDir != "" {
@@ -97,21 +82,18 @@ func (s *Spec) writeFlightDump(tr mpi.Transport, col *obs.Collector, cause error
 	return path
 }
 
-// Version is the current Spec codec version. Version 2 added the engine
-// field; the bump is deliberate even though the field is optional, because a
-// worker that silently dropped an unknown engine would solve with a
-// different algorithm than the coordinator asked for. Version 3 adds the
-// recovery plane: generation counter, restart policy, and the checkpoint a
-// restarted world resumes from — a v2 worker joining a recovering world
-// would neither checkpoint nor resume, so the bump is again load-bearing.
-// Version 4 adds the observability plane (the enables from which every
-// process builds the same collector) and the flight-recorder directory — a
-// v3 worker would silently trace nothing and dump nothing, leaving holes in
-// the merged world artifact, hence the bump.
-const Version = 4
+// Version is the current Spec codec version. Every bump is deliberate: a
+// worker that silently dropped a field it does not know would solve a
+// different job than the coordinator asked for. Version 2 added the engine,
+// 3 the recovery plane (generation, restart policy, resume checkpoint), 4
+// the observability plane and flight recorder, and 5 replaced the
+// hand-mirrored solver fields with the embedded core.Config schema.
+const Version = 5
 
 // Spec describes one distributed solve: the graph source (exactly one of
-// RMAT, Matrix or MTX) and the solver options, mirroring cmd/mcm's flags.
+// RMAT, Matrix or MTX), the solver options — the embedded core.Config,
+// whose Seed also drives the generators — and the recovery and
+// observability planes.
 type Spec struct {
 	// V is the codec version; Encode stamps it, Decode validates it.
 	V int `json:"v"`
@@ -130,42 +112,10 @@ type Spec struct {
 	// EdgeFactor overrides the R-MAT nonzeros per row; 0 means the
 	// class default (32, or 16 for SSCA).
 	EdgeFactor int `json:"edge_factor,omitempty"`
-	// Seed drives the generators and the load-balancing permutation.
-	Seed int64 `json:"seed,omitempty"`
 
-	// Procs is the world size; it must match the transport's.
-	Procs int `json:"procs"`
-	// Threads is the modeled thread count per rank.
-	Threads int `json:"threads,omitempty"`
-	// Init names the initializer: "none", "greedy", "karpsipser" or
-	// "mindegree".
-	Init string `json:"init,omitempty"`
-	// Semiring names the SpMV addition: "minparent", "randroot" or
-	// "randparent".
-	Semiring string `json:"semiring,omitempty"`
-	// Augment names the augmentation strategy: "auto", "level" or "path".
-	Augment string `json:"augment,omitempty"`
-	// NoPrune disables tree pruning (the Fig. 8 ablation).
-	NoPrune bool `json:"no_prune,omitempty"`
-	// DirectionOptimized enables the bottom-up BFS direction.
-	DirectionOptimized bool `json:"direction_optimized,omitempty"`
-	// Direction pins or frees the per-iteration SpMV kernel: "push", "pull",
-	// "auto", or "" for the DirectionOptimized-derived default.
-	Direction string `json:"direction,omitempty"`
-	// Compress enables the delta-varint wire codec on the solve's
-	// communication layer.
-	Compress bool `json:"compress,omitempty"`
-	// Engine names the matching engine ("bfs", "bfs-ss", "bfs-graft",
-	// "auction", "auto", or "" for the Graft-derived legacy default). Every
-	// process resolves it identically from the spec.
-	Engine string `json:"engine,omitempty"`
-	// Graft selects the tree-grafting MCM variant.
-	//
-	// Deprecated: set Engine to "bfs-graft"; Graft remains as an alias and
-	// is ignored when Engine is non-empty.
-	Graft bool `json:"graft,omitempty"`
-	// NoPermute skips the load-balancing random permutation.
-	NoPermute bool `json:"no_permute,omitempty"`
+	// Config holds the solver options. Procs must match the transport's
+	// world size; every process derives its solve from the same values.
+	core.Config
 
 	// Generation counts world restarts of this job; 0 is the initial world.
 	// Every restart re-runs the rendezvous under a fresh generation, so a
@@ -178,12 +128,6 @@ type Spec struct {
 	// MaxRestarts bounds the generations after the first; 0 under Recover
 	// means the supervisor default.
 	MaxRestarts int `json:"max_restarts,omitempty"`
-	// CheckpointEvery takes a phase-boundary checkpoint every Nth phase on
-	// all processes (collective); the supervisor holds the freshest one.
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// WatchdogMillis arms the progress watchdog, so a world stalled by a
-	// failure mode the detector cannot see still aborts (and restarts).
-	WatchdogMillis int64 `json:"watchdog_millis,omitempty"`
 	// Checkpoint carries the previous generation's freshest snapshot
 	// (MCMCKPT bytes) into a restarted world; every process decodes it into
 	// its resume state, so generation g+1 starts exactly where g left off.
@@ -249,29 +193,14 @@ func (s *Spec) validate() error {
 	if s.Procs <= 0 {
 		return fmt.Errorf("distjob: procs %d must be positive", s.Procs)
 	}
-	if s.Generation < 0 || s.MaxRestarts < 0 || s.CheckpointEvery < 0 || s.WatchdogMillis < 0 {
-		return fmt.Errorf("distjob: negative recovery field (generation %d, max_restarts %d, checkpoint_every %d, watchdog_millis %d)",
-			s.Generation, s.MaxRestarts, s.CheckpointEvery, s.WatchdogMillis)
+	if s.Generation < 0 || s.MaxRestarts < 0 || s.CheckpointEvery < 0 || s.WatchdogTimeout < 0 {
+		return fmt.Errorf("distjob: negative recovery field (generation %d, max_restarts %d, checkpoint_every %d, watchdog %v)",
+			s.Generation, s.MaxRestarts, s.CheckpointEvery, s.WatchdogTimeout)
 	}
 	if _, err := s.rmatParams(); err != nil {
 		return err
 	}
-	if _, err := initByName(s.Init); err != nil {
-		return err
-	}
-	if _, err := addOpByName(s.Semiring); err != nil {
-		return err
-	}
-	if _, err := augmentByName(s.Augment); err != nil {
-		return err
-	}
-	if _, err := core.ParseEngine(s.Engine); err != nil {
-		return err
-	}
-	if _, err := core.ParseDirection(s.Direction); err != nil {
-		return err
-	}
-	return nil
+	return s.Config.Validate()
 }
 
 func (s *Spec) rmatParams() (rmat.Params, error) {
@@ -287,51 +216,13 @@ func (s *Spec) rmatParams() (rmat.Params, error) {
 	}
 }
 
-func initByName(name string) (core.Init, error) {
-	switch name {
-	case "", "mindegree":
-		return core.InitDynMinDegree, nil
-	case "none":
-		return core.InitNone, nil
-	case "greedy":
-		return core.InitGreedy, nil
-	case "karpsipser":
-		return core.InitKarpSipser, nil
-	default:
-		return 0, fmt.Errorf("distjob: unknown init %q", name)
-	}
-}
-
-func addOpByName(name string) (semiring.AddOp, error) {
-	switch name {
-	case "", "minparent":
-		return semiring.MinParent, nil
-	case "randroot":
-		return semiring.RandRoot, nil
-	case "randparent":
-		return semiring.RandParent, nil
-	default:
-		return 0, fmt.Errorf("distjob: unknown semiring %q", name)
-	}
-}
-
-func augmentByName(name string) (core.AugmentMode, error) {
-	switch name {
-	case "", "auto":
-		return core.AugmentAuto, nil
-	case "level":
-		return core.AugmentLevelParallel, nil
-	case "path":
-		return core.AugmentPathParallel, nil
-	default:
-		return 0, fmt.Errorf("distjob: unknown augment %q", name)
-	}
-}
-
-// BuildMatrix rebuilds the input matrix from the spec. The generators are
-// deterministic in the spec fields, so every process gets a bit-identical
-// matrix.
+// BuildMatrix validates the spec and rebuilds its input matrix. The
+// generators are deterministic in the spec fields, so every process gets a
+// bit-identical matrix.
 func (s *Spec) BuildMatrix() (*spmat.CSC, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
 	switch {
 	case s.MTX != "":
 		return mtx.Read(strings.NewReader(s.MTX))
@@ -342,10 +233,7 @@ func (s *Spec) BuildMatrix() (*spmat.CSC, error) {
 		}
 		return gen.Generate(sp, s.Scale)
 	default:
-		p, err := s.rmatParams()
-		if err != nil {
-			return nil, err
-		}
+		p, _ := s.rmatParams() // checked by validate
 		ef := s.EdgeFactor
 		if ef == 0 {
 			ef = p.EdgeFactor()
@@ -354,41 +242,14 @@ func (s *Spec) BuildMatrix() (*spmat.CSC, error) {
 	}
 }
 
-// CoreConfig maps the spec onto a core solver configuration. Every process
-// must derive its config from the same spec so the solve stays SPMD.
-func (s *Spec) CoreConfig() (core.Config, error) {
-	cfg := core.Config{
-		Engine:             s.Engine,
-		Procs:              s.Procs,
-		Threads:            s.Threads,
-		DisablePrune:       s.NoPrune,
-		DirectionOptimized: s.DirectionOptimized,
-		TreeGrafting:       s.Graft,
-		Compress:           s.Compress,
-		Permute:            !s.NoPermute,
-		Seed:               s.Seed,
-	}
-	var err error
-	if cfg.Init, err = initByName(s.Init); err != nil {
-		return core.Config{}, err
-	}
-	if cfg.AddOp, err = addOpByName(s.Semiring); err != nil {
-		return core.Config{}, err
-	}
-	if cfg.Augment, err = augmentByName(s.Augment); err != nil {
-		return core.Config{}, err
-	}
-	if cfg.Direction, err = core.ParseDirection(s.Direction); err != nil {
-		return core.Config{}, err
-	}
-	cfg.CheckpointEvery = s.CheckpointEvery
-	if s.WatchdogMillis > 0 {
-		cfg.WatchdogTimeout = time.Duration(s.WatchdogMillis) * time.Millisecond
-	}
-	if s.CheckpointEvery > 0 {
-		// The checkpoint gathers are collective, so every process must install
-		// a handler symmetrically or the world deadlocks; rank 0's supervisor
-		// replaces this noop with its capture hook (Spec.Solve).
+// coreConfig completes the spec's Config for this process: the resume
+// checkpoint, the observability collector, and a checkpoint handler on
+// every process — the checkpoint gathers are collective, so every process
+// must take part or the world deadlocks, and only the handler a caller set
+// on rank 0's process (Spec.Solve) does anything with the snapshots.
+func (s *Spec) coreConfig() (core.Config, error) {
+	cfg := s.Config
+	if cfg.CheckpointEvery > 0 && cfg.OnCheckpoint == nil {
 		cfg.OnCheckpoint = func(*core.Checkpoint) {}
 	}
 	if len(s.Checkpoint) > 0 {
@@ -398,12 +259,44 @@ func (s *Spec) CoreConfig() (core.Config, error) {
 		}
 		cfg.Resume = ck
 	}
-	if s.ObsSpans || s.ObsSeries || s.ObsMetrics || s.FlightDir != "" {
-		opt := obs.Options{Spans: s.ObsSpans || s.FlightDir != "", TimeSeries: s.ObsSeries}
-		if s.ObsMetrics {
-			opt.Metrics = obs.NewRegistry()
-		}
-		cfg.Obs = obs.NewCollector(s.Procs, opt)
+	if cfg.Obs == nil {
+		cfg.Obs = s.NewCollector()
 	}
 	return cfg, nil
+}
+
+// NewCollector builds the observability collector the spec's Obs* and
+// FlightDir fields ask for, or nil when they ask for none. Every process
+// builds the same one, so the whole world observes symmetrically.
+func (s *Spec) NewCollector() *obs.Collector {
+	if !s.ObsSpans && !s.ObsSeries && !s.ObsMetrics && s.FlightDir == "" {
+		return nil
+	}
+	opt := obs.Options{Spans: s.ObsSpans || s.FlightDir != "", TimeSeries: s.ObsSeries}
+	if s.ObsMetrics {
+		opt.Metrics = obs.NewRegistry()
+	}
+	return obs.NewCollector(s.Procs, opt)
+}
+
+// WriteMatching stores a matching's pairs as "row col" lines, one per
+// matched row in row order: the one output format of cmd/mcm and
+// cmd/mcmrank, so the outputs of different processes and backends compare
+// byte for byte.
+func WriteMatching(path string, m *matching.Matching) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	for i, j := range m.MateR {
+		if j != semiring.None {
+			fmt.Fprintf(w, "%d %d\n", i, j)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,7 +1,10 @@
 package distjob
 
 import (
+	"encoding"
+	"flag"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,27 +14,89 @@ import (
 	"mcmdist/internal/semiring"
 )
 
-// TestRoundTrip pins that Encode/Decode is lossless and version-stamped.
+// TestRoundTrip pins the one option schema end to end: for every value of
+// every enum, every engine spelling and each bool flag, flags -> Config ->
+// spec JSON -> Config is the identity, and the spec's own fields survive
+// Encode/Decode with the version stamped.
 func TestRoundTrip(t *testing.T) {
-	s := &Spec{
-		RMAT: "ssca", Scale: 9, EdgeFactor: 8, Seed: 42,
-		Procs: 4, Threads: 6,
-		Init: "karpsipser", Semiring: "randroot", Augment: "level",
-		Engine:  "auction",
-		NoPrune: true, DirectionOptimized: true, Graft: true, NoPermute: true,
+	var cases [][]string
+	enums := []struct {
+		flag string
+		v    encoding.TextMarshaler
+		next func(int) encoding.TextMarshaler
+	}{
+		{"-init", core.Init(0), func(i int) encoding.TextMarshaler { return core.Init(i) }},
+		{"-semiring", semiring.AddOp(0), func(i int) encoding.TextMarshaler { return semiring.AddOp(i) }},
+		{"-augment", core.AugmentMode(0), func(i int) encoding.TextMarshaler { return core.AugmentMode(i) }},
+		{"-direction", core.Direction(0), func(i int) encoding.TextMarshaler { return core.Direction(i) }},
 	}
-	blob, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
+	for _, e := range enums {
+		for i := 0; ; i++ {
+			name, err := e.next(i).MarshalText()
+			if err != nil {
+				if i < 3 {
+					t.Fatalf("%s has only %d names", e.flag, i)
+				}
+				break
+			}
+			cases = append(cases, []string{e.flag, string(name)})
+		}
 	}
-	got, err := Decode(blob)
-	if err != nil {
-		t.Fatal(err)
+	for _, eng := range []string{"", core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft, core.EngineAuction, core.EngineAuto} {
+		cases = append(cases, []string{"-engine", eng})
 	}
-	want := *s
-	want.V = Version
-	if !reflect.DeepEqual(*got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", *got, want)
+	for _, b := range []string{"-compress", "-no-prune", "-no-permute", "-no-overlap"} {
+		cases = append(cases, []string{b})
+	}
+	cases = append(cases, []string{"-procs", "9", "-threads", "3", "-seed", "42"})
+
+	for _, args := range cases {
+		cfg := core.Config{Procs: 4, Threads: 12, Init: core.InitDynMinDegree, Permute: true, Seed: 1}
+		fs := flag.NewFlagSet("mcm", flag.ContinueOnError)
+		core.BindFlags(fs, &cfg)
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if len(args) == 2 {
+			if got := fs.Lookup(args[0][1:]).Value.String(); got != args[1] {
+				t.Fatalf("%v parsed as %q", args, got)
+			}
+		}
+		s := &Spec{RMAT: "ssca", Scale: 9, EdgeFactor: 8, Config: cfg,
+			Generation: 2, Recover: true, MaxRestarts: 5, Checkpoint: []byte{1, 2},
+			ObsSpans: true, ObsSeries: true, ObsMetrics: true, FlightDir: "/tmp/f"}
+		blob, err := s.Encode()
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		got, err := Decode(blob)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		want := *s
+		want.V = Version
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("%v: round trip mismatch:\n got %+v\nwant %+v", args, *got, want)
+		}
+	}
+
+	// Unknown names fail at the flag parser and at the decoder alike.
+	for _, args := range [][]string{
+		{"-init", "bogus"}, {"-semiring", "minParent"}, {"-augment", "level-parallel"},
+		{"-direction", "default"}, {"-engine", "graft"}, {"-engine", "ss"},
+	} {
+		var cfg core.Config
+		fs := flag.NewFlagSet("mcm", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		core.BindFlags(fs, &cfg)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("flags accepted %v", args)
+		}
+		// Each flag name is its JSON key.
+		blob := fmt.Sprintf(`{"v":%d,"rmat":"g500","procs":4,%q:%q}`, Version, args[0][1:], args[1])
+		if _, err := Decode([]byte(blob)); err == nil {
+			t.Errorf("decoder accepted %s", blob)
+		}
 	}
 }
 
@@ -47,6 +112,12 @@ func TestDecodeRejects(t *testing.T) {
 	if _, err := Decode([]byte(`{"v":99,"rmat":"g500","procs":4}`)); err == nil {
 		t.Error("accepted unknown version")
 	}
+	// A v4 blob (hand-mirrored solver fields) must fail on its version,
+	// not be misread through the v5 schema.
+	v4 := `{"v":4,"rmat":"g500","procs":4,"init":"mindegree","no_permute":true,"graft":true}`
+	if _, err := Decode([]byte(v4)); err == nil || !strings.Contains(err.Error(), "version 4") {
+		t.Errorf("v4 blob: %v", err)
+	}
 	bad := []string{
 		fmt.Sprintf(`{"v":%d,"procs":4}`, Version),                                   // no source
 		fmt.Sprintf(`{"v":%d,"rmat":"g500","matrix":"road_usa","procs":4}`, Version), // two sources
@@ -56,6 +127,8 @@ func TestDecodeRejects(t *testing.T) {
 		fmt.Sprintf(`{"v":%d,"rmat":"g500","procs":4,"semiring":"x"}`, Version),      // bad semiring
 		fmt.Sprintf(`{"v":%d,"rmat":"g500","procs":4,"augment":"x"}`, Version),       // bad augment
 		fmt.Sprintf(`{"v":%d,"rmat":"g500","procs":4,"engine":"x"}`, Version),        // bad engine
+		fmt.Sprintf(`{"v":%d,"rmat":"g500","procs":4,"direction":"x"}`, Version),     // bad direction
+		fmt.Sprintf(`{"v":%d,"rmat":"g500","procs":4,"watchdog":-1}`, Version),       // negative watchdog
 	}
 	for _, blob := range bad {
 		if _, err := Decode([]byte(blob)); err == nil {
@@ -67,7 +140,7 @@ func TestDecodeRejects(t *testing.T) {
 // TestBuildMatrix pins that the spec rebuilds the same matrices as direct
 // generator calls, including the class-default edge factor.
 func TestBuildMatrix(t *testing.T) {
-	s := &Spec{RMAT: "g500", Scale: 6, Seed: 3, Procs: 1}
+	s := &Spec{RMAT: "g500", Scale: 6, Config: core.Config{Seed: 3, Procs: 1}}
 	a, err := s.BuildMatrix()
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +151,7 @@ func TestBuildMatrix(t *testing.T) {
 	}
 
 	mtxSrc := "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 2\n"
-	s = &Spec{MTX: mtxSrc, Procs: 1}
+	s = &Spec{MTX: mtxSrc, Config: core.Config{Procs: 1}}
 	a, err = s.BuildMatrix()
 	if err != nil {
 		t.Fatal(err)
@@ -91,44 +164,45 @@ func TestBuildMatrix(t *testing.T) {
 	}
 }
 
-// TestCoreConfig pins the name-to-enum mapping.
+// TestCoreConfig pins what a process adds to the spec's Config: the
+// symmetric checkpoint handler every process needs for the collective
+// gathers (a caller's own handler wins), the decoded resume checkpoint, and
+// the collector the Obs* fields ask for.
 func TestCoreConfig(t *testing.T) {
-	s := &Spec{
-		RMAT: "er", Scale: 5, Seed: 9,
-		Procs: 9, Threads: 2,
-		Init: "greedy", Semiring: "randparent", Augment: "path",
-		NoPrune: true, Graft: true, NoPermute: true,
-	}
-	cfg, err := s.CoreConfig()
+	s := &Spec{RMAT: "er", Scale: 5, Config: core.Config{Procs: 9, Init: core.InitGreedy, CheckpointEvery: 2}}
+	cfg, err := s.coreConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Procs != 9 || cfg.Threads != 2 || cfg.Seed != 9 {
-		t.Fatalf("sizing: %+v", cfg)
+	if cfg.OnCheckpoint == nil || cfg.Resume != nil || cfg.Obs != nil {
+		t.Fatalf("plain spec: handler %v, resume %v, obs %v", cfg.OnCheckpoint != nil, cfg.Resume, cfg.Obs)
 	}
-	if cfg.Init != core.InitGreedy || cfg.AddOp != semiring.RandParent || cfg.Augment != core.AugmentPathParallel {
-		t.Fatalf("enums: %+v", cfg)
-	}
-	if !cfg.DisablePrune || !cfg.TreeGrafting || cfg.Permute {
-		t.Fatalf("bools: %+v", cfg)
+	if cfg.Procs != 9 || cfg.Init != core.InitGreedy || cfg.CheckpointEvery != 2 {
+		t.Fatalf("options not carried: %+v", cfg)
 	}
 
-	// Defaults mirror cmd/mcm's flag defaults.
-	cfg, err = (&Spec{RMAT: "g500", Procs: 4}).CoreConfig()
+	called := false
+	s.OnCheckpoint = func(*core.Checkpoint) { called = true }
+	ck := &core.Checkpoint{Phase: 3, Engine: core.EngineBFS, N1: 1, N2: 1, MateR: []int64{0}, MateC: []int64{0}, Cardinality: 1}
+	s.Checkpoint = ck.Encode()
+	s.ObsSeries = true
+	cfg, err = s.coreConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Init != core.InitDynMinDegree || cfg.AddOp != semiring.MinParent || cfg.Augment != core.AugmentAuto || !cfg.Permute {
-		t.Fatalf("defaults: %+v", cfg)
+	cfg.OnCheckpoint(nil)
+	if !called {
+		t.Fatal("caller's checkpoint handler replaced")
+	}
+	if cfg.Resume == nil || cfg.Resume.Phase != 3 {
+		t.Fatalf("resume checkpoint not decoded: %+v", cfg.Resume)
+	}
+	if cfg.Obs == nil {
+		t.Fatal("no collector despite ObsSeries")
 	}
 
-	// The engine name flows through verbatim (resolution happens in core,
-	// identically on every process).
-	cfg, err = (&Spec{RMAT: "g500", Procs: 4, Engine: "auction"}).CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Engine != core.EngineAuction {
-		t.Fatalf("engine not forwarded: %+v", cfg)
+	s.Checkpoint = []byte("garbage")
+	if _, err := s.coreConfig(); err == nil {
+		t.Fatal("corrupt resume checkpoint accepted")
 	}
 }

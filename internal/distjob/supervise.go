@@ -22,6 +22,7 @@ import (
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/mpi/tcpnet"
 	"mcmdist/internal/obs"
+	"mcmdist/internal/spmat"
 )
 
 // SupervisePolicy bounds the coordinator's restart loop.
@@ -117,14 +118,21 @@ func (st *SuperviseStats) collectFlightDumps(dir string) {
 // The spec's CheckpointEvery should be positive for restarts to resume
 // mid-solve; with checkpointing off a restarted generation simply starts
 // from scratch. Supervise overwrites spec.Recover, spec.Generation,
-// spec.MaxRestarts and spec.Checkpoint; everything else is the caller's.
+// spec.MaxRestarts, spec.Checkpoint and spec.OnCheckpoint; everything else
+// is the caller's. spec.Obs must be nil: every generation observes into a
+// fresh collector.
 func Supervise(addr string, spec *Spec, opts tcpnet.Options, pol SupervisePolicy) (*core.Result, *SuperviseStats, error) {
 	pol = pol.withDefaults()
 	stats := &SuperviseStats{}
 	spec.Recover = true
 	spec.MaxRestarts = pol.MaxRestarts
+	a, err := spec.BuildMatrix()
+	if err != nil {
+		return nil, stats, err
+	}
 
 	var last *core.Checkpoint
+	spec.OnCheckpoint = func(ck *core.Checkpoint) { last = ck }
 	backoff := pol.Backoff
 	for gen := 0; ; gen++ {
 		stats.Generations++
@@ -151,7 +159,7 @@ func Supervise(addr string, spec *Spec, opts tcpnet.Options, pol SupervisePolicy
 			}
 		}
 		pol.Log("generation %d: coordinating %d-rank world at %s", gen, spec.Procs, addr)
-		res, col, err := superviseGeneration(rv, spec, blob, &last)
+		res, col, err := superviseGeneration(rv, spec, blob, a)
 		stats.Obs = col
 		if err == nil {
 			pol.Log("generation %d: solve complete", gen)
@@ -179,16 +187,16 @@ func Supervise(addr string, spec *Spec, opts tcpnet.Options, pol SupervisePolicy
 }
 
 // superviseGeneration runs one world: coordinate the rendezvous, solve rank
-// 0's share, capture the freshest checkpoint, and always tear the endpoint
-// down before returning so the next generation can re-listen cleanly.
-func superviseGeneration(rv *tcpnet.Rendezvous, spec *Spec, blob []byte, last **core.Checkpoint) (*core.Result, *obs.Collector, error) {
+// 0's share over a, and always tear the endpoint down before returning so
+// the next generation can re-listen cleanly.
+func superviseGeneration(rv *tcpnet.Rendezvous, spec *Spec, blob []byte, a *spmat.CSC) (*core.Result, *obs.Collector, error) {
 	n, err := rv.Coordinate(spec.Procs, blob)
 	if err != nil {
 		rv.Close()
 		return nil, nil, fmt.Errorf("distjob: rendezvous: %w", err)
 	}
 	defer n.Close()
-	return spec.Solve(n, func(ck *core.Checkpoint) { *last = ck })
+	return spec.Solve(n, a)
 }
 
 // WorkLoop is the worker side of a recoverable multi-process solve: Join the
@@ -219,7 +227,12 @@ func WorkLoop(addr string, rank int, opts tcpnet.Options, logf func(format strin
 		if spec.Generation > 0 {
 			logf("rejoined as generation %d", spec.Generation)
 		}
-		res, _, err := spec.Solve(n, nil)
+		a, err := spec.BuildMatrix()
+		if err != nil {
+			n.Close()
+			return nil, err
+		}
+		res, _, err := spec.Solve(n, a)
 		n.Close()
 		if err == nil {
 			return res, nil

@@ -3,7 +3,7 @@ package distjob
 // In-process integration test of the full recovery protocol: a real
 // Supervise coordinator and real WorkLoop workers, wired over loopback TCP,
 // with a deterministic network fault killing generation 0. Everything a
-// multi-process deployment does — rendezvous, spec v3 with generation and
+// multi-process deployment does — rendezvous, a spec with generation and
 // checkpoint, world teardown, re-listen, rejoin — happens here, just with
 // goroutines standing in for processes.
 
@@ -20,6 +20,21 @@ import (
 	"mcmdist/internal/obs"
 )
 
+// solveInproc is the clean reference: the spec solved on an in-process
+// world.
+func solveInproc(t *testing.T, s *Spec) *core.Result {
+	t.Helper()
+	a, err := s.BuildMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := s.Solve(nil, a)
+	if err != nil {
+		t.Fatalf("clean reference solve: %v", err)
+	}
+	return res
+}
+
 // TestSuperviseRecoversFromDroppedLink runs a 3-rank supervised solve where
 // worker rank 1's link to rank 2 drops mid-solve in generation 0. The
 // supervisor must run exactly one restart, every worker must rejoin, and the
@@ -28,13 +43,10 @@ import (
 func TestSuperviseRecoversFromDroppedLink(t *testing.T) {
 	const procs = 4
 	mkSpec := func() *Spec {
-		return &Spec{RMAT: "g500", Scale: 7, Seed: 11, Procs: procs, Init: "greedy", CheckpointEvery: 1}
+		return &Spec{RMAT: "g500", Scale: 7, Config: core.Config{
+			Seed: 11, Procs: procs, Init: core.InitGreedy, Permute: true, CheckpointEvery: 1}}
 	}
-
-	clean, _, err := mkSpec().Solve(mpi.NewInproc(procs), nil)
-	if err != nil {
-		t.Fatalf("clean reference solve: %v", err)
-	}
+	clean := solveInproc(t, mkSpec())
 
 	// One injector for the faulty worker, shared across its rejoins: the
 	// MaxFires budget (default 1) makes generation 0 fault and generation 1
@@ -43,8 +55,8 @@ func TestSuperviseRecoversFromDroppedLink(t *testing.T) {
 
 	addrCh := make(chan string, 1)
 	var (
-		res   *core.Result
-		stats *SuperviseStats
+		res    *core.Result
+		stats  *SuperviseStats
 		supErr error
 	)
 	var wg sync.WaitGroup
@@ -114,12 +126,10 @@ func TestSuperviseRecoversFromDroppedLink(t *testing.T) {
 func TestSuperviseCleanRunNoRestart(t *testing.T) {
 	const procs = 4
 	mkSpec := func() *Spec {
-		return &Spec{RMAT: "er", Scale: 6, Seed: 4, Procs: procs, Init: "karpsipser", CheckpointEvery: 1}
+		return &Spec{RMAT: "er", Scale: 6, Config: core.Config{
+			Seed: 4, Procs: procs, Init: core.InitKarpSipser, Permute: true, CheckpointEvery: 1}}
 	}
-	clean, _, err := mkSpec().Solve(mpi.NewInproc(procs), nil)
-	if err != nil {
-		t.Fatalf("clean reference solve: %v", err)
-	}
+	clean := solveInproc(t, mkSpec())
 
 	addrCh := make(chan string, 1)
 	var (
@@ -177,9 +187,10 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
 	mkSpec := func() *Spec {
 		return &Spec{
-			RMAT: "g500", Scale: 7, Seed: 11, Procs: procs, Init: "greedy",
-			CheckpointEvery: 1,
-			ObsSpans:        true, ObsSeries: true, ObsMetrics: true,
+			RMAT: "g500", Scale: 7,
+			Config: core.Config{
+				Seed: 11, Procs: procs, Init: core.InitGreedy, Permute: true, CheckpointEvery: 1},
+			ObsSpans: true, ObsSeries: true, ObsMetrics: true,
 			FlightDir: dir,
 		}
 	}
@@ -275,7 +286,8 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 // (no worker ever dials) is not a transport-plane death of a running world,
 // so the supervisor surfaces it after a single generation.
 func TestSuperviseTerminalErrorSurfacesImmediately(t *testing.T) {
-	spec := &Spec{RMAT: "g500", Scale: 6, Seed: 1, Procs: 2, CheckpointEvery: 1}
+	spec := &Spec{RMAT: "g500", Scale: 6, Config: core.Config{
+		Seed: 1, Procs: 2, Init: core.InitDynMinDegree, Permute: true, CheckpointEvery: 1}}
 	opts := tcpnet.Options{DialTimeout: 300 * time.Millisecond}
 	_, stats, err := Supervise("127.0.0.1:0", spec, opts, SupervisePolicy{
 		MaxRestarts: 3,

@@ -3,9 +3,8 @@ package engine
 // The engine conformance suite: every engine registered in this binary must
 // produce a valid MAXIMUM matching on both transports at every thread count,
 // survive the fault plans under checkpoint/restart (in-process only — the
-// retry driver cannot restart OS processes, see docs/TRANSPORT.md), and the
-// BFS engines must stay bit-identical to the legacy Config entry points they
-// replaced.
+// retry driver cannot restart OS processes, see docs/TRANSPORT.md), and a
+// checkpoint must never resume under a different engine or semiring.
 
 import (
 	"fmt"
@@ -17,6 +16,7 @@ import (
 	"mcmdist/internal/mpi"
 	_ "mcmdist/internal/mpi/tcpnet" // register the "tcp" backend
 	"mcmdist/internal/rmat"
+	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmat"
 	"mcmdist/internal/verify"
 )
@@ -111,43 +111,6 @@ func TestEngineConformanceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestBFSEnginesBitIdenticalToLegacyConfig pins the seam refactor: routing a
-// solve through Config.Engine must reproduce the legacy boolean-knob entry
-// points bit for bit — mate vectors, cardinality and iteration counts.
-func TestBFSEnginesBitIdenticalToLegacyConfig(t *testing.T) {
-	a := rmat.MustGenerate(rmat.G500, 7, 4, 3)
-	for _, tc := range []struct {
-		name    string
-		legacy  core.Config
-		engined core.Config
-	}{
-		{"bfs", core.Config{Procs: 4, Seed: 2}, core.Config{Engine: core.EngineBFS, Procs: 4, Seed: 2}},
-		{"bfs-do", core.Config{Procs: 4, DirectionOptimized: true, Seed: 2},
-			core.Config{Engine: core.EngineBFS, Procs: 4, DirectionOptimized: true, Seed: 2}},
-		{"bfs-graft", core.Config{Procs: 4, TreeGrafting: true, Seed: 2},
-			core.Config{Engine: core.EngineBFSGraft, Procs: 4, Seed: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := core.Solve(a, tc.legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := core.Solve(a, tc.engined)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(want.Matching.MateR) != fmt.Sprint(got.Matching.MateR) ||
-				fmt.Sprint(want.Matching.MateC) != fmt.Sprint(got.Matching.MateC) {
-				t.Fatal("engine route diverges from legacy route")
-			}
-			if want.Stats.Iterations != got.Stats.Iterations || want.Stats.Phases != got.Stats.Phases {
-				t.Fatalf("trajectory diverges: legacy %d/%d iters/phases, engine %d/%d",
-					want.Stats.Iterations, want.Stats.Phases, got.Stats.Iterations, got.Stats.Phases)
-			}
-		})
-	}
-}
-
 // TestCrossEngineResumeRefused takes a checkpoint under bfs and asserts the
 // auction engine refuses to resume from it (and vice versa).
 func TestCrossEngineResumeRefused(t *testing.T) {
@@ -164,6 +127,26 @@ func TestCrossEngineResumeRefused(t *testing.T) {
 	_, err := core.Solve(a, core.Config{Engine: core.EngineAuction, Procs: 4, Seed: 1, Resume: cks[len(cks)-1]})
 	if err == nil || !strings.Contains(err.Error(), "refusing cross-engine resume") {
 		t.Fatalf("cross-engine resume not refused: %v", err)
+	}
+}
+
+// TestCrossSemiringResumeRefused takes a checkpoint under the minparent
+// semiring and asserts a randroot resume refuses it: the semiring steers
+// every BFS tie-break, so the resumed trajectory would silently diverge.
+func TestCrossSemiringResumeRefused(t *testing.T) {
+	a := rmat.MustGenerate(rmat.G500, 6, 4, 11)
+	var cks []*core.Checkpoint
+	cfg := core.Config{Engine: core.EngineBFS, Procs: 4, Seed: 1, AddOp: semiring.MinParent,
+		CheckpointEvery: 1, OnCheckpoint: func(ck *core.Checkpoint) { cks = append(cks, ck) }}
+	if _, err := core.Solve(a, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(cks) == 0 {
+		t.Fatal("no checkpoints taken")
+	}
+	_, err := core.Solve(a, core.Config{Engine: core.EngineBFS, Procs: 4, Seed: 1, AddOp: semiring.RandRoot, Resume: cks[len(cks)-1]})
+	if err == nil || !strings.Contains(err.Error(), "config hash") {
+		t.Fatalf("cross-semiring resume not refused: %v", err)
 	}
 }
 
@@ -189,7 +172,7 @@ func TestAutoEngineResolvesAndSolves(t *testing.T) {
 }
 
 // TestFacade covers the registry façade: the canonical names are present,
-// aliases parse, and capability flags are visible.
+// only canonical spellings validate, and capability flags are visible.
 func TestFacade(t *testing.T) {
 	names := Names()
 	for _, want := range []string{core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft, core.EngineAuction} {
@@ -203,11 +186,10 @@ func TestFacade(t *testing.T) {
 			t.Fatalf("engine %q not registered (have %v)", want, names)
 		}
 	}
-	if got, err := Parse("graft"); err != nil || got != core.EngineBFSGraft {
-		t.Fatalf("Parse(graft) = %q, %v", got, err)
-	}
-	if _, err := Parse("nope"); err == nil {
-		t.Fatal("Parse accepted an unknown engine")
+	for _, alias := range []string{"graft", "ss", "single-source", "ms-bfs", "nope"} {
+		if err := (core.Config{Engine: alias}).Validate(); err == nil {
+			t.Fatalf("engine spelling %q accepted", alias)
+		}
 	}
 	caps, ok := Caps(core.EngineAuction)
 	if !ok || !caps.Checkpointable || caps.Augmenting {

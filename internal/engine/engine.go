@@ -1,7 +1,7 @@
 // Package engine hosts the matching engines that plug into core's Engine
 // seam from outside the core package, plus a small façade over the registry
-// for callers (cmd/bench, the session API) that want to enumerate or
-// validate engines without reaching into core.
+// for callers that want to enumerate engines or read their capabilities
+// without reaching into core.
 //
 // Placement: the three MS-BFS engines live inside internal/core — their
 // phase kernels are core's private SpMV/select/augment machinery and core's
@@ -17,10 +17,6 @@ import "mcmdist/internal/core"
 // Names returns every engine registered in this binary, sorted. With this
 // package imported that is at least bfs, bfs-graft, bfs-ss and auction.
 func Names() []string { return core.EngineNames() }
-
-// Parse canonicalizes an engine spelling (accepting the deprecated aliases)
-// without checking registration; see core.ParseEngine.
-func Parse(s string) (string, error) { return core.ParseEngine(s) }
 
 // Caps returns the capability flags of a registered engine.
 func Caps(name string) (core.EngineCaps, bool) {

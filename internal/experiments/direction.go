@@ -34,7 +34,7 @@ type DirectionSweepRow struct {
 // panics if one diverges. It backs the EXPERIMENTS.md table asserting that
 // auto never loses to the better static direction by more than a few
 // percent while compression shrinks dense-frontier wire volume.
-func DirectionSweep(w io.Writer, scales []int, procs int) []DirectionSweepRow {
+func DirectionSweep(w io.Writer, cfg core.Config, scales []int) []DirectionSweepRow {
 	if len(scales) == 0 {
 		scales = []int{14, 15, 16}
 	}
@@ -44,8 +44,8 @@ func DirectionSweep(w io.Writer, scales []int, procs int) []DirectionSweepRow {
 		a := rmat.MustGenerate(rmat.G500, scale, 8, 17)
 		var card = -1
 		for _, d := range dirs {
-			res := run(a, core.Config{
-				Procs: procs, Threads: DefaultThreads,
+			res := run(cfg, a, core.Config{
+				Procs: cfg.Procs, Threads: cfg.Threads,
 				Init: core.InitNone, Permute: true, Seed: 13,
 				Direction: d, Compress: true,
 			})
@@ -66,7 +66,7 @@ func DirectionSweep(w io.Writer, scales []int, procs int) []DirectionSweepRow {
 				Iterations:     res.Stats.Iterations,
 				PushIterations: res.Stats.PushIterations,
 				PullIterations: res.Stats.PullIterations,
-				ModeledSeconds: modeledTime(res, DefaultThreads),
+				ModeledSeconds: modeledTime(res, cfg.Threads),
 				Words:          words,
 				WordsEncoded:   wordsEnc,
 			}
@@ -77,7 +77,7 @@ func DirectionSweep(w io.Writer, scales []int, procs int) []DirectionSweepRow {
 		}
 	}
 	tw := newTab(w)
-	fmt.Fprintf(tw, "Direction sweep (rmat g500, p=%d, t=%d)\tdirection\t|M|\titers (push/pull)\tmodeled(s)\twords\tencoded\tratio\n", procs, DefaultThreads)
+	fmt.Fprintf(tw, "Direction sweep (rmat g500, p=%d, t=%d)\tdirection\t|M|\titers (push/pull)\tmodeled(s)\twords\tencoded\tratio\n", cfg.Procs, cfg.Threads)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "scale %d\t%s\t%d\t%d (%d/%d)\t%.4f\t%d\t%d\t%.2fx\n",
 			r.Scale, r.Direction, r.Cardinality, r.Iterations, r.PushIterations, r.PullIterations,

@@ -31,14 +31,14 @@ type EngineSweepRow struct {
 // volume. Every engine must produce a maximum matching — the sweep panics
 // if the verifier rejects one, since a fast engine that returns a smaller
 // matching is not comparable. Backs the engine table in EXPERIMENTS.md.
-func EngineSweep(w io.Writer, matrixName string, scale, procs int) []EngineSweepRow {
+func EngineSweep(w io.Writer, cfg core.Config, matrixName string, scale int) []EngineSweepRow {
 	a := suiteMatrix(matrixName, scale)
 	names := append(core.EngineNames(), core.EngineAuto)
 	var rows []EngineSweepRow
 	for _, name := range names {
 		start := time.Now()
-		res := run(a, core.Config{
-			Engine: name, Procs: procs, Threads: DefaultThreads,
+		res := run(cfg, a, core.Config{
+			Engine: name, Procs: cfg.Procs, Threads: cfg.Threads,
 			Init: core.InitDynMinDegree, Permute: true, Seed: 17,
 		})
 		wall := time.Since(start).Seconds()
@@ -63,7 +63,7 @@ func EngineSweep(w io.Writer, matrixName string, scale, procs int) []EngineSweep
 			Cardinality:    res.Stats.Cardinality,
 			Iterations:     res.Stats.Iterations,
 			WallSeconds:    wall,
-			ModeledSeconds: modeledTime(res, DefaultThreads),
+			ModeledSeconds: modeledTime(res, cfg.Threads),
 			Words:          words,
 			Msgs:           msgs,
 			Verified:       true,
@@ -71,7 +71,7 @@ func EngineSweep(w io.Writer, matrixName string, scale, procs int) []EngineSweep
 	}
 	tw := newTab(w)
 	fmt.Fprintf(tw, "Engine sweep (%s scale %d, p=%d, t=%d)\t|M|\titers\twall(s)\tmodeled(s)\twords\tmsgs\tmaximum\n",
-		matrixName, scale, procs, DefaultThreads)
+		matrixName, scale, cfg.Procs, cfg.Threads)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.3f\t%.4f\t%d\t%d\t%v\n",
 			r.Engine, r.Cardinality, r.Iterations, r.WallSeconds, r.ModeledSeconds,

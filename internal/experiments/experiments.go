@@ -24,48 +24,21 @@ import (
 // to the miniature input sizes (see costmodel.EdisonMini for the rationale).
 var Model = costmodel.EdisonMini
 
-// DefaultThreads mirrors the paper's 12 OpenMP threads per MPI process.
-// It is a variable so cmd/bench -threads can resize every experiment's
-// hybrid configuration at once.
-var DefaultThreads = 12
+// The experiments take the bench's solver configuration as a parameter:
+// Procs is the rank count of the single-p experiments, Threads the
+// per-rank thread count (the paper's 12 OpenMP threads by default) that the
+// hybrid configurations run with and the cost model divides local work by,
+// and DisableOverlap turns off the split-phase overlap of every solve
+// (results and meters are bit-identical either way; only wall clocks and the
+// exposed-communication ledger change). Each experiment fixes the options it
+// sweeps or ablates itself; only Profile runs the configuration as given.
 
-// DisableOverlap, when set (cmd/bench -no-overlap), runs every experiment
-// with the split-phase compute/communication overlap turned off. Results
-// and communication meters are bit-identical either way; only wall clocks
-// and the exposed-communication ledger change.
-var DisableOverlap = false
-
-// TransportBackend selects the transport the measured solve profile runs
-// on (cmd/bench -transport): "inproc" (the default simulation) or any
-// other registered backend, e.g. "tcp" for a loopback-socket world hosted
-// by this process. The scripted experiments always run in-process; results
-// are bit-identical across backends (the conformance suite pins this), so
-// the knob exists to measure the real communication stack, not to change
-// answers.
-var TransportBackend = "inproc"
-
-// DefaultDirection pins the measured profile solve's SpMV kernel choice
-// (cmd/bench -direction): DirectionPush, DirectionPull, DirectionAuto, or
-// the zero value to defer to the configuration's historical default.
-var DefaultDirection core.Direction
-
-// Compress runs the measured profile solve with the delta-varint wire
-// codec (cmd/bench -compress): serializing backends encode payloads on the
-// wire and every backend meters the encoded volume as Meter.WordsEnc.
-// Results are bit-identical with it on or off.
-var Compress = false
-
-// Engine pins the measured profile solve's matching engine (cmd/bench
-// -engine): a registry name, "auto" for the cost model's per-instance
-// choice, or "" for the historical default (bfs). See docs/ENGINES.md.
-var Engine string
-
-// Run solves the matrix on p ranks with the given options and returns the
-// result; it panics on configuration errors (experiment code paths use
-// known-good configurations).
-func run(a *spmat.CSC, cfg core.Config) *core.Result {
-	cfg.DisableOverlap = DisableOverlap
-	res, err := core.Solve(a, cfg)
+// run solves a under rc with cfg's overlap switch; it panics on
+// configuration errors (experiment code paths use known-good
+// configurations).
+func run(cfg core.Config, a *spmat.CSC, rc core.Config) *core.Result {
+	rc.DisableOverlap = cfg.DisableOverlap
+	res, err := core.Solve(a, rc)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
@@ -158,14 +131,14 @@ type Fig3Row struct {
 var Fig3Matrices = []string{"amazon-2008", "wikipedia-20070206", "cage15", "road_usa"}
 
 // Fig3 regenerates Fig. 3: the impact of the initializer (greedy,
-// Karp–Sipser, dynamic mindegree) on total MCM time, on p ranks.
-func Fig3(w io.Writer, scale, procs int) []Fig3Row {
+// Karp–Sipser, dynamic mindegree) on total MCM time, on cfg.Procs ranks.
+func Fig3(w io.Writer, cfg core.Config, scale int) []Fig3Row {
 	var rows []Fig3Row
 	for _, name := range Fig3Matrices {
 		a := suiteMatrix(name, scale)
 		for _, init := range []core.Init{core.InitGreedy, core.InitKarpSipser, core.InitDynMinDegree} {
-			res := run(a, core.Config{Procs: procs, Init: init, Permute: true, Seed: 5})
-			bd := Model.Breakdown(meterByOp(res), DefaultThreads)
+			res := run(cfg, a, core.Config{Procs: cfg.Procs, Init: init, Permute: true, Seed: 5})
+			bd := Model.Breakdown(meterByOp(res), cfg.Threads)
 			rows = append(rows, Fig3Row{
 				Matrix:    name,
 				Init:      init,
@@ -177,7 +150,7 @@ func Fig3(w io.Writer, scale, procs int) []Fig3Row {
 		}
 	}
 	tw := newTab(w)
-	fmt.Fprintf(tw, "Fig 3 (p=%d, t=%d)\tinit\tinit-time(s)\tmcm-time(s)\ttotal(s)\t|init|\t|MCM|\n", procs, DefaultThreads)
+	fmt.Fprintf(tw, "Fig 3 (p=%d, t=%d)\tinit\tinit-time(s)\tmcm-time(s)\ttotal(s)\t|init|\t|MCM|\n", cfg.Procs, cfg.Threads)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g\t%.4g\t%d\t%d\n",
 			r.Matrix, r.Init, r.InitTime, r.MCMTime, r.InitTime+r.MCMTime, r.InitCard, r.FinalCard)

@@ -5,10 +5,16 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"mcmdist/internal/core"
 )
 
 // Experiments are run at small scale here; the assertions target the
 // paper's qualitative claims (shapes), not absolute numbers.
+
+// testConfig is cmd/bench's threading (the paper's 12 threads per rank) on
+// procs ranks.
+func testConfig(procs int) core.Config { return core.Config{Procs: procs, Threads: 12} }
 
 func TestTable2Shape(t *testing.T) {
 	var buf bytes.Buffer
@@ -34,7 +40,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFig3KarpSipserSlower(t *testing.T) {
-	rows := Fig3(io.Discard, 7, 4)
+	rows := Fig3(io.Discard, testConfig(4), 7)
 	if len(rows) != len(Fig3Matrices)*3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -49,7 +55,7 @@ func TestFig3KarpSipserSlower(t *testing.T) {
 	}
 	slower := 0
 	for _, m := range Fig3Matrices {
-		ks := byKey[m+"/karp-sipser"].InitTime
+		ks := byKey[m+"/karpsipser"].InitTime
 		gr := byKey[m+"/greedy"].InitTime
 		if ks > gr {
 			slower++
@@ -62,7 +68,7 @@ func TestFig3KarpSipserSlower(t *testing.T) {
 }
 
 func TestFig4SpeedupsGrow(t *testing.T) {
-	rows := Fig4(io.Discard, 12, []int{4, 16, 64}, []string{"road_usa", "amazon-2008"})
+	rows := Fig4(io.Discard, testConfig(4), 12, []int{4, 16, 64}, []string{"road_usa", "amazon-2008"})
 	for _, r := range rows {
 		last := r.Points[len(r.Points)-1]
 		if last.Speedup <= 1 {
@@ -75,7 +81,7 @@ func TestFig4SpeedupsGrow(t *testing.T) {
 }
 
 func TestFig5FractionsSumToOne(t *testing.T) {
-	rows := Fig5(io.Discard, 9, []int{4, 16})
+	rows := Fig5(io.Discard, testConfig(4), 9, []int{4, 16})
 	for _, r := range rows {
 		sum := 0.0
 		for _, f := range r.Fraction {
@@ -95,7 +101,7 @@ func TestFig5FractionsSumToOne(t *testing.T) {
 }
 
 func TestFig6SyntheticScales(t *testing.T) {
-	rows := Fig6(io.Discard, []int{11}, []int{4, 16, 64})
+	rows := Fig6(io.Discard, testConfig(4), []int{11}, []int{4, 16, 64})
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -107,7 +113,7 @@ func TestFig6SyntheticScales(t *testing.T) {
 }
 
 func TestFig7HybridWins(t *testing.T) {
-	rows := Fig7(io.Discard, 11, []int{48, 192})
+	rows := Fig7(io.Discard, testConfig(4), 11, []int{48, 192})
 	for _, r := range rows {
 		if r.HybridTime >= r.FlatTime {
 			t.Errorf("%s cores=%d: hybrid %.4g >= flat %.4g — multithreading should win",
@@ -117,7 +123,7 @@ func TestFig7HybridWins(t *testing.T) {
 }
 
 func TestFig8PruningHelpsSomewhere(t *testing.T) {
-	rows := Fig8(io.Discard, 7, 4, []string{"road_usa", "delaunay_n24", "kkt_power"})
+	rows := Fig8(io.Discard, testConfig(4), 7, []string{"road_usa", "delaunay_n24", "kkt_power"})
 	helped := 0
 	for _, r := range rows {
 		if r.WithPrune <= 0 || r.WithoutPrune <= 0 {
@@ -145,7 +151,7 @@ func TestFig9MonotoneInEdges(t *testing.T) {
 }
 
 func TestAugmentCrossoverExists(t *testing.T) {
-	rows := AugmentCrossover(io.Discard, 4, 8, []int{1, 4, 256, 1024})
+	rows := AugmentCrossover(io.Discard, testConfig(4), 8, []int{1, 4, 256, 1024})
 	// Path-parallel must win for very few paths (its whole reason to exist)
 	// and level-parallel must win once k far exceeds the p²-scaled
 	// crossover, reproducing the Section IV-B analysis qualitatively.
@@ -166,7 +172,7 @@ func TestAugmentCrossoverExists(t *testing.T) {
 }
 
 func TestDirectionAblationReducesWork(t *testing.T) {
-	rows := DirectionAblation(io.Discard, 9, 4, []string{"ljournal-2008", "cage15"})
+	rows := DirectionAblation(io.Discard, testConfig(4), 9, []string{"ljournal-2008", "cage15"})
 	for _, r := range rows {
 		if r.PullIters == 0 {
 			t.Errorf("%s: pull never used from an empty initial matching", r.Matrix)
@@ -199,7 +205,7 @@ func TestGridShapeSquareWins(t *testing.T) {
 }
 
 func TestGraftAblation(t *testing.T) {
-	rows := GraftAblation(io.Discard, 10, 4, []string{"amazon-2008", "delaunay_n24"})
+	rows := GraftAblation(io.Discard, testConfig(4), 10, []string{"amazon-2008", "delaunay_n24"})
 	for _, r := range rows {
 		if r.ReleasedRows == 0 {
 			t.Errorf("%s: no rows released", r.Matrix)
@@ -284,7 +290,7 @@ func TestFrontierDynamicsShrink(t *testing.T) {
 }
 
 func TestBalanceAblationPermutationHelps(t *testing.T) {
-	rows := BalanceAblation(io.Discard, 11, 16, []string{"road_usa", "cage15"})
+	rows := BalanceAblation(io.Discard, testConfig(16), 11, []string{"road_usa", "cage15"})
 	for _, r := range rows {
 		if r.ImbalancePermuted < 1 || r.ImbalanceUnperm < 1 {
 			t.Fatalf("%s: imbalance below 1 (%f, %f)", r.Matrix, r.ImbalanceUnperm, r.ImbalancePermuted)
@@ -299,7 +305,7 @@ func TestBalanceAblationPermutationHelps(t *testing.T) {
 }
 
 func TestSingleVsMultiSourceGap(t *testing.T) {
-	rows := SingleVsMultiSource(io.Discard, 10, 4, []string{"road_usa"})
+	rows := SingleVsMultiSource(io.Discard, testConfig(4), 10, []string{"road_usa"})
 	r := rows[0]
 	if r.SSIters <= r.MSIters {
 		t.Fatalf("SS iters %d not above MS %d", r.SSIters, r.MSIters)
@@ -317,8 +323,8 @@ func TestTreeBalanceRandRootBetter(t *testing.T) {
 	}
 	// minParent funnels ties toward low-index roots; randRoot must spread
 	// them more evenly (smaller max/mean ratio), per the paper's guidance.
-	if byOp["randRoot"].Balance >= byOp["minParent"].Balance {
+	if byOp["randroot"].Balance >= byOp["minparent"].Balance {
 		t.Errorf("randRoot balance %.2f not better than minParent %.2f",
-			byOp["randRoot"].Balance, byOp["minParent"].Balance)
+			byOp["randroot"].Balance, byOp["minparent"].Balance)
 	}
 }

@@ -36,7 +36,7 @@ var DefaultProcs = []int{4, 16, 64}
 
 // Fig4 regenerates the strong-scaling experiment of Fig. 4 across the
 // Table II suite: modeled time and speedup per process count.
-func Fig4(w io.Writer, scale int, procs []int, names []string) []Fig4Row {
+func Fig4(w io.Writer, cfg core.Config, scale int, procs []int, names []string) []Fig4Row {
 	if procs == nil {
 		procs = DefaultProcs
 	}
@@ -49,8 +49,8 @@ func Fig4(w io.Writer, scale int, procs []int, names []string) []Fig4Row {
 		row := Fig4Row{Matrix: name}
 		var base float64
 		for _, p := range procs {
-			res := run(a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 7})
-			t := modeledTime(res, DefaultThreads)
+			res := run(cfg, a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 7})
+			t := modeledTime(res, cfg.Threads)
 			if base == 0 {
 				base = t
 			}
@@ -59,7 +59,7 @@ func Fig4(w io.Writer, scale int, procs []int, names []string) []Fig4Row {
 		rows = append(rows, row)
 	}
 	tw := newTab(w)
-	fmt.Fprintf(tw, "Fig 4 strong scaling (t=%d)\t", DefaultThreads)
+	fmt.Fprintf(tw, "Fig 4 strong scaling (t=%d)\t", cfg.Threads)
 	for _, p := range procs {
 		fmt.Fprintf(tw, "p=%d\t", p)
 	}
@@ -97,7 +97,7 @@ var Fig5Matrices = []string{"road_usa", "delaunay_n24", "ljournal-2008", "amazon
 // Fig5 regenerates the runtime-breakdown experiment: the share of SpMV,
 // INVERT, PRUNE, SELECT and AUGMENT in total modeled time as the process
 // count grows.
-func Fig5(w io.Writer, scale int, procs []int) []Fig5Row {
+func Fig5(w io.Writer, cfg core.Config, scale int, procs []int) []Fig5Row {
 	if procs == nil {
 		procs = DefaultProcs
 	}
@@ -105,8 +105,8 @@ func Fig5(w io.Writer, scale int, procs []int) []Fig5Row {
 	for _, name := range Fig5Matrices {
 		a := suiteMatrix(name, scale)
 		for _, p := range procs {
-			res := run(a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 7})
-			bd := Model.Breakdown(meterByOp(res), DefaultThreads)
+			res := run(cfg, a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 7})
+			bd := Model.Breakdown(meterByOp(res), cfg.Threads)
 			total := 0.0
 			for _, v := range bd {
 				total += v
@@ -142,7 +142,7 @@ type Fig6Row struct {
 
 // Fig6 regenerates the synthetic strong-scaling experiment on ER, G500 and
 // SSCA matrices.
-func Fig6(w io.Writer, scales []int, procs []int) []Fig6Row {
+func Fig6(w io.Writer, cfg core.Config, scales []int, procs []int) []Fig6Row {
 	if procs == nil {
 		procs = DefaultProcs
 	}
@@ -162,8 +162,8 @@ func Fig6(w io.Writer, scales []int, procs []int) []Fig6Row {
 			row := Fig6Row{Class: cl.name, Scale: sc}
 			var base float64
 			for _, p := range procs {
-				res := run(a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 3})
-				t := modeledTime(res, DefaultThreads)
+				res := run(cfg, a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 3})
+				t := modeledTime(res, cfg.Threads)
 				if base == 0 {
 					base = t
 				}
@@ -211,14 +211,14 @@ type Fig7Row struct {
 }
 
 // Fig7 regenerates the multithreading experiment: at a fixed core budget,
-// the hybrid configuration (fewer ranks, 12 threads each) beats flat MPI
+// the hybrid configuration (fewer ranks, cfg.Threads each) beats flat MPI
 // because the latency and synchronization terms grow with the rank count.
 // The effect is a latency phenomenon, so the modeled columns use the
 // unscaled Edison latency constants (costmodel.Edison) rather than the
 // size-rescaled Model used by the bandwidth-shaped scaling figures. Since
 // the worker pools are real, the measured columns report what the host
 // wall clock actually saw for the same flat and hybrid configurations.
-func Fig7(w io.Writer, scale int, coreBudgets []int) []Fig7Row {
+func Fig7(w io.Writer, cfg core.Config, scale int, coreBudgets []int) []Fig7Row {
 	if coreBudgets == nil {
 		coreBudgets = []int{48, 192}
 	}
@@ -227,18 +227,18 @@ func Fig7(w io.Writer, scale int, coreBudgets []int) []Fig7Row {
 		a := suiteMatrix(name, scale)
 		for _, cores := range coreBudgets {
 			flatP := nearestSquare(cores)
-			hybP := nearestSquare(cores / DefaultThreads)
+			hybP := nearestSquare(cores / cfg.Threads)
 			start := time.Now()
-			flat := run(a, core.Config{Procs: flatP, Threads: 1, Init: core.InitDynMinDegree, Permute: true, Seed: 9})
+			flat := run(cfg, a, core.Config{Procs: flatP, Threads: 1, Init: core.InitDynMinDegree, Permute: true, Seed: 9})
 			measFlat := time.Since(start).Seconds()
 			start = time.Now()
-			hyb := run(a, core.Config{Procs: hybP, Threads: DefaultThreads, Init: core.InitDynMinDegree, Permute: true, Seed: 9})
+			hyb := run(cfg, a, core.Config{Procs: hybP, Threads: cfg.Threads, Init: core.InitDynMinDegree, Permute: true, Seed: 9})
 			measHyb := time.Since(start).Seconds()
 			rows = append(rows, Fig7Row{
 				Matrix:         name,
 				Cores:          cores,
 				FlatTime:       costmodel.Edison.CriticalTime(flat.PerRank, 1),
-				HybridTime:     costmodel.Edison.CriticalTime(hyb.PerRank, DefaultThreads),
+				HybridTime:     costmodel.Edison.CriticalTime(hyb.PerRank, cfg.Threads),
 				MeasuredFlat:   measFlat,
 				MeasuredHybrid: measHyb,
 				HostCPUs:       runtime.NumCPU(),
@@ -247,7 +247,7 @@ func Fig7(w io.Writer, scale int, coreBudgets []int) []Fig7Row {
 		}
 	}
 	tw := newTab(w)
-	fmt.Fprintf(tw, "Fig 7 hybrid vs flat\tcores\tmodeled flat(t=1)\tmodeled hybrid(t=%d)\tmodeled-speedup\tmeasured flat\tmeasured hybrid\tmeasured-speedup\tpool-util\n", DefaultThreads)
+	fmt.Fprintf(tw, "Fig 7 hybrid vs flat\tcores\tmodeled flat(t=1)\tmodeled hybrid(t=%d)\tmodeled-speedup\tmeasured flat\tmeasured hybrid\tmeasured-speedup\tpool-util\n", cfg.Threads)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%.4gs\t%.4gs\t%.2fx\t%.4gs\t%.4gs\t%.2fx\t%.0f%%\n",
 			r.Matrix, r.Cores, r.FlatTime, r.HybridTime, r.FlatTime/r.HybridTime,
@@ -279,18 +279,19 @@ type Fig8Row struct {
 }
 
 // Fig8 regenerates the pruning experiment: percentage of MCM runtime
-// removed by pruning satisfied alternating trees, per matrix.
-func Fig8(w io.Writer, scale, procs int, names []string) []Fig8Row {
+// removed by pruning satisfied alternating trees, per matrix, on cfg.Procs
+// ranks.
+func Fig8(w io.Writer, cfg core.Config, scale int, names []string) []Fig8Row {
 	if names == nil {
 		names = allSuiteNames()
 	}
 	var rows []Fig8Row
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		on := run(a, core.Config{Procs: procs, Init: core.InitDynMinDegree, Permute: true, Seed: 11})
-		off := run(a, core.Config{Procs: procs, Init: core.InitDynMinDegree, Permute: true, Seed: 11, DisablePrune: true})
-		tOn := modeledTime(on, DefaultThreads)
-		tOff := modeledTime(off, DefaultThreads)
+		on := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree, Permute: true, Seed: 11})
+		off := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree, Permute: true, Seed: 11, DisablePrune: true})
+		tOn := modeledTime(on, cfg.Threads)
+		tOff := modeledTime(off, cfg.Threads)
 		red := 0.0
 		if tOff > 0 {
 			red = 100 * (tOff - tOn) / tOff
@@ -298,7 +299,7 @@ func Fig8(w io.Writer, scale, procs int, names []string) []Fig8Row {
 		rows = append(rows, Fig8Row{Matrix: name, WithPrune: tOn, WithoutPrune: tOff, ReductionPct: red})
 	}
 	tw := newTab(w)
-	fmt.Fprintf(tw, "Fig 8 pruning (p=%d)\twith(s)\twithout(s)\treduction\n", procs)
+	fmt.Fprintf(tw, "Fig 8 pruning (p=%d)\twith(s)\twithout(s)\treduction\n", cfg.Procs)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%.4g\t%.4g\t%.1f%%\n", r.Matrix, r.WithPrune, r.WithoutPrune, r.ReductionPct)
 	}
@@ -389,19 +390,20 @@ type CrossoverRow struct {
 
 // AugmentCrossover measures both augmentation variants on ladder-like
 // graphs engineered to produce k vertex-disjoint augmenting paths of length
-// pathLen, on p ranks, and reports the modeled times next to the paper's
+// pathLen, on cfg.Procs ranks, and reports the modeled times next to the paper's
 // switching criterion. Like Fig. 7, the crossover is a latency phenomenon
 // (level-parallel pays alpha*p per level, path-parallel alpha*k*h/p per
 // rank), so it is evaluated under the unscaled Edison constants.
-func AugmentCrossover(w io.Writer, procs, pathLen int, ks []int) []CrossoverRow {
+func AugmentCrossover(w io.Writer, cfg core.Config, pathLen int, ks []int) []CrossoverRow {
+	procs := cfg.Procs
 	if ks == nil {
 		ks = []int{1, 4, 16, 64, 256}
 	}
 	var rows []CrossoverRow
 	for _, k := range ks {
 		a, init := ladderForest(k, pathLen)
-		lvl := runAugmentOnly(a, init, procs, core.AugmentLevelParallel)
-		pth := runAugmentOnly(a, init, procs, core.AugmentPathParallel)
+		lvl := runAugmentOnly(cfg, a, init, core.AugmentLevelParallel)
+		pth := runAugmentOnly(cfg, a, init, core.AugmentPathParallel)
 		rows = append(rows, CrossoverRow{
 			K:             k,
 			LevelSeconds:  lvl,
@@ -446,8 +448,8 @@ func ladderForest(k, pathLen int) (*spmat.CSC, *matching.Matching) {
 // runAugmentOnly runs MCM with a fixed augmentation variant starting from
 // the given matching and returns the modeled seconds attributed to the
 // augment category.
-func runAugmentOnly(a *spmat.CSC, init *matching.Matching, procs int, mode core.AugmentMode) float64 {
-	side := nearestSquareSide(procs)
+func runAugmentOnly(cfg core.Config, a *spmat.CSC, init *matching.Matching, mode core.AugmentMode) float64 {
+	side := nearestSquareSide(cfg.Procs)
 	blocks := spmat.Distribute2D(a, side, side)
 	blocksT := spmat.Distribute2D(a.Transpose(), side, side)
 	stats := make([]*core.Stats, side*side)
@@ -455,7 +457,9 @@ func runAugmentOnly(a *spmat.CSC, init *matching.Matching, procs int, mode core.
 		core.Config{Procs: side * side, Augment: mode}, func(s *core.Solver) error {
 			mater := denseFromGlobal(s.RowL, init.MateR)
 			matec := denseFromGlobal(s.ColL, init.MateC)
-			s.MCM(mater, matec)
+			if err := s.RunEngineByName(core.EngineBFS, mater, matec); err != nil {
+				return err
+			}
 			stats[s.G.World.Rank()] = s.Stats
 			return nil
 		})
@@ -466,7 +470,7 @@ func runAugmentOnly(a *spmat.CSC, init *matching.Matching, procs int, mode core.
 	for _, st := range stats[1:] {
 		merged.MergeMax(st)
 	}
-	return costmodel.Edison.Time(merged.Meter[core.OpAugment], DefaultThreads)
+	return costmodel.Edison.Time(merged.Meter[core.OpAugment], cfg.Threads)
 }
 
 func nearestSquareSide(p int) int {
@@ -487,7 +491,7 @@ func denseFromGlobal(l dvec.Layout, global []int64) *dvec.Dense {
 type DirectionRow struct {
 	Matrix       string
 	PushWork     int64 // total SpMV work units, push-only
-	OptWork      int64 // total SpMV work units, direction-optimized
+	OptWork      int64 // total SpMV work units, direction-optimizing
 	PullIters    int
 	PushIters    int
 	ReductionPct float64
@@ -495,18 +499,19 @@ type DirectionRow struct {
 
 // DirectionAblation measures the bottom-up BFS extension (the paper's
 // stated future work, implemented here): total SpMV edge-traversal work
-// with and without direction optimization, starting from the empty matching
-// so the first phase runs with a full frontier where pull pays off most.
-func DirectionAblation(w io.Writer, scale, procs int, names []string) []DirectionRow {
+// with static push and the per-iteration auto direction, starting from the
+// empty matching so the first phase runs with a full frontier where pull
+// pays off most.
+func DirectionAblation(w io.Writer, cfg core.Config, scale int, names []string) []DirectionRow {
 	if names == nil {
 		names = []string{"ljournal-2008", "wikipedia-20070206", "cage15", "road_usa"}
 	}
 	var rows []DirectionRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		push := run(a, core.Config{Procs: procs, Init: core.InitNone, Permute: true, Seed: 13})
-		opt := run(a, core.Config{Procs: procs, Init: core.InitNone, Permute: true, Seed: 13,
-			DirectionOptimized: true})
+		push := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitNone, Permute: true, Seed: 13})
+		opt := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitNone, Permute: true, Seed: 13,
+			Direction: core.DirectionAuto})
 		if push.Stats.Cardinality != opt.Stats.Cardinality {
 			panic("direction optimization changed the cardinality")
 		}
@@ -526,7 +531,7 @@ func DirectionAblation(w io.Writer, scale, procs int, names []string) []Directio
 		})
 	}
 	tw := newTab(w)
-	fmt.Fprintf(tw, "Direction optimization (p=%d)\tpush-work\topt-work\tpull/push iters\twork-reduction\n", procs)
+	fmt.Fprintf(tw, "Direction optimization (p=%d)\tpush-work\topt-work\tpull/push iters\twork-reduction\n", cfg.Procs)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d/%d\t%.1f%%\n",
 			r.Matrix, r.PushWork, r.OptWork, r.PullIters, r.PushIters, r.ReductionPct)
@@ -547,19 +552,19 @@ type GraftRow struct {
 }
 
 // GraftAblation measures the distributed tree-grafting extension (the
-// paper's stated future work, implemented in core.MCMGraft): total SpMV
-// edge traversals of the plain Algorithm 2 versus the grafted variant,
+// paper's stated future work, implemented as the bfs-graft engine): total
+// SpMV edge traversals of the plain Algorithm 2 versus the grafted variant,
 // starting from a greedy matching so several augmenting phases run.
-func GraftAblation(w io.Writer, scale, procs int, names []string) []GraftRow {
+func GraftAblation(w io.Writer, cfg core.Config, scale int, names []string) []GraftRow {
 	if names == nil {
 		names = []string{"road_usa", "delaunay_n24", "amazon-2008", "ljournal-2008"}
 	}
 	var rows []GraftRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		plain := run(a, core.Config{Procs: procs, Init: core.InitGreedy, Permute: true, Seed: 19})
-		graft := run(a, core.Config{Procs: procs, Init: core.InitGreedy, Permute: true, Seed: 19,
-			TreeGrafting: true})
+		plain := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitGreedy, Permute: true, Seed: 19})
+		graft := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitGreedy, Permute: true, Seed: 19,
+			Engine: core.EngineBFSGraft})
 		if plain.Stats.Cardinality != graft.Stats.Cardinality {
 			panic("tree grafting changed the cardinality")
 		}
@@ -580,7 +585,7 @@ func GraftAblation(w io.Writer, scale, procs int, names []string) []GraftRow {
 		})
 	}
 	tw := newTab(w)
-	fmt.Fprintf(tw, "Tree grafting (p=%d)\tplain-work\tgraft-work\titers plain/graft\treleased\twork-reduction\n", procs)
+	fmt.Fprintf(tw, "Tree grafting (p=%d)\tplain-work\tgraft-work\titers plain/graft\treleased\twork-reduction\n", cfg.Procs)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d/%d\t%d\t%.1f%%\n",
 			r.Matrix, r.PlainWork, r.GraftWork, r.PlainIters, r.GraftIters, r.ReleasedRows, r.ReductionPct)
@@ -605,7 +610,7 @@ type BalanceRow struct {
 // with and without the permutation. Locality-ordered matrices (road
 // networks, banded systems) concentrate nonzeros in diagonal blocks of the
 // grid unless permuted.
-func BalanceAblation(w io.Writer, scale, procs int, names []string) []BalanceRow {
+func BalanceAblation(w io.Writer, cfg core.Config, scale int, names []string) []BalanceRow {
 	if names == nil {
 		names = []string{"road_usa", "cage15", "amazon-2008"}
 	}
@@ -626,18 +631,18 @@ func BalanceAblation(w io.Writer, scale, procs int, names []string) []BalanceRow
 	var rows []BalanceRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		un := run(a, core.Config{Procs: procs, Init: core.InitDynMinDegree})
-		pe := run(a, core.Config{Procs: procs, Init: core.InitDynMinDegree, Permute: true, Seed: 3})
+		un := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree})
+		pe := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree, Permute: true, Seed: 3})
 		rows = append(rows, BalanceRow{
 			Matrix:             name,
 			ImbalanceUnperm:    imbalance(un),
 			ImbalancePermuted:  imbalance(pe),
-			ModeledTimeUnperm:  modeledTime(un, DefaultThreads),
-			ModeledTimePermute: modeledTime(pe, DefaultThreads),
+			ModeledTimeUnperm:  modeledTime(un, cfg.Threads),
+			ModeledTimePermute: modeledTime(pe, cfg.Threads),
 		})
 	}
 	tw := newTab(w)
-	fmt.Fprintf(tw, "Load balance (p=%d)\timbalance raw\timbalance permuted\ttime raw\ttime permuted\n", procs)
+	fmt.Fprintf(tw, "Load balance (p=%d)\timbalance raw\timbalance permuted\ttime raw\ttime permuted\n", cfg.Procs)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.4gs\t%.4gs\n",
 			r.Matrix, r.ImbalanceUnperm, r.ImbalancePermuted,
@@ -662,26 +667,24 @@ type SSMSRow struct {
 // vertex, multiplying the number of level-synchronous iterations — and
 // therefore the number of collective latencies — while each SpMV does
 // trivial work.
-func SingleVsMultiSource(w io.Writer, scale, procs int, names []string) []SSMSRow {
+func SingleVsMultiSource(w io.Writer, cfg core.Config, scale int, names []string) []SSMSRow {
 	if names == nil {
 		names = []string{"road_usa", "amazon-2008"}
 	}
-	side := nearestSquareSide(procs)
+	side := nearestSquareSide(cfg.Procs)
 	var rows []SSMSRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
 		blocks := spmat.Distribute2D(a, side, side)
 		blocksT := spmat.Distribute2D(a.Transpose(), side, side)
-		measure := func(single bool) (int, float64) {
+		measure := func(engine string) (int, float64) {
 			iters := 0
 			meters := make([]mpi.Meter, side*side)
 			err := core.RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
 				core.Config{Procs: side * side, Init: core.InitGreedy}, func(s *core.Solver) error {
 					mater, matec := s.MaximalInit()
-					if single {
-						s.MCMSingleSource(mater, matec)
-					} else {
-						s.MCM(mater, matec)
+					if err := s.RunEngineByName(engine, mater, matec); err != nil {
+						return err
 					}
 					r := s.G.World.Rank()
 					meters[r] = s.G.World.MeterSnapshot()
@@ -693,10 +696,10 @@ func SingleVsMultiSource(w io.Writer, scale, procs int, names []string) []SSMSRo
 			if err != nil {
 				panic(err)
 			}
-			return iters, costmodel.Edison.CriticalTime(meters, DefaultThreads)
+			return iters, costmodel.Edison.CriticalTime(meters, cfg.Threads)
 		}
-		msIters, msTime := measure(false)
-		ssIters, ssTime := measure(true)
+		msIters, msTime := measure(core.EngineBFS)
+		ssIters, ssTime := measure(core.EngineBFSSingleSource)
 		rows = append(rows, SSMSRow{Matrix: name, MSIters: msIters, SSIters: ssIters,
 			MSModeled: msTime, SSModeled: ssTime})
 	}

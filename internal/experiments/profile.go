@@ -12,7 +12,7 @@ import (
 	"mcmdist/internal/obs"
 	"mcmdist/internal/spmat"
 
-	// Register the TCP backend so TransportBackend can select it.
+	// Register the TCP backend so Profile can select it.
 	_ "mcmdist/internal/mpi/tcpnet"
 )
 
@@ -41,14 +41,14 @@ type SolveProfile struct {
 	Procs     int    `json:"procs"`
 	Threads   int    `json:"threads"`
 	// Engine is the concrete matching engine the solve ran (the resolved
-	// choice even when the Engine knob asked for "auto"; docs/ENGINES.md).
+	// choice even when the configuration asked for "auto"; docs/ENGINES.md).
 	Engine          string `json:"engine"`
 	Cardinality     int    `json:"cardinality"`
 	InitCardinality int    `json:"init_cardinality"`
 	Phases          int    `json:"phases"`
 	Iterations      int    `json:"iterations"`
-	// Direction is the SpMV kernel policy the solve ran under ("default",
-	// "push", "pull", "auto") and PushIterations/PullIterations how the
+	// Direction is the SpMV kernel policy the solve ran under ("push",
+	// "pull", "auto") and PushIterations/PullIterations how the
 	// iterations actually split; Compress whether the wire codec was on.
 	Direction      string `json:"direction"`
 	PushIterations int    `json:"push_iterations"`
@@ -86,7 +86,7 @@ type SolveProfile struct {
 	PeakFrontierIteration int `json:"peak_frontier_iteration"`
 	// TimeSeries is the cross-rank merged per-iteration time-series (one
 	// entry per BFS iteration), present when the profile ran observed
-	// (ProfileObserved with a time-series-recording collector).
+	// (Profile with a time-series-recording collector).
 	TimeSeries []obs.IterSample `json:"time_series,omitempty"`
 	// TraceFile and SeriesFile name the artifacts the bench driver wrote
 	// alongside this profile (Perfetto trace JSON, time-series CSV).
@@ -94,34 +94,26 @@ type SolveProfile struct {
 	SeriesFile string `json:"series_file,omitempty"`
 }
 
-// Profile runs one solve of the named suite matrix and reports everything a
-// tooling consumer wants from it: measured host wall clock overall and per
-// op category, exact communication meters, worker-pool utilization, and the
-// heap traffic of the solve (allocation bytes and mallocs across all ranks,
-// including matrix generation-free solve work only).
-func Profile(name string, scale, procs, threads int) SolveProfile {
-	return ProfileObserved(name, scale, procs, threads, nil)
-}
-
-// ProfileObserved is Profile with the observability plane attached: the
-// solve records into col (span trace, per-iteration time-series, metrics,
-// per the collector's options) and the profile carries the merged
-// time-series. A nil collector reduces to Profile.
-func ProfileObserved(name string, scale, procs, threads int, col *obs.Collector) SolveProfile {
+// Profile runs one solve of the named suite matrix under cfg — the bench's
+// configuration as given, recording into cfg.Obs when it is set — on the
+// named transport backend, and reports everything a tooling consumer wants
+// from it: measured host wall clock overall and per op category, exact
+// communication meters, worker-pool utilization, the heap traffic of the
+// solve (allocation bytes and mallocs across all ranks, matrix generation
+// excluded), and the merged time-series when cfg.Obs records one.
+func Profile(cfg core.Config, transport, name string, scale int) SolveProfile {
 	a := suiteMatrix(name, scale)
-	cfg := core.Config{Procs: procs, Threads: threads, Init: core.InitDynMinDegree, Permute: true, Seed: 9,
-		Engine: Engine, Direction: DefaultDirection, Compress: Compress, Obs: col}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	res := runOnBackend(a, cfg)
+	res := runOnBackend(transport, a, cfg)
 	wall := time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
 
 	p := SolveProfile{
 		Matrix:          name,
 		Scale:           scale,
-		Transport:       transportName(),
+		Transport:       transport,
 		Procs:           res.Procs,
 		Threads:         res.Threads,
 		Engine:          res.Stats.Engine,
@@ -129,12 +121,12 @@ func ProfileObserved(name string, scale, procs, threads int, col *obs.Collector)
 		InitCardinality: res.Stats.InitCardinality,
 		Phases:          res.Stats.Phases,
 		Iterations:      res.Stats.Iterations,
-		Direction:       DefaultDirection.String(),
+		Direction:       cfg.Direction.String(),
 		PushIterations:  res.Stats.PushIterations,
 		PullIterations:  res.Stats.PullIterations,
-		Compress:        Compress,
+		Compress:        cfg.Compress,
 		WallSeconds:     wall,
-		ModeledSeconds:  modeledTime(res, threads),
+		ModeledSeconds:  modeledTime(res, cfg.Threads),
 		OpWallSeconds:   make(map[string]float64, len(res.Stats.Wall)),
 		OpComm:          make(map[string]CommProfile, len(res.Stats.Meter)),
 		PoolUtilization: res.Stats.Threading.Utilization(),
@@ -165,22 +157,14 @@ func ProfileObserved(name string, scale, procs, threads int, col *obs.Collector)
 	if total > 0 {
 		p.CommHiddenFraction = 1 - exposed.Seconds()/total.Seconds()
 	}
-	p.OverlapDisabled = DisableOverlap
+	p.OverlapDisabled = cfg.DisableOverlap
 	p.PeakFrontier = res.Stats.PeakFrontier
 	p.PeakFrontierIteration = res.Stats.PeakFrontierIteration
-	p.TimeSeries = col.Series()
+	p.TimeSeries = cfg.Obs.Series()
 	return p
 }
 
-// transportName resolves the TransportBackend knob's effective value.
-func transportName() string {
-	if TransportBackend == "" {
-		return "inproc"
-	}
-	return TransportBackend
-}
-
-// runOnBackend runs one solve on the selected transport backend. The
+// runOnBackend runs one solve on the named transport backend. The
 // in-process backend is the plain run(); any other backend builds its full
 // endpoint set in this process (the loopback deployment), drives every
 // endpoint concurrently, and merges the per-endpoint observations — each
@@ -192,13 +176,11 @@ func transportName() string {
 // a fresh sibling — so the run exercises the real observation-shipping
 // protocol and the caller's collector ends up holding the merged world,
 // exactly as the coordinator of a multi-process deployment would.
-func runOnBackend(a *spmat.CSC, cfg core.Config) *core.Result {
-	name := transportName()
-	if name == "inproc" {
-		return run(a, cfg)
+func runOnBackend(transport string, a *spmat.CSC, cfg core.Config) *core.Result {
+	if transport == "inproc" {
+		return run(cfg, a, cfg)
 	}
-	cfg.DisableOverlap = DisableOverlap
-	eps, err := mpi.NewTransportSet(name, cfg.Procs)
+	eps, err := mpi.NewTransportSet(transport, cfg.Procs)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}

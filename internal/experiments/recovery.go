@@ -100,26 +100,26 @@ type RecoveryProfile struct {
 }
 
 // RecoveryBench measures the fault-tolerance plane: it solves the named
-// suite matrix once cleanly and once through core.SolveRecoverable under the
-// given fault plan, and reports the recovery overhead (checkpoint volume and
+// suite matrix on cfg.Procs ranks once cleanly and once through
+// core.SolveRecoverable under the given fault plan, and reports the recovery overhead (checkpoint volume and
 // wall time, retries, end-to-end slowdown). The clean solve doubles as the
 // correctness oracle: the recovered matching must reach the same
 // cardinality.
-func RecoveryBench(w io.Writer, name string, scale, procs int, opts RecoveryOptions) RecoveryProfile {
+func RecoveryBench(w io.Writer, cfg core.Config, name string, scale int, opts RecoveryOptions) RecoveryProfile {
 	opts = opts.withDefaults()
 	plan, err := opts.plan()
 	if err != nil {
 		panic(err)
 	}
 	a := suiteMatrix(name, scale)
-	cfg := core.Config{Procs: procs, Init: core.InitDynMinDegree, Threads: DefaultThreads,
-		DisableOverlap: DisableOverlap}
+	rc := core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree, Threads: cfg.Threads,
+		DisableOverlap: cfg.DisableOverlap}
 
 	cleanStart := time.Now()
-	clean := run(a, cfg)
+	clean := run(cfg, a, rc)
 	cleanWall := time.Since(cleanStart)
 
-	rcfg := cfg
+	rcfg := rc
 	rcfg.Fault = plan
 	rcfg.CheckpointEvery = opts.CheckpointEvery
 	rcfg.WatchdogTimeout = opts.Watchdog
@@ -133,7 +133,7 @@ func RecoveryBench(w io.Writer, name string, scale, procs int, opts RecoveryOpti
 	p := RecoveryProfile{
 		Matrix:                name,
 		Scale:                 scale,
-		Procs:                 procs,
+		Procs:                 cfg.Procs,
 		FaultKind:             opts.FaultKind,
 		CheckpointEvery:       opts.CheckpointEvery,
 		Attempts:              rec.Attempts,
@@ -151,7 +151,7 @@ func RecoveryBench(w io.Writer, name string, scale, procs int, opts RecoveryOpti
 		p.OverheadFraction = recWall.Seconds()/cleanWall.Seconds() - 1
 	}
 	fmt.Fprintf(w, "recovery %s scale=%d p=%d fault=%s: |M|=%d (match=%v) attempts=%d retries=%d resumed-phase=%d\n",
-		name, scale, procs, opts.FaultKind, p.Cardinality, p.CardinalityMatch, p.Attempts, p.Retries, p.ResumedPhase)
+		name, scale, cfg.Procs, opts.FaultKind, p.Cardinality, p.CardinalityMatch, p.Attempts, p.Retries, p.ResumedPhase)
 	fmt.Fprintf(w, "  checkpoints=%d bytes=%d ckpt-wall=%.3fms total=%.3fms clean=%.3fms overhead=%.1f%%\n",
 		p.Checkpoints, p.CheckpointBytes, p.CheckpointWallSeconds*1e3,
 		p.WallSeconds*1e3, p.CleanWallSeconds*1e3, 100*p.OverheadFraction)

@@ -7,7 +7,7 @@ import (
 
 func TestRecoveryBenchOracle(t *testing.T) {
 	for _, kind := range []string{"none", "crash", "straggler"} {
-		p := RecoveryBench(io.Discard, "er", 8, 4, RecoveryOptions{FaultKind: kind})
+		p := RecoveryBench(io.Discard, testConfig(4), "er", 8, RecoveryOptions{FaultKind: kind})
 		if !p.CardinalityMatch {
 			t.Fatalf("fault %s: recovered cardinality %d does not match clean solve", kind, p.Cardinality)
 		}

@@ -28,7 +28,7 @@ type IterSample struct {
 	// Matched is the cardinality so far: initialization plus all paths
 	// augmented up to this sample.
 	Matched int `json:"matched"`
-	// Pull reports whether the direction-optimized solver ran this
+	// Pull reports whether the direction-optimizing solver ran this
 	// iteration in pull mode.
 	Pull bool `json:"pull"`
 	// Direction is the SpMV kernel the iteration ran: "push" or "pull"

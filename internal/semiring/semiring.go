@@ -6,7 +6,11 @@
 // parent, a pseudo-random root, or a pseudo-random parent.
 package semiring
 
-import "fmt"
+import (
+	"fmt"
+
+	"mcmdist/internal/enum"
+)
 
 // None marks an unmatched / unvisited / missing value in all vectors, the
 // paper's "-1".
@@ -51,20 +55,17 @@ const (
 	MinRoot
 )
 
-// String names the operation.
-func (op AddOp) String() string {
-	switch op {
-	case MinParent:
-		return "minParent"
-	case RandRoot:
-		return "randRoot"
-	case RandParent:
-		return "randParent"
-	case MinRoot:
-		return "minRoot"
-	default:
-		return fmt.Sprintf("AddOp(%d)", int(op))
-	}
+var addOpNames = []string{MinParent: "minparent", RandRoot: "randroot", RandParent: "randparent", MinRoot: "minroot"}
+
+// String names the operation with its flag spelling.
+func (op AddOp) String() string { return enum.Name(addOpNames, "AddOp", op) }
+
+// MarshalText spells the operation for flags and JSON.
+func (op AddOp) MarshalText() ([]byte, error) { return enum.Marshal(addOpNames, "semiring", op) }
+
+// UnmarshalText parses a flag or JSON spelling.
+func (op *AddOp) UnmarshalText(text []byte) error {
+	return enum.Unmarshal(addOpNames, "semiring", text, op)
 }
 
 // mix is a splitmix64-style finalizer: a deterministic hash giving the

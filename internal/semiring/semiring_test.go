@@ -19,8 +19,8 @@ func TestVertexString(t *testing.T) {
 }
 
 func TestAddOpString(t *testing.T) {
-	if MinParent.String() != "minParent" || RandRoot.String() != "randRoot" ||
-		RandParent.String() != "randParent" || MinRoot.String() != "minRoot" {
+	if MinParent.String() != "minparent" || RandRoot.String() != "randroot" ||
+		RandParent.String() != "randparent" || MinRoot.String() != "minroot" {
 		t.Fatal("AddOp names wrong")
 	}
 	if AddOp(9).String() != "AddOp(9)" {

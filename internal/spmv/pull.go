@@ -13,14 +13,14 @@ import (
 // to rows, every not-yet-visited row scans its own adjacency list and stops
 // at the first frontier neighbor, which touches far fewer edges when the
 // frontier is a large fraction of the columns — the classic
-// Beamer/Buluç-style 2D direction-optimized BFS step.
+// Beamer/Buluç-style 2D direction-optimizing BFS step.
 //
 //   - rowAdj is the calling rank's local block in row-major (CSR) form:
 //     rowAdj.Col(r) lists the local column neighbors of local row r.
 //   - visited marks rows discovered in earlier iterations of the phase
 //     (the π_r vector); their identities are allgathered along the grid
 //     row so every rank can skip them, mirroring the replicated visited
-//     bitmap of real direction-optimized implementations.
+//     bitmap of real direction-optimizing implementations.
 //
 // The result is semantically interchangeable with Mul's: every reachable
 // unvisited row appears exactly once with a parent that is one of its

@@ -58,39 +58,43 @@ func (g *Graph) VerifyMaximum(m *Matching) error {
 	return verify.Maximum(g.a, m.internal())
 }
 
-// Initializer selects the distributed maximal-matching initializer.
-type Initializer int
+// Initializer selects the distributed maximal-matching initializer. Its
+// String, MarshalText and UnmarshalText use the command-line spellings
+// ("none", "greedy", "karpsipser", "mindegree").
+type Initializer = core.Init
 
 // Initializer choices (paper Section VI-A; DynamicMindegree is the default
 // the paper selects).
 const (
-	NoInit Initializer = iota
-	GreedyInit
-	KarpSipserInit
-	DynamicMindegreeInit
+	NoInit               = core.InitNone
+	GreedyInit           = core.InitGreedy
+	KarpSipserInit       = core.InitKarpSipser
+	DynamicMindegreeInit = core.InitDynMinDegree
 )
 
-// Semiring selects the SpMV semiring addition of Section III-B.
-type Semiring int
+// Semiring selects the SpMV semiring addition of Section III-B, spelled
+// "minparent", "randroot" and "randparent".
+type Semiring = semiring.AddOp
 
 // Semiring choices.
 const (
-	MinParent Semiring = iota
-	RandRoot
-	RandParent
+	MinParent  = semiring.MinParent
+	RandRoot   = semiring.RandRoot
+	RandParent = semiring.RandParent
 )
 
-// Augmentation selects the augmentation strategy of Section IV-B.
-type Augmentation int
+// Augmentation selects the augmentation strategy of Section IV-B, spelled
+// "auto", "level" and "path".
+type Augmentation = core.AugmentMode
 
 // Augmentation choices.
 const (
 	// AutoAugment switches at the paper's k < 2p² criterion.
-	AutoAugment Augmentation = iota
+	AutoAugment = core.AugmentAuto
 	// LevelParallel is the bulk-synchronous Algorithm 3.
-	LevelParallel
+	LevelParallel = core.AugmentLevelParallel
 	// PathParallel is the one-sided RMA Algorithm 4.
-	PathParallel
+	PathParallel = core.AugmentPathParallel
 )
 
 // Options configures MaximumMatching.
@@ -106,12 +110,11 @@ type Options struct {
 	// Threads models intra-rank compute threads (the paper uses 12 per
 	// socket); it scales the local-work term of the cost model. 0 means 1.
 	Threads int
-	// Engine names the matching engine: "bfs" (the paper's MCM-DIST),
-	// "bfs-ss" (single-source ablation), "bfs-graft" (tree grafting),
-	// "auction" (the distributed auction solver), or "auto" to let the
-	// online cost model pick per instance from the graph's degree
-	// distribution, density and the run's grid and thread shape. "" defers
-	// to the deprecated TreeGrafting knob, preserving existing behavior.
+	// Engine names the matching engine: "bfs" (the paper's MCM-DIST, also
+	// the default ""), "bfs-ss" (single-source ablation), "bfs-graft" (tree
+	// grafting), "auction" (the distributed auction solver), or "auto" to
+	// let the online cost model pick per instance from the graph's degree
+	// distribution, density and the run's grid and thread shape.
 	// Stats.Engine reports the engine that actually ran.
 	Engine string
 	// Init selects the maximal-matching initializer. The zero value is
@@ -125,26 +128,16 @@ type Options struct {
 	// DisablePrune turns off the pruning of satisfied alternating trees
 	// (Algorithm 2, Step 6) — the Fig. 8 ablation.
 	DisablePrune bool
-	// DirectionOptimized enables the bottom-up ("pull") BFS direction for
-	// large frontiers, the optimization the paper lists as future work.
-	DirectionOptimized bool
-	// Direction pins or frees the per-iteration SpMV kernel choice:
-	// "push", "pull", "auto", or "" to defer to DirectionOptimized.
-	// See docs/KERNELS.md.
+	// Direction pins or frees the per-iteration SpMV kernel choice: "push"
+	// (also the default ""), "pull", or "auto" for the bottom-up ("pull") BFS
+	// direction on large frontiers, the optimization the paper lists as
+	// future work. See docs/KERNELS.md.
 	Direction string
 	// Compress enables the delta-varint wire codec on the communication
 	// layer (internal/wire): multi-process solves encode id-stream
 	// payloads on the wire and every backend meters the encoded volume.
 	// Results are bit-identical with it on or off.
 	Compress bool
-	// TreeGrafting selects the tree-grafting MCM variant (distributed
-	// MS-BFS-Graft, also listed as future work): alternating trees persist
-	// across phases and only augmented trees release their vertices,
-	// eliminating redundant edge re-traversals.
-	//
-	// Deprecated: set Engine to "bfs-graft" instead; TreeGrafting remains
-	// as an alias and is ignored when Engine is non-empty.
-	TreeGrafting bool
 	// DisableOverlap turns off the split-phase compute/communication
 	// overlap: every collective runs in blocking form and the solver's
 	// pipelined frontier count reverts to a loop-top allreduce. Results
@@ -167,60 +160,34 @@ type Options struct {
 	Observe *Observe
 }
 
-func (o Options) toConfig() core.Config {
+// toConfig copies the options into the solver schema, rejecting values it
+// has no name for.
+func (o Options) toConfig() (core.Config, error) {
 	cfg := core.Config{
-		Engine:             o.Engine,
-		Procs:              o.Procs,
-		GridRows:           o.GridRows,
-		GridCols:           o.GridCols,
-		Threads:            o.Threads,
-		DisablePrune:       o.DisablePrune,
-		DirectionOptimized: o.DirectionOptimized,
-		TreeGrafting:       o.TreeGrafting,
-		Compress:           o.Compress,
-		DisableOverlap:     o.DisableOverlap,
-		Permute:            o.Permute,
-		Seed:               o.Seed,
+		Engine:         o.Engine,
+		Procs:          o.Procs,
+		GridRows:       o.GridRows,
+		GridCols:       o.GridCols,
+		Threads:        o.Threads,
+		Init:           o.Init,
+		AddOp:          o.Semiring,
+		Augment:        o.Augment,
+		DisablePrune:   o.DisablePrune,
+		Compress:       o.Compress,
+		DisableOverlap: o.DisableOverlap,
+		Permute:        o.Permute,
+		Seed:           o.Seed,
 	}
-	switch o.Init {
-	case GreedyInit:
-		cfg.Init = core.InitGreedy
-	case KarpSipserInit:
-		cfg.Init = core.InitKarpSipser
-	case DynamicMindegreeInit:
-		cfg.Init = core.InitDynMinDegree
-	default:
-		cfg.Init = core.InitNone
-	}
-	switch o.Semiring {
-	case RandRoot:
-		cfg.AddOp = semiring.RandRoot
-	case RandParent:
-		cfg.AddOp = semiring.RandParent
-	default:
-		cfg.AddOp = semiring.MinParent
-	}
-	switch o.Augment {
-	case LevelParallel:
-		cfg.Augment = core.AugmentLevelParallel
-	case PathParallel:
-		cfg.Augment = core.AugmentPathParallel
-	default:
-		cfg.Augment = core.AugmentAuto
-	}
-	cfg.Direction, _ = core.ParseDirection(o.Direction)
-	if o.Trace != nil {
-		trace := o.Trace
-		cfg.OnIteration = func(ii core.IterInfo) {
-			dir := "push"
-			if ii.Pull {
-				dir = "pull"
-			}
-			fmt.Fprintf(trace, "phase %d iter %d: frontier %d, %d paths, %s\n",
-				ii.Phase, ii.Iteration, ii.FrontierSize, ii.NewPaths, dir)
+	if o.Direction != "" {
+		if err := cfg.Direction.UnmarshalText([]byte(o.Direction)); err != nil {
+			return cfg, fmt.Errorf("mcmdist: %w", err)
 		}
 	}
-	return cfg
+	if o.Trace != nil {
+		trace := o.Trace
+		cfg.OnIteration = func(ii core.IterInfo) { fmt.Fprintln(trace, ii) }
+	}
+	return cfg, cfg.Validate()
 }
 
 // CommStats counts one rank's communication and local work: messages
@@ -348,13 +315,10 @@ func (st *Stats) ModeledBreakdown(mm MachineModel) map[string]float64 {
 // distributed MCM-DIST algorithm on opts.Procs simulated ranks.
 func MaximumMatching(g *Graph, opts Options) (m *Matching, st *Stats, err error) {
 	defer guard(&err)
-	if _, perr := core.ParseDirection(opts.Direction); perr != nil {
-		return nil, nil, perr
+	cfg, err := opts.toConfig()
+	if err != nil {
+		return nil, nil, err
 	}
-	if _, perr := core.ParseEngine(opts.Engine); perr != nil {
-		return nil, nil, perr
-	}
-	cfg := opts.toConfig()
 	procs := opts.Procs
 	if opts.GridRows > 0 && opts.GridCols > 0 {
 		procs = opts.GridRows * opts.GridCols

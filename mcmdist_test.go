@@ -3,6 +3,7 @@ package mcmdist
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -251,7 +252,7 @@ func TestDirectionOptimizedPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, st, err := MaximumMatching(g, Options{Procs: 4, DirectionOptimized: true})
+	opt, st, err := MaximumMatching(g, Options{Procs: 4, Direction: "auto"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestTreeGraftingPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graft, _, err := MaximumMatching(g, Options{Procs: 4, Init: GreedyInit, TreeGrafting: true})
+	graft, _, err := MaximumMatching(g, Options{Procs: 4, Init: GreedyInit, Engine: "bfs-graft"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,8 +454,8 @@ func TestSoakAllVariantsAgree(t *testing.T) {
 		want := oracle.Cardinality()
 		for _, opt := range []Options{
 			{Procs: 9, Init: DynamicMindegreeInit, Permute: true},
-			{Procs: 16, Init: GreedyInit, TreeGrafting: true},
-			{Procs: 4, Init: KarpSipserInit, DirectionOptimized: true},
+			{Procs: 16, Init: GreedyInit, Engine: "bfs-graft"},
+			{Procs: 4, Init: KarpSipserInit, Direction: "auto"},
 			{Procs: 16, Init: NoInit, Semiring: RandRoot, Augment: LevelParallel},
 		} {
 			m, _, err := MaximumMatching(g, opt)
@@ -483,5 +484,69 @@ func TestRectangularGridPublicAPI(t *testing.T) {
 	}
 	if _, _, err := MaximumMatching(g, Options{GridCols: 3}); err == nil {
 		t.Fatal("half-specified grid accepted")
+	}
+}
+
+// TestEntryPointsRejectUnknownOptions pins that every public entry point
+// refuses an option value the schema has no name for, instead of solving
+// under a silently substituted default.
+func TestEntryPointsRejectUnknownOptions(t *testing.T) {
+	g := mustRMAT(t, ER, 6, 4, 3)
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dg.Close()
+	onAllEndpoints := func(opts Options) error {
+		trs, err := LoopbackTCP(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, len(trs))
+		var wg sync.WaitGroup
+		for i, tr := range trs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _, errs[i] = MaximumMatchingOn(tr, g, opts)
+				tr.Close()
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err == nil {
+				return nil // an endpoint accepted the options
+			}
+		}
+		return errs[0]
+	}
+	entries := []struct {
+		name  string
+		solve func(Options) error
+	}{
+		{"MaximumMatching", func(o Options) error { _, _, err := MaximumMatching(g, o); return err }},
+		{"DistributedGraph.MaximumMatching", func(o Options) error { _, _, err := dg.MaximumMatching(o); return err }},
+		{"SolveRecoverable", func(o Options) error { _, _, _, err := dg.SolveRecoverable(o, RecoveryPolicy{}); return err }},
+		{"MaximumMatchingOn", onAllEndpoints},
+		{"MaximalMatchingDistributed", func(o Options) error {
+			_, _, err := dg.MaximalMatchingDistributed(o.Init, 1)
+			return err
+		}},
+	}
+	for _, bad := range []Options{
+		{Procs: 4, Init: Initializer(9)},
+		{Procs: 4, Init: GreedyInit, Direction: "pul"},
+		{Procs: 4, Init: GreedyInit, Engine: "graft"},
+		{Procs: 4, Init: GreedyInit, Semiring: Semiring(9)},
+		{Procs: 4, Init: GreedyInit, Augment: Augmentation(9)},
+	} {
+		for _, e := range entries {
+			if e.name == "MaximalMatchingDistributed" && bad.Init == GreedyInit {
+				continue // takes only an initializer
+			}
+			if err := e.solve(bad); err == nil {
+				t.Errorf("%s accepted %+v", e.name, bad)
+			}
+		}
 	}
 }

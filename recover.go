@@ -200,7 +200,10 @@ func recoveryFromCore(r *core.RecoveryStats) *Recovery {
 func (dg *DistributedGraph) SolveRecoverable(opts Options, pol RecoveryPolicy) (m *Matching, st *Stats, rec *Recovery, err error) {
 	defer guard(&err)
 	opts.Procs = dg.procs
-	cfg := opts.toConfig()
+	cfg, err := opts.toConfig()
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	switch {
 	case pol.CheckpointEvery < 0:
 		cfg.CheckpointEvery = 0

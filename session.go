@@ -88,10 +88,13 @@ func (dg *DistributedGraph) Graph() *Graph { return dg.g }
 func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stats, err error) {
 	defer guard(&err)
 	opts.Procs = dg.procs
-	cfg := opts.toConfig()
-	// Resolve the engine (legacy knobs, "auto" via the cost model) once,
-	// against the cached distribution, so every rank runs the same concrete
-	// engine and Stats/checkpoints name it.
+	cfg, err := opts.toConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	// Resolve the engine ("auto" via the cost model) once, against the
+	// cached distribution, so every rank runs the same concrete engine and
+	// Stats/checkpoints name it.
 	cfg, err = core.ResolveEngineConfig(cfg, dg.g.Rows(), dg.g.Cols(), dg.blocks)
 	if err != nil {
 		return nil, nil, err
@@ -138,7 +141,10 @@ func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stat
 func (dg *DistributedGraph) MaximalMatchingDistributed(init Initializer, threads int) (m *Matching, st *Stats, err error) {
 	defer guard(&err)
 	opts := Options{Procs: dg.procs, Threads: threads, Init: init}
-	cfg := opts.toConfig()
+	cfg, err := opts.toConfig()
+	if err != nil {
+		return nil, nil, err
+	}
 	if cfg.Init == core.InitNone {
 		return nil, nil, fmt.Errorf("mcmdist: maximal matching needs an initializer other than NoInit")
 	}

@@ -17,7 +17,7 @@ func TestDistributedGraphReuse(t *testing.T) {
 	// Several solves over the same distribution, varied configurations.
 	for _, opts := range []Options{
 		{Init: DynamicMindegreeInit},
-		{Init: GreedyInit, TreeGrafting: true},
+		{Init: GreedyInit, Engine: "bfs-graft"},
 		{Init: NoInit, Semiring: RandRoot},
 	} {
 		m, st, err := dg.MaximumMatching(opts)

@@ -102,7 +102,10 @@ func MaximumMatchingOn(tr *Transport, g *Graph, opts Options) (m *Matching, st *
 	if tr == nil {
 		return MaximumMatching(g, opts)
 	}
-	cfg := opts.toConfig()
+	cfg, err := opts.toConfig()
+	if err != nil {
+		return nil, nil, err
+	}
 	procs := opts.Procs
 	if opts.GridRows > 0 && opts.GridCols > 0 {
 		procs = opts.GridRows * opts.GridCols
