@@ -60,18 +60,20 @@ chaos-smoke:
 	scripts/chaos_smoke.sh
 
 # Allocation benchmarks for the runtime-context arena: SpMV push/pull,
-# the Table I primitive chain, and an end-to-end solve.
+# the Table I primitive chain, an end-to-end solve, a 4-endpoint loopback
+# TCP solve, and building a DistributedGraph.
 bench:
 	$(GO) test -bench Allocs -benchmem -run '^$$' ./internal/spmv/ ./internal/dvec/ .
 
 # One-iteration pass over the Table I benchmarks (the primitive chain and
-# the end-to-end solve at t=1 vs t=4) — the CI smoke that keeps the
-# threaded hot path compiling and running without paying full bench time —
-# plus one adaptive-direction compressed solve whose per-iteration
+# the end-to-end solve at t=1 vs t=4) and the 4-endpoint loopback solve's
+# allocation benchmark — the CI smoke that keeps the threaded hot path and
+# the per-rank distribution compiling and running without paying full bench
+# time — plus one adaptive-direction compressed solve whose per-iteration
 # time-series CSV (direction decisions, encoded words) is validated by
 # cmd/tracelint and uploaded as a CI artifact.
 bench-smoke:
-	$(GO) test -bench TableI -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'TableI|SolveOnAllocs' -benchtime=1x -run '^$$' .
 	$(GO) run ./cmd/bench -exp profile -scale 12 -procs 4 -matrix g500 -direction auto -compress -timeseries direction-series.csv
 	$(GO) run ./cmd/tracelint direction-series.csv
 

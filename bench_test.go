@@ -272,45 +272,85 @@ func BenchmarkSolveObsCollection(b *testing.B) {
 			opts := Options{Procs: procs, Init: GreedyInit, Observe: tc.obs}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// An endpoint binds one world and one solve; bootstrap and
-				// teardown happen off the clock so the measured delta is the
-				// observability plane, not socket setup.
-				b.StopTimer()
-				trs, err := LoopbackTCP(procs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				var wg sync.WaitGroup
-				errs := make([]error, procs)
-				for r := 1; r < procs; r++ {
-					wg.Add(1)
-					go func(r int) {
-						defer wg.Done()
-						_, _, errs[r] = MaximumMatchingOn(trs[r], g, opts)
-					}(r)
-				}
-				_, _, errs[0] = MaximumMatchingOn(trs[0], g, opts)
-				wg.Wait()
-				b.StopTimer()
-				// Close concurrently: BYE drains are mutual, so sequential
-				// closes would each wait out the full close timeout.
-				var cwg sync.WaitGroup
-				for _, tr := range trs {
-					cwg.Add(1)
-					go func(tr *Transport) {
-						defer cwg.Done()
-						tr.Close()
-					}(tr)
-				}
-				cwg.Wait()
-				for _, e := range errs {
-					if e != nil {
-						b.Fatal(e)
-					}
-				}
-				b.StartTimer()
+				solveLoopback(b, g, opts)
 			}
 		})
+	}
+}
+
+// solveLoopback runs one solve across a fresh opts.Procs-endpoint loopback
+// TCP world, one goroutine per endpoint. An endpoint binds one world and one
+// solve; bootstrap and teardown happen off the clock (and off the
+// allocation count), so what is measured is the solve itself.
+func solveLoopback(b *testing.B, g *Graph, opts Options) {
+	b.StopTimer()
+	trs, err := LoopbackTCP(opts.Procs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.StartTimer()
+	var wg sync.WaitGroup
+	errs := make([]error, opts.Procs)
+	for r := 1; r < opts.Procs; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			_, _, errs[r] = MaximumMatchingOn(trs[r], g, opts)
+		}(r)
+	}
+	_, _, errs[0] = MaximumMatchingOn(trs[0], g, opts)
+	wg.Wait()
+	b.StopTimer()
+	// Close concurrently: BYE drains are mutual, so sequential closes would
+	// each wait out the full close timeout.
+	var cwg sync.WaitGroup
+	for _, tr := range trs {
+		cwg.Add(1)
+		go func(tr *Transport) {
+			defer cwg.Done()
+			tr.Close()
+		}(tr)
+	}
+	cwg.Wait()
+	for _, e := range errs {
+		if e != nil {
+			b.Fatal(e)
+		}
+	}
+	b.StartTimer()
+}
+
+// BenchmarkSolveOnAllocs measures the allocations of one multi-process
+// solve: a 4-endpoint loopback TCP world on RMAT G500 scale 12, every
+// endpoint permuting the matrix and building the blocks of the rank it
+// hosts, then solving with the cost model's engine and direction choices.
+// EXPERIMENTS.md records bytes/op and allocs/op before and after the
+// per-rank block builder.
+func BenchmarkSolveOnAllocs(b *testing.B) {
+	g, err := RMAT(G500, 12, 8, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Procs: 4, Threads: 1, Engine: "auto", Direction: "auto", Compress: true, Init: DynamicMindegreeInit}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solveLoopback(b, g, opts)
+	}
+}
+
+// BenchmarkDistributeAllocs measures building a 2x2 DistributedGraph (the
+// blocks of A and Aᵀ for every rank) from RMAT G500 scale 12.
+func BenchmarkDistributeAllocs(b *testing.B) {
+	g, err := RMAT(G500, 12, 8, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Distribute(g, 4); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

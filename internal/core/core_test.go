@@ -113,8 +113,7 @@ func TestWorkedExamplePhase(t *testing.T) {
 
 	// Seed mate vectors with the figure's initial matching via a custom run.
 	side := 2
-	blocks := spmat.Distribute2D(a, side, side)
-	blocksT := spmat.Distribute2D(a.Transpose(), side, side)
+	blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
 	stats := make([]*Stats, side*side)
 	var mateR, mateC []int64
 	err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
@@ -445,8 +444,7 @@ func TestDistributedInitializersAreMaximal(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		a := randomBipartite(rng, 30+rng.Intn(40), 30+rng.Intn(40), 300)
 		side := 2
-		blocks := spmat.Distribute2D(a, side, side)
-		blocksT := spmat.Distribute2D(a.Transpose(), side, side)
+		blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
 		for _, init := range []Init{InitGreedy, InitKarpSipser, InitDynMinDegree} {
 			var mateR, mateC []int64
 			err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
@@ -479,8 +477,7 @@ func TestCountMulMatchesSerialDegrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	a := randomBipartite(rng, 40, 50, 400)
 	side := 2
-	blocks := spmat.Distribute2D(a, side, side)
-	blocksT := spmat.Distribute2D(a.Transpose(), side, side)
+	blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
 
 	// Serial reference: column degree counting all rows.
 	want := make([]int64, a.NCols)
@@ -673,8 +670,7 @@ func TestCommKindAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	a := randomBipartite(rng, 80, 80, 300)
 	side := 2
-	blocks := spmat.Distribute2D(a, side, side)
-	blocksT := spmat.Distribute2D(a.Transpose(), side, side)
+	blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
 
 	runAndMeter := func(mode AugmentMode) (rma, a2a, ag mpi.Meter) {
 		var w *mpi.World
@@ -749,8 +745,7 @@ func TestSingleSourceMatchesOracle(t *testing.T) {
 		a := randomBipartite(rng, 40, 40, 180)
 		want := matching.HopcroftKarp(a, nil).Cardinality()
 		side := 2
-		blocks := spmat.Distribute2D(a, side, side)
-		blocksT := spmat.Distribute2D(a.Transpose(), side, side)
+		blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
 		var card int
 		err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
 			Config{Procs: 4, Init: InitGreedy}, func(s *Solver) error {
@@ -780,8 +775,7 @@ func TestSingleSourceNeedsFarMoreIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	a := randomBipartite(rng, 150, 150, 450) // sparse: many augmenting phases
 	side := 2
-	blocks := spmat.Distribute2D(a, side, side)
-	blocksT := spmat.Distribute2D(a.Transpose(), side, side)
+	blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
 
 	iters := func(single bool) int {
 		var n int

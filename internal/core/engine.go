@@ -135,17 +135,18 @@ func checkEngine(name string) error {
 
 // ResolveEngineConfig validates cfg and pins cfg.Engine to a concrete
 // registered engine, replacing "auto" with the cost model's per-instance
-// choice computed from the distributed blocks (degree distribution,
-// density, grid size, thread count — all SPMD-replicated, so every rank
-// resolves identically). The solve drivers call it once before building
-// solvers, so checkpoint hashes and Stats always see the concrete engine.
-func ResolveEngineConfig(cfg Config, n1, n2 int, blocks [][]*spmat.LocalMatrix) (Config, error) {
+// choice computed from the global matrix a, in the index space the solve
+// distributes (degree distribution, density, grid size, thread count — all
+// SPMD-replicated, so every rank resolves identically). The solve drivers
+// call it once before building solvers, so checkpoint hashes and Stats
+// always see the concrete engine.
+func ResolveEngineConfig(cfg Config, a *spmat.CSC) (Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}
 	cfg = cfg.withDefaults()
 	if cfg.Engine == EngineAuto {
-		cfg.Engine = costmodel.SelectEngine(costmodel.Laptop, engineFeatures(cfg, n1, n2, blocks)).Engine
+		cfg.Engine = costmodel.SelectEngine(costmodel.Laptop, engineFeatures(cfg, a)).Engine
 	}
 	if _, ok := EngineByName(cfg.Engine); !ok {
 		return cfg, fmt.Errorf("core: engine %q is not registered in this binary (have %v)", cfg.Engine, EngineNames())
@@ -153,35 +154,24 @@ func ResolveEngineConfig(cfg Config, n1, n2 int, blocks [][]*spmat.LocalMatrix) 
 	return cfg, nil
 }
 
-// engineFeatures summarizes the distributed instance for the online
-// selector: shape, density, and the column-degree coefficient of variation
-// (the skew signal — auction rounds degrade on power-law degree
-// distributions while BFS phases do not).
-func engineFeatures(cfg Config, n1, n2 int, blocks [][]*spmat.LocalMatrix) costmodel.GraphFeatures {
-	deg := make([]int, n2)
-	nnz := 0
-	for _, row := range blocks {
-		for _, b := range row {
-			d := b.M
-			for k, j := range d.JC {
-				cnt := d.CP[k+1] - d.CP[k]
-				deg[b.Cols.Lo+j] += cnt
-				nnz += cnt
-			}
-		}
-	}
+// engineFeatures summarizes the instance for the online selector: shape,
+// density, and the column-degree coefficient of variation (the skew signal —
+// auction rounds degrade on power-law degree distributions while BFS phases
+// do not). The squared deviations are summed in column order.
+func engineFeatures(cfg Config, a *spmat.CSC) costmodel.GraphFeatures {
+	n2, nnz := a.NCols, a.NNZ()
 	cv := 0.0
 	if n2 > 0 && nnz > 0 {
 		mean := float64(nnz) / float64(n2)
 		var ss float64
-		for _, d := range deg {
-			diff := float64(d) - mean
+		for j := 0; j < n2; j++ {
+			diff := float64(a.ColDegree(j)) - mean
 			ss += diff * diff
 		}
 		cv = math.Sqrt(ss/float64(n2)) / mean
 	}
 	return costmodel.GraphFeatures{
-		N1: n1, N2: n2, NNZ: nnz, DegCV: cv,
+		N1: a.NRows, N2: n2, NNZ: nnz, DegCV: cv,
 		Procs: cfg.Procs, Threads: cfg.Threads,
 	}
 }

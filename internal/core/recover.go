@@ -8,7 +8,6 @@ import (
 
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
-	"mcmdist/internal/rmat"
 	"mcmdist/internal/rt"
 	"mcmdist/internal/spmat"
 	"mcmdist/internal/verify"
@@ -84,32 +83,25 @@ func SolveRecoverable(a *spmat.CSC, cfg Config, pol RecoveryPolicy) (*Result, *R
 	}
 	cfg.Procs = pr * pc
 
-	// Permute once, outside the retry loop, so every attempt (and every
-	// checkpoint) lives in one consistent permuted index space.
-	work := a
-	var rowPerm, colPerm []int
-	if cfg.Permute {
-		rowPerm = rmat.RandomPermutation(a.NRows, cfg.Seed*2+1)
-		colPerm = rmat.RandomPermutation(a.NCols, cfg.Seed*2+2)
-		work = a.Permute(rowPerm, colPerm)
+	// Permute and distribute once, outside the retry loop, so every attempt
+	// (and every checkpoint) lives in one consistent permuted index space.
+	// Every attempt's world may host any rank, so every block is built.
+	cfg, d, err := distribute(nil, a, cfg, pr, pc)
+	if err != nil {
+		return nil, nil, err
 	}
-	blocks := spmat.Distribute2D(work, pr, pc)
-	blocksT := spmat.Distribute2D(work.Transpose(), pr, pc)
-
-	res, rec, err := SolveRecoverableGrid(work, pr, pc, work.NRows, work.NCols, blocks, blocksT, cfg, nil, pol)
+	res, rec, err := SolveRecoverableGrid(d.work, pr, pc, d.work.NRows, d.work.NCols, d.blocks, d.blocksT, cfg, nil, pol)
 	if err != nil {
 		return nil, rec, err
 	}
-	if cfg.Permute {
-		res.Matching = unpermute(res.Matching, rowPerm, colPerm)
-	}
+	res.Matching = d.unpermute(res.Matching)
 	return res, rec, nil
 }
 
 // SolveRecoverableGrid is the retry engine behind SolveRecoverable, for
 // callers whose matrix is already distributed (the session API). a is the
-// assembled matrix in the same index space as the blocks, used only to
-// verify restored checkpoints; nil skips that check. ctxs optionally reuses
+// assembled matrix in the same index space as the blocks; it resolves an
+// "auto" engine and verifies restored checkpoints. ctxs optionally reuses
 // per-rank runtime contexts across attempts and solves (worker pools hold
 // no communicator state, so a context that survived an aborted attempt is
 // safe to rebind); nil builds fresh contexts per attempt.
@@ -120,7 +112,7 @@ func SolveRecoverableGrid(a *spmat.CSC, pr, pc, n1, n2 int, blocks, blocksT [][]
 	// Resolve the engine once, up front, so validateCheckpoint compares
 	// hashes against the same concrete engine every attempt runs (an "auto"
 	// choice must not drift between attempts of one recoverable solve).
-	cfg, err := ResolveEngineConfig(cfg, n1, n2, blocks)
+	cfg, err := ResolveEngineConfig(cfg, a)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -239,9 +231,9 @@ func pickAttemptError(errs []error) error {
 }
 
 // validateCheckpoint is the pre-restart safety net: shape, config hash,
-// internally consistent cardinality, and (when the matrix is available and
-// verification is on) a full validity check that every matched pair is an
-// edge and the two mate vectors agree.
+// internally consistent cardinality, and (when verification is on) a full
+// validity check that every matched pair is an edge and the two mate
+// vectors agree.
 func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint, pol RecoveryPolicy) error {
 	if ck.N1 != n1 || ck.N2 != n2 {
 		return fmt.Errorf("checkpoint is %dx%d, problem is %dx%d", ck.N1, ck.N2, n1, n2)
@@ -258,7 +250,7 @@ func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint, po
 	if got := countMatched(ck.MateC); got != ck.Cardinality {
 		return fmt.Errorf("checkpoint says cardinality %d but mate vector holds %d matches", ck.Cardinality, got)
 	}
-	if !pol.DisableVerify && a != nil {
+	if !pol.DisableVerify {
 		if err := verify.Valid(a, &matching.Matching{MateR: ck.MateR, MateC: ck.MateC}); err != nil {
 			return fmt.Errorf("checkpoint is not a valid matching: %w", err)
 		}

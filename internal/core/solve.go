@@ -43,8 +43,9 @@ func Solve(a *spmat.CSC, cfg Config) (*Result, error) {
 // SolveOn is Solve over an explicit transport endpoint, the entry point that
 // lets one solve span OS processes. Every participating process calls it
 // with its own endpoint and a bit-identical (a, cfg) pair: distribution,
-// permutation and seeding are deterministic, so each process derives the
-// same global blocks and runs only the ranks its endpoint hosts. The final
+// permutation and seeding are deterministic, so each process builds exactly
+// the blocks of the ranks its endpoint hosts (paper Section IV-A: a process
+// holds only its own submatrices) and runs only those ranks. The final
 // mate vectors are allgathered, so every process returns the full Matching;
 // Stats, PerRank and PerRankComm cover only locally hosted ranks (remote
 // entries stay zero — observability is per-process, see docs/TRANSPORT.md).
@@ -57,27 +58,78 @@ func SolveOn(tr mpi.Transport, a *spmat.CSC, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg.Procs = pr * pc
-
-	// Load balancing (Section IV-A): random row/column permutation.
-	work := a
-	var rowPerm, colPerm []int
-	if cfg.Permute {
-		rowPerm = rmat.RandomPermutation(a.NRows, cfg.Seed*2+1)
-		colPerm = rmat.RandomPermutation(a.NCols, cfg.Seed*2+2)
-		work = a.Permute(rowPerm, colPerm)
+	if tr == nil {
+		tr = mpi.NewInproc(cfg.Procs)
 	}
-
-	blocks := spmat.Distribute2D(work, pr, pc)
-	blocksT := spmat.Distribute2D(work.Transpose(), pr, pc)
-
-	res, err := runAttemptGrid(tr, pr, pc, work.NRows, work.NCols, blocks, blocksT, cfg, nil)
+	cfg, d, err := distribute(tr, a, cfg, pr, pc)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Permute {
-		res.Matching = unpermute(res.Matching, rowPerm, colPerm)
+	res, err := runAttemptGrid(tr, pr, pc, d.work.NRows, d.work.NCols, d.blocks, d.blocksT, cfg, nil)
+	if err != nil {
+		return nil, err
 	}
+	res.Matching = d.unpermute(res.Matching)
 	return res, nil
+}
+
+// distributed is one solve's input as its ranks see it: the matrix in the
+// index space they work in, the blocks of A and Aᵀ of the ranks hosted
+// here, and the permutations that map a result back (nil when off).
+type distributed struct {
+	work             *spmat.CSC
+	blocks, blocksT  [][]*spmat.LocalMatrix
+	rowPerm, colPerm []int
+}
+
+// distribute prepares a for a pr x pc solve: the random row/column
+// permutation of Section IV-A when cfg.Permute is set, the engine pinned
+// (the resolution is deterministic from SPMD-replicated inputs, so every
+// process derives the same choice and checkpoint hashes see the concrete
+// name), and the blocks of the ranks tr hosts — every rank for a nil tr.
+// Blocks of ranks hosted elsewhere stay nil.
+func distribute(tr mpi.Transport, a *spmat.CSC, cfg Config, pr, pc int) (Config, *distributed, error) {
+	d := &distributed{work: a}
+	if cfg.Permute {
+		d.rowPerm = rmat.RandomPermutation(a.NRows, cfg.Seed*2+1)
+		d.colPerm = rmat.RandomPermutation(a.NCols, cfg.Seed*2+2)
+		d.work = a.Permute(d.rowPerm, d.colPerm)
+	}
+	cfg, err := ResolveEngineConfig(cfg, d.work)
+	if err != nil {
+		return cfg, nil, err
+	}
+	var ranks []int
+	if tr != nil {
+		if err := checkWorldSize(tr, cfg.Procs); err != nil {
+			return cfg, nil, err
+		}
+		ranks = tr.LocalRanks()
+	}
+	d.blocks, d.blocksT = spmat.DistributeRanks(d.work, pr, pc, ranks)
+	return cfg, d, nil
+}
+
+// unpermute maps a matching of P·A·Q back to A's index space: if row i was
+// sent to rowPerm[i] and column j to colPerm[j], then the matching of the
+// permuted matrix at (rowPerm[i], colPerm[j]) corresponds to (i, j).
+func (d *distributed) unpermute(m *matching.Matching) *matching.Matching {
+	if d.rowPerm == nil {
+		return m
+	}
+	out := matching.NewMatching(len(d.rowPerm), len(d.colPerm))
+	colInv := make([]int, len(d.colPerm))
+	for j, pj := range d.colPerm {
+		colInv[pj] = j
+	}
+	for i, pi := range d.rowPerm {
+		pj := m.MateR[pi]
+		if pj == semiring.None {
+			continue
+		}
+		out.Match(i, colInv[pj])
+	}
+	return out
 }
 
 // SolveEndpoints runs one solve over every endpoint of a pre-built
@@ -109,19 +161,14 @@ func SolveEndpoints(eps []mpi.Transport, a *spmat.CSC, cfg Config) ([]*Result, e
 // launch the world (under the configured fault plane and watchdog), restore
 // or initialize the mate vectors, run the MCM phases, gather the result and
 // merge statistics. SolveOn calls it once; SolveRecoverableGrid calls it in
-// a retry loop, setting cfg.Resume between attempts. A nil tr runs on the
-// in-process backend; otherwise fn runs only on tr's locally hosted ranks
-// and the mate vectors are captured on the lowest of them (they are
-// allgathered, so every rank holds the full vectors).
+// a retry loop, setting cfg.Resume between attempts. cfg.Engine must
+// already be resolved (ResolveEngineConfig), and blocks/blocksT must hold
+// the entries of every rank tr hosts. A nil tr runs on the in-process
+// backend; otherwise fn runs only on tr's locally hosted ranks and the mate
+// vectors are captured on the lowest of them (they are allgathered, so
+// every rank holds the full vectors).
 func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx) (*Result, error) {
-	// Pin the engine before anything else: the resolution is deterministic
-	// from SPMD-replicated inputs, so every process of a multi-process solve
-	// derives the same choice, and checkpoint hashes see the concrete name.
-	cfg, err := ResolveEngineConfig(cfg, n1, n2, blocks)
-	if err != nil {
-		return nil, err
-	}
 	eng, ok := EngineByName(cfg.Engine)
 	if !ok {
 		return nil, fmt.Errorf("core: engine %q is not registered (have %v)", cfg.Engine, EngineNames())
@@ -129,8 +176,8 @@ func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*s
 	if tr == nil {
 		tr = mpi.NewInproc(cfg.Procs)
 	}
-	if tr.WorldSize() != cfg.Procs {
-		return nil, fmt.Errorf("core: transport world size %d != configured procs %d", tr.WorldSize(), cfg.Procs)
+	if err := checkWorldSize(tr, cfg.Procs); err != nil {
+		return nil, err
 	}
 	localRoot := tr.LocalRanks()[0]
 	obsAttach(tr, cfg.Obs)
@@ -207,23 +254,11 @@ func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*s
 	}, nil
 }
 
-// unpermute maps a matching of P·A·Q back to A's index space: if row i was
-// sent to rowPerm[i] and column j to colPerm[j], then the matching of the
-// permuted matrix at (rowPerm[i], colPerm[j]) corresponds to (i, j).
-func unpermute(m *matching.Matching, rowPerm, colPerm []int) *matching.Matching {
-	out := matching.NewMatching(len(rowPerm), len(colPerm))
-	colInv := make([]int, len(colPerm))
-	for j, pj := range colPerm {
-		colInv[pj] = j
+func checkWorldSize(tr mpi.Transport, procs int) error {
+	if tr.WorldSize() != procs {
+		return fmt.Errorf("core: transport world size %d != configured procs %d", tr.WorldSize(), procs)
 	}
-	for i, pi := range rowPerm {
-		pj := m.MateR[pi]
-		if pj == semiring.None {
-			continue
-		}
-		out.Match(i, colInv[pj])
-	}
-	return out
+	return nil
 }
 
 // SolveSerialEquivalent returns the oracle cardinality via Hopcroft–Karp,

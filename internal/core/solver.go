@@ -51,9 +51,9 @@ type Solver struct {
 	iterBase iterBaseline
 }
 
-// NewSolver builds a rank's solver from pre-distributed blocks. blocks and
-// blocksT are indexed [gridRow][gridCol] and produced by
-// spmat.Distribute2D(a, s, s) and spmat.Distribute2D(a.Transpose(), s, s).
+// NewSolver builds a rank's solver from its pre-distributed blocks: a and at
+// are the rank's (gridRow, gridCol) blocks of A and Aᵀ, as built by
+// spmat.DistributeRanks.
 func NewSolver(g *grid.Grid, cfg Config, n1, n2 int, a, at *spmat.LocalMatrix) *Solver {
 	st := newStats()
 	cfg = cfg.withDefaults()

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mcmdist/internal/mpi"
@@ -65,6 +66,58 @@ func TestSolveOnLoopbackTCPMatchesOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSolveOnBuildsOnlyHostedBlocks pins Section IV-A's data layout on a
+// transport: each endpoint of a 4-process loopback world builds the blocks
+// of A and Aᵀ for the rank it hosts and leaves every other entry nil, and
+// the solve over those partial distributions still returns the oracle's
+// mates bit for bit.
+func TestSolveOnBuildsOnlyHostedBlocks(t *testing.T) {
+	a := rmat.MustGenerate(rmat.G500, 8, 4, 5)
+	cfg := Config{Procs: 4, Init: InitDynMinDegree, Permute: true, Seed: 7}
+	oracle, err := Solve(a, cfg)
+	if err != nil {
+		t.Fatalf("oracle solve: %v", err)
+	}
+	eps, err := mpi.NewTransportSet("tcp", cfg.Procs)
+	if err != nil {
+		t.Fatalf("building tcp endpoints: %v", err)
+	}
+	defer func() {
+		if cerr := mpi.CloseAll(eps); cerr != nil {
+			t.Errorf("closing endpoints: %v", cerr)
+		}
+	}()
+
+	for _, ep := range eps {
+		_, d, err := distribute(ep, a, cfg, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosted := ep.LocalRanks()
+		for i := 0; i < 2; i++ {
+			for j := 0; j < 2; j++ {
+				local := slices.Contains(hosted, i*2+j)
+				if built := d.blocks[i][j] != nil; built != local {
+					t.Errorf("endpoint hosting %v: A block (%d,%d) built=%v", hosted, i, j, built)
+				}
+				if built := d.blocksT[i][j] != nil; built != local {
+					t.Errorf("endpoint hosting %v: Aᵀ block (%d,%d) built=%v", hosted, i, j, built)
+				}
+			}
+		}
+	}
+
+	results, err := SolveEndpoints(eps, a, cfg)
+	if err != nil {
+		t.Fatalf("tcp solve: %v", err)
+	}
+	for i, res := range results {
+		if !slices.Equal(res.Matching.MateR, oracle.Matching.MateR) || !slices.Equal(res.Matching.MateC, oracle.Matching.MateC) {
+			t.Errorf("endpoint %d mates diverge from the in-process oracle", i)
+		}
 	}
 }
 

@@ -450,8 +450,7 @@ func ladderForest(k, pathLen int) (*spmat.CSC, *matching.Matching) {
 // augment category.
 func runAugmentOnly(cfg core.Config, a *spmat.CSC, init *matching.Matching, mode core.AugmentMode) float64 {
 	side := nearestSquareSide(cfg.Procs)
-	blocks := spmat.Distribute2D(a, side, side)
-	blocksT := spmat.Distribute2D(a.Transpose(), side, side)
+	blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
 	stats := make([]*core.Stats, side*side)
 	err := core.RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
 		core.Config{Procs: side * side, Augment: mode}, func(s *core.Solver) error {
@@ -675,8 +674,7 @@ func SingleVsMultiSource(w io.Writer, cfg core.Config, scale int, names []string
 	var rows []SSMSRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		blocks := spmat.Distribute2D(a, side, side)
-		blocksT := spmat.Distribute2D(a.Transpose(), side, side)
+		blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
 		measure := func(engine string) (int, float64) {
 			iters := 0
 			meters := make([]mpi.Meter, side*side)

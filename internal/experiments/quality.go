@@ -119,8 +119,7 @@ func TreeBalance(w io.Writer, scale, procs int, names []string) []TreeBalanceRow
 	var rows []TreeBalanceRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		blocks := spmat.Distribute2D(a, side, side)
-		blocksT := spmat.Distribute2D(a.Transpose(), side, side)
+		blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
 		for _, op := range []semiring.AddOp{semiring.MinParent, semiring.RandRoot} {
 			var rootOf []int64
 			err := core.RunDistributedGrid(side, side, a.NRows, a.NCols, blocks, blocksT,

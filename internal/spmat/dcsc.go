@@ -49,6 +49,45 @@ func (d *DCSC) ToCSC() *CSC {
 	return m
 }
 
+// Transpose returns the transpose of d in DCSC form, by counting sort over
+// its rows in O(nnz + NRows). Columns are visited in increasing order, so
+// every output column's row indices come out sorted.
+func (d *DCSC) Transpose() *DCSC {
+	ptr := make([]int, d.NRows+1)
+	for _, i := range d.IR {
+		ptr[i+1]++
+	}
+	prefixSum(ptr)
+	nzc := 0
+	for i := 0; i < d.NRows; i++ {
+		if ptr[i+1] > ptr[i] {
+			nzc++
+		}
+	}
+	t := &DCSC{
+		NRows: d.NCols,
+		NCols: d.NRows,
+		JC:    make([]int, 0, nzc),
+		CP:    make([]int, 0, nzc+1),
+		IR:    make([]int, len(d.IR)),
+	}
+	for i := 0; i < d.NRows; i++ {
+		if ptr[i+1] > ptr[i] {
+			t.JC = append(t.JC, i)
+			t.CP = append(t.CP, ptr[i])
+		}
+	}
+	t.CP = append(t.CP, len(d.IR))
+	next := ptr[:d.NRows] // write cursors; ptr is not read again
+	for k, j := range d.JC {
+		for _, i := range d.IR[d.CP[k]:d.CP[k+1]] {
+			t.IR[next[i]] = j
+			next[i]++
+		}
+	}
+	return t
+}
+
 // NNZ returns the number of nonzeros.
 func (d *DCSC) NNZ() int { return len(d.IR) }
 

@@ -1,5 +1,7 @@
 package spmat
 
+import "slices"
+
 // Block describes one contiguous block of a 1D index range that has been
 // split across processes: global indices [Lo, Hi) map to local 0..Hi-Lo.
 type Block struct {
@@ -68,39 +70,98 @@ type LocalMatrix struct {
 	M          *DCSC // local submatrix, indices relative to Rows.Lo/Cols.Lo
 }
 
+// Submatrix returns the rows x cols block of a in DCSC form, with indices
+// relative to rows.Lo and cols.Lo. Each column of a CSC is sorted, so its run
+// inside the row slab is contiguous and found by binary search: one pass
+// sizes the result and a second copies the runs, with no staging and no sort.
+func Submatrix(a *CSC, rows, cols Block) *DCSC {
+	nzc, nnz := 0, 0
+	for j := cols.Lo; j < cols.Hi; j++ {
+		if lo, hi := slabRun(a, j, rows); hi > lo {
+			nzc++
+			nnz += hi - lo
+		}
+	}
+	d := &DCSC{
+		NRows: rows.Len(),
+		NCols: cols.Len(),
+		JC:    make([]int, 0, nzc),
+		CP:    make([]int, 1, nzc+1),
+		IR:    make([]int, 0, nnz),
+	}
+	for j := cols.Lo; j < cols.Hi; j++ {
+		lo, hi := slabRun(a, j, rows)
+		if hi == lo {
+			continue
+		}
+		d.JC = append(d.JC, j-cols.Lo)
+		for _, i := range a.RowIdx[lo:hi] {
+			d.IR = append(d.IR, i-rows.Lo)
+		}
+		d.CP = append(d.CP, len(d.IR))
+	}
+	return d
+}
+
+// slabRun returns the range of a.RowIdx holding column j's entries whose
+// rows fall inside rows.
+func slabRun(a *CSC, j int, rows Block) (lo, hi int) {
+	col := a.Col(j)
+	s, _ := slices.BinarySearch(col, rows.Lo)
+	e, _ := slices.BinarySearch(col[s:], rows.Hi)
+	return a.ColPtr[j] + s, a.ColPtr[j] + s + e
+}
+
 // Distribute2D splits the global matrix into pr x pc local matrices.
 // Element (i, j) of the result is the block owned by grid process (i, j):
-// global rows in rowBlocks[i], global columns in colBlocks[j].
+// global rows in BlockAt(a.NRows, pr, i), global columns in
+// BlockAt(a.NCols, pc, j).
 func Distribute2D(a *CSC, pr, pc int) [][]*LocalMatrix {
-	rowBlocks := SplitRange(a.NRows, pr)
-	colBlocks := SplitRange(a.NCols, pc)
-
-	coos := make([][]*COO, pr)
-	for i := range coos {
-		coos[i] = make([]*COO, pc)
-		for j := range coos[i] {
-			coos[i][j] = NewCOO(rowBlocks[i].Len(), colBlocks[j].Len())
+	out := newBlockGrid(pr, pc)
+	for i := range out {
+		for j := range out[i] {
+			out[i][j] = localBlock(a, pr, pc, i, j)
 		}
 	}
-	for j := 0; j < a.NCols; j++ {
-		pj := OwnerOf(a.NCols, pc, j)
-		lj := j - colBlocks[pj].Lo
-		for _, i := range a.Col(j) {
-			pi := OwnerOf(a.NRows, pr, i)
-			coos[pi][pj].Add(i-rowBlocks[pi].Lo, lj)
+	return out
+}
+
+// DistributeRanks builds what each listed rank of a pr x pc grid needs to
+// solve: block (i, j) of a and block (i, j) of aᵀ, where rank r sits at
+// (r/pc, r%pc) in the grid's row-major order. A nil ranks means every rank;
+// otherwise the entries of unlisted ranks stay nil. The aᵀ block is the
+// local transpose of a's (BlockAt(n1, pc, j), BlockAt(n2, pr, i)) block, so
+// the global transpose is never formed. The result equals Distribute2D(a)
+// and Distribute2D(a.Transpose()) on the listed entries.
+func DistributeRanks(a *CSC, pr, pc int, ranks []int) (blocks, blocksT [][]*LocalMatrix) {
+	blocks, blocksT = newBlockGrid(pr, pc), newBlockGrid(pr, pc)
+	build := func(r int) {
+		i, j := r/pc, r%pc
+		blocks[i][j] = localBlock(a, pr, pc, i, j)
+		rows, cols := BlockAt(a.NCols, pr, i), BlockAt(a.NRows, pc, j)
+		blocksT[i][j] = &LocalMatrix{Rows: rows, Cols: cols, M: Submatrix(a, cols, rows).Transpose()}
+	}
+	if ranks == nil {
+		for r := 0; r < pr*pc; r++ {
+			build(r)
 		}
 	}
+	for _, r := range ranks {
+		build(r)
+	}
+	return blocks, blocksT
+}
 
+// localBlock is block (i, j) of a on a pr x pc grid.
+func localBlock(a *CSC, pr, pc, i, j int) *LocalMatrix {
+	rows, cols := BlockAt(a.NRows, pr, i), BlockAt(a.NCols, pc, j)
+	return &LocalMatrix{Rows: rows, Cols: cols, M: Submatrix(a, rows, cols)}
+}
+
+func newBlockGrid(pr, pc int) [][]*LocalMatrix {
 	out := make([][]*LocalMatrix, pr)
 	for i := range out {
 		out[i] = make([]*LocalMatrix, pc)
-		for j := range out[i] {
-			out[i][j] = &LocalMatrix{
-				Rows: rowBlocks[i],
-				Cols: colBlocks[j],
-				M:    coos[i][j].ToCSC().ToDCSC(),
-			}
-		}
 	}
 	return out
 }

@@ -57,35 +57,56 @@ type CSC struct {
 	RowIdx       []int
 }
 
-// ToCSC sorts, deduplicates and compresses the COO matrix into CSC form.
+// ToCSC compresses the COO matrix into CSC form with two stable counting
+// passes, by row and then by column, so every column's rows come out sorted
+// and duplicates end up adjacent, where one sweep drops them. O(nnz + n).
 func (c *COO) ToCSC() *CSC {
-	ent := make([]Triple, len(c.Entries))
-	copy(ent, c.Entries)
-	sort.Slice(ent, func(a, b int) bool {
-		if ent[a].Col != ent[b].Col {
-			return ent[a].Col < ent[b].Col
-		}
-		return ent[a].Row < ent[b].Row
-	})
-	m := &CSC{
-		NRows:  c.NRows,
-		NCols:  c.NCols,
-		ColPtr: make([]int, c.NCols+1),
-		RowIdx: make([]int, 0, len(ent)),
+	rowPtr := make([]int, c.NRows+1)
+	colPtr := make([]int, c.NCols+1)
+	for _, e := range c.Entries {
+		rowPtr[e.Row+1]++
+		colPtr[e.Col+1]++
 	}
-	prevRow, prevCol := -1, -1
-	for _, e := range ent {
-		if e.Col == prevCol && e.Row == prevRow {
-			continue // duplicate
-		}
-		m.RowIdx = append(m.RowIdx, e.Row)
-		m.ColPtr[e.Col+1]++
-		prevRow, prevCol = e.Row, e.Col
+	prefixSum(rowPtr)
+	prefixSum(colPtr)
+
+	// Pass 1: the column indices grouped by row (CSR).
+	colsByRow := make([]int, len(c.Entries))
+	next := append([]int(nil), rowPtr[:c.NRows]...)
+	for _, e := range c.Entries {
+		colsByRow[next[e.Row]] = e.Col
+		next[e.Row]++
 	}
+	// Pass 2: walking rows in order scatters each column's rows sorted.
+	rowIdx := make([]int, len(c.Entries))
+	next = append(next[:0], colPtr[:c.NCols]...)
+	for i := 0; i < c.NRows; i++ {
+		for _, j := range colsByRow[rowPtr[i]:rowPtr[i+1]] {
+			rowIdx[next[j]] = i
+			next[j]++
+		}
+	}
+
+	// Drop adjacent duplicates, compacting in place.
+	w, lo := 0, 0
 	for j := 0; j < c.NCols; j++ {
-		m.ColPtr[j+1] += m.ColPtr[j]
+		hi := colPtr[j+1]
+		for k := lo; k < hi; k++ {
+			if k == lo || rowIdx[k] != rowIdx[k-1] {
+				rowIdx[w] = rowIdx[k]
+				w++
+			}
+		}
+		colPtr[j+1], lo = w, hi
 	}
-	return m
+	return &CSC{NRows: c.NRows, NCols: c.NCols, ColPtr: colPtr, RowIdx: rowIdx[:w]}
+}
+
+// prefixSum turns per-slot counts in p[1:] into running offsets.
+func prefixSum(p []int) {
+	for k := 1; k < len(p); k++ {
+		p[k] += p[k-1]
+	}
 }
 
 // NNZ returns the number of nonzeros.
@@ -128,11 +149,8 @@ func (m *CSC) Transpose() *CSC {
 	for _, i := range m.RowIdx {
 		t.ColPtr[i+1]++
 	}
-	for i := 0; i < m.NRows; i++ {
-		t.ColPtr[i+1] += t.ColPtr[i]
-	}
-	next := make([]int, m.NRows)
-	copy(next, t.ColPtr[:m.NRows])
+	prefixSum(t.ColPtr)
+	next := append([]int(nil), t.ColPtr[:m.NRows]...)
 	for j := 0; j < m.NCols; j++ {
 		for _, i := range m.Col(j) {
 			t.RowIdx[next[i]] = j
@@ -145,6 +163,10 @@ func (m *CSC) Transpose() *CSC {
 // Permute returns P·A·Q for permutations given as rowPerm and colPerm, where
 // rowPerm[i] is the new index of old row i and colPerm[j] the new index of
 // old column j. A nil permutation means identity.
+//
+// It is a counting sort: column sizes are known from m, and walking the rows
+// in their new order through m's row-major form fills every new column with
+// ascending row indices.
 func (m *CSC) Permute(rowPerm, colPerm []int) *CSC {
 	if rowPerm != nil && len(rowPerm) != m.NRows {
 		panic("spmat: rowPerm length mismatch")
@@ -152,22 +174,41 @@ func (m *CSC) Permute(rowPerm, colPerm []int) *CSC {
 	if colPerm != nil && len(colPerm) != m.NCols {
 		panic("spmat: colPerm length mismatch")
 	}
-	out := NewCOO(m.NRows, m.NCols)
-	out.Entries = make([]Triple, 0, m.NNZ())
-	for j := 0; j < m.NCols; j++ {
-		nj := j
-		if colPerm != nil {
-			nj = colPerm[j]
+	newCol := func(j int) int {
+		if colPerm == nil {
+			return j
 		}
-		for _, i := range m.Col(j) {
-			ni := i
-			if rowPerm != nil {
-				ni = rowPerm[i]
-			}
-			out.Entries = append(out.Entries, Triple{Row: ni, Col: nj})
+		return colPerm[j]
+	}
+	out := &CSC{
+		NRows:  m.NRows,
+		NCols:  m.NCols,
+		ColPtr: make([]int, m.NCols+1),
+		RowIdx: make([]int, m.NNZ()),
+	}
+	for j := 0; j < m.NCols; j++ {
+		out.ColPtr[newCol(j)+1] = m.ColDegree(j)
+	}
+	prefixSum(out.ColPtr)
+	next := append([]int(nil), out.ColPtr[:m.NCols]...)
+
+	oldRow := make([]int, m.NRows) // new row index -> old
+	for i := range oldRow {
+		if rowPerm == nil {
+			oldRow[i] = i
+		} else {
+			oldRow[rowPerm[i]] = i
 		}
 	}
-	return out.ToCSC()
+	rows := m.Transpose()
+	for ni, i := range oldRow {
+		for _, j := range rows.Col(i) {
+			nj := newCol(j)
+			out.RowIdx[next[nj]] = ni
+			next[nj]++
+		}
+	}
+	return out
 }
 
 // Equal reports whether two CSC matrices have identical dimensions and

@@ -26,9 +26,10 @@ import (
 // sequential reuse, not for concurrent solves on one DistributedGraph.
 //
 // A DistributedGraph always solves on the in-process transport backend —
-// the cached contexts assume one address space. To span OS processes, use
-// MaximumMatchingOn with a Transport endpoint instead (every process
-// re-derives the distribution deterministically; see docs/TRANSPORT.md).
+// the cached contexts assume one address space — and so holds the blocks of
+// every rank. To span OS processes, use MaximumMatchingOn with a Transport
+// endpoint instead: each process then builds, deterministically, only the
+// blocks of the ranks it hosts (see docs/TRANSPORT.md).
 type DistributedGraph struct {
 	g       *Graph
 	procs   int
@@ -54,12 +55,13 @@ func Distribute(g *Graph, procs int) (dg *DistributedGraph, err error) {
 	for r := range ctxs {
 		ctxs[r] = rt.New(nil) // bound to each solve's communicator at run time
 	}
+	blocks, blocksT := spmat.DistributeRanks(g.a, side, side, nil)
 	return &DistributedGraph{
 		g:       g,
 		procs:   procs,
 		side:    side,
-		blocks:  spmat.Distribute2D(g.a, side, side),
-		blocksT: spmat.Distribute2D(g.a.Transpose(), side, side),
+		blocks:  blocks,
+		blocksT: blocksT,
 		ctxs:    ctxs,
 	}, nil
 }
@@ -95,7 +97,7 @@ func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stat
 	// Resolve the engine ("auto" via the cost model) once, against the
 	// cached distribution, so every rank runs the same concrete engine and
 	// Stats/checkpoints name it.
-	cfg, err = core.ResolveEngineConfig(cfg, dg.g.Rows(), dg.g.Cols(), dg.blocks)
+	cfg, err = core.ResolveEngineConfig(cfg, dg.g.a)
 	if err != nil {
 		return nil, nil, err
 	}
