@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke
+.PHONY: build test race bench bench-smoke bench-test vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,13 @@ bench-smoke:
 	$(GO) test -bench 'TableI|SolveOnAllocs' -benchtime=1x -run '^$$' .
 	$(GO) run ./cmd/bench -exp profile -scale 12 -procs 4 -matrix g500 -direction auto -compress -timeseries direction-series.csv
 	$(GO) run ./cmd/tracelint direction-series.csv
+
+# The repo benchmark's own tests, run from its separate module: unit tests
+# of its percentile rule, trace fold and failure accounting, plus a scale-10
+# smoke pass over every workload that pins the metric and workload names
+# BENCHMARK.json declares.
+bench-test:
+	cd benchmark && $(GO) test .
 
 # Multi-process transport smoke: one solve spanning four OS processes over
 # loopback TCP (mcm coordinating, three mcmrank workers), its matching

@@ -140,29 +140,21 @@ func (s *Solver) countMul(x *dvec.SparseInt) *dvec.SparseInt {
 	}
 	ctx.PutInts(slab)
 
+	// My block's rows are my grid row's slab of ColTL, which the pc owner
+	// ranges split in order: walk them instead of locating each row's owner.
 	parts := ctx.GetParts(g.PC)
-	for r := 0; r < s.AT.Rows.Len(); r++ {
-		if !sc.Has(r) {
-			continue
+	for j := range g.PC {
+		own := s.ColTL.RangeAt(g.MyRow, j)
+		for r := own.Lo - s.AT.Rows.Lo; r < own.Hi-s.AT.Rows.Lo; r++ {
+			if sc.Has(r) {
+				parts[j] = append(parts[j], int64(s.AT.Rows.Lo+r), sc.Val[r].Parent)
+			}
 		}
-		gidx := s.AT.Rows.Lo + r
-		_, j := s.ColTL.OwnerCoords(gidx)
-		parts[j] = append(parts[j], int64(gidx), sc.Val[r].Parent)
 	}
 	flat := g.Row.AlltoallvFlat(parts, ctx.GetInts(0))
 	ctx.PutParts(parts)
-	// Each sender emits its (index, count) pairs in increasing index order;
-	// sort the union and sum duplicates arriving from different senders.
-	ctx.SortRecords(flat, 2)
-	out := dvec.NewSparseInt(s.ColTL)
-	for off := 0; off < len(flat); off += 2 {
-		gi := int(flat[off])
-		if n := len(out.Idx); n > 0 && out.Idx[n-1] == gi {
-			out.Val[n-1] += flat[off+1]
-		} else {
-			out.Append(gi, flat[off+1])
-		}
-	}
+	// Senders from my grid row may count the same column: sum them.
+	out := dvec.ReceiveInt(s.ColTL, flat, dvec.Sum)
 	g.World.AddWork(out.LocalNnz())
 	ctx.PutInts(flat)
 	return out

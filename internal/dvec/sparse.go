@@ -2,6 +2,7 @@ package dvec
 
 import (
 	"fmt"
+	"slices"
 
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/rt"
@@ -12,7 +13,8 @@ import (
 // arena buffer. When the context overlaps communication it runs
 // split-phase: arrived payloads are copied out while stragglers are still
 // sending, hiding the copy-out behind the wait. Metering is identical
-// either way; consumers sort the union, so arrival order is harmless.
+// either way; consumers scatter-reduce the union under an order-free
+// combine, so arrival order is harmless.
 func flatAlltoall(c *mpi.Comm, ctx *rt.Ctx, parts [][]int64, hint int) []int64 {
 	if ctx.Overlap() {
 		rq := c.IAlltoallvParts(parts)
@@ -254,13 +256,82 @@ func invertExchange(l Layout, outL Layout, records []int64, stride int) []int64 
 		if tgt < 0 || tgt >= outL.N {
 			panic(fmt.Sprintf("dvec: INVERT target %d outside [0,%d)", tgt, outL.N))
 		}
-		rank, _ := outL.Owner(tgt)
+		rank := outL.G.RankAt(outL.OwnerCoords(tgt))
 		parts[rank] = append(parts[rank], records[off:off+stride]...)
 	}
 	c.AddWork(len(records) / max(stride, 1))
 	flat := flatAlltoall(c, ctx, parts, len(records))
 	ctx.PutParts(parts)
 	return flat
+}
+
+// Reduce is how a scatter-reduce receive combines records that carry the
+// same target index. Every mode is independent of arrival order.
+type Reduce int
+
+const (
+	// KeepMin keeps the record with the smallest value: INVERT's "first
+	// index" rule, the value being the source index (unique per record).
+	KeepMin Reduce = iota
+	// Sum adds the values: the counting fold.
+	Sum
+	// Store overwrites: redistribute, whose indices arrive once each.
+	Store
+)
+
+// scatterReduce folds received stride-length records (index, value[, root])
+// into the rank's epoch-stamped scratch over outL.MyRange(), combining the
+// records of one index under op, and returns the scratch and the distinct
+// local offsets it touched, sorted. The offsets are an arena buffer for the
+// caller to PutInts. This is O(records + k log k) for k distinct indices.
+func scatterReduce(outL Layout, flat []int64, stride int, op Reduce) (*rt.Scratch, []int64) {
+	ctx := outL.G.RT
+	r := outL.MyRange()
+	n := r.Len()
+	sc := ctx.Scratch("dvec.receive", n)
+	offs := ctx.GetInts(min(len(flat)/stride, n))
+	for o := 0; o < len(flat); o += stride {
+		// The scratch may be longer than the range, so its bounds check
+		// would not catch a misrouted index.
+		off := int(flat[o]) - r.Lo
+		if uint(off) >= uint(n) {
+			panic(fmt.Sprintf("dvec: received index %d outside local range [%d,%d)", flat[o], r.Lo, r.Hi))
+		}
+		v := semiring.Vertex{Parent: flat[o+1]}
+		if stride == 3 {
+			v.Root = flat[o+2]
+		}
+		switch {
+		case !sc.Has(off):
+			sc.Set(off, v)
+			offs = append(offs, int64(off))
+		case op == Sum:
+			sc.Val[off].Parent += v.Parent
+		case op == Store || v.Parent < sc.Val[off].Parent:
+			sc.Val[off] = v
+		}
+	}
+	slices.Sort(offs)
+	return sc, offs
+}
+
+// ReceiveInt builds the sparse vector with layout outL from received
+// (index, value) records, combining the records of one index under op. The
+// indices must fall in outL.MyRange(); flat stays the caller's.
+func ReceiveInt(outL Layout, flat []int64, op Reduce) *SparseInt {
+	sc, offs := scatterReduce(outL, flat, 2, op)
+	lo := outL.MyRange().Lo
+	out := NewSparseInt(outL)
+	if len(offs) > 0 {
+		out.Idx = make([]int, len(offs))
+		out.Val = make([]int64, len(offs))
+	}
+	for k, off := range offs {
+		out.Idx[k] = lo + int(off)
+		out.Val[k] = sc.Val[off].Parent
+	}
+	outL.G.RT.PutInts(offs)
+	return out
 }
 
 // Invert computes the Table I INVERT primitive: a sparse vector z with
@@ -275,15 +346,7 @@ func (s *SparseInt) Invert(outL Layout) *SparseInt {
 	}
 	flat := invertExchange(s.L, outL, records, 2)
 	ctx.PutInts(records)
-	ctx.SortRecords(flat, 2)
-	out := NewSparseInt(outL)
-	for off := 0; off < len(flat); off += 2 {
-		if off > 0 && flat[off-2] == flat[off] {
-			continue
-		}
-		out.Idx = append(out.Idx, int(flat[off]))
-		out.Val = append(out.Val, flat[off+1])
-	}
+	out := ReceiveInt(outL, flat, KeepMin)
 	s.L.G.World.AddWork(len(flat) / 2)
 	ctx.PutInts(flat)
 	return out
@@ -319,18 +382,23 @@ func (s *SparseV) InvertRoots(outL Layout) *SparseV {
 	return out
 }
 
+// invertVertex is INVERT over (target, source, root) records: the record
+// with the smallest source wins each target and keeps its root.
 func invertVertex(l Layout, outL Layout, records []int64) *SparseV {
 	flat := invertExchange(l, outL, records, 3)
 	ctx := l.G.RT
-	ctx.SortRecords(flat, 3)
+	sc, offs := scatterReduce(outL, flat, 3, KeepMin)
+	lo := outL.MyRange().Lo
 	out := NewSparseV(outL)
-	for off := 0; off < len(flat); off += 3 {
-		if off > 0 && flat[off-3] == flat[off] {
-			continue
-		}
-		out.Idx = append(out.Idx, int(flat[off]))
-		out.Val = append(out.Val, semiring.Vertex{Parent: flat[off+1], Root: flat[off+2]})
+	if len(offs) > 0 {
+		out.Idx = make([]int, len(offs))
+		out.Val = make([]semiring.Vertex, len(offs))
 	}
+	for k, off := range offs {
+		out.Idx[k] = lo + int(off)
+		out.Val[k] = sc.Val[off]
+	}
+	ctx.PutInts(offs)
 	l.G.World.AddWork(len(flat) / 3)
 	ctx.PutInts(flat)
 	return out
@@ -347,18 +415,11 @@ func (s *SparseV) PruneRoots(localRoots []int64) *SparseV {
 	banned := flatAllgather(c, ctx, localRoots, len(localRoots)*c.Size())
 	// Sorted + deduped flat set instead of a per-call hash map: lookups are
 	// binary searches and the buffer goes back to the arena afterwards.
-	ctx.SortRecords(banned, 1)
-	uniq := 0
-	for i := range banned {
-		if i == 0 || banned[i] != banned[uniq-1] {
-			banned[uniq] = banned[i]
-			uniq++
-		}
-	}
-	banned = banned[:uniq]
+	slices.Sort(banned)
+	banned = slices.Compact(banned)
 	out := NewSparseV(s.L)
 	for k, g := range s.Idx {
-		if !sortedHas(banned, s.Val[k].Root) {
+		if _, hit := slices.BinarySearch(banned, s.Val[k].Root); !hit {
 			out.Idx = append(out.Idx, g)
 			out.Val = append(out.Val, s.Val[k])
 		}
@@ -366,20 +427,6 @@ func (s *SparseV) PruneRoots(localRoots []int64) *SparseV {
 	c.AddWork(len(s.Idx) + len(banned))
 	ctx.PutInts(banned)
 	return out
-}
-
-// sortedHas reports whether v occurs in the ascending-sorted slice a.
-func sortedHas(a []int64, v int64) bool {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(a) && a[lo] == v
 }
 
 // GatherInt reconstructs the full sparse vector as a dense []int64 slice on
@@ -468,23 +515,13 @@ func (s *SparseInt) Redistribute(outL Layout) *SparseInt {
 	ctx := s.L.G.RT
 	parts := ctx.GetParts(c.Size())
 	for k, g := range s.Idx {
-		rank, _ := outL.Owner(g)
+		rank := outL.G.RankAt(outL.OwnerCoords(g))
 		parts[rank] = append(parts[rank], int64(g), s.Val[k])
 	}
 	flat := flatAlltoall(c, ctx, parts, 2*len(s.Idx))
 	ctx.PutParts(parts)
-	ctx.SortRecords(flat, 2)
-	out := NewSparseInt(outL)
-	n := len(flat) / 2
-	if n > 0 {
-		out.Idx = make([]int, 0, n)
-		out.Val = make([]int64, 0, n)
-	}
-	for off := 0; off < len(flat); off += 2 {
-		out.Idx = append(out.Idx, int(flat[off]))
-		out.Val = append(out.Val, flat[off+1])
-	}
-	c.AddWork(len(s.Idx) + n)
+	out := ReceiveInt(outL, flat, Store)
+	c.AddWork(len(s.Idx) + len(flat)/2)
 	ctx.PutInts(flat)
 	return out
 }

@@ -60,9 +60,9 @@ func (c *Comm) AlltoallvInto(parts [][]int64, buf []int64) ([][]int64, []int64) 
 
 // AlltoallvFlat is AlltoallvInto without the per-source boundaries: the
 // received parts are appended into buf in source-rank order and the grown
-// buffer returned. It serves consumers (INVERT, redistribution) that sort
-// the union anyway and never look at who sent what. Metering is identical
-// to Alltoallv.
+// buffer returned. It serves consumers (INVERT, redistribution) that
+// scatter-reduce the union and never look at who sent what. Metering is
+// identical to Alltoallv.
 func (c *Comm) AlltoallvFlat(parts [][]int64, buf []int64) []int64 {
 	return c.IAlltoallvFlat(parts, buf).Wait()
 }

@@ -504,7 +504,8 @@ func (pr *PartsRequest) Ready() bool {
 
 // Drain appends every remaining source's payload into buf in arrival order
 // and returns the grown buffer. The copy means buf stays valid after
-// Finish; arrival order is fine for consumers that sort the union anyway.
+// Finish; arrival order is fine for consumers that combine the union
+// order-free.
 func (pr *PartsRequest) Drain(buf []int64) []int64 {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()

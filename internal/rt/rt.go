@@ -31,7 +31,6 @@
 package rt
 
 import (
-	"sort"
 	"time"
 
 	"mcmdist/internal/mpi"
@@ -487,114 +486,4 @@ func (c *Ctx) MeterSnapshot() mpi.Meter {
 		return mpi.Meter{}
 	}
 	return c.comm.MeterSnapshot()
-}
-
-// recordSorter sorts a flat record buffer of fixed-stride int64 records by
-// first field, ties by second. Sorting records in place avoids materializing
-// a []struct copy of every INVERT / fold exchange.
-type recordSorter struct {
-	buf    []int64
-	stride int
-}
-
-func (r recordSorter) Len() int { return len(r.buf) / r.stride }
-func (r recordSorter) Less(i, j int) bool {
-	a, b := r.buf[i*r.stride:], r.buf[j*r.stride:]
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return r.stride > 1 && a[1] < b[1]
-}
-func (r recordSorter) Swap(i, j int) {
-	a, b := r.buf[i*r.stride:(i+1)*r.stride], r.buf[j*r.stride:(j+1)*r.stride]
-	for k := range a {
-		a[k], b[k] = b[k], a[k]
-	}
-}
-
-// SortRecords sorts buf, viewed as consecutive stride-length records, by
-// record key (first element, ties by second). len(buf) must be a multiple
-// of stride.
-func SortRecords(buf []int64, stride int) {
-	if stride <= 0 || len(buf)%stride != 0 {
-		panic("rt: SortRecords buffer not a whole number of records")
-	}
-	sort.Sort(recordSorter{buf: buf, stride: stride})
-}
-
-// sortGrain is the minimum records per chunk of the parallel record sort;
-// below roughly two chunks of this the serial sort wins outright.
-const sortGrain = 4096
-
-// SortRecords sorts buf like the package-level SortRecords, but uses the
-// context's worker pool when the buffer is large enough to amortize the
-// fan-out: each worker sorts a contiguous run of records, then pairwise
-// merge rounds (also fanned across the team, with a temp buffer borrowed
-// from the arena) combine the runs. The merge compares (first, second) and
-// takes the left run on ties, so for the key spaces the solver sorts —
-// where (first, second) pairs are unique — the output is bit-identical to
-// the serial sort.
-func (c *Ctx) SortRecords(buf []int64, stride int) {
-	if stride <= 0 || len(buf)%stride != 0 {
-		panic("rt: SortRecords buffer not a whole number of records")
-	}
-	p := c.Pool()
-	nrec := len(buf) / stride
-	bounds := p.Chunks(nrec, sortGrain)
-	if len(bounds) <= 2 {
-		sort.Sort(recordSorter{buf: buf, stride: stride})
-		return
-	}
-	p.ForChunked(nrec, sortGrain, func(_, lo, hi int) {
-		sort.Sort(recordSorter{buf: buf[lo*stride : hi*stride], stride: stride})
-	})
-	tmp := c.GetInts(len(buf))
-	tmp = tmp[:len(buf)]
-	src, dst := buf, tmp
-	for len(bounds) > 2 {
-		next := append(make([]int, 0, len(bounds)/2+2), bounds[0])
-		fns := make([]func(), 0, len(bounds)/2+1)
-		i := 0
-		for ; i+2 < len(bounds); i += 2 {
-			lo, mid, hi := bounds[i]*stride, bounds[i+1]*stride, bounds[i+2]*stride
-			s, d := src, dst
-			fns = append(fns, func() {
-				mergeRecords(d[lo:hi], s[lo:mid], s[mid:hi], stride)
-			})
-			next = append(next, bounds[i+2])
-		}
-		if i+1 < len(bounds) { // odd run left over: carry it through
-			lo, hi := bounds[i]*stride, bounds[i+1]*stride
-			s, d := src, dst
-			fns = append(fns, func() { copy(d[lo:hi], s[lo:hi]) })
-			next = append(next, bounds[i+1])
-		}
-		p.Run(fns...)
-		src, dst = dst, src
-		bounds = next
-	}
-	if &src[0] != &buf[0] {
-		copy(buf, src)
-	}
-	c.PutInts(tmp)
-}
-
-// mergeRecords merges the sorted record runs a and b into dst
-// (len(dst) = len(a)+len(b)), taking from a on equal keys.
-func mergeRecords(dst, a, b []int64, stride int) {
-	var o int
-	for len(a) > 0 && len(b) > 0 {
-		bf, af := b[:stride], a[:stride]
-		less := bf[0] < af[0] || (bf[0] == af[0] && stride > 1 && bf[1] < af[1])
-		if less {
-			copy(dst[o:], bf)
-			b = b[stride:]
-		} else {
-			copy(dst[o:], af)
-			a = a[stride:]
-		}
-		o += stride
-	}
-	copy(dst[o:], a)
-	copy(dst[o+len(a):], b)
 }

@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 
 	"mcmdist/internal/mpi"
@@ -270,47 +268,6 @@ func TestDisabledAndNilArePassThrough(t *testing.T) {
 	}
 }
 
-func TestSortRecordsMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, stride := range []int{1, 2, 3, 4} {
-		n := 200
-		buf := make([]int64, n*stride)
-		for i := range buf {
-			buf[i] = int64(rng.Intn(20))
-		}
-		type rec []int64
-		want := make([]rec, n)
-		for i := 0; i < n; i++ {
-			want[i] = append(rec(nil), buf[i*stride:(i+1)*stride]...)
-		}
-		sort.SliceStable(want, func(i, j int) bool {
-			if want[i][0] != want[j][0] {
-				return want[i][0] < want[j][0]
-			}
-			return stride > 1 && want[i][1] < want[j][1]
-		})
-		SortRecords(buf, stride)
-		for i := 0; i < n; i++ {
-			got := buf[i*stride : (i+1)*stride]
-			if got[0] != want[i][0] {
-				t.Fatalf("stride %d rec %d key: %d, want %d", stride, i, got[0], want[i][0])
-			}
-			if stride > 1 && got[1] != want[i][1] {
-				t.Fatalf("stride %d rec %d tie: %d, want %d", stride, i, got[1], want[i][1])
-			}
-		}
-	}
-}
-
-func TestSortRecordsPanicsOnRaggedBuffer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for ragged buffer")
-		}
-	}()
-	SortRecords(make([]int64, 7), 3)
-}
-
 // TestCrossRankNoAliasing: each rank's context pools its own storage; a
 // buffer borrowed on rank r, filled with r's pattern, must still hold that
 // pattern after every rank has borrowed, written, returned, and re-borrowed
@@ -452,33 +409,6 @@ func TestScratchShardsDisabledCtx(t *testing.T) {
 	ss[0].Set(7, semiring.Vertex{})
 	if !ss[0].Has(7) || ss[1].Has(7) {
 		t.Fatal("disabled shards broken")
-	}
-}
-
-func TestCtxSortRecordsMatchesSerial(t *testing.T) {
-	c := New(nil)
-	c.EnsureThreads(4)
-	defer c.Close()
-	rng := rand.New(rand.NewSource(42))
-	for _, stride := range []int{1, 2, 3} {
-		for _, nrec := range []int{0, 1, 100, sortGrain - 1, sortGrain * 2, sortGrain*4 + 17} {
-			buf := make([]int64, nrec*stride)
-			for i := 0; i < nrec; i++ {
-				buf[i*stride] = int64(rng.Intn(nrec/4 + 1)) // plenty of key ties
-				for f := 1; f < stride; f++ {
-					buf[i*stride+f] = int64(i) // unique second field, like source indices
-				}
-			}
-			want := append([]int64(nil), buf...)
-			SortRecords(want, stride)
-			c.SortRecords(buf, stride)
-			for i := range buf {
-				if buf[i] != want[i] {
-					t.Fatalf("stride=%d nrec=%d: parallel sort diverges at %d: %d vs %d",
-						stride, nrec, i, buf[i], want[i])
-				}
-			}
-		}
 	}
 }
 

@@ -12,11 +12,40 @@ package spmat
 // DCSC matters in the 2D distribution because a local submatrix of an
 // n/√p-column slab frequently has far fewer than n/√p nonempty columns
 // (hypersparsity), and iterating over it must cost O(nzc), not O(ncols).
+//
+// Every constructor also builds the AUX index of Buluç & Gilbert's
+// hypersparse format, which makes FindCol O(1) expected: the columns are cut
+// into chunks of cf = ⌈ncols/nzc⌉, and aux[c] is the first position in JC
+// whose column falls in chunk c or later (aux[len(aux)-1] = nzc). That is at
+// most nzc+1 ints, and a chunk holds one nonempty column on average.
 type DCSC struct {
 	NRows, NCols int
 	JC           []int // nonempty column indices, len nzc
 	CP           []int // column pointers, len nzc+1
 	IR           []int // row indices, len nnz
+
+	cf  int   // columns per AUX chunk
+	aux []int // aux[c] = first k with JC[k] >= c*cf
+}
+
+// index builds the AUX index over JC. Constructors call it once JC is final.
+func (d *DCSC) index() *DCSC {
+	nzc := len(d.JC)
+	d.cf = max(1, d.NCols)
+	if nzc > 0 {
+		d.cf = (d.NCols + nzc - 1) / nzc
+	}
+	chunks := (d.NCols + d.cf - 1) / d.cf
+	d.aux = make([]int, chunks+1)
+	k := 0
+	for c := range chunks {
+		d.aux[c] = k
+		for k < nzc && d.JC[k] < (c+1)*d.cf {
+			k++
+		}
+	}
+	d.aux[chunks] = nzc
+	return d
 }
 
 // ToDCSC converts a CSC matrix to DCSC form.
@@ -29,7 +58,7 @@ func (m *CSC) ToDCSC() *DCSC {
 		}
 	}
 	d.CP = append(d.CP, len(m.RowIdx))
-	return d
+	return d.index()
 }
 
 // ToCSC expands the DCSC matrix back to plain CSC form.
@@ -85,7 +114,7 @@ func (d *DCSC) Transpose() *DCSC {
 			next[i]++
 		}
 	}
-	return t
+	return t.index()
 }
 
 // NNZ returns the number of nonzeros.
@@ -101,19 +130,20 @@ func (d *DCSC) ColByIndex(k int) (col int, rows []int) {
 }
 
 // FindCol returns the sorted row indices of column j, or nil when the column
-// is empty, using binary search over JC in O(log nzc).
+// is empty or j is outside [0, NCols). It scans j's AUX chunk, which is O(1)
+// expected.
 func (d *DCSC) FindCol(j int) []int {
-	lo, hi := 0, len(d.JC)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.JC[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if uint(j) >= uint(d.NCols) {
+		return nil
 	}
-	if lo < len(d.JC) && d.JC[lo] == j {
-		return d.IR[d.CP[lo]:d.CP[lo+1]]
+	c := j / d.cf
+	for k := d.aux[c]; k < d.aux[c+1]; k++ {
+		if d.JC[k] >= j {
+			if d.JC[k] == j {
+				return d.IR[d.CP[k]:d.CP[k+1]]
+			}
+			return nil
+		}
 	}
 	return nil
 }

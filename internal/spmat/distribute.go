@@ -74,6 +74,7 @@ type LocalMatrix struct {
 // relative to rows.Lo and cols.Lo. Each column of a CSC is sorted, so its run
 // inside the row slab is contiguous and found by binary search: one pass
 // sizes the result and a second copies the runs, with no staging and no sort.
+// The AUX column index is built last, in O(nzc).
 func Submatrix(a *CSC, rows, cols Block) *DCSC {
 	nzc, nnz := 0, 0
 	for j := cols.Lo; j < cols.Hi; j++ {
@@ -100,7 +101,7 @@ func Submatrix(a *CSC, rows, cols Block) *DCSC {
 		}
 		d.CP = append(d.CP, len(d.IR))
 	}
-	return d
+	return d.index()
 }
 
 // slabRun returns the range of a.RowIdx holding column j's entries whose

@@ -53,6 +53,7 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 	if rowAdj.NCols != a.Rows.Len() || rowAdj.NRows != a.Cols.Len() {
 		panic("spmv: rowAdj does not match the local block")
 	}
+	checkSlab(a, outL)
 
 	ctx := g.RT
 	tr := ctx.Tracer()
@@ -185,14 +186,18 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 	ctx.PutInts(skipBuf)
 	fold0 := tr.Begin()
 
-	// Fold: identical to the push direction.
+	// Fold: identical to the push direction. The hits come in row order, so
+	// the owner ranges of my grid row are walked alongside them.
 	parts := ctx.GetParts(g.PC)
 	nhits := 0
+	j, hi := 0, outL.RangeAt(g.MyRow, 0).Hi
 	for _, hits := range hitsW {
 		nhits += len(hits) / 3
 		for off := 0; off < len(hits); off += 3 {
-			grow := int(hits[off])
-			_, j := outL.OwnerCoords(grow)
+			for int(hits[off]) >= hi {
+				j++
+				hi = outL.RangeAt(g.MyRow, j).Hi
+			}
 			parts[j] = append(parts[j], hits[off], hits[off+1], hits[off+2])
 		}
 		ctx.PutInts(hits)

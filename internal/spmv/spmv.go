@@ -52,6 +52,7 @@ func Mul(a *spmat.LocalMatrix, x *dvec.SparseV, op semiring.AddOp, outL dvec.Lay
 		panic(fmt.Sprintf("spmv: local block %v x %v outside vector lengths %d, %d",
 			a.Rows, a.Cols, outL.N, x.L.N))
 	}
+	checkSlab(a, outL)
 
 	ctx := g.RT
 	tr := ctx.Tracer()
@@ -140,15 +141,16 @@ func Mul(a *spmat.LocalMatrix, x *dvec.SparseV, op semiring.AddOp, outL dvec.Lay
 	fold0 := tr.Begin()
 
 	// Fold: route each discovered row to its owner within my grid row and
-	// merge with the semiring addition.
+	// merge with the semiring addition. The pc owner ranges split my row
+	// slab in order, so the routing is a walk over them.
 	parts := ctx.GetParts(g.PC)
-	for r := 0; r < a.Rows.Len(); r++ {
-		if !sc.Has(r) {
-			continue
+	for j := range g.PC {
+		own := outL.RangeAt(g.MyRow, j)
+		for r := own.Lo - a.Rows.Lo; r < own.Hi-a.Rows.Lo; r++ {
+			if sc.Has(r) {
+				parts[j] = append(parts[j], int64(a.Rows.Lo+r), sc.Val[r].Parent, sc.Val[r].Root)
+			}
 		}
-		grow := a.Rows.Lo + r
-		_, j := outL.OwnerCoords(grow)
-		parts[j] = append(parts[j], int64(grow), sc.Val[r].Parent, sc.Val[r].Root)
 	}
 	var out *dvec.SparseV
 	if ctx.Overlap() {
@@ -162,6 +164,15 @@ func Mul(a *spmat.LocalMatrix, x *dvec.SparseV, op semiring.AddOp, outL dvec.Lay
 	g.World.AddWork(out.LocalNnz())
 	tr.End(obs.KindOp, "spmv.fold", fold0, int64(out.LocalNnz()))
 	return out
+}
+
+// checkSlab panics unless a's rows are exactly the calling rank's row slab
+// of outL, which the folds rely on to route rows by walking the owner ranges
+// of the grid row.
+func checkSlab(a *spmat.LocalMatrix, outL dvec.Layout) {
+	if slab := outL.SlabRange(); a.Rows != slab {
+		panic(fmt.Sprintf("spmv: local block rows %v are not the output slab %v", a.Rows, slab))
+	}
 }
 
 // mergeShards folds shards[1:] into shards[0] by row band. Used by both the
