@@ -127,10 +127,10 @@ func main() {
 	}
 
 	wantMetrics := *metricsAddr != "" || *metricsOut != ""
+	cfg.FlightDir = *flightDir
 	spec := &distjob.Spec{
 		RMAT: *rmatClass, Matrix: *matrix, Scale: *scale, Config: cfg,
 		ObsSpans: *traceOut != "", ObsSeries: *timeseries != "", ObsMetrics: wantMetrics,
-		FlightDir: *flightDir,
 	}
 	if err := readInput(spec, *in); err != nil {
 		log.Fatal(err)
@@ -264,10 +264,16 @@ func verifyAndWrite(a *spmat.CSC, m *matching.Matching, verifyFlag bool, out str
 // worlds from the last phase-boundary checkpoint (see internal/distjob).
 func runSupervisor(addr string, spec *distjob.Spec, a *spmat.CSC, maxRestarts, ckptEvery int, verifyFlag bool, out string, oo obsOutputs) {
 	spec.CheckpointEvery = ckptEvery
-	pol := distjob.SupervisePolicy{MaxRestarts: maxRestarts, Log: log.Printf}
+	rv, err := tcpnet.Listen(addr, tcpnet.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("supervising %d-rank tcp world at %s (waiting for %d workers, up to %d restarts)\n",
 		spec.Procs, addr, spec.Procs-1, maxRestarts)
-	res, stats, err := distjob.Supervise(addr, spec, tcpnet.Options{}, pol)
+	res, stats, err := distjob.Supervise(rv, spec, core.RecoveryPolicy{MaxRetries: maxRestarts, Log: log.Printf})
+	if stats == nil {
+		stats = &core.RecoveryStats{}
+	}
 	reportFlightDumps(stats, spec.FlightDir)
 	if err != nil {
 		for _, ge := range stats.Errors {
@@ -276,8 +282,8 @@ func runSupervisor(addr string, spec *distjob.Spec, a *spmat.CSC, maxRestarts, c
 		log.Fatal(err)
 	}
 	fmt.Printf("|M| = %d after %d generation(s), %d restart(s)",
-		res.Stats.Cardinality, stats.Generations, stats.Restarts)
-	if stats.Restarts > 0 {
+		res.Stats.Cardinality, stats.Attempts, stats.Retries)
+	if stats.Retries > 0 {
 		fmt.Printf(" (resumed from phase %d)", stats.ResumedPhase)
 	}
 	fmt.Println()
@@ -348,7 +354,7 @@ func writeObsOutputs(col *obs.Collector, oo obsOutputs) {
 
 // reportFlightDumps points the operator at the post-mortem bundle a
 // supervised solve accumulated, whether or not it recovered.
-func reportFlightDumps(stats *distjob.SuperviseStats, dir string) {
+func reportFlightDumps(stats *core.RecoveryStats, dir string) {
 	if len(stats.FlightDumps) == 0 {
 		return
 	}

@@ -199,13 +199,20 @@ type Config struct {
 	// phase boundary a restart point. Zero disables checkpointing.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// OnCheckpoint receives each checkpoint on rank 0. Required for
-	// CheckpointEvery to take effect; the recovery driver installs its own
+	// CheckpointEvery to take effect; the recovery loop installs its own
 	// handler and chains to any caller-supplied one.
 	OnCheckpoint func(*Checkpoint) `json:"-"`
 	// Resume restarts the solve from a prior checkpoint instead of running
 	// the maximal-matching initializer: the checkpointed mate vectors are
 	// scattered back over the grid and the MCM phases continue from there.
 	Resume *Checkpoint `json:"-"`
+	// FlightDir, when non-empty, arms the crash flight recorder: every
+	// failed attempt of a recoverable solve, and every failed worker solve
+	// of a multi-process job, persists its ranks' span-ring tails, last
+	// meter points, generation and cause to
+	// FlightDir/flight-g<gen>-r<rank>.dump (see WriteFlightDump). The path
+	// is interpreted in each process's own filesystem namespace.
+	FlightDir string `json:"flight_dir,omitempty"`
 }
 
 // BindFlags registers the solver options on fs as the command-line flags

@@ -3,43 +3,44 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"os"
+	"path/filepath"
+	"slices"
 	"time"
 
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
+	"mcmdist/internal/obs"
 	"mcmdist/internal/rt"
 	"mcmdist/internal/spmat"
 	"mcmdist/internal/verify"
 )
 
-// RecoveryPolicy bounds the retry loop of a recoverable solve.
+// RecoveryPolicy bounds the recovery loop of a recoverable solve and names
+// the worlds its attempts run on.
 type RecoveryPolicy struct {
-	// MaxRetries is how many times a faulted attempt is retried before the
-	// last error is surfaced. Zero means the default of 3.
+	// MaxRetries is how many times a restartable failure is retried before
+	// the last error is surfaced. Zero means the default of 3.
 	MaxRetries int
 	// Backoff is the sleep before the first retry; each further retry
 	// doubles it up to MaxBackoff. Zero means 5ms (capped at 500ms).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// DisableVerify skips the validity check on restored checkpoints.
-	// Verification is the safety net that keeps a corrupted snapshot from
-	// silently poisoning the restarted solve; leave it on outside of tests.
-	DisableVerify bool
-	// Worlds provisions the transport endpoints for attempt generation gen
-	// (0 for the first attempt, 1 for the first retry, ...). Nil keeps the
-	// historical in-process behavior: a fresh inproc world per attempt.
-	// When set, the retry engine runs every returned endpoint concurrently
-	// in this process — the loopback form of a multi-process deployment —
-	// taking the result from the endpoint hosting rank 0 and Closing every
-	// endpoint when the attempt ends, success or failure. (A solve that
-	// actually spans OS processes restarts through distjob.Supervise, which
-	// re-runs rendezvous per generation; this hook is the same engine
-	// exercised in one process.)
-	Worlds func(gen int) ([]mpi.Transport, error)
+	// Worlds provisions the transport endpoints of attempt generation gen
+	// (0 for the first attempt, 1 for the first retry, ...); resume is the
+	// checkpoint the attempt resumes from (nil when it starts fresh), for
+	// providers that ship it to other processes. Every returned endpoint
+	// runs concurrently in this process, the result comes from the one
+	// hosting rank 0, and every endpoint is Closed when the attempt ends.
+	// Nil means a fresh in-process world per attempt; a loopback TCP world
+	// per attempt is the public Transport "tcp", and distjob.Supervise
+	// returns one rendezvous generation of a multi-process world.
+	Worlds func(gen int, resume *Checkpoint) ([]mpi.Transport, error)
+	// Log, when non-nil, receives one line per failed generation.
+	Log func(format string, args ...any)
 }
 
-func (p RecoveryPolicy) withDefaults() RecoveryPolicy {
+func (p RecoveryPolicy) withDefaults(procs int) RecoveryPolicy {
 	if p.MaxRetries <= 0 {
 		p.MaxRetries = 3
 	}
@@ -49,12 +50,20 @@ func (p RecoveryPolicy) withDefaults() RecoveryPolicy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 500 * time.Millisecond
 	}
+	if p.Worlds == nil {
+		p.Worlds = func(int, *Checkpoint) ([]mpi.Transport, error) {
+			return []mpi.Transport{mpi.NewInproc(procs)}, nil
+		}
+	}
+	if p.Log == nil {
+		p.Log = func(string, ...any) {}
+	}
 	return p
 }
 
-// RecoveryStats reports what the retry engine did: attempts run, retries
-// (attempts minus one, unless the first try succeeded), checkpoints taken
-// across all attempts with their encoded volume, the wall time the
+// RecoveryStats reports what the recovery loop did: attempts run, retries
+// (attempts minus one, unless the last attempt also failed), checkpoints
+// taken across all attempts with their encoded volume, the wall time the
 // successful attempt spent checkpointing, and the phase the final attempt
 // resumed from (0 when it started fresh).
 type RecoveryStats struct {
@@ -66,15 +75,27 @@ type RecoveryStats struct {
 	ResumedPhase    int
 	// Errors collects each failed attempt's error, in order.
 	Errors []error
+	// FlightDumps lists, sorted, the flight dumps in Config.FlightDir once
+	// an attempt has failed: this process's and those of any other process
+	// sharing the directory.
+	FlightDumps []string
+	// Obs is the final attempt's collector, a fresh sibling of Config.Obs
+	// (nil when that is nil). After a successful attempt it holds that
+	// attempt's observation alone — on a multi-process coordinator, the
+	// merged whole world.
+	Obs *obs.Collector
 }
 
 // SolveRecoverable is Solve with checkpoint/restart: it runs the solve under
-// the configured fault plane and, when an attempt dies (injected fault,
-// genuine panic, watchdog abort), restarts it from the last phase-boundary
-// checkpoint with exponential backoff, up to pol.MaxRetries times. Restored
-// checkpoints are verified to encode a valid matching of a before resuming
-// (unless pol.DisableVerify). cfg.CheckpointEvery should be positive; with
-// checkpointing disabled the retry simply restarts from scratch.
+// the configured fault plane and, when an attempt dies of a restartable
+// failure (mpi.Restartable: an injected fault, a dead peer, a watchdog
+// abort), restarts it from the last phase-boundary checkpoint with
+// exponential backoff, up to pol.MaxRetries times. Any other failure — a
+// genuine panic, a configuration error — surfaces after its first attempt,
+// since a retry would only reproduce it. Every checkpoint is verified to
+// encode a valid matching of a before an attempt resumes from it.
+// cfg.CheckpointEvery should be positive; with checkpointing disabled a
+// retry simply restarts from scratch.
 func SolveRecoverable(a *spmat.CSC, cfg Config, pol RecoveryPolicy) (*Result, *RecoveryStats, error) {
 	cfg = cfg.withDefaults()
 	pr, pc, err := cfg.gridShape()
@@ -82,15 +103,14 @@ func SolveRecoverable(a *spmat.CSC, cfg Config, pol RecoveryPolicy) (*Result, *R
 		return nil, nil, err
 	}
 	cfg.Procs = pr * pc
-
-	// Permute and distribute once, outside the retry loop, so every attempt
-	// (and every checkpoint) lives in one consistent permuted index space.
-	// Every attempt's world may host any rank, so every block is built.
-	cfg, d, err := distribute(nil, a, cfg, pr, pc)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, rec, err := SolveRecoverableGrid(d.work, pr, pc, d.work.NRows, d.work.NCols, d.blocks, d.blocksT, cfg, nil, pol)
+	// Permute once, outside the retry loop, so every attempt (and every
+	// checkpoint) lives in one consistent permuted index space. Blocks are
+	// built once too, for the ranks the first world hosts.
+	d := permute(a, cfg)
+	res, rec, err := recoverLoop(d.work, pr, pc, d.work.NRows, d.work.NCols, cfg, nil, pol,
+		func(ranks []int) (blocks, blocksT [][]*spmat.LocalMatrix) {
+			return spmat.DistributeRanks(d.work, pr, pc, ranks)
+		})
 	if err != nil {
 		return nil, rec, err
 	}
@@ -98,15 +118,37 @@ func SolveRecoverable(a *spmat.CSC, cfg Config, pol RecoveryPolicy) (*Result, *R
 	return res, rec, nil
 }
 
-// SolveRecoverableGrid is the retry engine behind SolveRecoverable, for
-// callers whose matrix is already distributed (the session API). a is the
-// assembled matrix in the same index space as the blocks; it resolves an
-// "auto" engine and verifies restored checkpoints. ctxs optionally reuses
-// per-rank runtime contexts across attempts and solves (worker pools hold
-// no communicator state, so a context that survived an aborted attempt is
-// safe to rebind); nil builds fresh contexts per attempt.
+// SolveRecoverableGrid is SolveRecoverable for callers whose matrix is
+// already distributed (the session API). a is the assembled matrix in the
+// same index space as the blocks; it resolves an "auto" engine and verifies
+// checkpoints. ctxs optionally reuses per-rank runtime contexts across
+// attempts and solves (worker pools hold no communicator state, so a
+// context that survived an aborted attempt is safe to rebind); nil builds
+// fresh contexts per attempt.
 func SolveRecoverableGrid(a *spmat.CSC, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, pol RecoveryPolicy) (*Result, *RecoveryStats, error) {
+	return recoverLoop(a, pr, pc, n1, n2, cfg, ctxs, pol,
+		func([]int) ([][]*spmat.LocalMatrix, [][]*spmat.LocalMatrix) { return blocks, blocksT })
+}
+
+// recovery is one recoverable solve's state across its attempts.
+type recovery struct {
+	a              *spmat.CSC
+	pr, pc, n1, n2 int
+	ctxs           []*rt.Ctx
+	pol            RecoveryPolicy
+	// place builds the blocks of the listed ranks. It runs once, for the
+	// first world provisioned; hosted records that world's ranks, and a
+	// later world hosting any other rank is an error.
+	place           func(ranks []int) (blocks, blocksT [][]*spmat.LocalMatrix)
+	blocks, blocksT [][]*spmat.LocalMatrix
+	hosted          []int
+}
+
+// recoverLoop is the one recovery loop: every recoverable solve, on every
+// backend, runs through it.
+func recoverLoop(a *spmat.CSC, pr, pc, n1, n2 int, cfg Config, ctxs []*rt.Ctx, pol RecoveryPolicy,
+	place func(ranks []int) (blocks, blocksT [][]*spmat.LocalMatrix)) (*Result, *RecoveryStats, error) {
 	cfg = cfg.withDefaults()
 	cfg.Procs = pr * pc
 	// Resolve the engine once, up front, so validateCheckpoint compares
@@ -116,105 +158,121 @@ func SolveRecoverableGrid(a *spmat.CSC, pr, pc, n1, n2 int, blocks, blocksT [][]
 	if err != nil {
 		return nil, nil, err
 	}
-	pol = pol.withDefaults()
+	r := &recovery{a: a, pr: pr, pc: pc, n1: n1, n2: n2, ctxs: ctxs, pol: pol.withDefaults(cfg.Procs), place: place}
 	rec := &RecoveryStats{}
+	defer rec.collectFlightDumps(cfg.FlightDir)
 
-	// Capture the freshest checkpoint as it is produced (rank 0 writes it
-	// inside the attempt; mpi.Run's completion orders that write before the
-	// driver's read), chaining to any caller-supplied handler.
+	// Capture the freshest checkpoint as it is produced (the process
+	// hosting rank 0 writes it inside the attempt; the attempt's completion
+	// orders that write before the loop's read), chaining to any
+	// caller-supplied handler.
 	var last *Checkpoint
 	if cfg.CheckpointEvery > 0 {
 		userCB := cfg.OnCheckpoint
-		if userCB == nil {
-			userCB = func(*Checkpoint) {}
-		}
 		cfg.OnCheckpoint = func(ck *Checkpoint) {
 			last = ck
 			rec.Checkpoints++
 			rec.CheckpointBytes += int64(ck.EncodedSize())
-			userCB(ck)
+			if userCB != nil {
+				userCB(ck)
+			}
 		}
 	}
 
-	backoff := pol.Backoff
+	backoff := r.pol.Backoff
 	for gen := 0; ; gen++ {
 		rec.Attempts++
-		// Each attempt gets a fresh world: a nil pol.Worlds selects the
-		// inproc backend; otherwise the provider builds the generation's
-		// endpoints (tcpnet loopback in tests, distjob.Supervise across real
-		// processes — see docs/TRANSPORT.md).
-		res, err := runRecoveryAttempt(pr, pc, n1, n2, blocks, blocksT, cfg, ctxs, pol, gen)
+		attempt := cfg
+		attempt.Obs = cfg.Obs.Sibling(cfg.Procs)
+		rec.Obs = attempt.Obs
+		res, err := r.attempt(gen, attempt)
 		if err == nil {
 			rec.CheckpointWall = res.Stats.CheckpointWall
 			return res, rec, nil
 		}
 		rec.Errors = append(rec.Errors, err)
-		if rec.Retries >= pol.MaxRetries {
+		if !mpi.Restartable(err) {
+			return nil, rec, fmt.Errorf("core: attempt %d failed and is not restartable: %w", rec.Attempts, err)
+		}
+		if rec.Retries >= r.pol.MaxRetries {
 			return nil, rec, fmt.Errorf("core: solve failed after %d attempts: %w", rec.Attempts, err)
 		}
+		from := "from scratch"
 		if last != nil {
-			if verr := validateCheckpoint(a, cfg, n1, n2, last, pol); verr != nil {
+			if verr := validateCheckpoint(a, cfg, n1, n2, last); verr != nil {
 				return nil, rec, fmt.Errorf("core: cannot restart, checkpoint rejected: %w (attempt failed with %v)", verr, err)
 			}
 			cfg.Resume = last
 			rec.ResumedPhase = last.Phase
+			from = fmt.Sprintf("from phase %d checkpoint", last.Phase)
 		}
+		r.pol.Log("generation %d failed (%v); restarting %s", gen, err, from)
 		rec.Retries++
 		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
-		}
+		backoff = min(2*backoff, r.pol.MaxBackoff)
 	}
 }
 
-// runRecoveryAttempt runs one attempt generation of the retry engine. With
-// no Worlds provider it is exactly the historical in-process attempt. With
-// one, every endpoint of the generation runs concurrently (each hosting its
-// own ranks), the result comes from the endpoint hosting rank 0 — mate
-// vectors are allgathered, so it holds the full matching — and all endpoints
-// are Closed before returning, so a failed generation leaves no goroutines
-// or sockets behind for the next one to trip over.
-func runRecoveryAttempt(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
-	cfg Config, ctxs []*rt.Ctx, pol RecoveryPolicy, gen int) (*Result, error) {
-	if pol.Worlds == nil {
-		return runAttemptGrid(nil, pr, pc, n1, n2, blocks, blocksT, cfg, ctxs)
-	}
-	eps, err := pol.Worlds(gen)
+// attempt provisions generation gen's world and runs one solve attempt on
+// every endpoint of it. The result comes from the endpoint hosting rank 0
+// (mate vectors are allgathered, so it holds the full matching). An
+// endpoint whose solve fails leaves its flight dump; every endpoint is
+// Closed before returning, so a failed generation leaves no goroutines or
+// sockets behind for the next one to trip over.
+func (r *recovery) attempt(gen int, cfg Config) (*Result, error) {
+	eps, err := r.pol.Worlds(gen, cfg.Resume)
 	if err != nil {
 		return nil, fmt.Errorf("core: provisioning attempt generation %d: %w", gen, err)
 	}
-	results := make([]*Result, len(eps))
-	errs := make([]error, len(eps))
-	var wg sync.WaitGroup
-	for i, ep := range eps {
-		wg.Add(1)
-		go func(i int, ep mpi.Transport) {
-			defer wg.Done()
-			defer ep.Close()
-			results[i], errs[i] = runAttemptGrid(ep, pr, pc, n1, n2, blocks, blocksT, cfg, ctxs)
-		}(i, ep)
+	if err := r.host(eps); err != nil {
+		mpi.CloseAll(eps)
+		return nil, err
 	}
-	wg.Wait()
+	results, errs := onEndpoints(eps, func(ep mpi.Transport) (*Result, error) {
+		defer ep.Close()
+		res, err := runAttemptGrid(ep, r.pr, r.pc, r.n1, r.n2, r.blocks, r.blocksT, cfg, r.ctxs)
+		if err != nil {
+			WriteFlightDump(cfg.FlightDir, gen, ep.LocalRanks(), cfg.Obs, err)
+		}
+		return res, err
+	})
 	if err := pickAttemptError(errs); err != nil {
 		return nil, err
 	}
 	for i, ep := range eps {
-		for _, r := range ep.LocalRanks() {
-			if r == 0 {
-				return results[i], nil
-			}
+		if slices.Contains(ep.LocalRanks(), 0) {
+			return results[i], nil
 		}
 	}
 	return nil, fmt.Errorf("core: no endpoint of generation %d hosted rank 0", gen)
+}
+
+// host builds the blocks for the first world's ranks and checks that a
+// later world hosts no rank outside them.
+func (r *recovery) host(eps []mpi.Transport) error {
+	var ranks []int
+	for _, ep := range eps {
+		ranks = append(ranks, ep.LocalRanks()...)
+	}
+	if r.blocks == nil {
+		r.hosted = ranks
+		r.blocks, r.blocksT = r.place(ranks)
+		return nil
+	}
+	for _, rank := range ranks {
+		if !slices.Contains(r.hosted, rank) {
+			return fmt.Errorf("core: world hosts rank %d, which the first world did not", rank)
+		}
+	}
+	return nil
 }
 
 // pickAttemptError selects the error a failed multi-endpoint attempt
 // surfaces: the first injected-fault error when one exists (the endpoint
 // where the fault actually fired, rather than a peer's view of the ensuing
 // abort), otherwise the first non-nil error in endpoint order. Both rules
-// are deterministic given deterministic faults, which keeps the retry
-// engine's error stream reproducible.
+// are deterministic given deterministic faults, which keeps the recovery
+// loop's error stream reproducible.
 func pickAttemptError(errs []error) error {
 	for _, e := range errs {
 		if e != nil && (errors.Is(e, mpi.ErrInjectedNetFault) ||
@@ -231,10 +289,9 @@ func pickAttemptError(errs []error) error {
 }
 
 // validateCheckpoint is the pre-restart safety net: shape, config hash,
-// internally consistent cardinality, and (when verification is on) a full
-// validity check that every matched pair is an edge and the two mate
-// vectors agree.
-func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint, pol RecoveryPolicy) error {
+// internally consistent cardinality, and a full validity check that every
+// matched pair is an edge and the two mate vectors agree.
+func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint) error {
 	if ck.N1 != n1 || ck.N2 != n2 {
 		return fmt.Errorf("checkpoint is %dx%d, problem is %dx%d", ck.N1, ck.N2, n1, n2)
 	}
@@ -250,10 +307,32 @@ func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint, po
 	if got := countMatched(ck.MateC); got != ck.Cardinality {
 		return fmt.Errorf("checkpoint says cardinality %d but mate vector holds %d matches", ck.Cardinality, got)
 	}
-	if !pol.DisableVerify {
-		if err := verify.Valid(a, &matching.Matching{MateR: ck.MateR, MateC: ck.MateC}); err != nil {
-			return fmt.Errorf("checkpoint is not a valid matching: %w", err)
-		}
+	if err := verify.Valid(a, &matching.Matching{MateR: ck.MateR, MateC: ck.MateC}); err != nil {
+		return fmt.Errorf("checkpoint is not a valid matching: %w", err)
 	}
 	return nil
+}
+
+// WriteFlightDump is the crash flight recorder of one failed process or
+// endpoint: it persists the span-ring tails and last meter points of ranks
+// from col, the generation and the cause, as
+// dir/flight-g<gen>-r<lowest rank>.dump. A no-op when dir is empty. Best
+// effort — the world is dying, so a failed dump must not mask the solve
+// error — and atomic, so a dump that exists always decodes.
+func WriteFlightDump(dir string, gen int, ranks []int, col *obs.Collector, cause error) {
+	if dir == "" || os.MkdirAll(dir, 0o755) != nil {
+		return
+	}
+	d := col.BuildFlightDump(ranks, int64(gen), cause.Error())
+	d.WriteFile(filepath.Join(dir, fmt.Sprintf("flight-g%d-r%d.dump", gen, ranks[0])))
+}
+
+// collectFlightDumps lists the dumps in dir once an attempt has failed.
+func (st *RecoveryStats) collectFlightDumps(dir string) {
+	if dir == "" || len(st.Errors) == 0 {
+		return
+	}
+	// Glob fails only on a malformed pattern (a directory name holding
+	// pattern syntax); the dumps are then still on disk, just unlisted.
+	st.FlightDumps, _ = filepath.Glob(filepath.Join(dir, "flight-g*.dump"))
 }

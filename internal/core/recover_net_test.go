@@ -11,20 +11,23 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/mpi/tcpnet"
+	"mcmdist/internal/obs"
 )
 
 // tcpWorlds returns a Worlds provider building one loopback TCP world per
 // attempt, every endpoint sharing the one fault spec — the same sharing
 // SolveRecoverable's public wiring uses, so the terminal budget spans
 // attempts.
-func tcpWorlds(procs int, f *mpi.NetFaultSpec) func(int) ([]mpi.Transport, error) {
-	return func(int) ([]mpi.Transport, error) {
+func tcpWorlds(procs int, f *mpi.NetFaultSpec) func(int, *Checkpoint) ([]mpi.Transport, error) {
+	return func(int, *Checkpoint) ([]mpi.Transport, error) {
 		return tcpnet.LoopbackOpts(procs, nil, tcpnet.Options{Faults: f})
 	}
 }
@@ -164,6 +167,49 @@ func TestRecoverableNetFaultMatrix(t *testing.T) {
 				t.Fatalf("inconsistent accounting: %+v", rec)
 			}
 		})
+	}
+}
+
+// TestRecoverableFlightRecorder pins the crash flight recorder on a world
+// no supervisor runs: a loopback TCP attempt killed by a dropped link
+// leaves one decodable generation-0 dump per endpoint, the recovery stats
+// list them, and the recovered mates still match the clean solve.
+func TestRecoverableFlightRecorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	a := randomBipartite(rng, 60, 60, 140)
+	dir := t.TempDir()
+	cfg := Config{Procs: 4, Init: InitGreedy, CheckpointEvery: 1, FlightDir: dir,
+		Obs: obs.NewCollector(4, obs.Options{Spans: true})}
+	clean := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy})
+	pol := RecoveryPolicy{
+		Backoff: time.Millisecond, MaxBackoff: time.Millisecond,
+		Worlds: tcpWorlds(4, &mpi.NetFaultSpec{DropFrom: 0, DropTo: 1, DropAtFrame: 4}),
+	}
+	res, rec, err := SolveRecoverable(a, cfg, pol)
+	if err != nil {
+		t.Fatalf("recoverable solve failed: %v (recovery %+v)", err, rec)
+	}
+	if rec.Retries != 1 {
+		t.Fatalf("retries %d, want 1", rec.Retries)
+	}
+	want, err := filepath.Glob(filepath.Join(dir, "flight-g0-r*.dump"))
+	if err != nil || len(want) != 4 {
+		t.Fatalf("generation-0 dumps %v (%v), want one per endpoint", want, err)
+	}
+	if !slices.Equal(rec.FlightDumps, want) {
+		t.Fatalf("RecoveryStats.FlightDumps = %v, want %v", rec.FlightDumps, want)
+	}
+	for _, path := range want {
+		d, err := obs.ReadFlightDump(path)
+		if err != nil {
+			t.Fatalf("dump %s does not decode: %v", path, err)
+		}
+		if d.Gen != 0 || d.Cause == "" || len(d.Ranks) != 1 {
+			t.Errorf("dump %s: generation %d, cause %q, %d ranks", path, d.Gen, d.Cause, len(d.Ranks))
+		}
+	}
+	if !slices.Equal(res.Matching.MateR, clean.Matching.MateR) || !slices.Equal(res.Matching.MateC, clean.Matching.MateC) {
+		t.Fatal("recovered mates differ from the clean solve")
 	}
 }
 

@@ -82,31 +82,33 @@ type distributed struct {
 	rowPerm, colPerm []int
 }
 
-// distribute prepares a for a pr x pc solve: the random row/column
-// permutation of Section IV-A when cfg.Permute is set, the engine pinned
-// (the resolution is deterministic from SPMD-replicated inputs, so every
-// process derives the same choice and checkpoint hashes see the concrete
-// name), and the blocks of the ranks tr hosts — every rank for a nil tr.
-// Blocks of ranks hosted elsewhere stay nil.
-func distribute(tr mpi.Transport, a *spmat.CSC, cfg Config, pr, pc int) (Config, *distributed, error) {
+// permute applies the random row/column permutation of Section IV-A to a
+// when cfg.Permute is set; no blocks are built yet.
+func permute(a *spmat.CSC, cfg Config) *distributed {
 	d := &distributed{work: a}
 	if cfg.Permute {
 		d.rowPerm = rmat.RandomPermutation(a.NRows, cfg.Seed*2+1)
 		d.colPerm = rmat.RandomPermutation(a.NCols, cfg.Seed*2+2)
 		d.work = a.Permute(d.rowPerm, d.colPerm)
 	}
+	return d
+}
+
+// distribute prepares a for a pr x pc solve on tr: the permutation, the
+// engine pinned (the resolution is deterministic from SPMD-replicated
+// inputs, so every process derives the same choice and checkpoint hashes
+// see the concrete name), and the blocks of the ranks tr hosts. Blocks of
+// ranks hosted elsewhere stay nil.
+func distribute(tr mpi.Transport, a *spmat.CSC, cfg Config, pr, pc int) (Config, *distributed, error) {
+	d := permute(a, cfg)
 	cfg, err := ResolveEngineConfig(cfg, d.work)
 	if err != nil {
 		return cfg, nil, err
 	}
-	var ranks []int
-	if tr != nil {
-		if err := checkWorldSize(tr, cfg.Procs); err != nil {
-			return cfg, nil, err
-		}
-		ranks = tr.LocalRanks()
+	if err := checkWorldSize(tr, cfg.Procs); err != nil {
+		return cfg, nil, err
 	}
-	d.blocks, d.blocksT = spmat.DistributeRanks(d.work, pr, pc, ranks)
+	d.blocks, d.blocksT = spmat.DistributeRanks(d.work, pr, pc, tr.LocalRanks())
 	return cfg, d, nil
 }
 
@@ -138,17 +140,9 @@ func (d *distributed) unpermute(m *matching.Matching) *matching.Matching {
 // returns one Result per endpoint, in eps order, and the first error. The
 // caller retains ownership of the endpoints (and must Close them).
 func SolveEndpoints(eps []mpi.Transport, a *spmat.CSC, cfg Config) ([]*Result, error) {
-	results := make([]*Result, len(eps))
-	errs := make([]error, len(eps))
-	var wg sync.WaitGroup
-	for i, ep := range eps {
-		wg.Add(1)
-		go func(i int, ep mpi.Transport) {
-			defer wg.Done()
-			results[i], errs[i] = SolveOn(ep, a, cfg)
-		}(i, ep)
-	}
-	wg.Wait()
+	results, errs := onEndpoints(eps, func(ep mpi.Transport) (*Result, error) {
+		return SolveOn(ep, a, cfg)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return results, err
@@ -157,14 +151,35 @@ func SolveEndpoints(eps []mpi.Transport, a *spmat.CSC, cfg Config) ([]*Result, e
 	return results, nil
 }
 
+// onEndpoints runs fn on every endpoint concurrently and returns the
+// results and errors in eps order. The first endpoint runs on the calling
+// goroutine, so a one-endpoint world (the in-process backend) starts no
+// goroutine and a driver-side panic reaches the caller's recover.
+func onEndpoints(eps []mpi.Transport, fn func(mpi.Transport) (*Result, error)) ([]*Result, []error) {
+	results := make([]*Result, len(eps))
+	errs := make([]error, len(eps))
+	var wg sync.WaitGroup
+	for i := 1; i < len(eps); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = fn(eps[i])
+		}(i)
+	}
+	if len(eps) > 0 {
+		results[0], errs[0] = fn(eps[0])
+	}
+	wg.Wait()
+	return results, errs
+}
+
 // runAttemptGrid runs one complete solve attempt on pre-distributed blocks:
 // launch the world (under the configured fault plane and watchdog), restore
 // or initialize the mate vectors, run the MCM phases, gather the result and
-// merge statistics. SolveOn calls it once; SolveRecoverableGrid calls it in
-// a retry loop, setting cfg.Resume between attempts. cfg.Engine must
-// already be resolved (ResolveEngineConfig), and blocks/blocksT must hold
-// the entries of every rank tr hosts. A nil tr runs on the in-process
-// backend; otherwise fn runs only on tr's locally hosted ranks and the mate
+// merge statistics. SolveOn calls it once; the recovery loop calls it per
+// attempt, setting cfg.Resume between attempts. cfg.Engine must already be
+// resolved (ResolveEngineConfig), and blocks/blocksT must hold the entries
+// of every rank tr hosts. Only tr's locally hosted ranks run, and the mate
 // vectors are captured on the lowest of them (they are allgathered, so
 // every rank holds the full vectors).
 func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
@@ -172,9 +187,6 @@ func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*s
 	eng, ok := EngineByName(cfg.Engine)
 	if !ok {
 		return nil, fmt.Errorf("core: engine %q is not registered (have %v)", cfg.Engine, EngineNames())
-	}
-	if tr == nil {
-		tr = mpi.NewInproc(cfg.Procs)
 	}
 	if err := checkWorldSize(tr, cfg.Procs); err != nil {
 		return nil, err

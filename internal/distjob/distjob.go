@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"mcmdist/internal/core"
@@ -43,7 +42,7 @@ import (
 // spec enables none of it): on the coordinator of a successful tcp solve it
 // holds the whole world's merged observation; on workers and failed solves
 // it holds the local ranks. When the spec arms the flight recorder and the
-// solve dies, the collector's state is persisted to FlightDir before
+// solve dies, core.WriteFlightDump persists the collector's state before
 // returning — that dump is the post-mortem, written even though the error
 // unwinds.
 func (s *Spec) Solve(tr mpi.Transport, a *spmat.CSC) (*core.Result, *obs.Collector, error) {
@@ -58,42 +57,26 @@ func (s *Spec) Solve(tr mpi.Transport, a *spmat.CSC) (*core.Result, *obs.Collect
 		return nil, nil, err
 	}
 	res, err := core.SolveOn(tr, a, cfg)
-	if err != nil && s.FlightDir != "" {
-		s.writeFlightDump(tr, cfg.Obs, err)
+	if err != nil {
+		core.WriteFlightDump(s.FlightDir, s.Generation, tr.LocalRanks(), cfg.Obs, err)
 	}
 	return res, cfg.Obs, err
-}
-
-// writeFlightDump persists the crash flight recorder for this process: the
-// span-ring tails and last meter points of its local ranks, the generation,
-// and the rendered cause, as FlightDir/flight-g<gen>-r<rank>.dump. Best
-// effort — the world is dying, so a failed dump must not mask the solve
-// error — and atomic, so a dump that exists always decodes.
-func (s *Spec) writeFlightDump(tr mpi.Transport, col *obs.Collector, cause error) string {
-	if err := os.MkdirAll(s.FlightDir, 0o755); err != nil {
-		return ""
-	}
-	ranks := tr.LocalRanks()
-	d := col.BuildFlightDump(ranks, int64(s.Generation), cause.Error())
-	path := filepath.Join(s.FlightDir, fmt.Sprintf("flight-g%d-r%d.dump", s.Generation, ranks[0]))
-	if err := d.WriteFile(path); err != nil {
-		return ""
-	}
-	return path
 }
 
 // Version is the current Spec codec version. Every bump is deliberate: a
 // worker that silently dropped a field it does not know would solve a
 // different job than the coordinator asked for. Version 2 added the engine,
 // 3 the recovery plane (generation, restart policy, resume checkpoint), 4
-// the observability plane and flight recorder, and 5 replaced the
-// hand-mirrored solver fields with the embedded core.Config schema.
-const Version = 5
+// the observability plane and flight recorder, 5 replaced the hand-mirrored
+// solver fields with the embedded core.Config schema, and 6 dropped the
+// restart policy (the coordinator's recovery loop alone bounds retries) and
+// moved flight_dir into core.Config.
+const Version = 6
 
 // Spec describes one distributed solve: the graph source (exactly one of
 // RMAT, Matrix or MTX), the solver options — the embedded core.Config,
-// whose Seed also drives the generators — and the recovery and
-// observability planes.
+// whose Seed also drives the generators and whose FlightDir arms the crash
+// flight recorder — and the recovery and observability planes.
 type Spec struct {
 	// V is the codec version; Encode stamps it, Decode validates it.
 	V int `json:"v"`
@@ -125,9 +108,6 @@ type Spec struct {
 	// restartable transport failure rejoins the rendezvous for the next
 	// generation instead of exiting (see WorkLoop).
 	Recover bool `json:"recover,omitempty"`
-	// MaxRestarts bounds the generations after the first; 0 under Recover
-	// means the supervisor default.
-	MaxRestarts int `json:"max_restarts,omitempty"`
 	// Checkpoint carries the previous generation's freshest snapshot
 	// (MCMCKPT bytes) into a restarted world; every process decodes it into
 	// its resume state, so generation g+1 starts exactly where g left off.
@@ -143,13 +123,6 @@ type Spec struct {
 	// ObsMetrics gives every process a live metrics registry; the
 	// coordinator absorbs the workers' registries into world aggregates.
 	ObsMetrics bool `json:"obs_metrics,omitempty"`
-	// FlightDir, when non-empty, arms the crash flight recorder: a process
-	// whose solve dies persists its span-ring tail, last meter points,
-	// generation and cause to FlightDir/flight-g<gen>-r<rank>.dump. Arming
-	// the recorder implies span tracing (a dump without spans names
-	// nothing). The path is interpreted in each process's own filesystem
-	// namespace.
-	FlightDir string `json:"flight_dir,omitempty"`
 }
 
 // Encode serializes the spec, stamping the codec version.
@@ -193,9 +166,9 @@ func (s *Spec) validate() error {
 	if s.Procs <= 0 {
 		return fmt.Errorf("distjob: procs %d must be positive", s.Procs)
 	}
-	if s.Generation < 0 || s.MaxRestarts < 0 || s.CheckpointEvery < 0 || s.WatchdogTimeout < 0 {
-		return fmt.Errorf("distjob: negative recovery field (generation %d, max_restarts %d, checkpoint_every %d, watchdog %v)",
-			s.Generation, s.MaxRestarts, s.CheckpointEvery, s.WatchdogTimeout)
+	if s.Generation < 0 || s.CheckpointEvery < 0 || s.WatchdogTimeout < 0 {
+		return fmt.Errorf("distjob: negative recovery field (generation %d, checkpoint_every %d, watchdog %v)",
+			s.Generation, s.CheckpointEvery, s.WatchdogTimeout)
 	}
 	if _, err := s.rmatParams(); err != nil {
 		return err
@@ -267,7 +240,9 @@ func (s *Spec) coreConfig() (core.Config, error) {
 
 // NewCollector builds the observability collector the spec's Obs* and
 // FlightDir fields ask for, or nil when they ask for none. Every process
-// builds the same one, so the whole world observes symmetrically.
+// builds the same one, so the whole world observes symmetrically. Arming
+// the flight recorder implies span tracing (a dump without spans names
+// nothing).
 func (s *Spec) NewCollector() *obs.Collector {
 	if !s.ObsSpans && !s.ObsSeries && !s.ObsMetrics && s.FlightDir == "" {
 		return nil

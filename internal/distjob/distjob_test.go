@@ -62,9 +62,10 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("%v parsed as %q", args, got)
 			}
 		}
+		cfg.FlightDir = "/tmp/f"
 		s := &Spec{RMAT: "ssca", Scale: 9, EdgeFactor: 8, Config: cfg,
-			Generation: 2, Recover: true, MaxRestarts: 5, Checkpoint: []byte{1, 2},
-			ObsSpans: true, ObsSeries: true, ObsMetrics: true, FlightDir: "/tmp/f"}
+			Generation: 2, Recover: true, Checkpoint: []byte{1, 2},
+			ObsSpans: true, ObsSeries: true, ObsMetrics: true}
 		blob, err := s.Encode()
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)
@@ -112,11 +113,16 @@ func TestDecodeRejects(t *testing.T) {
 	if _, err := Decode([]byte(`{"v":99,"rmat":"g500","procs":4}`)); err == nil {
 		t.Error("accepted unknown version")
 	}
-	// A v4 blob (hand-mirrored solver fields) must fail on its version,
-	// not be misread through the v5 schema.
-	v4 := `{"v":4,"rmat":"g500","procs":4,"init":"mindegree","no_permute":true,"graft":true}`
-	if _, err := Decode([]byte(v4)); err == nil || !strings.Contains(err.Error(), "version 4") {
-		t.Errorf("v4 blob: %v", err)
+	// Old blobs must fail on their version, not be misread through the
+	// current schema: v4 (hand-mirrored solver fields) and v5 (which still
+	// carried max_restarts).
+	for v, blob := range map[int]string{
+		4: `{"v":4,"rmat":"g500","procs":4,"init":"mindegree","no_permute":true,"graft":true}`,
+		5: `{"v":5,"rmat":"g500","procs":4,"recover":true,"max_restarts":3}`,
+	} {
+		if _, err := Decode([]byte(blob)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Errorf("v%d blob: %v", v, err)
+		}
 	}
 	bad := []string{
 		fmt.Sprintf(`{"v":%d,"procs":4}`, Version),                                   // no source

@@ -17,8 +17,8 @@ func FuzzSpecDecode(f *testing.F) {
 	for _, s := range []*Spec{
 		{RMAT: "g500", Scale: 7, Config: core.Config{Procs: 4, Init: core.InitDynMinDegree, Permute: true, Seed: 1}},
 		{MTX: "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 2\n",
-			Config:  core.Config{Procs: 1, Engine: core.EngineAuction, Direction: core.DirectionAuto, Compress: true},
-			Recover: true, Generation: 1, Checkpoint: []byte("MCMCKPT2"), ObsSpans: true, FlightDir: "d"},
+			Config:  core.Config{Procs: 1, Engine: core.EngineAuction, Direction: core.DirectionAuto, Compress: true, FlightDir: "d"},
+			Recover: true, Generation: 1, Checkpoint: []byte("MCMCKPT2"), ObsSpans: true},
 	} {
 		blob, err := s.Encode()
 		if err != nil {
@@ -26,8 +26,8 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		f.Add(blob)
 	}
-	f.Add([]byte(`{"v":4,"rmat":"g500","procs":4}`))
-	f.Add([]byte(`{"v":5,"rmat":"g500","procs":4,"init":"bogus"}`))
+	f.Add([]byte(`{"v":5,"rmat":"g500","procs":4,"max_restarts":3}`))
+	f.Add([]byte(`{"v":6,"rmat":"g500","procs":4,"init":"bogus"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {

@@ -20,6 +20,17 @@ import (
 	"mcmdist/internal/obs"
 )
 
+// listen opens the coordinator's rendezvous on a kernel-chosen loopback
+// port; Supervise pins that address for every generation.
+func listen(t *testing.T, opts tcpnet.Options) *tcpnet.Rendezvous {
+	t.Helper()
+	rv, err := tcpnet.Listen("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rv
+}
+
 // solveInproc is the clean reference: the spec solved on an in-process
 // world.
 func solveInproc(t *testing.T, s *Spec) *core.Result {
@@ -53,23 +64,22 @@ func TestSuperviseRecoversFromDroppedLink(t *testing.T) {
 	// run clean.
 	fault := &mpi.NetFaultSpec{DropFrom: 1, DropTo: 2, DropAtFrame: 3}
 
-	addrCh := make(chan string, 1)
+	rv := listen(t, tcpnet.Options{})
+	addr := rv.Addr()
 	var (
 		res    *core.Result
-		stats  *SuperviseStats
+		stats  *core.RecoveryStats
 		supErr error
 	)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res, stats, supErr = Supervise("127.0.0.1:0", mkSpec(), tcpnet.Options{}, SupervisePolicy{
-			Backoff:  10 * time.Millisecond,
-			OnListen: func(addr string) { addrCh <- addr },
-			Log:      t.Logf,
+		res, stats, supErr = Supervise(rv, mkSpec(), core.RecoveryPolicy{
+			Backoff: 10 * time.Millisecond,
+			Log:     t.Logf,
 		})
 	}()
-	addr := <-addrCh
 
 	workerRes := make([]*core.Result, procs)
 	workerErr := make([]error, procs)
@@ -89,8 +99,8 @@ func TestSuperviseRecoversFromDroppedLink(t *testing.T) {
 	if supErr != nil {
 		t.Fatalf("supervisor failed: %v (stats %+v)", supErr, stats)
 	}
-	if stats.Generations != 2 || stats.Restarts != 1 {
-		t.Fatalf("generations %d restarts %d, want 2/1 (errors: %v)", stats.Generations, stats.Restarts, stats.Errors)
+	if stats.Attempts != 2 || stats.Retries != 1 {
+		t.Fatalf("generations %d restarts %d, want 2/1 (errors: %v)", stats.Attempts, stats.Retries, stats.Errors)
 	}
 	if len(stats.Errors) != 1 {
 		t.Fatalf("%d generation errors recorded, want 1: %v", len(stats.Errors), stats.Errors)
@@ -131,21 +141,19 @@ func TestSuperviseCleanRunNoRestart(t *testing.T) {
 	}
 	clean := solveInproc(t, mkSpec())
 
-	addrCh := make(chan string, 1)
+	rv := listen(t, tcpnet.Options{})
+	addr := rv.Addr()
 	var (
 		res    *core.Result
-		stats  *SuperviseStats
+		stats  *core.RecoveryStats
 		supErr error
 	)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res, stats, supErr = Supervise("127.0.0.1:0", mkSpec(), tcpnet.Options{}, SupervisePolicy{
-			OnListen: func(addr string) { addrCh <- addr },
-		})
+		res, stats, supErr = Supervise(rv, mkSpec(), core.RecoveryPolicy{})
 	}()
-	addr := <-addrCh
 	workerRes := make([]*core.Result, procs)
 	workerErr := make([]error, procs)
 	for rank := 1; rank < procs; rank++ {
@@ -160,7 +168,7 @@ func TestSuperviseCleanRunNoRestart(t *testing.T) {
 	if supErr != nil {
 		t.Fatalf("supervisor failed: %v", supErr)
 	}
-	if stats.Generations != 1 || stats.Restarts != 0 || len(stats.Errors) != 0 {
+	if stats.Attempts != 1 || stats.Retries != 0 || len(stats.Errors) != 0 {
 		t.Fatalf("clean run stats %+v, want one generation, no restarts", stats)
 	}
 	for rank := 1; rank < procs; rank++ {
@@ -189,29 +197,28 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 		return &Spec{
 			RMAT: "g500", Scale: 7,
 			Config: core.Config{
-				Seed: 11, Procs: procs, Init: core.InitGreedy, Permute: true, CheckpointEvery: 1},
+				Seed: 11, Procs: procs, Init: core.InitGreedy, Permute: true, CheckpointEvery: 1,
+				FlightDir: dir},
 			ObsSpans: true, ObsSeries: true, ObsMetrics: true,
-			FlightDir: dir,
 		}
 	}
 	fault := &mpi.NetFaultSpec{DropFrom: 1, DropTo: 2, DropAtFrame: 3}
 
-	addrCh := make(chan string, 1)
+	rv := listen(t, tcpnet.Options{})
+	addr := rv.Addr()
 	var (
-		stats  *SuperviseStats
+		stats  *core.RecoveryStats
 		supErr error
 	)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, stats, supErr = Supervise("127.0.0.1:0", mkSpec(), tcpnet.Options{}, SupervisePolicy{
-			Backoff:  10 * time.Millisecond,
-			OnListen: func(addr string) { addrCh <- addr },
-			Log:      t.Logf,
+		_, stats, supErr = Supervise(rv, mkSpec(), core.RecoveryPolicy{
+			Backoff: 10 * time.Millisecond,
+			Log:     t.Logf,
 		})
 	}()
-	addr := <-addrCh
 	for rank := 1; rank < procs; rank++ {
 		wg.Add(1)
 		go func(rank int) {
@@ -228,8 +235,8 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 	if supErr != nil {
 		t.Fatalf("supervisor failed: %v (stats %+v)", supErr, stats)
 	}
-	if stats.Restarts != 1 {
-		t.Fatalf("restarts %d, want 1 (errors: %v)", stats.Restarts, stats.Errors)
+	if stats.Retries != 1 {
+		t.Fatalf("restarts %d, want 1 (errors: %v)", stats.Retries, stats.Errors)
 	}
 
 	// The failed generation left dumps; every one decodes, is stamped with
@@ -269,7 +276,7 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 	// The recovered generation's collector holds the merged world: spans
 	// and samples for every rank, on the supervisor's side alone.
 	if stats.Obs == nil {
-		t.Fatal("no collector on SuperviseStats despite obs fields set")
+		t.Fatal("no collector on RecoveryStats despite obs fields set")
 	}
 	for r := 0; r < procs; r++ {
 		if len(stats.Obs.Tracer(r).Spans()) == 0 {
@@ -287,17 +294,17 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 // so the supervisor surfaces it after a single generation.
 func TestSuperviseTerminalErrorSurfacesImmediately(t *testing.T) {
 	spec := &Spec{RMAT: "g500", Scale: 6, Config: core.Config{
-		Seed: 1, Procs: 2, Init: core.InitDynMinDegree, Permute: true, CheckpointEvery: 1}}
+		Seed: 1, Procs: 4, Init: core.InitDynMinDegree, Permute: true, CheckpointEvery: 1}}
 	opts := tcpnet.Options{DialTimeout: 300 * time.Millisecond}
-	_, stats, err := Supervise("127.0.0.1:0", spec, opts, SupervisePolicy{
-		MaxRestarts: 3,
-		Backoff:     time.Millisecond,
+	_, stats, err := Supervise(listen(t, opts), spec, core.RecoveryPolicy{
+		MaxRetries: 3,
+		Backoff:    time.Millisecond,
 	})
 	if err == nil {
 		t.Fatal("supervisor succeeded with no workers")
 	}
-	if stats.Generations != 1 || stats.Restarts != 0 {
+	if stats.Attempts != 1 || stats.Retries != 0 {
 		t.Fatalf("empty rendezvous ran %d generations, %d restarts — want 1/0 (terminal)",
-			stats.Generations, stats.Restarts)
+			stats.Attempts, stats.Retries)
 	}
 }

@@ -203,6 +203,11 @@ func (rv *Rendezvous) Addr() string { return rv.ln.Addr().String() }
 // listener itself).
 func (rv *Rendezvous) Close() error { return rv.ln.Close() }
 
+// Relisten opens a fresh rendezvous at rv's address with rv's options once
+// rv's own listener is closed: how a restarted world rendezvouses again at
+// the address its workers already know, even one the kernel chose.
+func (rv *Rendezvous) Relisten() (*Rendezvous, error) { return Listen(rv.Addr(), rv.opts) }
+
 // Coordinate completes rank 0's bootstrap of a size-rank world: it accepts
 // one dial-in per peer rank, replies to each with the roster (every rank's
 // mesh listen address) and the opaque config blob, and keeps the accepted

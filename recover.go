@@ -144,12 +144,12 @@ type RecoveryPolicy struct {
 	// Fault optionally injects deterministic faults, for testing the
 	// recovery path itself.
 	Fault *FaultSpec
-	// Transport selects the backend the retry engine provisions for each
+	// Transport selects the backend the recovery loop provisions for each
 	// attempt: "" or "inproc" runs every rank as a goroutine of this
 	// process; "tcp" builds a fresh loopback TCP world per attempt — the
 	// socket path, failure detector included, without the process
-	// separation. (A solve that actually spans OS processes recovers
-	// through the coordinator's supervisor loop; see docs/FAULTS.md.)
+	// separation. (A solve that actually spans OS processes runs the same
+	// loop over rendezvous worlds; see docs/FAULTS.md.)
 	Transport string
 	// Net optionally injects deterministic network faults (drop, partition,
 	// slow link); it requires Transport "tcp", since the in-process backend
@@ -157,7 +157,7 @@ type RecoveryPolicy struct {
 	Net *NetFaultSpec
 }
 
-// Recovery reports what the retry engine of a SolveRecoverable call did.
+// Recovery reports what the recovery loop of a SolveRecoverable call did.
 type Recovery struct {
 	// Attempts counts solve attempts run (1 when no fault occurred);
 	// Retries is Attempts minus one unless the final attempt also failed.
@@ -191,7 +191,9 @@ func recoveryFromCore(r *core.RecoveryStats) *Recovery {
 // SolveRecoverable runs MaximumMatching under the fault-tolerant execution
 // plane: phase-boundary checkpoints, an optional progress watchdog, and a
 // bounded-retry restart loop that resumes a faulted attempt from the last
-// checkpoint (verified to be a valid matching of the graph before use).
+// checkpoint (verified to be a valid matching of the graph before use). A
+// failure no restart can cure — a genuine panic, say — surfaces after its
+// first attempt.
 // Each attempt gets a fresh world on the backend pol.Transport selects —
 // goroutine ranks by default, a loopback TCP world (sockets, heartbeats,
 // the lot) with "tcp" — and pol.Fault/pol.Net inject deterministic process
@@ -227,7 +229,7 @@ func (dg *DistributedGraph) SolveRecoverable(opts Options, pol RecoveryPolicy) (
 	case "tcp":
 		nf := pol.Net.spec() // one injector: its budget spans every attempt
 		procs := dg.procs
-		corePol.Worlds = func(int) ([]mpi.Transport, error) {
+		corePol.Worlds = func(int, *core.Checkpoint) ([]mpi.Transport, error) {
 			return tcpnet.LoopbackOpts(procs, nil, tcpnet.Options{Faults: nf})
 		}
 	default:

@@ -163,6 +163,28 @@ func TestLibraryBoundaryContainsPanics(t *testing.T) {
 	}
 }
 
+// TestSolveRecoverableSurfacesGenuinePanicOnce pins the recovery loop's
+// classification on the in-process backend: a genuine panic is not
+// mpi.Restartable, so it surfaces as the rank error after one attempt
+// instead of being replayed MaxRetries more times.
+func TestSolveRecoverableSurfacesGenuinePanicOnce(t *testing.T) {
+	g := mustRMAT(t, ER, 7, 4, 9)
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dg.Close()
+	dg.blocks[0][0] = nil
+	_, _, rec, err := dg.SolveRecoverable(Options{Init: GreedyInit}, RecoveryPolicy{})
+	var re *mpi.RankError
+	if !errors.As(err, &re) {
+		t.Fatalf("error is %T (%v), want a rank-attributed error", err, err)
+	}
+	if rec == nil || rec.Attempts != 1 || rec.Retries != 0 {
+		t.Fatalf("a genuine panic was retried: recovery %+v", rec)
+	}
+}
+
 func TestSolveRecoverableTCPTransport(t *testing.T) {
 	g := mustRMAT(t, G500, 8, 4, 17)
 	dg, err := Distribute(g, 4)
