@@ -70,12 +70,12 @@ bench:
 # the end-to-end solve at t=1 vs t=4) and the 4-endpoint loopback solve's
 # allocation benchmark — the CI smoke that keeps the threaded hot path and
 # the per-rank distribution compiling and running without paying full bench
-# time — plus one adaptive-direction compressed solve whose per-iteration
-# time-series CSV (direction decisions, encoded words) is validated by
-# cmd/tracelint and uploaded as a CI artifact.
+# time — plus one adaptive-direction compressed cmd/mcm solve whose
+# per-iteration time-series CSV (direction decisions, encoded words) is
+# validated by cmd/tracelint.
 bench-smoke:
 	$(GO) test -bench 'TableI|SolveOnAllocs' -benchtime=1x -run '^$$' .
-	$(GO) run ./cmd/bench -exp profile -scale 12 -procs 4 -matrix g500 -direction auto -compress -timeseries direction-series.csv
+	$(GO) run ./cmd/mcm -rmat g500 -scale 12 -procs 4 -direction auto -compress -timeseries direction-series.csv
 	$(GO) run ./cmd/tracelint direction-series.csv
 
 # The repo benchmark's own tests, run from its separate module: unit tests
@@ -91,16 +91,16 @@ bench-test:
 # + adaptive direction, with the auction engine, and once fully traced:
 # the coordinator collects every rank's observations and writes ONE merged
 # world trace + time-series + aggregated metrics, all validated by
-# cmd/tracelint. See docs/TRANSPORT.md and docs/OBSERVABILITY.md.
+# cmd/tracelint. That traced pass is the smoke's only trace artifact. See
+# docs/TRANSPORT.md and docs/OBSERVABILITY.md.
 transport-smoke:
 	scripts/transport_smoke.sh
-	$(GO) run ./cmd/bench -exp profile -scale 12 -procs 4 -matrix g500 -transport tcp -trace transport-trace.json
-	$(GO) run ./cmd/tracelint transport-trace.json
 
-# End-to-end observability smoke: one traced solve on the RMAT scale-14
-# workload with the iteration time-series on, then the emitted trace_event
-# JSON validated by cmd/tracelint (a trace that passes loads in Perfetto
-# and chrome://tracing). CI uploads trace.json as an artifact.
+# End-to-end observability smoke: one traced cmd/mcm solve on the RMAT
+# scale-14 workload with the iteration time-series on, then the emitted
+# trace_event JSON and CSV validated by cmd/tracelint (a trace that passes
+# loads in Perfetto and chrome://tracing). CI uploads trace.json and
+# series.csv as artifacts.
 trace-smoke:
-	$(GO) run ./cmd/bench -exp profile -scale 14 -procs 16 -matrix g500 -trace trace.json -timeseries series.csv
-	$(GO) run ./cmd/tracelint trace.json
+	$(GO) run ./cmd/mcm -rmat g500 -scale 14 -procs 16 -trace-out trace.json -timeseries series.csv
+	$(GO) run ./cmd/tracelint trace.json series.csv

@@ -1,6 +1,6 @@
-// Command tracelint validates the observability artifacts cmd/bench and
-// cmd/mcm emit: Chrome trace_event JSON files, per-iteration time-series
-// CSVs, and crash flight-recorder dumps.
+// Command tracelint validates the observability artifacts cmd/mcm emits:
+// Chrome trace_event JSON files, per-iteration time-series CSVs, and crash
+// flight-recorder dumps.
 //
 // For traces it checks the JSON object form with a traceEvents array,
 // per-event required keys by phase type, pairing AND file ordering of flow

@@ -269,8 +269,9 @@ func (f notFlag) Set(s string) error {
 
 func (f notFlag) IsBoolFlag() bool { return true }
 
-// Validate rejects option values the schema has no name for: an unknown
-// engine spelling or an out-of-range enum.
+// Validate rejects option values the schema has no name for — an unknown
+// engine spelling or an out-of-range enum — and a rank count no process
+// grid fits (see gridShape).
 func (c Config) Validate() error {
 	if err := checkEngine(c.Engine); err != nil {
 		return err
@@ -280,7 +281,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
-	return nil
+	_, _, err := c.withDefaults().gridShape()
+	return err
 }
 
 // IterInfo is one iteration's trace record.
@@ -321,8 +323,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects configurations the algorithm does not support and
-// returns the grid shape to use.
+// gridShape returns the process grid the configuration runs on: GridRows x
+// GridCols when set, else the square grid of Procs ranks. It rejects a
+// half-set explicit grid and a Procs that is not a perfect square.
 func (c Config) gridShape() (pr, pc int, err error) {
 	if c.GridRows != 0 || c.GridCols != 0 {
 		if c.GridRows <= 0 || c.GridCols <= 0 {

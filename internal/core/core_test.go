@@ -46,6 +46,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Solve(a, Config{Procs: 0}); err != nil {
 		t.Fatalf("Procs 0 should default to 1: %v", err)
 	}
+	if err := (Config{Procs: 3}).Validate(); err == nil {
+		t.Fatal("Validate accepted non-square Procs")
+	}
+	if err := (Config{GridRows: 1, GridCols: 3}).Validate(); err != nil {
+		t.Fatalf("Validate rejected an explicit 1x3 grid: %v", err)
+	}
+	if err := (Config{}).Validate(); err != nil {
+		t.Fatalf("Validate rejected Procs 0: %v", err)
+	}
 }
 
 func TestEnumStrings(t *testing.T) {

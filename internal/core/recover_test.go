@@ -91,6 +91,11 @@ func TestRecoverableFaultMatrix(t *testing.T) {
 					if len(rec.Errors) != rec.Retries {
 						t.Fatalf("%d errors recorded for %d retries", len(rec.Errors), rec.Retries)
 					}
+					// CheckpointEvery 1 snapshots every phase, so every run
+					// accounts for some serialized state.
+					if rec.Checkpoints == 0 || rec.CheckpointBytes == 0 {
+						t.Fatalf("no checkpoint accounting: %d checkpoints, %d bytes", rec.Checkpoints, rec.CheckpointBytes)
+					}
 				})
 			}
 		}

@@ -31,7 +31,7 @@ var Model = costmodel.EdisonMini
 // and DisableOverlap turns off the split-phase overlap of every solve
 // (results and meters are bit-identical either way; only wall clocks and the
 // exposed-communication ledger change). Each experiment fixes the options it
-// sweeps or ablates itself; only Profile runs the configuration as given.
+// sweeps or ablates itself.
 
 // run solves a under rc with cfg's overlap switch; it panics on
 // configuration errors (experiment code paths use known-good
@@ -56,16 +56,25 @@ func newTab(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
+// rmatClasses are the synthetic class names suiteMatrix accepts besides the
+// Table II stand-ins.
+var rmatClasses = map[string]rmat.Params{"g500": rmat.G500, "er": rmat.ER, "ssca": rmat.SSCA}
+
+// CheckMatrix reports whether name is a matrix the experiments can
+// generate: a Table II stand-in or one of "g500", "er" and "ssca".
+func CheckMatrix(name string) error {
+	if _, ok := rmatClasses[name]; ok {
+		return nil
+	}
+	_, err := gen.FindSpec(name)
+	return err
+}
+
 // suiteMatrix generates one Table II stand-in at the given scale, or an
 // RMAT matrix for the synthetic class names "g500", "er" and "ssca".
 func suiteMatrix(name string, scale int) *spmat.CSC {
-	switch name {
-	case "g500":
-		return rmat.MustGenerate(rmat.G500, scale, 8, 17)
-	case "er":
-		return rmat.MustGenerate(rmat.ER, scale, 8, 17)
-	case "ssca":
-		return rmat.MustGenerate(rmat.SSCA, scale, 8, 17)
+	if p, ok := rmatClasses[name]; ok {
+		return rmat.MustGenerate(p, scale, 8, 17)
 	}
 	sp, err := gen.FindSpec(name)
 	if err != nil {

@@ -31,8 +31,8 @@ import (
 // by the transport's own receiver goroutines through the World's Deliver*
 // methods after Bind.
 type Transport interface {
-	// Name identifies the backend ("inproc", "tcp") in bench envelopes,
-	// conformance tests and logs.
+	// Name identifies the backend ("inproc", "tcp") in conformance tests
+	// and logs.
 	Name() string
 
 	// WorldSize returns the total number of ranks in the world.

@@ -187,7 +187,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // Handler returns an http.Handler serving the registry in Prometheus text
-// format — the cmd/bench -metrics-addr endpoint.
+// format — the cmd/mcm -metrics-addr endpoint.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

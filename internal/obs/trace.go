@@ -17,7 +17,7 @@ type Options struct {
 	// TimeSeries enables per-BFS-iteration sampling.
 	TimeSeries bool
 	// Metrics, when non-nil, is fed live by the iteration recorders and by
-	// anything else holding the registry (cmd/bench serves it over HTTP).
+	// anything else holding the registry (cmd/mcm serves it over HTTP).
 	Metrics *Registry
 }
 
