@@ -62,19 +62,19 @@ chaos-smoke:
 
 # Allocation benchmarks for the runtime-context arena: SpMV push/pull,
 # the Table I primitive chain, an end-to-end solve, a 4-endpoint loopback
-# TCP solve, and building a DistributedGraph.
+# TCP solve, building a DistributedGraph, and the degree initializers alone.
 bench:
 	$(GO) test -bench Allocs -benchmem -run '^$$' ./internal/spmv/ ./internal/dvec/ .
 
 # One-iteration pass over the Table I benchmarks (the primitive chain and
-# the end-to-end solve at t=1 vs t=4) and the 4-endpoint loopback solve's
-# allocation benchmark — the CI smoke that keeps the threaded hot path and
-# the per-rank distribution compiling and running without paying full bench
-# time — plus one adaptive-direction compressed cmd/mcm solve whose
-# per-iteration time-series CSV (direction decisions, encoded words) is
-# validated by cmd/tracelint.
+# the end-to-end solve at t=1 vs t=4), the 4-endpoint loopback solve's
+# allocation benchmark and the degree initializers' — the CI smoke that
+# keeps the threaded hot path and the per-rank distribution compiling and
+# running without paying full bench time — plus one adaptive-direction
+# compressed cmd/mcm solve whose per-iteration time-series CSV (direction
+# decisions, encoded words) is validated by cmd/tracelint.
 bench-smoke:
-	$(GO) test -bench 'TableI|SolveOnAllocs' -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'TableI|SolveOnAllocs|MaximalInit' -benchtime=1x -run '^$$' .
 	$(GO) run ./cmd/mcm -rmat g500 -scale 12 -procs 4 -direction auto -compress -timeseries direction-series.csv
 	$(GO) run ./cmd/tracelint direction-series.csv
 

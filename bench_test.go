@@ -354,3 +354,37 @@ func BenchmarkDistributeAllocs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMaximalInitAllocs measures the distributed degree initializers
+// alone — dynamic mindegree and Karp–Sipser, each round a block-local
+// residual-degree count plus a greedy round — on a 2x2 DistributedGraph of
+// RMAT G500 scale 14, flat (t=1) and hybrid (t=4).
+func BenchmarkMaximalInitAllocs(b *testing.B) {
+	g, err := RMAT(G500, 14, 8, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dg.Close()
+	for _, tc := range []struct {
+		name string
+		init Initializer
+	}{
+		{"mindegree", DynamicMindegreeInit},
+		{"karpsipser", KarpSipserInit},
+	} {
+		for _, threads := range []int{1, 4} {
+			b.Run(tc.name+"/t="+itoa(threads), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := dg.MaximalMatchingDistributed(tc.init, threads); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -122,10 +121,10 @@ func TestWorkedExamplePhase(t *testing.T) {
 
 	// Seed mate vectors with the figure's initial matching via a custom run.
 	side := 2
-	blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
+	blocks := spmat.DistributeRanks(a, side, side, nil)
 	stats := make([]*Stats, side*side)
 	var mateR, mateC []int64
-	err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
+	err := RunDistributed(side, a.NRows, a.NCols, blocks,
 		Config{Procs: side * side, AddOp: semiring.MinParent}, func(s *Solver) error {
 			mater := dvec.NewDenseFrom(s.RowL, []int64{-1, 2, -1, 3, -1})
 			matec := dvec.NewDenseFrom(s.ColL, []int64{-1, -1, 1, 3, -1})
@@ -453,10 +452,10 @@ func TestDistributedInitializersAreMaximal(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		a := randomBipartite(rng, 30+rng.Intn(40), 30+rng.Intn(40), 300)
 		side := 2
-		blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
+		blocks := spmat.DistributeRanks(a, side, side, nil)
 		for _, init := range []Init{InitGreedy, InitKarpSipser, InitDynMinDegree} {
 			var mateR, mateC []int64
-			err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
+			err := RunDistributed(side, a.NRows, a.NCols, blocks,
 				Config{Procs: side * side, Init: init}, func(s *Solver) error {
 					mater, matec := s.MaximalInit()
 					fullR := mater.Gather()
@@ -477,50 +476,6 @@ func TestDistributedInitializersAreMaximal(t *testing.T) {
 				t.Fatalf("trial %d init=%v: matching not maximal", trial, init)
 			}
 		}
-	}
-}
-
-// TestCountMulMatchesSerialDegrees: the counting SpMV used by the degree-
-// based initializers must reproduce exact residual column degrees.
-func TestCountMulMatchesSerialDegrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	a := randomBipartite(rng, 40, 50, 400)
-	side := 2
-	blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
-
-	// Serial reference: column degree counting all rows.
-	want := make([]int64, a.NCols)
-	for j := 0; j < a.NCols; j++ {
-		want[j] = int64(a.ColDegree(j))
-	}
-
-	err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
-		Config{Procs: side * side}, func(s *Solver) error {
-			// Indicator over all rows.
-			urows := dvec.NewSparseInt(s.RowTL)
-			r := s.RowTL.MyRange()
-			for gi := r.Lo; gi < r.Hi; gi++ {
-				urows.Append(gi, 1)
-			}
-			deg := s.countMul(urows)
-			got := deg.GatherInt()
-			for j := 0; j < a.NCols; j++ {
-				w := want[j]
-				g := got[j]
-				if w == 0 {
-					if g != semiring.None {
-						return fmt.Errorf("col %d: got %d, want missing", j, g)
-					}
-					continue
-				}
-				if g != w {
-					return fmt.Errorf("col %d: got %d, want %d", j, g, w)
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -679,11 +634,11 @@ func TestCommKindAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	a := randomBipartite(rng, 80, 80, 300)
 	side := 2
-	blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
+	blocks := spmat.DistributeRanks(a, side, side, nil)
 
 	runAndMeter := func(mode AugmentMode) (rma, a2a, ag mpi.Meter) {
 		var w *mpi.World
-		err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
+		err := RunDistributed(side, a.NRows, a.NCols, blocks,
 			Config{Procs: side * side, Init: InitGreedy, Augment: mode},
 			func(s *Solver) error {
 				mater, matec := s.MaximalInit()
@@ -754,9 +709,9 @@ func TestSingleSourceMatchesOracle(t *testing.T) {
 		a := randomBipartite(rng, 40, 40, 180)
 		want := matching.HopcroftKarp(a, nil).Cardinality()
 		side := 2
-		blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
+		blocks := spmat.DistributeRanks(a, side, side, nil)
 		var card int
-		err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
+		err := RunDistributed(side, a.NRows, a.NCols, blocks,
 			Config{Procs: 4, Init: InitGreedy}, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
 				if err := s.RunEngineByName(EngineBFSSingleSource, mater, matec); err != nil {
@@ -784,11 +739,11 @@ func TestSingleSourceNeedsFarMoreIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	a := randomBipartite(rng, 150, 150, 450) // sparse: many augmenting phases
 	side := 2
-	blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
+	blocks := spmat.DistributeRanks(a, side, side, nil)
 
 	iters := func(single bool) int {
 		var n int
-		err := RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
+		err := RunDistributed(side, a.NRows, a.NCols, blocks,
 			Config{Procs: 4, Init: InitNone}, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
 				if single {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"mcmdist/internal/dvec"
+	"mcmdist/internal/mpi"
+	"mcmdist/internal/parallel"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmv"
 )
@@ -20,11 +22,9 @@ func (s *Solver) MaximalInit() (mater, matec *dvec.Dense) {
 		case InitGreedy:
 			s.greedyInit(mater, matec)
 		case InitKarpSipser:
-			s.karpSipserInit(mater, matec)
-		case InitDynMinDegree:
-			s.dynMinDegreeInit(mater, matec)
+			s.degreeInit(mater, matec, s.karpSipserFrontier)
 		default:
-			s.dynMinDegreeInit(mater, matec)
+			s.degreeInit(mater, matec, s.minDegreeFrontier)
 		}
 	})
 	s.Stats.InitCardinality = s.N2 - s.countUnmatched(matec)
@@ -35,18 +35,19 @@ func (s *Solver) MaximalInit() (mater, matec *dvec.Dense) {
 // greedyRound matches each frontier column (all assumed unmatched) to an
 // unmatched row if possible: one SpMV (rows pick a winning column), one
 // SELECT (keep unmatched rows), and two INVERTs to deduplicate per column
-// and flip the pairs back to rows. Returns the number of new matches.
+// and flip the pairs back to rows. Returns the round's new pairs, col-aligned
+// (tc) and row-aligned (mr); tc.Nnz() is the number of new matches.
 // Collective.
-func (s *Solver) greedyRound(mater, matec *dvec.Dense, fc *dvec.SparseV, op semiring.AddOp) int {
+func (s *Solver) greedyRound(mater, matec *dvec.Dense, fc *dvec.SparseV, op semiring.AddOp) (tc, mr *dvec.SparseV) {
 	fr := spmv.Mul(s.A, fc, op, s.RowL)
 	fr = fr.Select(mater, func(v int64) bool { return v == semiring.None })
 	// One row per column: INVERT by parent keeps the smallest row index.
-	tc := fr.InvertParents(s.ColL)
+	tc = fr.InvertParents(s.ColL)
 	matec.ScatterParents(tc)
 	// Flip (column -> row) pairs to (row -> column) to update mate_r.
-	mr := tc.InvertParents(s.RowL)
+	mr = tc.InvertParents(s.RowL)
 	mater.ScatterParents(mr)
-	return tc.Nnz()
+	return tc, mr
 }
 
 // greedyInit runs greedy rounds until no unmatched column can be matched.
@@ -56,31 +57,118 @@ func (s *Solver) greedyInit(mater, matec *dvec.Dense) {
 		if fc.Nnz() == 0 {
 			return
 		}
-		if s.greedyRound(mater, matec, fc, semiring.MinParent) == 0 {
+		if tc, _ := s.greedyRound(mater, matec, fc, semiring.MinParent); tc.Nnz() == 0 {
 			return
 		}
 	}
 }
 
-// residualColDegrees returns, col-aligned, the number of unmatched row
-// neighbors of every column (matched columns included; callers filter).
-// One counting SpMV with Aᵀ plus two redistributions. Collective.
-func (s *Solver) residualColDegrees(mater *dvec.Dense) *dvec.SparseInt {
-	urows := dvec.NewSparseInt(s.RowL)
-	lo := s.RowL.MyRange().Lo
-	fillFiltered(s.G.RT.Pool(), len(mater.Local),
-		func(i int) bool { return mater.Local[i] == semiring.None },
-		func(total int) {
-			urows.Idx = make([]int, total)
-			urows.Val = make([]int64, total)
-		},
-		func(o, i int) {
-			urows.Idx[o] = lo + i
-			urows.Val[o] = 1
-		})
-	s.G.World.AddWork(len(mater.Local))
-	deg := s.countMul(urows.Redistribute(s.RowTL))
-	return deg.Redistribute(s.ColL)
+// matchedSets is the degree initializers' replica of the matched vertices
+// of the rank's own block of A: bit r of rows is set once row A.Rows.Lo+r is
+// matched, bit c of cols once column A.Cols.Lo+c is. Both start empty, as
+// MaximalInit starts from empty mates, and grow by each round's new pairs.
+type matchedSets struct {
+	rows, cols dvec.Bitmap
+}
+
+func (s *Solver) newMatchedSets() matchedSets {
+	return matchedSets{rows: dvec.NewBitmap(s.A.Rows.Len()), cols: dvec.NewBitmap(s.A.Cols.Len())}
+}
+
+// markMatched adds a round's new pairs to the matched sets: the rows of mr
+// are allgathered along the grid row, which together owns the block's row
+// slab, and the columns of tc along the grid column. Collective.
+func (s *Solver) markMatched(m matchedSets, tc, mr *dvec.SparseV) {
+	g := s.G
+	replicate := func(c *mpi.Comm, idx []int, b dvec.Bitmap, lo int) {
+		ctx := g.RT
+		mine := ctx.GetInts(len(idx))
+		for _, gi := range idx {
+			mine = append(mine, int64(gi))
+		}
+		all := c.AllgathervInto(mine, ctx.GetInts(len(idx)*c.Size()))
+		ctx.PutInts(mine)
+		b.SetIndices(all, lo)
+		g.World.AddWork(len(idx) + len(all))
+		ctx.PutInts(all)
+	}
+	replicate(g.Row, mr.Idx, m.rows, s.A.Rows.Lo)
+	replicate(g.Col, tc.Idx, m.cols, s.A.Cols.Lo)
+}
+
+// residualColDegrees returns, col-aligned and sorted, the number of
+// unmatched row neighbors of every unmatched column that has at least one.
+// Each rank counts in its own block of A: it walks the block's nonempty
+// columns, skips the matched ones, and counts the rows whose matched bit is
+// clear. The partial counts of a column's pr blocks meet at its owner in one
+// all-to-all along the grid column, summed on receipt. Collective.
+func (s *Solver) residualColDegrees(m matchedSets) *dvec.SparseInt {
+	g := s.G
+	ctx := g.RT
+	blk := s.A.M
+	// Each pool worker counts a contiguous run of nonempty columns into its
+	// own arena buffer, sized for one pair per column, so the buffers
+	// concatenated in worker order list the (column, count) pairs in column
+	// order for any thread count.
+	pool := ctx.Pool()
+	nzc := blk.NZC()
+	bounds := pool.Chunks(nzc, parallel.DefaultMinChunk)
+	width := len(bounds) - 1
+	bufs := make([][]int64, width)
+	works := make([]int64, width)
+	for w := range bufs {
+		bufs[w] = ctx.GetInts(2 * (bounds[w+1] - bounds[w]))
+	}
+	pool.ForChunked(nzc, parallel.DefaultMinChunk, func(w, lo, hi int) {
+		buf := bufs[w]
+		wk := int64(hi - lo)
+		for k := lo; k < hi; k++ {
+			c, rows := blk.ColByIndex(k)
+			if m.cols.Has(c) {
+				continue
+			}
+			n := 0
+			for _, r := range rows {
+				if !m.rows.Has(r) {
+					n++
+				}
+			}
+			wk += int64(len(rows))
+			if n > 0 {
+				buf = append(buf, int64(s.A.Cols.Lo+c), int64(n))
+			}
+		}
+		bufs[w] = buf
+		works[w] = wk
+	})
+	var work int64
+	for _, wk := range works {
+		work += wk
+	}
+	g.World.AddWork(int(work))
+
+	// My block's columns are my grid column's slab of ColL, which the pr
+	// owner ranges split in order: walk them alongside the sorted pairs.
+	parts := ctx.GetParts(g.PR)
+	i, hi := 0, s.ColL.RangeAt(0, g.MyCol).Hi
+	for _, buf := range bufs {
+		for o := 0; o < len(buf); o += 2 {
+			for int(buf[o]) >= hi {
+				i++
+				hi = s.ColL.RangeAt(i, g.MyCol).Hi
+			}
+			parts[i] = append(parts[i], buf[o], buf[o+1])
+		}
+		ctx.PutInts(buf)
+	}
+	// Each of the pr senders sends at most one pair per column I own.
+	flat := g.Col.AlltoallvFlat(parts, ctx.GetInts(2*g.PR*s.ColL.MyRange().Len()))
+	ctx.PutParts(parts)
+	// Every block of my grid column may count the same column: sum them.
+	deg := dvec.ReceiveInt(s.ColL, flat, dvec.Sum)
+	g.World.AddWork(len(flat) / 2)
+	ctx.PutInts(flat)
+	return deg
 }
 
 // frontierFromCols builds a frontier with Self(j) at each index of cols,
@@ -101,59 +189,58 @@ func (s *Solver) frontierFromCols(cols *dvec.SparseInt) *dvec.SparseV {
 	return f
 }
 
-// karpSipserInit is the distributed Karp–Sipser rendition: every round
-// recomputes residual column degrees; if any unmatched column has residual
-// degree exactly 1, only those (forced, always-safe) columns are matched
-// this round; otherwise one general greedy round runs. The per-round
-// counting SpMV over the whole residual graph is what makes Karp–Sipser
-// expensive on distributed memory (the Fig. 3 observation).
-func (s *Solver) karpSipserInit(mater, matec *dvec.Dense) {
+// degreeInit runs the greedy rounds of a degree-driven initializer: each
+// round counts the residual degrees of the unmatched columns, pick turns
+// them into the round's frontier and semiring, and the round's new pairs
+// join the matched sets. It stops once no unmatched column has an
+// unmatched neighbor or a round matches nothing.
+func (s *Solver) degreeInit(mater, matec *dvec.Dense, pick func(degU *dvec.SparseInt) (*dvec.SparseV, semiring.AddOp)) {
+	m := s.newMatchedSets()
 	for {
-		deg := s.residualColDegrees(mater)
-		degU := deg.Select(matec, func(v int64) bool { return v == semiring.None })
+		degU := s.residualColDegrees(m)
 		if degU.Nnz() == 0 {
-			return // every unmatched column has zero unmatched neighbors
-		}
-		d1 := degU.Filter(func(v int64) bool { return v == 1 })
-		var fc *dvec.SparseV
-		if d1.Nnz() > 0 {
-			fc = s.frontierFromCols(d1)
-		} else {
-			fc = s.frontierFromCols(degU)
-		}
-		if s.greedyRound(mater, matec, fc, semiring.MinParent) == 0 {
 			return
 		}
+		fc, op := pick(degU)
+		tc, mr := s.greedyRound(mater, matec, fc, op)
+		if tc.Nnz() == 0 {
+			return
+		}
+		s.markMatched(m, tc, mr)
 	}
 }
 
-// dynMinDegreeInit is the distributed dynamic-mindegree rendition: greedy
-// rounds in which each row picks its minimum-residual-degree neighbor
-// column, with degrees recomputed every round ("dynamic"). Degrees ride in
-// the root field of the frontier, keyed (degree, column) so ties break by
-// index, and the SpMV runs over the (select2nd, minRoot) semiring.
-func (s *Solver) dynMinDegreeInit(mater, matec *dvec.Dense) {
-	for {
-		deg := s.residualColDegrees(mater)
-		degU := deg.Select(matec, func(v int64) bool { return v == semiring.None })
-		if degU.Nnz() == 0 {
-			return
-		}
-		fc := dvec.NewSparseV(s.ColL)
-		fc.Idx = make([]int, len(degU.Idx))
-		fc.Val = make([]semiring.Vertex, len(degU.Idx))
-		s.G.RT.Pool().For(len(degU.Idx), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				g := degU.Idx[k]
-				// Root encodes (degree, column) lexicographically.
-				key := degU.Val[k]*int64(s.N2) + int64(g)
-				fc.Idx[k] = g
-				fc.Val[k] = semiring.Vertex{Parent: int64(g), Root: key}
-			}
-		})
-		s.G.World.AddWork(len(degU.Idx))
-		if s.greedyRound(mater, matec, fc, semiring.MinRoot) == 0 {
-			return
-		}
+// karpSipserFrontier is the distributed Karp–Sipser round: if any unmatched
+// column has residual degree exactly 1, only those (forced, always-safe)
+// columns are matched this round; otherwise one general greedy round runs.
+// Forced rounds match few columns each, so Karp–Sipser runs many more rounds
+// than greedy, each paying a degree count and a replication of the new
+// pairs (the Fig. 3 observation). Collective.
+func (s *Solver) karpSipserFrontier(degU *dvec.SparseInt) (*dvec.SparseV, semiring.AddOp) {
+	if d1 := degU.Filter(func(v int64) bool { return v == 1 }); d1.Nnz() > 0 {
+		return s.frontierFromCols(d1), semiring.MinParent
 	}
+	return s.frontierFromCols(degU), semiring.MinParent
+}
+
+// minDegreeFrontier is the distributed dynamic-mindegree round: each row
+// picks its minimum-residual-degree neighbor column, with degrees
+// recomputed every round ("dynamic"). Degrees ride in the root field of the
+// frontier, keyed (degree, column) so ties break by index, and the SpMV runs
+// over the (select2nd, minRoot) semiring. Local.
+func (s *Solver) minDegreeFrontier(degU *dvec.SparseInt) (*dvec.SparseV, semiring.AddOp) {
+	fc := dvec.NewSparseV(s.ColL)
+	fc.Idx = make([]int, len(degU.Idx))
+	fc.Val = make([]semiring.Vertex, len(degU.Idx))
+	s.G.RT.Pool().For(len(degU.Idx), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			g := degU.Idx[k]
+			// Root encodes (degree, column) lexicographically.
+			key := degU.Val[k]*int64(s.N2) + int64(g)
+			fc.Idx[k] = g
+			fc.Val[k] = semiring.Vertex{Parent: int64(g), Root: key}
+		}
+	})
+	s.G.World.AddWork(len(degU.Idx))
+	return fc, semiring.MinRoot
 }

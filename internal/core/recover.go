@@ -108,7 +108,7 @@ func SolveRecoverable(a *spmat.CSC, cfg Config, pol RecoveryPolicy) (*Result, *R
 	// built once too, for the ranks the first world hosts.
 	d := permute(a, cfg)
 	res, rec, err := recoverLoop(d.work, pr, pc, d.work.NRows, d.work.NCols, cfg, nil, pol,
-		func(ranks []int) (blocks, blocksT [][]*spmat.LocalMatrix) {
+		func(ranks []int) [][]*spmat.LocalMatrix {
 			return spmat.DistributeRanks(d.work, pr, pc, ranks)
 		})
 	if err != nil {
@@ -125,10 +125,10 @@ func SolveRecoverable(a *spmat.CSC, cfg Config, pol RecoveryPolicy) (*Result, *R
 // attempts and solves (worker pools hold no communicator state, so a
 // context that survived an aborted attempt is safe to rebind); nil builds
 // fresh contexts per attempt.
-func SolveRecoverableGrid(a *spmat.CSC, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
+func SolveRecoverableGrid(a *spmat.CSC, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, pol RecoveryPolicy) (*Result, *RecoveryStats, error) {
 	return recoverLoop(a, pr, pc, n1, n2, cfg, ctxs, pol,
-		func([]int) ([][]*spmat.LocalMatrix, [][]*spmat.LocalMatrix) { return blocks, blocksT })
+		func([]int) [][]*spmat.LocalMatrix { return blocks })
 }
 
 // recovery is one recoverable solve's state across its attempts.
@@ -140,15 +140,15 @@ type recovery struct {
 	// place builds the blocks of the listed ranks. It runs once, for the
 	// first world provisioned; hosted records that world's ranks, and a
 	// later world hosting any other rank is an error.
-	place           func(ranks []int) (blocks, blocksT [][]*spmat.LocalMatrix)
-	blocks, blocksT [][]*spmat.LocalMatrix
-	hosted          []int
+	place  func(ranks []int) [][]*spmat.LocalMatrix
+	blocks [][]*spmat.LocalMatrix
+	hosted []int
 }
 
 // recoverLoop is the one recovery loop: every recoverable solve, on every
 // backend, runs through it.
 func recoverLoop(a *spmat.CSC, pr, pc, n1, n2 int, cfg Config, ctxs []*rt.Ctx, pol RecoveryPolicy,
-	place func(ranks []int) (blocks, blocksT [][]*spmat.LocalMatrix)) (*Result, *RecoveryStats, error) {
+	place func(ranks []int) [][]*spmat.LocalMatrix) (*Result, *RecoveryStats, error) {
 	cfg = cfg.withDefaults()
 	cfg.Procs = pr * pc
 	// Resolve the engine once, up front, so validateCheckpoint compares
@@ -230,7 +230,7 @@ func (r *recovery) attempt(gen int, cfg Config) (*Result, error) {
 	}
 	results, errs := onEndpoints(eps, func(ep mpi.Transport) (*Result, error) {
 		defer ep.Close()
-		res, err := runAttemptGrid(ep, r.pr, r.pc, r.n1, r.n2, r.blocks, r.blocksT, cfg, r.ctxs)
+		res, err := runAttemptGrid(ep, r.pr, r.pc, r.n1, r.n2, r.blocks, cfg, r.ctxs)
 		if err != nil {
 			WriteFlightDump(cfg.FlightDir, gen, ep.LocalRanks(), cfg.Obs, err)
 		}
@@ -256,7 +256,7 @@ func (r *recovery) host(eps []mpi.Transport) error {
 	}
 	if r.blocks == nil {
 		r.hosted = ranks
-		r.blocks, r.blocksT = r.place(ranks)
+		r.blocks = r.place(ranks)
 		return nil
 	}
 	for _, rank := range ranks {

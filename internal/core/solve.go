@@ -65,7 +65,7 @@ func SolveOn(tr mpi.Transport, a *spmat.CSC, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := runAttemptGrid(tr, pr, pc, d.work.NRows, d.work.NCols, d.blocks, d.blocksT, cfg, nil)
+	res, err := runAttemptGrid(tr, pr, pc, d.work.NRows, d.work.NCols, d.blocks, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -74,11 +74,11 @@ func SolveOn(tr mpi.Transport, a *spmat.CSC, cfg Config) (*Result, error) {
 }
 
 // distributed is one solve's input as its ranks see it: the matrix in the
-// index space they work in, the blocks of A and Aᵀ of the ranks hosted
+// index space they work in, the blocks of A of the ranks hosted
 // here, and the permutations that map a result back (nil when off).
 type distributed struct {
 	work             *spmat.CSC
-	blocks, blocksT  [][]*spmat.LocalMatrix
+	blocks           [][]*spmat.LocalMatrix
 	rowPerm, colPerm []int
 }
 
@@ -108,7 +108,7 @@ func distribute(tr mpi.Transport, a *spmat.CSC, cfg Config, pr, pc int) (Config,
 	if err := checkWorldSize(tr, cfg.Procs); err != nil {
 		return cfg, nil, err
 	}
-	d.blocks, d.blocksT = spmat.DistributeRanks(d.work, pr, pc, tr.LocalRanks())
+	d.blocks = spmat.DistributeRanks(d.work, pr, pc, tr.LocalRanks())
 	return cfg, d, nil
 }
 
@@ -178,11 +178,11 @@ func onEndpoints(eps []mpi.Transport, fn func(mpi.Transport) (*Result, error)) (
 // or initialize the mate vectors, run the MCM phases, gather the result and
 // merge statistics. SolveOn calls it once; the recovery loop calls it per
 // attempt, setting cfg.Resume between attempts. cfg.Engine must already be
-// resolved (ResolveEngineConfig), and blocks/blocksT must hold the entries
+// resolved (ResolveEngineConfig), and blocks must hold the entries
 // of every rank tr hosts. Only tr's locally hosted ranks run, and the mate
 // vectors are captured on the lowest of them (they are allgathered, so
 // every rank holds the full vectors).
-func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
+func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx) (*Result, error) {
 	eng, ok := EngineByName(cfg.Engine)
 	if !ok {
@@ -216,7 +216,7 @@ func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks, blocksT [][]*s
 			if err != nil {
 				return err
 			}
-			s := NewSolver(g, cfg, n1, n2, blocks[g.MyRow][g.MyCol], blocksT[g.MyRow][g.MyCol])
+			s := NewSolver(g, cfg, n1, n2, blocks[g.MyRow][g.MyCol])
 			mater, matec, err := s.InitOrRestore()
 			if err != nil {
 				return err
@@ -291,17 +291,16 @@ func (r *Result) String() string {
 // It is the low-level entry point used by benchmarks and by callers that
 // manage mate vectors themselves; Solve wraps it with distribution and
 // result gathering.
-func RunDistributed(side, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
+func RunDistributed(side, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, fn func(*Solver) error) error {
-	return RunDistributedGrid(side, side, n1, n2, blocks, blocksT, cfg, fn)
+	return RunDistributedGrid(side, side, n1, n2, blocks, cfg, fn)
 }
 
-// RunDistributedGrid is RunDistributed for an arbitrary pr x pc grid.
-// Both blocks and blocksT (the transposed matrix) must be distributed as
-// pr x pc.
-func RunDistributedGrid(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
+// RunDistributedGrid is RunDistributed for an arbitrary pr x pc grid; blocks
+// must be distributed as pr x pc.
+func RunDistributedGrid(pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, fn func(*Solver) error) error {
-	return RunDistributedGridCtx(pr, pc, n1, n2, blocks, blocksT, cfg, nil, fn)
+	return RunDistributedGridCtx(pr, pc, n1, n2, blocks, cfg, nil, fn)
 }
 
 // RunDistributedGridCtx is RunDistributedGrid with caller-supplied runtime
@@ -309,7 +308,7 @@ func RunDistributedGrid(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatr
 // repeatedly on the same distributed graph passes the same contexts every
 // time, so the arena and scratch warmed up by one solve serve the next. A
 // nil ctxs builds fresh contexts, honoring cfg.DisableReuse.
-func RunDistributedGridCtx(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalMatrix,
+func RunDistributedGridCtx(pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, fn func(*Solver) error) error {
 	w, err := mpi.RunWith(mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout, Compress: cfg.Compress},
 		pr*pc, func(c *mpi.Comm) error {
@@ -324,7 +323,7 @@ func RunDistributedGridCtx(pr, pc, n1, n2 int, blocks, blocksT [][]*spmat.LocalM
 			if err != nil {
 				return err
 			}
-			s := NewSolver(g, cfg, n1, n2, blocks[g.MyRow][g.MyCol], blocksT[g.MyRow][g.MyCol])
+			s := NewSolver(g, cfg, n1, n2, blocks[g.MyRow][g.MyCol])
 			return fn(s)
 		})
 	if w != nil {

@@ -6,31 +6,21 @@ import (
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/obs"
 	"mcmdist/internal/parallel"
-	"mcmdist/internal/rt"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmat"
 )
 
-// countGrain is the minimum expanded (index, 1) pairs per chunk of the
-// threaded counting SpMV; below it the multiply runs inline.
-const countGrain = 256
-
 // Solver is one rank's handle on a distributed matching computation: its
-// grid position, its local blocks of A and Aᵀ, the vector layouts, and the
-// per-rank statistics.
+// grid position, its local block of A, the vector layouts, and the per-rank
+// statistics.
 type Solver struct {
 	G    *grid.Grid
 	Cfg  Config
 	A    *spmat.LocalMatrix // my block of A (global n1 x n2)
-	AT   *spmat.LocalMatrix // my block of Aᵀ (global n2 x n1)
 	N1   int                // global rows |R|
 	N2   int                // global columns |C|
 	RowL dvec.Layout        // row-vertex vectors (length n1, row-aligned)
 	ColL dvec.Layout        // column-vertex vectors (length n2, col-aligned)
-	// Transpose-side layouts: when multiplying with Aᵀ, row-vertex vectors
-	// act as the frontier and must be column-aligned, and vice versa.
-	RowTL dvec.Layout // length n1, col-aligned
-	ColTL dvec.Layout // length n2, row-aligned
 
 	// rowAdj is the local block in row-major (CSR) form, built lazily for
 	// the bottom-up SpMV direction (see direction.go).
@@ -51,10 +41,9 @@ type Solver struct {
 	iterBase iterBaseline
 }
 
-// NewSolver builds a rank's solver from its pre-distributed blocks: a and at
-// are the rank's (gridRow, gridCol) blocks of A and Aᵀ, as built by
-// spmat.DistributeRanks.
-func NewSolver(g *grid.Grid, cfg Config, n1, n2 int, a, at *spmat.LocalMatrix) *Solver {
+// NewSolver builds a rank's solver from its pre-distributed block: a is the
+// rank's (gridRow, gridCol) block of A, as built by spmat.DistributeRanks.
+func NewSolver(g *grid.Grid, cfg Config, n1, n2 int, a *spmat.LocalMatrix) *Solver {
 	st := newStats()
 	cfg = cfg.withDefaults()
 	// Size the rank's persistent worker pool to the configured thread count:
@@ -64,13 +53,10 @@ func NewSolver(g *grid.Grid, cfg Config, n1, n2 int, a, at *spmat.LocalMatrix) *
 		G:          g,
 		Cfg:        cfg,
 		A:          a,
-		AT:         at,
 		N1:         n1,
 		N2:         n2,
 		RowL:       dvec.NewLayout(g, n1, dvec.RowAligned),
 		ColL:       dvec.NewLayout(g, n2, dvec.ColAligned),
-		RowTL:      dvec.NewLayout(g, n1, dvec.ColAligned),
-		ColTL:      dvec.NewLayout(g, n2, dvec.RowAligned),
 		Stats:      st,
 		tr:         &tracker{ctx: g.RT, stats: st},
 		threadBase: g.RT.ThreadStats(),
@@ -83,101 +69,6 @@ func NewSolver(g *grid.Grid, cfg Config, n1, n2 int, a, at *spmat.LocalMatrix) *
 // top-level algorithm entry point; later calls simply extend the delta.
 func (s *Solver) captureThreadStats() {
 	s.Stats.Threading = s.G.RT.ThreadStats().Sub(s.threadBase)
-}
-
-// countMul computes y = Aᵀ·x over the (plus, times=1) counting semiring:
-// y[j] is the number of frontier entries adjacent to column-vertex j. The
-// frontier x must be col-aligned over rows (RowTL); the result is
-// row-aligned over columns (ColTL). Used by the Karp–Sipser and dynamic
-// mindegree initializers to maintain residual degrees.
-func (s *Solver) countMul(x *dvec.SparseInt) *dvec.SparseInt {
-	g := s.G
-	ctx := g.RT
-	payload := ctx.GetInts(2 * len(x.Idx))
-	for _, gi := range x.Idx {
-		payload = append(payload, int64(gi), 1)
-	}
-	slab := g.Col.AllgathervInto(payload, ctx.GetInts(2*len(x.Idx)*g.PR))
-	ctx.PutInts(payload)
-
-	// Per-column hit counters in the persistent scratch; the Parent field
-	// carries the count, the epoch stamp replaces zero-initialization. Like
-	// spmv.Mul, each pool worker counts its run of slab entries into a
-	// private shard; integer addition is associative and commutative, so
-	// summing the shards gives the serial counts exactly.
-	pool := ctx.Pool()
-	nent := len(slab) / 2
-	width := pool.Width(nent, countGrain)
-	shards := ctx.ScratchShards("count.cols", width, s.AT.Rows.Len())
-	sc := shards[0]
-	if width <= 1 {
-		g.World.AddWork(s.countRange(slab, 0, nent, sc))
-	} else {
-		works := make([]int64, width)
-		pool.ForChunked(nent, countGrain, func(w, lo, hi int) {
-			works[w] = int64(s.countRange(slab, lo, hi, shards[w]))
-		})
-		var work int64
-		for _, wk := range works {
-			work += wk
-		}
-		g.World.AddWork(int(work))
-		pool.For(s.AT.Rows.Len(), func(lo, hi int) {
-			for sh := 1; sh < width; sh++ {
-				shard := shards[sh]
-				for r := lo; r < hi; r++ {
-					if !shard.Has(r) {
-						continue
-					}
-					if !sc.Has(r) {
-						sc.Set(r, shard.Val[r])
-					} else {
-						sc.Val[r].Parent += shard.Val[r].Parent
-					}
-				}
-			}
-		})
-	}
-	ctx.PutInts(slab)
-
-	// My block's rows are my grid row's slab of ColTL, which the pc owner
-	// ranges split in order: walk them instead of locating each row's owner.
-	parts := ctx.GetParts(g.PC)
-	for j := range g.PC {
-		own := s.ColTL.RangeAt(g.MyRow, j)
-		for r := own.Lo - s.AT.Rows.Lo; r < own.Hi-s.AT.Rows.Lo; r++ {
-			if sc.Has(r) {
-				parts[j] = append(parts[j], int64(s.AT.Rows.Lo+r), sc.Val[r].Parent)
-			}
-		}
-	}
-	flat := g.Row.AlltoallvFlat(parts, ctx.GetInts(0))
-	ctx.PutParts(parts)
-	// Senders from my grid row may count the same column: sum them.
-	out := dvec.ReceiveInt(s.ColTL, flat, dvec.Sum)
-	g.World.AddWork(out.LocalNnz())
-	ctx.PutInts(flat)
-	return out
-}
-
-// countRange counts slab (index, 1) pairs [lo, hi) into sc's Parent field
-// and returns the work performed. Concurrent calls must target distinct
-// scratch shards.
-func (s *Solver) countRange(slab []int64, lo, hi int, sc *rt.Scratch) int {
-	work := 0
-	for k := lo; k < hi; k++ {
-		lcol := int(slab[2*k]) - s.AT.Cols.Lo
-		rows := s.AT.M.FindCol(lcol)
-		work += len(rows) + 1
-		for _, r := range rows {
-			if !sc.Has(r) {
-				sc.Set(r, semiring.Vertex{Parent: 1})
-			} else {
-				sc.Val[r].Parent++
-			}
-		}
-	}
-	return work
 }
 
 // fillFiltered runs the classic two-pass parallel compaction: count the

@@ -103,9 +103,6 @@ func TestSolveOnBuildsOnlyHostedBlocks(t *testing.T) {
 				if built := d.blocks[i][j] != nil; built != local {
 					t.Errorf("endpoint hosting %v: A block (%d,%d) built=%v", hosted, i, j, built)
 				}
-				if built := d.blocksT[i][j] != nil; built != local {
-					t.Errorf("endpoint hosting %v: Aᵀ block (%d,%d) built=%v", hosted, i, j, built)
-				}
 			}
 		}
 	}

@@ -150,22 +150,8 @@ func TestEndToEndFromDistributedLoad(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// The transpose block of rank (i,j) is the transpose of A's (j,i)
-		// block; with a shared file each rank can equally re-read it. Here
-		// we derive it locally from the matching block of the transposed
-		// grid position by re-reading with swapped roles.
-		gT := &grid.Grid{World: g.World, Row: g.Row, Col: g.Col,
-			PR: g.PC, PC: g.PR, MyRow: g.MyCol, MyCol: g.MyRow}
-		lmT, err := ReadBlock(path, gT)
-		if err != nil {
-			return err
-		}
-		at := &spmat.LocalMatrix{
-			Rows: lmT.Cols, Cols: lmT.Rows,
-			M: lmT.M.ToCSC().Transpose().ToDCSC(),
-		}
 		s := core.NewSolver(g, core.Config{Procs: side * side, Init: core.InitGreedy},
-			a.NRows, a.NCols, lm, at)
+			a.NRows, a.NCols, lm)
 		mater, matec := s.MaximalInit()
 		if err := s.RunEngineByName(core.EngineBFS, mater, matec); err != nil {
 			return err

@@ -1,6 +1,9 @@
 package dvec
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Bitmap is a dense bitset over a local index range [0, N): the frontier and
 // visited-set representation the pull-direction SpMV uses on dense
@@ -70,9 +73,15 @@ func (b Bitmap) AppendIndices(dst []int64, base int64) []int64 {
 
 // SetIndices marks bit idx[k]-lo for every index in idx — the
 // sparse→bitmap conversion for an id list over the slab starting at lo.
+// The lists come off the wire, so an index outside [lo, lo+N) panics rather
+// than setting a padding bit or indexing past the words.
 func (b Bitmap) SetIndices(idx []int64, lo int) {
 	for _, gi := range idx {
-		b.Set(int(gi) - lo)
+		off := gi - int64(lo)
+		if uint64(off) >= uint64(b.N) {
+			panic(fmt.Sprintf("dvec: bitmap index %d outside [%d,%d)", gi, lo, lo+b.N))
+		}
+		b.Set(int(off))
 	}
 }
 

@@ -3,6 +3,7 @@ package dvec
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -89,5 +90,32 @@ func TestAsBitmapClearsBorrowedBuffer(t *testing.T) {
 	}
 	if len(b.Words) != BitmapWords(130) {
 		t.Fatalf("len(Words) = %d, want %d", len(b.Words), BitmapWords(130))
+	}
+}
+
+// TestBitmapSetIndicesRejectsOutOfRange pins the wire-input check: an index
+// in the padding bits past N, or below lo, panics with a dvec message and
+// leaves Count untouched instead of setting a stray bit.
+func TestBitmapSetIndicesRejectsOutOfRange(t *testing.T) {
+	const lo, n = 100, 70 // two words, 58 padding bits
+	for _, gi := range []int64{lo + n, lo + 127, lo + 128, lo - 1, -5} {
+		b := NewBitmap(n)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "dvec: ") {
+					t.Errorf("index %d: panic %q, want a dvec: message", gi, msg)
+				}
+			}()
+			b.SetIndices([]int64{lo, gi}, lo)
+		}()
+		if c := b.Count(); c > 1 {
+			t.Errorf("index %d: Count = %d after the rejected index", gi, c)
+		}
+	}
+	b := NewBitmap(n)
+	b.SetIndices([]int64{lo, lo + n - 1}, lo)
+	if b.Count() != 2 {
+		t.Fatalf("in-range ends: Count = %d, want 2", b.Count())
 	}
 }

@@ -450,9 +450,9 @@ func ladderForest(k, pathLen int) (*spmat.CSC, *matching.Matching) {
 // augment category.
 func runAugmentOnly(cfg core.Config, a *spmat.CSC, init *matching.Matching, mode core.AugmentMode) float64 {
 	side := nearestSquareSide(cfg.Procs)
-	blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
+	blocks := spmat.DistributeRanks(a, side, side, nil)
 	stats := make([]*core.Stats, side*side)
-	err := core.RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
+	err := core.RunDistributed(side, a.NRows, a.NCols, blocks,
 		core.Config{Procs: side * side, Augment: mode}, func(s *core.Solver) error {
 			mater := denseFromGlobal(s.RowL, init.MateR)
 			matec := denseFromGlobal(s.ColL, init.MateC)
@@ -674,11 +674,11 @@ func SingleVsMultiSource(w io.Writer, cfg core.Config, scale int, names []string
 	var rows []SSMSRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
+		blocks := spmat.DistributeRanks(a, side, side, nil)
 		measure := func(engine string) (int, float64) {
 			iters := 0
 			meters := make([]mpi.Meter, side*side)
-			err := core.RunDistributed(side, a.NRows, a.NCols, blocks, blocksT,
+			err := core.RunDistributed(side, a.NRows, a.NCols, blocks,
 				core.Config{Procs: side * side, Init: core.InitGreedy}, func(s *core.Solver) error {
 					mater, matec := s.MaximalInit()
 					if err := s.RunEngineByName(engine, mater, matec); err != nil {

@@ -119,10 +119,10 @@ func TreeBalance(w io.Writer, scale, procs int, names []string) []TreeBalanceRow
 	var rows []TreeBalanceRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		blocks, blocksT := spmat.DistributeRanks(a, side, side, nil)
+		blocks := spmat.DistributeRanks(a, side, side, nil)
 		for _, op := range []semiring.AddOp{semiring.MinParent, semiring.RandRoot} {
 			var rootOf []int64
-			err := core.RunDistributedGrid(side, side, a.NRows, a.NCols, blocks, blocksT,
+			err := core.RunDistributedGrid(side, side, a.NRows, a.NCols, blocks,
 				core.Config{Procs: side * side, AddOp: op}, func(s *core.Solver) error {
 					// One full-frontier SpMV sweep: every row's winning root.
 					fc := dvec.NewSparseV(s.ColL)

@@ -127,20 +127,16 @@ func Distribute2D(a *CSC, pr, pc int) [][]*LocalMatrix {
 	return out
 }
 
-// DistributeRanks builds what each listed rank of a pr x pc grid needs to
-// solve: block (i, j) of a and block (i, j) of aᵀ, where rank r sits at
-// (r/pc, r%pc) in the grid's row-major order. A nil ranks means every rank;
-// otherwise the entries of unlisted ranks stay nil. The aᵀ block is the
-// local transpose of a's (BlockAt(n1, pc, j), BlockAt(n2, pr, i)) block, so
-// the global transpose is never formed. The result equals Distribute2D(a)
-// and Distribute2D(a.Transpose()) on the listed entries.
-func DistributeRanks(a *CSC, pr, pc int, ranks []int) (blocks, blocksT [][]*LocalMatrix) {
-	blocks, blocksT = newBlockGrid(pr, pc), newBlockGrid(pr, pc)
+// DistributeRanks builds the block of a that each listed rank of a pr x pc
+// grid solves on: block (i, j), where rank r sits at (r/pc, r%pc) in the
+// grid's row-major order. A nil ranks means every rank; otherwise the
+// entries of unlisted ranks stay nil. The result equals Distribute2D(a) on
+// the listed entries.
+func DistributeRanks(a *CSC, pr, pc int, ranks []int) [][]*LocalMatrix {
+	blocks := newBlockGrid(pr, pc)
 	build := func(r int) {
 		i, j := r/pc, r%pc
 		blocks[i][j] = localBlock(a, pr, pc, i, j)
-		rows, cols := BlockAt(a.NCols, pr, i), BlockAt(a.NRows, pc, j)
-		blocksT[i][j] = &LocalMatrix{Rows: rows, Cols: cols, M: Submatrix(a, cols, rows).Transpose()}
 	}
 	if ranks == nil {
 		for r := 0; r < pr*pc; r++ {
@@ -150,7 +146,7 @@ func DistributeRanks(a *CSC, pr, pc int, ranks []int) (blocks, blocksT [][]*Loca
 	for _, r := range ranks {
 		build(r)
 	}
-	return blocks, blocksT
+	return blocks
 }
 
 // localBlock is block (i, j) of a on a pr x pc grid.

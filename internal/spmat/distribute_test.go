@@ -168,8 +168,7 @@ func TestDCSCTransposeMatchesCSC(t *testing.T) {
 }
 
 // TestDistributeMatchesSortOracle checks Distribute2D and DistributeRanks
-// against the COO+sort builder, block for block, and every Aᵀ block against
-// distributing the global transpose.
+// against the COO+sort builder, block for block, on A and on Aᵀ.
 func TestDistributeMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 100; trial++ {
@@ -179,7 +178,7 @@ func TestDistributeMatchesSortOracle(t *testing.T) {
 			pr, pc := g[0], g[1]
 			want, wantT := oracleDistribute2D(a, pr, pc), oracleDistribute2D(at, pr, pc)
 			dist, distT := Distribute2D(a, pr, pc), Distribute2D(at, pr, pc)
-			blocks, blocksT := DistributeRanks(a, pr, pc, nil)
+			blocks := DistributeRanks(a, pr, pc, nil)
 			for i := 0; i < pr; i++ {
 				for j := 0; j < pc; j++ {
 					for _, c := range []struct {
@@ -189,7 +188,6 @@ func TestDistributeMatchesSortOracle(t *testing.T) {
 						{"Distribute2D", dist[i][j], want[i][j]},
 						{"Distribute2D(Aᵀ)", distT[i][j], wantT[i][j]},
 						{"DistributeRanks A", blocks[i][j], want[i][j]},
-						{"DistributeRanks Aᵀ", blocksT[i][j], distT[i][j]},
 					} {
 						if err := sameBlock(c.got, c.want); err != nil {
 							t.Fatalf("trial %d, %dx%d %dx%d grid, block (%d,%d), %s: %v",
@@ -203,30 +201,27 @@ func TestDistributeMatchesSortOracle(t *testing.T) {
 }
 
 // TestDistributeRanksBuildsOnlyListed pins the per-rank contract: listed
-// ranks get the row-major (r/pc, r%pc) blocks of A and Aᵀ, every other
-// entry stays nil.
+// ranks get the row-major (r/pc, r%pc) blocks of A, every other entry
+// stays nil.
 func TestDistributeRanksBuildsOnlyListed(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	a := randomCOO(rng).ToCSC()
 	for _, g := range oracleGrids {
 		pr, pc := g[0], g[1]
-		all, allT := DistributeRanks(a, pr, pc, nil)
+		all := DistributeRanks(a, pr, pc, nil)
 		for _, ranks := range [][]int{{0}, {pr*pc - 1}, {pr*pc - 1, 0}, {}} {
-			blocks, blocksT := DistributeRanks(a, pr, pc, ranks)
+			blocks := DistributeRanks(a, pr, pc, ranks)
 			for i := 0; i < pr; i++ {
 				for j := 0; j < pc; j++ {
 					hosted := slices.Contains(ranks, i*pc+j)
 					if !hosted {
-						if blocks[i][j] != nil || blocksT[i][j] != nil {
+						if blocks[i][j] != nil {
 							t.Fatalf("%dx%d grid, ranks %v: unlisted block (%d,%d) was built", pr, pc, ranks, i, j)
 						}
 						continue
 					}
 					if err := sameBlock(blocks[i][j], all[i][j]); err != nil {
 						t.Fatalf("%dx%d grid, ranks %v, A block (%d,%d): %v", pr, pc, ranks, i, j, err)
-					}
-					if err := sameBlock(blocksT[i][j], allT[i][j]); err != nil {
-						t.Fatalf("%dx%d grid, ranks %v, Aᵀ block (%d,%d): %v", pr, pc, ranks, i, j, err)
 					}
 				}
 			}

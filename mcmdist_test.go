@@ -2,9 +2,13 @@ package mcmdist
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+
+	"mcmdist/internal/matching"
 )
 
 func mustRMAT(t *testing.T, class RMATClass, scale, ef int, seed int64) *Graph {
@@ -484,6 +488,69 @@ func TestRectangularGridPublicAPI(t *testing.T) {
 	}
 	if _, _, err := MaximumMatching(g, Options{GridCols: 3}); err == nil {
 		t.Fatal("half-specified grid accepted")
+	}
+}
+
+// TestDegenerateShapesMatchOracle runs every initializer through the public
+// API on the shapes where blocks and owner ranges go empty: 1×n and n×1
+// graphs, graphs with isolated vertices, more ranks than vertices, and 1×p
+// and p×1 grids. Each matching must be a valid maximum matching of the
+// Hopcroft–Karp oracle's cardinality.
+func TestDegenerateShapesMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	randomEdges := func(nr, nc, m int) [][2]int {
+		edges := make([][2]int, m)
+		for k := range edges {
+			edges[k] = [2]int{rng.Intn(nr), rng.Intn(nc)}
+		}
+		return edges
+	}
+	// isolated keeps a few vertices of a 200×150 graph busy and leaves the
+	// rest of both sides without an edge.
+	isolated := func() [][2]int {
+		var edges [][2]int
+		for _, e := range randomEdges(200, 150, 60) {
+			edges = append(edges, [2]int{e[0] % 7 * 29, e[1] % 5 * 31})
+		}
+		return edges
+	}
+	graphs := []struct {
+		name   string
+		nr, nc int
+		edges  [][2]int
+	}{
+		{"1xn", 1, 40, randomEdges(1, 40, 15)},
+		{"nx1", 40, 1, randomEdges(40, 1, 15)},
+		{"1x1", 1, 1, [][2]int{{0, 0}}},
+		{"empty", 5, 3, nil},
+		{"isolated", 200, 150, isolated()},
+		{"sparse-rect", 30, 90, randomEdges(30, 90, 70)},
+		{"tiny", 3, 2, [][2]int{{0, 0}, {1, 0}, {2, 1}}},
+	}
+	grids := [][2]int{{1, 1}, {1, 4}, {4, 1}, {1, 7}, {6, 1}, {4, 4}, {3, 5}}
+	for _, gc := range graphs {
+		g, err := FromEdges(gc.nr, gc.nc, gc.edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := matching.HopcroftKarp(g.a, nil).Cardinality()
+		for _, grid := range grids {
+			for _, init := range []Initializer{NoInit, GreedyInit, KarpSipserInit, DynamicMindegreeInit} {
+				for _, threads := range []int{1, 3} {
+					name := fmt.Sprintf("%s/%dx%d/%v/t%d", gc.name, grid[0], grid[1], init, threads)
+					m, _, err := MaximumMatching(g, Options{GridRows: grid[0], GridCols: grid[1], Init: init, Threads: threads})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if err := g.VerifyMaximum(m); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if m.Cardinality() != want {
+						t.Fatalf("%s: %d, oracle %d", name, m.Cardinality(), want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -236,7 +236,7 @@ func (dg *DistributedGraph) SolveRecoverable(opts Options, pol RecoveryPolicy) (
 		return nil, nil, nil, fmt.Errorf("mcmdist: unknown RecoveryPolicy.Transport %q (want inproc or tcp)", pol.Transport)
 	}
 	res, crec, err := core.SolveRecoverableGrid(dg.g.a, dg.side, dg.side,
-		dg.g.Rows(), dg.g.Cols(), dg.blocks, dg.blocksT, cfg, dg.ctxs, corePol)
+		dg.g.Rows(), dg.g.Cols(), dg.blocks, cfg, dg.ctxs, corePol)
 	if err != nil {
 		return nil, nil, recoveryFromCore(crec), err
 	}

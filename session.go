@@ -13,7 +13,7 @@ import (
 )
 
 // DistributedGraph is a graph pre-distributed onto a fixed process grid.
-// Distribution (blocking A and Aᵀ across the grid) is the expensive setup
+// Distribution (blocking A across the grid) is the expensive setup
 // step; a DistributedGraph pays it once and can then run many matching
 // computations — the usage pattern of a sparse solver that factorizes many
 // matrices with one nonzero pattern, and the "already distributed" premise
@@ -31,12 +31,11 @@ import (
 // endpoint instead: each process then builds, deterministically, only the
 // blocks of the ranks it hosts (see docs/TRANSPORT.md).
 type DistributedGraph struct {
-	g       *Graph
-	procs   int
-	side    int
-	blocks  [][]*spmat.LocalMatrix
-	blocksT [][]*spmat.LocalMatrix
-	ctxs    []*rt.Ctx // per-rank runtime contexts, reused across solves
+	g      *Graph
+	procs  int
+	side   int
+	blocks [][]*spmat.LocalMatrix
+	ctxs   []*rt.Ctx // per-rank runtime contexts, reused across solves
 }
 
 // Distribute blocks the graph onto procs simulated ranks (a perfect
@@ -55,14 +54,13 @@ func Distribute(g *Graph, procs int) (dg *DistributedGraph, err error) {
 	for r := range ctxs {
 		ctxs[r] = rt.New(nil) // bound to each solve's communicator at run time
 	}
-	blocks, blocksT := spmat.DistributeRanks(g.a, side, side, nil)
+	blocks := spmat.DistributeRanks(g.a, side, side, nil)
 	return &DistributedGraph{
-		g:       g,
-		procs:   procs,
-		side:    side,
-		blocks:  blocks,
-		blocksT: blocksT,
-		ctxs:    ctxs,
+		g:      g,
+		procs:  procs,
+		side:   side,
+		blocks: blocks,
+		ctxs:   ctxs,
 	}, nil
 }
 
@@ -108,7 +106,7 @@ func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stat
 	perRankStats := make([]*core.Stats, dg.procs)
 	perRankMeter := make([]mpi.Meter, dg.procs)
 	var mateR, mateC []int64
-	err = core.RunDistributedGridCtx(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks, dg.blocksT,
+	err = core.RunDistributedGridCtx(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks,
 		cfg, dg.ctxs, func(s *core.Solver) error {
 			mater, matec := s.MaximalInit()
 			if err := s.RunEngineByName(cfg.Engine, mater, matec); err != nil {
@@ -154,7 +152,7 @@ func (dg *DistributedGraph) MaximalMatchingDistributed(init Initializer, threads
 	perRankStats := make([]*core.Stats, dg.procs)
 	perRankMeter := make([]mpi.Meter, dg.procs)
 	var mateR, mateC []int64
-	err = core.RunDistributedGridCtx(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks, dg.blocksT,
+	err = core.RunDistributedGridCtx(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks,
 		cfg, dg.ctxs, func(s *core.Solver) error {
 			mater, matec := s.MaximalInit()
 			fullR := mater.Gather()
