@@ -7,7 +7,7 @@
 //	bench -exp table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|augment|enginesweep|...|all
 //	      [-scale N] [-matrix NAME] [solver flags: -procs P -threads T
 //	      -engine E -init I -semiring S -augment A -direction push|pull|auto
-//	      -compress -no-prune -no-permute -no-overlap -seed N]
+//	      -compress -no-prune -no-permute -seed N]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Scaling figures report times from the alpha-beta cost model (see

@@ -21,7 +21,7 @@
 // flight-g<gen>-r<rank>.dump post-mortems there (decode with cmd/tracelint).
 //
 // The solver flags (-procs -threads -engine -init -semiring -augment
-// -direction -compress -no-prune -no-permute -no-overlap -seed) are
+// -direction -compress -no-prune -no-permute -seed) are
 // core.BindFlags's; every mode ships them, with the graph source, as one
 // distjob.Spec.
 //

@@ -151,9 +151,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 func (c Config) CheckpointHash(n1, n2 int) uint64 {
 	c = c.withDefaults()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v4|%s|%d|%d|%d|%v|%v|%v|%v|%g|%v|%v|%d|%d",
+	fmt.Fprintf(h, "v5|%s|%d|%d|%d|%v|%v|%v|%v|%v|%v|%d|%d",
 		c.Engine, n1, n2, c.Procs, c.Init, c.AddOp, c.Augment,
-		c.DisablePrune, c.PullThreshold, c.Direction, c.Permute, c.Seed, c.GridRows*1000+c.GridCols)
+		c.DisablePrune, c.Direction, c.Permute, c.Seed, c.GridRows*1000+c.GridCols)
 	return h.Sum64()
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"mcmdist/internal/matching"
 	"mcmdist/internal/semiring"
@@ -176,9 +177,10 @@ func TestCheckpointHashSensitivity(t *testing.T) {
 	}
 	// Fields that do NOT change the solve trajectory must not change the
 	// hash, or a restart with different threading would be rejected.
-	same := Config{Procs: 4, Init: InitGreedy, Threads: 8, DisableOverlap: true}
+	same := Config{Procs: 4, Init: InitGreedy, Threads: 8, Compress: true,
+		WatchdogTimeout: time.Second, CheckpointEvery: 2, FlightDir: "d"}
 	if same.CheckpointHash(50, 50) != h {
-		t.Fatal("hash sensitive to execution-only knobs (Threads/DisableOverlap)")
+		t.Fatal("hash sensitive to execution-only knobs (Threads/Compress/WatchdogTimeout/CheckpointEvery/FlightDir)")
 	}
 }
 

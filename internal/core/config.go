@@ -136,13 +136,6 @@ type Config struct {
 	Augment AugmentMode `json:"augment,omitempty"`
 	// DisablePrune turns off Step 6 of Algorithm 2 (the Fig. 8 ablation).
 	DisablePrune bool `json:"no_prune,omitempty"`
-	// PullThreshold is the minimum frontier fraction (of n2) for the pull
-	// direction to be considered; 0 derives the threshold online from the
-	// alpha-beta cost model's push/pull crossover at the run's thread count
-	// and average degree (costmodel.PullCrossover). The pull choice
-	// additionally requires the Beamer-style edge-count condition (see
-	// internal/core/direction.go and docs/KERNELS.md).
-	PullThreshold float64 `json:"pull_threshold,omitempty"`
 	// Direction pins the SpMV kernel choice: DirectionPush (the zero value)
 	// or DirectionPull hold one kernel for every iteration (deterministic for
 	// tests and ablations), and DirectionAuto runs the per-iteration
@@ -157,19 +150,6 @@ type Config struct {
 	// Permute applies a random symmetric permutation before distributing,
 	// the load-balancing step of Section IV-A.
 	Permute bool `json:"permute,omitempty"`
-	// DisableReuse turns off the per-rank runtime context's buffer arena
-	// and scratch reuse: every borrow falls back to a fresh allocation.
-	// The pooling on/off equivalence tests use this; production runs leave
-	// it false.
-	DisableReuse bool `json:"disable_reuse,omitempty"`
-	// DisableOverlap turns off the split-phase compute/communication
-	// overlap: every collective runs in its blocking start-then-wait form
-	// and the solver's pipelined frontier count reverts to the loop-top
-	// allreduce. Results and communication meters are bit-identical either
-	// way (the overlap-equivalence tests assert this); the switch exists
-	// for those tests and for measuring how much latency the overlapped
-	// schedules hide. Production runs leave it false.
-	DisableOverlap bool `json:"no_overlap,omitempty"`
 	// Seed drives the permutation and any randomized initializer.
 	Seed int64 `json:"seed,omitempty"`
 	// OnIteration, when non-nil, is invoked by rank 0 after every
@@ -217,7 +197,7 @@ type Config struct {
 
 // BindFlags registers the solver options on fs as the command-line flags
 // -procs -threads -engine -init -semiring -augment -direction -compress
-// -no-prune -no-permute -no-overlap -seed, parsing into cfg. cfg's current
+// -no-prune -no-permute -seed, parsing into cfg. cfg's current
 // values are the flag defaults.
 func BindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.IntVar(&cfg.Procs, "procs", cfg.Procs, "simulated ranks (perfect square)")
@@ -230,7 +210,6 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.BoolVar(&cfg.Compress, "compress", cfg.Compress, "enable the delta-varint wire codec (tcp payload compression; all backends meter the encoded volume; results are bit-identical)")
 	fs.BoolVar(&cfg.DisablePrune, "no-prune", cfg.DisablePrune, "disable tree pruning (Fig. 8 ablation)")
 	fs.Var(notFlag{&cfg.Permute}, "no-permute", "skip the load-balancing random permutation")
-	fs.BoolVar(&cfg.DisableOverlap, "no-overlap", cfg.DisableOverlap, "disable the split-phase compute/communication overlap (results are bit-identical; wall clocks and the exposed-comm ledger change)")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "seed of the permutation, the randomized initializers and generated graphs")
 }
 
@@ -314,11 +293,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Engine == "" {
 		c.Engine = EngineBFS
-	}
-	// PullThreshold 0 is meaningful (resolve from the cost model online);
-	// negative values are normalized to it.
-	if c.PullThreshold < 0 {
-		c.PullThreshold = 0
 	}
 	return c
 }

@@ -435,16 +435,6 @@ func TestDirectionOptimizedOffUsesOnlyPush(t *testing.T) {
 	}
 }
 
-func TestPullThresholdRespected(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	a := randomBipartite(rng, 100, 100, 500)
-	// Threshold above 1.0 can never trigger: all pushes.
-	res := mustSolve(t, a, Config{Procs: 4, Direction: DirectionAuto, PullThreshold: 1.5})
-	if res.Stats.PullIterations != 0 {
-		t.Fatal("pull used despite impossible threshold")
-	}
-}
-
 // TestDistributedInitializersAreMaximal gathers each initializer's result
 // and checks maximality and validity against the serial definitions.
 func TestDistributedInitializersAreMaximal(t *testing.T) {

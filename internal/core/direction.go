@@ -26,9 +26,8 @@ type dirState struct {
 	// visitedRows counts rows discovered so far in the current phase; the
 	// heuristic compares it against the frontier's edge reach.
 	visitedRows int
-	// threshold is the resolved pull frontier-fraction threshold: the
-	// configured PullThreshold, or the alpha-beta model's crossover when
-	// unset. Zero means not yet resolved.
+	// threshold is the resolved pull frontier-fraction threshold, the
+	// alpha-beta model's crossover. Zero means not yet resolved.
 	threshold float64
 }
 
@@ -68,15 +67,11 @@ func (s *Solver) chooseDirection(d *dirState, frontierSize int) bool {
 }
 
 // resolveThreshold picks the pull frontier-fraction threshold: the
-// configured PullThreshold when set, else the alpha-beta cost model's
-// push/pull crossover for the host machine at this run's thread count and
-// the graph's average degree. The degree comes from a one-time allreduce of
-// the local block sizes (collective — every rank resolves together), so the
-// threshold is bit-identical on every rank.
+// alpha-beta cost model's push/pull crossover for the host machine at this
+// run's thread count and the graph's average degree. The degree comes from a
+// one-time allreduce of the local block sizes (collective — every rank
+// resolves together), so the threshold is bit-identical on every rank.
 func (s *Solver) resolveThreshold() float64 {
-	if s.Cfg.PullThreshold > 0 {
-		return s.Cfg.PullThreshold
-	}
 	nnz := s.G.World.Allreduce(mpi.OpSum, int64(s.A.M.NNZ()))
 	avgDeg := float64(nnz) / float64(max(s.N2, 1))
 	return costmodel.PullCrossover(costmodel.Laptop, s.Cfg.Threads, avgDeg)

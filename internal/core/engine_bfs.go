@@ -77,8 +77,7 @@ func (r *bfsRun) Iterate() (bool, error) {
 	for {
 		var frontierSize int
 		s.tr.track(OpOther, func() {
-			frontierSize = s.waitFrontierCount(fcCount, fc)
-			fcCount = nil
+			frontierSize = int(fcCount.Wait())
 		})
 		if frontierSize == 0 {
 			break
@@ -395,8 +394,7 @@ func (r *bfsGraftRun) Iterate() (bool, error) {
 	for {
 		var frontierSize int
 		s.tr.track(OpOther, func() {
-			frontierSize = s.waitFrontierCount(fcCount, fc)
-			fcCount = nil
+			frontierSize = int(fcCount.Wait())
 		})
 		if frontierSize == 0 {
 			break

@@ -3,7 +3,7 @@ package core
 // Pooling on/off equivalence: MCM-DIST must compute the same matching
 // cardinality (and, the algorithm being deterministic, the same per-rank
 // communication meters) whether the runtime context's arena is enabled or
-// in pass-through mode (Config.DisableReuse). Any divergence means a pooled
+// in pass-through mode (rt.NewDisabled). Any divergence means a pooled
 // buffer leaked state between borrows. The sweep mirrors the generator,
 // seed, and grid-shape combinations of the oracle tests in core_test.go.
 
@@ -13,10 +13,43 @@ import (
 	"testing"
 
 	"mcmdist/internal/matching"
+	"mcmdist/internal/mpi"
 	"mcmdist/internal/rmat"
+	"mcmdist/internal/rt"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmat"
 )
+
+// solveUnpooled is Solve on per-rank contexts whose arenas are
+// pass-through, the unpooled reference.
+func solveUnpooled(t *testing.T, a *spmat.CSC, cfg Config) *Result {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	pr, pc, err := cfg.gridShape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Procs = pr * pc
+	tr := mpi.NewInproc(cfg.Procs)
+	cfg, d, err := distribute(tr, a, cfg, pr, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxs := make([]*rt.Ctx, cfg.Procs)
+	for r := range ctxs {
+		ctxs[r] = rt.NewDisabled(nil) // bound to the rank's comm at run time
+		defer ctxs[r].Close()
+	}
+	res, err := runAttemptGrid(tr, pr, pc, d.work.NRows, d.work.NCols, d.blocks, cfg, ctxs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Matching = d.unpermute(res.Matching)
+	if err := res.Matching.Validate(a); err != nil {
+		t.Fatalf("cfg %+v: %v", cfg, err)
+	}
+	return res
+}
 
 // solveBothWays runs cfg pooled and unpooled and asserts identical
 // cardinality, oracle agreement, and identical per-rank meters.
@@ -24,9 +57,7 @@ func solveBothWays(t *testing.T, name string, a *spmat.CSC, cfg Config) {
 	t.Helper()
 	want := matching.HopcroftKarp(a, nil).Cardinality()
 	on := mustSolve(t, a, cfg)
-	cfgOff := cfg
-	cfgOff.DisableReuse = true
-	off := mustSolve(t, a, cfgOff)
+	off := solveUnpooled(t, a, cfg)
 	if on.Stats.Cardinality != off.Stats.Cardinality {
 		t.Fatalf("%s: pooled cardinality %d, unpooled %d",
 			name, on.Stats.Cardinality, off.Stats.Cardinality)

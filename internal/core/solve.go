@@ -307,7 +307,7 @@ func RunDistributedGrid(pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 // contexts, one per rank (indexed by world rank). A session that solves
 // repeatedly on the same distributed graph passes the same contexts every
 // time, so the arena and scratch warmed up by one solve serve the next. A
-// nil ctxs builds fresh contexts, honoring cfg.DisableReuse.
+// nil ctxs builds fresh contexts.
 func RunDistributedGridCtx(pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, fn func(*Solver) error) error {
 	w, err := mpi.RunWith(mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout, Compress: cfg.Compress},
@@ -333,19 +333,14 @@ func RunDistributedGridCtx(pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 }
 
 // newRankCtx picks the runtime context for one rank: the caller-supplied
-// one when present, otherwise a fresh context that is enabled or disabled
-// per cfg.DisableReuse.
+// one when present, otherwise a fresh context.
 func newRankCtx(c *mpi.Comm, cfg Config, ctxs []*rt.Ctx, rank int) *rt.Ctx {
 	var ctx *rt.Ctx
-	switch {
-	case ctxs != nil:
+	if ctxs != nil {
 		ctx = ctxs[rank]
-	case cfg.DisableReuse:
-		ctx = rt.NewDisabled(c)
-	default:
+	} else {
 		ctx = rt.New(c)
 	}
-	ctx.SetOverlap(!cfg.DisableOverlap)
 	// Attach (or, for a reused session context, detach) the rank's span
 	// tracer on both the runtime context (op spans via Track) and the comm
 	// (collective/RMA/fault spans inside internal/mpi).

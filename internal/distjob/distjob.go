@@ -68,10 +68,11 @@ func (s *Spec) Solve(tr mpi.Transport, a *spmat.CSC) (*core.Result, *obs.Collect
 // different job than the coordinator asked for. Version 2 added the engine,
 // 3 the recovery plane (generation, restart policy, resume checkpoint), 4
 // the observability plane and flight recorder, 5 replaced the hand-mirrored
-// solver fields with the embedded core.Config schema, and 6 dropped the
+// solver fields with the embedded core.Config schema, 6 dropped the
 // restart policy (the coordinator's recovery loop alone bounds retries) and
-// moved flight_dir into core.Config.
-const Version = 6
+// moved flight_dir into core.Config, and 7 dropped the no_overlap,
+// pull_threshold and disable_reuse solver fields.
+const Version = 7
 
 // Spec describes one distributed solve: the graph source (exactly one of
 // RMAT, Matrix or MTX), the solver options — the embedded core.Config,

@@ -45,7 +45,7 @@ func TestRoundTrip(t *testing.T) {
 	for _, eng := range []string{"", core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft, core.EngineAuction, core.EngineAuto} {
 		cases = append(cases, []string{"-engine", eng})
 	}
-	for _, b := range []string{"-compress", "-no-prune", "-no-permute", "-no-overlap"} {
+	for _, b := range []string{"-compress", "-no-prune", "-no-permute"} {
 		cases = append(cases, []string{b})
 	}
 	cases = append(cases, []string{"-procs", "9", "-threads", "3", "-seed", "42"})
@@ -114,11 +114,13 @@ func TestDecodeRejects(t *testing.T) {
 		t.Error("accepted unknown version")
 	}
 	// Old blobs must fail on their version, not be misread through the
-	// current schema: v4 (hand-mirrored solver fields) and v5 (which still
-	// carried max_restarts).
+	// current schema: v4 (hand-mirrored solver fields), v5 (which still
+	// carried max_restarts) and v6 (which still carried no_overlap and
+	// pull_threshold).
 	for v, blob := range map[int]string{
 		4: `{"v":4,"rmat":"g500","procs":4,"init":"mindegree","no_permute":true,"graft":true}`,
 		5: `{"v":5,"rmat":"g500","procs":4,"recover":true,"max_restarts":3}`,
+		6: `{"v":6,"rmat":"g500","procs":4,"no_overlap":true,"pull_threshold":0.5}`,
 	} {
 		if _, err := Decode([]byte(blob)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
 			t.Errorf("v%d blob: %v", v, err)

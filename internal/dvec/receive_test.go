@@ -130,23 +130,21 @@ func sameV(got, want *SparseV) error {
 }
 
 // TestReceiveMatchesSortOracle runs INVERT (int and both vertex flavors) and
-// redistribute against the sort-based references on every grid shape,
-// thread count and overlap setting. Targets draw from a short range, so most
-// are claimed by several sources, and every third rank contributes nothing.
+// redistribute against the sort-based references on every grid shape and
+// thread count. Targets draw from a short range, so most are claimed by
+// several sources, and every third rank contributes nothing.
 func TestReceiveMatchesSortOracle(t *testing.T) {
 	for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {3, 3}} {
 		for threads := 1; threads <= 4; threads++ {
-			for _, overlap := range []bool{true, false} {
-				for _, n := range []int{5, 37, 300} {
-					name := fmt.Sprintf("%dx%d t%d overlap=%v n=%d", shape[0], shape[1], threads, overlap, n)
-					checkReceives(t, name, shape[0], shape[1], threads, overlap, n)
-				}
+			for _, n := range []int{5, 37, 300} {
+				name := fmt.Sprintf("%dx%d t%d n=%d", shape[0], shape[1], threads, n)
+				checkReceives(t, name, shape[0], shape[1], threads, n)
 			}
 		}
 	}
 }
 
-func checkReceives(t *testing.T, name string, pr, pc, threads int, overlap bool, n int) {
+func checkReceives(t *testing.T, name string, pr, pc, threads int, n int) {
 	t.Helper()
 	targets := max(1, n/4)
 	_, err := mpi.Run(pr*pc, func(c *mpi.Comm) error {
@@ -156,7 +154,6 @@ func checkReceives(t *testing.T, name string, pr, pc, threads int, overlap bool,
 		}
 		g.RT.EnsureThreads(threads)
 		defer g.RT.Close()
-		g.RT.SetOverlap(overlap)
 		rng := rand.New(rand.NewSource(int64(1000*n + c.Rank())))
 		empty := c.Rank()%3 == 1
 

@@ -9,31 +9,24 @@ import (
 	"mcmdist/internal/semiring"
 )
 
-// flatAlltoall routes parts through a personalized all-to-all into one flat
-// arena buffer. When the context overlaps communication it runs
-// split-phase: arrived payloads are copied out while stragglers are still
-// sending, hiding the copy-out behind the wait. Metering is identical
-// either way; consumers scatter-reduce the union under an order-free
-// combine, so arrival order is harmless.
+// flatAlltoall routes parts through a split-phase personalized all-to-all
+// into one flat arena buffer: arrived payloads are copied out while
+// stragglers are still sending, hiding the copy-out behind the wait.
+// Consumers scatter-reduce the union under an order-free combine, so arrival
+// order is harmless.
 func flatAlltoall(c *mpi.Comm, ctx *rt.Ctx, parts [][]int64, hint int) []int64 {
-	if ctx.Overlap() {
-		rq := c.IAlltoallvParts(parts)
-		flat := rq.Drain(ctx.GetInts(hint))
-		rq.Finish()
-		return flat
-	}
-	return c.AlltoallvFlat(parts, ctx.GetInts(hint))
+	rq := c.IAlltoallvParts(parts)
+	flat := rq.Drain(ctx.GetInts(hint))
+	rq.Finish()
+	return flat
 }
 
 // flatAllgather is flatAlltoall's allgather counterpart (PRUNE's pattern).
 func flatAllgather(c *mpi.Comm, ctx *rt.Ctx, data []int64, hint int) []int64 {
-	if ctx.Overlap() {
-		rq := c.IAllgathervParts(data)
-		flat := rq.Drain(ctx.GetInts(hint))
-		rq.Finish()
-		return flat
-	}
-	return c.AllgathervInto(data, ctx.GetInts(hint))
+	rq := c.IAllgathervParts(data)
+	flat := rq.Drain(ctx.GetInts(hint))
+	rq.Finish()
+	return flat
 }
 
 // SparseInt is one rank's piece of a distributed sparse vector with int64

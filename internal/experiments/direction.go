@@ -44,7 +44,7 @@ func DirectionSweep(w io.Writer, cfg core.Config, scales []int) []DirectionSweep
 		a := rmat.MustGenerate(rmat.G500, scale, 8, 17)
 		var card = -1
 		for _, d := range dirs {
-			res := run(cfg, a, core.Config{
+			res := run(a, core.Config{
 				Procs: cfg.Procs, Threads: cfg.Threads,
 				Init: core.InitNone, Permute: true, Seed: 13,
 				Direction: d, Compress: true,

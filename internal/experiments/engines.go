@@ -37,7 +37,7 @@ func EngineSweep(w io.Writer, cfg core.Config, matrixName string, scale int) []E
 	var rows []EngineSweepRow
 	for _, name := range names {
 		start := time.Now()
-		res := run(cfg, a, core.Config{
+		res := run(a, core.Config{
 			Engine: name, Procs: cfg.Procs, Threads: cfg.Threads,
 			Init: core.InitDynMinDegree, Permute: true, Seed: 17,
 		})

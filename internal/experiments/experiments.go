@@ -25,19 +25,14 @@ import (
 var Model = costmodel.EdisonMini
 
 // The experiments take the bench's solver configuration as a parameter:
-// Procs is the rank count of the single-p experiments, Threads the
+// Procs is the rank count of the single-p experiments and Threads the
 // per-rank thread count (the paper's 12 OpenMP threads by default) that the
-// hybrid configurations run with and the cost model divides local work by,
-// and DisableOverlap turns off the split-phase overlap of every solve
-// (results and meters are bit-identical either way; only wall clocks and the
-// exposed-communication ledger change). Each experiment fixes the options it
-// sweeps or ablates itself.
+// hybrid configurations run with and the cost model divides local work by.
+// Each experiment fixes the options it sweeps or ablates itself.
 
-// run solves a under rc with cfg's overlap switch; it panics on
-// configuration errors (experiment code paths use known-good
-// configurations).
-func run(cfg core.Config, a *spmat.CSC, rc core.Config) *core.Result {
-	rc.DisableOverlap = cfg.DisableOverlap
+// run solves a under rc; it panics on configuration errors (experiment code
+// paths use known-good configurations).
+func run(a *spmat.CSC, rc core.Config) *core.Result {
 	res, err := core.Solve(a, rc)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
@@ -146,7 +141,7 @@ func Fig3(w io.Writer, cfg core.Config, scale int) []Fig3Row {
 	for _, name := range Fig3Matrices {
 		a := suiteMatrix(name, scale)
 		for _, init := range []core.Init{core.InitGreedy, core.InitKarpSipser, core.InitDynMinDegree} {
-			res := run(cfg, a, core.Config{Procs: cfg.Procs, Init: init, Permute: true, Seed: 5})
+			res := run(a, core.Config{Procs: cfg.Procs, Init: init, Permute: true, Seed: 5})
 			bd := Model.Breakdown(meterByOp(res), cfg.Threads)
 			rows = append(rows, Fig3Row{
 				Matrix:    name,

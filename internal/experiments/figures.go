@@ -49,7 +49,7 @@ func Fig4(w io.Writer, cfg core.Config, scale int, procs []int, names []string) 
 		row := Fig4Row{Matrix: name}
 		var base float64
 		for _, p := range procs {
-			res := run(cfg, a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 7})
+			res := run(a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 7})
 			t := modeledTime(res, cfg.Threads)
 			if base == 0 {
 				base = t
@@ -105,7 +105,7 @@ func Fig5(w io.Writer, cfg core.Config, scale int, procs []int) []Fig5Row {
 	for _, name := range Fig5Matrices {
 		a := suiteMatrix(name, scale)
 		for _, p := range procs {
-			res := run(cfg, a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 7})
+			res := run(a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 7})
 			bd := Model.Breakdown(meterByOp(res), cfg.Threads)
 			total := 0.0
 			for _, v := range bd {
@@ -162,7 +162,7 @@ func Fig6(w io.Writer, cfg core.Config, scales []int, procs []int) []Fig6Row {
 			row := Fig6Row{Class: cl.name, Scale: sc}
 			var base float64
 			for _, p := range procs {
-				res := run(cfg, a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 3})
+				res := run(a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 3})
 				t := modeledTime(res, cfg.Threads)
 				if base == 0 {
 					base = t
@@ -229,10 +229,10 @@ func Fig7(w io.Writer, cfg core.Config, scale int, coreBudgets []int) []Fig7Row 
 			flatP := nearestSquare(cores)
 			hybP := nearestSquare(cores / cfg.Threads)
 			start := time.Now()
-			flat := run(cfg, a, core.Config{Procs: flatP, Threads: 1, Init: core.InitDynMinDegree, Permute: true, Seed: 9})
+			flat := run(a, core.Config{Procs: flatP, Threads: 1, Init: core.InitDynMinDegree, Permute: true, Seed: 9})
 			measFlat := time.Since(start).Seconds()
 			start = time.Now()
-			hyb := run(cfg, a, core.Config{Procs: hybP, Threads: cfg.Threads, Init: core.InitDynMinDegree, Permute: true, Seed: 9})
+			hyb := run(a, core.Config{Procs: hybP, Threads: cfg.Threads, Init: core.InitDynMinDegree, Permute: true, Seed: 9})
 			measHyb := time.Since(start).Seconds()
 			rows = append(rows, Fig7Row{
 				Matrix:         name,
@@ -288,8 +288,8 @@ func Fig8(w io.Writer, cfg core.Config, scale int, names []string) []Fig8Row {
 	var rows []Fig8Row
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		on := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree, Permute: true, Seed: 11})
-		off := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree, Permute: true, Seed: 11, DisablePrune: true})
+		on := run(a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree, Permute: true, Seed: 11})
+		off := run(a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree, Permute: true, Seed: 11, DisablePrune: true})
 		tOn := modeledTime(on, cfg.Threads)
 		tOff := modeledTime(off, cfg.Threads)
 		red := 0.0
@@ -508,8 +508,8 @@ func DirectionAblation(w io.Writer, cfg core.Config, scale int, names []string) 
 	var rows []DirectionRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		push := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitNone, Permute: true, Seed: 13})
-		opt := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitNone, Permute: true, Seed: 13,
+		push := run(a, core.Config{Procs: cfg.Procs, Init: core.InitNone, Permute: true, Seed: 13})
+		opt := run(a, core.Config{Procs: cfg.Procs, Init: core.InitNone, Permute: true, Seed: 13,
 			Direction: core.DirectionAuto})
 		if push.Stats.Cardinality != opt.Stats.Cardinality {
 			panic("direction optimization changed the cardinality")
@@ -561,8 +561,8 @@ func GraftAblation(w io.Writer, cfg core.Config, scale int, names []string) []Gr
 	var rows []GraftRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		plain := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitGreedy, Permute: true, Seed: 19})
-		graft := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitGreedy, Permute: true, Seed: 19,
+		plain := run(a, core.Config{Procs: cfg.Procs, Init: core.InitGreedy, Permute: true, Seed: 19})
+		graft := run(a, core.Config{Procs: cfg.Procs, Init: core.InitGreedy, Permute: true, Seed: 19,
 			Engine: core.EngineBFSGraft})
 		if plain.Stats.Cardinality != graft.Stats.Cardinality {
 			panic("tree grafting changed the cardinality")
@@ -630,8 +630,8 @@ func BalanceAblation(w io.Writer, cfg core.Config, scale int, names []string) []
 	var rows []BalanceRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)
-		un := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree})
-		pe := run(cfg, a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree, Permute: true, Seed: 3})
+		un := run(a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree})
+		pe := run(a, core.Config{Procs: cfg.Procs, Init: core.InitDynMinDegree, Permute: true, Seed: 3})
 		rows = append(rows, BalanceRow{
 			Matrix:             name,
 			ImbalanceUnperm:    imbalance(un),

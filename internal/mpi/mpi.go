@@ -13,7 +13,7 @@
 //     Allgatherv, Alltoallv, Gatherv, Scatterv, Allreduce;
 //   - split-phase (nonblocking) collectives — IBcast, IAllgatherv,
 //     IAlltoallv, IAllreduce and the buffer-lending/progressive variants —
-//     returning Request handles with Wait/Test, so callers can overlap
+//     returning Request handles with Wait, so callers can overlap
 //     local computation with communication (MPI_Iallgatherv & co.);
 //   - one-sided RMA windows with Get, Put and FetchAndOp, matching the
 //     MPI_GET / MPI_PUT / MPI_FETCH_AND_OP calls of the paper's path-parallel
@@ -46,8 +46,8 @@
 //     operations on the caller's own window are local and cost nothing.
 //
 // A split-phase collective meters exactly once, at completion (the first
-// Wait or successful Test), with the same counts as its blocking
-// counterpart — the request layer never double-counts.
+// Wait, or Finish for a progressive request), with the same counts as its
+// blocking counterpart — the request layer never double-counts.
 //
 // When the world runs with wire compression (RunConfig.Compress), every
 // metering site additionally records Meter.WordsEnc: the delta-varint
@@ -163,7 +163,7 @@ func (m Meter) Max(o Meter) Meter {
 // Total is the wall time requests spent in flight (start to completion,
 // summed over requests; concurrent requests overlap-count by design) and
 // Exposed is the part of that the rank actually spent blocked inside
-// Wait/Test/Next/Finish. Total - Exposed is the latency hidden behind local
+// Wait/Next/Finish. Total - Exposed is the latency hidden behind local
 // computation; for fully blocking collectives the two are nearly equal.
 type CommTimes struct {
 	Total   time.Duration
@@ -351,15 +351,6 @@ func (st *commState) deposit(m int, gen int64, parts []any, op string) {
 	}
 }
 
-// allPosted reports whether every member has posted gen (the readiness
-// probe behind Request.Test).
-func (st *commState) allPosted(gen int64) bool {
-	st.mu.Lock()
-	ok := st.arrived[gen] == len(st.ranks)
-	st.mu.Unlock()
-	return ok
-}
-
 // collect blocks until every member has posted gen and returns the parts
 // addressed to member m, one per source member. If the world aborts while
 // waiting, the rank unwinds with an abortSignal panic (contained by
@@ -451,15 +442,6 @@ func (st *commState) takeOne(gen int64) {
 // st.mu.
 func (st *commState) retired(gen int64) bool {
 	return gen < st.doneLow || st.doneSet[gen]
-}
-
-// isConsumed is retired with locking (the probe behind Request.Test for
-// lending requests).
-func (st *commState) isConsumed(gen int64) bool {
-	st.mu.Lock()
-	ok := st.retired(gen)
-	st.mu.Unlock()
-	return ok
 }
 
 // waitConsumed blocks until gen retires. Deadlock-free under the package's

@@ -10,28 +10,25 @@ import (
 
 // Request is one rank's handle on a split-phase collective. The call has
 // already been posted to the mailbox (starting never blocks); it completes
-// in Wait or in a successful Test. Completion assembles the result, meters
-// the transfer exactly once with the same counts as the blocking
-// counterpart, and — for collectives whose peers read this rank's send
-// buffer (all of them except Allreduce and Barrier) — waits until every
-// peer has finished reading, so the MPI contract "the send buffer may be
-// reused after completion" carries over to recycled arena buffers.
+// in Wait. Completion assembles the result, meters the transfer exactly once
+// with the same counts as the blocking counterpart, and — for collectives
+// whose peers read this rank's send buffer (all of them except Allreduce and
+// Barrier) — waits until every peer has finished reading, so the MPI
+// contract "the send buffer may be reused after completion" carries over to
+// recycled arena buffers.
 //
-// A Request is safe for concurrent Wait/Test from multiple goroutines; the
-// result on the typed wrappers is valid once any of them observes
-// completion.
+// A Request is safe for concurrent Wait from multiple goroutines; the
+// result on the typed wrappers is valid once any of them returns.
 type Request struct {
 	c   *Comm
 	gen int64
 	op  string
 
-	mu       sync.Mutex
-	started  time.Time
-	exposed  time.Duration
-	readDone bool // result assembled, finishRead declared
-	done     bool
-	lending  bool        // completion additionally waits for consumption
-	finish   func([]any) // assembles the result and meters; nil for Barrier
+	mu      sync.Mutex
+	started time.Time
+	done    bool
+	lending bool        // completion additionally waits for consumption
+	finish  func([]any) // assembles the result and meters; nil for Barrier
 }
 
 // start posts parts as this communicator's next collective and returns the
@@ -47,7 +44,11 @@ func (c *Comm) start(op string, parts []any, lending bool, finish func([]any)) *
 	return r
 }
 
-// Wait blocks until the collective completes. Idempotent.
+// Wait blocks until the collective completes: it assembles the result,
+// retires this rank's read and, for a lending collective, waits for every
+// peer to retire theirs. It then records the time ledger once, plus a
+// collective span (post to completion) on the rank's comm track when tracing
+// is on. Idempotent.
 func (r *Request) Wait() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -55,57 +56,17 @@ func (r *Request) Wait() {
 		return
 	}
 	begin := time.Now()
-	r.advance()
-	if r.lending {
-		r.c.st.waitConsumed(r.gen)
-	}
-	r.exposed += time.Since(begin)
-	r.complete()
-}
-
-// Test polls for completion without blocking. Once it returns true the
-// collective is complete and Wait returns immediately.
-func (r *Request) Test() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return true
-	}
-	begin := time.Now()
-	defer func() { r.exposed += time.Since(begin) }()
-	if !r.readDone {
-		if !r.c.st.allPosted(r.gen) {
-			return false
-		}
-		r.advance()
-	}
-	if r.lending && !r.c.st.isConsumed(r.gen) {
-		return false
-	}
-	r.complete()
-	return true
-}
-
-// advance assembles the result and retires this rank's read. Caller holds
-// r.mu; the collect inside only blocks when reached from Wait.
-func (r *Request) advance() {
-	if r.readDone {
-		return
-	}
 	got := r.c.st.collect(r.c.member, r.gen)
 	if r.finish != nil {
 		r.finish(got)
 	}
 	r.c.st.finishRead(r.c.member, r.gen)
-	r.readDone = true
-}
-
-// complete records the time ledger once, plus a collective span (post to
-// completion) on the rank's comm track when tracing is on. Caller holds
-// r.mu.
-func (r *Request) complete() {
+	if r.lending {
+		r.c.st.waitConsumed(r.gen)
+	}
+	exposed := time.Since(begin)
 	r.done = true
-	r.c.addCommTimes(time.Since(r.started), r.exposed)
+	r.c.addCommTimes(time.Since(r.started), exposed)
 	if tr := r.c.tracer(); tr != nil {
 		tr.EndFlow(obs.KindCollective, r.op, obs.At(r.started), r.gen, obs.FlowID(r.c.st.id, r.gen))
 	}
@@ -124,9 +85,6 @@ func (q *SlicesRequest) Wait() [][]int64 {
 	return q.out
 }
 
-// Test polls for completion; once true, Wait returns without blocking.
-func (q *SlicesRequest) Test() bool { return q.r.Test() }
-
 // IntsRequest is a split-phase collective resolving to one flat []int64
 // (IBcast, IAllgathervInto, IAlltoallvFlat).
 type IntsRequest struct {
@@ -139,9 +97,6 @@ func (q *IntsRequest) Wait() []int64 {
 	q.r.Wait()
 	return q.out
 }
-
-// Test polls for completion; once true, Wait returns without blocking.
-func (q *IntsRequest) Test() bool { return q.r.Test() }
 
 // IntoRequest is a split-phase AlltoallvInto: per-source subslices plus the
 // grown backing buffer.
@@ -158,9 +113,6 @@ func (q *IntoRequest) Wait() ([][]int64, []int64) {
 	return q.out, q.buf
 }
 
-// Test polls for completion; once true, Wait returns without blocking.
-func (q *IntoRequest) Test() bool { return q.r.Test() }
-
 // ValueRequest is a split-phase collective resolving to a single value
 // (IAllreduce).
 type ValueRequest struct {
@@ -173,9 +125,6 @@ func (q *ValueRequest) Wait() int64 {
 	q.r.Wait()
 	return q.out
 }
-
-// Test polls for completion; once true, Wait returns without blocking.
-func (q *ValueRequest) Test() bool { return q.r.Test() }
 
 // IBcast starts a split-phase broadcast of root's data; result and metering
 // as Bcast. The root must not mutate data before completion.
@@ -477,29 +426,6 @@ func (pr *PartsRequest) Pending() int {
 	n := len(pr.delivered) - pr.ndeliv
 	pr.mu.Unlock()
 	return n
-}
-
-// Ready reports whether some undelivered source has already arrived, i.e.
-// whether Next would return without blocking. It returns false when all
-// sources have been delivered.
-func (pr *PartsRequest) Ready() bool {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if pr.ndeliv == len(pr.delivered) {
-		return false
-	}
-	st := pr.c.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for s := range pr.delivered {
-		if pr.delivered[s] {
-			continue
-		}
-		if _, ok := st.posted[s][pr.gen]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // Drain appends every remaining source's payload into buf in arrival order

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -178,11 +177,11 @@ func TestCompressedMeterConservation(t *testing.T) {
 	}
 }
 
-// TestRequestWaitTestConcurrent hammers shared requests from multiple
-// goroutines per rank — one Test-spinning, one calling Wait, plus the rank
+// TestRequestWaitConcurrent hammers shared requests from multiple
+// goroutines per rank — two helpers calling Wait alongside the rank
 // goroutine's own Wait — across many rounds. Run under -race this is the
 // thread-safety stress for the split-phase request state machine.
-func TestRequestWaitTestConcurrent(t *testing.T) {
+func TestRequestWaitConcurrent(t *testing.T) {
 	const p = 4
 	const rounds = 25
 	_, err := Run(p, func(c *Comm) error {
@@ -196,16 +195,12 @@ func TestRequestWaitTestConcurrent(t *testing.T) {
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
-				for !vr.Test() {
-					runtime.Gosched()
-				}
 				if got := vr.Wait(); got != want {
 					errs <- fmt.Errorf("allreduce got %d want %d", got, want)
 				}
 			}()
 			go func() {
 				defer wg.Done()
-				gr.Test() // probe once, then block
 				out := gr.Wait()
 				if len(out) != p || out[c.Rank()][1] != payload[1] {
 					errs <- fmt.Errorf("allgather round %d: bad result %v", i, out)

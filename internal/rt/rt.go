@@ -54,10 +54,6 @@ const (
 type Ctx struct {
 	comm    *mpi.Comm
 	enabled bool
-	// noOverlap selects the fully blocking collective paths in the layers
-	// above (spmv, dvec, core). Zero value = overlap on, so contexts reused
-	// from before the split-phase engine pick up overlap automatically.
-	noOverlap bool
 
 	ints  [numClasses][][]int64
 	verts [numClasses][][]semiring.Vertex
@@ -83,8 +79,8 @@ func New(comm *mpi.Comm) *Ctx {
 }
 
 // NewDisabled returns a context whose arena is pass-through: every Get
-// allocates fresh storage and every Put discards. Used by the pooling
-// on/off equivalence tests and by Config.DisableReuse.
+// allocates fresh storage and every Put discards. The pooling on/off
+// equivalence tests use it as the unpooled reference.
 func NewDisabled(comm *mpi.Comm) *Ctx {
 	return &Ctx{comm: comm, enabled: false}
 }
@@ -109,19 +105,6 @@ func (c *Ctx) Comm() *mpi.Comm {
 // Enabled reports whether the arena actually pools (false for nil or
 // disabled contexts).
 func (c *Ctx) Enabled() bool { return c != nil && c.enabled }
-
-// SetOverlap selects between the split-phase overlapped communication
-// schedules (true, the default) and the fully blocking reference paths
-// (false; Config.DisableOverlap). Safe on a nil context (no-op).
-func (c *Ctx) SetOverlap(on bool) {
-	if c != nil {
-		c.noOverlap = !on
-	}
-}
-
-// Overlap reports whether the compute/communication-overlap schedules are
-// active. A nil context runs the blocking reference paths.
-func (c *Ctx) Overlap() bool { return c != nil && !c.noOverlap }
 
 // SetTracer attaches (or, with nil, detaches) the rank's span tracer. The
 // solver wires the same tracer into the context and its communicator at

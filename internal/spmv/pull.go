@@ -73,70 +73,45 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 	fbm := dvec.AsBitmap(fbmBuf, a.Cols.Len())
 	skipBuf := ctx.GetInts(dvec.BitmapWords(a.Rows.Len()))
 	skip := dvec.AsBitmap(skipBuf, a.Rows.Len())
-	var nvis int
-	if ctx.Overlap() {
-		// Split-phase: start the frontier expand, build the local visited
-		// list while peers' frontier pieces are in flight, start the
-		// visited replication, then fill both scratches progressively as
-		// pieces arrive. Entries land directly in the scratch — no slab
-		// staging buffer at all.
-		rqF := g.Col.IAllgathervParts(payload)
-		lo := visited.L.MyRange().Lo
-		mine := ctx.GetInts(0)
-		for i, v := range visited.Local {
-			if v != semiring.None {
-				mine = append(mine, int64(lo+i))
-			}
+	// The expand is split-phase: start the frontier expand, build the local
+	// visited list while peers' frontier pieces are in flight, start the
+	// visited replication (each rank contributes the visited rows of its own
+	// piece of the row slab), then fill both scratches progressively as
+	// pieces arrive. Entries land directly in the scratch — no slab staging
+	// buffer at all.
+	rqF := g.Col.IAllgathervParts(payload)
+	lo := visited.L.MyRange().Lo
+	mine := ctx.GetInts(0)
+	for i, v := range visited.Local {
+		if v != semiring.None {
+			mine = append(mine, int64(lo+i))
 		}
-		rqV := g.Row.IAllgathervParts(mine)
-		for {
-			_, piece, ok := rqF.Next()
-			if !ok {
-				break
-			}
-			for off := 0; off < len(piece); off += 3 {
-				lcol := int(piece[off]) - a.Cols.Lo
-				frontier.Set(lcol, semiring.Vertex{Parent: piece[off+1], Root: piece[off+2]})
-				fbm.Set(lcol)
-			}
+	}
+	rqV := g.Row.IAllgathervParts(mine)
+	for {
+		_, piece, ok := rqF.Next()
+		if !ok {
+			break
 		}
-		rqF.Finish()
-		ctx.PutInts(payload)
-		for {
-			_, piece, ok := rqV.Next()
-			if !ok {
-				break
-			}
-			skip.SetIndices(piece, a.Rows.Lo)
-			nvis += len(piece)
-		}
-		rqV.Finish()
-		ctx.PutInts(mine)
-	} else {
-		slab := g.Col.AllgathervInto(payload, ctx.GetInts(3*len(x.Idx)*g.PR))
-		ctx.PutInts(payload)
-		for off := 0; off < len(slab); off += 3 {
-			lcol := int(slab[off]) - a.Cols.Lo
-			frontier.Set(lcol, semiring.Vertex{Parent: slab[off+1], Root: slab[off+2]})
+		for off := 0; off < len(piece); off += 3 {
+			lcol := int(piece[off]) - a.Cols.Lo
+			frontier.Set(lcol, semiring.Vertex{Parent: piece[off+1], Root: piece[off+2]})
 			fbm.Set(lcol)
 		}
-		ctx.PutInts(slab)
-
-		// Replicate the visited-row set across my grid row: each rank
-		// contributes the visited rows of its own piece of the row slab.
-		lo := visited.L.MyRange().Lo
-		mine := ctx.GetInts(0)
-		for i, v := range visited.Local {
-			if v != semiring.None {
-				mine = append(mine, int64(lo+i))
-			}
-		}
-		vis := g.Row.AllgathervInto(mine, ctx.GetInts(len(mine)*g.PC))
-		ctx.PutInts(mine)
-		skip.SetIndices(vis, a.Rows.Lo)
-		nvis = len(vis)
-		ctx.PutInts(vis)
 	}
+	rqF.Finish()
+	ctx.PutInts(payload)
+	nvis := 0
+	for {
+		_, piece, ok := rqV.Next()
+		if !ok {
+			break
+		}
+		skip.SetIndices(piece, a.Rows.Lo)
+		nvis += len(piece)
+	}
+	rqV.Finish()
+	ctx.PutInts(mine)
 	// The dense visited/frontier bitmaps are scanned with packed bitwise
 	// operations: 64 entries per word.
 	g.World.AddWork(len(visited.Local)/64 + len(skip.Words) + nvis + 1)
@@ -202,15 +177,7 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 		}
 		ctx.PutInts(hits)
 	}
-	var out *dvec.SparseV
-	if ctx.Overlap() {
-		out = foldOverlap(ctx, g.Row, parts, op, outL)
-	} else {
-		got, fold := g.Row.AlltoallvInto(parts, ctx.GetInts(0))
-		ctx.PutParts(parts)
-		out = mergeSortedTriples(ctx, got, op, outL)
-		ctx.PutInts(fold)
-	}
+	out := foldOverlap(ctx, g.Row, parts, op, outL)
 	g.World.AddWork(out.LocalNnz())
 	tr.End(obs.KindOp, "spmv.fold", fold0, int64(out.LocalNnz()))
 	return out, PullStats{Scanned: work, Hits: nhits}

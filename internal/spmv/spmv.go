@@ -72,70 +72,46 @@ func Mul(a *spmat.LocalMatrix, x *dvec.SparseV, op semiring.AddOp, outL dvec.Lay
 	// shard, and the shards are then merged into shard 0 by row band. Any
 	// regrouping of the per-row combine sequence is bit-identical because
 	// op.Combine is associative and commutative for every BFS semiring.
+	//
+	// The expand is split-phase: each frontier piece is multiplied as it
+	// arrives, hiding stragglers' latency behind the multiply of pieces
+	// already here. Shards are borrowed once at the pool's full width; each
+	// piece is chunked independently.
 	pool := ctx.Pool()
-	var sc *rt.Scratch
-	if ctx.Overlap() {
-		// Split-phase expand: multiply each frontier piece as it arrives,
-		// hiding stragglers' latency behind the multiply of pieces already
-		// here. Shards are borrowed once at the pool's full width; each
-		// piece is chunked independently.
-		rq := g.Col.IAllgathervParts(payload)
-		width := 1
-		if pool != nil {
-			width = pool.Threads()
+	rq := g.Col.IAllgathervParts(payload)
+	width := 1
+	if pool != nil {
+		width = pool.Threads()
+	}
+	shards := ctx.ScratchShards("spmv.rows", width, a.Rows.Len())
+	sc := shards[0]
+	used := 1
+	var work int64
+	for {
+		_, piece, ok := rq.Next()
+		if !ok {
+			break
 		}
-		shards := ctx.ScratchShards("spmv.rows", width, a.Rows.Len())
-		sc = shards[0]
-		used := 1
-		var work int64
-		for {
-			_, piece, ok := rq.Next()
-			if !ok {
-				break
+		n := len(piece) / 3
+		if w := pool.Width(n, multGrain); w > 1 {
+			if w > used {
+				used = w
 			}
-			n := len(piece) / 3
-			if w := pool.Width(n, multGrain); w > 1 {
-				if w > used {
-					used = w
-				}
-				works := make([]int64, w)
-				pool.ForChunked(n, multGrain, func(wi, lo, hi int) {
-					works[wi] = int64(multiplyRange(a, piece, lo, hi, shards[wi], op))
-				})
-				for _, wk := range works {
-					work += wk
-				}
-			} else {
-				work += int64(multiplyRange(a, piece, 0, n, sc, op))
-			}
-		}
-		rq.Finish()
-		ctx.PutInts(payload)
-		g.World.AddWork(int(work))
-		mergeShards(pool, shards[:used], op, a.Rows.Len())
-	} else {
-		slab := g.Col.AllgathervInto(payload, ctx.GetInts(3*len(x.Idx)*g.PR))
-		ctx.PutInts(payload)
-		nent := len(slab) / 3
-		width := pool.Width(nent, multGrain)
-		shards := ctx.ScratchShards("spmv.rows", width, a.Rows.Len())
-		sc = shards[0]
-		if width <= 1 {
-			g.World.AddWork(multiplyRange(a, slab, 0, nent, sc, op))
-		} else {
-			works := make([]int64, width)
-			pool.ForChunked(nent, multGrain, func(w, lo, hi int) {
-				works[w] = int64(multiplyRange(a, slab, lo, hi, shards[w], op))
+			works := make([]int64, w)
+			pool.ForChunked(n, multGrain, func(wi, lo, hi int) {
+				works[wi] = int64(multiplyRange(a, piece, lo, hi, shards[wi], op))
 			})
-			var work int64
 			for _, wk := range works {
 				work += wk
 			}
-			g.World.AddWork(int(work))
-			mergeShards(pool, shards, op, a.Rows.Len())
+		} else {
+			work += int64(multiplyRange(a, piece, 0, n, sc, op))
 		}
-		ctx.PutInts(slab)
 	}
+	rq.Finish()
+	ctx.PutInts(payload)
+	g.World.AddWork(int(work))
+	mergeShards(pool, shards[:used], op, a.Rows.Len())
 
 	tr.End(obs.KindOp, "spmv.expand", expand0, int64(len(x.Idx)))
 	fold0 := tr.Begin()
@@ -152,15 +128,7 @@ func Mul(a *spmat.LocalMatrix, x *dvec.SparseV, op semiring.AddOp, outL dvec.Lay
 			}
 		}
 	}
-	var out *dvec.SparseV
-	if ctx.Overlap() {
-		out = foldOverlap(ctx, g.Row, parts, op, outL)
-	} else {
-		got, fold := g.Row.AlltoallvInto(parts, ctx.GetInts(0))
-		ctx.PutParts(parts)
-		out = mergeSortedTriples(ctx, got, op, outL)
-		ctx.PutInts(fold)
-	}
+	out := foldOverlap(ctx, g.Row, parts, op, outL)
 	g.World.AddWork(out.LocalNnz())
 	tr.End(obs.KindOp, "spmv.fold", fold0, int64(out.LocalNnz()))
 	return out
@@ -175,8 +143,7 @@ func checkSlab(a *spmat.LocalMatrix, outL dvec.Layout) {
 	}
 }
 
-// mergeShards folds shards[1:] into shards[0] by row band. Used by both the
-// blocking and the split-phase multiply.
+// mergeShards folds shards[1:] into shards[0] by row band.
 func mergeShards(pool *parallel.Pool, shards []*rt.Scratch, op semiring.AddOp, rows int) {
 	if len(shards) <= 1 {
 		return

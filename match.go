@@ -138,12 +138,6 @@ type Options struct {
 	// payloads on the wire and every backend meters the encoded volume.
 	// Results are bit-identical with it on or off.
 	Compress bool
-	// DisableOverlap turns off the split-phase compute/communication
-	// overlap: every collective runs in blocking form and the solver's
-	// pipelined frontier count reverts to a loop-top allreduce. Results
-	// and communication meters are bit-identical either way; only wall
-	// clocks and the Stats.CommTimeByOp exposed times change.
-	DisableOverlap bool
 	// Permute randomly permutes rows and columns before distribution for
 	// load balance (Section IV-A).
 	Permute bool
@@ -164,19 +158,18 @@ type Options struct {
 // has no name for.
 func (o Options) toConfig() (core.Config, error) {
 	cfg := core.Config{
-		Engine:         o.Engine,
-		Procs:          o.Procs,
-		GridRows:       o.GridRows,
-		GridCols:       o.GridCols,
-		Threads:        o.Threads,
-		Init:           o.Init,
-		AddOp:          o.Semiring,
-		Augment:        o.Augment,
-		DisablePrune:   o.DisablePrune,
-		Compress:       o.Compress,
-		DisableOverlap: o.DisableOverlap,
-		Permute:        o.Permute,
-		Seed:           o.Seed,
+		Engine:       o.Engine,
+		Procs:        o.Procs,
+		GridRows:     o.GridRows,
+		GridCols:     o.GridCols,
+		Threads:      o.Threads,
+		Init:         o.Init,
+		AddOp:        o.Semiring,
+		Augment:      o.Augment,
+		DisablePrune: o.DisablePrune,
+		Compress:     o.Compress,
+		Permute:      o.Permute,
+		Seed:         o.Seed,
 	}
 	if o.Direction != "" {
 		if err := cfg.Direction.UnmarshalText([]byte(o.Direction)); err != nil {

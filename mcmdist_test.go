@@ -494,8 +494,9 @@ func TestRectangularGridPublicAPI(t *testing.T) {
 // TestDegenerateShapesMatchOracle runs every initializer through the public
 // API on the shapes where blocks and owner ranges go empty: 1×n and n×1
 // graphs, graphs with isolated vertices, more ranks than vertices, and 1×p
-// and p×1 grids. Each matching must be a valid maximum matching of the
-// Hopcroft–Karp oracle's cardinality.
+// and p×1 grids. The Hopcroft–Karp and push-relabel oracles must agree on
+// the maximum cardinality, and each matching must be a valid maximum
+// matching of that cardinality.
 func TestDegenerateShapesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	randomEdges := func(nr, nc, m int) [][2]int {
@@ -534,6 +535,9 @@ func TestDegenerateShapesMatchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := matching.HopcroftKarp(g.a, nil).Cardinality()
+		if pr := matching.PushRelabel(g.a, nil).Cardinality(); pr != want {
+			t.Fatalf("%s: push-relabel %d, Hopcroft-Karp %d", gc.name, pr, want)
+		}
 		for _, grid := range grids {
 			for _, init := range []Initializer{NoInit, GreedyInit, KarpSipserInit, DynamicMindegreeInit} {
 				for _, threads := range []int{1, 3} {

@@ -198,14 +198,17 @@ func recoveryFromCore(r *core.RecoveryStats) *Recovery {
 // goroutine ranks by default, a loopback TCP world (sockets, heartbeats,
 // the lot) with "tcp" — and pol.Fault/pol.Net inject deterministic process
 // and network failures for testing the recovery paths themselves.
-// opts.Procs and opts.Permute are ignored, as in MaximumMatching.
+// opts.Procs, opts.Permute and the grid are handled as in MaximumMatching.
+// opts.Observe records every attempt into a fresh collector, and Stats.Obs
+// is the final attempt's; OnLive is not called, since no one report spans
+// all attempts.
 func (dg *DistributedGraph) SolveRecoverable(opts Options, pol RecoveryPolicy) (m *Matching, st *Stats, rec *Recovery, err error) {
 	defer guard(&err)
-	opts.Procs = dg.procs
-	cfg, err := opts.toConfig()
+	cfg, err := dg.config(opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	cfg.Obs = opts.Observe.collector(dg.procs)
 	switch {
 	case pol.CheckpointEvery < 0:
 		cfg.CheckpointEvery = 0
@@ -241,6 +244,7 @@ func (dg *DistributedGraph) SolveRecoverable(opts Options, pol RecoveryPolicy) (
 		return nil, nil, recoveryFromCore(crec), err
 	}
 	st = statsFromCore(res.Stats, res.PerRank, dg.procs, cfg.Threads)
+	st.Obs = newObsReport(crec.Obs)
 	return fromInternal(res.Matching), st, recoveryFromCore(crec), nil
 }
 

@@ -1,6 +1,8 @@
 package mcmdist
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -72,6 +74,63 @@ func TestSolveRecoverableSession(t *testing.T) {
 	}
 	if m3.Cardinality() != clean.Cardinality() {
 		t.Fatalf("post-recovery solve found %d, want %d", m3.Cardinality(), clean.Cardinality())
+	}
+}
+
+// TestSolveRecoverableObserve pins that SolveRecoverable honours
+// Options.Observe: a traced solve that crashes once and resumes returns the
+// final attempt's spans, none dropped, and an untraced one returns no
+// report.
+func TestSolveRecoverableObserve(t *testing.T) {
+	g := mustRMAT(t, G500, 9, 4, 13)
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dg.Close()
+	pol := RecoveryPolicy{Fault: &FaultSpec{CrashRank: 1, CrashAtCollective: 8}}
+	_, st, rec, err := dg.SolveRecoverable(Options{Init: GreedyInit, Observe: &Observe{Spans: true}}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Attempts != 2 {
+		t.Fatalf("want one crash and one resume, got %+v", rec)
+	}
+	if st.Obs == nil {
+		t.Fatal("traced recoverable solve returned no observations")
+	}
+	if d := st.Obs.DroppedSpans(); d != 0 {
+		t.Fatalf("%d spans dropped", d)
+	}
+	var buf bytes.Buffer
+	if err := st.Obs.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatal(err)
+	}
+	expands := 0
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "spmv.expand" {
+			expands++
+		}
+	}
+	if expands == 0 {
+		t.Fatalf("trace of %d events holds no spmv.expand span", len(tf.TraceEvents))
+	}
+
+	_, st, _, err = dg.SolveRecoverable(Options{Init: GreedyInit}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Obs != nil {
+		t.Fatal("untraced recoverable solve returned observations")
 	}
 }
 

@@ -82,13 +82,25 @@ func (dg *DistributedGraph) Close() {
 // Graph returns the underlying graph.
 func (dg *DistributedGraph) Graph() *Graph { return dg.g }
 
+// config converts opts for a solve on the distribution's fixed grid: Procs
+// comes from the distribution, and a grid set in opts must be the
+// distribution's own.
+func (dg *DistributedGraph) config(opts Options) (core.Config, error) {
+	if (opts.GridRows != 0 || opts.GridCols != 0) && (opts.GridRows != dg.side || opts.GridCols != dg.side) {
+		return core.Config{}, fmt.Errorf("mcmdist: GridRows x GridCols = %d x %d, but the graph is distributed on %d x %d",
+			opts.GridRows, opts.GridCols, dg.side, dg.side)
+	}
+	opts.Procs, opts.GridRows, opts.GridCols = dg.procs, 0, 0
+	return opts.toConfig()
+}
+
 // MaximumMatching runs MCM-DIST on the pre-distributed blocks. opts.Procs
 // and opts.Permute are ignored (fixed at distribution time; permute before
-// calling Distribute when load balancing is wanted).
+// calling Distribute when load balancing is wanted); opts.GridRows and
+// opts.GridCols, when set, must name the distribution's grid.
 func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stats, err error) {
 	defer guard(&err)
-	opts.Procs = dg.procs
-	cfg, err := opts.toConfig()
+	cfg, err := dg.config(opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -140,8 +152,7 @@ func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stat
 // approximation without the MCM phases.
 func (dg *DistributedGraph) MaximalMatchingDistributed(init Initializer, threads int) (m *Matching, st *Stats, err error) {
 	defer guard(&err)
-	opts := Options{Procs: dg.procs, Threads: threads, Init: init}
-	cfg, err := opts.toConfig()
+	cfg, err := dg.config(Options{Threads: threads, Init: init})
 	if err != nil {
 		return nil, nil, err
 	}

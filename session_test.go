@@ -77,3 +77,46 @@ func TestMaximalMatchingDistributed(t *testing.T) {
 		t.Fatal("NoInit accepted for maximal matching")
 	}
 }
+
+// TestDistributedGraphRejectsOtherGrid pins that a grid set in Options must
+// be the distribution's: a DistributedGraph cannot re-block, so any other
+// grid is an error rather than a solve on the distribution's grid.
+func TestDistributedGraphRejectsOtherGrid(t *testing.T) {
+	g := mustRMAT(t, ER, 6, 4, 3)
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dg.Close()
+	entries := []struct {
+		name  string
+		solve func(Options) (*Stats, error)
+	}{
+		{"MaximumMatching", func(o Options) (*Stats, error) {
+			_, st, err := dg.MaximumMatching(o)
+			return st, err
+		}},
+		{"SolveRecoverable", func(o Options) (*Stats, error) {
+			_, st, _, err := dg.SolveRecoverable(o, RecoveryPolicy{})
+			return st, err
+		}},
+	}
+	for _, e := range entries {
+		for _, grid := range [][2]int{{4, 4}, {1, 4}, {4, 1}, {2, 0}, {0, 2}, {2, 1}} {
+			opts := Options{GridRows: grid[0], GridCols: grid[1], Init: GreedyInit}
+			if _, err := e.solve(opts); err == nil {
+				t.Errorf("%s on a 2x2 distribution accepted grid %dx%d", e.name, grid[0], grid[1])
+			}
+		}
+		for _, grid := range [][2]int{{2, 2}, {0, 0}} {
+			opts := Options{GridRows: grid[0], GridCols: grid[1], Init: GreedyInit}
+			st, err := e.solve(opts)
+			if err != nil {
+				t.Fatalf("%s rejected grid %dx%d: %v", e.name, grid[0], grid[1], err)
+			}
+			if st.Procs != 4 {
+				t.Fatalf("%s grid %dx%d: Procs %d", e.name, grid[0], grid[1], st.Procs)
+			}
+		}
+	}
+}
