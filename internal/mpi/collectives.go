@@ -46,23 +46,12 @@ func (c *Comm) AllgathervInto(data []int64, buf []int64) []int64 {
 	return c.IAllgathervInto(data, buf).Wait()
 }
 
-// AlltoallvInto is the buffer-lending Alltoallv: everything received is
-// stored contiguously in buf (grown as needed and returned second), and the
-// first result holds one subslice of that buffer per source rank, in source
-// order. Unlike Alltoallv, the self part is copied too — no subslice aliases
-// parts — so the caller may recycle both parts and buf afterwards. buf is
-// presized to the full receive volume before any subslice is taken, which
-// keeps every subslice valid. Metering is identical to Alltoallv: p-1
-// messages and the words sent to other ranks.
-func (c *Comm) AlltoallvInto(parts [][]int64, buf []int64) ([][]int64, []int64) {
-	return c.IAlltoallvInto(parts, buf).Wait()
-}
-
-// AlltoallvFlat is AlltoallvInto without the per-source boundaries: the
-// received parts are appended into buf in source-rank order and the grown
-// buffer returned. It serves consumers (INVERT, redistribution) that
-// scatter-reduce the union and never look at who sent what. Metering is
-// identical to Alltoallv.
+// AlltoallvFlat is the buffer-lending Alltoallv: the received parts,
+// including the self part, are appended into buf in source-rank order and
+// the grown buffer returned, so nothing in the result aliases parts and the
+// caller may recycle both parts and buf afterwards. It serves consumers
+// (INVERT, redistribution) that scatter-reduce the union and never look at
+// who sent what. Metering is identical to Alltoallv.
 func (c *Comm) AlltoallvFlat(parts [][]int64, buf []int64) []int64 {
 	return c.IAlltoallvFlat(parts, buf).Wait()
 }

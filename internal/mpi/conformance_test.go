@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,8 +119,9 @@ func pinRanks(t *testing.T, backend string, size int, oracle, got *backendRun, o
 	}
 }
 
-// collectiveProgram exercises every blocking collective, the Into variants,
-// and a two-level Split, writing a deterministic digest into rows[rank].
+// collectiveProgram exercises every blocking collective, the buffer-lending
+// variants, and a two-level Split, writing a deterministic digest into
+// rows[rank].
 func collectiveProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 	return func(c *mpi.Comm) error {
 		r := int64(c.Rank())
@@ -144,10 +146,6 @@ func collectiveProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 		out = append(out, c.AllgathervInto([]int64{r + 5}, nil)...)
 		flat := c.AlltoallvFlat(parts, nil)
 		out = append(out, flat...)
-		into, _ := c.AlltoallvInto(parts, nil)
-		for _, part := range into {
-			out = append(out, part...)
-		}
 
 		for _, part := range c.Gatherv(0, []int64{r * 3}) {
 			out = append(out, part...)
@@ -412,5 +410,63 @@ func TestConformanceStraggler(t *testing.T) {
 			t.Fatalf("%s: %v", backend, err)
 		}
 		pinRanks(t, backend, size, oracle, got, oracleRows, gotRows)
+	}
+}
+
+// TestLendingSendBuffersReusableOnReturn pins when a buffer-lending
+// collective hands the send buffers back. Rank 1 starts the collective,
+// sleeps, then waits; rank 0 runs it blocking and overwrites its send
+// buffers the moment it returns. In-process, rank 1 reads rank 0's buffers
+// in place, so rank 0 must not return before rank 1 has read. Across
+// processes, rank 1 reads the copy its transport received, so rank 0 must
+// return while rank 1 is still asleep. Either way rank 1 receives the
+// original values.
+func TestLendingSendBuffersReusableOnReturn(t *testing.T) {
+	const nap = 500 * time.Millisecond
+	type lending struct {
+		name  string
+		start func(c *mpi.Comm, send []int64) *mpi.IntsRequest
+		want  []int64 // rank 1's result: rank 0's part, then its own
+	}
+	for _, coll := range []lending{
+		{"IAlltoallvFlat", func(c *mpi.Comm, send []int64) *mpi.IntsRequest {
+			return c.IAlltoallvFlat([][]int64{send[:2], send[2:]}, nil)
+		}, []int64{3, 4, 7, 8}},
+		{"IAllgathervInto", func(c *mpi.Comm, send []int64) *mpi.IntsRequest {
+			return c.IAllgathervInto(send, nil)
+		}, []int64{1, 2, 3, 4, 5, 6, 7, 8}},
+	} {
+		for _, backend := range append([]string{"inproc"}, nonOracleBackends(t)...) {
+			var asleep, rank0SawAsleep atomic.Bool
+			program := func(c *mpi.Comm) error {
+				if c.Rank() == 0 {
+					send := []int64{1, 2, 3, 4}
+					coll.start(c, send).Wait()
+					rank0SawAsleep.Store(asleep.Load())
+					for i := range send {
+						send[i] = -1
+					}
+					return nil
+				}
+				asleep.Store(true)
+				rq := coll.start(c, []int64{5, 6, 7, 8})
+				time.Sleep(nap)
+				asleep.Store(false)
+				if got := rq.Wait(); fmt.Sprint(got) != fmt.Sprint(coll.want) {
+					return fmt.Errorf("rank 1 received %v, want %v", got, coll.want)
+				}
+				return nil
+			}
+			run := runBackend(t, backend, 2, func() mpi.RunConfig { return mpi.RunConfig{} }, program)
+			for rank, err := range run.errOf {
+				if err != nil {
+					t.Errorf("%s on %s: endpoint %d: %v", coll.name, backend, rank, err)
+				}
+			}
+			if local := backend == "inproc"; rank0SawAsleep.Load() == local {
+				t.Errorf("%s on %s: rank 0 returned while rank 1 was asleep = %v, want %v",
+					coll.name, backend, rank0SawAsleep.Load(), !local)
+			}
+		}
 	}
 }

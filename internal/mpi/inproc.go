@@ -40,11 +40,6 @@ func (t *Inproc) Post(msg *PostMsg) error {
 	panic(fmt.Sprintf("mpi: inproc transport asked to ship %s gen %d on %q — no remote ranks exist", msg.Op, msg.Gen, msg.Comm))
 }
 
-// FinishRead is never invoked — there are no remote members to notify.
-func (t *Inproc) FinishRead(comm string, _ []int, m int, gen int64) error {
-	panic(fmt.Sprintf("mpi: inproc transport asked to notify read of gen %d on %q for member %d — no remote ranks exist", gen, comm, m))
-}
-
 // RMA is never invoked — every window slice is local.
 func (t *Inproc) RMA(rank int, req *RMAReq) (*RMAResp, error) {
 	panic(fmt.Sprintf("mpi: inproc transport asked for remote RMA op %d on rank %d — no remote ranks exist", req.Op, rank))

@@ -27,7 +27,11 @@
 // blocks, so a rank can start a collective, keep computing, and only pay
 // the synchronization when it Waits. The blocking collectives are expressed
 // as start(); Wait() on the same engine and keep their exact historical
-// semantics and metering.
+// semantics and metering. A collective generation retires in each process
+// once the ranks hosted there have read it: in-process every rank reads the
+// sender's buffer directly, across processes the transport has already
+// copied each remote part into its own message, so a lending collective
+// costs one traversal of the fabric and no read notice ever crosses it.
 //
 // Payloads are []int64 throughout: every object the matching algorithms
 // communicate (indices, mates, parents, roots) is an integer, and a flat
@@ -60,12 +64,12 @@
 // frames — count their raw size. With compression off WordsEnc stays zero.
 //
 // Each copying collective has a buffer-lending variant for hot paths
-// (AllgathervInto, AlltoallvInto, AlltoallvFlat): the caller lends a
-// destination buffer (typically from an rt arena), received payloads are
-// appended into it, and nothing in the result aliases any rank's send
-// buffer — so both the lent buffer and the send parts can be recycled the
-// moment the call returns. The metering of each variant is identical to its
-// copying counterpart; the copying API remains the reference for tests.
+// (AllgathervInto, AlltoallvFlat): the caller lends a destination buffer
+// (typically from an rt arena), received payloads are appended into it, and
+// nothing in the result aliases any rank's send buffer — so both the lent
+// buffer and the send parts can be recycled the moment the call returns.
+// The metering of each variant is identical to its copying counterpart; the
+// copying API remains the reference for tests.
 package mpi
 
 import (
@@ -250,17 +254,20 @@ type kindCell struct {
 // commState is the shared half of a communicator: a non-rendezvous mailbox
 // for one group of ranks. A member posts its contribution to collective
 // call number gen without blocking (post); readers pull contributions out
-// as they arrive (collect, nextArrived). A generation retires once every
-// member has declared it finished reading (finishRead); buffer-lending
-// collectives wait for retirement (waitConsumed) before letting callers
-// recycle their send buffers — the split-phase replacement for the old
-// whole-comm quiesce rendezvous. Each participating rank holds a *Comm
+// as they arrive (collect, nextArrived). A generation retires in this
+// process once every member hosted here has declared it finished reading
+// (finishRead); buffer-lending collectives wait for retirement
+// (waitConsumed) before letting callers recycle their send buffers — the
+// split-phase replacement for the old whole-comm quiesce rendezvous. Remote
+// members never read this process's buffers: the transport copies every
+// remote-addressed part out of the send buffer inside Post, so no remote
+// reader needs to be waited for. Each participating rank holds a *Comm
 // handle that pairs this state with its member index.
 type commState struct {
-	id        string
-	world     *World
-	ranks     []int // world ranks of the members, in member order
-	hasRemote bool  // some members are hosted by other processes
+	id     string
+	world  *World
+	ranks  []int // world ranks of the members, in member order
+	nlocal int   // members hosted in this process: the readers gen waits for
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -268,7 +275,7 @@ type commState struct {
 	// per destination member), held from post until the gen retires.
 	posted  []map[int64][]any
 	arrived map[int64]int // gen -> members posted so far
-	taken   map[int64]int // gen -> members done reading
+	taken   map[int64]int // gen -> local members done reading
 	// Retired generations are a watermark plus a sparse set, so the maps
 	// above stay bounded no matter how far ahead any rank runs.
 	doneLow int64          // every gen < doneLow has retired
@@ -294,12 +301,9 @@ func newCommState(w *World, id string, ranks []int) *commState {
 		doneSet: make(map[int64]bool),
 		ops:     make(map[int64]string),
 	}
-	if w != nil {
-		for _, r := range ranks {
-			if !w.isLocalRank(r) {
-				st.hasRemote = true
-				break
-			}
+	for _, r := range ranks {
+		if w.isLocalRank(r) {
+			st.nlocal++
 		}
 	}
 	for s := range st.posted {
@@ -315,8 +319,8 @@ func newCommState(w *World, id string, ranks []int) *commState {
 // ahead of its peers. op labels the generation for watchdog diagnostics.
 func (st *commState) post(m int, gen int64, parts []any, op string) {
 	st.deposit(m, gen, parts, op)
-	if !st.hasRemote {
-		return
+	if st.nlocal == len(st.ranks) {
+		return // no remote members
 	}
 	msg := &PostMsg{
 		Comm: st.id, Ranks: st.ranks, Src: m, Gen: gen, Op: op,
@@ -396,25 +400,15 @@ func (st *commState) nextArrived(m int, gen int64, delivered []bool) (int, any) 
 	}
 }
 
-// finishRead declares one local member done reading gen and notifies the
-// processes hosting the other members. When the last member (counting
-// remote notices) finishes, the generation retires: its posted buffers are
-// dropped and waitConsumed waiters are released.
-func (st *commState) finishRead(m int, gen int64) {
-	st.takeOne(gen)
-	if st.hasRemote {
-		if err := st.world.transport.FinishRead(st.id, st.ranks, m, gen); err != nil {
-			st.world.Abort(&TransportError{Backend: st.world.transport.Name(), Op: "finish", Err: err})
-		}
-	}
-}
-
-// takeOne counts one member (local or remote) done reading gen, retiring
-// the generation when the count reaches the membership.
-func (st *commState) takeOne(gen int64) {
+// finishRead declares one local member done reading gen. When the last
+// member hosted in this process finishes, the generation retires here: its
+// posted buffers are dropped and waitConsumed waiters are released. Every
+// reader waits for all sources before finishing, so no remote post for gen
+// can arrive after it retires.
+func (st *commState) finishRead(gen int64) {
 	st.mu.Lock()
 	st.taken[gen]++
-	if st.taken[gen] == len(st.ranks) {
+	if st.taken[gen] == st.nlocal {
 		for s := range st.posted {
 			delete(st.posted[s], gen)
 		}
@@ -433,22 +427,20 @@ func (st *commState) takeOne(gen int64) {
 		st.cond.Broadcast()
 	}
 	st.mu.Unlock()
-	if st.world != nil {
-		st.world.progress.Add(1)
-	}
+	st.world.progress.Add(1)
 }
 
-// retired reports whether gen has been read by every member. Caller holds
-// st.mu.
+// retired reports whether gen has been read by every local member. Caller
+// holds st.mu.
 func (st *commState) retired(gen int64) bool {
 	return gen < st.doneLow || st.doneSet[gen]
 }
 
-// waitConsumed blocks until gen retires. Deadlock-free under the package's
-// SPMD discipline (all members call collectives on a communicator in the
-// same order): posting never blocks and reads of later generations never
-// wait on earlier ones, so every member eventually performs its own
-// finishRead of gen.
+// waitConsumed blocks until gen retires in this process. Deadlock-free under
+// the package's SPMD discipline (all members call collectives on a
+// communicator in the same order): posting never blocks and reads of later
+// generations never wait on earlier ones, so every local member eventually
+// performs its own finishRead of gen.
 func (st *commState) waitConsumed(gen int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -619,7 +611,7 @@ func (c *Comm) exchange(parts []any, op string) []any {
 	}
 	st.post(c.member, gen, parts, op)
 	got := st.collect(c.member, gen)
-	st.finishRead(c.member, gen)
+	st.finishRead(gen)
 	if tr != nil {
 		tr.EndFlow(obs.KindCollective, op, t0, gen, obs.FlowID(st.id, gen))
 	}
@@ -676,13 +668,6 @@ func (w *World) DeliverPost(msg *PostMsg) {
 		}
 	}
 	st.deposit(msg.Src, msg.Gen, parts, msg.Op)
-}
-
-// DeliverFinish counts a remote member done reading one generation,
-// retiring it locally once every member (local and remote) has finished.
-// Called by transport receiver goroutines.
-func (w *World) DeliverFinish(comm string, ranks []int, gen int64) {
-	w.commStateFor(comm, ranks).takeOne(gen)
 }
 
 // DeliverAbort aborts this process's share of the world with a cause

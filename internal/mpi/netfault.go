@@ -39,15 +39,15 @@ func (e *PeerDownError) Unwrap() error { return e.Err }
 // NetFaultSpec is the network half of the fault plane: a deterministic,
 // seeded injector of link failures for multi-process backends, mirroring
 // FaultPlan's discipline. Faults trigger at fixed points in each sender's
-// own data-frame stream — the Nth mailbox or RMA-request frame it ships on a
+// own data-frame stream — the Nth POST or RMA-request frame it ships on a
 // link — so a given spec reproduces the same failure at the same point on
 // every execution of the same program. The zero value injects nothing.
 //
-// Only frames the rank's own goroutine initiates (posts, read-retirement
-// notices, RMA requests) count toward the triggers; reactive traffic (RMA
-// responses) and control traffic (heartbeats, aborts, byes, bootstrap) is
-// exempt, because its interleaving is timer- or peer-driven and counting it
-// would make the trigger point racy.
+// Only frames the rank's own goroutine initiates (POSTs and RMA requests)
+// count toward the triggers; reactive traffic (RMA responses) and control
+// traffic (heartbeats, aborts, byes, bootstrap) is exempt, because its
+// interleaving is timer- or peer-driven and counting it would make the
+// trigger point racy.
 //
 // Terminal faults (drop, partition) draw from a shared budget of MaxFires
 // (default 1) spanning every world the spec is attached to — the first

@@ -13,9 +13,10 @@ import (
 // in Wait. Completion assembles the result, meters the transfer exactly once
 // with the same counts as the blocking counterpart, and — for collectives
 // whose peers read this rank's send buffer (all of them except Allreduce and
-// Barrier) — waits until every peer has finished reading, so the MPI
-// contract "the send buffer may be reused after completion" carries over to
-// recycled arena buffers.
+// Barrier) — waits until every peer hosted in this process has finished
+// reading, so the MPI contract "the send buffer may be reused after
+// completion" carries over to recycled arena buffers. Peers in other
+// processes read the copy the transport made at post time.
 //
 // A Request is safe for concurrent Wait from multiple goroutines; the
 // result on the typed wrappers is valid once any of them returns.
@@ -46,7 +47,7 @@ func (c *Comm) start(op string, parts []any, lending bool, finish func([]any)) *
 
 // Wait blocks until the collective completes: it assembles the result,
 // retires this rank's read and, for a lending collective, waits for every
-// peer to retire theirs. It then records the time ledger once, plus a
+// local peer to retire theirs. It then records the time ledger once, plus a
 // collective span (post to completion) on the rank's comm track when tracing
 // is on. Idempotent.
 func (r *Request) Wait() {
@@ -60,7 +61,7 @@ func (r *Request) Wait() {
 	if r.finish != nil {
 		r.finish(got)
 	}
-	r.c.st.finishRead(r.c.member, r.gen)
+	r.c.st.finishRead(r.gen)
 	if r.lending {
 		r.c.st.waitConsumed(r.gen)
 	}
@@ -96,21 +97,6 @@ type IntsRequest struct {
 func (q *IntsRequest) Wait() []int64 {
 	q.r.Wait()
 	return q.out
-}
-
-// IntoRequest is a split-phase AlltoallvInto: per-source subslices plus the
-// grown backing buffer.
-type IntoRequest struct {
-	r   *Request
-	out [][]int64
-	buf []int64
-}
-
-// Wait blocks until the collective completes and returns the per-source
-// subslices and the grown buffer.
-func (q *IntoRequest) Wait() ([][]int64, []int64) {
-	q.r.Wait()
-	return q.out, q.buf
 }
 
 // ValueRequest is a split-phase collective resolving to a single value
@@ -181,8 +167,8 @@ func (c *Comm) IAllgatherv(data []int64) *SlicesRequest {
 }
 
 // IAllgathervInto starts a split-phase buffer-lending allgather; result and
-// metering as AllgathervInto. On completion every peer has finished reading
-// data, so both data and the returned buffer may be recycled.
+// metering as AllgathervInto. On completion no peer reads data any more, so
+// both data and the returned buffer may be recycled.
 func (c *Comm) IAllgathervInto(data []int64, buf []int64) *IntsRequest {
 	size := c.Size()
 	parts := make([]any, size)
@@ -225,35 +211,6 @@ func (c *Comm) IAlltoallv(parts [][]int64) *SlicesRequest {
 		}
 		c.addComm(KindAlltoall, int64(size-1), words, wordsEnc)
 		q.out = out
-	})
-	return q
-}
-
-// IAlltoallvInto starts a split-phase buffer-lending personalized
-// all-to-all; result and metering as AlltoallvInto. On completion every
-// peer has finished reading parts, so parts and the buffer may be recycled.
-func (c *Comm) IAlltoallvInto(parts [][]int64, buf []int64) *IntoRequest {
-	anyParts, words, wordsEnc := c.checkParts("AlltoallvInto", parts)
-	size := c.Size()
-	q := &IntoRequest{}
-	q.r = c.start("alltoallv", anyParts, true, func(got []any) {
-		total := 0
-		for s := 0; s < size; s++ {
-			total += len(asInts(got[s]))
-		}
-		if cap(buf)-len(buf) < total {
-			grown := make([]int64, len(buf), len(buf)+total)
-			copy(grown, buf)
-			buf = grown
-		}
-		out := make([][]int64, size)
-		for s := 0; s < size; s++ {
-			start := len(buf)
-			buf = append(buf, asInts(got[s])...)
-			out[s] = buf[start:len(buf):len(buf)]
-		}
-		c.addComm(KindAlltoall, int64(size-1), words, wordsEnc)
-		q.out, q.buf = out, buf
 	})
 	return q
 }
@@ -325,8 +282,8 @@ func (c *Comm) checkParts(name string, parts [][]int64) ([]any, int64, int64) {
 // for stragglers. Payloads returned by Next alias the sender's buffer —
 // they are read-only and valid until Finish. Finish retires the exchange:
 // it meters once (identically to the blocking counterpart), declares this
-// rank done reading, and waits until all peers are too, after which the
-// caller may recycle its send parts.
+// rank done reading, and waits until every peer hosted in this process is
+// too, after which the caller may recycle its send parts.
 type PartsRequest struct {
 	c   *Comm
 	gen int64
@@ -446,8 +403,9 @@ func (pr *PartsRequest) Drain(buf []int64) []int64 {
 
 // Finish completes the exchange: any undelivered sources are drained (their
 // payloads discarded, but still counted), the transfer is metered exactly
-// once, and the call blocks until every peer has finished reading this
-// rank's parts — after which the send buffers may be recycled. Idempotent.
+// once, and the call blocks until every peer hosted in this process has
+// finished reading this rank's parts — after which the send buffers may be
+// recycled. Idempotent.
 func (pr *PartsRequest) Finish() {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -460,7 +418,7 @@ func (pr *PartsRequest) Finish() {
 		}
 	}
 	begin := time.Now()
-	pr.c.st.finishRead(pr.c.member, pr.gen)
+	pr.c.st.finishRead(pr.gen)
 	pr.c.st.waitConsumed(pr.gen)
 	pr.exposed += time.Since(begin)
 	pr.c.addComm(pr.kind, pr.msgs, pr.words, pr.wordsEnc)

@@ -15,7 +15,8 @@ import (
 )
 
 // seedBodies builds one valid body per frame kind with the production
-// encoders — the corpus entries that start the fuzzer inside the happy path.
+// encoders — the corpus entries that start the fuzzer inside the happy path —
+// plus the body the retired type 4 (FINISH) carried until wire version 5.
 func seedBodies() [][]byte {
 	var post wbuf
 	post.str("world")
@@ -30,12 +31,6 @@ func seedBodies() [][]byte {
 	post.part(nil, false)
 	post.u8(1)
 	post.part([]int64{100, 101, 104, 109}, true) // delta-varint branch
-
-	var finish wbuf
-	finish.str("world")
-	finish.ranks([]int{0, 1})
-	finish.u32(1)
-	finish.i64(3)
 
 	var rmaReq wbuf
 	rmaReq.u64(42)
@@ -81,11 +76,27 @@ func seedBodies() [][]byte {
 	pong := encodePong(123456789, 123450000)
 	obsFrame := encodeObs(2, []byte("MCMOBS1 not really, but shaped like a payload"))
 
-	return [][]byte{post.b, finish.b, rmaReq.b, rmaOK.b, rmaErr.b, abort.b, hello.b, roster.b, ping, pong, obsFrame}
+	return [][]byte{post.b, retiredFinishBody(), rmaReq.b, rmaOK.b, rmaErr.b, abort.b, hello.b, roster.b, ping, pong, obsFrame}
+}
+
+// frameRetired is the type byte FINISH carried until wire version 5.
+const frameRetired byte = 4
+
+// retiredFinishBody is a FINISH body as wire version 4 framed it under
+// type 4: str comm | u32 n | n × u32 rank | u32 member | u64 gen.
+func retiredFinishBody() []byte {
+	var b wbuf
+	b.str("world")
+	b.ranks([]int{0, 1})
+	b.u32(1)
+	b.i64(3)
+	return b.b
 }
 
 // FuzzFrameDecode throws one body at every decoder. No decoder may panic on
 // any input; whether it returns a value or an error is its own business.
+// The frame dispatcher must also refuse every body under the reserved type
+// 4, without panicking.
 func FuzzFrameDecode(f *testing.F) {
 	for _, body := range seedBodies() {
 		f.Add(body)
@@ -99,7 +110,9 @@ func FuzzFrameDecode(f *testing.F) {
 				t.Fatalf("POST decoded with parts/ranks mismatch: %d parts, %d ranks", len(msg.Parts), len(msg.Ranks))
 			}
 		}
-		decodeFinish(body)
+		if err := (&Net{}).handle(&peer{rank: 1}, frameRetired, body); err == nil {
+			t.Fatal("a frame of the reserved type 4 was accepted")
+		}
 		if _, req, err := decodeRMAReq(body); err == nil && req == nil {
 			t.Fatal("RMA_REQ decoded successfully to nil")
 		}

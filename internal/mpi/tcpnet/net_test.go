@@ -99,10 +99,12 @@ func TestCompressionShrinksWireBytes(t *testing.T) {
 }
 
 // TestWireStatsAccounting pins the write-plane invariants: every endpoint
-// framed something, aggregation never writes more often than it frames, and
-// the counters are internally consistent (no bytes without writes).
+// framed exactly one POST per remote member per mailbox collective — no
+// read-retirement traffic — aggregation never writes more often than it
+// frames, and the counters are internally consistent (no bytes without
+// writes).
 func TestWireStatsAccounting(t *testing.T) {
-	const p = 4
+	const p, k = 4, 2 // exchange runs two mailbox collectives
 	for _, stats := range [][]tcpnet.WireStats{
 		runLoopback(t, mpi.RunConfig{}, p, exchange),
 		runLoopback(t, mpi.RunConfig{Compress: true}, p, exchange),
@@ -110,6 +112,13 @@ func TestWireStatsAccounting(t *testing.T) {
 		for i, s := range stats {
 			if s.Frames <= 0 || s.Writes <= 0 || s.Bytes <= 0 {
 				t.Fatalf("endpoint %d: empty wire stats %+v", i, s)
+			}
+			want := int64(k * (p - 1))
+			if i == 0 {
+				want += p - 1 // the coordinator's bootstrap ROSTER to each peer
+			}
+			if s.Frames != want {
+				t.Fatalf("endpoint %d: framed %d, want %d for %d collectives on %d ranks", i, s.Frames, want, k, p)
 			}
 			if s.Writes > s.Frames {
 				t.Fatalf("endpoint %d: %d writes for %d frames — aggregation added writes", i, s.Writes, s.Frames)

@@ -6,11 +6,11 @@
 // job-configuration blob) from which the peers wire up the remaining mesh
 // edges among themselves.
 //
-// The backend moves exactly the three traffic kinds of the Transport
-// contract — collective posts, read-retirement notices, and one-sided RMA
-// operations — so everything above the seam (metering, CommTimes, fault
-// injection, the watchdog, tracing) behaves identically to the in-process
-// oracle; the conformance suite in package mpi pins that bit-for-bit.
+// The backend moves exactly the two traffic kinds of the Transport
+// contract — collective posts and one-sided RMA operations — so everything
+// above the seam (metering, CommTimes, fault injection, the watchdog,
+// tracing) behaves identically to the in-process oracle; the conformance
+// suite in package mpi pins that bit-for-bit.
 package tcpnet
 
 import (
@@ -79,14 +79,15 @@ func (o Options) withDefaults() Options {
 // as a single Write, so frames never interleave; the reader goroutine owns
 // the receive side exclusively.
 //
-// Mailbox frames (POST, FINISH) do not write the socket directly: they are
-// framed into a per-peer pending buffer and a flusher goroutine drains it,
-// so frames queued while a write is in flight coalesce into one Write — the
-// small-message aggregation of the wire layer. The queue is FIFO, which
-// preserves the POST-before-FINISH order the mailbox relies on; bootstrap,
-// RMA, ABORT and BYE frames keep writing directly under wmu (RMA never
-// overtakes a fence, because a fence only completes after the remote side
-// acknowledged reading its posts).
+// Mailbox POST frames do not write the socket directly: they are framed
+// into a per-peer pending buffer and a flusher goroutine drains it, so
+// frames queued while a write is in flight coalesce into one Write — the
+// small-message aggregation of the wire layer. Bootstrap, RMA, ABORT and
+// BYE frames keep writing directly under wmu. An RMA request may overtake
+// a fence POST still in the queue, and that is harmless: RMA calls block
+// for their reply, so every pre-fence RMA has completed before the fence is
+// posted, and the fence only completes once every peer has posted it, so a
+// post-fence RMA reaches a target that is already inside the fence.
 type peer struct {
 	rank int
 	conn net.Conn
@@ -845,32 +846,6 @@ func (n *Net) Post(msg *mpi.PostMsg) error {
 	return nil
 }
 
-// FinishRead notifies every remote member's process that member m has
-// finished reading generation gen on the communicator.
-func (n *Net) FinishRead(comm string, ranks []int, m int, gen int64) error {
-	var b wbuf
-	b.str(comm)
-	b.ranks(ranks)
-	b.u32(uint32(m))
-	b.i64(gen)
-	for _, dst := range ranks {
-		if dst == n.rank {
-			continue
-		}
-		p := n.peers[dst]
-		if p == nil {
-			return fmt.Errorf("tcpnet: no connection to rank %d", dst)
-		}
-		if err := n.faultData(p); err != nil {
-			return fmt.Errorf("tcpnet: finish notice gen %d to rank %d: %w", gen, dst, err)
-		}
-		if err := n.enqueue(p, frameFinish, b.b); err != nil {
-			return fmt.Errorf("tcpnet: finish notice gen %d to rank %d: %w", gen, dst, err)
-		}
-	}
-	return nil
-}
-
 // RMA sends one one-sided operation to the process hosting rank and blocks
 // for its reply.
 func (n *Net) RMA(rank int, req *mpi.RMAReq) (*mpi.RMAResp, error) {
@@ -1169,12 +1144,6 @@ func (n *Net) handle(p *peer, typ byte, body []byte) error {
 			return fmt.Errorf("%w (from rank %d)", err, p.rank)
 		}
 		w.DeliverPost(msg)
-	case frameFinish:
-		comm, ranks, gen, err := decodeFinish(body)
-		if err != nil {
-			return fmt.Errorf("%w (from rank %d)", err, p.rank)
-		}
-		w.DeliverFinish(comm, ranks, gen)
 	case frameRMAReq:
 		id, req, err := decodeRMAReq(body)
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 	"mcmdist/internal/wire"
 )
 
-// Wire format (version 4, magic "MCMNET1"):
+// Wire format (version 5, magic "MCMNET1"):
 //
 //	frame   := u32 bodyLen | u8 type | body
 //	u32/u64 := little-endian; int64 values travel as their two's-complement u64
@@ -24,7 +24,6 @@ import (
 //	ROSTER   := u32 size | size × str addr | str config
 //	POST     := str comm | u32 n | n × u32 rank | u32 src | u64 gen |
 //	            str op | u32 n | n × (u8 present | part)
-//	FINISH   := str comm | u32 n | n × u32 rank | u32 member | u64 gen
 //	RMA_REQ  := u64 callID | str win | u32 member | u8 op | u64 off |
 //	            u64 n | ints data | u8 code | u64 operand | u64 expect | u64 next
 //	RMA_RESP := u64 callID | u8 ok | ok: (ints data | u64 old) / !ok: str error
@@ -62,6 +61,15 @@ import (
 // with observability on or off (a slow link's injected delay does apply to
 // them, so injected latency shows up in the RTT estimates).
 //
+// Version 5 deletes the FINISH frame (type 4), the read notice a buffer-
+// lending collective used to wait for from every remote reader. POST
+// carries its own copy of the payload, so no remote reader touches the
+// sender's buffer: a generation retires in each process once the ranks
+// hosted there have read it. A v4 binary would wait forever for notices a
+// v5 peer never sends, hence the bump. Type byte 4 stays reserved so the
+// other frame types keep their bytes; an inbound type-4 frame is an
+// unexpected-frame error.
+//
 // The HELLO magic and version open every connection (both the rendezvous
 // dial and the mesh dials), so a version-skewed or foreign peer is rejected
 // before any traffic flows. A frame body is capped at maxFrame bytes;
@@ -70,7 +78,7 @@ import (
 // wireMagic and wireVersion identify the protocol on every new connection.
 const (
 	wireMagic   = "MCMNET1"
-	wireVersion = 4
+	wireVersion = 5
 )
 
 // maxFrame caps one frame body (1 GiB), a guard against corrupted length
@@ -88,7 +96,7 @@ const (
 	frameHello byte = iota + 1
 	frameRoster
 	framePost
-	frameFinish
+	_ // 4: FINISH, retired in version 5
 	frameRMAReq
 	frameRMAResp
 	frameAbort
@@ -107,8 +115,6 @@ func frameName(t byte) string {
 		return "ROSTER"
 	case framePost:
 		return "POST"
-	case frameFinish:
-		return "FINISH"
 	case frameRMAReq:
 		return "RMA_REQ"
 	case frameRMAResp:
@@ -384,20 +390,6 @@ func decodePost(body []byte) (*mpi.PostMsg, error) {
 		return nil, err
 	}
 	return msg, nil
-}
-
-// decodeFinish decodes a FINISH frame body. The member index travels on the
-// wire but retirement only counts readers, so it is validated and dropped.
-func decodeFinish(body []byte) (comm string, ranks []int, gen int64, err error) {
-	rb := rbuf{b: body}
-	comm = rb.str()
-	ranks = rb.ranks()
-	rb.u32() // member index
-	gen = rb.i64()
-	if err := rb.err(frameFinish); err != nil {
-		return "", nil, 0, err
-	}
-	return comm, ranks, gen, nil
 }
 
 // decodeRMAReq decodes an RMA_REQ frame body.

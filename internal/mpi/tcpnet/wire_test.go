@@ -3,8 +3,61 @@ package tcpnet
 import (
 	"fmt"
 	"math/rand"
+	"net"
+	"strings"
 	"testing"
+	"time"
 )
+
+// TestFrameTypeBytes pins every frame type's byte, so the committed fuzz
+// corpora keep their meaning, and pins that the retired type 4 is refused
+// by the frame dispatcher as an unexpected frame.
+func TestFrameTypeBytes(t *testing.T) {
+	want := map[byte]byte{
+		frameHello: 1, frameRoster: 2, framePost: 3, frameRMAReq: 5, frameRMAResp: 6,
+		frameAbort: 7, frameBye: 8, framePing: 9, framePong: 10, frameObs: 11,
+	}
+	for typ, b := range want {
+		if typ != b {
+			t.Errorf("%s frame is type %d, want %d", frameName(typ), typ, b)
+		}
+	}
+	err := (&Net{}).handle(&peer{rank: 1}, frameRetired, retiredFinishBody())
+	if err == nil || !strings.Contains(err.Error(), "unexpected frame(4) frame from rank 1") {
+		t.Fatalf("type-4 frame: got %v, want an unexpected-frame error", err)
+	}
+}
+
+// TestHelloRefusesV4Peer: a version-4 peer, which would still send and wait
+// for FINISH frames, is refused at HELLO with the version message.
+func TestHelloRefusesV4Peer(t *testing.T) {
+	rv, err := Listen("127.0.0.1:0", Options{DialTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := rv.Coordinate(2, nil)
+		done <- err
+	}()
+	conn, err := net.Dial("tcp", rv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hello wbuf
+	hello.b = append(hello.b, wireMagic...)
+	hello.u8(4)
+	hello.u32(1)
+	hello.str("127.0.0.1:1")
+	if err := writeFrame(conn, frameHello, hello.b); err != nil {
+		t.Fatal(err)
+	}
+	err = <-done
+	if err == nil || !strings.Contains(err.Error(), "peer speaks wire version 4, this build speaks 5") {
+		t.Fatalf("coordinator accepted a v4 HELLO or refused it for another reason: %v", err)
+	}
+}
 
 // TestPartRoundtrip: every payload survives wbuf.part → rbuf.part under both
 // encodings, and the delta encoding is the smaller one on the sorted-run

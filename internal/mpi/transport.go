@@ -10,10 +10,12 @@ import (
 //
 // The mailbox model is the seam: every collective is a generation-stamped
 // post(member, gen, parts, op) / collect pair, and a Transport only has to
-// move three kinds of traffic between processes — posted parts addressed to
-// remote members (Post), read-retirement notices that let lending senders
-// recycle their buffers (FinishRead), and one-sided RMA operations executed
-// on the process owning the target window (RMA). Everything above the seam
+// move two kinds of traffic between processes — posted parts addressed to
+// remote members (Post) and one-sided RMA operations executed on the
+// process owning the target window (RMA). A generation retires in each
+// process once the members hosted there have read it; no read notice
+// crosses the fabric, because Post has copied every remote part out of the
+// sender's buffers before it returns. Everything above the seam
 // (collectives, requests, metering, CommTimes, fault injection, the
 // watchdog, span tracing) is backend-agnostic and runs identically on every
 // Transport.
@@ -26,10 +28,10 @@ import (
 // keeps it the bit-for-bit oracle. The tcpnet backend hosts one rank per
 // process and ships the same messages over sockets.
 //
-// Fabric methods are called from rank goroutines (Post, FinishRead, RMA,
-// Abort) and must be safe for concurrent use. Inbound traffic is delivered
-// by the transport's own receiver goroutines through the World's Deliver*
-// methods after Bind.
+// Fabric methods are called from rank goroutines (Post, RMA, Abort) and
+// must be safe for concurrent use. Inbound traffic is delivered by the
+// transport's own receiver goroutines through the World's Deliver* methods
+// after Bind.
 type Transport interface {
 	// Name identifies the backend ("inproc", "tcp") in conformance tests
 	// and logs.
@@ -52,15 +54,11 @@ type Transport interface {
 	// processes hosting them. The caller has already deposited the local
 	// parts; implementations must deliver to each remote process exactly
 	// one DeliverPost per (source, generation). Never called when every
-	// member of the communicator is local.
+	// member of the communicator is local. Post must not retain msg.Parts
+	// after it returns: a buffer-lending collective completes once the
+	// local members have read, and its caller may then overwrite the send
+	// buffers while remote members have yet to read their copies.
 	Post(msg *PostMsg) error
-
-	// FinishRead announces that member m of the communicator has finished
-	// reading generation gen, so remote processes can retire it once all
-	// members have. ranks lists the communicator's members as world ranks,
-	// in member order (the receiving process may not have materialized the
-	// communicator yet).
-	FinishRead(comm string, ranks []int, m int, gen int64) error
 
 	// RMA executes one one-sided operation against the window registry of
 	// the process hosting the given world rank, blocking for the reply.
@@ -155,7 +153,7 @@ type RMAResp struct {
 type TransportError struct {
 	// Backend is the transport's Name.
 	Backend string
-	// Op is the fabric operation that failed ("post", "finish", "rma", ...).
+	// Op is the fabric operation that failed ("post", "rma", ...).
 	Op string
 	// Err is the underlying cause.
 	Err error

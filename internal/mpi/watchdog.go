@@ -98,8 +98,9 @@ func (st *commState) markAborted(cause error) {
 // deadlockError inspects every communicator's mailbox for the stuck
 // generation and builds the diagnostic. Preference order: a generation some
 // ranks have not posted (classic wedge), then a fully posted generation not
-// yet consumed (a rank died between posting and reading), then a generic
-// no-pending-collective report (ranks stuck in compute or RMA).
+// yet consumed by the ranks hosted here (a rank died between posting and
+// reading), then a generic no-pending-collective report (ranks stuck in
+// compute or RMA).
 func (w *World) deadlockError(timeout time.Duration) *DeadlockError {
 	w.mu.Lock()
 	states := make([]*commState, 0, len(w.comms))
@@ -139,7 +140,7 @@ func (w *World) deadlockError(timeout time.Duration) *DeadlockError {
 				st.mu.Unlock()
 				return e
 			}
-			if unconsumed == nil && st.taken[gen] < len(st.ranks) {
+			if unconsumed == nil && st.taken[gen] < st.nlocal {
 				all := append([]int(nil), st.ranks...)
 				sort.Ints(all)
 				unconsumed = &DeadlockError{
