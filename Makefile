@@ -2,6 +2,7 @@
 # code, no external tools.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build test race bench bench-smoke bench-test vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke
 
@@ -11,8 +12,10 @@ build:
 test:
 	$(GO) test ./...
 
+# Vet, then fail if any file is not gofmt-clean (CI's lint job runs this).
 vet:
 	$(GO) vet ./...
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # The simulated MPI runtime is goroutine-per-rank; the race detector
 # exercises the rendezvous and the buffer-lending collectives directly.

@@ -8,6 +8,7 @@ import (
 
 	"mcmdist/internal/costmodel"
 	"mcmdist/internal/dvec"
+	"mcmdist/internal/obs"
 	"mcmdist/internal/spmat"
 )
 
@@ -58,7 +59,7 @@ type EngineCaps struct {
 // family, instantiated per solve via Start. Implementations must be
 // stateless values (all per-solve state lives in the EngineRun) and must be
 // SPMD-collective exactly like the rest of core: every rank of the grid
-// calls Start/Iterate/Finish in lockstep with an identical sequence of
+// calls Start/Iterate in lockstep with an identical sequence of
 // collectives.
 type Engine interface {
 	// Name returns the canonical registry name.
@@ -72,11 +73,11 @@ type Engine interface {
 
 // EngineRun is one in-progress solve. Iterate executes one phase (a unit of
 // progress after which the mate vectors again encode a valid matching — the
-// checkpoint boundary) and reports whether the matching is maximum. Finish
-// seals the run's statistics.
+// checkpoint boundary) and reports whether the matching is maximum.
+// RunEngine seals every run itself (cardinality, thread telemetry, solve
+// span), so an engine only iterates.
 type EngineRun interface {
 	Iterate() (done bool, err error)
-	Finish() error
 }
 
 var engineRegistry = struct {
@@ -177,9 +178,13 @@ func engineFeatures(cfg Config, a *spmat.CSC) costmodel.GraphFeatures {
 }
 
 // RunEngine drives one engine to completion on this rank: record the engine
-// in Stats, then Iterate until the matching is maximum. Collective.
+// in Stats, Iterate until the matching is maximum, then seal the run — the
+// final cardinality, the worker pool's telemetry, and a solve span named
+// after the engine. Collective.
 func (s *Solver) RunEngine(e Engine, mater, matec *dvec.Dense) error {
 	s.Stats.Engine = e.Name()
+	trc := s.G.RT.Tracer()
+	solve0 := trc.Begin()
 	run := e.Start(s, mater, matec)
 	for {
 		done, err := run.Iterate()
@@ -190,7 +195,10 @@ func (s *Solver) RunEngine(e Engine, mater, matec *dvec.Dense) error {
 			break
 		}
 	}
-	return run.Finish()
+	s.Stats.Cardinality = s.N2 - s.countUnmatched(matec)
+	s.captureThreadStats()
+	trc.End(obs.KindSolve, e.Name(), solve0, int64(s.Stats.Cardinality))
+	return nil
 }
 
 // RunEngineByName is RunEngine with a registry lookup.
@@ -212,7 +220,8 @@ func (s *Solver) Track(op Op, fn func()) { s.tr.track(op, fn) }
 func (s *Solver) ObsIterBegin() int64 { return s.obsIterBegin() }
 
 // ObsIterEnd closes an iteration opened by ObsIterBegin, updating the
-// peak-frontier summary and the per-iteration time-series. See obsIterEnd.
+// peak-frontier summary and the per-iteration time-series and reporting the
+// iteration to Config.OnIteration. See obsIterEnd.
 func (s *Solver) ObsIterEnd(t0 int64, phase, frontier, newPaths int, pull bool) {
 	s.obsIterEnd(t0, phase, frontier, newPaths, pull)
 }
@@ -223,11 +232,3 @@ func (s *Solver) ObsIterEnd(t0 int64, phase, frontier, newPaths int, pull bool) 
 func (s *Solver) MaybeCheckpoint(phase int, mater, matec *dvec.Dense) {
 	s.maybeCheckpoint(phase, mater, matec)
 }
-
-// CountUnmatched returns the global number of unmatched entries of a mate
-// vector. Collective.
-func (s *Solver) CountUnmatched(mate *dvec.Dense) int { return s.countUnmatched(mate) }
-
-// CaptureThreadStats snapshots the worker pool's telemetry delta into this
-// solve's Stats; engines call it from Finish.
-func (s *Solver) CaptureThreadStats() { s.captureThreadStats() }

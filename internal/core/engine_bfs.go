@@ -7,18 +7,188 @@ import (
 	"mcmdist/internal/semiring"
 )
 
-// This file holds the three MS-BFS engines behind the Engine seam. Each
-// Iterate() executes exactly one phase of the multi-source, single-source or
-// tree-grafting search — the direction × compression × backend × threads
-// sweep tests pin that every trajectory is bit-identical. The engines live in core rather than internal/engine because their phase
-// kernels are core's private SpMV/select/augment machinery and because
-// core's own in-package tests drive them through Solve; internal/engine
-// hosts the external plug-ins (docs/ENGINES.md discusses the trade-off).
+// This file holds the three MS-BFS engines behind the Engine seam. They run
+// one copy of Algorithm 2's phase (searchPhase: the level-synchronous search
+// and the augmentation by the paths it found); each engine keeps only its
+// policy — where a phase starts, which rows count as visited, and what
+// survives the phase. Each Iterate() executes exactly one phase; the
+// direction × compression × backend × threads sweep tests pin that every
+// trajectory is bit-identical. The engines live in core rather than
+// internal/engine because their phase kernels are core's private
+// SpMV/select/augment machinery and because core's own in-package tests
+// drive them through Solve; internal/engine hosts the external plug-ins
+// (docs/ENGINES.md discusses the trade-off).
 
 func init() {
 	RegisterEngine(bfsEngine{})
 	RegisterEngine(bfsSSEngine{})
 	RegisterEngine(bfsGraftEngine{})
+}
+
+// msbfs is the state the three BFS engines carry across the phases of one
+// solve.
+type msbfs struct {
+	s            *Solver
+	mater, matec *dvec.Dense
+	// dir carries the adaptive direction choice (see direction.go): the
+	// sticky pull-disable, the discovered-row count, and the resolved
+	// switch threshold.
+	dir dirState
+	// phase numbers the searches started, empty ones included. It labels
+	// the phase spans, the iteration time-series and Config.OnIteration.
+	phase int
+}
+
+// phaseSearch is what one phase's search varies between the engines.
+type phaseSearch struct {
+	pir *dvec.Dense // parents of visited rows (π_r)
+	// visited holds the rows a level may not claim: pir itself, or the
+	// tree-ownership vector when grafting (rows owned by any tree, from
+	// this phase or an earlier one).
+	visited *dvec.Dense
+	// roots, when non-nil, records the tree that claims each row (grafting).
+	roots *dvec.Dense
+	// pathc maps each root column to the unmatched row ending its path
+	// (path_c); searchPhase allocates it.
+	pathc *dvec.Dense
+	// firstPath ends the search at the first level that finds a path (the
+	// single-source engine: its one tree has nothing left to prune).
+	firstPath bool
+}
+
+// openPhase numbers the next search and opens its phase span; the returned
+// function closes the span.
+func (r *msbfs) openPhase() func() {
+	r.phase++
+	trc := r.s.G.RT.Tracer()
+	phase, t0 := r.phase, trc.Begin()
+	return func() { trc.End(obs.KindPhase, "phase", t0, int64(phase)) }
+}
+
+// unmatchedFrontier seeds a phase from every unmatched column (Algorithm 2,
+// lines 6-8).
+func (r *msbfs) unmatchedFrontier() *dvec.SparseV {
+	var fc *dvec.SparseV
+	r.s.tr.track(OpOther, func() { fc = r.s.unmatchedColFrontier(r.matec) })
+	return fc
+}
+
+// searchPhase runs one phase of Algorithm 2: grow alternating trees level by
+// level from the column frontier fc (Steps 1-7 per level), then augment by
+// every vertex-disjoint path found (Step 8) and take the phase-boundary
+// checkpoint. Returns the number of paths augmented; 0 means no augmenting
+// path leaves fc. Collective.
+func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
+	s := r.s
+	mater := r.mater
+	p.pathc = dvec.NewDense(s.ColL, semiring.None)
+	var fcCount *mpi.ValueRequest
+	s.tr.track(OpOther, func() { fcCount = s.startFrontierCount(fc) })
+	paths := 0
+
+	for {
+		var frontierSize int
+		s.tr.track(OpOther, func() {
+			frontierSize = int(fcCount.Wait())
+		})
+		if frontierSize == 0 {
+			break
+		}
+		s.Stats.Iterations++
+		iter0 := s.obsIterBegin()
+
+		// Step 1: explore neighbors of the column frontier in the
+		// direction chooseDirection picks for this iteration (see
+		// direction.go and docs/KERNELS.md for the heuristic). The pull
+		// direction skips the visited rows before the scan, exactly the
+		// set the SELECT below drops after a push.
+		var fr *dvec.SparseV
+		usePull := s.chooseDirection(&r.dir, frontierSize)
+		s.tr.track(OpSpMV, func() {
+			fr = s.mulDirected(usePull, &r.dir, fc, p.visited)
+		})
+
+		// Steps 2-4: unvisited rows; record parents (and, grafting, the
+		// claiming tree); split into unmatched (path endpoints) and
+		// matched rows.
+		var ufr *dvec.SparseV
+		s.tr.track(OpSelect, func() {
+			fr = fr.Select(p.visited, func(v int64) bool { return v == semiring.None })
+			p.pir.ScatterParents(fr)
+			if p.roots != nil {
+				p.roots.ScatterRoots(fr)
+			}
+			ufr = fr.Select(mater, func(v int64) bool { return v == semiring.None })
+			fr = fr.Select(mater, func(v int64) bool { return v != semiring.None })
+		})
+		if s.adaptiveDirection() {
+			// Track discovered rows for the direction heuristic (the
+			// same frontier-size allreduce real direction-optimizing
+			// BFS implementations perform each level).
+			s.tr.track(OpOther, func() {
+				r.dir.noteDiscovered(fr.Nnz() + ufr.Nnz())
+			})
+		}
+
+		var newPaths int
+		s.tr.track(OpOther, func() { newPaths = ufr.Nnz() })
+		stop := false
+		if newPaths > 0 {
+			// Step 5: store endpoints of newly discovered augmenting
+			// paths, one per alternating tree (INVERT keeps one).
+			var tc *dvec.SparseV
+			s.tr.track(OpInvert, func() {
+				tc = ufr.InvertRoots(s.ColL)
+			})
+			s.tr.track(OpSelect, func() {
+				p.pathc.ScatterParents(tc)
+			})
+			s.tr.track(OpOther, func() {
+				paths += tc.Nnz()
+			})
+			stop = p.firstPath
+
+			// Step 6: prune vertices in trees that already yielded a
+			// path (the Fig. 8 ablation switch).
+			if !stop && !s.Cfg.DisablePrune {
+				s.tr.track(OpPrune, func() {
+					roots := ufr.RootVals(s.G.RT.GetInts(ufr.LocalNnz()))
+					fr = fr.PruneRoots(roots)
+					s.G.RT.PutInts(roots)
+				})
+			}
+		}
+
+		if !stop {
+			// Step 7: next column frontier from the mates of the
+			// matched rows that remain.
+			s.tr.track(OpSelect, func() {
+				fr.SetParentsFrom(mater)
+			})
+			s.tr.track(OpInvert, func() {
+				fc = fr.InvertParents(s.ColL)
+				fcCount = s.startFrontierCount(fc)
+			})
+		}
+		s.obsIterEnd(iter0, r.phase, frontierSize, newPaths, usePull)
+		if stop {
+			break
+		}
+	}
+	if paths == 0 {
+		return 0
+	}
+
+	// Step 8: augment by all paths found in this phase. The mate vectors
+	// re-enter the "valid matching" invariant here, making the phase
+	// boundary a restart point for checkpoint/restart.
+	s.Stats.Phases++
+	s.Stats.AugmentedPaths += paths
+	s.tr.track(OpAugment, func() {
+		s.augment(p.pathc, p.pir, mater, r.matec, paths)
+	})
+	s.maybeCheckpoint(s.Stats.Phases, mater, r.matec)
+	return paths
 }
 
 // bfsEngine is MCM-DIST (Algorithm 2): every phase searches from all
@@ -35,157 +205,19 @@ func (bfsEngine) Caps() EngineCaps {
 
 // Start begins one MCM-DIST solve.
 func (bfsEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
-	trc := s.G.RT.Tracer()
-	return &bfsRun{s: s, mater: mater, matec: matec, solve0: trc.Begin()}
+	return &bfsRun{msbfs{s: s, mater: mater, matec: matec}}
 }
 
-type bfsRun struct {
-	s            *Solver
-	mater, matec *dvec.Dense
-	solve0       int64
-	// dir carries the adaptive direction choice (see direction.go): the
-	// sticky pull-disable, the per-phase discovery count, and the resolved
-	// switch threshold.
-	dir   dirState
-	phase int
-}
+type bfsRun struct{ msbfs }
 
-// Iterate runs one MS-BFS phase: grow alternating trees level by level from
-// every unmatched column, then augment by all vertex-disjoint paths found.
-// Returns done when a phase discovers no path (the matching is maximum).
+// Iterate runs one MS-BFS phase from every unmatched column with fresh
+// per-phase parents. Returns done when a phase discovers no path (the
+// matching is maximum).
 func (r *bfsRun) Iterate() (bool, error) {
-	s := r.s
-	trc := s.G.RT.Tracer()
-	mater, matec := r.mater, r.matec
-	r.phase++
-	phase := r.phase
+	defer r.openPhase()()
 	r.dir.resetPhase()
-	phase0 := trc.Begin()
-	// Per-phase state: parents of visited rows and endpoints of
-	// discovered augmenting paths (Algorithm 2, lines 3-5).
-	pir := dvec.NewDense(s.RowL, semiring.None)
-	pathc := dvec.NewDense(s.ColL, semiring.None)
-
-	var fc *dvec.SparseV
-	var fcCount *mpi.ValueRequest
-	s.tr.track(OpOther, func() {
-		fc = s.unmatchedColFrontier(matec)
-		fcCount = s.startFrontierCount(fc)
-	})
-	pathsFound := 0
-
-	for {
-		var frontierSize int
-		s.tr.track(OpOther, func() {
-			frontierSize = int(fcCount.Wait())
-		})
-		if frontierSize == 0 {
-			break
-		}
-		s.Stats.Iterations++
-		iter0 := s.obsIterBegin()
-
-		// Step 1: explore neighbors of the column frontier in the
-		// direction chooseDirection picks for this iteration (see
-		// direction.go and docs/KERNELS.md for the heuristic).
-		var fr *dvec.SparseV
-		usePull := s.chooseDirection(&r.dir, frontierSize)
-		s.tr.track(OpSpMV, func() {
-			fr = s.mulDirected(usePull, &r.dir, fc, pir)
-		})
-
-		// Steps 2-4: unvisited rows; record parents; split into
-		// unmatched (path endpoints) and matched rows.
-		var ufr *dvec.SparseV
-		s.tr.track(OpSelect, func() {
-			fr = fr.Select(pir, func(v int64) bool { return v == semiring.None })
-			pir.ScatterParents(fr)
-			ufr = fr.Select(mater, func(v int64) bool { return v == semiring.None })
-			fr = fr.Select(mater, func(v int64) bool { return v != semiring.None })
-		})
-		if s.adaptiveDirection() {
-			// Track discovered rows for the direction heuristic (the
-			// same frontier-size allreduce real direction-optimizing
-			// BFS implementations perform each level).
-			s.tr.track(OpOther, func() {
-				r.dir.noteDiscovered(fr.Nnz() + ufr.Nnz())
-			})
-		}
-
-		var newPaths int
-		s.tr.track(OpOther, func() { newPaths = ufr.Nnz() })
-		if newPaths > 0 {
-			// Step 5: store endpoints of newly discovered augmenting
-			// paths, one per alternating tree (INVERT keeps one).
-			var tc *dvec.SparseV
-			s.tr.track(OpInvert, func() {
-				tc = ufr.InvertRoots(s.ColL)
-			})
-			s.tr.track(OpSelect, func() {
-				pathc.ScatterParents(tc)
-			})
-			s.tr.track(OpOther, func() {
-				pathsFound += tc.Nnz()
-			})
-
-			// Step 6: prune vertices in trees that already yielded a
-			// path (the Fig. 8 ablation switch).
-			if !s.Cfg.DisablePrune {
-				s.tr.track(OpPrune, func() {
-					roots := ufr.RootVals(s.G.RT.GetInts(ufr.LocalNnz()))
-					fr = fr.PruneRoots(roots)
-					s.G.RT.PutInts(roots)
-				})
-			}
-		}
-
-		// Step 7: next column frontier from the mates of the matched
-		// rows that remain.
-		s.tr.track(OpSelect, func() {
-			fr.SetParentsFrom(mater)
-		})
-		s.tr.track(OpInvert, func() {
-			fc = fr.InvertParents(s.ColL)
-			fcCount = s.startFrontierCount(fc)
-		})
-
-		s.obsIterEnd(iter0, phase, frontierSize, newPaths, usePull)
-		if s.Cfg.OnIteration != nil && s.G.World.Rank() == 0 {
-			s.Cfg.OnIteration(IterInfo{
-				Phase:        phase,
-				Iteration:    s.Stats.Iterations,
-				FrontierSize: frontierSize,
-				NewPaths:     newPaths,
-				Pull:         usePull,
-			})
-		}
-	}
-
-	if pathsFound == 0 {
-		trc.End(obs.KindPhase, "phase", phase0, int64(phase))
-		return true, nil // no augmenting path in this phase: matching is maximum
-	}
-	s.Stats.Phases++
-	s.Stats.AugmentedPaths += pathsFound
-
-	// Step 8: augment by all paths found in this phase. The mate
-	// vectors re-enter the "valid matching" invariant here, making the
-	// phase boundary a restart point for checkpoint/restart.
-	s.tr.track(OpAugment, func() {
-		s.augment(pathc, pir, mater, matec, pathsFound)
-	})
-	s.maybeCheckpoint(s.Stats.Phases, mater, matec)
-	trc.End(obs.KindPhase, "phase", phase0, int64(phase))
-	return false, nil
-}
-
-// Finish seals the run: final cardinality, thread telemetry, solve span.
-func (r *bfsRun) Finish() error {
-	s := r.s
-	s.Stats.Cardinality = s.N2 - s.countUnmatched(r.matec)
-	s.captureThreadStats()
-	s.G.RT.Tracer().End(obs.KindSolve, "mcm", r.solve0, int64(s.Stats.Cardinality))
-	return nil
+	pir := dvec.NewDense(r.s.RowL, semiring.None)
+	return r.searchPhase(&phaseSearch{pir: pir, visited: pir}, r.unmatchedFrontier()) == 0, nil
 }
 
 // bfsSSEngine is the single-source (SS-BFS) variant the paper's Section
@@ -207,8 +239,7 @@ func (bfsSSEngine) Caps() EngineCaps {
 // Start begins one single-source solve.
 func (bfsSSEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
 	return &bfsSSRun{
-		s: s, mater: mater, matec: matec,
-		solve0: s.G.RT.Tracer().Begin(),
+		msbfs: msbfs{s: s, mater: mater, matec: matec},
 		// retired marks columns proven unmatchable: once no augmenting path
 		// leaves a vertex, none ever will again (augmentations only grow the
 		// reachable matching), so retirement is permanent.
@@ -217,11 +248,8 @@ func (bfsSSEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
 }
 
 type bfsSSRun struct {
-	s            *Solver
-	mater, matec *dvec.Dense
-	solve0       int64
-	dir          dirState
-	retired      *dvec.Dense
+	msbfs
+	retired *dvec.Dense
 }
 
 // Iterate runs one single-source phase: pick the globally smallest
@@ -229,99 +257,35 @@ type bfsSSRun struct {
 // apply it (or retire the source). Returns done when no source remains.
 func (r *bfsSSRun) Iterate() (bool, error) {
 	s := r.s
-	mater, matec := r.mater, r.matec
-	r.dir.resetPhase()
-	pir := dvec.NewDense(s.RowL, semiring.None)
-	pathc := dvec.NewDense(s.ColL, semiring.None)
-
-	// Frontier: the single globally-smallest unmatched, unretired column.
-	var fc *dvec.SparseV
 	var src int64
 	s.tr.track(OpOther, func() {
 		lo := s.ColL.MyRange().Lo
 		local := int64(s.N2)
-		for i, v := range matec.Local {
+		for i, v := range r.matec.Local {
 			if v == semiring.None && r.retired.Local[i] == 0 {
 				local = int64(lo + i)
 				break
 			}
 		}
 		src = s.G.World.Allreduce(mpi.OpMin, local)
-		fc = dvec.NewSparseV(s.ColL)
-		if src < int64(s.N2) && s.ColL.MyRange().Contains(int(src)) {
-			fc.Append(int(src), semiring.Self(src))
-		}
-		s.G.World.AddWork(len(matec.Local))
+		s.G.World.AddWork(len(r.matec.Local))
 	})
 	if src >= int64(s.N2) {
 		return true, nil // every unmatched column is retired: maximum reached
 	}
-	pathsFound := 0
-
-	for {
-		var frontierSize int
-		s.tr.track(OpOther, func() { frontierSize = fc.Nnz() })
-		if frontierSize == 0 {
-			break
-		}
-		s.Stats.Iterations++
-		iter0 := s.obsIterBegin()
-
-		var fr *dvec.SparseV
-		usePull := s.chooseDirection(&r.dir, frontierSize)
-		s.tr.track(OpSpMV, func() {
-			fr = s.mulDirected(usePull, &r.dir, fc, pir)
-		})
-		var ufr *dvec.SparseV
-		s.tr.track(OpSelect, func() {
-			fr = fr.Select(pir, func(v int64) bool { return v == semiring.None })
-			pir.ScatterParents(fr)
-			ufr = fr.Select(mater, func(v int64) bool { return v == semiring.None })
-			fr = fr.Select(mater, func(v int64) bool { return v != semiring.None })
-		})
-		if s.adaptiveDirection() {
-			s.tr.track(OpOther, func() {
-				r.dir.noteDiscovered(fr.Nnz() + ufr.Nnz())
-			})
-		}
-		var newPaths int
-		s.tr.track(OpOther, func() { newPaths = ufr.Nnz() })
-		if newPaths > 0 {
-			var tc *dvec.SparseV
-			s.tr.track(OpInvert, func() { tc = ufr.InvertRoots(s.ColL) })
-			s.tr.track(OpSelect, func() { pathc.ScatterParents(tc) })
-			s.tr.track(OpOther, func() { pathsFound += tc.Nnz() })
-			s.obsIterEnd(iter0, s.Stats.Phases+1, frontierSize, newPaths, usePull)
-			break // single source: the first augmenting path ends the phase
-		}
-		s.tr.track(OpSelect, func() { fr.SetParentsFrom(mater) })
-		s.tr.track(OpInvert, func() { fc = fr.InvertParents(s.ColL) })
-		s.obsIterEnd(iter0, s.Stats.Phases+1, frontierSize, newPaths, usePull)
+	defer r.openPhase()()
+	r.dir.resetPhase()
+	mine := s.ColL.MyRange().Contains(int(src))
+	fc := dvec.NewSparseV(s.ColL)
+	if mine {
+		fc.Append(int(src), semiring.Self(src))
 	}
-
-	if pathsFound == 0 {
+	pir := dvec.NewDense(s.RowL, semiring.None)
+	if r.searchPhase(&phaseSearch{pir: pir, visited: pir, firstPath: true}, fc) == 0 && mine {
 		// The source is unmatchable now, hence forever: retire it.
-		if s.ColL.MyRange().Contains(int(src)) {
-			r.retired.SetAt(int(src), 1)
-		}
-		return false, nil
+		r.retired.SetAt(int(src), 1)
 	}
-	s.Stats.Phases++
-	s.Stats.AugmentedPaths += pathsFound
-	s.tr.track(OpAugment, func() {
-		s.augment(pathc, pir, mater, matec, pathsFound)
-	})
-	s.maybeCheckpoint(s.Stats.Phases, mater, matec)
 	return false, nil
-}
-
-// Finish seals the run under the historical "mcm-ss" solve span.
-func (r *bfsSSRun) Finish() error {
-	s := r.s
-	s.Stats.Cardinality = s.N2 - s.countUnmatched(r.matec)
-	s.captureThreadStats()
-	s.G.RT.Tracer().End(obs.KindSolve, "mcm-ss", r.solve0, int64(s.Stats.Cardinality))
-	return nil
 }
 
 // bfsGraftEngine is the tree-grafting variant of MCM-DIST — the distributed
@@ -350,8 +314,7 @@ func (bfsGraftEngine) Caps() EngineCaps {
 // Start begins one tree-grafting solve.
 func (bfsGraftEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
 	return &bfsGraftRun{
-		s: s, mater: mater, matec: matec,
-		solve0: s.G.RT.Tracer().Begin(),
+		msbfs: msbfs{s: s, mater: mater, matec: matec},
 		// Persistent across phases: parents of visited rows and the root of
 		// the alternating tree owning each row (None = unowned).
 		pir:   dvec.NewDense(s.RowL, semiring.None),
@@ -359,109 +322,26 @@ func (bfsGraftEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
 	}
 }
 
+// bfsGraftRun's dir mirrors rootR's lifetime, not the phase's: tree
+// ownership persists across grafted phases, so the discovered-row count
+// feeding the heuristic only resets when the trees do.
 type bfsGraftRun struct {
-	s            *Solver
-	mater, matec *dvec.Dense
-	solve0       int64
-	pir, rootR   *dvec.Dense
-	// dir mirrors rootR's lifetime, not the phase's: tree ownership persists
-	// across grafted phases, so the discovered-row count feeding the
-	// heuristic only resets when the trees do.
-	dir   dirState
-	fresh bool // true while running the full-reset verification phase
-	phase int  // sweeps started, fresh verification sweeps included
+	msbfs
+	pir, rootR *dvec.Dense
+	fresh      bool // true while running the full-reset verification phase
 }
 
 // Iterate runs one grafted sweep. An empty grafted sweep triggers the
 // full-reset verification phase; only an empty fresh sweep reports done.
 func (r *bfsGraftRun) Iterate() (bool, error) {
 	s := r.s
-	trc := s.G.RT.Tracer()
-	mater, matec := r.mater, r.matec
 	pir, rootR := r.pir, r.rootR
-	r.phase++
-	phase := r.phase
-	phase0 := trc.Begin()
-	pathc := dvec.NewDense(s.ColL, semiring.None)
-	var fc *dvec.SparseV
-	var fcCount *mpi.ValueRequest
-	s.tr.track(OpOther, func() {
-		fc = s.unmatchedColFrontier(matec)
-		fcCount = s.startFrontierCount(fc)
-	})
-	pathsFound := 0
-
-	for {
-		var frontierSize int
-		s.tr.track(OpOther, func() {
-			frontierSize = int(fcCount.Wait())
-		})
-		if frontierSize == 0 {
-			break
-		}
-		s.Stats.Iterations++
-		iter0 := s.obsIterBegin()
-
-		// The pull direction's visited set is rootR — exactly the set the
-		// grafting filter below drops — so rows owned by any surviving
-		// tree are skipped before the scan rather than after.
-		var fr *dvec.SparseV
-		usePull := s.chooseDirection(&r.dir, frontierSize)
-		s.tr.track(OpSpMV, func() {
-			fr = s.mulDirected(usePull, &r.dir, fc, rootR)
-		})
-
-		// Grafting filter: skip rows owned by ANY tree, from this phase
-		// or an earlier one. Fresh rows are claimed for the discovering
-		// tree (ownership recorded in rootR, parents in pi_r).
-		var ufr *dvec.SparseV
-		s.tr.track(OpSelect, func() {
-			fr = fr.Select(rootR, func(v int64) bool { return v == semiring.None })
-			pir.ScatterParents(fr)
-			rootR.ScatterRoots(fr)
-			ufr = fr.Select(mater, func(v int64) bool { return v == semiring.None })
-			fr = fr.Select(mater, func(v int64) bool { return v != semiring.None })
-		})
-		if s.adaptiveDirection() {
-			s.tr.track(OpOther, func() {
-				r.dir.noteDiscovered(fr.Nnz() + ufr.Nnz())
-			})
-		}
-
-		var newPaths int
-		s.tr.track(OpOther, func() { newPaths = ufr.Nnz() })
-		if newPaths > 0 {
-			var tc *dvec.SparseV
-			s.tr.track(OpInvert, func() {
-				tc = ufr.InvertRoots(s.ColL)
-			})
-			s.tr.track(OpSelect, func() {
-				pathc.ScatterParents(tc)
-			})
-			s.tr.track(OpOther, func() {
-				pathsFound += tc.Nnz()
-			})
-			if !s.Cfg.DisablePrune {
-				s.tr.track(OpPrune, func() {
-					roots := ufr.RootVals(s.G.RT.GetInts(ufr.LocalNnz()))
-					fr = fr.PruneRoots(roots)
-					s.G.RT.PutInts(roots)
-				})
-			}
-		}
-
-		s.tr.track(OpSelect, func() {
-			fr.SetParentsFrom(mater)
-		})
-		s.tr.track(OpInvert, func() {
-			fc = fr.InvertParents(s.ColL)
-			fcCount = s.startFrontierCount(fc)
-		})
-		s.obsIterEnd(iter0, phase, frontierSize, newPaths, usePull)
-	}
-
-	if pathsFound == 0 {
-		trc.End(obs.KindPhase, "phase", phase0, int64(phase))
+	defer r.openPhase()()
+	// Grafting filter: skip rows owned by ANY tree, from this phase or an
+	// earlier one. Fresh rows are claimed for the discovering tree
+	// (ownership recorded in rootR, parents in pi_r).
+	p := &phaseSearch{pir: pir, visited: rootR, roots: rootR}
+	if r.searchPhase(p, r.unmatchedFrontier()) == 0 {
 		if r.fresh {
 			return true, nil // a full fresh sweep found nothing: maximum reached
 		}
@@ -478,13 +358,6 @@ func (r *bfsGraftRun) Iterate() (bool, error) {
 		return false, nil
 	}
 	r.fresh = false
-	s.Stats.Phases++
-	s.Stats.AugmentedPaths += pathsFound
-
-	s.tr.track(OpAugment, func() {
-		s.augment(pathc, pir, mater, matec, pathsFound)
-	})
-	s.maybeCheckpoint(s.Stats.Phases, mater, matec)
 
 	// Release the augmented (dead) trees: their vertices become
 	// graftable. Dead roots are the pathc entries; every rank gathers
@@ -493,7 +366,7 @@ func (r *bfsGraftRun) Iterate() (bool, error) {
 	s.tr.track(OpOther, func() {
 		var local []int64
 		lo := s.ColL.MyRange().Lo
-		for i, end := range pathc.Local {
+		for i, end := range p.pathc.Local {
 			if end != semiring.None {
 				local = append(local, int64(lo+i))
 			}
@@ -523,15 +396,5 @@ func (r *bfsGraftRun) Iterate() (bool, error) {
 		r.dir.noteDiscovered(-globalReleased)
 		s.G.World.AddWork(len(rootR.Local) + len(dead))
 	})
-	trc.End(obs.KindPhase, "phase", phase0, int64(phase))
 	return false, nil
-}
-
-// Finish seals the run under the historical "mcm-graft" solve span.
-func (r *bfsGraftRun) Finish() error {
-	s := r.s
-	s.Stats.Cardinality = s.N2 - s.countUnmatched(r.matec)
-	s.captureThreadStats()
-	s.G.RT.Tracer().End(obs.KindSolve, "mcm-graft", r.solve0, int64(s.Stats.Cardinality))
-	return nil
 }

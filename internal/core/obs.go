@@ -32,16 +32,26 @@ func (s *Solver) obsIterBegin() int64 {
 }
 
 // obsIterEnd closes one iteration's observation: it updates the Stats
-// frontier summary, records the iteration span, and appends a time-series
-// sample with this rank's meter/comm/pool deltas since obsIterBegin.
-// Always called (it is nil-safe), so the peak-frontier summary is
-// maintained even with observability off.
+// frontier summary, records the iteration span, reports the iteration to
+// Config.OnIteration on rank 0, and appends a time-series sample with this
+// rank's meter/comm/pool deltas since obsIterBegin. Always called (it is
+// nil-safe), so the peak-frontier summary is maintained even with
+// observability off.
 func (s *Solver) obsIterEnd(t0 int64, phase, frontier, newPaths int, pull bool) {
 	if frontier > s.Stats.PeakFrontier {
 		s.Stats.PeakFrontier = frontier
 		s.Stats.PeakFrontierIteration = s.Stats.Iterations
 	}
 	s.G.RT.Tracer().End(obs.KindIteration, "iteration", t0, int64(frontier))
+	if s.Cfg.OnIteration != nil && s.G.World.Rank() == 0 {
+		s.Cfg.OnIteration(IterInfo{
+			Phase:        phase,
+			Iteration:    s.Stats.Iterations,
+			FrontierSize: frontier,
+			NewPaths:     newPaths,
+			Pull:         pull,
+		})
+	}
 	if s.rec == nil {
 		return
 	}

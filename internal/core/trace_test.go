@@ -42,7 +42,41 @@ func computeKind(k obs.Kind) bool {
 
 func TestTraceSpansNestPerRank(t *testing.T) {
 	t.Run("mcm", func(t *testing.T) { checkNesting(t, Config{}) })
+	t.Run("ss", func(t *testing.T) { checkNesting(t, Config{Engine: EngineBFSSingleSource}) })
 	t.Run("graft", func(t *testing.T) { checkNesting(t, Config{Engine: EngineBFSGraft}) })
+}
+
+// TestOnIterationEveryEngine checks that every BFS engine reports each of
+// its levels to Config.OnIteration, and that the reports agree with rank 0's
+// iteration time-series.
+func TestOnIterationEveryEngine(t *testing.T) {
+	a := rmat.MustGenerate(rmat.G500, 8, 8, 5)
+	for _, engine := range []string{EngineBFS, EngineBFSSingleSource, EngineBFSGraft} {
+		t.Run(engine, func(t *testing.T) {
+			const procs = 4
+			col := obs.NewCollector(procs, obs.Options{TimeSeries: true})
+			var got []IterInfo
+			res := mustSolve(t, a, Config{
+				Procs: procs, Engine: engine, Direction: DirectionAuto, Obs: col,
+				OnIteration: func(ii IterInfo) { got = append(got, ii) },
+			})
+			if res.Stats.Iterations == 0 || len(got) != res.Stats.Iterations {
+				t.Fatalf("OnIteration fired %d times, Stats.Iterations = %d", len(got), res.Stats.Iterations)
+			}
+			samples := col.Recorder(0).Samples()
+			if len(samples) != len(got) {
+				t.Fatalf("%d OnIteration reports, %d rank-0 samples", len(got), len(samples))
+			}
+			for i, ii := range got {
+				sm := samples[i]
+				want := IterInfo{Phase: sm.Phase, Iteration: sm.Iteration,
+					FrontierSize: sm.Frontier, NewPaths: sm.NewPaths, Pull: sm.Pull}
+				if ii != want || ii.Iteration != i+1 {
+					t.Fatalf("report %d = %+v, time-series %+v", i, ii, want)
+				}
+			}
+		})
+	}
 }
 
 // checkNesting solves with cfg under a collector and asserts every rank's
@@ -59,7 +93,7 @@ func checkNesting(t *testing.T, cfg Config) {
 		if len(spans) == 0 {
 			t.Fatalf("rank %d recorded no spans", r)
 		}
-		var solves, iters, ops int
+		var solves, phases, iters, ops int
 		// Spans are recorded at End, so the ring holds children before
 		// their parents. Re-sort into document order (start ascending,
 		// longer span first on ties) and run the stack containment check:
@@ -77,6 +111,8 @@ func checkNesting(t *testing.T, cfg Config) {
 			switch sp.Kind {
 			case obs.KindSolve:
 				solves++
+			case obs.KindPhase:
+				phases++
 			case obs.KindIteration:
 				iters++
 			case obs.KindOp:
@@ -107,8 +143,8 @@ func checkNesting(t *testing.T, cfg Config) {
 		if solves != 1 {
 			t.Fatalf("rank %d: %d solve spans, want 1", r, solves)
 		}
-		if iters == 0 || ops == 0 {
-			t.Fatalf("rank %d: iters=%d ops=%d, want both > 0", r, iters, ops)
+		if phases == 0 || iters == 0 || ops == 0 {
+			t.Fatalf("rank %d: phases=%d iters=%d ops=%d, want all > 0", r, phases, iters, ops)
 		}
 	}
 }

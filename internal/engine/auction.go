@@ -55,7 +55,6 @@ func (auctionEngine) Caps() core.EngineCaps {
 func (auctionEngine) Start(s *core.Solver, mater, matec *dvec.Dense) core.EngineRun {
 	return &auctionRun{
 		s: s, mater: mater, matec: matec,
-		solve0:     s.G.RT.Tracer().Begin(),
 		price:      dvec.NewDense(s.RowL, 0),
 		pricedOut:  dvec.NewDense(s.ColL, 0),
 		priceBound: int64(min(s.N1, s.N2) + 1),
@@ -66,7 +65,6 @@ func (auctionEngine) Start(s *core.Solver, mater, matec *dvec.Dense) core.Engine
 type auctionRun struct {
 	s            *core.Solver
 	mater, matec *dvec.Dense
-	solve0       int64
 	price        *dvec.Dense // row prices in ε-units, row-aligned
 	pricedOut    *dvec.Dense // 1 = column proven unmatchable, col-aligned
 	priceBound   int64       // min(n1,n2)+1: cheapest-neighbor price that retires a bidder
@@ -257,26 +255,7 @@ func (r *auctionRun) Iterate() (bool, error) {
 
 	s.Stats.Phases++
 	s.ObsIterEnd(iter0, round, active, newMatches, false)
-	if s.Cfg.OnIteration != nil && g.World.Rank() == 0 {
-		s.Cfg.OnIteration(core.IterInfo{
-			Phase:        round,
-			Iteration:    s.Stats.Iterations,
-			FrontierSize: active,
-			NewPaths:     newMatches,
-			Pull:         false,
-		})
-	}
 	s.MaybeCheckpoint(round, r.mater, r.matec)
 	trc.End(obs.KindPhase, "round", phase0, int64(round))
 	return false, nil
-}
-
-// Finish seals the run: final cardinality, thread telemetry, and the
-// "auction" solve span.
-func (r *auctionRun) Finish() error {
-	s := r.s
-	s.Stats.Cardinality = s.N2 - s.CountUnmatched(r.matec)
-	s.CaptureThreadStats()
-	s.G.RT.Tracer().End(obs.KindSolve, "auction", r.solve0, int64(s.Stats.Cardinality))
-	return nil
 }

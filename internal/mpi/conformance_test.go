@@ -185,7 +185,7 @@ func requestProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 		out = append(out, breq.Wait()...)
 		out = append(out, areq.Wait())
 
-		greq := c.IAllgatherv([]int64{r * 2, r * 2 + 1})
+		greq := c.IAllgatherv([]int64{r * 2, r*2 + 1})
 		for _, part := range greq.Wait() {
 			out = append(out, part...)
 		}

@@ -23,6 +23,12 @@ import (
 // RunTransport error. Faulted worlds end dirty, so Close errors are ignored.
 func runFaulted(t *testing.T, size int, opts tcpnet.Options) []error {
 	t.Helper()
+	return runFaultedProgram(t, size, opts, exchange)
+}
+
+// runFaultedProgram is runFaulted with an explicit per-rank program.
+func runFaultedProgram(t *testing.T, size int, opts tcpnet.Options, program func(*mpi.Comm) error) []error {
+	t.Helper()
 	eps, err := tcpnet.LoopbackOpts(size, nil, opts)
 	if err != nil {
 		t.Fatalf("building faulted loopback world: %v", err)
@@ -33,12 +39,23 @@ func runFaulted(t *testing.T, size int, opts tcpnet.Options) []error {
 		wg.Add(1)
 		go func(i int, ep mpi.Transport) {
 			defer wg.Done()
-			_, errs[i] = mpi.RunTransport(mpi.RunConfig{}, ep, exchange)
+			_, errs[i] = mpi.RunTransport(mpi.RunConfig{}, ep, program)
 		}(i, ep)
 	}
 	wg.Wait()
 	mpi.CloseAll(eps)
 	return errs
+}
+
+// exchangeTwice runs exchange twice. The second round's collectives need
+// every rank's contribution again, so a rank outside a dropped link cannot
+// finish before the failure reaches it: the link's far side is stuck in the
+// first round and never posts to the second.
+func exchangeTwice(c *mpi.Comm) error {
+	if err := exchange(c); err != nil {
+		return err
+	}
+	return exchange(c)
 }
 
 // injectedFrom picks the endpoint error that carries the injected fault
@@ -55,6 +72,9 @@ func injectedFrom(errs []error) error {
 // TestDropLinkDeterministic pins the injector's core promise: the same drop
 // spec fails the same link at the same data frame with the identical error
 // rendering on every execution, and every rank's failure is restartable.
+// The drop hits the first exchange's second collective; the program runs a
+// second exchange so that rank 0, which is not on the link, still needs
+// rank 2's post-drop contribution and cannot finish cleanly.
 func TestDropLinkDeterministic(t *testing.T) {
 	spec := func() *mpi.NetFaultSpec {
 		return &mpi.NetFaultSpec{DropFrom: 1, DropTo: 2, DropAtFrame: 2}
@@ -62,7 +82,7 @@ func TestDropLinkDeterministic(t *testing.T) {
 	var texts []string
 	for run := 0; run < 2; run++ {
 		f := spec()
-		errs := runFaulted(t, 3, tcpnet.Options{Faults: f})
+		errs := runFaultedProgram(t, 3, tcpnet.Options{Faults: f}, exchangeTwice)
 		inj := injectedFrom(errs)
 		if inj == nil {
 			t.Fatalf("run %d: no injected fault surfaced: %v", run, errs)

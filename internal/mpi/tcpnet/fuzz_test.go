@@ -102,7 +102,7 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("MCMNET1"))            // hello cut off after the magic
+	f.Add([]byte("MCMNET1"))              // hello cut off after the magic
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // a length field pointing past the body
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if msg, err := decodePost(body); err == nil {

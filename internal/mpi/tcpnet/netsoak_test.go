@@ -11,48 +11,12 @@ package tcpnet_test
 import (
 	"errors"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/mpi/tcpnet"
 )
-
-// soakExchanges is how many times each soak world runs exchange. One
-// exchange is two mailbox collectives, so it frames only two POSTs per
-// link; two exchanges put every trigger frame (1–3) inside each link's
-// data-frame stream.
-const soakExchanges = 2
-
-// runSoakWorld is runFaulted with the soak's workload: exchange repeated
-// soakExchanges times per world.
-func runSoakWorld(t *testing.T, size int, opts tcpnet.Options) []error {
-	t.Helper()
-	eps, err := tcpnet.LoopbackOpts(size, nil, opts)
-	if err != nil {
-		t.Fatalf("building faulted loopback world: %v", err)
-	}
-	errs := make([]error, size)
-	var wg sync.WaitGroup
-	for i, ep := range eps {
-		wg.Add(1)
-		go func(i int, ep mpi.Transport) {
-			defer wg.Done()
-			_, errs[i] = mpi.RunTransport(mpi.RunConfig{}, ep, func(c *mpi.Comm) error {
-				for k := 0; k < soakExchanges; k++ {
-					if err := exchange(c); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		}(i, ep)
-	}
-	wg.Wait()
-	mpi.CloseAll(eps)
-	return errs
-}
 
 // TestSoakNetFaultChaos cycles loopback TCP worlds through the fault modes.
 // Every iteration builds a fresh injector with trigger points derived from
@@ -88,7 +52,10 @@ func TestSoakNetFaultChaos(t *testing.T) {
 		if f != nil {
 			opts.Faults = f
 		}
-		errs := runSoakWorld(t, size, opts)
+		// One exchange is two mailbox collectives, so it frames only two
+		// POSTs per link; two exchanges put every trigger frame (1–3)
+		// inside each link's data-frame stream.
+		errs := runFaultedProgram(t, size, opts, exchangeTwice)
 
 		terminal := mode == 0 || mode == 1
 		if terminal {

@@ -18,9 +18,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(3, AppendEncoded(nil, []int64{3, 5, 9}))
 	f.Add(4, AppendEncoded(nil, []int64{100, 101, 104, 109}))
 	f.Add(2, AppendEncoded(nil, []int64{-1 << 62, 1<<62 - 1}))
-	f.Add(1, []byte{0x80})                   // truncated varint
-	f.Add(1, []byte{0x00, 0x00})             // trailing byte
-	f.Add(1 << 30, []byte{0x02, 0x02, 0x02}) // count far beyond the stream
+	f.Add(1, []byte{0x80})                 // truncated varint
+	f.Add(1, []byte{0x00, 0x00})           // trailing byte
+	f.Add(1<<30, []byte{0x02, 0x02, 0x02}) // count far beyond the stream
 	f.Fuzz(func(t *testing.T, count int, src []byte) {
 		v, err := Decode(nil, count, src)
 		if err != nil {
