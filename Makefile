@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race bench bench-smoke bench-test vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke
+.PHONY: build test race bench bench-smoke bench-record bench-test vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -71,13 +71,15 @@ bench:
 
 # One-iteration pass over the Table I benchmarks (the primitive chain and
 # the end-to-end solve at t=1 vs t=4), the 4-endpoint loopback solve's
-# allocation benchmark and the degree initializers' — the CI smoke that
-# keeps the threaded hot path and the per-rank distribution compiling and
-# running without paying full bench time — plus one adaptive-direction
-# compressed cmd/mcm solve whose per-iteration time-series CSV (direction
-# decisions, encoded words) is validated by cmd/tracelint.
+# allocation benchmark, the degree initializers' and the sparse-frontier
+# SpMV kernel's — the CI smoke that keeps the threaded hot path and the
+# per-rank distribution compiling and running without paying full bench
+# time — plus one adaptive-direction compressed cmd/mcm solve whose
+# per-iteration time-series CSV (direction decisions, encoded words) is
+# validated by cmd/tracelint.
 bench-smoke:
 	$(GO) test -bench 'TableI|SolveOnAllocs|MaximalInit' -benchtime=1x -run '^$$' .
+	$(GO) test -bench MulSparseFrontier -benchtime=1x -run '^$$' ./internal/spmv/
 	$(GO) run ./cmd/mcm -rmat g500 -scale 12 -procs 4 -direction auto -compress -timeseries direction-series.csv
 	$(GO) run ./cmd/tracelint direction-series.csv
 
@@ -87,6 +89,16 @@ bench-smoke:
 # BENCHMARK.json declares.
 bench-test:
 	cd benchmark && $(GO) test .
+
+# Record the repo benchmark's full traced run as BENCH_$(PR).json at the
+# repo root (make bench-record PR=<n>), one committed results file per
+# change, so the trajectory of every metric stays in the tree. Compare two
+# records with bash benchmark/run.sh -compare; a record from another host
+# measures that host as much as the code.
+PR ?=
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>"; exit 1; }
+	bash benchmark/run.sh -out BENCH_$(PR).json
 
 # Multi-process transport smoke: one solve spanning four OS processes over
 # loopback TCP (mcm coordinating, three mcmrank workers), its matching

@@ -5,12 +5,12 @@ import (
 	"math/bits"
 )
 
-// Bitmap is a dense bitset over a local index range [0, N): the frontier and
-// visited-set representation the pull-direction SpMV uses on dense
-// iterations, where a membership test must be one word load + mask instead
-// of a stamp-array read. The word type is int64, not uint64, so a bitmap can
-// live in a buffer borrowed from the rt.Ctx arena (GetInts) and ride the
-// buffer-lending collectives unchanged.
+// Bitmap is a dense bitset over a local index range [0, N): the visited-set
+// representation the pull-direction SpMV uses on dense iterations and the
+// initializers' matched-row and matched-column sets, where a membership test
+// must be one word load + mask. The word type is int64, not uint64, so a
+// bitmap can live in a buffer borrowed from the rt.Ctx arena (GetInts) and
+// ride the buffer-lending collectives unchanged.
 type Bitmap struct {
 	Words []int64
 	N     int
@@ -33,8 +33,7 @@ func AsBitmap(buf []int64, n int) Bitmap {
 	return b
 }
 
-// Clear zeroes every bit. O(n/64) word stores — cheaper than the epoch
-// bump of a stamp scratch is not, but the scan wins it back in cache lines.
+// Clear zeroes every bit: O(n/64) word stores.
 func (b Bitmap) Clear() {
 	for i := range b.Words {
 		b.Words[i] = 0

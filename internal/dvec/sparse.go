@@ -273,19 +273,16 @@ const (
 )
 
 // scatterReduce folds received stride-length records (index, value[, root])
-// into the rank's epoch-stamped scratch over outL.MyRange(), combining the
-// records of one index under op, and returns the scratch and the distinct
-// local offsets it touched, sorted. The offsets are an arena buffer for the
-// caller to PutInts. This is O(records + k log k) for k distinct indices.
-func scatterReduce(outL Layout, flat []int64, stride int, op Reduce) (*rt.Scratch, []int64) {
-	ctx := outL.G.RT
+// into the rank's dense scratch over outL.MyRange(), combining the records
+// of one index under op, and returns the scratch and the number k of
+// distinct local offsets it touched. The scratch's Next walks those offsets
+// in increasing order, so the receive is O(records + n/64) with no sort.
+func scatterReduce(outL Layout, flat []int64, stride int, op Reduce) (*rt.Scratch, int) {
 	r := outL.MyRange()
 	n := r.Len()
-	sc := ctx.Scratch("dvec.receive", n)
-	offs := ctx.GetInts(min(len(flat)/stride, n))
+	sc := outL.G.RT.Scratch("dvec.receive", n)
+	k := 0
 	for o := 0; o < len(flat); o += stride {
-		// The scratch may be longer than the range, so its bounds check
-		// would not catch a misrouted index.
 		off := int(flat[o]) - r.Lo
 		if uint(off) >= uint(n) {
 			panic(fmt.Sprintf("dvec: received index %d outside local range [%d,%d)", flat[o], r.Lo, r.Hi))
@@ -297,33 +294,31 @@ func scatterReduce(outL Layout, flat []int64, stride int, op Reduce) (*rt.Scratc
 		switch {
 		case !sc.Has(off):
 			sc.Set(off, v)
-			offs = append(offs, int64(off))
+			k++
 		case op == Sum:
 			sc.Val[off].Parent += v.Parent
 		case op == Store || v.Parent < sc.Val[off].Parent:
 			sc.Val[off] = v
 		}
 	}
-	slices.Sort(offs)
-	return sc, offs
+	return sc, k
 }
 
 // ReceiveInt builds the sparse vector with layout outL from received
 // (index, value) records, combining the records of one index under op. The
 // indices must fall in outL.MyRange(); flat stays the caller's.
 func ReceiveInt(outL Layout, flat []int64, op Reduce) *SparseInt {
-	sc, offs := scatterReduce(outL, flat, 2, op)
+	sc, k := scatterReduce(outL, flat, 2, op)
 	lo := outL.MyRange().Lo
 	out := NewSparseInt(outL)
-	if len(offs) > 0 {
-		out.Idx = make([]int, len(offs))
-		out.Val = make([]int64, len(offs))
+	if k > 0 {
+		out.Idx = make([]int, 0, k)
+		out.Val = make([]int64, 0, k)
 	}
-	for k, off := range offs {
-		out.Idx[k] = lo + int(off)
-		out.Val[k] = sc.Val[off].Parent
+	for off := sc.Next(0); off < sc.Len(); off = sc.Next(off + 1) {
+		out.Idx = append(out.Idx, lo+off)
+		out.Val = append(out.Val, sc.Val[off].Parent)
 	}
-	outL.G.RT.PutInts(offs)
 	return out
 }
 
@@ -379,21 +374,19 @@ func (s *SparseV) InvertRoots(outL Layout) *SparseV {
 // with the smallest source wins each target and keeps its root.
 func invertVertex(l Layout, outL Layout, records []int64) *SparseV {
 	flat := invertExchange(l, outL, records, 3)
-	ctx := l.G.RT
-	sc, offs := scatterReduce(outL, flat, 3, KeepMin)
+	sc, k := scatterReduce(outL, flat, 3, KeepMin)
 	lo := outL.MyRange().Lo
 	out := NewSparseV(outL)
-	if len(offs) > 0 {
-		out.Idx = make([]int, len(offs))
-		out.Val = make([]semiring.Vertex, len(offs))
+	if k > 0 {
+		out.Idx = make([]int, 0, k)
+		out.Val = make([]semiring.Vertex, 0, k)
 	}
-	for k, off := range offs {
-		out.Idx[k] = lo + int(off)
-		out.Val[k] = sc.Val[off]
+	for off := sc.Next(0); off < sc.Len(); off = sc.Next(off + 1) {
+		out.Idx = append(out.Idx, lo+off)
+		out.Val = append(out.Val, sc.Val[off])
 	}
-	ctx.PutInts(offs)
 	l.G.World.AddWork(len(flat) / 3)
-	ctx.PutInts(flat)
+	l.G.RT.PutInts(flat)
 	return out
 }
 

@@ -8,13 +8,15 @@
 // INVERT record buffers — thousands of short-lived slices per rank per
 // level. A Ctx owns that state instead:
 //
-//   - a size-classed buffer arena (GetInts/PutInts, GetVerts/PutVerts,
-//     GetBools/PutBools, GetParts/PutParts) with strict borrow/return
-//     discipline: a lent buffer never outlives the primitive call that
-//     borrowed it, so pooled storage can never alias live algorithm state;
-//   - epoch-stamped dense scratch (Scratch) that replaces the per-call
-//     "allocate scratch + present" pattern: instead of re-zeroing, each
-//     borrow bumps an epoch and stale entries are simply not Has();
+//   - a size-classed buffer arena (GetInts/PutInts, GetParts/PutParts) with
+//     strict borrow/return discipline: a lent buffer never outlives the
+//     primitive call that borrowed it, so pooled storage can never alias
+//     live algorithm state;
+//   - dense scratch (Scratch), a value array plus a presence bitmap cleared
+//     on borrow, that replaces the per-call "allocate scratch + present"
+//     pattern: a borrow clears one word per 64 entries, and Next walks the
+//     present entries in order, so the SpMV fold and the INVERT receive
+//     visit only the entries they touched;
 //   - the per-op wall-clock / communication-meter ledger (Track), folded in
 //     from the solver so metering hangs off the rank's context rather than
 //     off the communicator alone.
@@ -31,6 +33,7 @@
 package rt
 
 import (
+	"math/bits"
 	"time"
 
 	"mcmdist/internal/mpi"
@@ -56,8 +59,6 @@ type Ctx struct {
 	enabled bool
 
 	ints  [numClasses][][]int64
-	verts [numClasses][][]semiring.Vertex
-	bools [numClasses][][]bool
 	parts [][][]int64 // free personalized-collective send-buffer sets
 
 	scratch map[string]*Scratch
@@ -229,59 +230,6 @@ func (c *Ctx) PutInts(b []int64) {
 	}
 }
 
-// GetVerts borrows a semiring.Vertex buffer with length 0, capacity >= n.
-func (c *Ctx) GetVerts(n int) []semiring.Vertex {
-	if !c.Enabled() {
-		return make([]semiring.Vertex, 0, n)
-	}
-	cls := classFor(n)
-	if l := len(c.verts[cls]); l > 0 {
-		b := c.verts[cls][l-1]
-		c.verts[cls] = c.verts[cls][:l-1]
-		return b[:0]
-	}
-	return make([]semiring.Vertex, 0, minClassCap<<cls)
-}
-
-// PutVerts returns a GetVerts buffer to the arena.
-func (c *Ctx) PutVerts(b []semiring.Vertex) {
-	cls, ok := putClass(cap(b))
-	if !c.Enabled() || !ok {
-		return
-	}
-	if len(c.verts[cls]) < maxPerClass {
-		c.verts[cls] = append(c.verts[cls], b[:0])
-	}
-}
-
-// GetBools borrows a bool buffer of length n with UNDEFINED contents — the
-// caller must overwrite every element it reads. For full-overwrite scans
-// (e.g. the unmatched-column mask) this trades the zeroing of make for
-// nothing at all.
-func (c *Ctx) GetBools(n int) []bool {
-	if !c.Enabled() {
-		return make([]bool, n)
-	}
-	cls := classFor(n)
-	if l := len(c.bools[cls]); l > 0 {
-		b := c.bools[cls][l-1]
-		c.bools[cls] = c.bools[cls][:l-1]
-		return b[:n]
-	}
-	return make([]bool, n, minClassCap<<cls)
-}
-
-// PutBools returns a GetBools buffer to the arena.
-func (c *Ctx) PutBools(b []bool) {
-	cls, ok := putClass(cap(b))
-	if !c.Enabled() || !ok {
-		return
-	}
-	if len(c.bools[cls]) < maxPerClass {
-		c.bools[cls] = append(c.bools[cls], b[:0])
-	}
-}
-
 // GetParts borrows a set of p per-destination send buffers for a
 // personalized collective, each reset to length 0 but keeping its grown
 // backing array across borrows. Return the set with PutParts after the
@@ -319,45 +267,51 @@ func (c *Ctx) PutParts(ps [][]int64) {
 	}
 }
 
-// Scratch is a dense (value, present) workspace over a fixed index range,
-// epoch-stamped so that re-borrowing it costs an epoch increment instead of
-// a re-zeroing pass. Has(i) is true only for indices Set since the last
-// borrow.
+// Scratch is a dense (value, present) workspace over the index range [0, n)
+// of one borrow. Presence is a bitmap, one word per 64 entries, cleared on
+// borrow: Has(i) is true only for indices Set or Marked since the last
+// borrow, and Next walks the present indices in order, so a consumer pays
+// for the n/64 words plus the entries it touched rather than for n.
 type Scratch struct {
-	Val   []semiring.Vertex
-	stamp []uint32
-	epoch uint32
+	Val  []semiring.Vertex
+	bits []uint64
 }
 
-// Scratch borrows the dense workspace registered under tag, sized to at
-// least n entries, with all entries absent. Distinct concurrent uses must
-// use distinct tags: re-borrowing a tag invalidates the previous borrow's
+// reset re-slices s to n entries, growing its storage if needed, and clears
+// the presence words the borrow spans. Values are not zeroed: an entry is
+// read only after Set.
+func (s *Scratch) reset(n int) {
+	if cap(s.Val) < n {
+		s.Val = make([]semiring.Vertex, n)
+		s.bits = make([]uint64, (n+63)/64)
+	}
+	s.Val = s.Val[:n]
+	s.bits = s.bits[:(n+63)/64]
+	clear(s.bits)
+}
+
+// Scratch borrows the dense workspace registered under tag, sized to n
+// entries, with all entries absent. Distinct concurrent uses must use
+// distinct tags: re-borrowing a tag invalidates the previous borrow's
 // entries (that is the reuse mechanism).
 func (c *Ctx) Scratch(tag string, n int) *Scratch {
 	if !c.Enabled() {
-		return &Scratch{Val: make([]semiring.Vertex, n), stamp: make([]uint32, n), epoch: 1}
+		s := &Scratch{}
+		s.reset(n)
+		return s
 	}
 	s := c.scratch[tag]
 	if s == nil {
 		s = &Scratch{}
 		c.scratch[tag] = s
 	}
-	if len(s.Val) < n {
-		s.Val = make([]semiring.Vertex, n)
-		s.stamp = make([]uint32, n)
-		s.epoch = 0
-	}
-	s.epoch++
-	if s.epoch == 0 { // uint32 wrap: stamps from 2^32 borrows ago could collide
-		clear(s.stamp)
-		s.epoch = 1
-	}
+	s.reset(n)
 	return s
 }
 
 // ScratchShards borrows k dense workspaces registered under tag, each sized
-// to at least n entries with all entries absent: one private shard per worker
-// of a parallel combine (the SpMV local multiply writes shard w from worker w
+// to n entries with all entries absent: one private shard per worker of a
+// parallel combine (the SpMV local multiply writes shard w from worker w
 // with no synchronization, then the shards are merged under the semiring op).
 // Shards persist and grow under their tag exactly like Scratch; re-borrowing
 // a tag invalidates all previous borrows of that tag, and asking for fewer
@@ -366,7 +320,8 @@ func (c *Ctx) ScratchShards(tag string, k, n int) []*Scratch {
 	if !c.Enabled() {
 		out := make([]*Scratch, k)
 		for i := range out {
-			out[i] = &Scratch{Val: make([]semiring.Vertex, n), stamp: make([]uint32, n), epoch: 1}
+			out[i] = &Scratch{}
+			out[i].reset(n)
 		}
 		return out
 	}
@@ -380,34 +335,47 @@ func (c *Ctx) ScratchShards(tag string, k, n int) []*Scratch {
 	c.shards[tag] = ss
 	out := ss[:k]
 	for _, s := range out {
-		if len(s.Val) < n {
-			s.Val = make([]semiring.Vertex, n)
-			s.stamp = make([]uint32, n)
-			s.epoch = 0
-		}
-		s.epoch++
-		if s.epoch == 0 {
-			clear(s.stamp)
-			s.epoch = 1
-		}
+		s.reset(n)
 	}
 	return out
 }
 
-// Has reports whether index i was Set since this borrow.
-func (s *Scratch) Has(i int) bool { return s.stamp[i] == s.epoch }
+// Has reports whether index i was Set or Marked since this borrow.
+func (s *Scratch) Has(i int) bool { return s.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // Set stores v at index i and marks it present.
 func (s *Scratch) Set(i int, v semiring.Vertex) {
-	s.stamp[i] = s.epoch
 	s.Val[i] = v
+	s.bits[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // Mark marks index i present without storing a value (bitmap-style use).
-func (s *Scratch) Mark(i int) { s.stamp[i] = s.epoch }
+func (s *Scratch) Mark(i int) {
+	_ = s.Val[i] // bounds: a padding bit of the last word must stay clear
+	s.bits[i>>6] |= 1 << (uint(i) & 63)
+}
+
+// Next returns the smallest present index >= i, or Len() when there is none,
+// so `for i := s.Next(lo); i < hi; i = s.Next(i + 1)` walks the present
+// indices of [lo, hi) in order.
+func (s *Scratch) Next(i int) int {
+	if i >= len(s.Val) {
+		return len(s.Val)
+	}
+	wi := i >> 6
+	if w := s.bits[wi] >> (uint(i) & 63); w != 0 {
+		return i + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < len(s.bits); wi++ {
+		if w := s.bits[wi]; w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return len(s.Val)
+}
 
 // Len returns the number of entries the borrow spans.
-func (s *Scratch) Len() int { return len(s.stamp) }
+func (s *Scratch) Len() int { return len(s.Val) }
 
 // OpCost is one operation category's accumulated wall time, communication
 // meter, and communication-time ledger (total vs exposed; their difference

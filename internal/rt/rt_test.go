@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"mcmdist/internal/mpi"
@@ -69,11 +71,6 @@ func TestPutDropsTinyBuffers(t *testing.T) {
 	if cap(b) < minClassCap {
 		t.Errorf("Get after tiny Put returned cap %d < class capacity %d", cap(b), minClassCap)
 	}
-	c.PutBools(make([]bool, 10))
-	bl := c.GetBools(20)
-	if len(bl) != 20 || cap(bl) < minClassCap {
-		t.Errorf("GetBools after tiny Put: len %d cap %d", len(bl), cap(bl))
-	}
 }
 
 func TestOutstandingGetsNeverAlias(t *testing.T) {
@@ -105,19 +102,6 @@ func TestMaxPerClassBound(t *testing.T) {
 	}
 	if got := len(c.ints[0]); got != maxPerClass {
 		t.Errorf("class 0 holds %d free buffers, want max %d", got, maxPerClass)
-	}
-}
-
-func TestGetVertsRoundTrip(t *testing.T) {
-	c := New(nil)
-	v := c.GetVerts(10)
-	v = append(v, semiring.Vertex{Parent: 1, Root: 2})
-	p0 := &v[0]
-	c.PutVerts(v)
-	v2 := c.GetVerts(10)
-	v2 = append(v2, semiring.Vertex{Parent: 3, Root: 4})
-	if &v2[0] != p0 {
-		t.Error("PutVerts/GetVerts did not round-trip the backing array")
 	}
 }
 
@@ -184,7 +168,7 @@ func TestScratchEpochSemantics(t *testing.T) {
 		t.Fatal("same tag, same size should return the same scratch")
 	}
 	if s2.Has(3) || s2.Has(5) {
-		t.Fatal("re-borrow did not invalidate previous epoch")
+		t.Fatal("re-borrow did not invalidate the previous borrow")
 	}
 	// Distinct tags are independent even at the same size.
 	a, b := c.Scratch("a", 8), c.Scratch("b", 8)
@@ -197,27 +181,84 @@ func TestScratchEpochSemantics(t *testing.T) {
 	}
 }
 
-func TestScratchGrowAndEpochWrap(t *testing.T) {
+func TestScratchGrowAndReborrowSmaller(t *testing.T) {
 	c := New(nil)
 	s := c.Scratch("g", 4)
 	s.Mark(0)
 	s = c.Scratch("g", 100) // regrow
-	if s.Len() < 100 {
+	if s.Len() != 100 {
 		t.Fatalf("regrown len %d", s.Len())
 	}
 	if s.Has(0) {
 		t.Fatal("regrown scratch kept old marks")
 	}
-	// Force the uint32 epoch to wrap: stale stamps must not read as present.
-	s.Mark(2)
-	s.epoch = ^uint32(0) // next borrow increments to 0 and must clear
-	s2 := c.Scratch("g", 100)
-	if s2.epoch == 0 {
-		t.Fatal("epoch left at zero after wrap")
+	// A smaller re-borrow after a larger one spans only its own n and
+	// leaves nothing present, including marks in the shared last word and
+	// beyond the new length.
+	for _, i := range []int{2, 63, 64, 65, 99} {
+		s.Mark(i)
 	}
-	for i := 0; i < 100; i++ {
+	s2 := c.Scratch("g", 65)
+	if s2 != s || s2.Len() != 65 {
+		t.Fatalf("smaller re-borrow: same %v, len %d", s2 == s, s2.Len())
+	}
+	for i := 0; i < s2.Len(); i++ {
 		if s2.Has(i) {
-			t.Fatalf("index %d present after epoch wrap", i)
+			t.Fatalf("index %d present after smaller re-borrow", i)
+		}
+	}
+	if got := s2.Next(0); got != s2.Len() {
+		t.Fatalf("Next(0) = %d after smaller re-borrow, want %d", got, s2.Len())
+	}
+}
+
+// TestScratchNextYieldsSortedSet: over sizes that are not multiples of 64,
+// random Set/Mark sequences — always including the word-edge indices 63, 64
+// and 65 when they fit — must read back through Next as exactly the sorted
+// set of touched indices, and Has must agree with the set everywhere.
+func TestScratchNextYieldsSortedSet(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	c := New(nil)
+	for _, n := range []int{1, 63, 65, 66, 127, 129, 200, 1000} {
+		for trial := 0; trial < 20; trial++ {
+			s := c.Scratch("prop", n)
+			want := map[int]bool{}
+			touch := func(i int) {
+				if rng.IntN(2) == 0 {
+					s.Set(i, semiring.Vertex{Parent: int64(i)})
+				} else {
+					s.Mark(i)
+				}
+				want[i] = true
+			}
+			for _, i := range []int{63, 64, 65} {
+				if i < n {
+					touch(i)
+				}
+			}
+			for k := rng.IntN(n + 1); k > 0; k-- {
+				touch(rng.IntN(n))
+			}
+			var got []int
+			for i := s.Next(0); i < s.Len(); i = s.Next(i + 1) {
+				got = append(got, i)
+			}
+			sorted := make([]int, 0, len(want))
+			for i := range want {
+				sorted = append(sorted, i)
+			}
+			slices.Sort(sorted)
+			if !slices.Equal(got, sorted) {
+				t.Fatalf("n=%d trial %d: Next walk %v, want %v", n, trial, got, sorted)
+			}
+			for i := 0; i < n; i++ {
+				if s.Has(i) != want[i] {
+					t.Fatalf("n=%d trial %d: Has(%d) = %v", n, trial, i, s.Has(i))
+				}
+			}
+			if got := s.Next(s.Len()); got != s.Len() {
+				t.Fatalf("n=%d: Next(Len()) = %d", n, got)
+			}
 		}
 	}
 }
@@ -238,16 +279,6 @@ func TestDisabledAndNilArePassThrough(t *testing.T) {
 		if &b2[0] == &b[0] {
 			t.Fatal("disabled ctx pooled a buffer")
 		}
-		bl := c.GetBools(7)
-		if len(bl) != 7 {
-			t.Fatalf("disabled GetBools len %d", len(bl))
-		}
-		for i, v := range bl {
-			if v {
-				t.Fatalf("disabled GetBools not zeroed at %d", i)
-			}
-		}
-		c.PutBools(bl)
 		ps := c.GetParts(3)
 		if len(ps) != 3 {
 			t.Fatalf("disabled GetParts len %d", len(ps))
@@ -279,22 +310,16 @@ func TestCrossRankNoAliasing(t *testing.T) {
 		ctx := New(c)
 		for round := 0; round < 50; round++ {
 			b := ctx.GetInts(1 << uint(round%10))
-			v := ctx.GetVerts(256)
 			for k := 0; k < 128; k++ {
 				b = append(b, int64(c.Rank()*1_000_000+round*1000+k))
-				v = append(v, semiring.Self(int64(c.Rank())))
 			}
 			c.Barrier() // maximal interleaving across ranks
 			for k := 0; k < 128; k++ {
 				if b[k] != int64(c.Rank()*1_000_000+round*1000+k) {
 					t.Errorf("rank %d round %d: int buffer clobbered at %d", c.Rank(), round, k)
 				}
-				if v[k] != semiring.Self(int64(c.Rank())) {
-					t.Errorf("rank %d round %d: vert buffer clobbered at %d", c.Rank(), round, k)
-				}
 			}
 			ctx.PutInts(b)
-			ctx.PutVerts(v)
 			s := ctx.Scratch("cross", 64)
 			s.Set(c.Rank()%64, semiring.Self(int64(c.Rank())))
 			c.Barrier()
@@ -397,6 +422,20 @@ func TestScratchShardsInvalidateOnReborrow(t *testing.T) {
 	}
 	if ss2[0] != ss[0] {
 		t.Fatal("re-borrow did not reuse shard storage")
+	}
+	// A re-borrow at a smaller n leaves nothing present in any shard.
+	for _, s := range ss2 {
+		for _, i := range []int{5, 63, 64, 70, 99} {
+			s.Mark(i)
+		}
+	}
+	for w, s := range c.ScratchShards("shard.test", 4, 66) {
+		if s.Len() != 66 {
+			t.Fatalf("shard %d len %d after smaller re-borrow", w, s.Len())
+		}
+		if got := s.Next(0); got != s.Len() {
+			t.Fatalf("shard %d has entry %d after smaller re-borrow", w, got)
+		}
 	}
 }
 

@@ -60,17 +60,15 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 	expand0 := tr.Begin()
 
 	// Expand the frontier along my grid column (same as the push direction)
-	// into a dense lookup over my column slab: a bitmap answers the hot
-	// membership test with one word load + mask (64 columns per cache-resident
-	// word), and the rank's persistent scratch holds the per-column Vertex
-	// values read only on a hit. The visited-row set is a second bitmap.
+	// into the rank's persistent scratch over my column slab: its presence
+	// bitmap answers the hot membership test with one word load + mask (64
+	// columns per cache-resident word), and its values are read only on a
+	// hit. The visited-row set is a second bitmap.
 	payload := ctx.GetInts(3 * len(x.Idx))
 	for k, gi := range x.Idx {
 		payload = append(payload, int64(gi), x.Val[k].Parent, x.Val[k].Root)
 	}
 	frontier := ctx.Scratch("pull.cols", a.Cols.Len())
-	fbmBuf := ctx.GetInts(dvec.BitmapWords(a.Cols.Len()))
-	fbm := dvec.AsBitmap(fbmBuf, a.Cols.Len())
 	skipBuf := ctx.GetInts(dvec.BitmapWords(a.Rows.Len()))
 	skip := dvec.AsBitmap(skipBuf, a.Rows.Len())
 	// The expand is split-phase: start the frontier expand, build the local
@@ -96,7 +94,6 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 		for off := 0; off < len(piece); off += 3 {
 			lcol := int(piece[off]) - a.Cols.Lo
 			frontier.Set(lcol, semiring.Vertex{Parent: piece[off+1], Root: piece[off+2]})
-			fbm.Set(lcol)
 		}
 	}
 	rqF.Finish()
@@ -140,7 +137,7 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 			}
 			for _, lc := range rowAdj.Col(r) {
 				wk++
-				if fbm.Has(lc) {
+				if frontier.Has(lc) {
 					gcol := int64(a.Cols.Lo + lc)
 					cand := semiring.Multiply(gcol, frontier.Val[lc])
 					buf = append(buf, int64(a.Rows.Lo+r), cand.Parent, cand.Root)
@@ -157,7 +154,6 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 	}
 	g.World.AddWork(work)
 	tr.End(obs.KindOp, "spmv.pull.scan", scan0, int64(work))
-	ctx.PutInts(fbmBuf)
 	ctx.PutInts(skipBuf)
 	fold0 := tr.Begin()
 

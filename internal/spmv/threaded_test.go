@@ -113,3 +113,45 @@ func TestMergeSortedTriplesBandedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMergeShardsUnalignedBands merges shards over a row count whose pool
+// bands (0, 333, 666, 1000 at three threads) do not fall on multiples of
+// 64, so the rounded band edges decide which worker sets each presence word
+// of shard 0. The result must equal the serial combine; under -race this is
+// also the data-race guard for the shared presence words.
+func TestMergeShardsUnalignedBands(t *testing.T) {
+	const rows = 1000
+	ctx := rt.New(nil)
+	ctx.EnsureThreads(3)
+	defer ctx.Close()
+	if w := ctx.Pool().Width(rows, 256); w != 3 {
+		t.Fatalf("pool width %d, want 3 bands", w)
+	}
+	rng := rand.New(rand.NewSource(5))
+	shards := ctx.ScratchShards("merge.test", 3, rows)
+	want := make(map[int]semiring.Vertex)
+	for _, sh := range shards {
+		for r := 0; r < rows; r++ {
+			if rng.Intn(3) != 0 {
+				continue
+			}
+			v := semiring.Vertex{Parent: int64(rng.Intn(100)), Root: int64(rng.Intn(100))}
+			sh.Set(r, v)
+			if old, ok := want[r]; ok {
+				v = semiring.MinParent.Combine(old, v)
+			}
+			want[r] = v
+		}
+	}
+	mergeShards(ctx.Pool(), shards, semiring.MinParent, rows)
+	got := 0
+	for r := shards[0].Next(0); r < rows; r = shards[0].Next(r + 1) {
+		if w, ok := want[r]; !ok || shards[0].Val[r] != w {
+			t.Fatalf("row %d = %v, want %v (present %v)", r, shards[0].Val[r], w, ok)
+		}
+		got++
+	}
+	if got != len(want) {
+		t.Fatalf("merged %d rows, want %d", got, len(want))
+	}
+}
