@@ -206,17 +206,121 @@ func checkReceives(t *testing.T, name string, pr, pc, threads int, n int) {
 	}
 }
 
+// streamsOf returns a next function that yields streams in order, the way
+// a PartsRequest yields them in arrival order.
+func streamsOf(streams ...[]int64) func() (int, []int64, bool) {
+	i := 0
+	return func() (int, []int64, bool) {
+		if i == len(streams) {
+			return -1, nil, false
+		}
+		i++
+		return i - 1, streams[i-1], true
+	}
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(slices.Clone(p[:at]), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestReceiveDuplicatesAcrossStreams scatter-reduces (index, parent, root)
+// streams whose rows repeat across senders, in every arrival order of the
+// streams and under every AddOp. The result must equal a serial Combine
+// over the streams in sender order, entry for entry, with the indices
+// ascending.
+func TestReceiveDuplicatesAcrossStreams(t *testing.T) {
+	streams := [][]int64{
+		{1, 5, 100, 4, 9, 400},
+		{7, 2, 700, 1, 3, 101},
+		nil,
+		{4, 1, 401, 9, 6, 900, 1, 8, 102},
+		{},
+	}
+	onGrid(t, 1, 1, func(g *grid.Grid) error {
+		outL := NewLayout(g, 10, RowAligned)
+		for _, op := range []semiring.AddOp{semiring.MinParent, semiring.RandRoot, semiring.RandParent, semiring.MinRoot} {
+			want := map[int]semiring.Vertex{}
+			for _, s := range streams {
+				for o := 0; o < len(s); o += 3 {
+					v := semiring.Vertex{Parent: s[o+1], Root: s[o+2]}
+					if held, ok := want[int(s[o])]; ok {
+						v = op.Combine(held, v)
+					}
+					want[int(s[o])] = v
+				}
+			}
+			for _, perm := range permutations(len(streams)) {
+				arrived := make([][]int64, len(perm))
+				for i, s := range perm {
+					arrived[i] = streams[s]
+				}
+				sc, k, n := receive(outL, streamsOf(arrived...), 3, op.Combine)
+				out := vertices(outL, sc, k)
+				if n != 7 || k != len(want) || len(out.Idx) != len(want) {
+					return fmt.Errorf("%v order %v: %d records, %d touched, %d entries; want 7, %d",
+						op, perm, n, k, len(out.Idx), len(want))
+				}
+				for i, gi := range out.Idx {
+					if i > 0 && out.Idx[i-1] >= gi {
+						return fmt.Errorf("%v order %v: indices %v not ascending", op, perm, out.Idx)
+					}
+					if out.Val[i] != want[gi] {
+						return fmt.Errorf("%v order %v: idx %d = %v, want %v", op, perm, gi, out.Val[i], want[gi])
+					}
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// TestReceiveEmptyStreams: nil and empty streams touch nothing, both fed
+// directly and through a real exchange in which no rank sends anything.
+func TestReceiveEmptyStreams(t *testing.T) {
+	onGrid(t, 1, 1, func(g *grid.Grid) error {
+		outL := NewLayout(g, 5, RowAligned)
+		sc, k, n := receive(outL, streamsOf(nil, []int64{}, nil), 3, semiring.MinParent.Combine)
+		if out := vertices(outL, sc, k); k != 0 || n != 0 || out.LocalNnz() != 0 {
+			return fmt.Errorf("empty streams: %d touched, %d records, %d entries", k, n, out.LocalNnz())
+		}
+		return nil
+	})
+	for _, shape := range [][2]int{{1, 1}, {2, 2}, {1, 3}} {
+		onGrid(t, shape[0], shape[1], func(g *grid.Grid) error {
+			parts := make([][]int64, g.PC)
+			parts[0] = []int64{}
+			out := ReceiveV(NewLayout(g, 7, RowAligned), g.Row.IAlltoallvParts(parts), semiring.MinParent)
+			if out.LocalNnz() != 0 {
+				return fmt.Errorf("grid %v rank %d: %d entries from empty parts", shape, g.World.Rank(), out.LocalNnz())
+			}
+			return nil
+		})
+	}
+}
+
 // TestReceivePanicsOnOutOfRangeIndex feeds the receive a record for an index
 // just past the rank's range, with a scratch left longer than the range by an
 // earlier, wider receive: the explicit range check must catch what the
-// scratch's own bounds check would not.
+// scratch's own bounds check would not, in the int receive and in the
+// vertex receive of the fold and INVERT alike.
 func TestReceivePanicsOnOutOfRangeIndex(t *testing.T) {
 	onGrid(t, 2, 2, func(g *grid.Grid) error {
 		wide, narrow := NewLayout(g, 400, RowAligned), NewLayout(g, 40, RowAligned)
 		ReceiveInt(wide, nil, Sum) // grows the rank's receive scratch to 100
 		r := narrow.MyRange()
 		for _, idx := range []int{r.Hi, r.Lo - 1} {
-			for _, op := range []Reduce{KeepMin, Sum, Store} {
+			for _, op := range []Reduce{Sum, Store} {
 				msg := func() (msg string) {
 					defer func() { msg = fmt.Sprint(recover()) }()
 					ReceiveInt(narrow, []int64{int64(r.Lo), 1, int64(idx), 2}, op)
@@ -224,6 +328,16 @@ func TestReceivePanicsOnOutOfRangeIndex(t *testing.T) {
 				}()
 				if !strings.HasPrefix(msg, "dvec: ") {
 					return fmt.Errorf("index %d outside %v, op %d: panic %q, want a dvec: message", idx, r, op, msg)
+				}
+			}
+			for _, op := range []semiring.AddOp{semiring.MinParent, semiring.RandRoot, semiring.RandParent, semiring.MinRoot} {
+				msg := func() (msg string) {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					receive(narrow, streamsOf([]int64{int64(r.Lo), 1, 1}, []int64{int64(idx), 2, 2}), 3, op.Combine)
+					return ""
+				}()
+				if !strings.HasPrefix(msg, "dvec: ") {
+					return fmt.Errorf("index %d outside %v, %v: panic %q, want a dvec: message", idx, r, op, msg)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/rt"
 	"mcmdist/internal/semiring"
+	"mcmdist/internal/spmat"
 )
 
 // flatAlltoall routes parts through a split-phase personalized all-to-all
@@ -233,17 +234,124 @@ func (s *SparseV) Parents() *SparseInt {
 	return out
 }
 
-// invertExchange buckets flattened records by the owner of their target
-// index under outL and exchanges them with a personalized all-to-all over
-// the whole grid, the communication pattern Table I specifies for INVERT.
-// Each record is stride int64s, the first being the target global index.
-// The result is one flat arena buffer of received records, which the caller
-// must return with PutInts when done.
-func invertExchange(l Layout, outL Layout, records []int64, stride int) []int64 {
+// Reduce is how ReceiveInt combines records that carry the same target
+// index. Both modes are independent of arrival order.
+type Reduce int
+
+const (
+	// Sum adds the values: the residual-degree count.
+	Sum Reduce = iota
+	// Store overwrites: redistribute, whose indices arrive once each.
+	Store
+)
+
+func (op Reduce) combine(held, in semiring.Vertex) semiring.Vertex {
+	if op == Sum {
+		held.Parent += in.Parent
+		return held
+	}
+	return in
+}
+
+// scatterReduce folds one stream of stride-length records (index, value[,
+// root]) into sc, the dense scratch over r, combining the records of one
+// index with combine, and returns how many offsets the stream touched first.
+// It panics on an index outside r.
+func scatterReduce(sc *rt.Scratch, r spmat.Block, stream []int64, stride int, combine func(held, in semiring.Vertex) semiring.Vertex) int {
+	k := 0
+	for o := 0; o < len(stream); o += stride {
+		off := int(stream[o]) - r.Lo
+		if uint(off) >= uint(r.Len()) {
+			panic(fmt.Sprintf("dvec: received index %d outside local range [%d,%d)", stream[o], r.Lo, r.Hi))
+		}
+		v := semiring.Vertex{Parent: stream[o+1]}
+		if stride == 3 {
+			v.Root = stream[o+2]
+		}
+		if !sc.Has(off) {
+			sc.Set(off, v)
+			k++
+		} else {
+			sc.Val[off] = combine(sc.Val[off], v)
+		}
+	}
+	return k
+}
+
+// receive is the scatter-reduce receive of the fold and of INVERT: it
+// drains the streams next yields into the rank's dense scratch over
+// outL.MyRange(), each as it arrives, so the work hides behind the wait for
+// stragglers. It returns the scratch, the number k of distinct offsets
+// touched and the number of records received. The scratch's Next walks the
+// touched offsets in increasing order, so the receive costs O(records +
+// n/64): nothing is sorted, merged or copied out first.
+func receive(outL Layout, next func() (int, []int64, bool), stride int, combine func(held, in semiring.Vertex) semiring.Vertex) (*rt.Scratch, int, int) {
+	r := outL.MyRange()
+	sc := outL.G.RT.Scratch("dvec.receive", r.Len())
+	k, n := 0, 0
+	for {
+		_, stream, ok := next()
+		if !ok {
+			return sc, k, n
+		}
+		k += scatterReduce(sc, r, stream, stride, combine)
+		n += len(stream) / stride
+	}
+}
+
+// vertices allocates the k touched entries of sc once and fills them in
+// index order.
+func vertices(outL Layout, sc *rt.Scratch, k int) *SparseV {
+	lo := outL.MyRange().Lo
+	out := &SparseV{L: outL, Idx: make([]int, 0, k), Val: make([]semiring.Vertex, 0, k)}
+	for off := sc.Next(0); off < sc.Len(); off = sc.Next(off + 1) {
+		out.Idx = append(out.Idx, lo+off)
+		out.Val = append(out.Val, sc.Val[off])
+	}
+	return out
+}
+
+// ints is vertices for (index, value) records: the value is the parent.
+func ints(outL Layout, sc *rt.Scratch, k int) *SparseInt {
+	lo := outL.MyRange().Lo
+	out := &SparseInt{L: outL, Idx: make([]int, 0, k), Val: make([]int64, 0, k)}
+	for off := sc.Next(0); off < sc.Len(); off = sc.Next(off + 1) {
+		out.Idx = append(out.Idx, lo+off)
+		out.Val = append(out.Val, sc.Val[off].Parent)
+	}
+	return out
+}
+
+// ReceiveV builds the sparse vector with layout outL from the (index,
+// parent, root) streams of rq, combining the records of one index with the
+// semiring addition op, and finishes rq. This is the SpMV fold's merge: op
+// is associative and commutative, so arrival order cannot change the
+// result. The indices must fall in outL.MyRange().
+func ReceiveV(outL Layout, rq *mpi.PartsRequest, op semiring.AddOp) *SparseV {
+	sc, k, _ := receive(outL, rq.Next, 3, op.Combine)
+	rq.Finish()
+	return vertices(outL, sc, k)
+}
+
+// ReceiveInt builds the sparse vector with layout outL from received
+// (index, value) records, combining the records of one index under op. The
+// indices must fall in outL.MyRange(); flat stays the caller's.
+func ReceiveInt(outL Layout, flat []int64, op Reduce) *SparseInt {
+	r := outL.MyRange()
+	sc := outL.G.RT.Scratch("dvec.receive", r.Len())
+	return ints(outL, sc, scatterReduce(sc, r, flat, 2, op.combine))
+}
+
+// invert routes stride-length records (target, source[, root]) to the
+// owner of their target under outL with a personalized all-to-all over the
+// whole grid, the communication pattern Table I specifies for INVERT, and
+// receives them: the record with the smallest source wins each target ("we
+// keep the first index"), which is MinParent over (source, root). The
+// records buffer goes back to the arena once routed.
+func invert(l Layout, outL Layout, records []int64, stride int) (*rt.Scratch, int) {
 	c := l.G.World
 	ctx := l.G.RT
-	p := c.Size()
-	parts := ctx.GetParts(p)
+	parts := ctx.GetParts(c.Size())
 	for off := 0; off < len(records); off += stride {
 		tgt := int(records[off])
 		if tgt < 0 || tgt >= outL.N {
@@ -252,74 +360,14 @@ func invertExchange(l Layout, outL Layout, records []int64, stride int) []int64 
 		rank := outL.G.RankAt(outL.OwnerCoords(tgt))
 		parts[rank] = append(parts[rank], records[off:off+stride]...)
 	}
-	c.AddWork(len(records) / max(stride, 1))
-	flat := flatAlltoall(c, ctx, parts, len(records))
+	c.AddWork(len(records) / stride)
+	ctx.PutInts(records)
+	rq := c.IAlltoallvParts(parts)
+	sc, k, n := receive(outL, rq.Next, stride, semiring.MinParent.Combine)
+	rq.Finish()
 	ctx.PutParts(parts)
-	return flat
-}
-
-// Reduce is how a scatter-reduce receive combines records that carry the
-// same target index. Every mode is independent of arrival order.
-type Reduce int
-
-const (
-	// KeepMin keeps the record with the smallest value: INVERT's "first
-	// index" rule, the value being the source index (unique per record).
-	KeepMin Reduce = iota
-	// Sum adds the values: the counting fold.
-	Sum
-	// Store overwrites: redistribute, whose indices arrive once each.
-	Store
-)
-
-// scatterReduce folds received stride-length records (index, value[, root])
-// into the rank's dense scratch over outL.MyRange(), combining the records
-// of one index under op, and returns the scratch and the number k of
-// distinct local offsets it touched. The scratch's Next walks those offsets
-// in increasing order, so the receive is O(records + n/64) with no sort.
-func scatterReduce(outL Layout, flat []int64, stride int, op Reduce) (*rt.Scratch, int) {
-	r := outL.MyRange()
-	n := r.Len()
-	sc := outL.G.RT.Scratch("dvec.receive", n)
-	k := 0
-	for o := 0; o < len(flat); o += stride {
-		off := int(flat[o]) - r.Lo
-		if uint(off) >= uint(n) {
-			panic(fmt.Sprintf("dvec: received index %d outside local range [%d,%d)", flat[o], r.Lo, r.Hi))
-		}
-		v := semiring.Vertex{Parent: flat[o+1]}
-		if stride == 3 {
-			v.Root = flat[o+2]
-		}
-		switch {
-		case !sc.Has(off):
-			sc.Set(off, v)
-			k++
-		case op == Sum:
-			sc.Val[off].Parent += v.Parent
-		case op == Store || v.Parent < sc.Val[off].Parent:
-			sc.Val[off] = v
-		}
-	}
+	c.AddWork(n)
 	return sc, k
-}
-
-// ReceiveInt builds the sparse vector with layout outL from received
-// (index, value) records, combining the records of one index under op. The
-// indices must fall in outL.MyRange(); flat stays the caller's.
-func ReceiveInt(outL Layout, flat []int64, op Reduce) *SparseInt {
-	sc, k := scatterReduce(outL, flat, 2, op)
-	lo := outL.MyRange().Lo
-	out := NewSparseInt(outL)
-	if k > 0 {
-		out.Idx = make([]int, 0, k)
-		out.Val = make([]int64, 0, k)
-	}
-	for off := sc.Next(0); off < sc.Len(); off = sc.Next(off + 1) {
-		out.Idx = append(out.Idx, lo+off)
-		out.Val = append(out.Val, sc.Val[off].Parent)
-	}
-	return out
 }
 
 // Invert computes the Table I INVERT primitive: a sparse vector z with
@@ -327,17 +375,12 @@ func ReceiveInt(outL Layout, flat []int64, op Reduce) *SparseInt {
 // entries carry the same value, the smallest source index wins ("we keep
 // the first index"). Collective: personalized all-to-all.
 func (s *SparseInt) Invert(outL Layout) *SparseInt {
-	ctx := s.L.G.RT
-	records := ctx.GetInts(2 * len(s.Idx))
+	records := s.L.G.RT.GetInts(2 * len(s.Idx))
 	for k, g := range s.Idx {
 		records = append(records, s.Val[k], int64(g))
 	}
-	flat := invertExchange(s.L, outL, records, 2)
-	ctx.PutInts(records)
-	out := ReceiveInt(outL, flat, KeepMin)
-	s.L.G.World.AddWork(len(flat) / 2)
-	ctx.PutInts(flat)
-	return out
+	sc, k := invert(s.L, outL, records, 2)
+	return ints(outL, sc, k)
 }
 
 // InvertParents inverts a VERTEX vector by its parents: the result has one
@@ -345,14 +388,12 @@ func (s *SparseInt) Invert(outL Layout) *SparseInt {
 // root). This is the INVERT(f_r) step constructing the next column frontier.
 // Collective.
 func (s *SparseV) InvertParents(outL Layout) *SparseV {
-	ctx := s.L.G.RT
-	records := ctx.GetInts(3 * len(s.Idx))
+	records := s.L.G.RT.GetInts(3 * len(s.Idx))
 	for k, g := range s.Idx {
 		records = append(records, s.Val[k].Parent, int64(g), s.Val[k].Root)
 	}
-	out := invertVertex(s.L, outL, records)
-	ctx.PutInts(records)
-	return out
+	sc, k := invert(s.L, outL, records, 3)
+	return vertices(outL, sc, k)
 }
 
 // InvertRoots inverts a VERTEX vector by its roots: the result has one entry
@@ -360,34 +401,12 @@ func (s *SparseV) InvertParents(outL Layout) *SparseV {
 // the INVERT(ROOT(uf_r)) step recording one augmenting path per alternating
 // tree. Collective.
 func (s *SparseV) InvertRoots(outL Layout) *SparseV {
-	ctx := s.L.G.RT
-	records := ctx.GetInts(3 * len(s.Idx))
+	records := s.L.G.RT.GetInts(3 * len(s.Idx))
 	for k, g := range s.Idx {
 		records = append(records, s.Val[k].Root, int64(g), s.Val[k].Root)
 	}
-	out := invertVertex(s.L, outL, records)
-	ctx.PutInts(records)
-	return out
-}
-
-// invertVertex is INVERT over (target, source, root) records: the record
-// with the smallest source wins each target and keeps its root.
-func invertVertex(l Layout, outL Layout, records []int64) *SparseV {
-	flat := invertExchange(l, outL, records, 3)
-	sc, k := scatterReduce(outL, flat, 3, KeepMin)
-	lo := outL.MyRange().Lo
-	out := NewSparseV(outL)
-	if k > 0 {
-		out.Idx = make([]int, 0, k)
-		out.Val = make([]semiring.Vertex, 0, k)
-	}
-	for off := sc.Next(0); off < sc.Len(); off = sc.Next(off + 1) {
-		out.Idx = append(out.Idx, lo+off)
-		out.Val = append(out.Val, sc.Val[off])
-	}
-	l.G.World.AddWork(len(flat) / 3)
-	l.G.RT.PutInts(flat)
-	return out
+	sc, k := invert(s.L, outL, records, 3)
+	return vertices(outL, sc, k)
 }
 
 // PruneRoots removes the entries whose root appears in the globally

@@ -377,14 +377,6 @@ func (pr *PartsRequest) next() (int, []int64, bool) {
 	return src, in, true
 }
 
-// Pending returns how many sources have not yet been delivered by Next.
-func (pr *PartsRequest) Pending() int {
-	pr.mu.Lock()
-	n := len(pr.delivered) - pr.ndeliv
-	pr.mu.Unlock()
-	return n
-}
-
 // Drain appends every remaining source's payload into buf in arrival order
 // and returns the grown buffer. The copy means buf stays valid after
 // Finish; arrival order is fine for consumers that combine the union

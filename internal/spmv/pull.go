@@ -173,7 +173,8 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 		}
 		ctx.PutInts(hits)
 	}
-	out := foldOverlap(ctx, g.Row, parts, op, outL)
+	out := dvec.ReceiveV(outL, g.Row.IAlltoallvParts(parts), op)
+	ctx.PutParts(parts)
 	g.World.AddWork(out.LocalNnz())
 	tr.End(obs.KindOp, "spmv.fold", fold0, int64(out.LocalNnz()))
 	return out, PullStats{Scanned: work, Hits: nhits}

@@ -1,7 +1,6 @@
 package spmv
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -262,54 +261,5 @@ func BenchmarkMulScale12Grid4(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestMergeSortedTriplesDuplicatesAcrossStreams(t *testing.T) {
-	_, err := mpi.Run(1, func(c *mpi.Comm) error {
-		g, err := grid.New(c, 1, 1)
-		if err != nil {
-			return err
-		}
-		outL := dvec.NewLayout(g, 10, dvec.RowAligned)
-		// Three streams, overlapping indices, sorted within each stream.
-		got := [][]int64{
-			{1, 5, 100, 4, 9, 400},
-			{1, 3, 101, 7, 2, 700},
-			{4, 1, 401},
-		}
-		out := mergeSortedTriples(nil, got, semiring.MinParent, outL)
-		want := map[int]semiring.Vertex{
-			1: {Parent: 3, Root: 101}, // min parent of (5,100) and (3,101)
-			4: {Parent: 1, Root: 401}, // min parent of (9,400) and (1,401)
-			7: {Parent: 2, Root: 700},
-		}
-		if len(out.Idx) != len(want) {
-			return fmt.Errorf("nnz %d, want %d", len(out.Idx), len(want))
-		}
-		for k, gi := range out.Idx {
-			if out.Val[k] != want[gi] {
-				return fmt.Errorf("idx %d: %v, want %v", gi, out.Val[k], want[gi])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeSortedTriplesEmpty(t *testing.T) {
-	_, err := mpi.Run(1, func(c *mpi.Comm) error {
-		g, _ := grid.New(c, 1, 1)
-		out := mergeSortedTriples(nil, [][]int64{nil, {}, nil}, semiring.MinParent,
-			dvec.NewLayout(g, 5, dvec.RowAligned))
-		if out.LocalNnz() != 0 {
-			return fmt.Errorf("nonzero from empty streams")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package spmv
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -49,10 +48,10 @@ func runMulThreads(t *testing.T, a *spmat.CSC, op semiring.AddOp, pr, pc, thread
 }
 
 // TestMulThreadedBitIdentical drives the sharded local multiply and the
-// banded fold merge with a full frontier (large enough to clear the multGrain
-// and mergeGrain clamps) and checks the result is bit-identical across pool
-// sizes. The semiring Combine is associative with deterministic tie-breaks,
-// so regrouping by chunks must not change a single bit.
+// shard merge with a full frontier (large enough to clear the multGrain
+// clamp) and checks the result is bit-identical across pool sizes. The
+// semiring Combine is associative with deterministic tie-breaks, so
+// regrouping by chunks must not change a single bit.
 func TestMulThreadedBitIdentical(t *testing.T) {
 	a := rmat.MustGenerate(rmat.G500, 12, 16, 7)
 	for _, op := range []semiring.AddOp{semiring.MinParent, semiring.RandParent} {
@@ -68,49 +67,6 @@ func TestMulThreadedBitIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestMergeSortedTriplesBandedMatchesSerial(t *testing.T) {
-	// Build sender streams big enough that a pooled ctx cuts them into
-	// bands, with duplicate rows across streams to exercise the combine.
-	rng := rand.New(rand.NewSource(11))
-	const n = 20000
-	streams := make([][]int64, 3)
-	for s := range streams {
-		row := int64(0)
-		for row < n {
-			row += int64(1 + rng.Intn(3))
-			if row >= n {
-				break
-			}
-			streams[s] = append(streams[s], row, int64(rng.Intn(100)), int64(rng.Intn(100)))
-		}
-	}
-	_, err := mpi.Run(1, func(c *mpi.Comm) error {
-		ctx := rt.New(c)
-		ctx.EnsureThreads(4)
-		defer ctx.Close()
-		g, err := grid.NewWithRT(c, 1, 1, ctx)
-		if err != nil {
-			return err
-		}
-		outL := dvec.NewLayout(g, n, dvec.RowAligned)
-		want := mergeSortedTriples(nil, streams, semiring.MinParent, outL)
-		got := mergeSortedTriples(ctx, streams, semiring.MinParent, outL)
-		if len(got.Idx) != len(want.Idx) {
-			return fmt.Errorf("nnz %d, want %d", len(got.Idx), len(want.Idx))
-		}
-		for k := range want.Idx {
-			if got.Idx[k] != want.Idx[k] || got.Val[k] != want.Val[k] {
-				return fmt.Errorf("entry %d: (%d,%v) want (%d,%v)",
-					k, got.Idx[k], got.Val[k], want.Idx[k], want.Val[k])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
