@@ -27,7 +27,7 @@ race:
 # goroutine-leak regressions, the recovery fault matrix, and the supervised
 # multi-process half of the recovery loop (Supervise/WorkLoop over loopback).
 test-faults:
-	$(GO) test -race -count=1 -run 'Fault|Watchdog|Crash|Straggler|RMA|Panic|Leak|RunCtx|Checkpoint|Resume|Recoverable|Guard|Boundary|Supervise|WorkLoop' ./internal/mpi/ ./internal/core/ ./internal/distjob/ .
+	$(GO) test -race -count=1 -run 'Fault|Watchdog|Crash|Straggler|RMA|Panic|Leak|Checkpoint|Resume|Recoverable|Guard|Boundary|Supervise|WorkLoop' ./internal/mpi/ ./internal/core/ ./internal/distjob/ .
 
 # Nightly-style chaos soak: hundreds of worlds cycling injected faults,
 # watchdog aborts, and genuine wedges, with a goroutine-leak check at the

@@ -124,8 +124,8 @@ func TestWorkedExamplePhase(t *testing.T) {
 	blocks := spmat.DistributeRanks(a, side, side, nil)
 	stats := make([]*Stats, side*side)
 	var mateR, mateC []int64
-	err := RunDistributed(side, a.NRows, a.NCols, blocks,
-		Config{Procs: side * side, AddOp: semiring.MinParent}, func(s *Solver) error {
+	err := RunDistributed(side, side, a.NRows, a.NCols, blocks,
+		Config{Procs: side * side, AddOp: semiring.MinParent}, nil, func(s *Solver) error {
 			mater := dvec.NewDenseFrom(s.RowL, []int64{-1, 2, -1, 3, -1})
 			matec := dvec.NewDenseFrom(s.ColL, []int64{-1, -1, 1, 3, -1})
 			if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
@@ -337,9 +337,6 @@ func TestStatsPopulated(t *testing.T) {
 			t.Error("no augment wall time recorded")
 		}
 	}
-	if st.TotalWall() <= 0 {
-		t.Error("total wall zero")
-	}
 	if len(res.PerRank) != 4 {
 		t.Errorf("PerRank has %d entries", len(res.PerRank))
 	}
@@ -445,8 +442,8 @@ func TestDistributedInitializersAreMaximal(t *testing.T) {
 		blocks := spmat.DistributeRanks(a, side, side, nil)
 		for _, init := range []Init{InitGreedy, InitKarpSipser, InitDynMinDegree} {
 			var mateR, mateC []int64
-			err := RunDistributed(side, a.NRows, a.NCols, blocks,
-				Config{Procs: side * side, Init: init}, func(s *Solver) error {
+			err := RunDistributed(side, side, a.NRows, a.NCols, blocks,
+				Config{Procs: side * side, Init: init}, nil, func(s *Solver) error {
 					mater, matec := s.MaximalInit()
 					fullR := mater.Gather()
 					fullC := matec.Gather()
@@ -628,8 +625,8 @@ func TestCommKindAttribution(t *testing.T) {
 
 	runAndMeter := func(mode AugmentMode) (rma, a2a, ag mpi.Meter) {
 		var w *mpi.World
-		err := RunDistributed(side, a.NRows, a.NCols, blocks,
-			Config{Procs: side * side, Init: InitGreedy, Augment: mode},
+		err := RunDistributed(side, side, a.NRows, a.NCols, blocks,
+			Config{Procs: side * side, Init: InitGreedy, Augment: mode}, nil,
 			func(s *Solver) error {
 				mater, matec := s.MaximalInit()
 				if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
@@ -701,8 +698,8 @@ func TestSingleSourceMatchesOracle(t *testing.T) {
 		side := 2
 		blocks := spmat.DistributeRanks(a, side, side, nil)
 		var card int
-		err := RunDistributed(side, a.NRows, a.NCols, blocks,
-			Config{Procs: 4, Init: InitGreedy}, func(s *Solver) error {
+		err := RunDistributed(side, side, a.NRows, a.NCols, blocks,
+			Config{Procs: 4, Init: InitGreedy}, nil, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
 				if err := s.RunEngineByName(EngineBFSSingleSource, mater, matec); err != nil {
 					return err
@@ -733,8 +730,8 @@ func TestSingleSourceNeedsFarMoreIterations(t *testing.T) {
 
 	iters := func(single bool) int {
 		var n int
-		err := RunDistributed(side, a.NRows, a.NCols, blocks,
-			Config{Procs: 4, Init: InitNone}, func(s *Solver) error {
+		err := RunDistributed(side, side, a.NRows, a.NCols, blocks,
+			Config{Procs: 4, Init: InitNone}, nil, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
 				if single {
 					if err := s.RunEngineByName(EngineBFSSingleSource, mater, matec); err != nil {

@@ -13,6 +13,14 @@ import (
 	"mcmdist/internal/spmat"
 )
 
+// gatherInt is s as a global dense slice on every rank, with semiring.None
+// where s holds no entry. Collective.
+func gatherInt(s *dvec.SparseInt) []int64 {
+	d := dvec.NewDense(s.L, semiring.None)
+	d.Scatter(s)
+	return d.Gather()
+}
+
 // serialResidualDegrees is the recompute-from-scratch reference: for every
 // unmatched column, the number of its unmatched row neighbors, 0 where the
 // column is matched.
@@ -98,7 +106,7 @@ func TestResidualDegreesMatchSerial(t *testing.T) {
 			blocks := spmat.DistributeRanks(a, pr, pc, nil)
 			for threads := 1; threads <= 4; threads++ {
 				cfg := Config{Procs: pr * pc, Threads: threads}
-				err := RunDistributedGrid(pr, pc, a.NRows, a.NCols, blocks, cfg, func(s *Solver) error {
+				err := RunDistributed(pr, pc, a.NRows, a.NCols, blocks, cfg, nil, func(s *Solver) error {
 					m := s.newMatchedSets()
 					for _, half := range []int{0, 1} {
 						// Split the pairs by their column, so each batch's
@@ -107,7 +115,7 @@ func TestResidualDegreesMatchSerial(t *testing.T) {
 						keepR := func(i int) bool { return int(mateR[i])%2 == half }
 						s.markMatched(m, localPairs(s.ColL, mateC, keepC), localPairs(s.RowL, mateR, keepR))
 					}
-					if err := checkDegrees(s.residualColDegrees(m).GatherInt(), want); err != nil {
+					if err := checkDegrees(gatherInt(s.residualColDegrees(m)), want); err != nil {
 						return fmt.Errorf("rank %d: %v", s.G.World.Rank(), err)
 					}
 					return nil
@@ -205,7 +213,7 @@ func TestDegreeInitRoundsMatchSerialOracle(t *testing.T) {
 					name := fmt.Sprintf("%s/%v/%dx%d/t%d", c.name, init, sh[0], sh[1], threads)
 					cfg := Config{Procs: sh[0] * sh[1], Threads: threads, Init: init}
 					var gotR, gotC []int64
-					err := RunDistributedGrid(sh[0], sh[1], c.a.NRows, c.a.NCols, blocks, cfg, func(s *Solver) error {
+					err := RunDistributed(sh[0], sh[1], c.a.NRows, c.a.NCols, blocks, cfg, nil, func(s *Solver) error {
 						// The per-round pass: wrap the round's frontier
 						// pick to compare each round's degrees.
 						pick := s.minDegreeFrontier
@@ -217,7 +225,7 @@ func TestDegreeInitRoundsMatchSerialOracle(t *testing.T) {
 						mater := dvec.NewDense(s.RowL, semiring.None)
 						matec := dvec.NewDense(s.ColL, semiring.None)
 						s.degreeInit(mater, matec, func(degU *dvec.SparseInt) (*dvec.SparseV, semiring.AddOp) {
-							got := degU.GatherInt()
+							got := gatherInt(degU)
 							if roundErr == nil {
 								if round >= len(rounds) {
 									roundErr = fmt.Errorf("round %d: the oracle stopped after %d rounds", round, len(rounds))

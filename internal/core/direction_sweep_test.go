@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"mcmdist/internal/mpi"
-	_ "mcmdist/internal/mpi/tcpnet" // register the "tcp" backend
+	"mcmdist/internal/mpi/tcpnet"
 	"mcmdist/internal/rmat"
 	"mcmdist/internal/verify"
 )
@@ -54,11 +54,11 @@ func TestDirectionCompressionSweepBitIdentical(t *testing.T) {
 							}
 							results = []*Result{res}
 						} else {
-							eps, err := mpi.NewTransportSet("tcp", cfg.Procs)
+							eps, err := tcpnet.Loopback(cfg.Procs)
 							if err != nil {
 								t.Fatalf("building tcp endpoints: %v", err)
 							}
-							results, err = SolveEndpoints(eps, a, cfg)
+							results, err = solveEndpoints(eps, a, cfg)
 							if cerr := mpi.CloseAll(eps); cerr != nil {
 								t.Errorf("closing endpoints: %v", cerr)
 							}

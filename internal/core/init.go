@@ -165,7 +165,7 @@ func (s *Solver) residualColDegrees(m matchedSets) *dvec.SparseInt {
 	flat := g.Col.AlltoallvFlat(parts, ctx.GetInts(2*g.PR*s.ColL.MyRange().Len()))
 	ctx.PutParts(parts)
 	// Every block of my grid column may count the same column: sum them.
-	deg := dvec.ReceiveInt(s.ColL, flat, dvec.Sum)
+	deg := dvec.ReceiveInt(s.ColL, flat)
 	g.World.AddWork(len(flat) / 2)
 	ctx.PutInts(flat)
 	return deg

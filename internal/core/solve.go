@@ -134,23 +134,6 @@ func (d *distributed) unpermute(m *matching.Matching) *matching.Matching {
 	return out
 }
 
-// SolveEndpoints runs one solve over every endpoint of a pre-built
-// transport set concurrently in this process — the loopback form of a
-// multi-process deployment, used by tests and the conformance suite. It
-// returns one Result per endpoint, in eps order, and the first error. The
-// caller retains ownership of the endpoints (and must Close them).
-func SolveEndpoints(eps []mpi.Transport, a *spmat.CSC, cfg Config) ([]*Result, error) {
-	results, errs := onEndpoints(eps, func(ep mpi.Transport) (*Result, error) {
-		return SolveOn(ep, a, cfg)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
-}
-
 // onEndpoints runs fn on every endpoint concurrently and returns the
 // results and errors in eps order. The first endpoint runs on the calling
 // goroutine, so a one-endpoint world (the in-process backend) starts no
@@ -273,12 +256,6 @@ func checkWorldSize(tr mpi.Transport, procs int) error {
 	return nil
 }
 
-// SolveSerialEquivalent returns the oracle cardinality via Hopcroft–Karp,
-// for callers wanting a one-line cross-check of Solve's result.
-func SolveSerialEquivalent(a *spmat.CSC) int {
-	return matching.HopcroftKarp(a, nil).Cardinality()
-}
-
 // String renders a compact one-line summary of the result.
 func (r *Result) String() string {
 	return fmt.Sprintf("|M|=%d (init %d) phases=%d iters=%d p=%d t=%d",
@@ -286,29 +263,15 @@ func (r *Result) String() string {
 		r.Stats.Iterations, r.Procs, r.Threads)
 }
 
-// RunDistributed launches side*side ranks on a square grid over
-// pre-distributed matrix blocks and invokes fn with each rank's solver.
-// It is the low-level entry point used by benchmarks and by callers that
-// manage mate vectors themselves; Solve wraps it with distribution and
-// result gathering.
-func RunDistributed(side, n1, n2 int, blocks [][]*spmat.LocalMatrix,
-	cfg Config, fn func(*Solver) error) error {
-	return RunDistributedGrid(side, side, n1, n2, blocks, cfg, fn)
-}
-
-// RunDistributedGrid is RunDistributed for an arbitrary pr x pc grid; blocks
-// must be distributed as pr x pc.
-func RunDistributedGrid(pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
-	cfg Config, fn func(*Solver) error) error {
-	return RunDistributedGridCtx(pr, pc, n1, n2, blocks, cfg, nil, fn)
-}
-
-// RunDistributedGridCtx is RunDistributedGrid with caller-supplied runtime
-// contexts, one per rank (indexed by world rank). A session that solves
+// RunDistributed launches pr*pc ranks on a pr x pc grid over blocks
+// distributed as pr x pc, and invokes fn with each rank's solver. It is the
+// low-level entry point for callers that manage mate vectors themselves;
+// SolveOn adds distribution and result gathering. ctxs supplies one
+// runtime context per rank (indexed by world rank): a session that solves
 // repeatedly on the same distributed graph passes the same contexts every
 // time, so the arena and scratch warmed up by one solve serve the next. A
 // nil ctxs builds fresh contexts.
-func RunDistributedGridCtx(pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
+func RunDistributed(pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, fn func(*Solver) error) error {
 	w, err := mpi.RunWith(mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout, Compress: cfg.Compress},
 		pr*pc, func(c *mpi.Comm) error {

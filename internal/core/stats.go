@@ -87,24 +87,6 @@ func newStats() *Stats {
 	}
 }
 
-// TotalWall sums wall time across categories.
-func (s *Stats) TotalWall() time.Duration {
-	var t time.Duration
-	for _, d := range s.Wall {
-		t += d
-	}
-	return t
-}
-
-// TotalMeter sums the per-category meters.
-func (s *Stats) TotalMeter() mpi.Meter {
-	var m mpi.Meter
-	for _, d := range s.Meter {
-		m = m.Add(d)
-	}
-	return m
-}
-
 // MergeMax folds another rank's stats into s, taking per-category maxima for
 // wall time and meters (critical-path approximation) and verifying the
 // SPMD-replicated counters agree.
@@ -139,19 +121,8 @@ func (s *Stats) MergeMax(o *Stats) {
 	}
 }
 
-// TotalComm sums the per-category communication-time ledgers.
-func (s *Stats) TotalComm() mpi.CommTimes {
-	var t mpi.CommTimes
-	for _, ct := range s.Comm {
-		t = t.Add(ct)
-	}
-	return t
-}
-
-// tracker measures one rank's per-category wall time and meter deltas. The
-// measurement itself lives in the runtime context's ledger (rt.Ctx.Track),
-// which survives across solves when a context is reused; the tracker
-// additionally writes each delta into this solve's Stats.
+// tracker measures one rank's per-category wall time and meter deltas with
+// rt.Ctx.Track and adds each delta into this solve's Stats.
 type tracker struct {
 	ctx   *rt.Ctx
 	stats *Stats

@@ -7,15 +7,26 @@ package core
 // job, which does the same across real OS processes via cmd/mcmrank.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
 	"mcmdist/internal/mpi"
-	_ "mcmdist/internal/mpi/tcpnet" // register the "tcp" backend
+	"mcmdist/internal/mpi/tcpnet"
 	"mcmdist/internal/rmat"
+	"mcmdist/internal/spmat"
 	"mcmdist/internal/verify"
 )
+
+// solveEndpoints runs SolveOn on every endpoint of eps concurrently and
+// returns one Result per endpoint, in eps order, and the first error.
+func solveEndpoints(eps []mpi.Transport, a *spmat.CSC, cfg Config) ([]*Result, error) {
+	results, errs := onEndpoints(eps, func(ep mpi.Transport) (*Result, error) {
+		return SolveOn(ep, a, cfg)
+	})
+	return results, errors.Join(errs...)
+}
 
 func TestSolveOnLoopbackTCPMatchesOracle(t *testing.T) {
 	a := rmat.MustGenerate(rmat.G500, 7, 4, 21)
@@ -36,11 +47,11 @@ func TestSolveOnLoopbackTCPMatchesOracle(t *testing.T) {
 				t.Fatalf("oracle not maximum: %v", err)
 			}
 
-			eps, err := mpi.NewTransportSet("tcp", tc.cfg.Procs)
+			eps, err := tcpnet.Loopback(tc.cfg.Procs)
 			if err != nil {
 				t.Fatalf("building tcp endpoints: %v", err)
 			}
-			results, err := SolveEndpoints(eps, a, tc.cfg)
+			results, err := solveEndpoints(eps, a, tc.cfg)
 			if cerr := mpi.CloseAll(eps); cerr != nil {
 				t.Errorf("closing endpoints: %v", cerr)
 			}
@@ -81,7 +92,7 @@ func TestSolveOnBuildsOnlyHostedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oracle solve: %v", err)
 	}
-	eps, err := mpi.NewTransportSet("tcp", cfg.Procs)
+	eps, err := tcpnet.Loopback(cfg.Procs)
 	if err != nil {
 		t.Fatalf("building tcp endpoints: %v", err)
 	}
@@ -107,7 +118,7 @@ func TestSolveOnBuildsOnlyHostedBlocks(t *testing.T) {
 		}
 	}
 
-	results, err := SolveEndpoints(eps, a, cfg)
+	results, err := solveEndpoints(eps, a, cfg)
 	if err != nil {
 		t.Fatalf("tcp solve: %v", err)
 	}

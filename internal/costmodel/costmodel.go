@@ -82,14 +82,6 @@ func (m Machine) GatherScatter(nnz, n, p int) float64 {
 	return msgs*m.Alpha + (gatherWords+scatterWords)*m.Beta
 }
 
-// Speedup returns base/t, guarding against division by zero.
-func Speedup(base, t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return base / t
-}
-
 // String formats the machine constants.
 func (m Machine) String() string {
 	return fmt.Sprintf("%s(t_op=%.2gs, alpha=%.2gs, beta=%.2gs)", m.Name, m.TOp, m.Alpha, m.Beta)

@@ -74,15 +74,6 @@ func TestGatherScatterGrowsWithEdges(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if Speedup(10, 2) != 5 {
-		t.Fatal("speedup wrong")
-	}
-	if Speedup(10, 0) != 0 {
-		t.Fatal("division by zero not guarded")
-	}
-}
-
 func TestEdisonConstantsPlausible(t *testing.T) {
 	if Edison.Alpha < 1e-7 || Edison.Alpha > 1e-5 {
 		t.Fatalf("alpha %v not in plausible MPI range", Edison.Alpha)

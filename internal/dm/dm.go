@@ -156,30 +156,6 @@ func Decompose(a *spmat.CSC, m *matching.Matching) (*Coarse, error) {
 	return c, nil
 }
 
-// StructuralRank returns the structural rank implied by the decomposition,
-// which equals the maximum matching cardinality: every HC and VR vertex is
-// matched, plus the perfect matching of the square block.
-func (c *Coarse) StructuralRank() int {
-	return len(c.HC) + len(c.SC) + len(c.VR)
-}
-
-// RowOrder returns the rows in block order (HR, SR, VR): the row
-// permutation of the block-triangular form.
-func (c *Coarse) RowOrder() []int {
-	out := make([]int, 0, len(c.HR)+len(c.SR)+len(c.VR))
-	out = append(out, c.HR...)
-	out = append(out, c.SR...)
-	return append(out, c.VR...)
-}
-
-// ColOrder returns the columns in block order (HC, SC, VC).
-func (c *Coarse) ColOrder() []int {
-	out := make([]int, 0, len(c.HC)+len(c.SC)+len(c.VC))
-	out = append(out, c.HC...)
-	out = append(out, c.SC...)
-	return append(out, c.VC...)
-}
-
 // String summarizes the block sizes.
 func (c *Coarse) String() string {
 	return fmt.Sprintf("dm: horizontal %dx%d, square %dx%d, vertical %dx%d",

@@ -101,15 +101,15 @@ func checkCoarse(t *testing.T, a *spmat.CSC, m *matching.Matching, c *Coarse) {
 		}
 	}
 
-	// Structural rank equals the matching cardinality.
-	if c.StructuralRank() != m.Cardinality() {
-		t.Fatalf("structural rank %d != |M| %d", c.StructuralRank(), m.Cardinality())
+	// Structural rank (every HC and VR vertex matched, plus the perfect
+	// matching of the square block) equals the matching cardinality.
+	if rank := len(c.HC) + len(c.SC) + len(c.VR); rank != m.Cardinality() {
+		t.Fatalf("structural rank %d != |M| %d", rank, m.Cardinality())
 	}
 
-	// Orders are permutations.
-	ro, co := c.RowOrder(), c.ColOrder()
-	if len(ro) != a.NRows || len(co) != a.NCols {
-		t.Fatal("orders have wrong length")
+	// The blocks partition the rows and the columns.
+	if len(c.HR)+len(c.SR)+len(c.VR) != a.NRows || len(c.HC)+len(c.SC)+len(c.VC) != a.NCols {
+		t.Fatal("blocks do not partition the rows and columns")
 	}
 }
 
@@ -195,8 +195,8 @@ func TestWideMatrixHorizontal(t *testing.T) {
 	if len(c.VR) != 1 || len(c.VC) != 3 {
 		t.Fatalf("expected pure vertical block, got %v", c)
 	}
-	if c.StructuralRank() != 1 {
-		t.Fatalf("structural rank %d", c.StructuralRank())
+	if rank := len(c.HC) + len(c.SC) + len(c.VR); rank != 1 {
+		t.Fatalf("structural rank %d", rank)
 	}
 }
 

@@ -78,18 +78,6 @@ func BenchmarkTableIPrune(b *testing.B) {
 	})
 }
 
-func BenchmarkRedistribute(b *testing.B) {
-	benchOnGrid(b, func(g *grid.Grid, _ int) {
-		l := NewLayout(g, benchN, RowAligned)
-		s := NewSparseInt(l)
-		r := l.MyRange()
-		for gi := r.Lo; gi < r.Hi; gi += 3 {
-			s.Append(gi, int64(gi))
-		}
-		s.Redistribute(NewLayout(g, benchN, ColAligned))
-	})
-}
-
 func BenchmarkDenseGather(b *testing.B) {
 	benchOnGrid(b, func(g *grid.Grid, _ int) {
 		d := NewDense(NewLayout(g, benchN, ColAligned), 7)

@@ -7,6 +7,18 @@ import (
 	"testing"
 )
 
+// setBits lists base+i for every set bit i of b's words, padding bits
+// included, in ascending order.
+func setBits(b Bitmap, base int64) []int64 {
+	var out []int64
+	for i := 0; i < 64*len(b.Words); i++ {
+		if b.Words[i>>6]&(1<<(uint(i)&63)) != 0 {
+			out = append(out, base+int64(i))
+		}
+	}
+	return out
+}
+
 func TestBitmapBasics(t *testing.T) {
 	b := NewBitmap(200)
 	for _, i := range []int{0, 1, 63, 64, 127, 128, 199} {
@@ -18,21 +30,21 @@ func TestBitmapBasics(t *testing.T) {
 			t.Fatalf("Has(%d) = %v, want %v", i, b.Has(i), want)
 		}
 	}
-	if b.Count() != 7 {
-		t.Fatalf("Count = %d, want 7", b.Count())
+	if len(setBits(b, 0)) != 7 {
+		t.Fatalf("set bit count = %d, want 7", len(setBits(b, 0)))
 	}
-	got := b.AppendIndices(nil, 1000)
+	got := setBits(b, 1000)
 	want := []int64{1000, 1001, 1063, 1064, 1127, 1128, 1199}
 	if len(got) != len(want) {
-		t.Fatalf("AppendIndices = %v, want %v", got, want)
+		t.Fatalf("set bits = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("AppendIndices = %v, want %v", got, want)
+			t.Fatalf("set bits = %v, want %v", got, want)
 		}
 	}
 	b.Clear()
-	if b.Count() != 0 {
+	if len(setBits(b, 0)) != 0 {
 		t.Fatal("Clear left bits set")
 	}
 }
@@ -53,10 +65,10 @@ func TestBitmapSparseRoundtrip(t *testing.T) {
 		}
 		b := NewBitmap(n)
 		b.SetIndices(idx, lo)
-		if b.Count() != len(idx) {
-			t.Fatalf("Count = %d, want %d", b.Count(), len(idx))
+		if len(setBits(b, 0)) != len(idx) {
+			t.Fatalf("set bit count = %d, want %d", len(setBits(b, 0)), len(idx))
 		}
-		back := b.AppendIndices(nil, int64(lo))
+		back := setBits(b, int64(lo))
 		sort.Slice(idx, func(a, c int) bool { return idx[a] < idx[c] })
 		for i := range idx {
 			if back[i] != idx[i] {
@@ -66,26 +78,10 @@ func TestBitmapSparseRoundtrip(t *testing.T) {
 	}
 }
 
-func TestBitmapSetWhereNot(t *testing.T) {
-	v := []int64{-1, 5, -1, 0, -1, 9}
-	b := NewBitmap(len(v))
-	b.SetWhereNot(v, -1)
-	want := []int64{1, 3, 5}
-	got := b.AppendIndices(nil, 0)
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
 func TestAsBitmapClearsBorrowedBuffer(t *testing.T) {
 	buf := []int64{-1, -1, -1}
 	b := AsBitmap(buf, 130)
-	if b.Count() != 0 {
+	if len(setBits(b, 0)) != 0 {
 		t.Fatal("AsBitmap did not clear the borrowed words")
 	}
 	if len(b.Words) != BitmapWords(130) {
@@ -95,7 +91,7 @@ func TestAsBitmapClearsBorrowedBuffer(t *testing.T) {
 
 // TestBitmapSetIndicesRejectsOutOfRange pins the wire-input check: an index
 // in the padding bits past N, or below lo, panics with a dvec message and
-// leaves Count untouched instead of setting a stray bit.
+// leaves the bitmap untouched instead of setting a stray bit.
 func TestBitmapSetIndicesRejectsOutOfRange(t *testing.T) {
 	const lo, n = 100, 70 // two words, 58 padding bits
 	for _, gi := range []int64{lo + n, lo + 127, lo + 128, lo - 1, -5} {
@@ -109,13 +105,13 @@ func TestBitmapSetIndicesRejectsOutOfRange(t *testing.T) {
 			}()
 			b.SetIndices([]int64{lo, gi}, lo)
 		}()
-		if c := b.Count(); c > 1 {
-			t.Errorf("index %d: Count = %d after the rejected index", gi, c)
+		if c := len(setBits(b, 0)); c > 1 {
+			t.Errorf("index %d: set bit count = %d after the rejected index", gi, c)
 		}
 	}
 	b := NewBitmap(n)
 	b.SetIndices([]int64{lo, lo + n - 1}, lo)
-	if b.Count() != 2 {
-		t.Fatalf("in-range ends: Count = %d, want 2", b.Count())
+	if len(setBits(b, 0)) != 2 {
+		t.Fatalf("in-range ends: set bit count = %d, want 2", len(setBits(b, 0)))
 	}
 }

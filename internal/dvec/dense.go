@@ -3,7 +3,6 @@ package dvec
 import (
 	"fmt"
 
-	"mcmdist/internal/mpi"
 	"mcmdist/internal/obs"
 	"mcmdist/internal/parallel"
 )
@@ -38,15 +37,6 @@ func NewDenseFrom(l Layout, global []int64) *Dense {
 	return &Dense{L: l, Local: local}
 }
 
-// At returns the value at global index g, which must be owned by this rank.
-func (d *Dense) At(g int) int64 {
-	r := d.L.MyRange()
-	if !r.Contains(g) {
-		panic(fmt.Sprintf("dvec: index %d outside local range [%d,%d)", g, r.Lo, r.Hi))
-	}
-	return d.Local[g-r.Lo]
-}
-
 // SetAt stores v at global index g, which must be owned by this rank.
 func (d *Dense) SetAt(g int, v int64) {
 	r := d.L.MyRange()
@@ -61,23 +51,6 @@ func (d *Dense) Fill(v int64) {
 	for i := range d.Local {
 		d.Local[i] = v
 	}
-}
-
-// Clone returns a deep copy sharing the layout.
-func (d *Dense) Clone() *Dense {
-	return &Dense{L: d.L, Local: append([]int64(nil), d.Local...)}
-}
-
-// CountEq returns the global number of elements equal to v. Collective.
-func (d *Dense) CountEq(v int64) int {
-	var local int64
-	for _, x := range d.Local {
-		if x == v {
-			local++
-		}
-	}
-	d.L.G.World.AddWork(len(d.Local))
-	return int(d.L.G.World.Allreduce(mpi.OpSum, local))
 }
 
 // Gather reconstructs the full vector on every rank. Collective; intended

@@ -118,7 +118,7 @@ func TestDenseAtSet(t *testing.T) {
 		d := NewDense(l, semiring.None)
 		r := l.MyRange()
 		for x := r.Lo; x < r.Hi; x++ {
-			if d.At(x) != semiring.None {
+			if d.Local[x-r.Lo] != semiring.None {
 				return fmt.Errorf("fill missing at %d", x)
 			}
 			d.SetAt(x, int64(x*2))
@@ -133,27 +133,20 @@ func TestDenseAtSet(t *testing.T) {
 	})
 }
 
-func TestDenseCountEq(t *testing.T) {
-	global := []int64{-1, 3, -1, -1, 9, -1}
-	onGrid(t, 2, 2, func(g *grid.Grid) error {
-		d := NewDenseFrom(NewLayout(g, len(global), ColAligned), global)
-		if n := d.CountEq(-1); n != 4 {
-			return fmt.Errorf("CountEq = %d, want 4", n)
-		}
-		return nil
-	})
+// appendInt adds a nonzero at global index g of s; indices must arrive in
+// strictly increasing order.
+func appendInt(s *SparseInt, g int, v int64) {
+	checkAppend(s.L, s.Idx, g)
+	s.Idx = append(s.Idx, g)
+	s.Val = append(s.Val, v)
 }
 
-func TestDenseClone(t *testing.T) {
-	onGrid(t, 1, 2, func(g *grid.Grid) error {
-		d := NewDenseFrom(NewLayout(g, 4, ColAligned), []int64{1, 2, 3, 4})
-		cl := d.Clone()
-		cl.Fill(0)
-		if d.CountEq(0) != 0 {
-			return fmt.Errorf("clone shares storage")
-		}
-		return nil
-	})
+// gatherInt is s as a global dense slice on every rank, with semiring.None
+// where s holds no entry. Collective.
+func gatherInt(s *SparseInt) []int64 {
+	d := NewDense(s.L, semiring.None)
+	d.Scatter(s)
+	return d.Gather()
 }
 
 // buildSparseInt distributes the given dense representation (0 = missing,
@@ -163,7 +156,7 @@ func buildSparseInt(l Layout, full []int64) *SparseInt {
 	r := l.MyRange()
 	for g := r.Lo; g < r.Hi; g++ {
 		if full[g] != 0 {
-			s.Append(g, full[g])
+			appendInt(s, g, full[g])
 		}
 	}
 	return s
@@ -177,7 +170,7 @@ func TestTableIInd(t *testing.T) {
 		l := NewLayout(g, len(x), ColAligned)
 		s := buildSparseInt(l, x)
 		want := map[int]bool{0: true, 2: true, 3: true}
-		for _, idx := range s.Ind() {
+		for _, idx := range s.Idx {
 			if !want[idx] {
 				return fmt.Errorf("unexpected index %d", idx)
 			}
@@ -200,10 +193,19 @@ func TestTableISelect(t *testing.T) {
 	for _, shape := range gridShapes {
 		onGrid(t, shape[0], shape[1], func(g *grid.Grid) error {
 			l := NewLayout(g, len(x), ColAligned)
-			s := buildSparseInt(l, x)
+			s := NewSparseV(l)
+			r := l.MyRange()
+			for gi := r.Lo; gi < r.Hi; gi++ {
+				if x[gi] != 0 {
+					s.Append(gi, semiring.Self(x[gi]))
+				}
+			}
 			d := NewDenseFrom(l, y)
 			z := s.Select(d, func(v int64) bool { return v == -1 })
-			got := z.GatherInt()
+			var got []int64
+			for _, v := range z.GatherVertices() {
+				got = append(got, v.Parent)
+			}
 			want := []int64{semiring.None, semiring.None, 2, semiring.None, semiring.None}
 			if !reflect.DeepEqual(got, want) {
 				return fmt.Errorf("shape %v: SELECT = %v", shape, got)
@@ -243,7 +245,7 @@ func TestTableIInvert(t *testing.T) {
 			outL := NewLayout(g, len(x), RowAligned)
 			s := buildSparseInt(l, x)
 			z := s.Invert(outL)
-			got := z.GatherInt()
+			got := gatherInt(z)
 			want := []int64{semiring.None, semiring.None, 2, 0, semiring.None}
 			if !reflect.DeepEqual(got, want) {
 				return fmt.Errorf("shape %v: INVERT = %v", shape, got)
@@ -295,7 +297,7 @@ func TestInvertRoundTripOnInjective(t *testing.T) {
 		s := buildSparseInt(l, full)
 		inv := s.Invert(NewLayout(g, 8, RowAligned))
 		back := inv.Invert(l)
-		got := back.GatherInt()
+		got := gatherInt(back)
 		for gi, v := range full {
 			if v == 0 {
 				if got[gi] != semiring.None {
@@ -366,7 +368,7 @@ func TestSetParentsFromAndScatterParents(t *testing.T) {
 		}
 		s.SetParentsFrom(mate)
 		for k, gi := range s.Idx {
-			if s.Val[k].Parent != mate.At(gi) {
+			if s.Val[k].Parent != mate.Local[gi-r.Lo] {
 				return fmt.Errorf("parent[%d] = %d", gi, s.Val[k].Parent)
 			}
 			if s.Val[k].Root != int64(gi) {
@@ -389,6 +391,8 @@ func TestSetParentsFromAndScatterParents(t *testing.T) {
 	})
 }
 
+// TestRootsParentsAccessors: RootVals lists the entries' roots in index
+// order, appended to the lent buffer.
 func TestRootsParentsAccessors(t *testing.T) {
 	onGrid(t, 1, 2, func(g *grid.Grid) error {
 		l := NewLayout(g, 4, ColAligned)
@@ -397,10 +401,13 @@ func TestRootsParentsAccessors(t *testing.T) {
 		for gi := r.Lo; gi < r.Hi; gi++ {
 			s.Append(gi, semiring.Vertex{Parent: int64(gi * 10), Root: int64(gi * 100)})
 		}
-		roots, parents := s.Roots(), s.Parents()
+		roots := s.RootVals([]int64{-7})
+		if len(roots) != 1+len(s.Idx) || roots[0] != -7 {
+			return fmt.Errorf("RootVals did not append to the lent buffer: %v", roots)
+		}
 		for k, gi := range s.Idx {
-			if roots.Val[k] != int64(gi*100) || parents.Val[k] != int64(gi*10) {
-				return fmt.Errorf("accessors wrong at %d", gi)
+			if roots[1+k] != int64(gi*100) {
+				return fmt.Errorf("root wrong at %d", gi)
 			}
 		}
 		return nil
@@ -415,7 +422,7 @@ func TestSparseWhere(t *testing.T) {
 		if s.Nnz() != 3 {
 			return fmt.Errorf("nnz = %d", s.Nnz())
 		}
-		got := s.GatherInt()
+		got := gatherInt(s)
 		want := []int64{semiring.None, 5, semiring.None, 3, semiring.None, 8}
 		if !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("SparseWhere = %v", got)
@@ -431,7 +438,7 @@ func TestGatherFrom(t *testing.T) {
 		s := NewSparseInt(l)
 		r := l.MyRange()
 		for gi := r.Lo; gi < r.Hi; gi++ {
-			s.Append(gi, -99)
+			appendInt(s, gi, -99)
 		}
 		s.GatherFrom(d)
 		for k, gi := range s.Idx {
@@ -446,20 +453,20 @@ func TestGatherFrom(t *testing.T) {
 func TestAppendValidation(t *testing.T) {
 	onGrid(t, 1, 1, func(g *grid.Grid) error {
 		l := NewLayout(g, 5, ColAligned)
-		s := NewSparseInt(l)
-		s.Append(1, 1)
+		s := NewSparseV(l)
+		s.Append(1, semiring.Self(1))
 		mustPanic := func(f func()) error {
 			defer func() { recover() }()
 			f()
 			return fmt.Errorf("expected panic")
 		}
-		if err := mustPanic(func() { s.Append(1, 2) }); err != nil {
+		if err := mustPanic(func() { s.Append(1, semiring.Self(2)) }); err != nil {
 			return fmt.Errorf("duplicate append: %v", err)
 		}
-		if err := mustPanic(func() { s.Append(0, 2) }); err != nil {
+		if err := mustPanic(func() { s.Append(0, semiring.Self(2)) }); err != nil {
 			return fmt.Errorf("decreasing append: %v", err)
 		}
-		if err := mustPanic(func() { s.Append(9, 2) }); err != nil {
+		if err := mustPanic(func() { s.Append(9, semiring.Self(2)) }); err != nil {
 			return fmt.Errorf("out-of-range append: %v", err)
 		}
 		return nil
@@ -494,7 +501,7 @@ func TestInvertMeterUsesAllToAll(t *testing.T) {
 		s := NewSparseInt(l)
 		r := l.MyRange()
 		for gi := r.Lo; gi < r.Hi; gi++ {
-			s.Append(gi, int64(39-gi))
+			appendInt(s, gi, int64(39-gi))
 		}
 		s.Invert(NewLayout(g, 40, RowAligned))
 		return nil
@@ -509,57 +516,13 @@ func TestInvertMeterUsesAllToAll(t *testing.T) {
 	}
 }
 
-func TestRedistributeRoundTrip(t *testing.T) {
-	for _, shape := range gridShapes {
-		onGrid(t, shape[0], shape[1], func(g *grid.Grid) error {
-			rowL := NewLayout(g, 23, RowAligned)
-			colL := NewLayout(g, 23, ColAligned)
-			s := NewSparseInt(rowL)
-			r := rowL.MyRange()
-			for gi := r.Lo; gi < r.Hi; gi += 2 {
-				s.Append(gi, int64(gi*10))
-			}
-			moved := s.Redistribute(colL)
-			if moved.Nnz() != s.Nnz() {
-				return fmt.Errorf("shape %v: nnz %d -> %d", shape, s.Nnz(), moved.Nnz())
-			}
-			// Every moved entry must land on the owner under the new layout.
-			for _, gi := range moved.Idx {
-				if !colL.MyRange().Contains(gi) {
-					return fmt.Errorf("entry %d not local under new layout", gi)
-				}
-			}
-			back := moved.Redistribute(rowL)
-			got := back.GatherInt()
-			want := s.GatherInt()
-			if !reflect.DeepEqual(got, want) {
-				return fmt.Errorf("shape %v: round trip %v != %v", shape, got, want)
-			}
-			return nil
-		})
-	}
-}
-
-func TestRedistributeRejectsWrongLength(t *testing.T) {
-	onGrid(t, 1, 1, func(g *grid.Grid) error {
-		s := NewSparseInt(NewLayout(g, 5, RowAligned))
-		defer func() {
-			if recover() == nil {
-				panic("expected panic")
-			}
-		}()
-		s.Redistribute(NewLayout(g, 6, ColAligned))
-		return nil
-	})
-}
-
 func TestCloneAndFilter(t *testing.T) {
 	onGrid(t, 2, 2, func(g *grid.Grid) error {
 		l := NewLayout(g, 8, ColAligned)
 		s := NewSparseInt(l)
 		r := l.MyRange()
 		for gi := r.Lo; gi < r.Hi; gi++ {
-			s.Append(gi, int64(gi))
+			appendInt(s, gi, int64(gi))
 		}
 		cl := s.Clone()
 		if len(cl.Val) > 0 {
@@ -577,17 +540,6 @@ func TestCloneAndFilter(t *testing.T) {
 		if even.Nnz() != 4 {
 			return fmt.Errorf("filter kept %d, want 4", even.Nnz())
 		}
-		sv := NewSparseV(l)
-		for gi := r.Lo; gi < r.Hi; gi++ {
-			sv.Append(gi, semiring.Self(int64(gi)))
-		}
-		svc := sv.Clone()
-		if len(svc.Val) > 0 {
-			svc.Val[0].Parent = -5
-			if sv.Val[0].Parent == -5 {
-				return fmt.Errorf("SparseV clone shares storage")
-			}
-		}
 		return nil
 	})
 }
@@ -601,10 +553,10 @@ func TestInvertKeepsSmallestSourceProperty(t *testing.T) {
 		s := NewSparseInt(l)
 		r := l.MyRange()
 		for gi := r.Lo; gi < r.Hi; gi++ {
-			s.Append(gi, int64(gi%4)) // heavy collisions on 4 targets
+			appendInt(s, gi, int64(gi%4)) // heavy collisions on 4 targets
 		}
 		inv := s.Invert(outL)
-		got := inv.GatherInt()
+		got := gatherInt(inv)
 		for tgt := 0; tgt < 4; tgt++ {
 			if got[tgt] != int64(tgt) { // smallest source with gi%4==tgt is tgt itself
 				return fmt.Errorf("target %d kept source %d, want %d", tgt, got[tgt], tgt)
@@ -618,7 +570,7 @@ func TestInvertPanicsOnOutOfRangeTarget(t *testing.T) {
 	onGrid(t, 1, 1, func(g *grid.Grid) error {
 		l := NewLayout(g, 5, ColAligned)
 		s := NewSparseInt(l)
-		s.Append(0, 99) // target outside [0, 5)
+		appendInt(s, 0, 99) // target outside [0, 5)
 		defer func() {
 			if recover() == nil {
 				panic("expected panic")

@@ -10,6 +10,7 @@ import (
 
 	"mcmdist/internal/grid"
 	"mcmdist/internal/mpi"
+	"mcmdist/internal/rt"
 	"mcmdist/internal/semiring"
 )
 
@@ -18,6 +19,15 @@ import (
 // the received union by (index, second field), then keep the first record of
 // each index. Every production receive must reproduce them entry for entry
 // and meter for meter.
+
+// flatAlltoall routes parts through a split-phase personalized all-to-all
+// into one flat arena buffer, for the references to sort.
+func flatAlltoall(c *mpi.Comm, ctx *rt.Ctx, parts [][]int64, hint int) []int64 {
+	rq := c.IAlltoallvParts(parts)
+	flat := rq.Drain(ctx.GetInts(hint))
+	rq.Finish()
+	return flat
+}
 
 // sortRecords sorts buf, viewed as stride-length records, by first field,
 // ties by second.
@@ -90,24 +100,6 @@ func oracleInvertVertex(s *SparseV, outL Layout, byRoot bool) *SparseV {
 	return out
 }
 
-func oracleRedistribute(s *SparseInt, outL Layout) *SparseInt {
-	c := s.L.G.World
-	parts := make([][]int64, c.Size())
-	for k, g := range s.Idx {
-		rank, _ := outL.Owner(g)
-		parts[rank] = append(parts[rank], int64(g), s.Val[k])
-	}
-	flat := flatAlltoall(c, s.L.G.RT, parts, 2*len(s.Idx))
-	sortRecords(flat, 2)
-	out := NewSparseInt(outL)
-	for off := 0; off < len(flat); off += 2 {
-		out.Idx = append(out.Idx, int(flat[off]))
-		out.Val = append(out.Val, flat[off+1])
-	}
-	c.AddWork(len(s.Idx) + len(flat)/2)
-	return out
-}
-
 // metered runs fn and returns its result with the rank's meter delta.
 func metered[T any](c *mpi.Comm, fn func() T) (T, mpi.Meter) {
 	before := c.MeterSnapshot()
@@ -129,10 +121,10 @@ func sameV(got, want *SparseV) error {
 	return nil
 }
 
-// TestReceiveMatchesSortOracle runs INVERT (int and both vertex flavors) and
-// redistribute against the sort-based references on every grid shape and
-// thread count. Targets draw from a short range, so most are claimed by
-// several sources, and every third rank contributes nothing.
+// TestReceiveMatchesSortOracle runs INVERT (int and both vertex flavors)
+// against the sort-based references on every grid shape and thread count.
+// Targets draw from a short range, so most are claimed by several sources,
+// and every third rank contributes nothing.
 func TestReceiveMatchesSortOracle(t *testing.T) {
 	for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {3, 3}} {
 		for threads := 1; threads <= 4; threads++ {
@@ -163,7 +155,7 @@ func checkReceives(t *testing.T, name string, pr, pc, threads int, n int) {
 		xv := NewSparseV(rowL)
 		for gi := colL.MyRange().Lo; gi < colL.MyRange().Hi && !empty; gi++ {
 			if rng.Intn(3) > 0 {
-				xi.Append(gi, int64(rng.Intn(targets)))
+				appendInt(xi, gi, int64(rng.Intn(targets)))
 			}
 		}
 		for gi := rowL.MyRange().Lo; gi < rowL.MyRange().Hi && !empty; gi++ {
@@ -194,12 +186,7 @@ func checkReceives(t *testing.T, name string, pr, pc, threads int, n int) {
 		}
 		gotR, mR := metered(c, func() *SparseV { return xv.InvertRoots(tgtC) })
 		wantR, wR := metered(c, func() *SparseV { return oracleInvertVertex(xv, tgtC, true) })
-		if err := check("InvertRoots", mR, wR, sameV(gotR, wantR)); err != nil {
-			return err
-		}
-		gotD, mD := metered(c, func() *SparseInt { return xi.Redistribute(rowL) })
-		wantD, wD := metered(c, func() *SparseInt { return oracleRedistribute(xi, rowL) })
-		return check("Redistribute", mD, wD, sameInt(gotD, wantD))
+		return check("InvertRoots", mR, wR, sameV(gotR, wantR))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,18 +304,16 @@ func TestReceiveEmptyStreams(t *testing.T) {
 func TestReceivePanicsOnOutOfRangeIndex(t *testing.T) {
 	onGrid(t, 2, 2, func(g *grid.Grid) error {
 		wide, narrow := NewLayout(g, 400, RowAligned), NewLayout(g, 40, RowAligned)
-		ReceiveInt(wide, nil, Sum) // grows the rank's receive scratch to 100
+		ReceiveInt(wide, nil) // grows the rank's receive scratch to 100
 		r := narrow.MyRange()
 		for _, idx := range []int{r.Hi, r.Lo - 1} {
-			for _, op := range []Reduce{Sum, Store} {
-				msg := func() (msg string) {
-					defer func() { msg = fmt.Sprint(recover()) }()
-					ReceiveInt(narrow, []int64{int64(r.Lo), 1, int64(idx), 2}, op)
-					return ""
-				}()
-				if !strings.HasPrefix(msg, "dvec: ") {
-					return fmt.Errorf("index %d outside %v, op %d: panic %q, want a dvec: message", idx, r, op, msg)
-				}
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				ReceiveInt(narrow, []int64{int64(r.Lo), 1, int64(idx), 2})
+				return ""
+			}()
+			if !strings.HasPrefix(msg, "dvec: ") {
+				return fmt.Errorf("index %d outside %v: panic %q, want a dvec: message", idx, r, msg)
 			}
 			for _, op := range []semiring.AddOp{semiring.MinParent, semiring.RandRoot, semiring.RandParent, semiring.MinRoot} {
 				msg := func() (msg string) {

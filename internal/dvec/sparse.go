@@ -10,19 +10,10 @@ import (
 	"mcmdist/internal/spmat"
 )
 
-// flatAlltoall routes parts through a split-phase personalized all-to-all
-// into one flat arena buffer: arrived payloads are copied out while
+// flatAllgather routes data through a split-phase allgather into one flat
+// arena buffer (PRUNE's pattern): arrived payloads are copied out while
 // stragglers are still sending, hiding the copy-out behind the wait.
-// Consumers scatter-reduce the union under an order-free combine, so arrival
-// order is harmless.
-func flatAlltoall(c *mpi.Comm, ctx *rt.Ctx, parts [][]int64, hint int) []int64 {
-	rq := c.IAlltoallvParts(parts)
-	flat := rq.Drain(ctx.GetInts(hint))
-	rq.Finish()
-	return flat
-}
-
-// flatAllgather is flatAlltoall's allgather counterpart (PRUNE's pattern).
+// Consumers treat the union as a set, so arrival order is harmless.
 func flatAllgather(c *mpi.Comm, ctx *rt.Ctx, data []int64, hint int) []int64 {
 	rq := c.IAllgathervParts(data)
 	flat := rq.Drain(ctx.GetInts(hint))
@@ -64,22 +55,11 @@ func checkAppend(l Layout, idx []int, g int) {
 
 // Append adds a nonzero at global index g; indices must arrive in strictly
 // increasing order.
-func (s *SparseInt) Append(g int, v int64) {
-	checkAppend(s.L, s.Idx, g)
-	s.Idx = append(s.Idx, g)
-	s.Val = append(s.Val, v)
-}
-
-// Append adds a nonzero at global index g; indices must arrive in strictly
-// increasing order.
 func (s *SparseV) Append(g int, v semiring.Vertex) {
 	checkAppend(s.L, s.Idx, g)
 	s.Idx = append(s.Idx, g)
 	s.Val = append(s.Val, v)
 }
-
-// LocalNnz returns the number of locally stored nonzeros.
-func (s *SparseInt) LocalNnz() int { return len(s.Idx) }
 
 // LocalNnz returns the number of locally stored nonzeros.
 func (s *SparseV) LocalNnz() int { return len(s.Idx) }
@@ -94,13 +74,6 @@ func (s *SparseV) Nnz() int {
 	return int(s.L.G.World.Allreduce(mpi.OpSum, int64(len(s.Idx))))
 }
 
-// Ind returns the local nonzero indices (the Table I IND primitive). The
-// slice aliases the vector.
-func (s *SparseInt) Ind() []int { return s.Idx }
-
-// Ind returns the local nonzero indices (the Table I IND primitive).
-func (s *SparseV) Ind() []int { return s.Idx }
-
 // Select keeps the entries whose aligned dense value satisfies pred — the
 // Table I SELECT primitive, communication-free because x and y share a
 // layout. The result is a fresh vector.
@@ -113,27 +86,6 @@ func (s *SparseV) Select(y *Dense, pred func(int64) bool) *SparseV {
 	if n := len(s.Idx); n > 0 {
 		out.Idx = make([]int, 0, n)
 		out.Val = make([]semiring.Vertex, 0, n)
-	}
-	for k, g := range s.Idx {
-		if pred(y.Local[g-lo]) {
-			out.Idx = append(out.Idx, g)
-			out.Val = append(out.Val, s.Val[k])
-		}
-	}
-	s.L.G.World.AddWork(len(s.Idx))
-	return out
-}
-
-// Select keeps the entries whose aligned dense value satisfies pred.
-func (s *SparseInt) Select(y *Dense, pred func(int64) bool) *SparseInt {
-	if !s.L.Same(y.L) {
-		panic("dvec: SELECT layout mismatch")
-	}
-	lo := s.L.MyRange().Lo
-	out := NewSparseInt(s.L)
-	if n := len(s.Idx); n > 0 {
-		out.Idx = make([]int, 0, n)
-		out.Val = make([]int64, 0, n)
 	}
 	for k, g := range s.Idx {
 		if pred(y.Local[g-lo]) {
@@ -197,20 +149,6 @@ func (s *SparseV) SetParentsFrom(y *Dense) {
 	s.L.G.World.AddWork(len(s.Idx))
 }
 
-// Roots returns a sparse int vector with the same indices and the entries'
-// roots as values — the paper's ROOT(x).
-func (s *SparseV) Roots() *SparseInt {
-	out := &SparseInt{
-		L:   s.L,
-		Idx: append([]int(nil), s.Idx...),
-		Val: make([]int64, len(s.Val)),
-	}
-	for k, v := range s.Val {
-		out.Val[k] = v.Root
-	}
-	return out
-}
-
 // RootVals appends the entries' root values to buf and returns it — the
 // buffer-reusing counterpart of Roots().Val for the PRUNE call sites, which
 // only need the flat root list and can lend an arena buffer for it.
@@ -219,38 +157,6 @@ func (s *SparseV) RootVals(buf []int64) []int64 {
 		buf = append(buf, v.Root)
 	}
 	return buf
-}
-
-// Parents returns a sparse int vector of the entries' parents — PARENT(x).
-func (s *SparseV) Parents() *SparseInt {
-	out := &SparseInt{
-		L:   s.L,
-		Idx: append([]int(nil), s.Idx...),
-		Val: make([]int64, len(s.Val)),
-	}
-	for k, v := range s.Val {
-		out.Val[k] = v.Parent
-	}
-	return out
-}
-
-// Reduce is how ReceiveInt combines records that carry the same target
-// index. Both modes are independent of arrival order.
-type Reduce int
-
-const (
-	// Sum adds the values: the residual-degree count.
-	Sum Reduce = iota
-	// Store overwrites: redistribute, whose indices arrive once each.
-	Store
-)
-
-func (op Reduce) combine(held, in semiring.Vertex) semiring.Vertex {
-	if op == Sum {
-		held.Parent += in.Parent
-		return held
-	}
-	return in
 }
 
 // scatterReduce folds one stream of stride-length records (index, value[,
@@ -334,12 +240,19 @@ func ReceiveV(outL Layout, rq *mpi.PartsRequest, op semiring.AddOp) *SparseV {
 }
 
 // ReceiveInt builds the sparse vector with layout outL from received
-// (index, value) records, combining the records of one index under op. The
-// indices must fall in outL.MyRange(); flat stays the caller's.
-func ReceiveInt(outL Layout, flat []int64, op Reduce) *SparseInt {
+// (index, value) records, summing the values of one index: the
+// residual-degree count. The indices must fall in outL.MyRange(); flat
+// stays the caller's.
+func ReceiveInt(outL Layout, flat []int64) *SparseInt {
 	r := outL.MyRange()
 	sc := outL.G.RT.Scratch("dvec.receive", r.Len())
-	return ints(outL, sc, scatterReduce(sc, r, flat, 2, op.combine))
+	return ints(outL, sc, scatterReduce(sc, r, flat, 2, sum))
+}
+
+// sum adds the values of two records with one index.
+func sum(held, in semiring.Vertex) semiring.Vertex {
+	held.Parent += in.Parent
+	return held
 }
 
 // invert routes stride-length records (target, source[, root]) to the
@@ -434,28 +347,6 @@ func (s *SparseV) PruneRoots(localRoots []int64) *SparseV {
 	return out
 }
 
-// GatherInt reconstructs the full sparse vector as a dense []int64 slice on
-// every rank, with semiring.None at missing positions. For tests and result
-// extraction.
-func (s *SparseInt) GatherInt() []int64 {
-	c := s.L.G.World
-	payload := make([]int64, 0, 2*len(s.Idx))
-	for k, g := range s.Idx {
-		payload = append(payload, int64(g), s.Val[k])
-	}
-	parts := c.Allgatherv(payload)
-	out := make([]int64, s.L.N)
-	for i := range out {
-		out[i] = semiring.None
-	}
-	for _, p := range parts {
-		for off := 0; off < len(p); off += 2 {
-			out[p[off]] = p[off+1]
-		}
-	}
-	return out
-}
-
 // GatherVertices reconstructs the full VERTEX vector on every rank, with
 // (None, None) at missing positions. For tests and result extraction.
 func (s *SparseV) GatherVertices() []semiring.Vertex {
@@ -486,15 +377,6 @@ func (s *SparseInt) Clone() *SparseInt {
 	}
 }
 
-// Clone returns a deep copy.
-func (s *SparseV) Clone() *SparseV {
-	return &SparseV{
-		L:   s.L,
-		Idx: append([]int(nil), s.Idx...),
-		Val: append([]semiring.Vertex(nil), s.Val...),
-	}
-}
-
 // Filter keeps the entries whose value satisfies pred. Local.
 func (s *SparseInt) Filter(pred func(int64) bool) *SparseInt {
 	out := NewSparseInt(s.L)
@@ -505,29 +387,6 @@ func (s *SparseInt) Filter(pred func(int64) bool) *SparseInt {
 		}
 	}
 	s.L.G.World.AddWork(len(s.Idx))
-	return out
-}
-
-// Redistribute moves the vector to another layout of the same length (e.g.
-// RowAligned to ColAligned), preserving indices and values. Collective:
-// personalized all-to-all, the same pattern CombBLAS uses when a vector
-// changes alignment between operations.
-func (s *SparseInt) Redistribute(outL Layout) *SparseInt {
-	if outL.N != s.L.N {
-		panic(fmt.Sprintf("dvec: redistribute to different length %d != %d", outL.N, s.L.N))
-	}
-	c := s.L.G.World
-	ctx := s.L.G.RT
-	parts := ctx.GetParts(c.Size())
-	for k, g := range s.Idx {
-		rank := outL.G.RankAt(outL.OwnerCoords(g))
-		parts[rank] = append(parts[rank], int64(g), s.Val[k])
-	}
-	flat := flatAlltoall(c, ctx, parts, 2*len(s.Idx))
-	ctx.PutParts(parts)
-	out := ReceiveInt(outL, flat, Store)
-	c.AddWork(len(s.Idx) + len(flat)/2)
-	ctx.PutInts(flat)
 	return out
 }
 

@@ -9,12 +9,13 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"mcmdist/internal/core"
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
-	_ "mcmdist/internal/mpi/tcpnet" // register the "tcp" backend
+	"mcmdist/internal/mpi/tcpnet"
 	"mcmdist/internal/rmat"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmat"
@@ -31,13 +32,44 @@ func mustMaximum(t *testing.T, a *spmat.CSC, m *matching.Matching, label string)
 	}
 }
 
+// solveLoopbackTCP solves a with core.SolveOn on every endpoint of a
+// cfg.Procs-rank loopback TCP world concurrently, and returns the endpoints
+// (closed) with one result each, in the same order.
+func solveLoopbackTCP(t *testing.T, a *spmat.CSC, cfg core.Config) ([]mpi.Transport, []*core.Result) {
+	t.Helper()
+	eps, err := tcpnet.Loopback(cfg.Procs)
+	if err != nil {
+		t.Fatalf("building tcp endpoints: %v", err)
+	}
+	results := make([]*core.Result, len(eps))
+	errs := make([]error, len(eps))
+	var wg sync.WaitGroup
+	for i, ep := range eps {
+		wg.Add(1)
+		go func(i int, ep mpi.Transport) {
+			defer wg.Done()
+			results[i], errs[i] = core.SolveOn(ep, a, cfg)
+		}(i, ep)
+	}
+	wg.Wait()
+	if err := mpi.CloseAll(eps); err != nil {
+		t.Errorf("closing endpoints: %v", err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("tcp solve on endpoint %d: %v", i, err)
+		}
+	}
+	return eps, results
+}
+
 // TestEngineConformance sweeps every registered engine over both transports
 // and threads 1..4 on one RMAT instance. The in-process result is the oracle
 // for the tcp run of the same configuration, which must match bit-for-bit —
 // mate vectors and the per-rank meter ledgers.
 func TestEngineConformance(t *testing.T) {
 	a := rmat.MustGenerate(rmat.G500, 6, 4, 21)
-	for _, name := range Names() {
+	for _, name := range core.EngineNames() {
 		for threads := 1; threads <= 4; threads++ {
 			t.Run(fmt.Sprintf("%s/t%d", name, threads), func(t *testing.T) {
 				cfg := core.Config{Engine: name, Procs: 4, Threads: threads, Seed: 5}
@@ -50,17 +82,7 @@ func TestEngineConformance(t *testing.T) {
 					t.Fatalf("Stats.Engine = %q, want %q", oracle.Stats.Engine, name)
 				}
 
-				eps, err := mpi.NewTransportSet("tcp", cfg.Procs)
-				if err != nil {
-					t.Fatalf("building tcp endpoints: %v", err)
-				}
-				results, err := core.SolveEndpoints(eps, a, cfg)
-				if cerr := mpi.CloseAll(eps); cerr != nil {
-					t.Errorf("closing endpoints: %v", cerr)
-				}
-				if err != nil {
-					t.Fatalf("tcp solve: %v", err)
-				}
+				eps, results := solveLoopbackTCP(t, a, cfg)
 				for i, res := range results {
 					if want, got := fmt.Sprint(oracle.Matching.MateR), fmt.Sprint(res.Matching.MateR); want != got {
 						t.Errorf("endpoint %d MateR diverges:\n  inproc: %s\n  tcp:    %s", i, want, got)
@@ -90,7 +112,7 @@ func TestEngineConformanceUnderFaults(t *testing.T) {
 			return &mpi.FaultPlan{CrashRank: 3, CrashAtCollective: 60}
 		},
 	}
-	for _, name := range Names() {
+	for _, name := range core.EngineNames() {
 		for pname, plan := range plans {
 			t.Run(name+"/"+pname, func(t *testing.T) {
 				cfg := core.Config{
@@ -161,20 +183,21 @@ func TestAutoEngineResolvesAndSolves(t *testing.T) {
 	}
 	mustMaximum(t, a, res.Matching, "auto")
 	found := false
-	for _, n := range Names() {
+	for _, n := range core.EngineNames() {
 		if res.Stats.Engine == n {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("Stats.Engine = %q, not a registered engine %v", res.Stats.Engine, Names())
+		t.Fatalf("Stats.Engine = %q, not a registered engine %v", res.Stats.Engine, core.EngineNames())
 	}
 }
 
-// TestFacade covers the registry façade: the canonical names are present,
-// only canonical spellings validate, and capability flags are visible.
+// TestFacade covers the registry as this package sees it through core: the
+// canonical names are present, only canonical spellings validate, and
+// capability flags are visible.
 func TestFacade(t *testing.T) {
-	names := Names()
+	names := core.EngineNames()
 	for _, want := range []string{core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft, core.EngineAuction} {
 		ok := false
 		for _, n := range names {
@@ -191,11 +214,11 @@ func TestFacade(t *testing.T) {
 			t.Fatalf("engine spelling %q accepted", alias)
 		}
 	}
-	caps, ok := Caps(core.EngineAuction)
-	if !ok || !caps.Checkpointable || caps.Augmenting {
+	auction, ok := core.EngineByName(core.EngineAuction)
+	if caps := auction.Caps(); !ok || !caps.Checkpointable || caps.Augmenting {
 		t.Fatalf("auction caps wrong: %+v ok=%v", caps, ok)
 	}
-	if _, ok := Caps("nope"); ok {
-		t.Fatal("Caps found an unregistered engine")
+	if _, ok := core.EngineByName("nope"); ok {
+		t.Fatal("EngineByName found an unregistered engine")
 	}
 }

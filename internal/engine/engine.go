@@ -1,7 +1,5 @@
 // Package engine hosts the matching engines that plug into core's Engine
-// seam from outside the core package, plus a small façade over the registry
-// for callers that want to enumerate engines or read their capabilities
-// without reaching into core.
+// seam from outside the core package.
 //
 // Placement: the three MS-BFS engines live inside internal/core — their
 // phase kernels are core's private SpMV/select/augment machinery and core's
@@ -11,18 +9,3 @@
 // engine is the first such plug-in. Importing this package (typically as a
 // blank import) is what makes those engines available; see docs/ENGINES.md.
 package engine
-
-import "mcmdist/internal/core"
-
-// Names returns every engine registered in this binary, sorted. With this
-// package imported that is at least bfs, bfs-graft, bfs-ss and auction.
-func Names() []string { return core.EngineNames() }
-
-// Caps returns the capability flags of a registered engine.
-func Caps(name string) (core.EngineCaps, bool) {
-	e, ok := core.EngineByName(name)
-	if !ok {
-		return core.EngineCaps{}, false
-	}
-	return e.Caps(), true
-}

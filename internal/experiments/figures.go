@@ -452,8 +452,8 @@ func runAugmentOnly(cfg core.Config, a *spmat.CSC, init *matching.Matching, mode
 	side := nearestSquareSide(cfg.Procs)
 	blocks := spmat.DistributeRanks(a, side, side, nil)
 	stats := make([]*core.Stats, side*side)
-	err := core.RunDistributed(side, a.NRows, a.NCols, blocks,
-		core.Config{Procs: side * side, Augment: mode}, func(s *core.Solver) error {
+	err := core.RunDistributed(side, side, a.NRows, a.NCols, blocks,
+		core.Config{Procs: side * side, Augment: mode}, nil, func(s *core.Solver) error {
 			mater := denseFromGlobal(s.RowL, init.MateR)
 			matec := denseFromGlobal(s.ColL, init.MateC)
 			if err := s.RunEngineByName(core.EngineBFS, mater, matec); err != nil {
@@ -678,8 +678,8 @@ func SingleVsMultiSource(w io.Writer, cfg core.Config, scale int, names []string
 		measure := func(engine string) (int, float64) {
 			iters := 0
 			meters := make([]mpi.Meter, side*side)
-			err := core.RunDistributed(side, a.NRows, a.NCols, blocks,
-				core.Config{Procs: side * side, Init: core.InitGreedy}, func(s *core.Solver) error {
+			err := core.RunDistributed(side, side, a.NRows, a.NCols, blocks,
+				core.Config{Procs: side * side, Init: core.InitGreedy}, nil, func(s *core.Solver) error {
 					mater, matec := s.MaximalInit()
 					if err := s.RunEngineByName(engine, mater, matec); err != nil {
 						return err

@@ -122,8 +122,8 @@ func TreeBalance(w io.Writer, scale, procs int, names []string) []TreeBalanceRow
 		blocks := spmat.DistributeRanks(a, side, side, nil)
 		for _, op := range []semiring.AddOp{semiring.MinParent, semiring.RandRoot} {
 			var rootOf []int64
-			err := core.RunDistributedGrid(side, side, a.NRows, a.NCols, blocks,
-				core.Config{Procs: side * side, AddOp: op}, func(s *core.Solver) error {
+			err := core.RunDistributed(side, side, a.NRows, a.NCols, blocks,
+				core.Config{Procs: side * side, AddOp: op}, nil, func(s *core.Solver) error {
 					// One full-frontier SpMV sweep: every row's winning root.
 					fc := dvec.NewSparseV(s.ColL)
 					r := s.ColL.MyRange()

@@ -76,15 +76,5 @@ func NewWithRT(c *mpi.Comm, pr, pc int, ctx *rt.Ctx) (*Grid, error) {
 	}, nil
 }
 
-// NewSquare builds the largest square grid on the communicator; the
-// communicator size must be a perfect square.
-func NewSquare(c *mpi.Comm) (*Grid, error) {
-	s := Square(c.Size())
-	if s*s != c.Size() {
-		return nil, fmt.Errorf("grid: %d ranks is not a perfect square", c.Size())
-	}
-	return New(c, s, s)
-}
-
 // RankAt returns the world-communicator rank of grid position (i, j).
 func (g *Grid) RankAt(i, j int) int { return i*g.PC + j }

@@ -29,18 +29,6 @@ func TestNewRejectsBadShape(t *testing.T) {
 	}
 }
 
-func TestNewSquareRejectsNonSquare(t *testing.T) {
-	_, err := mpi.Run(6, func(c *mpi.Comm) error {
-		if _, err := NewSquare(c); err == nil {
-			return fmt.Errorf("6 ranks accepted as square")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGridCoordinates(t *testing.T) {
 	_, err := mpi.Run(6, func(c *mpi.Comm) error {
 		g, err := New(c, 2, 3)
@@ -69,7 +57,7 @@ func TestGridCoordinates(t *testing.T) {
 
 func TestGridRowColCollectives(t *testing.T) {
 	_, err := mpi.Run(9, func(c *mpi.Comm) error {
-		g, err := NewSquare(c)
+		g, err := New(c, 3, 3)
 		if err != nil {
 			return err
 		}

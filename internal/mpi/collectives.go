@@ -7,17 +7,6 @@ func (c *Comm) Barrier() {
 	c.start("barrier", make([]any, c.Size()), false, nil).Wait()
 }
 
-// Bcast distributes root's data to every rank and returns it. Non-root
-// callers pass nil. The result is a fresh copy on every rank except root;
-// root gets its own slice back uncopied, so a root that mutates the result
-// mutates data (matching MPI_Bcast, where root's buffer is both input and
-// output). An empty or nil broadcast moves no bytes along the tree, so it
-// meters nothing — ranks are not charged depth messages for a zero-length
-// payload.
-func (c *Comm) Bcast(root int, data []int64) []int64 {
-	return c.IBcast(root, data).Wait()
-}
-
 // Allgatherv gathers each rank's contribution on every rank. The result has
 // one slice per rank, in rank order; slices received from other ranks are
 // copies. This is the "expand" primitive of the 2D SpMV and the
@@ -120,16 +109,14 @@ func (c *Comm) Scatterv(root int, parts [][]int64) []int64 {
 }
 
 // OpCode names a reduction operator on the wire, so FetchAndOp can be
-// executed by the process owning the target window. OpCodeCustom marks an
-// operator built with CustomOp, which only works against local windows.
+// executed by the process owning the target window.
 type OpCode uint8
 
 // The coded reduction operators.
 const (
-	// OpCodeCustom is a caller-supplied operator with no wire form.
-	OpCodeCustom OpCode = iota
-	// OpCodeSum is addition.
-	OpCodeSum
+	// OpCodeSum is addition. Code 0 is reserved: it marked a retired
+	// caller-supplied operator with no wire form.
+	OpCodeSum OpCode = iota + 1
 	// OpCodeMax is the maximum.
 	OpCodeMax
 	// OpCodeMin is the minimum.
@@ -140,26 +127,17 @@ const (
 	OpCodeReplace
 )
 
-// ReduceOp is an associative, commutative reduction operator. The package's
-// named operators carry an OpCode so one-sided FetchAndOp calls can cross a
-// process boundary; operators built with CustomOp are local-only there
-// (Allreduce always evaluates locally, so any operator works in it on every
-// backend).
+// ReduceOp is an associative, commutative reduction operator. Each of the
+// package's operators carries an OpCode so one-sided FetchAndOp calls can
+// cross a process boundary.
 type ReduceOp struct {
-	// Code is the operator's wire name (OpCodeCustom for CustomOp).
+	// Code is the operator's wire name.
 	Code OpCode
 	fn   func(a, b int64) int64
 }
 
 // Apply evaluates the operator.
 func (op ReduceOp) Apply(a, b int64) int64 { return op.fn(a, b) }
-
-// CustomOp wraps an arbitrary associative, commutative function as a
-// ReduceOp. Usable in Allreduce on every backend; rejected by FetchAndOp on
-// remote windows (the function cannot be shipped to the owning process).
-func CustomOp(fn func(a, b int64) int64) ReduceOp {
-	return ReduceOp{Code: OpCodeCustom, fn: fn}
-}
 
 // Standard reduction operators.
 var (

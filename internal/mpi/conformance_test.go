@@ -1,6 +1,6 @@
 package mpi_test
 
-// The backend conformance suite: every registered Transport runs the same
+// The backend conformance suite: every Transport in backends runs the same
 // SPMD programs and is pinned against the in-process oracle — per-rank
 // results bit-identical, per-rank meter ledgers (Msgs/Words/Work, per kind)
 // bit-identical. The suite is the contract that lets everything above the
@@ -19,8 +19,22 @@ import (
 	"time"
 
 	"mcmdist/internal/mpi"
-	_ "mcmdist/internal/mpi/tcpnet" // register the "tcp" backend
+	"mcmdist/internal/mpi/tcpnet"
 )
+
+// backend is one transport the suite pins: its name and the builder of
+// every endpoint of a size-rank world on it.
+type backend struct {
+	name  string
+	build func(size int) ([]mpi.Transport, error)
+}
+
+// backends lists every transport the suite runs, the in-process oracle
+// first.
+var backends = []backend{
+	{"inproc", func(size int) ([]mpi.Transport, error) { return []mpi.Transport{mpi.NewInproc(size)}, nil }},
+	{"tcp", tcpnet.Loopback},
+}
 
 // conformanceSizes are the world sizes every program runs at (1 = degenerate
 // single-rank world, 3 = odd, 4 = the CI topology).
@@ -34,14 +48,14 @@ type backendRun struct {
 	errOf   map[int]error
 }
 
-// runBackend builds every endpooint of a size-rank world on the named
-// backend, runs fn over all of them concurrently, closes the endpoints, and
-// collects the per-rank worlds and per-endpoint errors.
-func runBackend(t *testing.T, backend string, size int, mkcfg func() mpi.RunConfig, fn func(c *mpi.Comm) error) *backendRun {
+// runBackend builds every endpoint of a size-rank world on backend b, runs
+// fn over all of them concurrently, closes the endpoints, and collects the
+// per-rank worlds and per-endpoint errors.
+func runBackend(t *testing.T, b backend, size int, mkcfg func() mpi.RunConfig, fn func(c *mpi.Comm) error) *backendRun {
 	t.Helper()
-	eps, err := mpi.NewTransportSet(backend, size)
+	eps, err := b.build(size)
 	if err != nil {
-		t.Fatalf("building %q endpoints: %v", backend, err)
+		t.Fatalf("building %q endpoints: %v", b.name, err)
 	}
 	run := &backendRun{worldOf: map[int]*mpi.World{}, errOf: map[int]error{}}
 	var mu sync.Mutex
@@ -63,7 +77,7 @@ func runBackend(t *testing.T, backend string, size int, mkcfg func() mpi.RunConf
 	}
 	wg.Wait()
 	if err := mpi.CloseAll(eps); err != nil {
-		t.Errorf("closing %q endpoints: %v", backend, err)
+		t.Errorf("closing %q endpoints: %v", b.name, err)
 	}
 	return run
 }
@@ -81,21 +95,6 @@ func (r *backendRun) firstErr() error {
 	}
 }
 
-// nonOracleBackends returns every registered backend except the oracle.
-func nonOracleBackends(t *testing.T) []string {
-	t.Helper()
-	var out []string
-	for _, name := range mpi.Transports() {
-		if name != "inproc" {
-			out = append(out, name)
-		}
-	}
-	if len(out) == 0 {
-		t.Fatal("no non-oracle backends registered")
-	}
-	return out
-}
-
 // pinRanks compares each rank's result rows and meter ledgers against the
 // oracle run.
 func pinRanks(t *testing.T, backend string, size int, oracle, got *backendRun, oracleRows, gotRows [][]int64) {
@@ -111,7 +110,7 @@ func pinRanks(t *testing.T, backend string, size int, oracle, got *backendRun, o
 		if want, have := ow.RankMeter(r), gw.RankMeter(r); want != have {
 			t.Errorf("%s size %d rank %d meter: oracle %+v, got %+v", backend, size, r, want, have)
 		}
-		for _, kind := range []mpi.CommKind{mpi.KindAllgather, mpi.KindAlltoall, mpi.KindGather, mpi.KindScatter, mpi.KindBcast, mpi.KindReduce, mpi.KindRMA} {
+		for _, kind := range []mpi.CommKind{mpi.KindAllgather, mpi.KindAlltoall, mpi.KindGather, mpi.KindScatter, mpi.KindReduce, mpi.KindRMA} {
 			if want, have := ow.RankKindMeter(r, kind), gw.RankKindMeter(r, kind); want != have {
 				t.Errorf("%s size %d rank %d %v meter: oracle %+v, got %+v", backend, size, r, kind, want, have)
 			}
@@ -128,10 +127,9 @@ func collectiveProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 		var out []int64
 
 		c.Barrier()
-		out = append(out, c.Bcast(0, []int64{42, r * 0})...)
 		out = append(out, c.Allreduce(mpi.OpSum, r+1))
 		out = append(out, c.Allreduce(mpi.OpMax, 100-r))
-		out = append(out, c.Allreduce(mpi.CustomOp(func(a, b int64) int64 { return a ^ b }), r+7))
+		out = append(out, c.Allreduce(mpi.OpLor, r%2))
 
 		for _, part := range c.Allgatherv([]int64{r, r * r}) {
 			out = append(out, part...)
@@ -179,10 +177,8 @@ func requestProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 		r := int64(c.Rank())
 		var out []int64
 
-		breq := c.IBcast(0, []int64{7, 8, 9})
 		areq := c.IAllreduce(mpi.OpMin, 50+r)
 		c.AddWork(10) // overlapped compute
-		out = append(out, breq.Wait()...)
 		out = append(out, areq.Wait())
 
 		greq := c.IAllgatherv([]int64{r * 2, r*2 + 1})
@@ -226,7 +222,7 @@ func requestProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 }
 
 // rmaProgram exercises one-sided traffic: ring puts, gets, fetch-and-op with
-// every coded operator, compare-and-swap, fenced epochs.
+// every coded operator, fenced epochs.
 func rmaProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 	return func(c *mpi.Comm) error {
 		r := int64(c.Rank())
@@ -252,31 +248,9 @@ func rmaProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 		out = append(out, win.FetchAndOp(right, 4, mpi.OpReplace, 77+r))
 		win.Fence()
 
-		// Epoch 3: CAS on own slice via the ring (deterministic winner per
-		// slot: only one rank targets each).
-		out = append(out, win.CompareAndSwap(right, 6, int64(right)*10+6, -9))
-		out = append(out, win.CompareAndSwap(right, 6, int64(right)*10+6, -8))
-		win.Fence()
-
 		out = append(out, local...)
 		rows[c.WorldRank()] = out
 		return nil
-	}
-}
-
-// TestConformanceRegistry pins the registered backend set.
-func TestConformanceRegistry(t *testing.T) {
-	names := mpi.Transports()
-	has := func(n string) bool {
-		for _, x := range names {
-			if x == n {
-				return true
-			}
-		}
-		return false
-	}
-	if !has("inproc") || !has("tcp") {
-		t.Fatalf("registered transports %v, want both inproc and tcp", names)
 	}
 }
 
@@ -286,19 +260,19 @@ func conformanceCase(t *testing.T, program func(size int, rows [][]int64) func(c
 	t.Helper()
 	for _, size := range conformanceSizes {
 		oracleRows := make([][]int64, size)
-		oracle := runBackend(t, "inproc", size, func() mpi.RunConfig { return mpi.RunConfig{} }, program(size, oracleRows))
+		oracle := runBackend(t, backends[0], size, func() mpi.RunConfig { return mpi.RunConfig{} }, program(size, oracleRows))
 		if err := oracle.firstErr(); err != nil {
 			t.Fatalf("oracle size %d: %v", size, err)
 		}
-		for _, backend := range nonOracleBackends(t) {
+		for _, b := range backends[1:] {
 			gotRows := make([][]int64, size)
-			got := runBackend(t, backend, size, func() mpi.RunConfig { return mpi.RunConfig{} }, program(size, gotRows))
+			got := runBackend(t, b, size, func() mpi.RunConfig { return mpi.RunConfig{} }, program(size, gotRows))
 			for rank, err := range got.errOf {
 				if err != nil {
-					t.Fatalf("%s size %d endpoint %d: %v", backend, size, rank, err)
+					t.Fatalf("%s size %d endpoint %d: %v", b.name, size, rank, err)
 				}
 			}
-			pinRanks(t, backend, size, oracle, got, oracleRows, gotRows)
+			pinRanks(t, b.name, size, oracle, got, oracleRows, gotRows)
 		}
 	}
 }
@@ -320,16 +294,16 @@ func TestConformanceFault(t *testing.T) {
 		}
 		return nil
 	}
-	for _, backend := range append([]string{"inproc"}, nonOracleBackends(t)...) {
+	for _, b := range backends {
 		plan := &mpi.FaultPlan{CrashRank: 2, CrashAtCollective: 3}
-		run := runBackend(t, backend, size, func() mpi.RunConfig { return mpi.RunConfig{Faults: plan} }, program)
+		run := runBackend(t, b, size, func() mpi.RunConfig { return mpi.RunConfig{Faults: plan} }, program)
 		if plan.Fired() != 1 {
-			t.Errorf("%s: fault fired %d times, want 1", backend, plan.Fired())
+			t.Errorf("%s: fault fired %d times, want 1", b.name, plan.Fired())
 		}
 		sawInjected := false
 		for rank, err := range run.errOf {
 			if err == nil {
-				t.Errorf("%s endpoint %d: no error from a crashed world", backend, rank)
+				t.Errorf("%s endpoint %d: no error from a crashed world", b.name, rank)
 				continue
 			}
 			if errors.Is(err, mpi.ErrInjectedCrash) {
@@ -338,11 +312,11 @@ func TestConformanceFault(t *testing.T) {
 			}
 			var remote *mpi.RemoteAbortError
 			if !errors.As(err, &remote) || !strings.Contains(err.Error(), "injected") {
-				t.Errorf("%s endpoint %d: unexpected abort cause %v", backend, rank, err)
+				t.Errorf("%s endpoint %d: unexpected abort cause %v", b.name, rank, err)
 			}
 		}
 		if !sawInjected {
-			t.Errorf("%s: no endpoint reported the injected crash directly", backend)
+			t.Errorf("%s: no endpoint reported the injected crash directly", b.name)
 		}
 	}
 }
@@ -363,29 +337,29 @@ func TestConformanceWatchdog(t *testing.T) {
 	cfg := func() mpi.RunConfig {
 		return mpi.RunConfig{WatchdogTimeout: 200 * time.Millisecond, WatchdogPoll: 10 * time.Millisecond}
 	}
-	for _, backend := range append([]string{"inproc"}, nonOracleBackends(t)...) {
-		run := runBackend(t, backend, size, cfg, program)
+	for _, b := range backends {
+		run := runBackend(t, b, size, cfg, program)
 		stuck := 0
 		for rank, err := range run.errOf {
 			if rank == 0 && err == nil {
 				// A rank-0-only endpoint finishes clean (its world hosted no
 				// blocked rank); the oracle hosts everyone so it must fail.
-				if backend == "inproc" {
-					t.Errorf("%s: oracle returned nil despite wedged ranks", backend)
+				if b.name == "inproc" {
+					t.Errorf("%s: oracle returned nil despite wedged ranks", b.name)
 				}
 				continue
 			}
 			if err == nil {
-				t.Errorf("%s endpoint %d: wedged world returned nil", backend, rank)
+				t.Errorf("%s endpoint %d: wedged world returned nil", b.name, rank)
 				continue
 			}
 			if !strings.Contains(err.Error(), "no progress") {
-				t.Errorf("%s endpoint %d: abort cause %v does not carry the deadlock diagnosis", backend, rank, err)
+				t.Errorf("%s endpoint %d: abort cause %v does not carry the deadlock diagnosis", b.name, rank, err)
 			}
 			stuck++
 		}
 		if stuck == 0 {
-			t.Errorf("%s: no endpoint diagnosed the deadlock", backend)
+			t.Errorf("%s: no endpoint diagnosed the deadlock", b.name)
 		}
 	}
 }
@@ -395,21 +369,21 @@ func TestConformanceWatchdog(t *testing.T) {
 func TestConformanceStraggler(t *testing.T) {
 	const size = 3
 	oracleRows := make([][]int64, size)
-	oracle := runBackend(t, "inproc", size, func() mpi.RunConfig { return mpi.RunConfig{} }, collectiveProgram(size, oracleRows))
+	oracle := runBackend(t, backends[0], size, func() mpi.RunConfig { return mpi.RunConfig{} }, collectiveProgram(size, oracleRows))
 	if err := oracle.firstErr(); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	plan := func() *mpi.FaultPlan {
 		return &mpi.FaultPlan{Seed: 7, StragglerRank: 1, StragglerDelay: time.Millisecond, StragglerEvery: 2}
 	}
-	for _, backend := range append([]string{"inproc"}, nonOracleBackends(t)...) {
+	for _, b := range backends {
 		gotRows := make([][]int64, size)
 		shared := plan()
-		got := runBackend(t, backend, size, func() mpi.RunConfig { return mpi.RunConfig{Faults: shared} }, collectiveProgram(size, gotRows))
+		got := runBackend(t, b, size, func() mpi.RunConfig { return mpi.RunConfig{Faults: shared} }, collectiveProgram(size, gotRows))
 		if err := got.firstErr(); err != nil {
-			t.Fatalf("%s: %v", backend, err)
+			t.Fatalf("%s: %v", b.name, err)
 		}
-		pinRanks(t, backend, size, oracle, got, oracleRows, gotRows)
+		pinRanks(t, b.name, size, oracle, got, oracleRows, gotRows)
 	}
 }
 
@@ -436,7 +410,7 @@ func TestLendingSendBuffersReusableOnReturn(t *testing.T) {
 			return c.IAllgathervInto(send, nil)
 		}, []int64{1, 2, 3, 4, 5, 6, 7, 8}},
 	} {
-		for _, backend := range append([]string{"inproc"}, nonOracleBackends(t)...) {
+		for _, b := range backends {
 			var asleep, rank0SawAsleep atomic.Bool
 			program := func(c *mpi.Comm) error {
 				if c.Rank() == 0 {
@@ -457,15 +431,15 @@ func TestLendingSendBuffersReusableOnReturn(t *testing.T) {
 				}
 				return nil
 			}
-			run := runBackend(t, backend, 2, func() mpi.RunConfig { return mpi.RunConfig{} }, program)
+			run := runBackend(t, b, 2, func() mpi.RunConfig { return mpi.RunConfig{} }, program)
 			for rank, err := range run.errOf {
 				if err != nil {
-					t.Errorf("%s on %s: endpoint %d: %v", coll.name, backend, rank, err)
+					t.Errorf("%s on %s: endpoint %d: %v", coll.name, b.name, rank, err)
 				}
 			}
-			if local := backend == "inproc"; rank0SawAsleep.Load() == local {
+			if local := b.name == "inproc"; rank0SawAsleep.Load() == local {
 				t.Errorf("%s on %s: rank 0 returned while rank 1 was asleep = %v, want %v",
-					coll.name, backend, rank0SawAsleep.Load(), !local)
+					coll.name, b.name, rank0SawAsleep.Load(), !local)
 			}
 		}
 	}

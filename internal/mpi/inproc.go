@@ -50,12 +50,3 @@ func (t *Inproc) Abort(string) {}
 
 // Close is a no-op: there is nothing to tear down.
 func (t *Inproc) Close() error { return nil }
-
-func init() {
-	RegisterTransport("inproc", func(size int) ([]Transport, error) {
-		if size <= 0 {
-			return nil, fmt.Errorf("mpi: inproc world size %d must be positive", size)
-		}
-		return []Transport{NewInproc(size)}, nil
-	})
-}

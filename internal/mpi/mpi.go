@@ -9,9 +9,9 @@
 //
 //   - SPMD launch (Run), communicators, and sub-communicator Split, used for
 //     the 2D process grid's row and column communicators;
-//   - the bulk-synchronous collectives CombBLAS uses: Barrier, Bcast,
-//     Allgatherv, Alltoallv, Gatherv, Scatterv, Allreduce;
-//   - split-phase (nonblocking) collectives — IBcast, IAllgatherv,
+//   - the bulk-synchronous collectives CombBLAS uses: Barrier, Allgatherv,
+//     Alltoallv, Gatherv, Scatterv, Allreduce;
+//   - split-phase (nonblocking) collectives — IAllgatherv,
 //     IAlltoallv, IAllreduce and the buffer-lending/progressive variants —
 //     returning Request handles with Wait, so callers can overlap
 //     local computation with communication (MPI_Iallgatherv & co.);
@@ -44,8 +44,8 @@
 //     total received from other ranks.
 //   - Gatherv/Scatterv: root counts p-1 messages and the full volume moved;
 //     leaves count 1 message and their own contribution.
-//   - Bcast/Allreduce (binomial tree): ceil(log2 p) messages and one payload
-//     copy per tree level; a zero-length Bcast meters nothing.
+//   - Allreduce (a binomial reduce tree, then a broadcast tree): one
+//     message and one word per tree level, 2·ceil(log2 p) of each.
 //   - RMA Get/Put/FetchAndOp: 1 message per call plus the words moved;
 //     operations on the caller's own window are local and cost nothing.
 //
@@ -94,7 +94,6 @@ const (
 	KindAlltoall
 	KindGather
 	KindScatter
-	KindBcast
 	KindReduce
 	KindRMA
 	numKinds
@@ -111,8 +110,6 @@ func (k CommKind) String() string {
 		return "gather"
 	case KindScatter:
 		return "scatter"
-	case KindBcast:
-		return "bcast"
 	case KindReduce:
 		return "reduce"
 	case KindRMA:
@@ -194,14 +191,6 @@ func (t CommTimes) Max(o CommTimes) CommTimes {
 		out.Exposed = o.Exposed
 	}
 	return out
-}
-
-// Hidden returns the comm time overlapped with computation, never negative.
-func (t CommTimes) Hidden() time.Duration {
-	if t.Exposed >= t.Total {
-		return 0
-	}
-	return t.Total - t.Exposed
 }
 
 // World is one process's share of an SPMD execution: the ranks this process
@@ -548,16 +537,8 @@ func (w *World) RankCommTimes(rank int) CommTimes {
 	}
 }
 
-// KindMeter returns this rank's cumulative meter for one collective family
-// (Work is always zero: local work has no kind).
-func (c *Comm) KindMeter(kind CommKind) Meter {
-	cell := &c.st.world.meters[c.worldRank]
-	return Meter{Msgs: cell.kinds[kind].msgs.Load(), Words: cell.kinds[kind].words.Load(),
-		WordsEnc: cell.kinds[kind].wordsEnc.Load()}
-}
-
 // RankKindMeter returns the given world rank's meter for one collective
-// family.
+// family (Work is always zero: local work has no kind).
 func (w *World) RankKindMeter(rank int, kind CommKind) Meter {
 	cell := &w.meters[rank]
 	return Meter{Msgs: cell.kinds[kind].msgs.Load(), Words: cell.kinds[kind].words.Load(),
@@ -628,9 +609,6 @@ func logTreeDepth(p int) int64 {
 // LocalRanks returns the world ranks hosted by this process, ascending. On
 // the in-process backend that is every rank.
 func (w *World) LocalRanks() []int { return w.local }
-
-// Transport returns the backend endpoint this world runs over.
-func (w *World) Transport() Transport { return w.transport }
 
 // isLocalRank reports whether the given world rank is hosted here.
 func (w *World) isLocalRank(r int) bool {

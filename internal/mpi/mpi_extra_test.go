@@ -95,27 +95,6 @@ func TestAlltoallvWrongPartsPanics(t *testing.T) {
 	}
 }
 
-func TestBcastLargePayload(t *testing.T) {
-	const n = 1 << 16
-	_, err := Run(3, func(c *Comm) error {
-		var data []int64
-		if c.Rank() == 1 {
-			data = make([]int64, n)
-			for i := range data {
-				data[i] = int64(i)
-			}
-		}
-		got := c.Bcast(1, data)
-		if len(got) != n || got[n-1] != n-1 {
-			return fmt.Errorf("bcast lost data: len %d", len(got))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGathervEmptyContributions: zero-length contributions are legal.
 func TestGathervEmptyContributions(t *testing.T) {
 	_, err := Run(3, func(c *Comm) error {
@@ -197,7 +176,6 @@ func TestKindMetersAttribute(t *testing.T) {
 		}
 		c.Alltoallv(parts)
 		c.Allreduce(OpSum, 1)
-		c.Bcast(0, []int64{1, 2})
 		c.Gatherv(0, []int64{int64(c.Rank())})
 		var sc [][]int64
 		if c.Rank() == 0 {
@@ -227,7 +205,7 @@ func TestKindMetersAttribute(t *testing.T) {
 			t.Fatalf("rank %d: kinds sum (%d,%d) != total (%d,%d)",
 				r, sumMsgs, sumWords, total.Msgs, total.Words)
 		}
-		for _, k := range []CommKind{KindAllgather, KindAlltoall, KindReduce, KindBcast, KindRMA} {
+		for _, k := range []CommKind{KindAllgather, KindAlltoall, KindReduce, KindRMA} {
 			if w.RankKindMeter(r, k).Msgs == 0 {
 				t.Errorf("rank %d: kind %v recorded nothing", r, k)
 			}
@@ -238,7 +216,7 @@ func TestKindMetersAttribute(t *testing.T) {
 func TestCommKindString(t *testing.T) {
 	names := map[CommKind]string{
 		KindAllgather: "allgather", KindAlltoall: "alltoall", KindGather: "gather",
-		KindScatter: "scatter", KindBcast: "bcast", KindReduce: "reduce", KindRMA: "rma",
+		KindScatter: "scatter", KindReduce: "reduce", KindRMA: "rma",
 	}
 	for k, want := range names {
 		if k.String() != want {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -69,28 +68,6 @@ func TestBarrierManyRounds(t *testing.T) {
 				return fmt.Errorf("round %d: %d/%d ranks after barrier", r, done, p)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	_, err := Run(6, func(c *Comm) error {
-		var data []int64
-		if c.Rank() == 2 {
-			data = []int64{10, 20, 30}
-		}
-		got := c.Bcast(2, data)
-		if !reflect.DeepEqual(got, []int64{10, 20, 30}) {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		// Mutating the received copy must not affect other ranks.
-		if c.Rank() != 2 {
-			got[0] = -1
-		}
-		c.Barrier()
 		return nil
 	})
 	if err != nil {
@@ -322,33 +299,6 @@ func TestRMAFetchAndOpAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = w
-}
-
-func TestRMACompareAndSwap(t *testing.T) {
-	const p = 6
-	winners := make([]int64, 0, p)
-	var mu sync.Mutex
-	_, err := Run(p, func(c *Comm) error {
-		var local []int64
-		if c.Rank() == 0 {
-			local = []int64{-1}
-		}
-		win := WinCreate(c, local)
-		old := win.CompareAndSwap(0, 0, -1, int64(c.Rank()))
-		if old == -1 {
-			mu.Lock()
-			winners = append(winners, int64(c.Rank()))
-			mu.Unlock()
-		}
-		win.Fence()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(winners) != 1 {
-		t.Fatalf("%d ranks won the CAS, want exactly 1", len(winners))
-	}
 }
 
 func TestRMAReplace(t *testing.T) {

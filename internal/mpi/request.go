@@ -87,7 +87,7 @@ func (q *SlicesRequest) Wait() [][]int64 {
 }
 
 // IntsRequest is a split-phase collective resolving to one flat []int64
-// (IBcast, IAllgathervInto, IAlltoallvFlat).
+// (IAllgathervInto, IAlltoallvFlat).
 type IntsRequest struct {
 	r   *Request
 	out []int64
@@ -110,32 +110,6 @@ type ValueRequest struct {
 func (q *ValueRequest) Wait() int64 {
 	q.r.Wait()
 	return q.out
-}
-
-// IBcast starts a split-phase broadcast of root's data; result and metering
-// as Bcast. The root must not mutate data before completion.
-func (c *Comm) IBcast(root int, data []int64) *IntsRequest {
-	size := c.Size()
-	parts := make([]any, size)
-	if c.member == root {
-		for d := 0; d < size; d++ {
-			parts[d] = data
-		}
-	}
-	q := &IntsRequest{}
-	q.r = c.start("bcast", parts, true, func(got []any) {
-		payload := asInts(got[root])
-		if len(payload) > 0 {
-			depth := logTreeDepth(size)
-			c.addComm(KindBcast, depth, depth*int64(len(payload)), depth*c.encWords(payload))
-		}
-		if c.member == root {
-			q.out = data
-		} else {
-			q.out = append([]int64(nil), payload...)
-		}
-	})
-	return q
 }
 
 // IAllgatherv starts a split-phase allgather of data; result and metering

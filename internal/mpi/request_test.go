@@ -23,7 +23,6 @@ func driveCollectives(c *Comm, split bool) {
 	if split {
 		c.IAllgatherv(data).Wait()
 		c.IAlltoallv(parts).Wait()
-		c.IBcast(1, data).Wait()
 		c.IAllreduce(OpSum, int64(c.Rank())).Wait()
 		rq := c.IAllgathervParts(data)
 		for {
@@ -38,7 +37,6 @@ func driveCollectives(c *Comm, split bool) {
 	} else {
 		c.Allgatherv(data)
 		c.Alltoallv(parts)
-		c.Bcast(1, data)
 		c.Allreduce(OpSum, int64(c.Rank()))
 		c.Allgatherv(data) // blocking counterpart of the Parts allgather
 		c.Alltoallv(parts) // blocking counterpart of the Parts alltoall

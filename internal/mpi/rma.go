@@ -101,7 +101,7 @@ func (w *World) rankToWorld(c *Comm, member int) int { return c.st.ranks[member]
 // ExecRMA executes one one-sided operation against this process's window
 // registry, under the target rank's window lock. Called by transport
 // receiver goroutines on behalf of remote ranks; the local fast path in
-// Get/Put/FetchAndOp/CompareAndSwap performs the same operations directly.
+// Get/Put/FetchAndOp performs the same operations directly.
 func (w *World) ExecRMA(req *RMAReq) (*RMAResp, error) {
 	w.mu.Lock()
 	st, ok := w.winsByID[req.Win]
@@ -134,15 +134,6 @@ func (w *World) ExecRMA(req *RMAReq) (*RMAResp, error) {
 		}
 		old := data[req.Off]
 		data[req.Off] = op.Apply(old, req.Operand)
-		return &RMAResp{Old: old}, nil
-	case RMACompareAndSwap:
-		if req.Off < 0 || req.Off >= len(data) {
-			return nil, fmt.Errorf("mpi: rma compare-and-swap offset %d outside window %q member %d (len %d)", req.Off, req.Win, req.Member, len(data))
-		}
-		old := data[req.Off]
-		if old == req.Expect {
-			data[req.Off] = req.Next
-		}
 		return &RMAResp{Old: old}, nil
 	default:
 		return nil, fmt.Errorf("mpi: unknown rma op %d", req.Op)
@@ -200,18 +191,13 @@ func (w *Win) Put1(rank, off int, v int64) {
 
 // FetchAndOp atomically applies op to the element at (rank, off) with the
 // given operand and returns the value held before the update, matching
-// MPI_Fetch_and_op. With OpReplace it is an atomic swap. A CustomOp cannot
-// target a rank hosted by another process (the function has no wire form);
-// the named package operators work everywhere.
+// MPI_Fetch_and_op. With OpReplace it is an atomic swap.
 func (w *Win) FetchAndOp(rank, off int, op ReduceOp, operand int64) int64 {
 	w.enterRMA("rma-fetch-and-op")
 	tr := w.comm.tracer()
 	t0 := tr.Begin()
 	var old int64
 	if w.remote(rank) {
-		if op.Code == OpCodeCustom {
-			panic("mpi: FetchAndOp with a CustomOp cannot target a remote process; use a named operator")
-		}
 		old = w.call(rank, &RMAReq{Op: RMAFetchAndOp, Off: off, Code: op.Code, Operand: operand}).Old
 	} else {
 		w.lock(rank)
@@ -229,32 +215,6 @@ func (w *Win) FetchAndOp(rank, off int, op ReduceOp, operand int64) int64 {
 
 // OpReplace makes FetchAndOp behave as an atomic swap (MPI_REPLACE).
 var OpReplace = ReduceOp{Code: OpCodeReplace, fn: func(_, b int64) int64 { return b }}
-
-// CompareAndSwap atomically replaces the element at (rank, off) with next if
-// it currently equals expect, returning the previous value, matching
-// MPI_Compare_and_swap.
-func (w *Win) CompareAndSwap(rank, off int, expect, next int64) int64 {
-	w.enterRMA("rma-compare-and-swap")
-	tr := w.comm.tracer()
-	t0 := tr.Begin()
-	var old int64
-	if w.remote(rank) {
-		old = w.call(rank, &RMAReq{Op: RMACompareAndSwap, Off: off, Expect: expect, Next: next}).Old
-	} else {
-		w.lock(rank)
-		data := w.st.ranks[rank].data
-		old = data[off]
-		if old == expect {
-			data[off] = next
-		}
-		w.unlock(rank)
-	}
-	if rank != w.comm.Rank() {
-		w.comm.addComm(KindRMA, 1, 2, w.comm.rawEnc(2))
-	}
-	tr.End(obs.KindRMA, "rma-compare-and-swap", t0, 2)
-	return old
-}
 
 // Fence is a collective synchronization closing an RMA epoch, the analogue
 // of MPI_Win_fence.

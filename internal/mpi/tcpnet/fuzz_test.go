@@ -5,8 +5,8 @@ package tcpnet
 // relies on — arbitrary peer bytes either decode to a well-formed value or
 // return an error, and never panic, hang, or allocate unboundedly. Seeds
 // cover one valid encoding of every frame kind (built with the real wbuf
-// encoders, so they stay in sync with the wire format) plus the malformed
-// shapes the decoders reject; go test -fuzz grows the corpus from there
+// encoders, so they stay in sync with the wire format), a request for the
+// reserved RMA op 3, plus the malformed shapes the decoders reject; go test -fuzz grows the corpus from there
 // under testdata/fuzz/.
 
 import (
@@ -42,8 +42,19 @@ func seedBodies() [][]byte {
 	rmaReq.ints([]int64{1, 2, 3, 4})
 	rmaReq.u8(1)
 	rmaReq.i64(-1)
-	rmaReq.i64(0)
-	rmaReq.i64(5)
+
+	// An RMA_REQ for op 3, the retired compare-and-swap, in the v6 layout:
+	// it decodes, and the target's window registry refuses the op.
+	var rmaRetired wbuf
+	rmaRetired.u64(44)
+	rmaRetired.str("world/win@0")
+	rmaRetired.u32(1)
+	rmaRetired.u8(3)
+	rmaRetired.i64(0)
+	rmaRetired.i64(0)
+	rmaRetired.ints(nil)
+	rmaRetired.u8(0)
+	rmaRetired.i64(0)
 
 	var rmaOK wbuf
 	rmaOK.u64(42)
@@ -76,7 +87,7 @@ func seedBodies() [][]byte {
 	pong := encodePong(123456789, 123450000)
 	obsFrame := encodeObs(2, []byte("MCMOBS1 not really, but shaped like a payload"))
 
-	return [][]byte{post.b, retiredFinishBody(), rmaReq.b, rmaOK.b, rmaErr.b, abort.b, hello.b, roster.b, ping, pong, obsFrame}
+	return [][]byte{post.b, retiredFinishBody(), rmaReq.b, rmaRetired.b, rmaOK.b, rmaErr.b, abort.b, hello.b, roster.b, ping, pong, obsFrame}
 }
 
 // frameRetired is the type byte FINISH carried until wire version 5.

@@ -7,6 +7,7 @@ package tcpnet_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // the per-endpoint wire stats plus each rank's world.
 func runLoopback(t *testing.T, cfg mpi.RunConfig, size int, fn func(c *mpi.Comm) error) []tcpnet.WireStats {
 	t.Helper()
-	eps, err := mpi.NewTransportSet("tcp", size)
+	eps, err := tcpnet.Loopback(size)
 	if err != nil {
 		t.Fatalf("building tcp endpoints: %v", err)
 	}
@@ -49,6 +50,62 @@ func runLoopback(t *testing.T, cfg mpi.RunConfig, size int, fn func(c *mpi.Comm)
 		}
 	}
 	return stats
+}
+
+// TestRetiredCompareAndSwapOpRefused: an RMA request carrying op 3, the
+// retired compare-and-swap, reaches a live window on the peer and comes
+// back as an error, never a panic and never a served value. A fetch-and-op
+// on the same window id is served, so the refusal is the op code's and not
+// a missing window's.
+func TestRetiredCompareAndSwapOpRefused(t *testing.T) {
+	eps, err := tcpnet.Loopback(2)
+	if err != nil {
+		t.Fatalf("building tcp endpoints: %v", err)
+	}
+	const winID = "world/win@0" // a fresh world's first collective is the WinCreate
+	var casResp *mpi.RMAResp
+	var casErr, faoErr error
+	var fao *mpi.RMAResp
+	owner := []int64{20}
+	errs := make([]error, len(eps))
+	var wg sync.WaitGroup
+	for i, ep := range eps {
+		wg.Add(1)
+		go func(i int, ep mpi.Transport) {
+			defer wg.Done()
+			_, errs[i] = mpi.RunTransport(mpi.RunConfig{}, ep, func(c *mpi.Comm) error {
+				local := []int64{10}
+				if c.Rank() == 1 {
+					local = owner
+				}
+				win := mpi.WinCreate(c, local)
+				if c.Rank() == 0 {
+					casResp, casErr = ep.RMA(1, &mpi.RMAReq{Win: winID, Member: 1, Op: 3})
+					fao, faoErr = ep.RMA(1, &mpi.RMAReq{Win: winID, Member: 1, Op: mpi.RMAFetchAndOp, Code: mpi.OpCodeSum, Operand: 0})
+				}
+				win.Fence()
+				return nil
+			})
+		}(i, ep)
+	}
+	wg.Wait()
+	if err := mpi.CloseAll(eps); err != nil {
+		t.Errorf("closing endpoints: %v", err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("endpoint %d: %v", i, err)
+		}
+	}
+	if faoErr != nil || fao == nil || fao.Old != 20 {
+		t.Fatalf("fetch-and-op on %s: resp %+v, err %v; want old value 20", winID, fao, faoErr)
+	}
+	if casResp != nil || casErr == nil || !strings.Contains(casErr.Error(), "unknown rma op 3") {
+		t.Fatalf("retired op 3: resp %+v, err %v; want an unknown-op error and no value", casResp, casErr)
+	}
+	if owner[0] != 20 {
+		t.Fatalf("owner's element is %d after the refused op, want 20", owner[0])
+	}
 }
 
 // exchange is the shared workload: id-stream-shaped (sorted, small-delta)

@@ -120,10 +120,9 @@ type peer struct {
 // Net is one process's TCP endpoint of a world: it hosts exactly one rank
 // and holds one connection to every other rank. It implements mpi.Transport.
 type Net struct {
-	rank   int
-	size   int
-	opts   Options
-	config []byte // the coordinator's job blob (as received by Join)
+	rank int
+	size int
+	opts Options
 
 	peers []*peer // indexed by world rank; peers[rank] == nil
 
@@ -220,7 +219,7 @@ func (rv *Rendezvous) Coordinate(size int, config []byte) (*Net, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("tcpnet: world size %d must be positive", size)
 	}
-	n := &Net{rank: 0, size: size, opts: rv.opts, config: config, peers: make([]*peer, size)}
+	n := &Net{rank: 0, size: size, opts: rv.opts, peers: make([]*peer, size)}
 	addrs := make([]string, size)
 	addrs[0] = rv.Addr()
 	deadline := time.Now().Add(rv.opts.DialTimeout)
@@ -310,7 +309,7 @@ func Join(addr string, rank int, opts Options) (*Net, []byte, error) {
 		return nil, nil, fmt.Errorf("tcpnet: rank %d outside world of size %d", rank, size)
 	}
 
-	n := &Net{rank: rank, size: size, opts: opts, config: config, peers: make([]*peer, size)}
+	n := &Net{rank: rank, size: size, opts: opts, peers: make([]*peer, size)}
 	n.peers[0] = newPeer(0, conn)
 	// Mesh edge (i, j), i > j ≥ 1, is dialed by i and accepted by j; the
 	// bootstrap connection already covers every (r, 0) edge.
@@ -470,13 +469,6 @@ func (n *Net) WorldSize() int { return n.size }
 
 // LocalRanks returns the single rank this process hosts.
 func (n *Net) LocalRanks() []int { return []int{n.rank} }
-
-// Rank returns this process's world rank.
-func (n *Net) Rank() int { return n.rank }
-
-// Config returns the coordinator's opaque config blob (what Join received;
-// on rank 0, what Coordinate was given).
-func (n *Net) Config() []byte { return n.config }
 
 // Bind attaches the world and starts one reader goroutine per peer
 // connection; from here on inbound frames flow into the mailbox.
@@ -871,8 +863,6 @@ func (n *Net) RMA(rank int, req *mpi.RMAReq) (*mpi.RMAResp, error) {
 	b.ints(req.Data)
 	b.u8(byte(req.Code))
 	b.i64(req.Operand)
-	b.i64(req.Expect)
-	b.i64(req.Next)
 	if err := n.send(p, frameRMAReq, b.b); err != nil {
 		return nil, fmt.Errorf("tcpnet: rma call %d to rank %d: %w", id, rank, err)
 	}
@@ -1222,17 +1212,12 @@ func (n *Net) handle(p *peer, typ byte, body []byte) error {
 // Loopback builds every endpoint of a size-rank world over 127.0.0.1, for
 // tests and the conformance suite. Endpoint i hosts rank i.
 func Loopback(size int) ([]mpi.Transport, error) {
-	return LoopbackConfig(size, nil)
+	return LoopbackOpts(size, nil, Options{})
 }
 
-// LoopbackConfig is Loopback with a coordinator config blob (each Join-side
-// endpoint will report it from Config).
-func LoopbackConfig(size int, config []byte) ([]mpi.Transport, error) {
-	return LoopbackOpts(size, config, Options{})
-}
-
-// LoopbackOpts is LoopbackConfig with explicit Options applied to every
-// endpoint; the fault and failure-detector tests use it to attach a shared
+// LoopbackOpts is Loopback with a coordinator config blob (each Join-side
+// endpoint receives it in the roster) and explicit Options applied to
+// every endpoint; the fault and failure-detector tests use it to attach a shared
 // NetFaultSpec (so drop/partition budgets span the world, like FaultPlan)
 // and tight heartbeat windows.
 func LoopbackOpts(size int, config []byte, opts Options) ([]mpi.Transport, error) {
@@ -1277,8 +1262,4 @@ func LoopbackOpts(size int, config []byte, opts Options) ([]mpi.Transport, error
 		}
 	}
 	return eps, nil
-}
-
-func init() {
-	mpi.RegisterTransport("tcp", Loopback)
 }

@@ -9,7 +9,7 @@ import (
 	"mcmdist/internal/wire"
 )
 
-// Wire format (version 5, magic "MCMNET1"):
+// Wire format (version 6, magic "MCMNET1"):
 //
 //	frame   := u32 bodyLen | u8 type | body
 //	u32/u64 := little-endian; int64 values travel as their two's-complement u64
@@ -25,7 +25,7 @@ import (
 //	POST     := str comm | u32 n | n × u32 rank | u32 src | u64 gen |
 //	            str op | u32 n | n × (u8 present | part)
 //	RMA_REQ  := u64 callID | str win | u32 member | u8 op | u64 off |
-//	            u64 n | ints data | u8 code | u64 operand | u64 expect | u64 next
+//	            u64 n | ints data | u8 code | u64 operand
 //	RMA_RESP := u64 callID | u8 ok | ok: (ints data | u64 old) / !ok: str error
 //	ABORT    := u32 from | str msg
 //	BYE      := (empty)
@@ -70,6 +70,11 @@ import (
 // other frame types keep their bytes; an inbound type-4 frame is an
 // unexpected-frame error.
 //
+// Version 6 drops the expect and next words from RMA_REQ, the arguments of
+// a retired compare-and-swap. A v5 peer would read a v6 request as short,
+// hence the bump. The compare-and-swap op code (3) stays reserved: the
+// target's window registry answers it, like any unknown op, with an error.
+//
 // The HELLO magic and version open every connection (both the rendezvous
 // dial and the mesh dials), so a version-skewed or foreign peer is rejected
 // before any traffic flows. A frame body is capped at maxFrame bytes;
@@ -78,7 +83,7 @@ import (
 // wireMagic and wireVersion identify the protocol on every new connection.
 const (
 	wireMagic   = "MCMNET1"
-	wireVersion = 5
+	wireVersion = 6
 )
 
 // maxFrame caps one frame body (1 GiB), a guard against corrupted length
@@ -399,8 +404,6 @@ func decodeRMAReq(body []byte) (id uint64, req *mpi.RMAReq, err error) {
 	req = &mpi.RMAReq{Win: rb.str(), Member: int(rb.u32()), Op: mpi.RMAOp(rb.u8()),
 		Off: int(rb.i64()), N: int(rb.i64()), Data: rb.ints(), Code: mpi.OpCode(rb.u8())}
 	req.Operand = rb.i64()
-	req.Expect = rb.i64()
-	req.Next = rb.i64()
 	if err := rb.err(frameRMAReq); err != nil {
 		return 0, nil, err
 	}

@@ -54,7 +54,7 @@ func TestHelloRefusesV4Peer(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = <-done
-	if err == nil || !strings.Contains(err.Error(), "peer speaks wire version 4, this build speaks 5") {
+	if want := fmt.Sprintf("peer speaks wire version 4, this build speaks %d", wireVersion); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("coordinator accepted a v4 HELLO or refused it for another reason: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -90,7 +89,7 @@ type PostMsg struct {
 	Src int
 	// Gen is the collective-call generation on this communicator.
 	Gen int64
-	// Op labels the collective for watchdog diagnostics ("bcast", ...).
+	// Op labels the collective for watchdog diagnostics ("allreduce", ...).
 	Op string
 	// Parts[i] is the payload addressed to member i; Present[i]
 	// distinguishes an empty part from a nil one (both move zero words).
@@ -111,9 +110,8 @@ const (
 	// RMAFetchAndOp applies the coded ReduceOp with Operand at Off and
 	// returns the prior value.
 	RMAFetchAndOp
-	// RMACompareAndSwap installs Next at Off if the element equals Expect,
-	// returning the prior value.
-	RMACompareAndSwap
+	// Code 3 is reserved: it carried a compare-and-swap that is retired.
+	// ExecRMA rejects it like any other unknown code.
 )
 
 // RMAReq is one one-sided operation crossing a process boundary, executed
@@ -134,16 +132,15 @@ type RMAReq struct {
 	// Code names the reduction for RMAFetchAndOp; custom (uncoded) ops
 	// cannot cross a process boundary.
 	Code OpCode
-	// Operand, Expect and Next are the scalar arguments of RMAFetchAndOp
-	// and RMACompareAndSwap.
-	Operand, Expect, Next int64
+	// Operand is the scalar argument of RMAFetchAndOp.
+	Operand int64
 }
 
 // RMAResp is the reply to an RMAReq.
 type RMAResp struct {
 	// Data is the RMAGet result.
 	Data []int64
-	// Old is the prior value returned by RMAFetchAndOp / RMACompareAndSwap.
+	// Old is the prior value returned by RMAFetchAndOp.
 	Old int64
 }
 
@@ -184,54 +181,6 @@ type RemoteAbortError struct {
 // Error formats the origin and the propagated cause.
 func (e *RemoteAbortError) Error() string {
 	return fmt.Sprintf("mpi: world aborted by remote rank %d: %s", e.From, e.Msg)
-}
-
-// TransportMaker builds every endpoint of a size-rank world on one backend,
-// returned in no particular order. For the in-process backend that is a
-// single endpoint hosting all ranks; for loopback TCP it is size endpoints
-// wired over 127.0.0.1. The conformance suite runs the same SPMD program
-// over every registered maker and pins results to the in-process oracle.
-type TransportMaker func(size int) ([]Transport, error)
-
-var (
-	transportsMu sync.Mutex
-	transports   = map[string]TransportMaker{}
-)
-
-// RegisterTransport registers a backend maker under a name. Backends
-// register themselves in init (the tcpnet package registers "tcp"), so a
-// blank import is enough to make a backend available to NewTransportSet.
-func RegisterTransport(name string, maker TransportMaker) {
-	transportsMu.Lock()
-	defer transportsMu.Unlock()
-	if _, dup := transports[name]; dup {
-		panic(fmt.Sprintf("mpi: transport %q registered twice", name))
-	}
-	transports[name] = maker
-}
-
-// Transports returns the registered backend names, sorted.
-func Transports() []string {
-	transportsMu.Lock()
-	defer transportsMu.Unlock()
-	names := make([]string, 0, len(transports))
-	for name := range transports {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NewTransportSet builds every endpoint of a size-rank world on the named
-// registered backend.
-func NewTransportSet(name string, size int) ([]Transport, error) {
-	transportsMu.Lock()
-	maker, ok := transports[name]
-	transportsMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("mpi: unknown transport %q (registered: %v)", name, Transports())
-	}
-	return maker(size)
 }
 
 // CloseAll closes a set of endpoints concurrently and returns the first

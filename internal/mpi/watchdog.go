@@ -191,12 +191,6 @@ func Run(size int, fn func(c *Comm) error) (*World, error) {
 	return RunWith(RunConfig{}, size, fn)
 }
 
-// RunCtx is Run with cancellation: when ctx is done the world aborts and
-// RunCtx returns ctx.Err().
-func RunCtx(ctx context.Context, size int, fn func(c *Comm) error) (*World, error) {
-	return RunWith(RunConfig{Context: ctx}, size, fn)
-}
-
 // RunWith is Run under a RunConfig: fault injection, progress watchdog, and
 // context cancellation. It always runs over the in-process backend, hosting
 // every rank as a goroutine — the package's historical semantics.

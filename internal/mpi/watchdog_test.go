@@ -51,15 +51,15 @@ func TestWatchdogNoFalsePositive(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancel: cancelling the context aborts the world and RunCtx
-// returns the context error; the wedged ranks unwind.
-func TestRunCtxCancel(t *testing.T) {
+// TestWatchdogContextCancel: cancelling RunConfig.Context aborts the world
+// and RunWith returns the context error; the wedged ranks unwind.
+func TestWatchdogContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err := RunCtx(ctx, 2, func(c *Comm) error {
+	_, err := RunWith(RunConfig{Context: ctx}, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			// Long local compute; the barrier post rank 1 is waiting on
 			// comes far later than the cancel.

@@ -97,9 +97,6 @@ type Span struct {
 	Flow  uint64 // nonzero: rendezvous id shared by all ranks of a collective
 }
 
-// End returns the trace timestamp of the span's end.
-func (s Span) End() int64 { return s.Start + s.Dur }
-
 // DefaultSpanCap is the per-rank ring capacity when a Collector is built
 // without an explicit one (~64k spans, a few MB per rank).
 const DefaultSpanCap = 1 << 16
@@ -137,17 +134,6 @@ func NewTracer(rank, capacity int) *Tracer {
 	}
 	return &Tracer{rank: rank, maxCap: capacity, spans: make([]Span, 0, initial)}
 }
-
-// Rank returns the rank this tracer records for.
-func (t *Tracer) Rank() int {
-	if t == nil {
-		return -1
-	}
-	return t.rank
-}
-
-// Enabled reports whether spans are actually recorded (false on nil).
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Begin returns the timestamp opening a span (0 on a nil tracer). Pair it
 // with End/EndFlow; nesting is implied by interval containment, so no

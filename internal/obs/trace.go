@@ -75,17 +75,6 @@ func (c *Collector) Sibling(ranks int) *Collector {
 	return NewCollector(ranks, opt)
 }
 
-// Ranks returns the world size the collector was built for.
-func (c *Collector) Ranks() int {
-	if c == nil {
-		return 0
-	}
-	if len(c.tracers) > 0 {
-		return len(c.tracers)
-	}
-	return len(c.recs)
-}
-
 // Tracer returns rank's span tracer (nil when spans are off or the rank is
 // out of range — a nil tracer records nothing).
 func (c *Collector) Tracer(rank int) *Tracer {

@@ -7,7 +7,7 @@
 // parked on a task channel, owned by the rank's runtime context (rt.Ctx) and
 // reused for every parallel region of a solve — the analogue of an OpenMP
 // thread team that lives for the process, not for one loop. Spawning
-// goroutines per loop (the old For) costs a stack and a scheduler round-trip
+// goroutines per loop would cost a stack and a scheduler round-trip
 // per chunk per call; a parked worker costs one channel send.
 //
 // On the simulation host the workers share physical cores with the other
@@ -249,51 +249,6 @@ func (p *Pool) MapReduce(n int, fn func(lo, hi int) int64, combine func(a, b int
 	return acc
 }
 
-// Run executes the given closures concurrently across the team (fns[0] on
-// the caller) and returns when all complete. For regions whose tasks are
-// not an index range — e.g. the pairwise merge passes of a parallel sort.
-// Panics propagate to the caller. len(fns) may exceed the team size; the
-// dispatcher hands excess closures to whichever worker frees first.
-func (p *Pool) Run(fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if p == nil || len(fns) == 1 {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	box := &panicBox{}
-	wg.Add(len(fns) - 1)
-	for i := 1; i < len(fns); i++ {
-		fn := fns[i]
-		w := 1 + (i-1)%(p.threads-1)
-		p.tasks <- task{
-			fn: func(_, _, _ int) { fn() },
-			wg: &wg, panics: box, busy: &p.busy[w],
-		}
-	}
-	callerStart := time.Now()
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				box.store(r)
-			}
-		}()
-		fns[0]()
-	}()
-	p.busy[0].v.Add(int64(time.Since(callerStart)))
-	wg.Wait()
-	p.regions++
-	p.span += int64(time.Since(start))
-	if v, ok := box.get(); ok {
-		panic(v)
-	}
-}
-
 // Stats is a snapshot of a pool's lifetime telemetry.
 type Stats struct {
 	Threads int           // team size
@@ -363,67 +318,4 @@ func (p *Pool) Stats() Stats {
 		Busy:    time.Duration(busy),
 		Span:    time.Duration(p.span),
 	}
-}
-
-// For splits the index range [0, n) into near-equal contiguous chunks and
-// runs fn(lo, hi) on each with `threads` goroutines spawned for this call.
-// Pool-less convenience for code without a runtime context; hot paths use
-// Pool.For. threads <= 1 or n at or below the grain runs fn inline with no
-// goroutine, WaitGroup, or channel at all — including when the grain clamp
-// collapses the width to 1.
-func For(n, threads int, fn func(lo, hi int)) {
-	if threads > n/DefaultMinChunk {
-		threads = n / DefaultMinChunk
-	}
-	if threads <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	bounds := chunkBounds(n, threads)
-	wg.Add(threads - 1)
-	for w := 1; w < threads; w++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(bounds[w], bounds[w+1])
-	}
-	fn(bounds[0], bounds[1])
-	wg.Wait()
-}
-
-// MapReduce runs fn over [0, n) chunks in parallel with per-call
-// goroutines, each chunk producing a partial int64, and combines the
-// partials in chunk order with combine (which must be associative). The
-// zero partial must be the identity. The degenerate width-1 case runs
-// inline like For.
-func MapReduce(n, threads int, fn func(lo, hi int) int64, combine func(a, b int64) int64) int64 {
-	if threads > n/DefaultMinChunk {
-		threads = n / DefaultMinChunk
-	}
-	if threads <= 1 {
-		if n <= 0 {
-			return 0
-		}
-		return fn(0, n)
-	}
-	partials := make([]cell, threads)
-	var wg sync.WaitGroup
-	bounds := chunkBounds(n, threads)
-	wg.Add(threads - 1)
-	for w := 1; w < threads; w++ {
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partials[w].v.Store(fn(lo, hi))
-		}(w, bounds[w], bounds[w+1])
-	}
-	partials[0].v.Store(fn(bounds[0], bounds[1]))
-	wg.Wait()
-	acc := partials[0].v.Load()
-	for w := 1; w < threads; w++ {
-		acc = combine(acc, partials[w].v.Load())
-	}
-	return acc
 }

@@ -6,12 +6,26 @@ import (
 	"testing/quick"
 )
 
+// poolFor runs Pool.For over a fresh pool of the given width.
+func poolFor(n, threads int, fn func(lo, hi int)) {
+	p := NewPool(threads)
+	defer p.Close()
+	p.For(n, fn)
+}
+
+// poolMapReduce runs Pool.MapReduce over a fresh pool of the given width.
+func poolMapReduce(n, threads int, fn func(lo, hi int) int64, combine func(a, b int64) int64) int64 {
+	p := NewPool(threads)
+	defer p.Close()
+	return p.MapReduce(n, fn, combine)
+}
+
 func TestForCoversRangeExactly(t *testing.T) {
 	f := func(n uint16, threads uint8) bool {
 		nn := int(n)
 		tt := int(threads%16) + 1
 		seen := make([]int32, nn)
-		For(nn, tt, func(lo, hi int) {
+		poolFor(nn, tt, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&seen[i], 1)
 			}
@@ -30,11 +44,11 @@ func TestForCoversRangeExactly(t *testing.T) {
 
 func TestForZeroAndNegative(t *testing.T) {
 	called := false
-	For(0, 4, func(lo, hi int) { called = true })
+	poolFor(0, 4, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("fn called for n=0")
 	}
-	For(-3, 4, func(lo, hi int) { called = true })
+	poolFor(-3, 4, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("fn called for negative n")
 	}
@@ -42,7 +56,7 @@ func TestForZeroAndNegative(t *testing.T) {
 
 func TestForSingleThreadInline(t *testing.T) {
 	calls := 0
-	For(1000, 1, func(lo, hi int) {
+	poolFor(1000, 1, func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 1000 {
 			t.Fatalf("inline chunk [%d,%d)", lo, hi)
@@ -56,7 +70,7 @@ func TestForSingleThreadInline(t *testing.T) {
 func TestForLargeParallelSum(t *testing.T) {
 	const n = 100_000
 	var sum atomic.Int64
-	For(n, 8, func(lo, hi int) {
+	poolFor(n, 8, func(lo, hi int) {
 		var local int64
 		for i := lo; i < hi; i++ {
 			local += int64(i)
@@ -71,7 +85,7 @@ func TestForLargeParallelSum(t *testing.T) {
 
 func TestMapReduceSum(t *testing.T) {
 	const n = 50_000
-	got := MapReduce(n, 8, func(lo, hi int) int64 {
+	got := poolMapReduce(n, 8, func(lo, hi int) int64 {
 		var s int64
 		for i := lo; i < hi; i++ {
 			s += int64(i)
@@ -86,7 +100,7 @@ func TestMapReduceSum(t *testing.T) {
 
 func TestMapReduceMax(t *testing.T) {
 	vals := []int64{3, 9, 1, 7, 9, 2}
-	got := MapReduce(len(vals), 4, func(lo, hi int) int64 {
+	got := poolMapReduce(len(vals), 4, func(lo, hi int) int64 {
 		best := int64(-1 << 62)
 		for i := lo; i < hi; i++ {
 			if vals[i] > best {
@@ -106,7 +120,7 @@ func TestMapReduceMax(t *testing.T) {
 }
 
 func TestMapReduceEmpty(t *testing.T) {
-	if got := MapReduce(0, 4, func(lo, hi int) int64 { return 99 },
+	if got := poolMapReduce(0, 4, func(lo, hi int) int64 { return 99 },
 		func(a, b int64) int64 { return a + b }); got != 0 {
 		t.Fatalf("empty MapReduce = %d", got)
 	}
@@ -124,7 +138,7 @@ func TestMapReduceMatchesSerial(t *testing.T) {
 			return s
 		}
 		add := func(a, b int64) int64 { return a + b }
-		return MapReduce(nn, tt, sum, add) == MapReduce(nn, 1, sum, add)
+		return poolMapReduce(nn, tt, sum, add) == poolMapReduce(nn, 1, sum, add)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -140,8 +154,10 @@ func BenchmarkForSerialVsParallel(b *testing.B) {
 			name = "t=4"
 		}
 		b.Run(name, func(b *testing.B) {
+			p := NewPool(threads)
+			defer p.Close()
 			for i := 0; i < b.N; i++ {
-				For(n, threads, func(lo, hi int) {
+				p.For(n, func(lo, hi int) {
 					for k := lo; k < hi; k++ {
 						data[k]++
 					}
@@ -154,7 +170,7 @@ func BenchmarkForSerialVsParallel(b *testing.B) {
 func TestForManyThreadsFewItems(t *testing.T) {
 	// threads > n/minChunk collapses the pool; all elements still covered.
 	var sum atomic.Int64
-	For(300, 16, func(lo, hi int) {
+	poolFor(300, 16, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sum.Add(1)
 		}
@@ -165,7 +181,7 @@ func TestForManyThreadsFewItems(t *testing.T) {
 }
 
 func TestMapReduceManyThreadsFewItems(t *testing.T) {
-	got := MapReduce(300, 64, func(lo, hi int) int64 { return int64(hi - lo) },
+	got := poolMapReduce(300, 64, func(lo, hi int) int64 { return int64(hi - lo) },
 		func(a, b int64) int64 { return a + b })
 	if got != 300 {
 		t.Fatalf("sum %d", got)
@@ -173,7 +189,7 @@ func TestMapReduceManyThreadsFewItems(t *testing.T) {
 }
 
 func TestMapReduceNegativeN(t *testing.T) {
-	if got := MapReduce(-5, 4, func(lo, hi int) int64 { return 1 },
+	if got := poolMapReduce(-5, 4, func(lo, hi int) int64 { return 1 },
 		func(a, b int64) int64 { return a + b }); got != 0 {
 		t.Fatalf("negative n gave %d", got)
 	}

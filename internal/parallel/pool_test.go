@@ -99,10 +99,6 @@ func TestNilPoolRunsInline(t *testing.T) {
 	if p.Threads() != 1 || p.Width(1<<20, 1) != 1 {
 		t.Fatal("nil pool must report width 1")
 	}
-	p.Run(func() { calls++ })
-	if calls != 2 {
-		t.Fatal("nil-pool Run did not execute")
-	}
 	p.Close() // must not panic
 }
 
@@ -119,7 +115,7 @@ func TestPoolMapReduceMatchesSerial(t *testing.T) {
 			return s
 		}
 		add := func(a, b int64) int64 { return a + b }
-		return p.MapReduce(nn, sum, add) == MapReduce(nn, 1, sum, add)
+		return p.MapReduce(nn, sum, add) == sum(0, nn)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -146,21 +142,6 @@ func TestPoolPanicPropagates(t *testing.T) {
 		}
 	})
 	t.Fatal("unreachable: panic must propagate")
-}
-
-func TestPoolRunExecutesAll(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	var sum atomic.Int64
-	var fns []func()
-	for i := 1; i <= 10; i++ { // more closures than workers
-		v := int64(i)
-		fns = append(fns, func() { sum.Add(v) })
-	}
-	p.Run(fns...)
-	if sum.Load() != 55 {
-		t.Fatalf("Run sum = %d, want 55", sum.Load())
-	}
 }
 
 func TestPoolStats(t *testing.T) {
@@ -234,26 +215,4 @@ func TestPoolConcurrentRanksStress(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-}
-
-func BenchmarkPoolForVsSpawn(b *testing.B) {
-	const n = 1 << 20
-	data := make([]int64, n)
-	body := func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			data[k]++
-		}
-	}
-	b.Run("pool-t=4", func(b *testing.B) {
-		p := NewPool(4)
-		defer p.Close()
-		for i := 0; i < b.N; i++ {
-			p.For(n, body)
-		}
-	})
-	b.Run("spawn-t=4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			For(n, 4, body)
-		}
-	})
 }

@@ -17,9 +17,8 @@
 //     pattern: a borrow clears one word per 64 entries, and Next walks the
 //     present entries in order, so the SpMV fold and the INVERT receive
 //     visit only the entries they touched;
-//   - the per-op wall-clock / communication-meter ledger (Track), folded in
-//     from the solver so metering hangs off the rank's context rather than
-//     off the communicator alone.
+//   - per-op measurement (Track): the wall time and communication deltas
+//     of one tracked section, recorded as an op span.
 //
 // A Ctx belongs to exactly one rank goroutine at a time and is not
 // internally synchronized. It may be rebound (Bind) to a fresh communicator
@@ -66,8 +65,6 @@ type Ctx struct {
 
 	pool *parallel.Pool
 
-	ops map[string]OpCost
-
 	// trc is the rank's span tracer (nil = tracing off). Track records one
 	// op span per tracked section into it, which is what puts the Table I
 	// primitives on the timeline.
@@ -93,14 +90,6 @@ func (c *Ctx) Bind(comm *mpi.Comm) {
 	if c != nil {
 		c.comm = comm
 	}
-}
-
-// Comm returns the bound communicator (nil on a nil context).
-func (c *Ctx) Comm() *mpi.Comm {
-	if c == nil {
-		return nil
-	}
-	return c.comm
 }
 
 // Enabled reports whether the arena actually pools (false for nil or
@@ -154,9 +143,6 @@ func (c *Ctx) Pool() *parallel.Pool {
 	}
 	return c.pool
 }
-
-// Threads returns the worker-pool team size (1 when there is no pool).
-func (c *Ctx) Threads() int { return c.Pool().Threads() }
 
 // ThreadStats returns the pool's cumulative telemetry (zero-valued with
 // Threads=1 when there is no pool).
@@ -269,7 +255,7 @@ func (c *Ctx) PutParts(ps [][]int64) {
 
 // Scratch is a dense (value, present) workspace over the index range [0, n)
 // of one borrow. Presence is a bitmap, one word per 64 entries, cleared on
-// borrow: Has(i) is true only for indices Set or Marked since the last
+// borrow: Has(i) is true only for indices Set since the last
 // borrow, and Next walks the present indices in order, so a consumer pays
 // for the n/64 words plus the entries it touched rather than for n.
 type Scratch struct {
@@ -340,18 +326,12 @@ func (c *Ctx) ScratchShards(tag string, k, n int) []*Scratch {
 	return out
 }
 
-// Has reports whether index i was Set or Marked since this borrow.
+// Has reports whether index i was Set since this borrow.
 func (s *Scratch) Has(i int) bool { return s.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // Set stores v at index i and marks it present.
 func (s *Scratch) Set(i int, v semiring.Vertex) {
 	s.Val[i] = v
-	s.bits[i>>6] |= 1 << (uint(i) & 63)
-}
-
-// Mark marks index i present without storing a value (bitmap-style use).
-func (s *Scratch) Mark(i int) {
-	_ = s.Val[i] // bounds: a padding bit of the last word must stay clear
 	s.bits[i>>6] |= 1 << (uint(i) & 63)
 }
 
@@ -377,22 +357,19 @@ func (s *Scratch) Next(i int) int {
 // Len returns the number of entries the borrow spans.
 func (s *Scratch) Len() int { return len(s.Val) }
 
-// OpCost is one operation category's accumulated wall time, communication
-// meter, and communication-time ledger (total vs exposed; their difference
-// is the latency the split-phase schedules hid behind local work).
+// OpCost is one tracked section's wall time, communication meter, and
+// communication-time ledger (total vs exposed; their difference is the
+// latency the split-phase schedules hid behind local work).
 type OpCost struct {
 	Wall  time.Duration
 	Meter mpi.Meter
 	Comm  mpi.CommTimes
 }
 
-// Track runs fn, attributes its wall time plus the communication-meter and
-// communication-time deltas to op in the context's ledger, and returns the
-// delta. The ledger accumulates across solves when the context is reused,
-// giving per-rank telemetry that no longer hangs off a single
-// communicator's lifetime. A split-phase request started inside one tracked
-// op and completed inside another attributes its meter and times to the op
-// that completed it.
+// Track runs fn, records it as an op span named op, and returns its wall
+// time plus the communication-meter and communication-time deltas. A
+// split-phase request started inside one tracked op and completed inside
+// another attributes its meter and times to the op that completed it.
 func (c *Ctx) Track(op string, fn func()) OpCost {
 	if c == nil || c.comm == nil {
 		start := time.Now()
@@ -410,31 +387,5 @@ func (c *Ctx) Track(op string, fn func()) OpCost {
 		Comm:  c.comm.CommTimes().Sub(beforeCT),
 	}
 	c.trc.End(obs.KindOp, op, t0, delta.Meter.Words)
-	if c.ops == nil {
-		c.ops = make(map[string]OpCost)
-	}
-	oc := c.ops[op]
-	oc.Wall += delta.Wall
-	oc.Meter = oc.Meter.Add(delta.Meter)
-	oc.Comm = oc.Comm.Add(delta.Comm)
-	c.ops[op] = oc
 	return delta
-}
-
-// OpCosts returns a copy of the per-op ledger.
-func (c *Ctx) OpCosts() map[string]OpCost {
-	out := make(map[string]OpCost, len(c.ops))
-	for k, v := range c.ops {
-		out[k] = v
-	}
-	return out
-}
-
-// MeterSnapshot returns the bound communicator's cumulative meter (zero on
-// a nil or unbound context).
-func (c *Ctx) MeterSnapshot() mpi.Meter {
-	if c == nil || c.comm == nil {
-		return mpi.Meter{}
-	}
-	return c.comm.MeterSnapshot()
 }

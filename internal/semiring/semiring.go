@@ -24,9 +24,6 @@ type Vertex struct {
 	Root   int64
 }
 
-// New returns a Vertex with the given parent and root.
-func New(parent, root int64) Vertex { return Vertex{Parent: parent, Root: root} }
-
 // Self returns the Vertex (v, v), used when a phase starts and each
 // unmatched column is its own parent and root.
 func Self(v int64) Vertex { return Vertex{Parent: v, Root: v} }

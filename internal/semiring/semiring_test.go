@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 )
 
+// vertex returns the Vertex with the given parent and root.
+func vertex(parent, root int64) Vertex { return Vertex{Parent: parent, Root: root} }
+
 func TestSelf(t *testing.T) {
 	v := Self(5)
 	if v.Parent != 5 || v.Root != 5 {
@@ -13,7 +16,7 @@ func TestSelf(t *testing.T) {
 }
 
 func TestVertexString(t *testing.T) {
-	if got := New(2, 7).String(); got != "(2, 7)" {
+	if got := vertex(2, 7).String(); got != "(2, 7)" {
 		t.Fatalf("String = %q", got)
 	}
 }
@@ -29,7 +32,7 @@ func TestAddOpString(t *testing.T) {
 }
 
 func TestMinParentCombine(t *testing.T) {
-	a, b := New(3, 10), New(1, 20)
+	a, b := vertex(3, 10), vertex(1, 20)
 	if got := MinParent.Combine(a, b); got != b {
 		t.Fatalf("Combine = %v, want %v", got, b)
 	}
@@ -41,7 +44,7 @@ func TestMinParentCombine(t *testing.T) {
 func TestCombineCommutative(t *testing.T) {
 	for _, op := range []AddOp{MinParent, RandRoot, RandParent, MinRoot} {
 		f := func(p1, r1, p2, r2 int16) bool {
-			a, b := New(int64(p1), int64(r1)), New(int64(p2), int64(r2))
+			a, b := vertex(int64(p1), int64(r1)), vertex(int64(p2), int64(r2))
 			return op.Combine(a, b) == op.Combine(b, a)
 		}
 		if err := quick.Check(f, nil); err != nil {
@@ -53,7 +56,7 @@ func TestCombineCommutative(t *testing.T) {
 func TestCombineAssociative(t *testing.T) {
 	for _, op := range []AddOp{MinParent, RandRoot, RandParent, MinRoot} {
 		f := func(p1, r1, p2, r2, p3, r3 int16) bool {
-			a, b, c := New(int64(p1), int64(r1)), New(int64(p2), int64(r2)), New(int64(p3), int64(r3))
+			a, b, c := vertex(int64(p1), int64(r1)), vertex(int64(p2), int64(r2)), vertex(int64(p3), int64(r3))
 			return op.Combine(op.Combine(a, b), c) == op.Combine(a, op.Combine(b, c))
 		}
 		if err := quick.Check(f, nil); err != nil {
@@ -65,7 +68,7 @@ func TestCombineAssociative(t *testing.T) {
 func TestCombineIdempotent(t *testing.T) {
 	for _, op := range []AddOp{MinParent, RandRoot, RandParent, MinRoot} {
 		f := func(p, r int16) bool {
-			a := New(int64(p), int64(r))
+			a := vertex(int64(p), int64(r))
 			return op.Combine(a, a) == a
 		}
 		if err := quick.Check(f, nil); err != nil {
@@ -78,7 +81,7 @@ func TestCombineClosed(t *testing.T) {
 	// The winner must be one of the two candidates, never a mixture.
 	for _, op := range []AddOp{MinParent, RandRoot, RandParent, MinRoot} {
 		f := func(p1, r1, p2, r2 int16) bool {
-			a, b := New(int64(p1), int64(r1)), New(int64(p2), int64(r2))
+			a, b := vertex(int64(p1), int64(r1)), vertex(int64(p2), int64(r2))
 			got := op.Combine(a, b)
 			return got == a || got == b
 		}
@@ -94,7 +97,7 @@ func TestRandRootSpreads(t *testing.T) {
 	smallerWins := 0
 	const trials = 1000
 	for i := 0; i < trials; i++ {
-		a, b := New(0, int64(i)), New(1, int64(i+trials))
+		a, b := vertex(0, int64(i)), vertex(1, int64(i+trials))
 		if RandRoot.Combine(a, b).Root == a.Root {
 			smallerWins++
 		}
@@ -105,7 +108,7 @@ func TestRandRootSpreads(t *testing.T) {
 }
 
 func TestMultiplySelect2nd(t *testing.T) {
-	x := New(99, 42) // frontier entry: parent 99, root 42
+	x := vertex(99, 42) // frontier entry: parent 99, root 42
 	got := Multiply(7, x)
 	if got.Parent != 7 {
 		t.Fatalf("Multiply parent = %d, want frontier column 7", got.Parent)

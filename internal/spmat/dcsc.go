@@ -48,19 +48,6 @@ func (d *DCSC) index() *DCSC {
 	return d
 }
 
-// ToDCSC converts a CSC matrix to DCSC form.
-func (m *CSC) ToDCSC() *DCSC {
-	d := &DCSC{NRows: m.NRows, NCols: m.NCols, IR: m.RowIdx}
-	for j := 0; j < m.NCols; j++ {
-		if m.ColPtr[j+1] > m.ColPtr[j] {
-			d.JC = append(d.JC, j)
-			d.CP = append(d.CP, m.ColPtr[j])
-		}
-	}
-	d.CP = append(d.CP, len(m.RowIdx))
-	return d.index()
-}
-
 // ToCSC expands the DCSC matrix back to plain CSC form.
 func (d *DCSC) ToCSC() *CSC {
 	m := &CSC{
@@ -76,45 +63,6 @@ func (d *DCSC) ToCSC() *CSC {
 		m.ColPtr[j+1] += m.ColPtr[j]
 	}
 	return m
-}
-
-// Transpose returns the transpose of d in DCSC form, by counting sort over
-// its rows in O(nnz + NRows). Columns are visited in increasing order, so
-// every output column's row indices come out sorted.
-func (d *DCSC) Transpose() *DCSC {
-	ptr := make([]int, d.NRows+1)
-	for _, i := range d.IR {
-		ptr[i+1]++
-	}
-	prefixSum(ptr)
-	nzc := 0
-	for i := 0; i < d.NRows; i++ {
-		if ptr[i+1] > ptr[i] {
-			nzc++
-		}
-	}
-	t := &DCSC{
-		NRows: d.NCols,
-		NCols: d.NRows,
-		JC:    make([]int, 0, nzc),
-		CP:    make([]int, 0, nzc+1),
-		IR:    make([]int, len(d.IR)),
-	}
-	for i := 0; i < d.NRows; i++ {
-		if ptr[i+1] > ptr[i] {
-			t.JC = append(t.JC, i)
-			t.CP = append(t.CP, ptr[i])
-		}
-	}
-	t.CP = append(t.CP, len(d.IR))
-	next := ptr[:d.NRows] // write cursors; ptr is not read again
-	for k, j := range d.JC {
-		for _, i := range d.IR[d.CP[k]:d.CP[k+1]] {
-			t.IR[next[i]] = j
-			next[i]++
-		}
-	}
-	return t.index()
 }
 
 // NNZ returns the number of nonzeros.

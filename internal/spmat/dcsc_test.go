@@ -70,12 +70,12 @@ func findColShapes(rng *rand.Rand) []*CSC {
 }
 
 // TestFindColMatchesBinarySearch checks the AUX lookup of every DCSC
-// constructor: ToDCSC, Submatrix (through DistributeRanks) and Transpose.
+// constructor: Submatrix (through DistributeRanks) and the tests' toDCSC.
 func TestFindColMatchesBinarySearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for n, m := range findColShapes(rng) {
-		d := m.ToDCSC()
-		built := map[string]*DCSC{"ToDCSC": d, "Transpose": d.Transpose()}
+		d := toDCSC(m)
+		built := map[string]*DCSC{"toDCSC": d}
 		for _, g := range oracleGrids {
 			blocks := DistributeRanks(m, g[0], g[1], nil)
 			for i := range blocks {

@@ -14,30 +14,10 @@ func (b Block) Len() int { return b.Hi - b.Lo }
 // Contains reports whether global index g falls inside the block.
 func (b Block) Contains(g int) bool { return g >= b.Lo && g < b.Hi }
 
-// SplitRange partitions [0, n) into parts near-equal contiguous blocks, the
-// first n%parts blocks being one longer, matching the usual MPI block
-// distribution.
-func SplitRange(n, parts int) []Block {
-	if parts <= 0 {
-		panic("spmat: SplitRange with parts <= 0")
-	}
-	out := make([]Block, parts)
-	base, rem := n/parts, n%parts
-	lo := 0
-	for k := 0; k < parts; k++ {
-		size := base
-		if k < rem {
-			size++
-		}
-		out[k] = Block{Lo: lo, Hi: lo + size}
-		lo += size
-	}
-	return out
-}
-
-// BlockAt returns block k of SplitRange(n, parts) in closed form, without
-// materializing the partition. O(1) and allocation-free — this sits on the
-// per-element path of vector Appends and owner lookups.
+// BlockAt returns block k of the partition of [0, n) into parts near-equal
+// contiguous blocks, the first n%parts blocks being one longer (the usual
+// MPI block distribution). It is closed-form, O(1) and allocation-free —
+// this sits on the per-element path of vector Appends and owner lookups.
 func BlockAt(n, parts, k int) Block {
 	base, rem := n/parts, n%parts
 	if k < rem {
@@ -49,7 +29,7 @@ func BlockAt(n, parts, k int) Block {
 }
 
 // OwnerOf returns the index of the block containing global index g, for
-// blocks produced by SplitRange(n, parts). O(1).
+// the BlockAt partition of [0, n) into parts blocks. O(1).
 func OwnerOf(n, parts, g int) int {
 	base, rem := n/parts, n%parts
 	cut := rem * (base + 1)

@@ -12,6 +12,38 @@ import (
 // counting/slicing code in this package replaced. Every production builder
 // must reproduce them array for array.
 
+// splitRange partitions [0, n) into parts near-equal contiguous blocks, the
+// first n%parts blocks being one longer, by walking the blocks in order: the
+// iterative reference for BlockAt and OwnerOf.
+func splitRange(n, parts int) []Block {
+	out := make([]Block, parts)
+	base, rem := n/parts, n%parts
+	lo := 0
+	for k := 0; k < parts; k++ {
+		size := base
+		if k < rem {
+			size++
+		}
+		out[k] = Block{Lo: lo, Hi: lo + size}
+		lo += size
+	}
+	return out
+}
+
+// toDCSC converts a CSC matrix to DCSC form, the reference every DCSC
+// builder is compared against.
+func toDCSC(m *CSC) *DCSC {
+	d := &DCSC{NRows: m.NRows, NCols: m.NCols, IR: m.RowIdx}
+	for j := 0; j < m.NCols; j++ {
+		if m.ColPtr[j+1] > m.ColPtr[j] {
+			d.JC = append(d.JC, j)
+			d.CP = append(d.CP, m.ColPtr[j])
+		}
+	}
+	d.CP = append(d.CP, len(m.RowIdx))
+	return d.index()
+}
+
 // oracleToCSC sorts triples by (column, row) and drops duplicates.
 func oracleToCSC(c *COO) *CSC {
 	ent := append([]Triple(nil), c.Entries...)
@@ -49,8 +81,8 @@ func oraclePermute(m *CSC, rowPerm, colPerm []int) *CSC {
 // oracleDistribute2D routes every nonzero into its block's COO and compiles
 // each block by sorting.
 func oracleDistribute2D(a *CSC, pr, pc int) [][]*LocalMatrix {
-	rowBlocks := SplitRange(a.NRows, pr)
-	colBlocks := SplitRange(a.NCols, pc)
+	rowBlocks := splitRange(a.NRows, pr)
+	colBlocks := splitRange(a.NCols, pc)
 	coos := make([][]*COO, pr)
 	for i := range coos {
 		coos[i] = make([]*COO, pc)
@@ -66,7 +98,7 @@ func oracleDistribute2D(a *CSC, pr, pc int) [][]*LocalMatrix {
 	for i := range out {
 		out[i] = make([]*LocalMatrix, pc)
 		for j := range out[i] {
-			out[i][j] = &LocalMatrix{Rows: rowBlocks[i], Cols: colBlocks[j], M: oracleToCSC(coos[i][j]).ToDCSC()}
+			out[i][j] = &LocalMatrix{Rows: rowBlocks[i], Cols: colBlocks[j], M: toDCSC(oracleToCSC(coos[i][j]))}
 		}
 	}
 	return out
@@ -153,18 +185,6 @@ func identity(n int) []int {
 		p[i] = i
 	}
 	return p
-}
-
-func TestDCSCTransposeMatchesCSC(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 200; trial++ {
-		m := randomCOO(rng).ToCSC()
-		got := &LocalMatrix{M: m.ToDCSC().Transpose()}
-		want := &LocalMatrix{M: m.Transpose().ToDCSC()}
-		if err := sameBlock(got, want); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-	}
 }
 
 // TestDistributeMatchesSortOracle checks Distribute2D and DistributeRanks

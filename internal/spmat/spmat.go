@@ -44,9 +44,6 @@ func (c *COO) Add(i, j int) {
 	c.Entries = append(c.Entries, Triple{Row: i, Col: j})
 }
 
-// NNZ returns the number of stored entries, including duplicates.
-func (c *COO) NNZ() int { return len(c.Entries) }
-
 // CSC is a compressed-sparse-columns pattern matrix. RowIdx holds the row
 // indices of nonzeros column by column; ColPtr[j]..ColPtr[j+1] delimits
 // column j. Row indices are strictly increasing within each column and the

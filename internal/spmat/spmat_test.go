@@ -59,7 +59,7 @@ func TestEmptyMatrix(t *testing.T) {
 	if tr.NNZ() != 0 {
 		t.Fatal("transpose of empty not empty")
 	}
-	d := m.ToDCSC()
+	d := toDCSC(m)
 	if d.NZC() != 0 || d.NNZ() != 0 {
 		t.Fatal("DCSC of empty not empty")
 	}
@@ -165,7 +165,7 @@ func TestDCSCRoundTrip(t *testing.T) {
 			c.Add(rng.Intn(nr), rng.Intn(nc))
 		}
 		m := c.ToCSC()
-		back := m.ToDCSC().ToCSC()
+		back := toDCSC(m).ToCSC()
 		if !m.Equal(back) {
 			t.Fatalf("trial %d: DCSC round trip failed", trial)
 		}
@@ -175,7 +175,7 @@ func TestDCSCRoundTrip(t *testing.T) {
 func TestDCSCHypersparse(t *testing.T) {
 	// 1000 columns but only 2 nonempty: DCSC must store 2 columns.
 	m := mustCSC(t, 10, 1000, [2]int{3, 17}, [2]int{5, 900}, [2]int{7, 900})
-	d := m.ToDCSC()
+	d := toDCSC(m)
 	if d.NZC() != 2 {
 		t.Fatalf("NZC = %d, want 2", d.NZC())
 	}
@@ -192,7 +192,7 @@ func TestDCSCHypersparse(t *testing.T) {
 
 func TestDCSCColByIndex(t *testing.T) {
 	m := mustCSC(t, 4, 6, [2]int{1, 2}, [2]int{0, 2}, [2]int{3, 5})
-	d := m.ToDCSC()
+	d := toDCSC(m)
 	col0, rows0 := d.ColByIndex(0)
 	if col0 != 2 || len(rows0) != 2 {
 		t.Fatalf("ColByIndex(0) = %d %v", col0, rows0)
@@ -206,7 +206,7 @@ func TestDCSCColByIndex(t *testing.T) {
 func TestSplitRangeCoversExactly(t *testing.T) {
 	f := func(n uint16, parts uint8) bool {
 		p := int(parts%32) + 1
-		blocks := SplitRange(int(n), p)
+		blocks := splitRange(int(n), p)
 		if len(blocks) != p {
 			return false
 		}
@@ -225,7 +225,7 @@ func TestSplitRangeCoversExactly(t *testing.T) {
 }
 
 func TestSplitRangeBalanced(t *testing.T) {
-	blocks := SplitRange(10, 3)
+	blocks := splitRange(10, 3)
 	sizes := []int{blocks[0].Len(), blocks[1].Len(), blocks[2].Len()}
 	if !reflect.DeepEqual(sizes, []int{4, 3, 3}) {
 		t.Fatalf("sizes = %v, want [4 3 3]", sizes)
@@ -236,7 +236,12 @@ func TestOwnerOfMatchesSplitRange(t *testing.T) {
 	f := func(n uint16, parts uint8) bool {
 		p := int(parts%32) + 1
 		nn := int(n%500) + 1
-		blocks := SplitRange(nn, p)
+		blocks := splitRange(nn, p)
+		for k, b := range blocks {
+			if BlockAt(nn, p, k) != b {
+				return false
+			}
+		}
 		for g := 0; g < nn; g++ {
 			o := OwnerOf(nn, p, g)
 			if o < 0 || o >= p || !blocks[o].Contains(g) {

@@ -19,21 +19,6 @@ func Valid(a *spmat.CSC, m *matching.Matching) error {
 	return m.Validate(a)
 }
 
-// Maximal reports an error when some edge joins two unmatched vertices.
-func Maximal(a *spmat.CSC, m *matching.Matching) error {
-	for j := 0; j < a.NCols; j++ {
-		if m.MateC[j] != semiring.None {
-			continue
-		}
-		for _, i := range a.Col(j) {
-			if m.MateR[i] == semiring.None {
-				return fmt.Errorf("verify: free edge (%d, %d) — matching not maximal", i, j)
-			}
-		}
-	}
-	return nil
-}
-
 // alternatingReach computes the sets Z_C ⊆ C and Z_R ⊆ R of vertices
 // reachable from unmatched columns along alternating paths (free edge from
 // C to R, matched edge from R to C).
@@ -101,12 +86,6 @@ func Maximum(a *spmat.CSC, m *matching.Matching) error {
 		return fmt.Errorf("verify: König cover size %d != matching cardinality %d", coverSize, card)
 	}
 	return nil
-}
-
-// Deficiency returns how far the matching is from perfect on the column
-// side: |C| - |M|.
-func Deficiency(a *spmat.CSC, m *matching.Matching) int {
-	return a.NCols - m.Cardinality()
 }
 
 // HallViolator returns, for a graph whose maximum matching leaves columns

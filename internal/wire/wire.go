@@ -89,8 +89,3 @@ func EncodedLen(v []int64) int {
 func EncodedWords(v []int64) int64 {
 	return int64((EncodedLen(v) + 7) / 8)
 }
-
-// MaxEncodedLen bounds the encoding of any n values (10 bytes per varint).
-func MaxEncodedLen(n int) int {
-	return n * binary.MaxVarintLen64
-}

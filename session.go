@@ -118,7 +118,7 @@ func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stat
 	perRankStats := make([]*core.Stats, dg.procs)
 	perRankMeter := make([]mpi.Meter, dg.procs)
 	var mateR, mateC []int64
-	err = core.RunDistributedGridCtx(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks,
+	err = core.RunDistributed(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks,
 		cfg, dg.ctxs, func(s *core.Solver) error {
 			mater, matec := s.MaximalInit()
 			if err := s.RunEngineByName(cfg.Engine, mater, matec); err != nil {
@@ -163,7 +163,7 @@ func (dg *DistributedGraph) MaximalMatchingDistributed(init Initializer, threads
 	perRankStats := make([]*core.Stats, dg.procs)
 	perRankMeter := make([]mpi.Meter, dg.procs)
 	var mateR, mateC []int64
-	err = core.RunDistributedGridCtx(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks,
+	err = core.RunDistributed(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks,
 		cfg, dg.ctxs, func(s *core.Solver) error {
 			mater, matec := s.MaximalInit()
 			fullR := mater.Gather()
