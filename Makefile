@@ -4,13 +4,17 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race bench bench-smoke bench-record bench-test vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke
+.PHONY: build test examples race bench bench-smoke bench-record bench-test vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Build and run every example; each exits non-zero on a wrong answer.
+examples:
+	@for d in examples/*/; do echo "$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
 # Vet, then fail if any file is not gofmt-clean (CI's lint job runs this).
 vet:

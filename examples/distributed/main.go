@@ -2,7 +2,9 @@
 // the three maximal-matching initializers (paper Fig. 3), the two
 // augmentation strategies and the automatic k < 2p² switch (Section IV-B),
 // and the effect of tree pruning (Fig. 8), all through the public API on a
-// skewed power-law graph.
+// skewed power-law graph. The graph is distributed once and every solve
+// reuses that distribution (the session API), and every cardinality is
+// checked against the shared-memory comparator.
 package main
 
 import (
@@ -22,6 +24,26 @@ func main() {
 	fmt.Println(g)
 	const procs = 16
 
+	ref, err := mcmdist.MaximumMatchingSerial(g, mcmdist.MSBFSGraft, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dg, err := mcmdist.Distribute(g, procs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer dg.Close()
+	solve := func(opts mcmdist.Options) *mcmdist.Stats {
+		m, st, err := dg.MaximumMatching(opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if m.Cardinality() != ref.Cardinality() {
+			log.Fatalf("disagreement: MS-BFS-Graft %d vs MCM-DIST %d (%+v)", ref.Cardinality(), m.Cardinality(), opts)
+		}
+		return st
+	}
+
 	// --- Initializer comparison (the Fig. 3 experiment) ---
 	fmt.Println("\ninitializers (p =", procs, "):")
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -35,9 +57,17 @@ func main() {
 		{"karp-sipser", mcmdist.KarpSipserInit},
 		{"dyn-mindegree", mcmdist.DynamicMindegreeInit},
 	} {
-		_, st, err := mcmdist.MaximumMatching(g, mcmdist.Options{Procs: procs, Init: tc.init, Permute: true})
-		if err != nil {
-			log.Fatal(err)
+		st := solve(mcmdist.Options{Init: tc.init})
+		if tc.init != mcmdist.NoInit {
+			// The initializer alone must find exactly what it found
+			// inside the full solve.
+			m, _, err := dg.MaximalMatchingDistributed(tc.init, 1)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if m.Cardinality() != st.InitCardinality || !g.IsMaximal(m) {
+				log.Fatalf("%s: initializer alone found %d, inside the solve %d", tc.name, m.Cardinality(), st.InitCardinality)
+			}
 		}
 		fmt.Fprintf(tw, "  %s\t%d\t%d\t%d\n", tc.name, st.InitCardinality, st.Phases, st.Cardinality)
 	}
@@ -53,26 +83,16 @@ func main() {
 		{"level-parallel", mcmdist.LevelParallel},
 		{"path-parallel (RMA)", mcmdist.PathParallel},
 	} {
-		m, st, err := mcmdist.MaximumMatching(g, mcmdist.Options{
-			Procs: procs, Init: mcmdist.GreedyInit, Augment: tc.aug, Permute: true,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		st := solve(mcmdist.Options{Init: mcmdist.GreedyInit, Augment: tc.aug})
 		fmt.Printf("  %-20s |M|=%d, %d paths applied (level %d / path %d)\n",
-			tc.name, m.Cardinality(), st.AugmentedPaths,
+			tc.name, st.Cardinality, st.AugmentedPaths,
 			st.LevelParallelAugments, st.PathParallelAugments)
 	}
 
 	// --- Pruning ablation ---
 	fmt.Println("\npruning satisfied alternating trees (Fig. 8):")
 	for _, disable := range []bool{false, true} {
-		_, st, err := mcmdist.MaximumMatching(g, mcmdist.Options{
-			Procs: procs, Init: mcmdist.GreedyInit, DisablePrune: disable, Permute: true,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		st := solve(mcmdist.Options{Init: mcmdist.GreedyInit, DisablePrune: disable})
 		label := "on "
 		if disable {
 			label = "off"
@@ -82,17 +102,5 @@ func main() {
 			label, spmv.Words, st.Iterations)
 	}
 
-	// --- Cross-check against the shared-memory comparator ---
-	ref, err := mcmdist.MaximumMatchingSerial(g, mcmdist.MSBFSGraft, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dist, _, err := mcmdist.MaximumMatching(g, mcmdist.Options{Procs: procs, Init: mcmdist.DynamicMindegreeInit})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if ref.Cardinality() != dist.Cardinality() {
-		log.Fatalf("disagreement: MS-BFS-Graft %d vs MCM-DIST %d", ref.Cardinality(), dist.Cardinality())
-	}
-	fmt.Printf("\nMS-BFS-Graft (shared-memory) and MCM-DIST agree: |M| = %d\n", dist.Cardinality())
+	fmt.Printf("\nMS-BFS-Graft (shared-memory) and every MCM-DIST solve agree: |M| = %d\n", ref.Cardinality())
 }

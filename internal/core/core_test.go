@@ -124,7 +124,7 @@ func TestWorkedExamplePhase(t *testing.T) {
 	blocks := spmat.DistributeRanks(a, side, side, nil)
 	stats := make([]*Stats, side*side)
 	var mateR, mateC []int64
-	err := RunDistributed(side, side, a.NRows, a.NCols, blocks,
+	err := RunDistributed(nil, side, side, a.NRows, a.NCols, blocks,
 		Config{Procs: side * side, AddOp: semiring.MinParent}, nil, func(s *Solver) error {
 			mater := dvec.NewDenseFrom(s.RowL, []int64{-1, 2, -1, 3, -1})
 			matec := dvec.NewDenseFrom(s.ColL, []int64{-1, -1, 1, 3, -1})
@@ -442,7 +442,7 @@ func TestDistributedInitializersAreMaximal(t *testing.T) {
 		blocks := spmat.DistributeRanks(a, side, side, nil)
 		for _, init := range []Init{InitGreedy, InitKarpSipser, InitDynMinDegree} {
 			var mateR, mateC []int64
-			err := RunDistributed(side, side, a.NRows, a.NCols, blocks,
+			err := RunDistributed(nil, side, side, a.NRows, a.NCols, blocks,
 				Config{Procs: side * side, Init: init}, nil, func(s *Solver) error {
 					mater, matec := s.MaximalInit()
 					fullR := mater.Gather()
@@ -625,7 +625,7 @@ func TestCommKindAttribution(t *testing.T) {
 
 	runAndMeter := func(mode AugmentMode) (rma, a2a, ag mpi.Meter) {
 		var w *mpi.World
-		err := RunDistributed(side, side, a.NRows, a.NCols, blocks,
+		err := RunDistributed(nil, side, side, a.NRows, a.NCols, blocks,
 			Config{Procs: side * side, Init: InitGreedy, Augment: mode}, nil,
 			func(s *Solver) error {
 				mater, matec := s.MaximalInit()
@@ -698,7 +698,7 @@ func TestSingleSourceMatchesOracle(t *testing.T) {
 		side := 2
 		blocks := spmat.DistributeRanks(a, side, side, nil)
 		var card int
-		err := RunDistributed(side, side, a.NRows, a.NCols, blocks,
+		err := RunDistributed(nil, side, side, a.NRows, a.NCols, blocks,
 			Config{Procs: 4, Init: InitGreedy}, nil, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
 				if err := s.RunEngineByName(EngineBFSSingleSource, mater, matec); err != nil {
@@ -730,7 +730,7 @@ func TestSingleSourceNeedsFarMoreIterations(t *testing.T) {
 
 	iters := func(single bool) int {
 		var n int
-		err := RunDistributed(side, side, a.NRows, a.NCols, blocks,
+		err := RunDistributed(nil, side, side, a.NRows, a.NCols, blocks,
 			Config{Procs: 4, Init: InitNone}, nil, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
 				if single {

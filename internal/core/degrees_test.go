@@ -106,7 +106,7 @@ func TestResidualDegreesMatchSerial(t *testing.T) {
 			blocks := spmat.DistributeRanks(a, pr, pc, nil)
 			for threads := 1; threads <= 4; threads++ {
 				cfg := Config{Procs: pr * pc, Threads: threads}
-				err := RunDistributed(pr, pc, a.NRows, a.NCols, blocks, cfg, nil, func(s *Solver) error {
+				err := RunDistributed(nil, pr, pc, a.NRows, a.NCols, blocks, cfg, nil, func(s *Solver) error {
 					m := s.newMatchedSets()
 					for _, half := range []int{0, 1} {
 						// Split the pairs by their column, so each batch's
@@ -213,7 +213,7 @@ func TestDegreeInitRoundsMatchSerialOracle(t *testing.T) {
 					name := fmt.Sprintf("%s/%v/%dx%d/t%d", c.name, init, sh[0], sh[1], threads)
 					cfg := Config{Procs: sh[0] * sh[1], Threads: threads, Init: init}
 					var gotR, gotC []int64
-					err := RunDistributed(sh[0], sh[1], c.a.NRows, c.a.NCols, blocks, cfg, nil, func(s *Solver) error {
+					err := RunDistributed(nil, sh[0], sh[1], c.a.NRows, c.a.NCols, blocks, cfg, nil, func(s *Solver) error {
 						// The per-round pass: wrap the round's frontier
 						// pick to compare each round's degrees.
 						pick := s.minDegreeFrontier

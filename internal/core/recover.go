@@ -230,7 +230,7 @@ func (r *recovery) attempt(gen int, cfg Config) (*Result, error) {
 	}
 	results, errs := onEndpoints(eps, func(ep mpi.Transport) (*Result, error) {
 		defer ep.Close()
-		res, err := runAttemptGrid(ep, r.pr, r.pc, r.n1, r.n2, r.blocks, cfg, r.ctxs)
+		res, err := SolveBlocks(ep, r.pr, r.pc, r.n1, r.n2, r.blocks, cfg, r.ctxs, (*Solver).Solve)
 		if err != nil {
 			WriteFlightDump(cfg.FlightDir, gen, ep.LocalRanks(), cfg.Obs, err)
 		}

@@ -40,7 +40,7 @@ func solveUnpooled(t *testing.T, a *spmat.CSC, cfg Config) *Result {
 		ctxs[r] = rt.NewDisabled(nil) // bound to the rank's comm at run time
 		defer ctxs[r].Close()
 	}
-	res, err := runAttemptGrid(tr, pr, pc, d.work.NRows, d.work.NCols, d.blocks, cfg, ctxs)
+	res, err := SolveBlocks(tr, pr, pc, d.work.NRows, d.work.NCols, d.blocks, cfg, ctxs, (*Solver).Solve)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mcmdist/internal/dvec"
 	"mcmdist/internal/grid"
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
@@ -23,11 +24,6 @@ type Result struct {
 	Stats *Stats
 	// PerRank holds every rank's final cumulative communication meter.
 	PerRank []mpi.Meter
-	// PerRankComm holds every rank's split-phase communication-time ledger:
-	// total request-in-flight wall time vs the exposed part the rank
-	// actually spent blocked. The gap is the latency hidden behind local
-	// computation by the overlapped schedules.
-	PerRankComm []mpi.CommTimes
 	// Procs and Threads echo the effective configuration.
 	Procs, Threads int
 }
@@ -47,7 +43,7 @@ func Solve(a *spmat.CSC, cfg Config) (*Result, error) {
 // the blocks of the ranks its endpoint hosts (paper Section IV-A: a process
 // holds only its own submatrices) and runs only those ranks. The final
 // mate vectors are allgathered, so every process returns the full Matching;
-// Stats, PerRank and PerRankComm cover only locally hosted ranks (remote
+// Stats and PerRank cover only locally hosted ranks (remote
 // entries stay zero — observability is per-process, see docs/TRANSPORT.md).
 // A nil tr means the in-process backend hosting all cfg.Procs ranks, which
 // is exactly Solve.
@@ -65,7 +61,7 @@ func SolveOn(tr mpi.Transport, a *spmat.CSC, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := runAttemptGrid(tr, pr, pc, d.work.NRows, d.work.NCols, d.blocks, cfg, nil)
+	res, err := SolveBlocks(tr, pr, pc, d.work.NRows, d.work.NCols, d.blocks, cfg, nil, (*Solver).Solve)
 	if err != nil {
 		return nil, err
 	}
@@ -156,78 +152,48 @@ func onEndpoints(eps []mpi.Transport, fn func(mpi.Transport) (*Result, error)) (
 	return results, errs
 }
 
-// runAttemptGrid runs one complete solve attempt on pre-distributed blocks:
-// launch the world (under the configured fault plane and watchdog), restore
-// or initialize the mate vectors, run the MCM phases, gather the result and
-// merge statistics. SolveOn calls it once; the recovery loop calls it per
-// attempt, setting cfg.Resume between attempts. cfg.Engine must already be
-// resolved (ResolveEngineConfig), and blocks must hold the entries
-// of every rank tr hosts. Only tr's locally hosted ranks run, and the mate
-// vectors are captured on the lowest of them (they are allgathered, so
-// every rank holds the full vectors).
-func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
-	cfg Config, ctxs []*rt.Ctx) (*Result, error) {
-	eng, ok := EngineByName(cfg.Engine)
-	if !ok {
-		return nil, fmt.Errorf("core: engine %q is not registered (have %v)", cfg.Engine, EngineNames())
-	}
-	if err := checkWorldSize(tr, cfg.Procs); err != nil {
-		return nil, err
+// SolveBlocks runs one solve on pre-distributed blocks: step on every rank
+// tr hosts, then the gather of the mate vectors step returns on the lowest
+// hosted rank and the merge of the hosted ranks' Stats and meters. It is
+// the only gather of a solve's result: SolveOn calls it once, the recovery
+// loop once per attempt (setting cfg.Resume between attempts), and the
+// session API once per solve. A nil tr is an in-process world of pr·pc
+// ranks; blocks must hold the entries of every rank tr hosts, and a step
+// that runs an engine needs cfg.Engine resolved (ResolveEngineConfig).
+// The mates are allgathered, so the lowest hosted rank holds the full
+// vectors; Stats and PerRank cover only the hosted ranks (on the in-process
+// backend that is every rank; remote ranks report in their own process).
+func SolveBlocks(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
+	cfg Config, ctxs []*rt.Ctx, step func(*Solver) (mater, matec *dvec.Dense, err error)) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if tr == nil {
+		tr = mpi.NewInproc(pr * pc)
 	}
 	localRoot := tr.LocalRanks()[0]
 	obsAttach(tr, cfg.Obs)
-	perRankStats := make([]*Stats, cfg.Procs)
-	perRankMeter := make([]mpi.Meter, cfg.Procs)
-	perRankComm := make([]mpi.CommTimes, cfg.Procs)
+	perRankStats := make([]*Stats, pr*pc)
+	perRankMeter := make([]mpi.Meter, pr*pc)
 	var mateR, mateC []int64
-
-	w, err := mpi.RunTransport(mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout, Compress: cfg.Compress},
-		tr, func(c *mpi.Comm) error {
-			if cfg.Obs != nil {
-				// Capture the rank's final meter on every exit path — success
-				// or unwind — so shipped observations and flight dumps carry
-				// what the rank had moved when the world ended.
-				defer func() {
-					cfg.Obs.SetRankMeter(c.Rank(), obsMeterPoints(c.MeterSnapshot()))
-				}()
-			}
-			ctx := newRankCtx(c, cfg, ctxs, c.Rank())
-			if ctxs == nil {
-				defer ctx.Close() // fresh context: release the worker pool with the rank
-			}
-			g, err := grid.NewWithRT(c, pr, pc, ctx)
-			if err != nil {
-				return err
-			}
-			s := NewSolver(g, cfg, n1, n2, blocks[g.MyRow][g.MyCol])
-			mater, matec, err := s.InitOrRestore()
-			if err != nil {
-				return err
-			}
-			if err := s.RunEngine(eng, mater, matec); err != nil {
-				return err
-			}
-
-			fullR := mater.Gather()
-			fullC := matec.Gather()
-			if c.Rank() == localRoot {
-				mateR, mateC = fullR, fullC
-			}
-			perRankStats[c.Rank()] = s.Stats
-			perRankMeter[c.Rank()] = s.gatherMeter()
-			perRankComm[c.Rank()] = c.CommTimes()
-			return nil
-		})
-	if w != nil {
-		cfg.Obs.AddEvents(w.ObsEvents())
-	}
+	err := RunDistributed(tr, pr, pc, n1, n2, blocks, cfg, ctxs, func(s *Solver) error {
+		mater, matec, err := step(s)
+		if err != nil {
+			return err
+		}
+		fullR := mater.Gather()
+		fullC := matec.Gather()
+		r := s.G.World.Rank()
+		if r == localRoot {
+			mateR, mateC = fullR, fullC
+		}
+		perRankStats[r] = s.Stats
+		perRankMeter[r] = s.G.World.MeterSnapshot()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	obsFinish(tr, cfg.Obs)
 
-	// Merge the locally hosted ranks' stats (on the in-process backend that
-	// is every rank; remote ranks report in their own process).
 	var merged *Stats
 	for _, st := range perRankStats {
 		if st == nil {
@@ -240,13 +206,22 @@ func runAttemptGrid(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.Loca
 		merged.MergeMax(st)
 	}
 	return &Result{
-		Matching:    &matching.Matching{MateR: mateR, MateC: mateC},
-		Stats:       merged,
-		PerRank:     perRankMeter,
-		PerRankComm: perRankComm,
-		Procs:       cfg.Procs,
-		Threads:     cfg.Threads,
+		Matching: &matching.Matching{MateR: mateR, MateC: mateC},
+		Stats:    merged,
+		PerRank:  perRankMeter,
+		Procs:    pr * pc,
+		Threads:  cfg.Threads,
 	}, nil
+}
+
+// Solve is the step of a maximum matching: restore the mate vectors from
+// Cfg.Resume or run the maximal initializer, then run the configured engine.
+func (s *Solver) Solve() (mater, matec *dvec.Dense, err error) {
+	mater, matec, err = s.InitOrRestore()
+	if err != nil {
+		return nil, nil, err
+	}
+	return mater, matec, s.RunEngineByName(s.Cfg.Engine, mater, matec)
 }
 
 func checkWorldSize(tr mpi.Transport, procs int) error {
@@ -263,18 +238,33 @@ func (r *Result) String() string {
 		r.Stats.Iterations, r.Procs, r.Threads)
 }
 
-// RunDistributed launches pr*pc ranks on a pr x pc grid over blocks
-// distributed as pr x pc, and invokes fn with each rank's solver. It is the
-// low-level entry point for callers that manage mate vectors themselves;
-// SolveOn adds distribution and result gathering. ctxs supplies one
-// runtime context per rank (indexed by world rank): a session that solves
+// RunDistributed launches the ranks of a pr x pc grid on tr — nil means an
+// in-process world of pr·pc ranks — and invokes fn with each hosted rank's
+// solver over blocks distributed as pr x pc. It is the one launcher:
+// SolveBlocks adds the result gather, and tests and experiments that manage
+// mate vectors themselves call it directly. ctxs supplies one runtime
+// context per rank (indexed by world rank): a session that solves
 // repeatedly on the same distributed graph passes the same contexts every
 // time, so the arena and scratch warmed up by one solve serve the next. A
-// nil ctxs builds fresh contexts.
-func RunDistributed(pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
+// nil ctxs builds fresh contexts, closed with their rank.
+func RunDistributed(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, fn func(*Solver) error) error {
-	w, err := mpi.RunWith(mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout, Compress: cfg.Compress},
-		pr*pc, func(c *mpi.Comm) error {
+	if tr == nil {
+		tr = mpi.NewInproc(pr * pc)
+	}
+	if err := checkWorldSize(tr, pr*pc); err != nil {
+		return err
+	}
+	w, err := mpi.RunTransport(mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout, Compress: cfg.Compress},
+		tr, func(c *mpi.Comm) error {
+			if cfg.Obs != nil {
+				// Capture the rank's final meter on every exit path — success
+				// or unwind — so shipped observations and flight dumps carry
+				// what the rank had moved when the world ended.
+				defer func() {
+					cfg.Obs.SetRankMeter(c.Rank(), obsMeterPoints(c.MeterSnapshot()))
+				}()
+			}
 			ctx := newRankCtx(c, cfg, ctxs, c.Rank())
 			if ctxs == nil {
 				// Fresh context: its worker pool dies with the rank. A caller-
@@ -286,8 +276,7 @@ func RunDistributed(pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 			if err != nil {
 				return err
 			}
-			s := NewSolver(g, cfg, n1, n2, blocks[g.MyRow][g.MyCol])
-			return fn(s)
+			return fn(NewSolver(g, cfg, n1, n2, blocks[g.MyRow][g.MyCol]))
 		})
 	if w != nil {
 		cfg.Obs.AddEvents(w.ObsEvents())

@@ -143,9 +143,3 @@ func (s *Solver) countUnmatched(mate *dvec.Dense) int {
 	s.G.World.AddWork(len(mate.Local))
 	return int(s.G.World.Allreduce(mpi.OpSum, local))
 }
-
-// gatherMeter returns this rank's cumulative meter; used by drivers to
-// compute modeled times.
-func (s *Solver) gatherMeter() mpi.Meter {
-	return s.G.World.MeterSnapshot()
-}

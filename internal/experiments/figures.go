@@ -451,25 +451,16 @@ func ladderForest(k, pathLen int) (*spmat.CSC, *matching.Matching) {
 func runAugmentOnly(cfg core.Config, a *spmat.CSC, init *matching.Matching, mode core.AugmentMode) float64 {
 	side := nearestSquareSide(cfg.Procs)
 	blocks := spmat.DistributeRanks(a, side, side, nil)
-	stats := make([]*core.Stats, side*side)
-	err := core.RunDistributed(side, side, a.NRows, a.NCols, blocks,
-		core.Config{Procs: side * side, Augment: mode}, nil, func(s *core.Solver) error {
-			mater := denseFromGlobal(s.RowL, init.MateR)
-			matec := denseFromGlobal(s.ColL, init.MateC)
-			if err := s.RunEngineByName(core.EngineBFS, mater, matec); err != nil {
-				return err
-			}
-			stats[s.G.World.Rank()] = s.Stats
-			return nil
+	res, err := core.SolveBlocks(nil, side, side, a.NRows, a.NCols, blocks,
+		core.Config{Procs: side * side, Augment: mode}, nil, func(s *core.Solver) (mater, matec *dvec.Dense, err error) {
+			mater = dvec.NewDenseFrom(s.RowL, init.MateR)
+			matec = dvec.NewDenseFrom(s.ColL, init.MateC)
+			return mater, matec, s.RunEngineByName(core.EngineBFS, mater, matec)
 		})
 	if err != nil {
 		panic(err)
 	}
-	merged := stats[0]
-	for _, st := range stats[1:] {
-		merged.MergeMax(st)
-	}
-	return costmodel.Edison.Time(merged.Meter[core.OpAugment], cfg.Threads)
+	return costmodel.Edison.Time(res.Stats.Meter[core.OpAugment], cfg.Threads)
 }
 
 func nearestSquareSide(p int) int {
@@ -478,12 +469,6 @@ func nearestSquareSide(p int) int {
 		s++
 	}
 	return s
-}
-
-// denseFromGlobal builds a rank's dense piece from a replicated global
-// mate vector.
-func denseFromGlobal(l dvec.Layout, global []int64) *dvec.Dense {
-	return dvec.NewDenseFrom(l, global)
 }
 
 // DirectionRow is one matrix's direction-optimization ablation.
@@ -678,7 +663,7 @@ func SingleVsMultiSource(w io.Writer, cfg core.Config, scale int, names []string
 		measure := func(engine string) (int, float64) {
 			iters := 0
 			meters := make([]mpi.Meter, side*side)
-			err := core.RunDistributed(side, side, a.NRows, a.NCols, blocks,
+			err := core.RunDistributed(nil, side, side, a.NRows, a.NCols, blocks,
 				core.Config{Procs: side * side, Init: core.InitGreedy}, nil, func(s *core.Solver) error {
 					mater, matec := s.MaximalInit()
 					if err := s.RunEngineByName(engine, mater, matec); err != nil {

@@ -122,7 +122,7 @@ func TreeBalance(w io.Writer, scale, procs int, names []string) []TreeBalanceRow
 		blocks := spmat.DistributeRanks(a, side, side, nil)
 		for _, op := range []semiring.AddOp{semiring.MinParent, semiring.RandRoot} {
 			var rootOf []int64
-			err := core.RunDistributed(side, side, a.NRows, a.NCols, blocks,
+			err := core.RunDistributed(nil, side, side, a.NRows, a.NCols, blocks,
 				core.Config{Procs: side * side, AddOp: op}, nil, func(s *core.Solver) error {
 					// One full-frontier SpMV sweep: every row's winning root.
 					fc := dvec.NewSparseV(s.ColL)

@@ -103,7 +103,7 @@ func (f *FaultPlan) fire() bool {
 
 // onCollective runs the fault checks for one rank entering its n-th
 // collective (n is 1-based). It panics with a *RankError for a crash; the
-// panic is contained by RunWith. Fired faults leave an instant on the
+// panic is contained by RunTransport. Fired faults leave an instant on the
 // rank's trace (tr may be nil) so injected failures are visible in the
 // merged timeline.
 func (f *FaultPlan) onCollective(rank int, op string, n int64, tr *obs.Tracer) {

@@ -35,7 +35,7 @@ func TestPanicContainment(t *testing.T) {
 func TestInjectedCrash(t *testing.T) {
 	plan := &FaultPlan{CrashRank: 1, CrashAtCollective: 3}
 	counts := make([]int, 4)
-	_, err := RunWith(RunConfig{Faults: plan}, 4, func(c *Comm) error {
+	_, err := RunTransport(RunConfig{Faults: plan}, NewInproc(4), func(c *Comm) error {
 		for i := 0; i < 10; i++ {
 			c.Barrier()
 			counts[c.Rank()]++
@@ -61,13 +61,13 @@ func TestInjectedCrash(t *testing.T) {
 // nothing — the property the checkpoint/restart retry loop builds on.
 func TestCrashBudgetExhausted(t *testing.T) {
 	plan := &FaultPlan{CrashRank: 0, CrashAtCollective: 1}
-	if _, err := RunWith(RunConfig{Faults: plan}, 2, func(c *Comm) error {
+	if _, err := RunTransport(RunConfig{Faults: plan}, NewInproc(2), func(c *Comm) error {
 		c.Barrier()
 		return nil
 	}); !errors.Is(err, ErrInjectedCrash) {
 		t.Fatalf("first run should crash, got %v", err)
 	}
-	if _, err := RunWith(RunConfig{Faults: plan}, 2, func(c *Comm) error {
+	if _, err := RunTransport(RunConfig{Faults: plan}, NewInproc(2), func(c *Comm) error {
 		c.Barrier()
 		return nil
 	}); err != nil {
@@ -80,7 +80,7 @@ func TestCrashBudgetExhausted(t *testing.T) {
 func TestStraggler(t *testing.T) {
 	run := func(plan *FaultPlan) ([][]int64, error) {
 		out := make([][]int64, 4)
-		_, err := RunWith(RunConfig{Faults: plan}, 4, func(c *Comm) error {
+		_, err := RunTransport(RunConfig{Faults: plan}, NewInproc(4), func(c *Comm) error {
 			data := []int64{int64(c.Rank()) * 10, int64(c.Rank())*10 + 1}
 			flat := c.AllgathervInto(data, nil)
 			sum := c.Allreduce(OpSum, int64(c.Rank()))
@@ -108,7 +108,7 @@ func TestStraggler(t *testing.T) {
 // with ErrInjectedRMAFailure.
 func TestInjectedRMAFailure(t *testing.T) {
 	plan := &FaultPlan{RMAFailRank: 1, RMAFailAt: 2}
-	_, err := RunWith(RunConfig{Faults: plan}, 2, func(c *Comm) error {
+	_, err := RunTransport(RunConfig{Faults: plan}, NewInproc(2), func(c *Comm) error {
 		local := make([]int64, 4)
 		win := WinCreate(c, local)
 		for i := 0; i < 4; i++ {

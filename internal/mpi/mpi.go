@@ -347,7 +347,7 @@ func (st *commState) deposit(m int, gen int64, parts []any, op string) {
 // collect blocks until every member has posted gen and returns the parts
 // addressed to member m, one per source member. If the world aborts while
 // waiting, the rank unwinds with an abortSignal panic (contained by
-// RunWith); the deferred unlock keeps the mailbox usable for peers doing
+// RunTransport); the deferred unlock keeps the mailbox usable for peers doing
 // the same.
 func (st *commState) collect(m int, gen int64) []any {
 	size := len(st.ranks)

@@ -118,7 +118,7 @@ func TestCompressedMeterConservation(t *testing.T) {
 	worlds := make(map[key]*World)
 	for _, split := range []bool{false, true} {
 		for _, compress := range []bool{false, true} {
-			w, err := RunWith(RunConfig{Compress: compress}, p, func(c *Comm) error {
+			w, err := RunTransport(RunConfig{Compress: compress}, NewInproc(p), func(c *Comm) error {
 				driveCollectives(c, split)
 				return nil
 			})

@@ -37,7 +37,7 @@ func (e *DeadlockError) Error() string {
 
 // abortSignal unwinds a rank goroutine blocked (or about to block) in the
 // mailbox of an aborted world. It is converted to a RankError{Op: "abort"}
-// by the panic containment in RunWith and never escapes the package.
+// by the panic containment in RunTransport and never escapes the package.
 type abortSignal struct{ cause error }
 
 // abortReason returns the recorded abort cause (nil before Abort).
@@ -188,17 +188,10 @@ type RunConfig struct {
 // any rank failure aborts the world so the surviving ranks unwind instead of
 // blocking forever in the mailbox.
 func Run(size int, fn func(c *Comm) error) (*World, error) {
-	return RunWith(RunConfig{}, size, fn)
-}
-
-// RunWith is Run under a RunConfig: fault injection, progress watchdog, and
-// context cancellation. It always runs over the in-process backend, hosting
-// every rank as a goroutine — the package's historical semantics.
-func RunWith(cfg RunConfig, size int, fn func(c *Comm) error) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: size %d must be positive", size)
 	}
-	return RunTransport(cfg, NewInproc(size), fn)
+	return RunTransport(RunConfig{}, NewInproc(size), fn)
 }
 
 // RunTransport launches fn on every world rank hosted by this process's

@@ -28,7 +28,7 @@ func TestSoakWatchdogChaos(t *testing.T) {
 		case 2: // genuine wedge: one rank drops out of the loop early
 			cfg.WatchdogTimeout = 50 * time.Millisecond
 		}
-		_, err := RunWith(cfg, 4, func(c *Comm) error {
+		_, err := RunTransport(cfg, NewInproc(4), func(c *Comm) error {
 			row := c.Split(c.Rank()/2, c.Rank())
 			rounds := 20
 			if mode == 2 && c.Rank() == (iter+1)%4 {

@@ -12,7 +12,7 @@ import (
 // ranks 0 and 2 wedge forever. The watchdog must abort the world with a
 // DeadlockError naming the stuck op and exactly the lagging rank.
 func TestWatchdogDeadlock(t *testing.T) {
-	_, err := RunWith(RunConfig{WatchdogTimeout: 50 * time.Millisecond}, 3, func(c *Comm) error {
+	_, err := RunTransport(RunConfig{WatchdogTimeout: 50 * time.Millisecond}, NewInproc(3), func(c *Comm) error {
 		c.Barrier()
 		if c.Rank() == 1 {
 			return nil // skips the second barrier: a classic SPMD bug
@@ -38,7 +38,7 @@ func TestWatchdogDeadlock(t *testing.T) {
 // TestWatchdogNoFalsePositive: a healthy workload that keeps communicating
 // (with compute gaps well under the deadline) must not trip the watchdog.
 func TestWatchdogNoFalsePositive(t *testing.T) {
-	_, err := RunWith(RunConfig{WatchdogTimeout: 2 * time.Second}, 4, func(c *Comm) error {
+	_, err := RunTransport(RunConfig{WatchdogTimeout: 2 * time.Second}, NewInproc(4), func(c *Comm) error {
 		row := c.Split(c.Rank()/2, c.Rank())
 		for i := 0; i < 50; i++ {
 			c.Allreduce(OpSum, int64(i))
@@ -52,14 +52,14 @@ func TestWatchdogNoFalsePositive(t *testing.T) {
 }
 
 // TestWatchdogContextCancel: cancelling RunConfig.Context aborts the world
-// and RunWith returns the context error; the wedged ranks unwind.
+// and RunTransport returns the context error; the wedged ranks unwind.
 func TestWatchdogContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err := RunWith(RunConfig{Context: ctx}, 2, func(c *Comm) error {
+	_, err := RunTransport(RunConfig{Context: ctx}, NewInproc(2), func(c *Comm) error {
 		if c.Rank() == 0 {
 			// Long local compute; the barrier post rank 1 is waiting on
 			// comes far later than the cancel.
@@ -116,7 +116,7 @@ func TestNoGoroutineLeakOnRankError(t *testing.T) {
 func TestWatchdogLeakFree(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		_, err := RunWith(RunConfig{WatchdogTimeout: 30 * time.Millisecond}, 4, func(c *Comm) error {
+		_, err := RunTransport(RunConfig{WatchdogTimeout: 30 * time.Millisecond}, NewInproc(4), func(c *Comm) error {
 			if c.Rank() == 2 {
 				return nil
 			}

@@ -307,6 +307,12 @@ func (st *Stats) ModeledBreakdown(mm MachineModel) map[string]float64 {
 // MaximumMatching computes a maximum cardinality matching of g with the
 // distributed MCM-DIST algorithm on opts.Procs simulated ranks.
 func MaximumMatching(g *Graph, opts Options) (m *Matching, st *Stats, err error) {
+	return maximumMatchingOn(nil, g, opts)
+}
+
+// maximumMatchingOn is the body of MaximumMatching and MaximumMatchingOn:
+// a nil tr is the in-process world of opts.Procs ranks.
+func maximumMatchingOn(tr mpi.Transport, g *Graph, opts Options) (m *Matching, st *Stats, err error) {
 	defer guard(&err)
 	cfg, err := opts.toConfig()
 	if err != nil {
@@ -316,16 +322,19 @@ func MaximumMatching(g *Graph, opts Options) (m *Matching, st *Stats, err error)
 	if opts.GridRows > 0 && opts.GridCols > 0 {
 		procs = opts.GridRows * opts.GridCols
 	}
-	col := opts.Observe.collector(procs)
-	opts.Observe.live(col)
-	cfg.Obs = col
-	res, err := core.Solve(g.a, cfg)
+	if procs == 0 {
+		procs = 1
+	}
+	if tr != nil && procs != tr.WorldSize() {
+		return nil, nil, fmt.Errorf("mcmdist: Options.Procs %d != transport world size %d", procs, tr.WorldSize())
+	}
+	cfg.Obs = opts.Observe.collector(procs)
+	opts.Observe.live(cfg.Obs)
+	res, err := core.SolveOn(tr, g.a, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	st = statsFromCore(res.Stats, res.PerRank, res.Procs, res.Threads)
-	st.Obs = newObsReport(col)
-	return fromInternal(res.Matching), st, nil
+	return fromInternal(res.Matching), statsFromCore(res, cfg.Obs), nil
 }
 
 // SerialAlgorithm selects a shared-memory MCM baseline.

@@ -243,9 +243,7 @@ func (dg *DistributedGraph) SolveRecoverable(opts Options, pol RecoveryPolicy) (
 	if err != nil {
 		return nil, nil, recoveryFromCore(crec), err
 	}
-	st = statsFromCore(res.Stats, res.PerRank, dg.procs, cfg.Threads)
-	st.Obs = newObsReport(crec.Obs)
-	return fromInternal(res.Matching), st, recoveryFromCore(crec), nil
+	return fromInternal(res.Matching), statsFromCore(res, crec.Obs), recoveryFromCore(crec), nil
 }
 
 // PanicError is a panic that escaped the library internals, converted to an

@@ -5,9 +5,10 @@ import (
 	"time"
 
 	"mcmdist/internal/core"
+	"mcmdist/internal/dvec"
 	"mcmdist/internal/grid"
 	"mcmdist/internal/matching"
-	"mcmdist/internal/mpi"
+	"mcmdist/internal/obs"
 	"mcmdist/internal/rt"
 	"mcmdist/internal/spmat"
 )
@@ -19,7 +20,7 @@ import (
 // matrices with one nonzero pattern, and the "already distributed" premise
 // of the paper's Section VI-E.
 //
-// Each rank's runtime context (buffer arena, dense scratch, per-op ledger)
+// Each rank's runtime context (buffer arena, dense scratch, worker pool)
 // is also cached here and rebound to every solve's fresh in-process world,
 // so repeated solves run allocation-quiet: the buffers grown by the first
 // solve serve all later ones. Like the rest of the struct this is safe for
@@ -111,40 +112,9 @@ func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stat
 	if err != nil {
 		return nil, nil, err
 	}
-	col := opts.Observe.collector(dg.procs)
-	opts.Observe.live(col)
-	cfg.Obs = col
-
-	perRankStats := make([]*core.Stats, dg.procs)
-	perRankMeter := make([]mpi.Meter, dg.procs)
-	var mateR, mateC []int64
-	err = core.RunDistributed(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks,
-		cfg, dg.ctxs, func(s *core.Solver) error {
-			mater, matec := s.MaximalInit()
-			if err := s.RunEngineByName(cfg.Engine, mater, matec); err != nil {
-				return err
-			}
-			fullR := mater.Gather()
-			fullC := matec.Gather()
-			if s.G.World.Rank() == 0 {
-				mateR, mateC = fullR, fullC
-			}
-			perRankStats[s.G.World.Rank()] = s.Stats
-			perRankMeter[s.G.World.Rank()] = s.G.World.MeterSnapshot()
-			return nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	merged := perRankStats[0]
-	for _, cs := range perRankStats[1:] {
-		merged.MergeMax(cs)
-	}
-	m = &Matching{MateR: mateR, MateC: mateC}
-	st = statsFromCore(merged, perRankMeter, dg.procs, cfg.Threads)
-	st.Obs = newObsReport(col)
-	return m, st, nil
+	cfg.Obs = opts.Observe.collector(dg.procs)
+	opts.Observe.live(cfg.Obs)
+	return dg.solve(cfg, (*core.Solver).Solve)
 }
 
 // MaximalMatchingDistributed runs only the distributed maximal-matching
@@ -159,32 +129,21 @@ func (dg *DistributedGraph) MaximalMatchingDistributed(init Initializer, threads
 	if cfg.Init == core.InitNone {
 		return nil, nil, fmt.Errorf("mcmdist: maximal matching needs an initializer other than NoInit")
 	}
+	return dg.solve(cfg, func(s *core.Solver) (mater, matec *dvec.Dense, err error) {
+		mater, matec = s.MaximalInit()
+		s.Stats.Cardinality = s.Stats.InitCardinality
+		return mater, matec, nil
+	})
+}
 
-	perRankStats := make([]*core.Stats, dg.procs)
-	perRankMeter := make([]mpi.Meter, dg.procs)
-	var mateR, mateC []int64
-	err = core.RunDistributed(dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks,
-		cfg, dg.ctxs, func(s *core.Solver) error {
-			mater, matec := s.MaximalInit()
-			fullR := mater.Gather()
-			fullC := matec.Gather()
-			if s.G.World.Rank() == 0 {
-				mateR, mateC = fullR, fullC
-			}
-			s.Stats.Cardinality = s.Stats.InitCardinality
-			perRankStats[s.G.World.Rank()] = s.Stats
-			perRankMeter[s.G.World.Rank()] = s.G.World.MeterSnapshot()
-			return nil
-		})
+// solve runs step on every rank of the distribution, reusing the cached
+// runtime contexts, and gathers the result.
+func (dg *DistributedGraph) solve(cfg core.Config, step func(*core.Solver) (mater, matec *dvec.Dense, err error)) (*Matching, *Stats, error) {
+	res, err := core.SolveBlocks(nil, dg.side, dg.side, dg.g.Rows(), dg.g.Cols(), dg.blocks, cfg, dg.ctxs, step)
 	if err != nil {
 		return nil, nil, err
 	}
-	merged := perRankStats[0]
-	for _, cs := range perRankStats[1:] {
-		merged.MergeMax(cs)
-	}
-	m = &Matching{MateR: mateR, MateC: mateC}
-	return m, statsFromCore(merged, perRankMeter, dg.procs, cfg.Threads), nil
+	return fromInternal(res.Matching), statsFromCore(res, cfg.Obs), nil
 }
 
 // IsMaximal reports whether no edge of g joins two unmatched vertices.
@@ -192,8 +151,10 @@ func (g *Graph) IsMaximal(m *Matching) bool {
 	return (&matching.Matching{MateR: m.MateR, MateC: m.MateC}).IsMaximal(g.a)
 }
 
-// statsFromCore converts merged per-rank core stats into the public form.
-func statsFromCore(cs *core.Stats, perRank []mpi.Meter, procs, threads int) *Stats {
+// statsFromCore converts a solve's merged core stats into the public form,
+// with the solve's observations from col (nil when not observed).
+func statsFromCore(res *core.Result, col *obs.Collector) *Stats {
+	cs := res.Stats
 	st := &Stats{
 		Engine:                cs.Engine,
 		Cardinality:           cs.Cardinality,
@@ -205,8 +166,8 @@ func statsFromCore(cs *core.Stats, perRank []mpi.Meter, procs, threads int) *Sta
 		AugmentedPaths:        cs.AugmentedPaths,
 		LevelParallelAugments: cs.LevelParallelAugments,
 		PathParallelAugments:  cs.PathParallelAugments,
-		Procs:                 procs,
-		Threads:               threads,
+		Procs:                 res.Procs,
+		Threads:               res.Threads,
 		Checkpoints:           cs.Checkpoints,
 		CheckpointBytes:       cs.CheckpointBytes,
 		CheckpointWall:        cs.CheckpointWall,
@@ -225,8 +186,9 @@ func statsFromCore(cs *core.Stats, perRank []mpi.Meter, procs, threads int) *Sta
 	for op, ct := range cs.Comm {
 		st.CommTimeByOp[string(op)] = CommTime{Total: ct.Total, Exposed: ct.Exposed}
 	}
-	for _, m := range perRank {
+	for _, m := range res.PerRank {
 		st.PerRank = append(st.PerRank, CommStats{Msgs: m.Msgs, Words: m.Words, Work: m.Work})
 	}
+	st.Obs = newObsReport(col)
 	return st
 }

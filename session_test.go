@@ -1,6 +1,11 @@
 package mcmdist
 
-import "testing"
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"testing"
+)
 
 func TestDistributedGraphReuse(t *testing.T) {
 	g := mustRMAT(t, G500, 9, 4, 13)
@@ -73,6 +78,14 @@ func TestMaximalMatchingDistributed(t *testing.T) {
 			t.Fatalf("stats cardinality mismatch")
 		}
 	}
+	// A thread argument of 0 means one thread, as it does for MaximumMatching.
+	_, st, err := dg.MaximalMatchingDistributed(GreedyInit, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Threads != 1 {
+		t.Fatalf("threads 0: Stats.Threads = %d, want 1", st.Threads)
+	}
 	if _, _, err := dg.MaximalMatchingDistributed(NoInit, 1); err == nil {
 		t.Fatal("NoInit accepted for maximal matching")
 	}
@@ -116,6 +129,72 @@ func TestDistributedGraphRejectsOtherGrid(t *testing.T) {
 			}
 			if st.Procs != 4 {
 				t.Fatalf("%s grid %dx%d: Procs %d", e.name, grid[0], grid[1], st.Procs)
+			}
+		}
+	}
+}
+
+// TestSessionMatchesOneShot pins that a solve on a DistributedGraph runs
+// exactly what the one-shot MaximumMatching runs on the same grid: same
+// mates, same counters, same metered communication per op and per rank,
+// and the same number of time-series samples — for every engine, with and
+// without worker threads and observation.
+func TestSessionMatchesOneShot(t *testing.T) {
+	g := mustRMAT(t, G500, 8, 4, 17)
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dg.Close()
+	for _, engine := range []string{"bfs", "bfs-ss", "bfs-graft", "auction"} {
+		for _, threads := range []int{1, 3} {
+			for _, observe := range []bool{false, true} {
+				opts := Options{Procs: 4, Engine: engine, Threads: threads, Init: GreedyInit}
+				name := fmt.Sprintf("%s/t=%d/observe=%v", engine, threads, observe)
+				// Each solve gets its own Observe: a collector belongs to one run.
+				newObserve := func() *Observe {
+					if !observe {
+						return nil
+					}
+					return &Observe{Spans: true, TimeSeries: true}
+				}
+				opts.Observe = newObserve()
+				m1, st1, err := MaximumMatching(g, opts)
+				if err != nil {
+					t.Fatalf("%s: one-shot: %v", name, err)
+				}
+				opts.Observe = newObserve()
+				m2, st2, err := dg.MaximumMatching(opts)
+				if err != nil {
+					t.Fatalf("%s: session: %v", name, err)
+				}
+				if !slices.Equal(m1.MateR, m2.MateR) || !slices.Equal(m1.MateC, m2.MateC) {
+					t.Fatalf("%s: mates differ", name)
+				}
+				type counters struct {
+					Cardinality, Phases, Iterations, AugmentedPaths int
+					Engine                                          string
+					Threads                                         int
+				}
+				c1 := counters{st1.Cardinality, st1.Phases, st1.Iterations, st1.AugmentedPaths, st1.Engine, st1.Threads}
+				c2 := counters{st2.Cardinality, st2.Phases, st2.Iterations, st2.AugmentedPaths, st2.Engine, st2.Threads}
+				if c1 != c2 {
+					t.Fatalf("%s: counters differ: one-shot %+v, session %+v", name, c1, c2)
+				}
+				if !maps.Equal(st1.CommByOp, st2.CommByOp) {
+					t.Fatalf("%s: CommByOp differs:\none-shot %v\nsession  %v", name, st1.CommByOp, st2.CommByOp)
+				}
+				if !slices.Equal(st1.PerRank, st2.PerRank) {
+					t.Fatalf("%s: PerRank differs:\none-shot %v\nsession  %v", name, st1.PerRank, st2.PerRank)
+				}
+				if observe {
+					if n1, n2 := len(st1.Obs.Samples()), len(st2.Obs.Samples()); n1 != n2 || n1 == 0 {
+						t.Fatalf("%s: merged samples: one-shot %d, session %d", name, n1, n2)
+					}
+					if n1, n2 := len(st1.Obs.PerRankSamples()), len(st2.Obs.PerRankSamples()); n1 != n2 {
+						t.Fatalf("%s: per-rank samples: one-shot %d, session %d", name, n1, n2)
+					}
+				}
 			}
 		}
 	}

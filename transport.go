@@ -8,9 +8,6 @@ package mcmdist
 // wire format and the bootstrap protocol.
 
 import (
-	"fmt"
-
-	"mcmdist/internal/core"
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/mpi/tcpnet"
 )
@@ -98,32 +95,8 @@ func LoopbackTCP(procs int) (trs []*Transport, err error) {
 // worker's shipped observations — clock-offset aligned — so rank 0's
 // Stats.Obs covers the whole world (see ObsReport).
 func MaximumMatchingOn(tr *Transport, g *Graph, opts Options) (m *Matching, st *Stats, err error) {
-	defer guard(&err)
 	if tr == nil {
-		return MaximumMatching(g, opts)
+		return maximumMatchingOn(nil, g, opts)
 	}
-	cfg, err := opts.toConfig()
-	if err != nil {
-		return nil, nil, err
-	}
-	procs := opts.Procs
-	if opts.GridRows > 0 && opts.GridCols > 0 {
-		procs = opts.GridRows * opts.GridCols
-	}
-	if procs == 0 {
-		procs = 1
-	}
-	if procs != tr.WorldSize() {
-		return nil, nil, fmt.Errorf("mcmdist: Options.Procs %d != transport world size %d", procs, tr.WorldSize())
-	}
-	col := opts.Observe.collector(procs)
-	opts.Observe.live(col)
-	cfg.Obs = col
-	res, err := core.SolveOn(tr.t, g.a, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	st = statsFromCore(res.Stats, res.PerRank, res.Procs, res.Threads)
-	st.Obs = newObsReport(col)
-	return fromInternal(res.Matching), st, nil
+	return maximumMatchingOn(tr.t, g, opts)
 }
