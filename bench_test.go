@@ -195,7 +195,8 @@ func itoa(n int) string {
 // BenchmarkSolveAllocs measures end-to-end allocations of one full
 // MCM-DIST solve on a pre-distributed graph — the hot path a long-lived
 // session pays per matching request. EXPERIMENTS.md records the
-// before/after numbers for the runtime-context buffer-reuse refactor.
+// before/after numbers for the runtime-context buffer-reuse refactor and
+// for the in-place MS-BFS level (dead vectors backing the next outputs).
 func BenchmarkSolveAllocs(b *testing.B) {
 	g, err := RMAT(ER, 10, 8, 3)
 	if err != nil {

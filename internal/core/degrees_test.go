@@ -224,7 +224,7 @@ func TestDegreeInitRoundsMatchSerialOracle(t *testing.T) {
 						var roundErr error
 						mater := dvec.NewDense(s.RowL, semiring.None)
 						matec := dvec.NewDense(s.ColL, semiring.None)
-						s.degreeInit(mater, matec, func(degU *dvec.SparseInt) (*dvec.SparseV, semiring.AddOp) {
+						s.degreeInit(mater, matec, func(degU *dvec.SparseInt, dst *dvec.SparseV) (*dvec.SparseV, semiring.AddOp) {
 							got := gatherInt(degU)
 							if roundErr == nil {
 								if round >= len(rounds) {
@@ -234,7 +234,7 @@ func TestDegreeInitRoundsMatchSerialOracle(t *testing.T) {
 								}
 							}
 							round++
-							return pick(degU)
+							return pick(degU, dst)
 						})
 						if roundErr != nil {
 							return roundErr

@@ -101,18 +101,19 @@ func (s *Solver) notePullScan(d *dirState, ps spmv.PullStats) {
 
 // mulDirected runs one SpMV in the chosen direction, maintaining the lazy
 // row-major adjacency and the per-direction iteration counters — the single
-// selection site all three MCM variants flow through.
-func (s *Solver) mulDirected(usePull bool, d *dirState, fc *dvec.SparseV, visited *dvec.Dense) *dvec.SparseV {
+// selection site all three MCM variants flow through. The row frontier is
+// written into dst.
+func (s *Solver) mulDirected(usePull bool, d *dirState, fc *dvec.SparseV, visited *dvec.Dense, dst *dvec.SparseV) *dvec.SparseV {
 	if usePull {
 		if s.rowAdj == nil {
 			s.rowAdj = spmv.RowMajor(s.A)
 		}
-		fr, ps := spmv.MulPull(s.A, s.rowAdj, fc, visited, s.Cfg.AddOp, s.RowL)
+		fr, ps := spmv.MulPull(s.A, s.rowAdj, fc, visited, s.Cfg.AddOp, s.RowL, dst)
 		s.Stats.PullIterations++
 		s.notePullScan(d, ps)
 		return fr
 	}
-	fr := spmv.Mul(s.A, fc, s.Cfg.AddOp, s.RowL)
+	fr := spmv.Mul(s.A, fc, s.Cfg.AddOp, s.RowL, dst)
 	s.Stats.PushIterations++
 	return fr
 }

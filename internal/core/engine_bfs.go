@@ -30,6 +30,16 @@ func init() {
 type msbfs struct {
 	s            *Solver
 	mater, matec *dvec.Dense
+	// The level buffers, owned by the run rather than the rt arena: a
+	// vector the level has finished with lends its storage to the next
+	// output. col holds the column frontier f_c, dead once the SpMV returns
+	// and refilled by the next INVERT; row holds the row frontier f_r, dead
+	// once that INVERT returns and refilled by the next SpMV. ufr and tc
+	// hold each level's path endpoints, row- and col-aligned.
+	col, row, ufr, tc *dvec.SparseV
+	// pathc maps each root column to the unmatched row ending its path
+	// (path_c); each phase refills it with None.
+	pathc *dvec.Dense
 	// dir carries the adaptive direction choice (see direction.go): the
 	// sticky pull-disable, the discovered-row count, and the resolved
 	// switch threshold.
@@ -37,6 +47,15 @@ type msbfs struct {
 	// phase numbers the searches started, empty ones included. It labels
 	// the phase spans, the iteration time-series and Config.OnIteration.
 	phase int
+}
+
+func newMSBFS(s *Solver, mater, matec *dvec.Dense) msbfs {
+	return msbfs{
+		s: s, mater: mater, matec: matec,
+		col: dvec.NewSparseV(s.ColL), row: dvec.NewSparseV(s.RowL),
+		ufr: dvec.NewSparseV(s.RowL), tc: dvec.NewSparseV(s.ColL),
+		pathc: dvec.NewDense(s.ColL, semiring.None),
+	}
 }
 
 // phaseSearch is what one phase's search varies between the engines.
@@ -48,9 +67,6 @@ type phaseSearch struct {
 	visited *dvec.Dense
 	// roots, when non-nil, records the tree that claims each row (grafting).
 	roots *dvec.Dense
-	// pathc maps each root column to the unmatched row ending its path
-	// (path_c); searchPhase allocates it.
-	pathc *dvec.Dense
 	// firstPath ends the search at the first level that finds a path (the
 	// single-source engine: its one tree has nothing left to prune).
 	firstPath bool
@@ -66,22 +82,23 @@ func (r *msbfs) openPhase() func() {
 }
 
 // unmatchedFrontier seeds a phase from every unmatched column (Algorithm 2,
-// lines 6-8).
+// lines 6-8), in the column frontier's storage.
 func (r *msbfs) unmatchedFrontier() *dvec.SparseV {
 	var fc *dvec.SparseV
-	r.s.tr.track(OpOther, func() { fc = r.s.unmatchedColFrontier(r.matec) })
+	r.s.tr.track(OpOther, func() { fc = r.s.unmatchedColFrontier(r.matec, r.col) })
 	return fc
 }
 
 // searchPhase runs one phase of Algorithm 2: grow alternating trees level by
 // level from the column frontier fc (Steps 1-7 per level), then augment by
 // every vertex-disjoint path found (Step 8) and take the phase-boundary
-// checkpoint. Returns the number of paths augmented; 0 means no augmenting
-// path leaves fc. Collective.
+// checkpoint. fc is r.col, and every level's vectors live in the run's
+// level buffers. Returns the number of paths augmented; 0 means no
+// augmenting path leaves fc. Collective.
 func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 	s := r.s
 	mater := r.mater
-	p.pathc = dvec.NewDense(s.ColL, semiring.None)
+	r.pathc.Fill(semiring.None)
 	var fcCount *mpi.ValueRequest
 	s.tr.track(OpOther, func() { fcCount = s.startFrontierCount(fc) })
 	paths := 0
@@ -105,21 +122,20 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 		var fr *dvec.SparseV
 		usePull := s.chooseDirection(&r.dir, frontierSize)
 		s.tr.track(OpSpMV, func() {
-			fr = s.mulDirected(usePull, &r.dir, fc, p.visited)
+			fr = s.mulDirected(usePull, &r.dir, fc, p.visited, r.row)
 		})
 
 		// Steps 2-4: unvisited rows; record parents (and, grafting, the
 		// claiming tree); split into unmatched (path endpoints) and
 		// matched rows.
-		var ufr *dvec.SparseV
+		ufr := r.ufr
 		s.tr.track(OpSelect, func() {
-			fr = fr.Select(p.visited, func(v int64) bool { return v == semiring.None })
+			fr.Select(p.visited, unset)
 			p.pir.ScatterParents(fr)
 			if p.roots != nil {
 				p.roots.ScatterRoots(fr)
 			}
-			ufr = fr.Select(mater, func(v int64) bool { return v == semiring.None })
-			fr = fr.Select(mater, func(v int64) bool { return v != semiring.None })
+			fr.Split(mater, unset, ufr)
 		})
 		if s.adaptiveDirection() {
 			// Track discovered rows for the direction heuristic (the
@@ -138,10 +154,10 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 			// paths, one per alternating tree (INVERT keeps one).
 			var tc *dvec.SparseV
 			s.tr.track(OpInvert, func() {
-				tc = ufr.InvertRoots(s.ColL)
+				tc = ufr.InvertRoots(s.ColL, r.tc)
 			})
 			s.tr.track(OpSelect, func() {
-				p.pathc.ScatterParents(tc)
+				r.pathc.ScatterParents(tc)
 			})
 			s.tr.track(OpOther, func() {
 				paths += tc.Nnz()
@@ -153,7 +169,7 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 			if !stop && !s.Cfg.DisablePrune {
 				s.tr.track(OpPrune, func() {
 					roots := ufr.RootVals(s.G.RT.GetInts(ufr.LocalNnz()))
-					fr = fr.PruneRoots(roots)
+					fr.PruneRoots(roots)
 					s.G.RT.PutInts(roots)
 				})
 			}
@@ -166,7 +182,7 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 				fr.SetParentsFrom(mater)
 			})
 			s.tr.track(OpInvert, func() {
-				fc = fr.InvertParents(s.ColL)
+				fc = fr.InvertParents(s.ColL, fc)
 				fcCount = s.startFrontierCount(fc)
 			})
 		}
@@ -185,11 +201,15 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 	s.Stats.Phases++
 	s.Stats.AugmentedPaths += paths
 	s.tr.track(OpAugment, func() {
-		s.augment(p.pathc, p.pir, mater, r.matec, paths)
+		s.augment(r.pathc, p.pir, mater, r.matec, paths)
 	})
 	s.maybeCheckpoint(s.Stats.Phases, mater, r.matec)
 	return paths
 }
+
+// unset is the SELECT predicate of a missing dense entry: an unvisited row
+// against π_r, an unmatched one against mate_r.
+func unset(v int64) bool { return v == semiring.None }
 
 // bfsEngine is MCM-DIST (Algorithm 2): every phase searches from all
 // unmatched columns at once and augments by every vertex-disjoint path found.
@@ -205,19 +225,22 @@ func (bfsEngine) Caps() EngineCaps {
 
 // Start begins one MCM-DIST solve.
 func (bfsEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
-	return &bfsRun{msbfs{s: s, mater: mater, matec: matec}}
+	return &bfsRun{newMSBFS(s, mater, matec), dvec.NewDense(s.RowL, semiring.None)}
 }
 
-type bfsRun struct{ msbfs }
+type bfsRun struct {
+	msbfs
+	pir *dvec.Dense // π_r, refilled with None by every phase
+}
 
-// Iterate runs one MS-BFS phase from every unmatched column with fresh
-// per-phase parents. Returns done when a phase discovers no path (the
+// Iterate runs one MS-BFS phase from every unmatched column with its
+// parents reset to None. Returns done when a phase discovers no path (the
 // matching is maximum).
 func (r *bfsRun) Iterate() (bool, error) {
 	defer r.openPhase()()
 	r.dir.resetPhase()
-	pir := dvec.NewDense(r.s.RowL, semiring.None)
-	return r.searchPhase(&phaseSearch{pir: pir, visited: pir}, r.unmatchedFrontier()) == 0, nil
+	r.pir.Fill(semiring.None)
+	return r.searchPhase(&phaseSearch{pir: r.pir, visited: r.pir}, r.unmatchedFrontier()) == 0, nil
 }
 
 // bfsSSEngine is the single-source (SS-BFS) variant the paper's Section
@@ -239,7 +262,8 @@ func (bfsSSEngine) Caps() EngineCaps {
 // Start begins one single-source solve.
 func (bfsSSEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
 	return &bfsSSRun{
-		msbfs: msbfs{s: s, mater: mater, matec: matec},
+		msbfs: newMSBFS(s, mater, matec),
+		pir:   dvec.NewDense(s.RowL, semiring.None),
 		// retired marks columns proven unmatchable: once no augmenting path
 		// leaves a vertex, none ever will again (augmentations only grow the
 		// reachable matching), so retirement is permanent.
@@ -249,6 +273,7 @@ func (bfsSSEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
 
 type bfsSSRun struct {
 	msbfs
+	pir     *dvec.Dense // π_r, refilled with None by every phase
 	retired *dvec.Dense
 }
 
@@ -276,12 +301,12 @@ func (r *bfsSSRun) Iterate() (bool, error) {
 	defer r.openPhase()()
 	r.dir.resetPhase()
 	mine := s.ColL.MyRange().Contains(int(src))
-	fc := dvec.NewSparseV(s.ColL)
+	fc := dvec.Reuse(r.col, s.ColL, 0)
 	if mine {
 		fc.Append(int(src), semiring.Self(src))
 	}
-	pir := dvec.NewDense(s.RowL, semiring.None)
-	if r.searchPhase(&phaseSearch{pir: pir, visited: pir, firstPath: true}, fc) == 0 && mine {
+	r.pir.Fill(semiring.None)
+	if r.searchPhase(&phaseSearch{pir: r.pir, visited: r.pir, firstPath: true}, fc) == 0 && mine {
 		// The source is unmatchable now, hence forever: retire it.
 		r.retired.SetAt(int(src), 1)
 	}
@@ -314,7 +339,7 @@ func (bfsGraftEngine) Caps() EngineCaps {
 // Start begins one tree-grafting solve.
 func (bfsGraftEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
 	return &bfsGraftRun{
-		msbfs: msbfs{s: s, mater: mater, matec: matec},
+		msbfs: newMSBFS(s, mater, matec),
 		// Persistent across phases: parents of visited rows and the root of
 		// the alternating tree owning each row (None = unowned).
 		pir:   dvec.NewDense(s.RowL, semiring.None),
@@ -366,7 +391,7 @@ func (r *bfsGraftRun) Iterate() (bool, error) {
 	s.tr.track(OpOther, func() {
 		var local []int64
 		lo := s.ColL.MyRange().Lo
-		for i, end := range p.pathc.Local {
+		for i, end := range r.pathc.Local {
 			if end != semiring.None {
 				local = append(local, int64(lo+i))
 			}

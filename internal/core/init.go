@@ -36,28 +36,32 @@ func (s *Solver) MaximalInit() (mater, matec *dvec.Dense) {
 // unmatched row if possible: one SpMV (rows pick a winning column), one
 // SELECT (keep unmatched rows), and two INVERTs to deduplicate per column
 // and flip the pairs back to rows. Returns the round's new pairs, col-aligned
-// (tc) and row-aligned (mr); tc.Nnz() is the number of new matches.
-// Collective.
-func (s *Solver) greedyRound(mater, matec *dvec.Dense, fc *dvec.SparseV, op semiring.AddOp) (tc, mr *dvec.SparseV) {
-	fr := spmv.Mul(s.A, fc, op, s.RowL)
-	fr = fr.Select(mater, func(v int64) bool { return v == semiring.None })
+// (tc) and row-aligned (mr); tc.Nnz() is the number of new matches. The
+// round builds no vector of its own: fc is dead once the SpMV returns and
+// backs tc, and row, a row vector the caller has finished with, backs the
+// SpMV's result and then mr. Collective.
+func (s *Solver) greedyRound(mater, matec *dvec.Dense, fc, row *dvec.SparseV, op semiring.AddOp) (tc, mr *dvec.SparseV) {
+	fr := spmv.Mul(s.A, fc, op, s.RowL, row)
+	fr.Select(mater, unset)
 	// One row per column: INVERT by parent keeps the smallest row index.
-	tc = fr.InvertParents(s.ColL)
+	tc = fr.InvertParents(s.ColL, fc)
 	matec.ScatterParents(tc)
 	// Flip (column -> row) pairs to (row -> column) to update mate_r.
-	mr = tc.InvertParents(s.RowL)
+	mr = tc.InvertParents(s.RowL, fr)
 	mater.ScatterParents(mr)
 	return tc, mr
 }
 
 // greedyInit runs greedy rounds until no unmatched column can be matched.
+// Each round's vectors back the next round's.
 func (s *Solver) greedyInit(mater, matec *dvec.Dense) {
+	fc, fr := dvec.NewSparseV(s.ColL), dvec.NewSparseV(s.RowL)
 	for {
-		fc := s.unmatchedColFrontier(matec)
+		fc = s.unmatchedColFrontier(matec, fc)
 		if fc.Nnz() == 0 {
 			return
 		}
-		if tc, _ := s.greedyRound(mater, matec, fc, semiring.MinParent); tc.Nnz() == 0 {
+		if tc, _ := s.greedyRound(mater, matec, fc, fr, semiring.MinParent); tc.Nnz() == 0 {
 			return
 		}
 	}
@@ -171,13 +175,11 @@ func (s *Solver) residualColDegrees(m matchedSets) *dvec.SparseInt {
 	return deg
 }
 
-// frontierFromCols builds a frontier with Self(j) at each index of cols,
-// filled in parallel (every entry is kept, so the output slot is the input
-// slot and no compaction pass is needed).
-func (s *Solver) frontierFromCols(cols *dvec.SparseInt) *dvec.SparseV {
-	f := dvec.NewSparseV(s.ColL)
-	f.Idx = make([]int, len(cols.Idx))
-	f.Val = make([]semiring.Vertex, len(cols.Idx))
+// frontierFromCols builds a frontier with Self(j) at each index of cols in
+// dst's storage, filled in parallel (every entry is kept, so the output slot
+// is the input slot and no compaction pass is needed).
+func (s *Solver) frontierFromCols(cols *dvec.SparseInt, dst *dvec.SparseV) *dvec.SparseV {
+	f := dvec.Reuse(dst, s.ColL, len(cols.Idx))
 	s.G.RT.Pool().For(len(cols.Idx), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			g := cols.Idx[k]
@@ -193,16 +195,19 @@ func (s *Solver) frontierFromCols(cols *dvec.SparseInt) *dvec.SparseV {
 // round counts the residual degrees of the unmatched columns, pick turns
 // them into the round's frontier and semiring, and the round's new pairs
 // join the matched sets. It stops once no unmatched column has an
-// unmatched neighbor or a round matches nothing.
-func (s *Solver) degreeInit(mater, matec *dvec.Dense, pick func(degU *dvec.SparseInt) (*dvec.SparseV, semiring.AddOp)) {
+// unmatched neighbor or a round matches nothing. pick builds the frontier
+// in the storage of dst, the column vector the previous round has finished
+// with.
+func (s *Solver) degreeInit(mater, matec *dvec.Dense, pick func(degU *dvec.SparseInt, dst *dvec.SparseV) (*dvec.SparseV, semiring.AddOp)) {
 	m := s.newMatchedSets()
+	fc, fr := dvec.NewSparseV(s.ColL), dvec.NewSparseV(s.RowL)
 	for {
 		degU := s.residualColDegrees(m)
 		if degU.Nnz() == 0 {
 			return
 		}
-		fc, op := pick(degU)
-		tc, mr := s.greedyRound(mater, matec, fc, op)
+		f, op := pick(degU, fc)
+		tc, mr := s.greedyRound(mater, matec, f, fr, op)
 		if tc.Nnz() == 0 {
 			return
 		}
@@ -216,22 +221,21 @@ func (s *Solver) degreeInit(mater, matec *dvec.Dense, pick func(degU *dvec.Spars
 // Forced rounds match few columns each, so Karp–Sipser runs many more rounds
 // than greedy, each paying a degree count and a replication of the new
 // pairs (the Fig. 3 observation). Collective.
-func (s *Solver) karpSipserFrontier(degU *dvec.SparseInt) (*dvec.SparseV, semiring.AddOp) {
+func (s *Solver) karpSipserFrontier(degU *dvec.SparseInt, dst *dvec.SparseV) (*dvec.SparseV, semiring.AddOp) {
 	if d1 := degU.Filter(func(v int64) bool { return v == 1 }); d1.Nnz() > 0 {
-		return s.frontierFromCols(d1), semiring.MinParent
+		return s.frontierFromCols(d1, dst), semiring.MinParent
 	}
-	return s.frontierFromCols(degU), semiring.MinParent
+	return s.frontierFromCols(degU, dst), semiring.MinParent
 }
 
 // minDegreeFrontier is the distributed dynamic-mindegree round: each row
 // picks its minimum-residual-degree neighbor column, with degrees
 // recomputed every round ("dynamic"). Degrees ride in the root field of the
 // frontier, keyed (degree, column) so ties break by index, and the SpMV runs
-// over the (select2nd, minRoot) semiring. Local.
-func (s *Solver) minDegreeFrontier(degU *dvec.SparseInt) (*dvec.SparseV, semiring.AddOp) {
-	fc := dvec.NewSparseV(s.ColL)
-	fc.Idx = make([]int, len(degU.Idx))
-	fc.Val = make([]semiring.Vertex, len(degU.Idx))
+// over the (select2nd, minRoot) semiring. The frontier is built in dst's
+// storage. Local.
+func (s *Solver) minDegreeFrontier(degU *dvec.SparseInt, dst *dvec.SparseV) (*dvec.SparseV, semiring.AddOp) {
+	fc := dvec.Reuse(dst, s.ColL, len(degU.Idx))
 	s.G.RT.Pool().For(len(degU.Idx), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			g := degU.Idx[k]

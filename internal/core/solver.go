@@ -107,19 +107,16 @@ func fillFiltered(pool *parallel.Pool, n int, pred func(i int) bool,
 	return total
 }
 
-// unmatchedColFrontier builds the initial frontier of a phase: every
-// unmatched column with itself as parent and root (Algorithm 2, lines 6-8).
-// Both the scan and the ordered fill run across the rank's worker pool (the
-// paper's OpenMP loops) via the two-pass compaction.
-func (s *Solver) unmatchedColFrontier(matec *dvec.Dense) *dvec.SparseV {
-	f := dvec.NewSparseV(s.ColL)
+// unmatchedColFrontier builds the initial frontier of a phase in dst's
+// storage: every unmatched column with itself as parent and root (Algorithm
+// 2, lines 6-8). Both the scan and the ordered fill run across the rank's
+// worker pool (the paper's OpenMP loops) via the two-pass compaction.
+func (s *Solver) unmatchedColFrontier(matec *dvec.Dense, dst *dvec.SparseV) *dvec.SparseV {
+	var f *dvec.SparseV
 	lo := s.ColL.MyRange().Lo
 	fillFiltered(s.G.RT.Pool(), len(matec.Local),
 		func(i int) bool { return matec.Local[i] == semiring.None },
-		func(total int) {
-			f.Idx = make([]int, total)
-			f.Val = make([]semiring.Vertex, total)
-		},
+		func(total int) { f = dvec.Reuse(dst, s.ColL, total) },
 		func(o, i int) {
 			f.Idx[o] = lo + i
 			f.Val[o] = semiring.Self(int64(lo + i))

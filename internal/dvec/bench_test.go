@@ -62,7 +62,7 @@ func BenchmarkTableISet(b *testing.B) {
 func BenchmarkTableIInvert(b *testing.B) {
 	benchOnGrid(b, func(g *grid.Grid, _ int) {
 		s := benchSparse(g, 3)
-		s.InvertParents(NewLayout(g, benchN, RowAligned))
+		s.InvertParents(NewLayout(g, benchN, RowAligned), nil)
 	})
 }
 
@@ -86,10 +86,13 @@ func BenchmarkDenseGather(b *testing.B) {
 }
 
 // BenchmarkTableIPrimitiveAllocs measures steady-state allocations of the
-// communicating Table I primitives (SELECT, INVERT, PRUNE) per iteration on
-// a fixed frontier — the per-level allocation cost of Algorithm 2's
-// bookkeeping steps. EXPERIMENTS.md records the before/after numbers for
-// the runtime-context buffer-reuse refactor.
+// Table I primitives one MS-BFS level runs after its SpMV, in the level's
+// order and with its buffers: SELECT against the visited rows and PRUNE
+// filter the frontier in place, Split moves the unmatched rows into a warm
+// vector, and INVERT refills the dead column frontier. Each iteration first
+// restores the frontier from a kept copy, because the in-place filters
+// shrink it. EXPERIMENTS.md records the before/after numbers of the
+// runtime-context refactor and of the in-place level.
 func BenchmarkTableIPrimitiveAllocs(b *testing.B) {
 	b.ReportAllocs()
 	_, err := mpi.Run(4, func(c *mpi.Comm) error {
@@ -97,18 +100,28 @@ func BenchmarkTableIPrimitiveAllocs(b *testing.B) {
 		if err != nil {
 			return err
 		}
-		s := benchSparse(g, 3)
-		d := NewDense(s.L, semiring.None)
+		kept := benchSparse(g, 3)
+		visited := NewDense(kept.L, semiring.None)
+		mater := NewDense(kept.L, semiring.None)
+		r := kept.L.MyRange()
+		for gi := r.Lo; gi < r.Hi; gi += 2 {
+			mater.SetAt(gi, int64(gi))
+		}
 		rowL := NewLayout(g, benchN, RowAligned)
 		roots := make([]int64, 0, 64)
-		r := s.L.MyRange()
 		for gi := r.Lo; gi < r.Hi && len(roots) < 64; gi += 97 {
 			roots = append(roots, int64(gi))
 		}
+		fr, ufr := NewSparseV(kept.L), NewSparseV(kept.L)
+		var fc *SparseV
+		unset := func(v int64) bool { return v == semiring.None }
 		for i := 0; i < b.N; i++ {
-			s.Select(d, func(v int64) bool { return v == semiring.None })
-			s.InvertParents(rowL)
-			s.PruneRoots(roots)
+			fr.Idx = append(fr.Idx[:0], kept.Idx...)
+			fr.Val = append(fr.Val[:0], kept.Val...)
+			fr.Select(visited, unset)
+			fr.Split(mater, unset, ufr)
+			fr.PruneRoots(roots)
+			fc = fr.InvertParents(rowL, fc)
 		}
 		return nil
 	})

@@ -201,9 +201,9 @@ func TestTableISelect(t *testing.T) {
 				}
 			}
 			d := NewDenseFrom(l, y)
-			z := s.Select(d, func(v int64) bool { return v == -1 })
+			s.Select(d, func(v int64) bool { return v == -1 })
 			var got []int64
-			for _, v := range z.GatherVertices() {
+			for _, v := range s.GatherVertices() {
 				got = append(got, v.Parent)
 			}
 			want := []int64{semiring.None, semiring.None, 2, semiring.None, semiring.None}
@@ -276,11 +276,11 @@ func TestTableIPrune(t *testing.T) {
 		case 1:
 			local = []int64{1}
 		}
-		z := s.PruneRoots(local)
-		if z.Nnz() != 1 {
-			return fmt.Errorf("PRUNE kept %d entries", z.Nnz())
+		s.PruneRoots(local)
+		if s.Nnz() != 1 {
+			return fmt.Errorf("PRUNE kept %d entries", s.Nnz())
 		}
-		vs := z.GatherVertices()
+		vs := s.GatherVertices()
 		if vs[2].Root != 5 {
 			return fmt.Errorf("PRUNE kept wrong entry: %v", vs)
 		}
@@ -330,7 +330,7 @@ func TestInvertParentsAndRoots(t *testing.T) {
 				s.Append(gi, v)
 			}
 		}
-		byParent := s.InvertParents(lc).GatherVertices()
+		byParent := s.InvertParents(lc, nil).GatherVertices()
 		// Parent 2 claimed by rows 1 and 4: smallest source (1) wins.
 		if byParent[2].Parent != 1 || byParent[2].Root != 5 {
 			return fmt.Errorf("byParent[2] = %v", byParent[2])
@@ -342,7 +342,7 @@ func TestInvertParentsAndRoots(t *testing.T) {
 			return fmt.Errorf("byParent[1] = %v, want missing", byParent[1])
 		}
 
-		byRoot := s.InvertRoots(lc).GatherVertices()
+		byRoot := s.InvertRoots(lc, nil).GatherVertices()
 		for _, root := range []int{5, 1, 3} {
 			if byRoot[root].Root != int64(root) {
 				return fmt.Errorf("byRoot[%d] = %v", root, byRoot[root])

@@ -179,12 +179,12 @@ func checkReceives(t *testing.T, name string, pr, pc, threads int, n int) {
 		if err := check("Invert", mI, wI, sameInt(gotI, wantI)); err != nil {
 			return err
 		}
-		gotP, mP := metered(c, func() *SparseV { return xv.InvertParents(tgtC) })
+		gotP, mP := metered(c, func() *SparseV { return xv.InvertParents(tgtC, nil) })
 		wantP, wP := metered(c, func() *SparseV { return oracleInvertVertex(xv, tgtC, false) })
 		if err := check("InvertParents", mP, wP, sameV(gotP, wantP)); err != nil {
 			return err
 		}
-		gotR, mR := metered(c, func() *SparseV { return xv.InvertRoots(tgtC) })
+		gotR, mR := metered(c, func() *SparseV { return xv.InvertRoots(tgtC, nil) })
 		wantR, wR := metered(c, func() *SparseV { return oracleInvertVertex(xv, tgtC, true) })
 		return check("InvertRoots", mR, wR, sameV(gotR, wantR))
 	})
@@ -253,7 +253,7 @@ func TestReceiveDuplicatesAcrossStreams(t *testing.T) {
 					arrived[i] = streams[s]
 				}
 				sc, k, n := receive(outL, streamsOf(arrived...), 3, op.Combine)
-				out := vertices(outL, sc, k)
+				out := vertices(nil, outL, sc, k)
 				if n != 7 || k != len(want) || len(out.Idx) != len(want) {
 					return fmt.Errorf("%v order %v: %d records, %d touched, %d entries; want 7, %d",
 						op, perm, n, k, len(out.Idx), len(want))
@@ -278,7 +278,7 @@ func TestReceiveEmptyStreams(t *testing.T) {
 	onGrid(t, 1, 1, func(g *grid.Grid) error {
 		outL := NewLayout(g, 5, RowAligned)
 		sc, k, n := receive(outL, streamsOf(nil, []int64{}, nil), 3, semiring.MinParent.Combine)
-		if out := vertices(outL, sc, k); k != 0 || n != 0 || out.LocalNnz() != 0 {
+		if out := vertices(nil, outL, sc, k); k != 0 || n != 0 || out.LocalNnz() != 0 {
 			return fmt.Errorf("empty streams: %d touched, %d records, %d entries", k, n, out.LocalNnz())
 		}
 		return nil
@@ -287,7 +287,7 @@ func TestReceiveEmptyStreams(t *testing.T) {
 		onGrid(t, shape[0], shape[1], func(g *grid.Grid) error {
 			parts := make([][]int64, g.PC)
 			parts[0] = []int64{}
-			out := ReceiveV(NewLayout(g, 7, RowAligned), g.Row.IAlltoallvParts(parts), semiring.MinParent)
+			out := ReceiveV(NewLayout(g, 7, RowAligned), g.Row.IAlltoallvParts(parts), semiring.MinParent, nil)
 			if out.LocalNnz() != 0 {
 				return fmt.Errorf("grid %v rank %d: %d entries from empty parts", shape, g.World.Rank(), out.LocalNnz())
 			}

@@ -76,25 +76,47 @@ func (s *SparseV) Nnz() int {
 
 // Select keeps the entries whose aligned dense value satisfies pred — the
 // Table I SELECT primitive, communication-free because x and y share a
-// layout. The result is a fresh vector.
-func (s *SparseV) Select(y *Dense, pred func(int64) bool) *SparseV {
+// layout. It compacts s in place and allocates nothing.
+func (s *SparseV) Select(y *Dense, pred func(int64) bool) {
 	if !s.L.Same(y.L) {
 		panic("dvec: SELECT layout mismatch")
 	}
 	lo := s.L.MyRange().Lo
-	out := NewSparseV(s.L)
-	if n := len(s.Idx); n > 0 {
-		out.Idx = make([]int, 0, n)
-		out.Val = make([]semiring.Vertex, 0, n)
-	}
+	n := 0
 	for k, g := range s.Idx {
 		if pred(y.Local[g-lo]) {
-			out.Idx = append(out.Idx, g)
-			out.Val = append(out.Val, s.Val[k])
+			s.Idx[n], s.Val[n] = g, s.Val[k]
+			n++
 		}
 	}
 	s.L.G.World.AddWork(len(s.Idx))
-	return out
+	s.Idx, s.Val = s.Idx[:n], s.Val[:n]
+}
+
+// Split moves the entries whose aligned dense value satisfies pred into dst
+// and keeps the others in s, compacted in place: the two complementary
+// SELECTs of Algorithm 2's Steps 2-4 (unmatched rows to uf_r, matched rows
+// stay in f_r) in one pass. dst's previous entries are dropped and its
+// arrays reused. It charges the work of the two SELECTs it replaces. Local.
+func (s *SparseV) Split(y *Dense, pred func(int64) bool, dst *SparseV) {
+	checkDst(s, dst)
+	if !s.L.Same(y.L) {
+		panic("dvec: SELECT layout mismatch")
+	}
+	lo := s.L.MyRange().Lo
+	dst.L, dst.Idx, dst.Val = s.L, dst.Idx[:0], dst.Val[:0]
+	n := 0
+	for k, g := range s.Idx {
+		if pred(y.Local[g-lo]) {
+			dst.Idx = append(dst.Idx, g)
+			dst.Val = append(dst.Val, s.Val[k])
+		} else {
+			s.Idx[n], s.Val[n] = g, s.Val[k]
+			n++
+		}
+	}
+	s.L.G.World.AddWork(2 * len(s.Idx))
+	s.Idx, s.Val = s.Idx[:n], s.Val[:n]
 }
 
 // Scatter stores each sparse value into the aligned dense vector — the
@@ -205,14 +227,36 @@ func receive(outL Layout, next func() (int, []int64, bool), stride int, combine 
 	}
 }
 
-// vertices allocates the k touched entries of sc once and fills them in
-// index order.
-func vertices(outL Layout, sc *rt.Scratch, k int) *SparseV {
+// Reuse empties dst, lays it out as l and gives it n entries of undefined
+// contents for the caller to overwrite, reusing dst's arrays when they hold
+// n: the storage of a vector the caller has finished with backs the next
+// one. A nil dst gets a new vector. It returns dst.
+func Reuse(dst *SparseV, l Layout, n int) *SparseV {
+	if dst == nil {
+		dst = &SparseV{}
+	}
+	dst.L = l
+	dst.Idx = slices.Grow(dst.Idx[:0], n)[:n]
+	dst.Val = slices.Grow(dst.Val[:0], n)[:n]
+	return dst
+}
+
+// checkDst panics when an operation would write into the vector it reads.
+func checkDst(s, dst *SparseV) {
+	if dst == s {
+		panic("dvec: a vector cannot be its own dst")
+	}
+}
+
+// vertices fills dst, through Reuse, with the k touched entries of sc in
+// index order and returns it.
+func vertices(dst *SparseV, outL Layout, sc *rt.Scratch, k int) *SparseV {
 	lo := outL.MyRange().Lo
-	out := &SparseV{L: outL, Idx: make([]int, 0, k), Val: make([]semiring.Vertex, 0, k)}
+	out := Reuse(dst, outL, k)
+	i := 0
 	for off := sc.Next(0); off < sc.Len(); off = sc.Next(off + 1) {
-		out.Idx = append(out.Idx, lo+off)
-		out.Val = append(out.Val, sc.Val[off])
+		out.Idx[i], out.Val[i] = lo+off, sc.Val[off]
+		i++
 	}
 	return out
 }
@@ -232,11 +276,12 @@ func ints(outL Layout, sc *rt.Scratch, k int) *SparseInt {
 // parent, root) streams of rq, combining the records of one index with the
 // semiring addition op, and finishes rq. This is the SpMV fold's merge: op
 // is associative and commutative, so arrival order cannot change the
-// result. The indices must fall in outL.MyRange().
-func ReceiveV(outL Layout, rq *mpi.PartsRequest, op semiring.AddOp) *SparseV {
+// result. The indices must fall in outL.MyRange(). The result is written
+// into dst, a vector the caller has finished with (nil allocates one).
+func ReceiveV(outL Layout, rq *mpi.PartsRequest, op semiring.AddOp, dst *SparseV) *SparseV {
 	sc, k, _ := receive(outL, rq.Next, 3, op.Combine)
 	rq.Finish()
-	return vertices(outL, sc, k)
+	return vertices(dst, outL, sc, k)
 }
 
 // ReceiveInt builds the sparse vector with layout outL from received
@@ -299,35 +344,39 @@ func (s *SparseInt) Invert(outL Layout) *SparseInt {
 // InvertParents inverts a VERTEX vector by its parents: the result has one
 // entry per distinct parent p, at index p, carrying (source index, source
 // root). This is the INVERT(f_r) step constructing the next column frontier.
-// Collective.
-func (s *SparseV) InvertParents(outL Layout) *SparseV {
+// The result is written into dst, a vector the caller has finished with (nil
+// allocates one); s itself as dst panics. Collective.
+func (s *SparseV) InvertParents(outL Layout, dst *SparseV) *SparseV {
+	checkDst(s, dst)
 	records := s.L.G.RT.GetInts(3 * len(s.Idx))
 	for k, g := range s.Idx {
 		records = append(records, s.Val[k].Parent, int64(g), s.Val[k].Root)
 	}
 	sc, k := invert(s.L, outL, records, 3)
-	return vertices(outL, sc, k)
+	return vertices(dst, outL, sc, k)
 }
 
 // InvertRoots inverts a VERTEX vector by its roots: the result has one entry
 // per distinct root r, at index r, carrying (source index, root). This is
 // the INVERT(ROOT(uf_r)) step recording one augmenting path per alternating
-// tree. Collective.
-func (s *SparseV) InvertRoots(outL Layout) *SparseV {
+// tree. The result is written into dst as for InvertParents. Collective.
+func (s *SparseV) InvertRoots(outL Layout, dst *SparseV) *SparseV {
+	checkDst(s, dst)
 	records := s.L.G.RT.GetInts(3 * len(s.Idx))
 	for k, g := range s.Idx {
 		records = append(records, s.Val[k].Root, int64(g), s.Val[k].Root)
 	}
 	sc, k := invert(s.L, outL, records, 3)
-	return vertices(outL, sc, k)
+	return vertices(dst, outL, sc, k)
 }
 
 // PruneRoots removes the entries whose root appears in the globally
-// combined root set — the Table I PRUNE primitive. Each rank contributes
-// its local share of the q vector (the roots of newly found augmenting
-// paths); the sets are combined with an allgather, the communication
-// pattern and ring cost the paper assigns to PRUNE. Collective.
-func (s *SparseV) PruneRoots(localRoots []int64) *SparseV {
+// combined root set — the Table I PRUNE primitive — compacting s in place.
+// Each rank contributes its local share of the q vector (the roots of newly
+// found augmenting paths); the sets are combined with an allgather, the
+// communication pattern and ring cost the paper assigns to PRUNE.
+// Collective.
+func (s *SparseV) PruneRoots(localRoots []int64) {
 	c := s.L.G.World
 	ctx := s.L.G.RT
 	banned := flatAllgather(c, ctx, localRoots, len(localRoots)*c.Size())
@@ -335,16 +384,16 @@ func (s *SparseV) PruneRoots(localRoots []int64) *SparseV {
 	// binary searches and the buffer goes back to the arena afterwards.
 	slices.Sort(banned)
 	banned = slices.Compact(banned)
-	out := NewSparseV(s.L)
+	n := 0
 	for k, g := range s.Idx {
 		if _, hit := slices.BinarySearch(banned, s.Val[k].Root); !hit {
-			out.Idx = append(out.Idx, g)
-			out.Val = append(out.Val, s.Val[k])
+			s.Idx[n], s.Val[n] = g, s.Val[k]
+			n++
 		}
 	}
 	c.AddWork(len(s.Idx) + len(banned))
 	ctx.PutInts(banned)
-	return out
+	s.Idx, s.Val = s.Idx[:n], s.Val[:n]
 }
 
 // GatherVertices reconstructs the full VERTEX vector on every rank, with

@@ -52,7 +52,7 @@ func GridShapeAblation(w io.Writer, scale, procs int) []GridShapeRow {
 			for gi := r.Lo; gi < r.Hi; gi++ {
 				fx.Append(gi, semiring.Self(int64(gi)))
 			}
-			spmv.Mul(blocks[g.MyRow][g.MyCol], fx, semiring.MinParent, yl)
+			spmv.Mul(blocks[g.MyRow][g.MyCol], fx, semiring.MinParent, yl, nil)
 			return nil
 		})
 		if err != nil {

@@ -130,7 +130,7 @@ func TreeBalance(w io.Writer, scale, procs int, names []string) []TreeBalanceRow
 					for gi := r.Lo; gi < r.Hi; gi++ {
 						fc.Append(gi, semiring.Self(int64(gi)))
 					}
-					fr := spmv.Mul(s.A, fc, op, s.RowL)
+					fr := spmv.Mul(s.A, fc, op, s.RowL, nil)
 					full := fr.GatherVertices()
 					if s.G.World.Rank() == 0 {
 						rootOf = make([]int64, len(full))

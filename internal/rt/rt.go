@@ -20,6 +20,12 @@
 //   - per-op measurement (Track): the wall time and communication deltas
 //     of one tracked section, recorded as an op span.
 //
+// The frontier vectors are not arena storage. They belong to the engine run
+// that made them and outlive every primitive call: a vector the level has
+// finished with is handed to the next receive as its destination, and
+// SELECT and PRUNE filter in place (see package dvec). Keeping them out of
+// the arena is what lets the arena keep its one rule.
+//
 // A Ctx belongs to exactly one rank goroutine at a time and is not
 // internally synchronized. It may be rebound (Bind) to a fresh communicator
 // and reused across solves — the session layer does this so repeated

@@ -3,8 +3,9 @@ package spmv
 // Allocation benchmark for the SpMV hot path: one collective Mul across a
 // 2x2 grid per iteration, frontier fixed, so allocs/op is the steady-state
 // per-level allocation cost of the expand / local-multiply / fold pipeline.
-// EXPERIMENTS.md records the before/after numbers for the runtime-context
-// buffer-reuse refactor.
+// Each call writes into the previous call's result, as a solver level
+// refills its dead row frontier. EXPERIMENTS.md records the before/after
+// numbers for the runtime-context buffer-reuse refactor.
 
 import (
 	"testing"
@@ -35,8 +36,9 @@ func BenchmarkSpMVAllocs(b *testing.B) {
 		for gi := r.Lo; gi < r.Hi; gi += 3 {
 			fx.Append(gi, semiring.Self(int64(gi)))
 		}
+		var y *dvec.SparseV
 		for i := 0; i < b.N; i++ {
-			Mul(local, fx, semiring.MinParent, yl)
+			y = Mul(local, fx, semiring.MinParent, yl, y)
 		}
 		return nil
 	})
@@ -68,8 +70,9 @@ func BenchmarkSpMVPullAllocs(b *testing.B) {
 			fx.Append(gi, semiring.Self(int64(gi)))
 		}
 		vis := dvec.NewDense(yl, semiring.None)
+		var y *dvec.SparseV
 		for i := 0; i < b.N; i++ {
-			MulPull(local, rowAdj, fx, vis, semiring.MinParent, yl)
+			y, _ = MulPull(local, rowAdj, fx, vis, semiring.MinParent, yl, y)
 		}
 		return nil
 	})

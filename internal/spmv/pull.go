@@ -22,13 +22,14 @@ import (
 //     row so every rank can skip them, mirroring the replicated visited
 //     bitmap of real direction-optimizing implementations.
 //
-// The result is semantically interchangeable with Mul's: every reachable
-// unvisited row appears exactly once with a parent that is one of its
-// frontier neighbors and that parent's root. Under the default MinParent
-// semiring the output is bit-identical to Mul's: RowMajor's counting-sort
-// transpose lists each row's neighbors in ascending column order, so the
-// early-exit first hit IS the minimum local frontier parent, and the fold
-// combines cross-rank candidates with the same min — see docs/KERNELS.md.
+// The result, written into dst as for Mul, is semantically interchangeable
+// with Mul's: every reachable unvisited row appears exactly once with a
+// parent that is one of its frontier neighbors and that parent's root.
+// Under the default MinParent semiring the output is bit-identical to
+// Mul's: RowMajor's counting-sort transpose lists each row's neighbors in
+// ascending column order, so the early-exit first hit IS the minimum local
+// frontier parent, and the fold combines cross-rank candidates with the
+// same min — see docs/KERNELS.md.
 // Under the randomized semirings (RandRoot, RandParent) the winner is
 // hash-keyed rather than positional and the specific parent may differ,
 // which is still harmless for MS-BFS: any discovering neighbor yields a
@@ -39,7 +40,7 @@ import (
 // frontier can consist mostly of structurally deficient columns whose
 // neighborhoods never hit, making pull scans unproductive.
 func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
-	visited *dvec.Dense, op semiring.AddOp, outL dvec.Layout) (*dvec.SparseV, PullStats) {
+	visited *dvec.Dense, op semiring.AddOp, outL dvec.Layout, dst *dvec.SparseV) (*dvec.SparseV, PullStats) {
 	g := x.L.G
 	if x.L.Kind != dvec.ColAligned {
 		panic("spmv: frontier must be column-aligned")
@@ -173,7 +174,7 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 		}
 		ctx.PutInts(hits)
 	}
-	out := dvec.ReceiveV(outL, g.Row.IAlltoallvParts(parts), op)
+	out := dvec.ReceiveV(outL, g.Row.IAlltoallvParts(parts), op, dst)
 	ctx.PutParts(parts)
 	g.World.AddWork(out.LocalNnz())
 	tr.End(obs.KindOp, "spmv.fold", fold0, int64(out.LocalNnz()))

@@ -41,7 +41,7 @@ func runPull(t *testing.T, a *spmat.CSC, x map[int]semiring.Vertex,
 				vis.SetAt(gi, 1)
 			}
 		}
-		y, _ := MulPull(local, rowAdj, fx, vis, op, yl)
+		y, _ := MulPull(local, rowAdj, fx, vis, op, yl, nil)
 		got := y.GatherVertices()
 		if c.Rank() == 0 {
 			result = got
@@ -147,9 +147,9 @@ func TestPullWorkSavings(t *testing.T) {
 				fx.Append(gi, semiring.Self(int64(gi)))
 			}
 			if pull {
-				_, _ = MulPull(local, RowMajor(local), fx, dvec.NewDense(yl, semiring.None), semiring.MinParent, yl)
+				_, _ = MulPull(local, RowMajor(local), fx, dvec.NewDense(yl, semiring.None), semiring.MinParent, yl, nil)
 			} else {
-				Mul(local, fx, semiring.MinParent, yl)
+				Mul(local, fx, semiring.MinParent, yl, nil)
 			}
 			return nil
 		})

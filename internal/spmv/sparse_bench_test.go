@@ -40,7 +40,7 @@ func BenchmarkMulSparseFrontier(b *testing.B) {
 				fx := dvec.NewSparseV(xl)
 				fx.Append(n/2, semiring.Self(int64(n/2)))
 				for i := 0; i < b.N; i++ {
-					if y := Mul(local, fx, semiring.MinParent, yl); y.LocalNnz() != 2 {
+					if y := Mul(local, fx, semiring.MinParent, yl, nil); y.LocalNnz() != 2 {
 						return fmt.Errorf("frontier reached %d rows, want 2", y.LocalNnz())
 					}
 				}

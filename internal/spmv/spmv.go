@@ -34,8 +34,10 @@ const (
 //
 // The result has one entry per row vertex reachable from the frontier; its
 // parent is the frontier column that discovered it (op resolving conflicts)
-// and its root is inherited from that column.
-func Mul(a *spmat.LocalMatrix, x *dvec.SparseV, op semiring.AddOp, outL dvec.Layout) *dvec.SparseV {
+// and its root is inherited from that column. It is written into dst, a
+// vector the caller has finished with (nil allocates one; see
+// dvec.ReceiveV).
+func Mul(a *spmat.LocalMatrix, x *dvec.SparseV, op semiring.AddOp, outL dvec.Layout, dst *dvec.SparseV) *dvec.SparseV {
 	g := x.L.G
 	if x.L.Kind != dvec.ColAligned {
 		panic("spmv: frontier must be column-aligned")
@@ -127,7 +129,7 @@ func Mul(a *spmat.LocalMatrix, x *dvec.SparseV, op semiring.AddOp, outL dvec.Lay
 			parts[j] = append(parts[j], int64(a.Rows.Lo+r), sc.Val[r].Parent, sc.Val[r].Root)
 		}
 	}
-	out := dvec.ReceiveV(outL, g.Row.IAlltoallvParts(parts), op)
+	out := dvec.ReceiveV(outL, g.Row.IAlltoallvParts(parts), op, dst)
 	ctx.PutParts(parts)
 	g.World.AddWork(out.LocalNnz())
 	tr.End(obs.KindOp, "spmv.fold", fold0, int64(out.LocalNnz()))

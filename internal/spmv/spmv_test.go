@@ -49,7 +49,7 @@ func runMul(t *testing.T, a *spmat.CSC, x map[int]semiring.Vertex, op semiring.A
 				fx.Append(gi, v)
 			}
 		}
-		y := Mul(local, fx, op, yl)
+		y := Mul(local, fx, op, yl, nil)
 		results[c.Rank()] = y.GatherVertices()
 		return nil
 	})
@@ -172,7 +172,7 @@ func TestMulWorkEfficiency(t *testing.T) {
 		if xl.MyRange().Contains(0) {
 			fx.Append(0, semiring.Self(0))
 		}
-		Mul(blocks[g.MyRow][g.MyCol], fx, semiring.MinParent, yl)
+		Mul(blocks[g.MyRow][g.MyCol], fx, semiring.MinParent, yl, nil)
 		return nil
 	})
 	if err != nil {
@@ -203,7 +203,7 @@ func TestMulCommunicationPattern(t *testing.T) {
 		for gi := r.Lo; gi < r.Hi; gi += 2 {
 			fx.Append(gi, semiring.Self(int64(gi)))
 		}
-		Mul(blocks[g.MyRow][g.MyCol], fx, semiring.MinParent, yl)
+		Mul(blocks[g.MyRow][g.MyCol], fx, semiring.MinParent, yl, nil)
 		return nil
 	})
 	if err != nil {
@@ -230,7 +230,7 @@ func TestMulPanicsOnWrongAlignment(t *testing.T) {
 				panic("expected panic for row-aligned frontier")
 			}
 		}()
-		Mul(blocks[0][0], bad, semiring.MinParent, dvec.NewLayout(g, a.NRows, dvec.RowAligned))
+		Mul(blocks[0][0], bad, semiring.MinParent, dvec.NewLayout(g, a.NRows, dvec.RowAligned), nil)
 		return nil
 	})
 	if err != nil {
@@ -255,7 +255,7 @@ func BenchmarkMulScale12Grid4(b *testing.B) {
 			for gi := r.Lo; gi < r.Hi; gi += 3 {
 				fx.Append(gi, semiring.Self(int64(gi)))
 			}
-			Mul(blocks[g.MyRow][g.MyCol], fx, semiring.MinParent, yl)
+			Mul(blocks[g.MyRow][g.MyCol], fx, semiring.MinParent, yl, nil)
 			return nil
 		})
 		if err != nil {

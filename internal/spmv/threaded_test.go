@@ -34,7 +34,7 @@ func runMulThreads(t *testing.T, a *spmat.CSC, op semiring.AddOp, pr, pc, thread
 		for gi := r.Lo; gi < r.Hi; gi++ {
 			fx.Append(gi, semiring.Self(int64(gi)))
 		}
-		y := Mul(blocks[g.MyRow][g.MyCol], fx, op, yl)
+		y := Mul(blocks[g.MyRow][g.MyCol], fx, op, yl, nil)
 		full := y.GatherVertices()
 		if c.Rank() == 0 {
 			result = full
