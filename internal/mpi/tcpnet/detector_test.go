@@ -28,6 +28,14 @@ func pipeNet(opts Options) (*Net, net.Conn) {
 	return n, there
 }
 
+// postToRank1 posts one collective generation from rank 0 whose only
+// remote part, rank 1's, carries words int64s: a POST frame of about
+// 8·words bytes on the rank-1 queue.
+func postToRank1(n *Net, gen int64, words int) error {
+	return n.Post(&mpi.PostMsg{Comm: "world", Ranks: []int{0, 1}, Gen: gen, Op: "test",
+		Parts: [][]int64{nil, make([]int64, words)}, Present: []bool{false, true}})
+}
+
 // waitNetGoroutinesGone polls until no tcpnet read/flush/heartbeat goroutine
 // remains, failing the test if any survives the deadline — the leak check of
 // the silent-peer regression.
@@ -105,8 +113,8 @@ func TestCloseBoundedBySilentPeer(t *testing.T) {
 	// mid-Write with more frames queued behind it.
 	p := n.peers[1]
 	for i := 0; i < 4; i++ {
-		if err := n.enqueue(p, framePost, make([]byte, 64<<10)); err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
+		if err := postToRank1(n, int64(i), 8<<10); err != nil {
+			t.Fatalf("post %d: %v", i, err)
 		}
 	}
 	time.Sleep(20 * time.Millisecond) // let the flusher pick up and block
@@ -140,18 +148,19 @@ func TestCloseCleanPeerStillGraceful(t *testing.T) {
 	// A cooperative far side: drain everything, answer the BYE in kind.
 	go func() {
 		for {
-			typ, _, err := readFrame(there)
+			var fb frameIn
+			typ, _, err := readFrame(there, &fb)
 			if err != nil {
 				return
 			}
 			if typ == frameBye {
-				writeFrame(there, frameBye, nil)
+				writeFrame(there, new(frameOut), frameBye, nil)
 			}
 		}
 	}()
 	defer there.Close()
-	if err := n.enqueue(n.peers[1], framePost, []byte("payload")); err != nil {
-		t.Fatalf("enqueue: %v", err)
+	if err := postToRank1(n, 0, 1); err != nil {
+		t.Fatalf("post: %v", err)
 	}
 	start := time.Now()
 	n.Close()

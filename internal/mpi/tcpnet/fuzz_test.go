@@ -143,11 +143,14 @@ func FuzzFrameDecode(f *testing.F) {
 
 // FuzzReadFrame feeds an arbitrary byte stream to the frame reader. A
 // corrupt length prefix must fail the read, not drive an unbounded
-// allocation; a well-formed prefix must hand back exactly the body.
+// allocation; a well-formed prefix must hand back exactly the body. The
+// reuse arm reads the same bytes through a buffer left over from an earlier
+// frame: it must give the same result as a fresh buffer, and neither buffer
+// may grow more than one frameReadChunk past the input.
 func FuzzReadFrame(f *testing.F) {
 	frame := func(typ byte, body []byte) []byte {
 		var buf bytes.Buffer
-		writeFrame(&buf, typ, body)
+		writeFrame(&buf, new(frameOut), typ, body)
 		return buf.Bytes()
 	}
 	for _, body := range seedBodies() {
@@ -155,25 +158,58 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(frame(frameBye, nil))
 	f.Add(frame(framePing, nil))
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, byte(framePost)}) // huge length, no body
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, byte(framePost)})                    // huge length, no body
+	f.Add(append([]byte{0, 0, 0, 0x40, byte(framePost)}, seedBodies()[0]...)) // maxFrame length, short body
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, body, err := readFrame(bytes.NewReader(data))
+		var fresh frameIn
+		typ, body, err := readFrame(bytes.NewReader(data), &fresh)
+		if c := cap(fresh.body); c > len(data)+frameReadChunk {
+			t.Fatalf("a fresh buffer grew to %d bytes on %d input bytes", c, len(data))
+		}
+		stale := frameIn{body: staleBody(data)}
+		before := cap(stale.body)
+		typ2, body2, err2 := readFrame(bytes.NewReader(data), &stale)
+		if c := cap(stale.body); c > max(before, len(data)+frameReadChunk) {
+			t.Fatalf("a stale buffer of %d bytes grew to %d on %d input bytes", before, c, len(data))
+		}
+		if (err == nil) != (err2 == nil) || err != nil && err.Error() != err2.Error() {
+			t.Fatalf("stale buffer read gave error %v, fresh read %v", err2, err)
+		}
 		if err != nil {
 			return
+		}
+		if typ2 != typ || !bytes.Equal(body2, body) {
+			t.Fatalf("stale buffer read gave type %d and %d bytes, fresh read type %d and %d bytes", typ2, len(body2), typ, len(body))
 		}
 		if len(body) > len(data) {
 			t.Fatalf("readFrame produced %d body bytes from %d input bytes", len(body), len(data))
 		}
 		// A frame that reads must re-read identically from its own re-encoding.
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, typ, body); err != nil {
+		if err := writeFrame(&buf, new(frameOut), typ, body); err != nil {
 			t.Fatalf("re-encoding a read frame: %v", err)
 		}
-		typ2, body2, err := readFrame(&buf)
-		if err != nil || typ2 != typ || !bytes.Equal(body2, body) {
+		typ3, body3, err := readFrame(&buf, &stale)
+		if err != nil || typ3 != typ || !bytes.Equal(body3, body) {
 			t.Fatalf("frame did not round-trip: %v", err)
 		}
 	})
+}
+
+// staleBody builds the reuse arm's leftover buffer from the input itself:
+// the input reversed as contents, and a capacity anywhere from zero to
+// twice the input's length, picked by hashing the input.
+func staleBody(data []byte) []byte {
+	var h uint32 = 2166136261
+	for _, b := range data {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	c := int(h % uint32(2*len(data)+9))
+	s := make([]byte, min(c, len(data)), c)
+	for i := range s {
+		s[i] = data[len(data)-1-i]
+	}
+	return s
 }
 
 // FuzzDecodePostDelivery goes one level deeper than decodePost: a POST that

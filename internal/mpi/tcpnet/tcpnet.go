@@ -11,6 +11,17 @@
 // above the seam (metering, CommTimes, fault injection, the watchdog,
 // tracing) behaves identically to the in-process oracle; the conformance
 // suite in package mpi pins that bit-for-bit.
+//
+// Buffer ownership on the data plane: Post encodes each POST frame once,
+// straight into the peer's pending queue, under the queue lock; nothing
+// else writes the queue. The peer's flusher owns a second buffer. It swaps
+// that buffer in as the queue, writes the old queue outside the lock, and
+// keeps the written buffer as its spare for the next swap, so neither
+// buffer is reallocated once both have grown. Each peer's read loop reads
+// every frame into one body buffer of its own. That buffer can be reused
+// because every body decoder copies out what it keeps: the payloads handed
+// to the mailbox are fresh allocations, owned by the mailbox until their
+// generation retires.
 package tcpnet
 
 import (
@@ -75,11 +86,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// peer is one mesh connection. Writers serialize on wmu and build each frame
-// as a single Write, so frames never interleave; the reader goroutine owns
-// the receive side exclusively.
+// peer is one mesh connection. Writers serialize on wmu and send each
+// frame in one gathered write, so frames never interleave; the reader
+// goroutine owns the receive side exclusively.
 //
-// Mailbox POST frames do not write the socket directly: they are framed
+// Mailbox POST frames do not write the socket directly: they are encoded
 // into a per-peer pending buffer and a flusher goroutine drains it, so
 // frames queued while a write is in flight coalesce into one Write — the
 // small-message aggregation of the wire layer. Bootstrap, RMA, ABORT and
@@ -107,6 +118,9 @@ type peer struct {
 	clockOff atomic.Int64
 	hasOff   atomic.Bool
 	pingN    atomic.Int64
+
+	out frameOut // the direct path's header and gather list, under wmu
+	in  frameIn  // the read loop's header and reused frame body
 
 	qmu      sync.Mutex
 	qcv      *sync.Cond
@@ -289,7 +303,7 @@ func Join(addr string, rank int, opts Options) (*Net, []byte, error) {
 		conn.Close()
 		return nil, nil, err
 	}
-	typ, body, err := readFrame(conn)
+	typ, body, err := readFrame(conn, new(frameIn))
 	if err != nil {
 		conn.Close()
 		return nil, nil, fmt.Errorf("tcpnet: awaiting roster: %w", err)
@@ -430,7 +444,7 @@ func writeHello(conn net.Conn, rank int, listenAddr string, opts Options) error 
 	b.u32(uint32(rank))
 	b.str(listenAddr)
 	conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
-	err := writeFrame(conn, frameHello, b.b)
+	err := writeFrame(conn, new(frameOut), frameHello, b.b)
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		return fmt.Errorf("tcpnet: sending hello: %w", err)
@@ -440,7 +454,7 @@ func writeHello(conn net.Conn, rank int, listenAddr string, opts Options) error 
 
 func readHello(conn net.Conn, opts Options) (rank int, listenAddr string, err error) {
 	conn.SetReadDeadline(time.Now().Add(opts.DialTimeout))
-	typ, body, err := readFrame(conn)
+	typ, body, err := readFrame(conn, new(frameIn))
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		return 0, "", fmt.Errorf("tcpnet: awaiting hello: %w", err)
@@ -603,7 +617,7 @@ func (n *Net) sendQuiet(p *peer, typ byte, body []byte, deadline time.Time) erro
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	p.conn.SetWriteDeadline(deadline)
-	err := writeFrame(p.conn, typ, body)
+	err := writeFrame(p.conn, &p.out, typ, body)
 	p.conn.SetWriteDeadline(time.Time{})
 	return err
 }
@@ -620,7 +634,7 @@ func (n *Net) sendTimed(p *peer, typ byte, body []byte, deadline time.Time) erro
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	p.conn.SetWriteDeadline(deadline)
-	err := writeFrame(p.conn, typ, body)
+	err := writeFrame(p.conn, &p.out, typ, body)
 	p.conn.SetWriteDeadline(time.Time{})
 	if err == nil {
 		n.frames.Add(1)
@@ -689,13 +703,12 @@ func (n *Net) sever(p *peer, cause error) {
 	p.conn.Close()
 }
 
-// enqueue frames one mailbox message into the peer's pending buffer and
-// wakes the flusher; it fails fast once the peer's write plane has errored
-// or stopped.
-func (n *Net) enqueue(p *peer, typ byte, body []byte) error {
-	if len(body) > maxFrame {
-		return fmt.Errorf("tcpnet: %s frame body %d bytes exceeds cap %d", frameName(typ), len(body), maxFrame)
-	}
+// enqueuePost frames the POST carrying member i's part straight into the
+// peer's pending queue and wakes the flusher: the header goes in first, the
+// body is encoded behind it, and the length is backpatched. An oversize
+// frame rolls the queue back to where it started. It fails fast once the
+// peer's write plane has errored or stopped.
+func (n *Net) enqueuePost(p *peer, msg *mpi.PostMsg, i int, compress bool) error {
 	p.qmu.Lock()
 	defer p.qmu.Unlock()
 	if p.qerr != nil {
@@ -704,19 +717,30 @@ func (n *Net) enqueue(p *peer, typ byte, body []byte) error {
 	if p.qstop {
 		return fmt.Errorf("tcpnet: writer to rank %d stopped", p.rank)
 	}
-	p.qbuf = binary.LittleEndian.AppendUint32(p.qbuf, uint32(len(body)))
-	p.qbuf = append(p.qbuf, typ)
-	p.qbuf = append(p.qbuf, body...)
+	start := len(p.qbuf)
+	q := wbuf{b: append(p.qbuf, 0, 0, 0, 0, framePost)}
+	q.post(msg, i, compress)
+	body := len(q.b) - start - 5
+	if body > maxFrame {
+		p.qbuf = q.b[:start]
+		return fmt.Errorf("tcpnet: %s frame body %d bytes exceeds cap %d", frameName(framePost), body, maxFrame)
+	}
+	binary.LittleEndian.PutUint32(q.b[start:], uint32(body))
+	p.qbuf = q.b
 	n.frames.Add(1)
 	p.qcv.Signal()
 	return nil
 }
 
 // flushLoop drains a peer's pending buffer: everything queued since the
-// last Write goes out as one Write. A write error poisons the queue and
-// aborts the world (unless the endpoint is already closing).
+// last Write goes out as one Write. It keeps two buffers: while one is being
+// written the other is the queue, and the written one comes back as the
+// next queue, so neither is reallocated once both have grown. A write error
+// poisons the queue and aborts the world (unless the endpoint is already
+// closing).
 func (n *Net) flushLoop(p *peer) {
 	defer n.flushers.Done()
+	var spare []byte // the last buffer written; the queue after the next swap
 	p.qmu.Lock()
 	for {
 		for len(p.qbuf) == 0 && !p.qstop {
@@ -727,7 +751,7 @@ func (n *Net) flushLoop(p *peer) {
 			return
 		}
 		buf := p.qbuf
-		p.qbuf = nil
+		p.qbuf = spare[:0]
 		p.qbusy = true
 		p.qmu.Unlock()
 
@@ -740,6 +764,7 @@ func (n *Net) flushLoop(p *peer) {
 			n.writes.Add(1)
 			n.bytes.Add(int64(len(buf)))
 		}
+		spare = buf
 
 		p.qmu.Lock()
 		p.qbusy = false
@@ -815,23 +840,7 @@ func (n *Net) Post(msg *mpi.PostMsg) error {
 		if err := n.faultData(p); err != nil {
 			return fmt.Errorf("tcpnet: posting %s gen %d to rank %d: %w", msg.Op, msg.Gen, dst, err)
 		}
-		var b wbuf
-		b.str(msg.Comm)
-		b.ranks(msg.Ranks)
-		b.u32(uint32(msg.Src))
-		b.i64(msg.Gen)
-		b.str(msg.Op)
-		b.u32(uint32(len(msg.Ranks)))
-		for j := range msg.Ranks {
-			if j == i && j < len(msg.Present) && msg.Present[j] {
-				b.u8(1)
-				b.part(msg.Parts[j], compress)
-			} else {
-				b.u8(0)
-				b.part(nil, false)
-			}
-		}
-		if err := n.enqueue(p, framePost, b.b); err != nil {
+		if err := n.enqueuePost(p, msg, i, compress); err != nil {
 			return fmt.Errorf("tcpnet: posting %s gen %d to rank %d: %w", msg.Op, msg.Gen, dst, err)
 		}
 	}
@@ -1087,7 +1096,7 @@ func (n *Net) readLoop(p *peer) {
 	// from us; marking it drained lets Close stop waiting for it.
 	defer p.byeO.Do(func() { close(p.bye) })
 	for {
-		typ, body, err := readFrame(p.conn)
+		typ, body, err := readFrame(p.conn, &p.in)
 		if err != nil {
 			if n.closed.Load() {
 				return

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/wire"
@@ -186,6 +187,26 @@ func (w *wbuf) ranks(rs []int) {
 	}
 }
 
+// post writes the POST body that carries member i's part: the envelope,
+// then one slot per member, of which only slot i may be present.
+func (w *wbuf) post(msg *mpi.PostMsg, i int, compress bool) {
+	w.str(msg.Comm)
+	w.ranks(msg.Ranks)
+	w.u32(uint32(msg.Src))
+	w.i64(msg.Gen)
+	w.str(msg.Op)
+	w.u32(uint32(len(msg.Ranks)))
+	for j := range msg.Ranks {
+		if j == i && j < len(msg.Present) && msg.Present[j] {
+			w.u8(1)
+			w.part(msg.Parts[j], compress)
+		} else {
+			w.u8(0)
+			w.part(nil, false)
+		}
+	}
+}
+
 // rbuf decodes a frame body. The first malformed field poisons the buffer;
 // err() reports it after decoding.
 type rbuf struct {
@@ -324,45 +345,74 @@ func (r *rbuf) err(frame byte) error {
 	return nil
 }
 
+// frameOut is a connection's write-side scratch, used under the writer's
+// lock: the header array and the gather list that sends it with the body in
+// one write, so a direct-path frame neither copies its body nor allocates.
+type frameOut struct {
+	hdr  [5]byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
 // writeFrame sends one frame: length prefix, type byte, body.
-func writeFrame(w io.Writer, typ byte, body []byte) error {
+func writeFrame(w io.Writer, out *frameOut, typ byte, body []byte) error {
 	if len(body) > maxFrame {
 		return fmt.Errorf("tcpnet: %s frame body %d bytes exceeds cap %d", frameName(typ), len(body), maxFrame)
 	}
-	hdr := make([]byte, 0, 5+len(body))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(body)))
-	hdr = append(hdr, typ)
-	hdr = append(hdr, body...)
-	_, err := w.Write(hdr)
+	binary.LittleEndian.PutUint32(out.hdr[:], uint32(len(body)))
+	out.hdr[4] = typ
+	out.vec = [2][]byte{out.hdr[:], body}
+	// An empty body stays off the list: a writer without gathered writes
+	// gets one Write per entry, and a zero-length Write on a pipe blocks
+	// until the far side reads.
+	out.bufs = out.vec[:1]
+	if len(body) > 0 {
+		out.bufs = out.vec[:]
+	}
+	_, err := out.bufs.WriteTo(w)
+	out.vec[1] = nil // the caller owns body again
 	return err
 }
 
-// readFrame receives one frame, enforcing the body cap.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameIn is one connection's read side: the frame header and a body
+// buffer every frame is read into. Every body decoder copies out what it
+// keeps, so the next frame may overwrite the last body.
+type frameIn struct {
+	hdr  [5]byte
+	body []byte
+}
+
+// readFrame receives one frame into in, enforcing the body cap. The body
+// it returns aliases in's buffer and is valid until the next read.
+func readFrame(r io.Reader, in *frameIn) (byte, []byte, error) {
+	if _, err := io.ReadFull(r, in.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	typ := hdr[4]
+	n := binary.LittleEndian.Uint32(in.hdr[:4])
+	typ := in.hdr[4]
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("tcpnet: %s frame body %d bytes exceeds cap %d", frameName(typ), n, maxFrame)
 	}
-	// The body is read in bounded chunks: a corrupt or hostile length prefix
+	// The body is read in bounded chunks, and the buffer grows by at most one
+	// chunk past the bytes already read: a corrupt or hostile length prefix
 	// then costs at most one chunk of memory before the missing payload bytes
 	// fail the read, instead of a maxFrame-sized up-front allocation.
-	body := make([]byte, 0, min(int(n), frameReadChunk))
+	body := in.body[:0]
 	for len(body) < int(n) {
-		step := int(n) - len(body)
-		if step > frameReadChunk {
-			step = frameReadChunk
-		}
 		off := len(body)
-		body = append(body, make([]byte, step)...)
+		step := min(int(n)-off, frameReadChunk)
+		if off+step > cap(body) {
+			grown := make([]byte, off, min(max(2*cap(body), off+step), off+frameReadChunk))
+			copy(grown, body)
+			body = grown
+		}
+		body = body[:off+step]
 		if _, err := io.ReadFull(r, body[off:]); err != nil {
+			in.body = body[:0]
 			return 0, nil, fmt.Errorf("tcpnet: short %s frame: %w", frameName(typ), err)
 		}
 	}
+	in.body = body
 	return typ, body, nil
 }
 

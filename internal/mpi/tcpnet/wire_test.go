@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
@@ -50,7 +51,7 @@ func TestHelloRefusesV4Peer(t *testing.T) {
 	hello.u8(4)
 	hello.u32(1)
 	hello.str("127.0.0.1:1")
-	if err := writeFrame(conn, frameHello, hello.b); err != nil {
+	if err := writeFrame(conn, new(frameOut), frameHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
 	err = <-done
@@ -119,6 +120,24 @@ func TestPartDecodeRejectsTruncation(t *testing.T) {
 		r.part()
 		if err := r.err(framePost); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded cleanly", cut, len(w.b))
+		}
+	}
+}
+
+// TestReadFrameChunkGuard: a length prefix far beyond the bytes that
+// arrive fails the read, and the body buffer grows by at most one
+// frameReadChunk past the bytes that did arrive, whether it starts empty,
+// small, or already larger than they are.
+func TestReadFrameChunkGuard(t *testing.T) {
+	present := 5 * frameReadChunk / 2
+	data := append([]byte{0, 0, 0, 0x40, framePost}, make([]byte, present)...) // body length maxFrame
+	for _, stale := range [][]byte{nil, make([]byte, 7, 100), make([]byte, 10, 4*frameReadChunk)} {
+		fb := frameIn{body: stale}
+		if _, _, err := readFrame(bytes.NewReader(data), &fb); err == nil || !strings.Contains(err.Error(), "short POST frame") {
+			t.Fatalf("truncated maxFrame-length frame: err %v, want a short-frame error", err)
+		}
+		if c := cap(fb.body); c > max(cap(stale), present+frameReadChunk) {
+			t.Fatalf("body buffer of capacity %d grew to %d on %d body bytes", cap(stale), c, present)
 		}
 	}
 }
