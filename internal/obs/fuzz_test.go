@@ -24,6 +24,7 @@ func seedObs() [][]byte {
 		(&ProcObs{}).Encode(),
 		c.BuildFlightDump([]int{0, 1}, 2, "injected: rank 1 died").Encode(),
 		(&FlightDump{Cause: "watchdog: deadlock"}).Encode(),
+		typeClashPayload(),
 	}
 }
 

@@ -90,64 +90,57 @@ func NewRegistry() *Registry {
 	return &Registry{byNm: make(map[string]any)}
 }
 
+// register returns the metric registered under name, creating it with mk
+// on first use; ok is false when the name holds a metric of another type.
+func register[T any](r *Registry, name string, mk func() T) (m T, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old, found := r.byNm[name]; found {
+		m, ok = old.(T)
+		return m, ok
+	}
+	m = mk()
+	r.byNm[name] = m
+	r.order = append(r.order, m)
+	return m, true
+}
+
+// mustRegister is register for a caller that names its own metrics:
+// re-registering a name as a different metric type panics.
+func mustRegister[T any](r *Registry, name string, mk func() T) T {
+	m, ok := register(r, name, mk)
+	if !ok {
+		panic("obs: metric " + name + " already registered with a different type")
+	}
+	return m
+}
+
 // Counter returns the counter registered under name, creating it on first
 // use. Re-registering a name as a different metric type panics.
 func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byNm[name]; ok {
-		c, ok := m.(*Counter)
-		if !ok {
-			panic("obs: metric " + name + " already registered with a different type")
-		}
-		return c
-	}
-	c := &Counter{name: name, help: help}
-	r.byNm[name] = c
-	r.order = append(r.order, c)
-	return c
+	return mustRegister(r, name, func() *Counter { return &Counter{name: name, help: help} })
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byNm[name]; ok {
-		g, ok := m.(*Gauge)
-		if !ok {
-			panic("obs: metric " + name + " already registered with a different type")
-		}
-		return g
-	}
-	g := &Gauge{name: name, help: help}
-	r.byNm[name] = g
-	r.order = append(r.order, g)
-	return g
+	return mustRegister(r, name, func() *Gauge { return &Gauge{name: name, help: help} })
 }
 
 // Histogram returns the histogram registered under name, creating it with
 // the given bucket upper bounds (DefBuckets if nil) on first use.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byNm[name]; ok {
-		h, ok := m.(*Histogram)
-		if !ok {
-			panic("obs: metric " + name + " already registered with a different type")
-		}
-		return h
-	}
+	return mustRegister(r, name, func() *Histogram { return newHistogram(name, help, buckets) })
+}
+
+func newHistogram(name, help string, buckets []float64) *Histogram {
 	if buckets == nil {
 		buckets = DefBuckets
 	}
 	uppers := make([]float64, len(buckets))
 	copy(uppers, buckets)
 	sort.Float64s(uppers)
-	h := &Histogram{name: name, help: help, uppers: uppers,
+	return &Histogram{name: name, help: help, uppers: uppers,
 		counts: make([]atomic.Int64, len(uppers)+1)}
-	r.byNm[name] = h
-	r.order = append(r.order, h)
-	return h
 }
 
 // WritePrometheus renders every metric in registration order in the

@@ -216,6 +216,44 @@ func TestRegistryAbsorbWorldSums(t *testing.T) {
 	}
 }
 
+// typeClashPayload carries the metric x twice, as a counter and as a
+// histogram: a remote process can send it, so decoding and installing it
+// must not take the coordinator down.
+func typeClashPayload() []byte {
+	return (&ProcObs{Metrics: []MetricPoint{
+		{Name: "x", Type: 'c', Value: 5},
+		{Name: "x", Type: 'h', Uppers: []float64{1}, Counts: []int64{1, 0}, Sum: 0.5},
+	}}).Encode()
+}
+
+// TestAbsorbSkipsTypeClash: a remote metric whose name the registry holds
+// under another type is skipped, like a histogram of another layout, both
+// when the clash is inside one payload and when it is with a local metric.
+func TestAbsorbSkipsTypeClash(t *testing.T) {
+	po, err := DecodeProcObs(typeClashPayload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCollector(2)
+	c.InstallRemote(po, 0)
+	if got := c.Registry().Counter("x", "").Value(); got != 5 {
+		t.Fatalf("counter x = %d after install, want 5", got)
+	}
+
+	local := NewRegistry()
+	local.Gauge("g", "").Set(3)
+	local.Counter("c", "").Add(1)
+	local.Absorb([]MetricPoint{
+		{Name: "g", Type: 'c', Value: 9},
+		{Name: "g", Type: 'h', Uppers: []float64{1}, Counts: []int64{1, 0}},
+		{Name: "c", Type: 'g', Value: 9},
+		{Name: "c", Type: 'h', Uppers: []float64{1}, Counts: []int64{1, 0}},
+	})
+	if g, n := local.Gauge("g", "").Value(), local.Counter("c", "").Value(); g != 3 || n != 1 {
+		t.Fatalf("clashing points changed local metrics: gauge %d, counter %d, want 3 and 1", g, n)
+	}
+}
+
 // decodeMetricsRoundTrip pushes metric points through the wire codec, the
 // way Absorb receives them in production.
 func decodeMetricsRoundTrip(pts []MetricPoint) ([]MetricPoint, error) {
