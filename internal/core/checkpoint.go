@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -47,98 +46,50 @@ func (ck *Checkpoint) EncodedSize() int {
 	rlen := wire.EncodedLen(ck.MateR)
 	clen := wire.EncodedLen(ck.MateC)
 	return len(checkpointMagic) + 5*8 +
-		uvarintSize(uint64(len(ck.Engine))) + len(ck.Engine) +
-		uvarintSize(uint64(rlen)) + rlen +
-		uvarintSize(uint64(clen)) + clen
-}
-
-// uvarintSize is the encoded size of one uvarint, without writing it.
-func uvarintSize(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+		wire.UvarintLen(uint64(len(ck.Engine))) + len(ck.Engine) +
+		wire.UvarintLen(uint64(rlen)) + rlen +
+		wire.UvarintLen(uint64(clen)) + clen
 }
 
 // Encode serializes the checkpoint into the little-endian v2 format
 // (magic, header, engine id, compressed MateR, compressed MateC) —
 // suitable for a file or an object store.
 func (ck *Checkpoint) Encode() []byte {
-	buf := make([]byte, 0, ck.EncodedSize())
-	buf = append(buf, checkpointMagic...)
+	w := wire.Writer{Buf: append(make([]byte, 0, ck.EncodedSize()), checkpointMagic...)}
 	for _, v := range []uint64{ck.ConfigHash, uint64(ck.Phase), uint64(ck.Cardinality), uint64(ck.N1), uint64(ck.N2)} {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
+		w.U64(v)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ck.Engine)))
-	buf = append(buf, ck.Engine...)
+	w.Uvarint(uint64(len(ck.Engine)))
+	w.Buf = append(w.Buf, ck.Engine...)
 	for _, mate := range [][]int64{ck.MateR, ck.MateC} {
-		buf = binary.AppendUvarint(buf, uint64(wire.EncodedLen(mate)))
-		buf = wire.AppendEncoded(buf, mate)
+		w.Uvarint(uint64(wire.EncodedLen(mate)))
+		w.Buf = wire.AppendEncoded(w.Buf, mate)
 	}
-	return buf
+	return w.Buf
 }
 
 // DecodeCheckpoint parses an Encode result, validating the magic, every
 // length prefix, and exact consumption: a blob that is truncated, padded,
 // or bit-flipped inside a varint decodes to an error, never to a silently
 // wrong matching (the recovery driver additionally verifies restored
-// matchings against the matrix).
+// matchings against the matrix). A mate vector's length comes from the
+// header and must fit its payload, so a forged shape is refused before
+// anything is sized from it.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) < len(checkpointMagic)+5*8 {
-		return nil, fmt.Errorf("core: checkpoint too short (%d bytes)", len(data))
+	r := wire.NewReader(data)
+	if string(r.Next(len(checkpointMagic))) != checkpointMagic {
+		return nil, fmt.Errorf("core: not a %s checkpoint (%d bytes)", checkpointMagic, len(data))
 	}
-	if string(data[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, fmt.Errorf("core: bad checkpoint magic %q", data[:len(checkpointMagic)])
-	}
-	off := len(checkpointMagic)
-	word := func() uint64 {
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v
-	}
-	ck := &Checkpoint{}
-	ck.ConfigHash = word()
-	ck.Phase = int(word())
-	ck.Cardinality = int(word())
-	ck.N1 = int(word())
-	ck.N2 = int(word())
+	ck := &Checkpoint{ConfigHash: r.U64(), Phase: int(r.U64()), Cardinality: int(r.U64()),
+		N1: int(r.U64()), N2: int(r.U64())}
 	if ck.N1 < 0 || ck.N2 < 0 {
 		return nil, fmt.Errorf("core: checkpoint header claims negative shape %dx%d", ck.N1, ck.N2)
 	}
-	rest := data[off:]
-	elen, n := binary.Uvarint(rest)
-	if n <= 0 || elen > uint64(len(rest)-n) {
-		return nil, fmt.Errorf("core: checkpoint engine id truncated")
-	}
-	ck.Engine = string(rest[n : n+int(elen)])
-	rest = rest[n+int(elen):]
-
-	for i, want := range []int{ck.N1, ck.N2} {
-		blen, n := binary.Uvarint(rest)
-		if n <= 0 || blen > uint64(len(rest)-n) {
-			return nil, fmt.Errorf("core: checkpoint mate vector %d length prefix truncated", i)
-		}
-		// Every value takes at least one byte, so a header claiming more
-		// values than the payload has bytes is forged or corrupt; rejecting it
-		// here bounds the allocation below by the blob's own length.
-		if uint64(want) > blen {
-			return nil, fmt.Errorf("core: checkpoint mate vector %d claims %d values in %d bytes", i, want, blen)
-		}
-		vals, err := wire.Decode(make([]int64, 0, want), want, rest[n:n+int(blen)])
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint mate vector %d corrupt: %w", i, err)
-		}
-		if i == 0 {
-			ck.MateR = vals
-		} else {
-			ck.MateC = vals
-		}
-		rest = rest[n+int(blen):]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after checkpoint payload", len(rest))
+	ck.Engine = string(r.Next(int(r.Uvarint())))
+	ck.MateR = r.Delta(ck.N1, int(r.Uvarint()))
+	ck.MateC = r.Delta(ck.N2, int(r.Uvarint()))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: malformed checkpoint: %w", err)
 	}
 	return ck, nil
 }

@@ -7,6 +7,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"mcmdist/internal/wire"
 )
 
 // TestPostIntoWarmQueueAllocatesNothing: Post encodes each frame straight
@@ -46,9 +48,9 @@ func TestPostIntoWarmQueueAllocatesNothing(t *testing.T) {
 // grown to a frame's size, reading that frame again allocates nothing.
 func TestReadFrameIntoWarmBufferAllocatesNothing(t *testing.T) {
 	var frame bytes.Buffer
-	var body wbuf
-	body.post(goldenPost(), 1, false)
-	if err := writeFrame(&frame, new(frameOut), framePost, body.b); err != nil {
+	var body wire.Writer
+	writePost(&body, goldenPost(), 1, false)
+	if err := writeFrame(&frame, new(frameOut), framePost, body.Buf); err != nil {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(frame.Bytes())
@@ -59,7 +61,7 @@ func TestReadFrameIntoWarmBufferAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		r.Reset(frame.Bytes())
 		typ, got, err := readFrame(r, &fb)
-		if err != nil || typ != framePost || !bytes.Equal(got, body.b) {
+		if err != nil || typ != framePost || !bytes.Equal(got, body.Buf) {
 			t.Fatalf("re-read: type %d, %d bytes, err %v", typ, len(got), err)
 		}
 	})

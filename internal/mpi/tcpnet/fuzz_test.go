@@ -4,7 +4,7 @@ package tcpnet
 // stream-level readFrame. The contract under fuzzing is the one readLoop
 // relies on — arbitrary peer bytes either decode to a well-formed value or
 // return an error, and never panic, hang, or allocate unboundedly. Seeds
-// cover one valid encoding of every frame kind (built with the real wbuf
+// cover one valid encoding of every frame kind (built with the real wire.Writer
 // encoders, so they stay in sync with the wire format), a request for the
 // reserved RMA op 3, plus the malformed shapes the decoders reject; go test -fuzz grows the corpus from there
 // under testdata/fuzz/.
@@ -12,82 +12,84 @@ package tcpnet
 import (
 	"bytes"
 	"testing"
+
+	"mcmdist/internal/wire"
 )
 
 // seedBodies builds one valid body per frame kind with the production
 // encoders — the corpus entries that start the fuzzer inside the happy path —
 // plus the body the retired type 4 (FINISH) carried until wire version 5.
 func seedBodies() [][]byte {
-	var post wbuf
-	post.str("world")
-	post.ranks([]int{0, 1, 2})
-	post.u32(1) // src
-	post.i64(7) // gen
-	post.str("allgatherv")
-	post.u32(3)
-	post.u8(1)
-	post.part([]int64{3, 5, 9}, false)
-	post.u8(0)
-	post.part(nil, false)
-	post.u8(1)
-	post.part([]int64{100, 101, 104, 109}, true) // delta-varint branch
+	var post wire.Writer
+	post.Str("world")
+	writeRanks(&post, []int{0, 1, 2})
+	post.U32(1) // src
+	post.I64(7) // gen
+	post.Str("allgatherv")
+	post.U32(3)
+	post.U8(1)
+	writePart(&post, []int64{3, 5, 9}, false)
+	post.U8(0)
+	writePart(&post, nil, false)
+	post.U8(1)
+	writePart(&post, []int64{100, 101, 104, 109}, true) // delta-varint branch
 
-	var rmaReq wbuf
-	rmaReq.u64(42)
-	rmaReq.str("mate")
-	rmaReq.u32(1)
-	rmaReq.u8(2)
-	rmaReq.i64(16)
-	rmaReq.i64(4)
-	rmaReq.ints([]int64{1, 2, 3, 4})
-	rmaReq.u8(1)
-	rmaReq.i64(-1)
+	var rmaReq wire.Writer
+	rmaReq.U64(42)
+	rmaReq.Str("mate")
+	rmaReq.U32(1)
+	rmaReq.U8(2)
+	rmaReq.I64(16)
+	rmaReq.I64(4)
+	writeInts(&rmaReq, []int64{1, 2, 3, 4})
+	rmaReq.U8(1)
+	rmaReq.I64(-1)
 
 	// An RMA_REQ for op 3, the retired compare-and-swap, in the v6 layout:
 	// it decodes, and the target's window registry refuses the op.
-	var rmaRetired wbuf
-	rmaRetired.u64(44)
-	rmaRetired.str("world/win@0")
-	rmaRetired.u32(1)
-	rmaRetired.u8(3)
-	rmaRetired.i64(0)
-	rmaRetired.i64(0)
-	rmaRetired.ints(nil)
-	rmaRetired.u8(0)
-	rmaRetired.i64(0)
+	var rmaRetired wire.Writer
+	rmaRetired.U64(44)
+	rmaRetired.Str("world/win@0")
+	rmaRetired.U32(1)
+	rmaRetired.U8(3)
+	rmaRetired.I64(0)
+	rmaRetired.I64(0)
+	writeInts(&rmaRetired, nil)
+	rmaRetired.U8(0)
+	rmaRetired.I64(0)
 
-	var rmaOK wbuf
-	rmaOK.u64(42)
-	rmaOK.u8(1)
-	rmaOK.ints([]int64{9, 9})
-	rmaOK.i64(-3)
+	var rmaOK wire.Writer
+	rmaOK.U64(42)
+	rmaOK.U8(1)
+	writeInts(&rmaOK, []int64{9, 9})
+	rmaOK.I64(-3)
 
-	var rmaErr wbuf
-	rmaErr.u64(43)
-	rmaErr.u8(0)
-	rmaErr.str("window out of range")
+	var rmaErr wire.Writer
+	rmaErr.U64(43)
+	rmaErr.U8(0)
+	rmaErr.Str("window out of range")
 
-	var abort wbuf
-	abort.u32(2)
-	abort.str("injected: link 1->2 dropped")
+	var abort wire.Writer
+	abort.U32(2)
+	abort.Str("injected: link 1->2 dropped")
 
-	var hello wbuf
-	hello.b = append(hello.b, wireMagic...)
-	hello.u8(wireVersion)
-	hello.u32(3)
-	hello.str("127.0.0.1:9301")
+	var hello wire.Writer
+	hello.Buf = append(hello.Buf, wireMagic...)
+	hello.U8(wireVersion)
+	hello.U32(3)
+	hello.Str("127.0.0.1:9301")
 
-	var roster wbuf
-	roster.u32(2)
-	roster.str("127.0.0.1:9301")
-	roster.str("127.0.0.1:9302")
-	roster.bytes([]byte(`{"v":3,"rmat":"g500","procs":2}`))
+	var roster wire.Writer
+	roster.U32(2)
+	roster.Str("127.0.0.1:9301")
+	roster.Str("127.0.0.1:9302")
+	roster.Bytes([]byte(`{"v":3,"rmat":"g500","procs":2}`))
 
 	ping := encodePing(123456789)
 	pong := encodePong(123456789, 123450000)
 	obsFrame := encodeObs(2, []byte("MCMOBS1 not really, but shaped like a payload"))
 
-	return [][]byte{post.b, retiredFinishBody(), rmaReq.b, rmaRetired.b, rmaOK.b, rmaErr.b, abort.b, hello.b, roster.b, ping, pong, obsFrame}
+	return [][]byte{post.Buf, retiredFinishBody(), rmaReq.Buf, rmaRetired.Buf, rmaOK.Buf, rmaErr.Buf, abort.Buf, hello.Buf, roster.Buf, ping, pong, obsFrame}
 }
 
 // frameRetired is the type byte FINISH carried until wire version 5.
@@ -96,12 +98,12 @@ const frameRetired byte = 4
 // retiredFinishBody is a FINISH body as wire version 4 framed it under
 // type 4: str comm | u32 n | n × u32 rank | u32 member | u64 gen.
 func retiredFinishBody() []byte {
-	var b wbuf
-	b.str("world")
-	b.ranks([]int{0, 1})
-	b.u32(1)
-	b.i64(3)
-	return b.b
+	var b wire.Writer
+	b.Str("world")
+	writeRanks(&b, []int{0, 1})
+	b.U32(1)
+	b.I64(3)
+	return b.Buf
 }
 
 // FuzzFrameDecode throws one body at every decoder. No decoder may panic on

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"mcmdist/internal/mpi"
+	"mcmdist/internal/wire"
 )
 
 // recConn is a connection that records every byte written to it and
@@ -153,17 +154,17 @@ func goldenPost() *mpi.PostMsg {
 
 // rmaReqBody hand-builds an RMA_REQ body for the handler to serve.
 func rmaReqBody(id uint64, win string, op mpi.RMAOp, off, n int) []byte {
-	var b wbuf
-	b.u64(id)
-	b.str(win)
-	b.u32(0)
-	b.u8(byte(op))
-	b.i64(int64(off))
-	b.i64(int64(n))
-	b.ints(nil)
-	b.u8(0)
-	b.i64(0)
-	return b.b
+	var b wire.Writer
+	b.U64(id)
+	b.Str(win)
+	b.U32(0)
+	b.U8(byte(op))
+	b.I64(int64(off))
+	b.I64(int64(n))
+	writeInts(&b, nil)
+	b.U8(0)
+	b.I64(0)
+	return b.Buf
 }
 
 // goldenCaptures produces the frame of every golden entry.
@@ -277,11 +278,11 @@ func captureRoster(t *testing.T) []byte {
 	if len(body) < 8+len(addr) || string(body[8:8+len(addr)]) != addr {
 		t.Fatalf("ROSTER does not open with the rendezvous address %q", addr)
 	}
-	var canon wbuf
-	canon.b = append(canon.b, body[:4]...)
-	canon.str(rosterCoordAddr)
-	canon.b = append(canon.b, body[8+len(addr):]...)
-	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(canon.b))), append([]byte{hdr[4]}, canon.b...)...)
+	var canon wire.Writer
+	canon.Buf = append(canon.Buf, body[:4]...)
+	canon.Str(rosterCoordAddr)
+	canon.Buf = append(canon.Buf, body[8+len(addr):]...)
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(canon.Buf))), append([]byte{hdr[4]}, canon.Buf...)...)
 }
 
 // TestGoldenFrames compares the frame of every type with the recorded

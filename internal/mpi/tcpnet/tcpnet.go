@@ -34,6 +34,7 @@ import (
 
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/obs"
+	"mcmdist/internal/wire"
 )
 
 // Options tunes the backend's timeouts. The zero value selects the defaults.
@@ -263,15 +264,15 @@ func (rv *Rendezvous) Coordinate(size int, config []byte) (*Net, error) {
 		n.peers[rank] = newPeer(rank, conn)
 		addrs[rank] = listenAddr
 	}
-	var body wbuf
-	body.u32(uint32(size))
+	var body wire.Writer
+	body.U32(uint32(size))
 	for _, a := range addrs {
-		body.str(a)
+		body.Str(a)
 	}
-	body.bytes(config)
+	body.Bytes(config)
 	for r := 1; r < size; r++ {
 		p := n.peers[r]
-		if err := n.send(p, frameRoster, body.b); err != nil {
+		if err := n.send(p, frameRoster, body.Buf); err != nil {
 			n.teardown()
 			return nil, fmt.Errorf("tcpnet: sending roster to rank %d: %w", r, err)
 		}
@@ -438,13 +439,12 @@ func newPeer(rank int, conn net.Conn) *peer {
 }
 
 func writeHello(conn net.Conn, rank int, listenAddr string, opts Options) error {
-	var b wbuf
-	b.b = append(b.b, wireMagic...)
-	b.u8(wireVersion)
-	b.u32(uint32(rank))
-	b.str(listenAddr)
+	b := wire.Writer{Buf: []byte(wireMagic)}
+	b.U8(wireVersion)
+	b.U32(uint32(rank))
+	b.Str(listenAddr)
 	conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
-	err := writeFrame(conn, new(frameOut), frameHello, b.b)
+	err := writeFrame(conn, new(frameOut), frameHello, b.Buf)
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		return fmt.Errorf("tcpnet: sending hello: %w", err)
@@ -718,15 +718,15 @@ func (n *Net) enqueuePost(p *peer, msg *mpi.PostMsg, i int, compress bool) error
 		return fmt.Errorf("tcpnet: writer to rank %d stopped", p.rank)
 	}
 	start := len(p.qbuf)
-	q := wbuf{b: append(p.qbuf, 0, 0, 0, 0, framePost)}
-	q.post(msg, i, compress)
-	body := len(q.b) - start - 5
+	q := wire.Writer{Buf: append(p.qbuf, 0, 0, 0, 0, framePost)}
+	writePost(&q, msg, i, compress)
+	body := len(q.Buf) - start - 5
 	if body > maxFrame {
-		p.qbuf = q.b[:start]
+		p.qbuf = q.Buf[:start]
 		return fmt.Errorf("tcpnet: %s frame body %d bytes exceeds cap %d", frameName(framePost), body, maxFrame)
 	}
-	binary.LittleEndian.PutUint32(q.b[start:], uint32(body))
-	p.qbuf = q.b
+	binary.LittleEndian.PutUint32(q.Buf[start:], uint32(body))
+	p.qbuf = q.Buf
 	n.frames.Add(1)
 	p.qcv.Signal()
 	return nil
@@ -862,17 +862,17 @@ func (n *Net) RMA(rank int, req *mpi.RMAReq) (*mpi.RMAResp, error) {
 	n.pending.Store(id, ch)
 	defer n.pending.Delete(id)
 
-	var b wbuf
-	b.u64(id)
-	b.str(req.Win)
-	b.u32(uint32(req.Member))
-	b.u8(byte(req.Op))
-	b.i64(int64(req.Off))
-	b.i64(int64(req.N))
-	b.ints(req.Data)
-	b.u8(byte(req.Code))
-	b.i64(req.Operand)
-	if err := n.send(p, frameRMAReq, b.b); err != nil {
+	var b wire.Writer
+	b.U64(id)
+	b.Str(req.Win)
+	b.U32(uint32(req.Member))
+	b.U8(byte(req.Op))
+	b.I64(int64(req.Off))
+	b.I64(int64(req.N))
+	writeInts(&b, req.Data)
+	b.U8(byte(req.Code))
+	b.I64(req.Operand)
+	if err := n.send(p, frameRMAReq, b.Buf); err != nil {
 		return nil, fmt.Errorf("tcpnet: rma call %d to rank %d: %w", id, rank, err)
 	}
 	reply := <-ch
@@ -888,13 +888,13 @@ func (n *Net) RMA(rank int, req *mpi.RMAReq) (*mpi.RMAResp, error) {
 // never come from a world that is dying, and the callers must unwind
 // through the abort plane.
 func (n *Net) Abort(msg string) {
-	var b wbuf
-	b.u32(uint32(n.rank))
-	b.str(msg)
+	var b wire.Writer
+	b.U32(uint32(n.rank))
+	b.Str(msg)
 	deadline := time.Now().Add(n.opts.CloseTimeout)
 	for _, p := range n.peers {
 		if p != nil {
-			n.sendTimed(p, frameAbort, b.b, deadline)
+			n.sendTimed(p, frameAbort, b.Buf, deadline)
 		}
 	}
 	n.failPending(fmt.Errorf("tcpnet: world aborted: %s", msg))
@@ -1149,17 +1149,17 @@ func (n *Net) handle(p *peer, typ byte, body []byte) error {
 			return fmt.Errorf("%w (from rank %d)", err, p.rank)
 		}
 		resp, rmaErr := w.ExecRMA(req)
-		var b wbuf
-		b.u64(id)
+		var b wire.Writer
+		b.U64(id)
 		if rmaErr != nil {
-			b.u8(0)
-			b.str(rmaErr.Error())
+			b.U8(0)
+			b.Str(rmaErr.Error())
 		} else {
-			b.u8(1)
-			b.ints(resp.Data)
-			b.i64(resp.Old)
+			b.U8(1)
+			writeInts(&b, resp.Data)
+			b.I64(resp.Old)
 		}
-		if err := n.send(p, frameRMAResp, b.b); err != nil {
+		if err := n.send(p, frameRMAResp, b.Buf); err != nil {
 			return fmt.Errorf("tcpnet: rma reply %d to rank %d: %w", id, p.rank, err)
 		}
 	case frameRMAResp:

@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -140,207 +141,95 @@ func frameName(t byte) string {
 	}
 }
 
-// wbuf builds a frame body.
-type wbuf struct{ b []byte }
+// The compound fields of the frame bodies, over the wire package's
+// Writer and Reader.
 
-func (w *wbuf) u8(v byte)    { w.b = append(w.b, v) }
-func (w *wbuf) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *wbuf) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *wbuf) i64(v int64)  { w.u64(uint64(v)) }
-
-func (w *wbuf) str(s string) {
-	w.u32(uint32(len(s)))
-	w.b = append(w.b, s...)
-}
-
-func (w *wbuf) bytes(p []byte) {
-	w.u32(uint32(len(p)))
-	w.b = append(w.b, p...)
-}
-
-func (w *wbuf) ints(v []int64) {
-	w.u32(uint32(len(v)))
+// writeInts writes an ints field: u32 count | count × u64.
+func writeInts(w *wire.Writer, v []int64) {
+	w.U32(uint32(len(v)))
 	for _, x := range v {
-		w.i64(x)
+		w.I64(x)
 	}
 }
 
-// part writes one POST part payload under the chosen encoding.
-func (w *wbuf) part(v []int64, compress bool) {
-	if !compress {
-		w.u8(encRaw)
-		w.ints(v)
-		return
-	}
-	w.u8(encDelta)
-	w.u32(uint32(len(v)))
-	lenOff := len(w.b)
-	w.u32(0) // nbytes backpatched below
-	w.b = wire.AppendEncoded(w.b, v)
-	binary.LittleEndian.PutUint32(w.b[lenOff:], uint32(len(w.b)-lenOff-4))
-}
-
-func (w *wbuf) ranks(rs []int) {
-	w.u32(uint32(len(rs)))
-	for _, r := range rs {
-		w.u32(uint32(r))
-	}
-}
-
-// post writes the POST body that carries member i's part: the envelope,
-// then one slot per member, of which only slot i may be present.
-func (w *wbuf) post(msg *mpi.PostMsg, i int, compress bool) {
-	w.str(msg.Comm)
-	w.ranks(msg.Ranks)
-	w.u32(uint32(msg.Src))
-	w.i64(msg.Gen)
-	w.str(msg.Op)
-	w.u32(uint32(len(msg.Ranks)))
-	for j := range msg.Ranks {
-		if j == i && j < len(msg.Present) && msg.Present[j] {
-			w.u8(1)
-			w.part(msg.Parts[j], compress)
-		} else {
-			w.u8(0)
-			w.part(nil, false)
-		}
-	}
-}
-
-// rbuf decodes a frame body. The first malformed field poisons the buffer;
-// err() reports it after decoding.
-type rbuf struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *rbuf) fail() {
-	r.bad = true
-}
-
-func (r *rbuf) u8() byte {
-	if r.bad || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *rbuf) u32() uint32 {
-	if r.bad || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *rbuf) u64() uint64 {
-	if r.bad || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *rbuf) i64() int64 { return int64(r.u64()) }
-
-func (r *rbuf) str() string {
-	n := int(r.u32())
-	if r.bad || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *rbuf) bytesField() []byte {
-	n := int(r.u32())
-	if r.bad || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	p := append([]byte(nil), r.b[r.off:r.off+n]...)
-	r.off += n
-	return p
-}
-
-func (r *rbuf) ints() []int64 {
-	n := int(r.u32())
-	if r.bad || n < 0 || r.off+8*n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return []int64{}
-	}
-	v := make([]int64, n)
+func readInts(r *wire.Reader) []int64 {
+	v := make([]int64, r.Count(8))
 	for i := range v {
-		v[i] = r.i64()
+		v[i] = r.I64()
 	}
 	return v
 }
 
-// part reads one POST part payload, dispatching on its encoding byte.
-func (r *rbuf) part() []int64 {
-	switch r.u8() {
-	case encRaw:
-		return r.ints()
-	case encDelta:
-		count := int(r.u32())
-		nb := int(r.u32())
-		if r.bad || count < 0 || nb < 0 || r.off+nb > len(r.b) {
-			r.fail()
-			return nil
-		}
-		// Every delta-varint value is at least one byte, so a count beyond
-		// the payload length is malformed; rejecting it here keeps a corrupt
-		// header from forcing a count-sized allocation before Decode fails.
-		if count > nb {
-			r.fail()
-			return nil
-		}
-		v, err := wire.Decode(make([]int64, 0, count), count, r.b[r.off:r.off+nb])
-		if err != nil {
-			r.fail()
-			return nil
-		}
-		r.off += nb
-		return v
-	default:
-		r.fail()
-		return nil
+func writeRanks(w *wire.Writer, rs []int) {
+	w.U32(uint32(len(rs)))
+	for _, r := range rs {
+		w.U32(uint32(r))
 	}
 }
 
-func (r *rbuf) ranks() []int {
-	n := int(r.u32())
-	if r.bad || n < 0 || r.off+4*n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	rs := make([]int, n)
+func readRanks(r *wire.Reader) []int {
+	rs := make([]int, r.Count(4))
 	for i := range rs {
-		rs[i] = int(r.u32())
+		rs[i] = int(r.U32())
 	}
 	return rs
 }
 
-// err reports the first decode failure, also flagging trailing garbage.
-func (r *rbuf) err(frame byte) error {
-	if r.bad {
-		return fmt.Errorf("tcpnet: malformed %s frame (%d bytes)", frameName(frame), len(r.b))
+// writePart writes one POST part payload under the chosen encoding.
+func writePart(w *wire.Writer, v []int64, compress bool) {
+	if !compress {
+		w.U8(encRaw)
+		writeInts(w, v)
+		return
 	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("tcpnet: %s frame has %d trailing bytes", frameName(frame), len(r.b)-r.off)
+	w.U8(encDelta)
+	w.U32(uint32(len(v)))
+	lenOff := len(w.Buf)
+	w.U32(0) // nbytes backpatched below
+	w.Buf = wire.AppendEncoded(w.Buf, v)
+	binary.LittleEndian.PutUint32(w.Buf[lenOff:], uint32(len(w.Buf)-lenOff-4))
+}
+
+// readPart reads one POST part payload, dispatching on its encoding byte.
+func readPart(r *wire.Reader) []int64 {
+	switch r.U8() {
+	case encRaw:
+		return readInts(r)
+	case encDelta:
+		count := int(r.U32())
+		return r.Delta(count, int(r.U32()))
+	default:
+		r.Fail(errPartEncoding)
+		return nil
+	}
+}
+
+var errPartEncoding = errors.New("tcpnet: unknown part encoding")
+
+// writePost writes the POST body that carries member i's part: the
+// envelope, then one slot per member, of which only slot i may be present.
+func writePost(w *wire.Writer, msg *mpi.PostMsg, i int, compress bool) {
+	w.Str(msg.Comm)
+	writeRanks(w, msg.Ranks)
+	w.U32(uint32(msg.Src))
+	w.I64(msg.Gen)
+	w.Str(msg.Op)
+	w.U32(uint32(len(msg.Ranks)))
+	for j := range msg.Ranks {
+		if j == i && j < len(msg.Present) && msg.Present[j] {
+			w.U8(1)
+			writePart(w, msg.Parts[j], compress)
+		} else {
+			w.U8(0)
+			writePart(w, nil, false)
+		}
+	}
+}
+
+// frameErr reports a body's first decode failure, trailing bytes included.
+func frameErr(r *wire.Reader, frame byte) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("tcpnet: malformed %s frame: %w", frameName(frame), err)
 	}
 	return nil
 }
@@ -426,22 +315,22 @@ const frameReadChunk = 1 << 20
 
 // decodePost decodes a POST frame body.
 func decodePost(body []byte) (*mpi.PostMsg, error) {
-	rb := rbuf{b: body}
-	msg := &mpi.PostMsg{Comm: rb.str(), Ranks: rb.ranks()}
-	msg.Src = int(rb.u32())
-	msg.Gen = rb.i64()
-	msg.Op = rb.str()
-	nparts := int(rb.u32())
-	if rb.bad || nparts != len(msg.Ranks) {
+	rb := wire.NewReader(body)
+	msg := &mpi.PostMsg{Comm: rb.Str(), Ranks: readRanks(&rb)}
+	msg.Src = int(rb.U32())
+	msg.Gen = rb.I64()
+	msg.Op = rb.Str()
+	nparts := int(rb.U32())
+	if rb.Err() != nil || nparts != len(msg.Ranks) {
 		return nil, fmt.Errorf("tcpnet: POST parts/ranks mismatch")
 	}
 	msg.Parts = make([][]int64, nparts)
 	msg.Present = make([]bool, nparts)
 	for i := 0; i < nparts; i++ {
-		msg.Present[i] = rb.u8() != 0
-		msg.Parts[i] = rb.part()
+		msg.Present[i] = rb.U8() != 0
+		msg.Parts[i] = readPart(&rb)
 	}
-	if err := rb.err(framePost); err != nil {
+	if err := frameErr(&rb, framePost); err != nil {
 		return nil, err
 	}
 	return msg, nil
@@ -449,12 +338,12 @@ func decodePost(body []byte) (*mpi.PostMsg, error) {
 
 // decodeRMAReq decodes an RMA_REQ frame body.
 func decodeRMAReq(body []byte) (id uint64, req *mpi.RMAReq, err error) {
-	rb := rbuf{b: body}
-	id = rb.u64()
-	req = &mpi.RMAReq{Win: rb.str(), Member: int(rb.u32()), Op: mpi.RMAOp(rb.u8()),
-		Off: int(rb.i64()), N: int(rb.i64()), Data: rb.ints(), Code: mpi.OpCode(rb.u8())}
-	req.Operand = rb.i64()
-	if err := rb.err(frameRMAReq); err != nil {
+	rb := wire.NewReader(body)
+	id = rb.U64()
+	req = &mpi.RMAReq{Win: rb.Str(), Member: int(rb.U32()), Op: mpi.RMAOp(rb.U8()),
+		Off: int(rb.I64()), N: int(rb.I64()), Data: readInts(&rb), Code: mpi.OpCode(rb.U8())}
+	req.Operand = rb.I64()
+	if err := frameErr(&rb, frameRMAReq); err != nil {
 		return 0, nil, err
 	}
 	return id, req, nil
@@ -463,15 +352,15 @@ func decodeRMAReq(body []byte) (id uint64, req *mpi.RMAReq, err error) {
 // decodeRMAResp decodes an RMA_RESP frame body; remoteErr carries the
 // remote side's failure rendering when ok is false.
 func decodeRMAResp(body []byte) (id uint64, resp *mpi.RMAResp, remoteErr string, ok bool, err error) {
-	rb := rbuf{b: body}
-	id = rb.u64()
-	ok = rb.u8() != 0
+	rb := wire.NewReader(body)
+	id = rb.U64()
+	ok = rb.U8() != 0
 	if ok {
-		resp = &mpi.RMAResp{Data: rb.ints(), Old: rb.i64()}
+		resp = &mpi.RMAResp{Data: readInts(&rb), Old: rb.I64()}
 	} else {
-		remoteErr = rb.str()
+		remoteErr = rb.Str()
 	}
-	if err := rb.err(frameRMAResp); err != nil {
+	if err := frameErr(&rb, frameRMAResp); err != nil {
 		return 0, nil, "", false, err
 	}
 	return id, resp, remoteErr, ok, nil
@@ -479,10 +368,10 @@ func decodeRMAResp(body []byte) (id uint64, resp *mpi.RMAResp, remoteErr string,
 
 // decodeAbort decodes an ABORT frame body.
 func decodeAbort(body []byte) (from int, msg string, err error) {
-	rb := rbuf{b: body}
-	from = int(rb.u32())
-	msg = rb.str()
-	if err := rb.err(frameAbort); err != nil {
+	rb := wire.NewReader(body)
+	from = int(rb.U32())
+	msg = rb.Str()
+	if err := frameErr(&rb, frameAbort); err != nil {
 		return 0, "", err
 	}
 	return from, msg, nil
@@ -490,16 +379,16 @@ func decodeAbort(body []byte) (from int, msg string, err error) {
 
 // encodePing builds a PING body: the sender's trace clock at send time.
 func encodePing(t0 int64) []byte {
-	var wb wbuf
-	wb.i64(t0)
-	return wb.b
+	var wb wire.Writer
+	wb.I64(t0)
+	return wb.Buf
 }
 
 // decodePing decodes a PING frame body.
 func decodePing(body []byte) (t0 int64, err error) {
-	rb := rbuf{b: body}
-	t0 = rb.i64()
-	if err := rb.err(framePing); err != nil {
+	rb := wire.NewReader(body)
+	t0 = rb.I64()
+	if err := frameErr(&rb, framePing); err != nil {
 		return 0, err
 	}
 	return t0, nil
@@ -508,18 +397,18 @@ func decodePing(body []byte) (t0 int64, err error) {
 // encodePong builds a PONG body: the probe's echoed timestamp plus the
 // responder's own trace clock at reply time.
 func encodePong(t0, tPeer int64) []byte {
-	var wb wbuf
-	wb.i64(t0)
-	wb.i64(tPeer)
-	return wb.b
+	var wb wire.Writer
+	wb.I64(t0)
+	wb.I64(tPeer)
+	return wb.Buf
 }
 
 // decodePong decodes a PONG frame body.
 func decodePong(body []byte) (t0, tPeer int64, err error) {
-	rb := rbuf{b: body}
-	t0 = rb.i64()
-	tPeer = rb.i64()
-	if err := rb.err(framePong); err != nil {
+	rb := wire.NewReader(body)
+	t0 = rb.I64()
+	tPeer = rb.I64()
+	if err := frameErr(&rb, framePong); err != nil {
 		return 0, 0, err
 	}
 	return t0, tPeer, nil
@@ -528,19 +417,19 @@ func decodePong(body []byte) (t0, tPeer int64, err error) {
 // encodeObs builds an OBS body: the shipping rank plus its opaque
 // internal/obs payload.
 func encodeObs(from int, payload []byte) []byte {
-	wb := wbuf{b: make([]byte, 0, 8+len(payload))}
-	wb.u32(uint32(from))
-	wb.bytes(payload)
-	return wb.b
+	wb := wire.Writer{Buf: make([]byte, 0, 8+len(payload))}
+	wb.U32(uint32(from))
+	wb.Bytes(payload)
+	return wb.Buf
 }
 
 // decodeObs decodes an OBS frame body. The payload stays opaque here — the
 // internal/obs decoder owns its format and is fuzz-hardened separately.
 func decodeObs(body []byte) (from int, payload []byte, err error) {
-	rb := rbuf{b: body}
-	from = int(rb.u32())
-	payload = rb.bytesField()
-	if err := rb.err(frameObs); err != nil {
+	rb := wire.NewReader(body)
+	from = int(rb.U32())
+	payload = rb.Bytes()
+	if err := frameErr(&rb, frameObs); err != nil {
 		return 0, nil, err
 	}
 	return from, payload, nil
@@ -549,17 +438,16 @@ func decodeObs(body []byte) (from int, payload []byte, err error) {
 // parseHello decodes a HELLO frame body: magic, version, rank, mesh
 // listen address.
 func parseHello(body []byte) (rank int, listenAddr string, err error) {
-	rb := rbuf{b: body}
-	if len(rb.b) < len(wireMagic) || string(rb.b[:len(wireMagic)]) != wireMagic {
+	rb := wire.NewReader(body)
+	if string(rb.Next(len(wireMagic))) != wireMagic {
 		return 0, "", fmt.Errorf("tcpnet: bad magic in hello (foreign peer?)")
 	}
-	rb.off = len(wireMagic)
-	if v := rb.u8(); v != wireVersion {
+	if v := rb.U8(); v != wireVersion {
 		return 0, "", fmt.Errorf("tcpnet: peer speaks wire version %d, this build speaks %d", v, wireVersion)
 	}
-	rank = int(rb.u32())
-	listenAddr = rb.str()
-	if err := rb.err(frameHello); err != nil {
+	rank = int(rb.U32())
+	listenAddr = rb.Str()
+	if err := frameErr(&rb, frameHello); err != nil {
 		return 0, "", err
 	}
 	return rank, listenAddr, nil
@@ -568,17 +456,17 @@ func parseHello(body []byte) (rank int, listenAddr string, err error) {
 // parseRoster decodes a ROSTER frame body: the world's mesh addresses plus
 // the coordinator's opaque config blob.
 func parseRoster(body []byte) (addrs []string, config []byte, err error) {
-	rb := rbuf{b: body}
-	size := int(rb.u32())
-	if rb.bad || size <= 0 || size > 1<<20 {
+	rb := wire.NewReader(body)
+	size := rb.Count(4)
+	if rb.Err() != nil || size <= 0 || size > 1<<20 {
 		return nil, nil, fmt.Errorf("tcpnet: malformed roster size")
 	}
 	addrs = make([]string, size)
 	for i := range addrs {
-		addrs[i] = rb.str()
+		addrs[i] = rb.Str()
 	}
-	config = rb.bytesField()
-	if err := rb.err(frameRoster); err != nil {
+	config = rb.Bytes()
+	if err := frameErr(&rb, frameRoster); err != nil {
 		return nil, nil, err
 	}
 	return addrs, config, nil

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mcmdist/internal/wire"
 )
 
 // TestFrameTypeBytes pins every frame type's byte, so the committed fuzz
@@ -46,12 +48,12 @@ func TestHelloRefusesV4Peer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var hello wbuf
-	hello.b = append(hello.b, wireMagic...)
-	hello.u8(4)
-	hello.u32(1)
-	hello.str("127.0.0.1:1")
-	if err := writeFrame(conn, new(frameOut), frameHello, hello.b); err != nil {
+	var hello wire.Writer
+	hello.Buf = append(hello.Buf, wireMagic...)
+	hello.U8(4)
+	hello.U32(1)
+	hello.Str("127.0.0.1:1")
+	if err := writeFrame(conn, new(frameOut), frameHello, hello.Buf); err != nil {
 		t.Fatal(err)
 	}
 	err = <-done
@@ -60,7 +62,7 @@ func TestHelloRefusesV4Peer(t *testing.T) {
 	}
 }
 
-// TestPartRoundtrip: every payload survives wbuf.part → rbuf.part under both
+// TestPartRoundtrip: every payload survives writePart → readPart under both
 // encodings, and the delta encoding is the smaller one on the sorted-run
 // payloads POST actually carries (id streams from fold/expand exchanges).
 func TestPartRoundtrip(t *testing.T) {
@@ -83,15 +85,15 @@ func TestPartRoundtrip(t *testing.T) {
 	}
 	for pi, v := range payloads {
 		for _, compress := range []bool{false, true} {
-			var w wbuf
-			w.part(v, compress)
-			r := &rbuf{b: w.b}
-			got := r.part()
-			if err := r.err(framePost); err != nil {
+			var w wire.Writer
+			writePart(&w, v, compress)
+			r := wire.NewReader(w.Buf)
+			got := readPart(&r)
+			if err := frameErr(&r, framePost); err != nil {
 				t.Fatalf("payload %d compress=%v: decode error: %v", pi, compress, err)
 			}
-			if r.off != len(r.b) {
-				t.Fatalf("payload %d compress=%v: %d trailing bytes", pi, compress, len(r.b)-r.off)
+			if err := r.Done(); err != nil {
+				t.Fatalf("payload %d compress=%v: %v", pi, compress, err)
 			}
 			if want, have := fmt.Sprint(v), fmt.Sprint(got); len(v) > 0 && want != have {
 				t.Fatalf("payload %d compress=%v: roundtrip %s != %s", pi, compress, have, want)
@@ -101,25 +103,25 @@ func TestPartRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	var raw, enc wbuf
-	raw.part(sorted, false)
-	enc.part(sorted, true)
-	if len(enc.b)*2 >= len(raw.b) {
-		t.Fatalf("delta encoding of a sorted run is not at least 2x smaller: %d vs %d bytes", len(enc.b), len(raw.b))
+	var raw, enc wire.Writer
+	writePart(&raw, sorted, false)
+	writePart(&enc, sorted, true)
+	if len(enc.Buf)*2 >= len(raw.Buf) {
+		t.Fatalf("delta encoding of a sorted run is not at least 2x smaller: %d vs %d bytes", len(enc.Buf), len(raw.Buf))
 	}
 }
 
 // TestPartDecodeRejectsTruncation: a delta part whose nbytes runs past the
 // buffer, or whose varint stream decodes to fewer values than count, must
-// poison the rbuf instead of panicking or returning garbage.
+// poison the reader instead of panicking or returning garbage.
 func TestPartDecodeRejectsTruncation(t *testing.T) {
-	var w wbuf
-	w.part([]int64{5, 9, 12, 40, 41}, true)
-	for cut := 1; cut < len(w.b); cut++ {
-		r := &rbuf{b: w.b[:cut]}
-		r.part()
-		if err := r.err(framePost); err == nil {
-			t.Fatalf("truncation at %d/%d bytes decoded cleanly", cut, len(w.b))
+	var w wire.Writer
+	writePart(&w, []int64{5, 9, 12, 40, 41}, true)
+	for cut := 1; cut < len(w.Buf); cut++ {
+		r := wire.NewReader(w.Buf[:cut])
+		readPart(&r)
+		if err := frameErr(&r, framePost); err == nil {
+			t.Fatalf("truncation at %d/%d bytes decoded cleanly", cut, len(w.Buf))
 		}
 	}
 }

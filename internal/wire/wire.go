@@ -1,12 +1,20 @@
-// Package wire implements the delta-varint codec the transports use to
-// compress []int64 payloads. Frontier expands, visited-row replications and
-// fold triples are streams of vertex ids that are sorted (or piecewise
-// sorted), so consecutive differences are small and a varint of the zigzag
-// delta packs most entries into one or two bytes instead of eight.
+// Package wire holds the binary codecs every decoder of network or disk
+// bytes goes through: the delta-varint stream codec for []int64 payloads,
+// and the Writer/Reader pair that the tcpnet frames (MCMNET1), the
+// observability shipments and flight dumps (MCMOBS1, MCMFDR1) and the
+// checkpoints (MCMCKPT2) are written and read with. The formats themselves
+// stay with their owners; this package owns the field encodings and the one
+// guard that keeps a forged count from driving an allocation the input's
+// own length cannot back (Reader.fits).
 //
-// The codec is total: any []int64 round-trips, sorted or not, because the
-// delta is computed with wrap-around uint64 arithmetic (so even the
-// MaxInt64-MinInt64 gap is representable) and zigzag-mapped before the
+// Delta-varint streams. Frontier expands, visited-row replications and fold
+// triples are streams of vertex ids that are sorted (or piecewise sorted),
+// so consecutive differences are small and a varint of the zigzag delta
+// packs most entries into one or two bytes instead of eight.
+//
+// The stream codec is total: any []int64 round-trips, sorted or not,
+// because the delta is computed with wrap-around uint64 arithmetic (so even
+// the MaxInt64-MinInt64 gap is representable) and zigzag-mapped before the
 // varint. Unsorted or adversarial inputs merely compress poorly — they can
 // never fail to encode, which is what lets the tcp backend apply the codec
 // to every mailbox payload without classifying them first.
@@ -66,8 +74,8 @@ func Decode(dst []int64, count int, src []byte) ([]int64, error) {
 	return dst, nil
 }
 
-// uvarintLen is the encoded size of one uvarint, without writing it.
-func uvarintLen(z uint64) int {
+// UvarintLen is the encoded size of one uvarint, without writing it.
+func UvarintLen(z uint64) int {
 	return (bits.Len64(z|1) + 6) / 7
 }
 
@@ -77,7 +85,7 @@ func EncodedLen(v []int64) int {
 	var prev uint64
 	n := 0
 	for _, x := range v {
-		n += uvarintLen(zigzag(uint64(x) - prev))
+		n += UvarintLen(zigzag(uint64(x) - prev))
 		prev = uint64(x)
 	}
 	return n
