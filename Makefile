@@ -45,9 +45,12 @@ soak:
 # the MCMNET1 frame reader and per-frame body decoders (now including
 # PING/PONG/OBS), the POST delivery shape, the delta-varint codec, the
 # observation-shipping / flight-dump codecs whose decoders face network and
-# crash-recovered bytes, the checkpoint decoder, and the job-spec decoder a
-# worker runs on the rendezvous blob. Go allows one -fuzz pattern per
-# invocation, so each target gets its own run; FUZZTIME scales the pass.
+# crash-recovered bytes, the checkpoint decoder, the job-spec decoder a
+# worker runs on the rendezvous blob, and the Matrix Market parser behind
+# FromMatrixMarketFile. The binary decoders all read through internal/wire's
+# Reader, so its count guard is fuzzed from every side. Go allows one -fuzz
+# pattern per invocation, so each target gets its own run; FUZZTIME scales
+# the pass.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/mpi/tcpnet/
@@ -57,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzObsDecode$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) ./internal/distjob/
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/mtx/
 
 # Cross-process chaos smoke: a supervised 4-process TCP solve whose rank-2
 # worker is SIGKILLed mid-solve; the world must restart, a replacement
