@@ -86,8 +86,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: checkpoint header claims negative shape %dx%d", ck.N1, ck.N2)
 	}
 	ck.Engine = string(r.Next(int(r.Uvarint())))
-	ck.MateR = r.Delta(ck.N1, int(r.Uvarint()))
-	ck.MateC = r.Delta(ck.N2, int(r.Uvarint()))
+	ck.MateR = r.Delta(ck.N1, int(r.Uvarint()), nil)
+	ck.MateC = r.Delta(ck.N2, int(r.Uvarint()), nil)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("core: malformed checkpoint: %w", err)
 	}

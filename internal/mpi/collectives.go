@@ -195,17 +195,18 @@ func (c *Comm) Split(color, key int) *Comm {
 	for d := 0; d < size; d++ {
 		parts[d] = []int64{int64(color), int64(key)}
 	}
-	got := c.exchange(parts, "split")
-	if color < 0 {
-		return nil
-	}
 	type memberInfo struct{ key, member int }
 	var members []memberInfo
-	for s := 0; s < size; s++ {
-		ck := asInts(got[s])
-		if int(ck[0]) == color {
-			members = append(members, memberInfo{key: int(ck[1]), member: s})
+	c.exchange(parts, "split", func(got []any) {
+		for s := 0; s < size; s++ {
+			ck := asInts(got[s])
+			if int(ck[0]) == color {
+				members = append(members, memberInfo{key: int(ck[1]), member: s})
+			}
 		}
+	})
+	if color < 0 {
+		return nil
 	}
 	// Sort by (key, member); insertion sort keeps this dependency-free.
 	for i := 1; i < len(members); i++ {

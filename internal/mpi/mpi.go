@@ -32,6 +32,9 @@
 // sender's buffer directly, across processes the transport has already
 // copied each remote part into its own message, so a lending collective
 // costs one traversal of the fabric and no read notice ever crosses it.
+// Those copies live in buffers from the world's free list (Payloads): the
+// mailbox owns each one until its generation retires here, then puts it
+// back for the next remote part of its size class.
 //
 // Payloads are []int64 throughout: every object the matching algorithms
 // communicate (indices, mates, parents, roots) is an integer, and a flat
@@ -227,6 +230,9 @@ type World struct {
 	// (under mu). Collection is strictly per-process — see ObsEvents.
 	obsTracers []*obs.Tracer
 	obsEvents  []obs.Event
+
+	// payloads recycles the buffers remote parts arrive in (see Payloads).
+	payloads Payloads
 }
 
 type meterCell struct {
@@ -390,15 +396,24 @@ func (st *commState) nextArrived(m int, gen int64, delivered []bool) (int, any) 
 }
 
 // finishRead declares one local member done reading gen. When the last
-// member hosted in this process finishes, the generation retires here: its
-// posted buffers are dropped and waitConsumed waiters are released. Every
-// reader waits for all sources before finishing, so no remote post for gen
-// can arrive after it retires.
+// member hosted in this process finishes, the generation retires here: the
+// parts remote members posted go back to the world's free list (Payloads),
+// local members' send buffers are dropped, and waitConsumed waiters are
+// released. Every reader waits for all sources before finishing, so no
+// remote post for gen can arrive after it retires, and every reader is done
+// with gen's parts before it finishes, so none is read after it is put back.
 func (st *commState) finishRead(gen int64) {
 	st.mu.Lock()
 	st.taken[gen]++
 	if st.taken[gen] == st.nlocal {
 		for s := range st.posted {
+			if st.nlocal < len(st.ranks) && !st.world.isLocalRank(st.ranks[s]) {
+				for _, p := range st.posted[s][gen] {
+					if p != nil {
+						st.world.payloads.Put(p.([]int64))
+					}
+				}
+			}
 			delete(st.posted[s], gen)
 		}
 		delete(st.arrived, gen)
@@ -572,12 +587,14 @@ func (w *World) TotalMeter() Meter {
 }
 
 // exchange is the blocking rendezvous retained for Split and WinCreate:
-// member r contributes parts (one entry per destination member) and
-// receives one entry per source member, returning only after every member
-// has posted. All members of a communicator must call collectives in the
-// same order (standard MPI semantics); the per-handle generation counter
-// does the matching.
-func (c *Comm) exchange(parts []any, op string) []any {
+// member r contributes parts (one entry per destination member) and read
+// receives one entry per source member once every member has posted (nil
+// read ignores them). read runs before this member retires the generation:
+// a retired generation's remote parts go back to the world's free list, so
+// got must not be read, or kept, after read returns. All members of a
+// communicator must call collectives in the same order (standard MPI
+// semantics); the per-handle generation counter does the matching.
+func (c *Comm) exchange(parts []any, op string, read func(got []any)) {
 	st := c.st
 	if len(parts) != len(st.ranks) {
 		panic(fmt.Sprintf("mpi: exchange with %d parts on a %d-rank comm", len(parts), len(st.ranks)))
@@ -592,11 +609,13 @@ func (c *Comm) exchange(parts []any, op string) []any {
 	}
 	st.post(c.member, gen, parts, op)
 	got := st.collect(c.member, gen)
+	if read != nil {
+		read(got)
+	}
 	st.finishRead(gen)
 	if tr != nil {
 		tr.EndFlow(obs.KindCollective, op, t0, gen, obs.FlowID(st.id, gen))
 	}
-	return got
 }
 
 func logTreeDepth(p int) int64 {
@@ -616,15 +635,16 @@ func (w *World) isLocalRank(r int) bool {
 }
 
 // commStateFor returns the communicator state with the given id,
-// materializing it (with the given membership) on first touch. Remote
-// traffic for a communicator can arrive before any local rank has Split it;
-// both paths meet here under w.mu. A communicator materialized after the
-// world aborted starts aborted, so late waiters unwind immediately.
+// materializing it (with a copy of the given membership) on first touch.
+// Remote traffic for a communicator can arrive before any local rank has
+// Split it; both paths meet here under w.mu. A communicator materialized
+// after the world aborted starts aborted, so late waiters unwind
+// immediately.
 func (w *World) commStateFor(id string, ranks []int) *commState {
 	w.mu.Lock()
 	st, ok := w.comms[id]
 	if !ok {
-		st = newCommState(w, id, ranks)
+		st = newCommState(w, id, append([]int(nil), ranks...))
 		w.comms[id] = st
 	}
 	w.mu.Unlock()
@@ -637,6 +657,13 @@ func (w *World) commStateFor(id string, ranks []int) *commState {
 // DeliverPost files a remote member's contribution in this process's
 // mailbox. Called by transport receiver goroutines; safe concurrently with
 // local posts.
+//
+// The mailbox keeps nothing of msg but its present part payloads, so the
+// caller may reuse msg, its slices and its strings the moment DeliverPost
+// returns. Each present part must be a buffer of its own, ideally taken
+// from Payloads: the mailbox owns it until its generation retires in this
+// process and then puts it back on the free list, so the transport must
+// neither read nor write it after handing it over.
 func (w *World) DeliverPost(msg *PostMsg) {
 	st := w.commStateFor(msg.Comm, msg.Ranks)
 	parts := make([]any, len(msg.Ranks))

@@ -325,8 +325,9 @@ func (c *Comm) IAlltoallvParts(parts [][]int64) *PartsRequest {
 // Next blocks until an undelivered source's payload has arrived and returns
 // (src, payload, true); sources come back in arrival order, not rank order.
 // It returns ok=false once every source has been delivered. The payload
-// aliases the sender's buffer: treat it as read-only and do not retain it
-// past Finish.
+// aliases the sender's buffer, or for a source in another process a buffer
+// the world recycles once the generation retires: treat it as read-only
+// and do not retain it past Finish.
 func (pr *PartsRequest) Next() (src int, payload []int64, ok bool) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()

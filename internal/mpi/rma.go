@@ -48,7 +48,7 @@ func WinCreate(c *Comm, local []int64) *Win {
 	st.ranks[c.member].mu <- struct{}{}
 	// The rendezvous: an unmetered exchange, exactly one collective entry
 	// per member (the fault plane counts it, identically on every backend).
-	c.exchange(make([]any, c.Size()), "win-create")
+	c.exchange(make([]any, c.Size()), "win-create", nil)
 	return &Win{comm: c, st: st}
 }
 

@@ -1,13 +1,18 @@
 package tcpnet
 
 // Allocation contracts of the data plane: once the peer's queue and read
-// buffer have grown, framing a POST and reading a frame allocate nothing.
+// buffer have grown, framing a POST and reading a frame allocate nothing,
+// and once the read loop's envelope and the world's free list have grown,
+// neither does decoding a POST.
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"testing"
 
+	"mcmdist/internal/mpi"
 	"mcmdist/internal/wire"
 )
 
@@ -83,6 +88,96 @@ func TestWriteFrameAllocatesNothing(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("%d-byte body: %v allocations per frame write, want 0", len(b), allocs)
+		}
+	}
+}
+
+// TestDecodePostIntoWarmEnvelopeAllocatesNothing: the read loop decodes
+// every POST into its connection's envelope, reusing its slices and
+// strings, and each part into a buffer from the world's free list, which
+// the mailbox refills when the part's generation retires. Once both are
+// warm, a POST decodes without one allocation, raw and delta-varint alike.
+func TestDecodePostIntoWarmEnvelopeAllocatesNothing(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		var body wire.Writer
+		writePost(&body, goldenPost(), 1, compress)
+		var msg mpi.PostMsg
+		var free mpi.Payloads
+		// deliverAndRetire is what DeliverPost and the generation's
+		// retirement do with the present parts.
+		deliverAndRetire := func() {
+			if err := decodePost(body.Buf, &msg, free.Take); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range msg.Parts {
+				if msg.Present[i] {
+					free.Put(p)
+				}
+			}
+		}
+		deliverAndRetire()
+		allocs := testing.AllocsPerRun(50, deliverAndRetire)
+		if allocs != 0 {
+			t.Errorf("compress=%v: %v allocations per POST decoded into a warm envelope, want 0", compress, allocs)
+		}
+		want := goldenPost()
+		if got := fmt.Sprint(msg.Comm, msg.Ranks, msg.Src, msg.Gen, msg.Op, msg.Present, msg.Parts[1]); got != fmt.Sprint(want.Comm, want.Ranks, want.Src, want.Gen, want.Op, []bool{false, true}, want.Parts[1]) {
+			t.Errorf("compress=%v: warm decode gave %s", compress, got)
+		}
+	}
+}
+
+// TestForgedPartCountTakesNothing: a POST part whose raw or delta count
+// the frame's remaining bytes cannot hold fails the decode before the free
+// list is asked for a buffer, so a forged count can neither allocate nor
+// drain the list.
+func TestForgedPartCountTakesNothing(t *testing.T) {
+	envelope := func(part func(w *wire.Writer)) []byte {
+		var w wire.Writer
+		w.Str("world")
+		writeRanks(&w, []int{0, 1})
+		w.U32(0)
+		w.I64(3)
+		w.Str("alltoallv")
+		w.U32(2)
+		w.U8(0)
+		writePart(&w, nil, false)
+		w.U8(1)
+		part(&w)
+		return w.Buf
+	}
+	forged := map[string][]byte{
+		"raw count u32 max":  envelope(func(w *wire.Writer) { w.U8(encRaw); w.U32(math.MaxUint32); w.I64(1) }),
+		"raw count one past": envelope(func(w *wire.Writer) { w.U8(encRaw); w.U32(3); w.I64(1); w.I64(2) }),
+		"delta count u32 max": envelope(func(w *wire.Writer) {
+			w.U8(encDelta)
+			w.U32(math.MaxUint32)
+			w.U32(2)
+			w.U8(2)
+			w.U8(2)
+		}),
+		"delta count past its bytes": envelope(func(w *wire.Writer) {
+			w.U8(encDelta)
+			w.U32(3)
+			w.U32(2)
+			w.U8(2)
+			w.U8(2)
+		}),
+	}
+	for name, body := range forged {
+		taken := 0
+		take := func(n int) []int64 {
+			if n > 0 {
+				taken++
+			}
+			return make([]int64, n)
+		}
+		var msg mpi.PostMsg
+		if err := decodePost(body, &msg, take); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if taken != 0 {
+			t.Errorf("%s: the free list was asked for %d buffers", name, taken)
 		}
 	}
 }

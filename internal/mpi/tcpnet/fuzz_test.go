@@ -11,8 +11,10 @@ package tcpnet
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"mcmdist/internal/mpi"
 	"mcmdist/internal/wire"
 )
 
@@ -118,7 +120,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte("MCMNET1"))              // hello cut off after the magic
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // a length field pointing past the body
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if msg, err := decodePost(body); err == nil {
+		var msg mpi.PostMsg
+		if err := decodePost(body, &msg, new(mpi.Payloads).Take); err == nil {
 			if len(msg.Parts) != len(msg.Ranks) || len(msg.Present) != len(msg.Ranks) {
 				t.Fatalf("POST decoded with parts/ranks mismatch: %d parts, %d ranks", len(msg.Parts), len(msg.Ranks))
 			}
@@ -216,22 +219,65 @@ func staleBody(data []byte) []byte {
 
 // FuzzDecodePostDelivery goes one level deeper than decodePost: a POST that
 // decodes must also be deliverable — its shape invariants are what
-// World.DeliverPost indexes by without re-checking.
+// World.DeliverPost indexes by without re-checking. The reuse arm decodes
+// the same bytes the way the read loop does, into an envelope left over
+// from an earlier POST and with part buffers from a free list that already
+// holds stale ones: it must give the fresh decode's result.
 func FuzzDecodePostDelivery(f *testing.F) {
 	f.Add(seedBodies()[0])
 	f.Fuzz(func(t *testing.T, body []byte) {
-		msg, err := decodePost(body)
+		var fresh mpi.PostMsg
+		err := decodePost(body, &fresh, func(n int) []int64 { return make([]int64, n) })
+		stale, free := staleEnvelope(t, body)
+		err2 := decodePost(body, stale, free.Take)
+		if (err == nil) != (err2 == nil) || err != nil && err.Error() != err2.Error() {
+			t.Fatalf("decoding into a stale envelope gave error %v, a fresh one %v", err2, err)
+		}
 		if err != nil {
 			return
 		}
-		if msg == nil {
-			t.Fatal("nil POST without error")
-		}
-		for i := range msg.Parts {
-			if msg.Present[i] && msg.Parts[i] == nil {
-				// Present parts decode to empty-but-non-nil slices at worst.
-				t.Fatalf("part %d present but nil", i)
+		for _, msg := range []*mpi.PostMsg{&fresh, stale} {
+			if len(msg.Parts) != len(msg.Ranks) || len(msg.Present) != len(msg.Ranks) {
+				t.Fatalf("POST decoded with %d parts and %d presence flags for %d ranks", len(msg.Parts), len(msg.Present), len(msg.Ranks))
+			}
+			for i := range msg.Parts {
+				if msg.Present[i] && msg.Parts[i] == nil {
+					// Present parts decode to empty-but-non-nil slices at
+					// worst, and the free list hands out the same for 0.
+					t.Fatalf("part %d present but nil", i)
+				}
 			}
 		}
+		if got, want := fmt.Sprintf("%q %v %d %d %q %v %v", stale.Comm, stale.Ranks, stale.Src, stale.Gen, stale.Op, stale.Present, stale.Parts),
+			fmt.Sprintf("%q %v %d %d %q %v %v", fresh.Comm, fresh.Ranks, fresh.Src, fresh.Gen, fresh.Op, fresh.Present, fresh.Parts); got != want {
+			t.Fatalf("decoding into a stale envelope gave\n  %s\nwant\n  %s", got, want)
+		}
 	})
+}
+
+// staleEnvelope builds the reuse arm's leftovers: an envelope that decoded
+// the seed POST, whose parts then went back to a free list (as a retiring
+// generation returns them), plus a stale buffer of every class up to the
+// input's length, filled with garbage derived from the input.
+func staleEnvelope(t *testing.T, body []byte) (*mpi.PostMsg, *mpi.Payloads) {
+	t.Helper()
+	free := new(mpi.Payloads)
+	msg := new(mpi.PostMsg)
+	if err := decodePost(seedBodies()[0], msg, free.Take); err != nil {
+		t.Fatalf("decoding the seed POST: %v", err)
+	}
+	for i, p := range msg.Parts {
+		if msg.Present[i] {
+			free.Put(p)
+		}
+	}
+	junk := ^int64(len(body))
+	for n := 1; n <= 2*len(body)+1; n *= 2 {
+		buf := make([]int64, n)
+		for i := range buf {
+			buf[i] = junk
+		}
+		free.Put(buf)
+	}
+	return msg, free
 }

@@ -19,9 +19,12 @@
 // keeps the written buffer as its spare for the next swap, so neither
 // buffer is reallocated once both have grown. Each peer's read loop reads
 // every frame into one body buffer of its own. That buffer can be reused
-// because every body decoder copies out what it keeps: the payloads handed
-// to the mailbox are fresh allocations, owned by the mailbox until their
-// generation retires.
+// because every body decoder copies out what it keeps. A POST decodes into
+// the peer's own envelope (peer.post), whose slices and strings are reused
+// from frame to frame, and its parts into buffers from the bound world's
+// free list (mpi.Payloads). DeliverPost keeps only the parts: the mailbox
+// owns each one until its generation retires in this process, then puts
+// it back on the free list for a later frame to decode into.
 package tcpnet
 
 import (
@@ -120,8 +123,9 @@ type peer struct {
 	hasOff   atomic.Bool
 	pingN    atomic.Int64
 
-	out frameOut // the direct path's header and gather list, under wmu
-	in  frameIn  // the read loop's header and reused frame body
+	out  frameOut    // the direct path's header and gather list, under wmu
+	in   frameIn     // the read loop's header and reused frame body
+	post mpi.PostMsg // the read loop's envelope, decoded into per POST
 
 	qmu      sync.Mutex
 	qcv      *sync.Cond
@@ -1138,11 +1142,10 @@ func (n *Net) handle(p *peer, typ byte, body []byte) error {
 	w := n.world.Load()
 	switch typ {
 	case framePost:
-		msg, err := decodePost(body)
-		if err != nil {
+		if err := decodePost(body, &p.post, w.Payloads().Take); err != nil {
 			return fmt.Errorf("%w (from rank %d)", err, p.rank)
 		}
-		w.DeliverPost(msg)
+		w.DeliverPost(&p.post)
 	case frameRMAReq:
 		id, req, err := decodeRMAReq(body)
 		if err != nil {

@@ -167,8 +167,9 @@ func writeRanks(w *wire.Writer, rs []int) {
 	}
 }
 
-func readRanks(r *wire.Reader) []int {
-	rs := make([]int, r.Count(4))
+// readRanks reads a rank list into rs's storage when it has the room.
+func readRanks(r *wire.Reader, rs []int) []int {
+	rs = resize(rs, r.Count(4))
 	for i := range rs {
 		rs[i] = int(r.U32())
 	}
@@ -190,14 +191,24 @@ func writePart(w *wire.Writer, v []int64, compress bool) {
 	binary.LittleEndian.PutUint32(w.Buf[lenOff:], uint32(len(w.Buf)-lenOff-4))
 }
 
-// readPart reads one POST part payload, dispatching on its encoding byte.
-func readPart(r *wire.Reader) []int64 {
+// readPart reads one POST part payload into a buffer of its own from take,
+// dispatching on its encoding byte. take is only asked once the count has
+// passed the reader's guard, so a forged count never reaches it.
+func readPart(r *wire.Reader, take func(n int) []int64) []int64 {
 	switch r.U8() {
 	case encRaw:
-		return readInts(r)
+		n := r.Count(8)
+		if r.Err() != nil {
+			return nil
+		}
+		v := take(n)
+		for i := range v {
+			v[i] = r.I64()
+		}
+		return v
 	case encDelta:
 		count := int(r.U32())
-		return r.Delta(count, int(r.U32()))
+		return r.Delta(count, int(r.U32()), take)
 	default:
 		r.Fail(errPartEncoding)
 		return nil
@@ -313,27 +324,47 @@ const frameReadChunk = 1 << 20
 // on the wire either decodes to a well-formed value or returns an error —
 // never a panic, never a silently wrong message.
 
-// decodePost decodes a POST frame body.
-func decodePost(body []byte) (*mpi.PostMsg, error) {
+// decodePost decodes a POST frame body into msg, the connection's own
+// envelope: its Ranks, Parts and Present slices are reused once they have
+// the room, and its Comm and Op strings are kept when the bytes match, so a
+// warm envelope costs no allocation. Each part payload gets a buffer of its
+// own from take (World.Payloads().Take on the read loop), never the one the
+// envelope held before: DeliverPost has handed that one to the mailbox. On
+// error msg holds a partial decode.
+func decodePost(body []byte, msg *mpi.PostMsg, take func(n int) []int64) error {
 	rb := wire.NewReader(body)
-	msg := &mpi.PostMsg{Comm: rb.Str(), Ranks: readRanks(&rb)}
+	readStr(&rb, &msg.Comm)
+	msg.Ranks = readRanks(&rb, msg.Ranks)
 	msg.Src = int(rb.U32())
 	msg.Gen = rb.I64()
-	msg.Op = rb.Str()
+	readStr(&rb, &msg.Op)
 	nparts := int(rb.U32())
 	if rb.Err() != nil || nparts != len(msg.Ranks) {
-		return nil, fmt.Errorf("tcpnet: POST parts/ranks mismatch")
+		return fmt.Errorf("tcpnet: POST parts/ranks mismatch")
 	}
-	msg.Parts = make([][]int64, nparts)
-	msg.Present = make([]bool, nparts)
+	msg.Parts = resize(msg.Parts, nparts)
+	msg.Present = resize(msg.Present, nparts)
 	for i := 0; i < nparts; i++ {
 		msg.Present[i] = rb.U8() != 0
-		msg.Parts[i] = readPart(&rb)
+		msg.Parts[i] = readPart(&rb, take)
 	}
-	if err := frameErr(&rb, framePost); err != nil {
-		return nil, err
+	return frameErr(&rb, framePost)
+}
+
+// readStr reads a str field into *s, keeping the string *s already holds
+// when the bytes are equal.
+func readStr(r *wire.Reader, s *string) {
+	if b := r.Next(int(r.U32())); string(b) != *s {
+		*s = string(b)
 	}
-	return msg, nil
+}
+
+// resize returns s with length n, reusing its storage when it has the room.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // decodeRMAReq decodes an RMA_REQ frame body.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mcmdist/internal/mpi"
 	"mcmdist/internal/wire"
 )
 
@@ -83,12 +84,13 @@ func TestPartRoundtrip(t *testing.T) {
 		sorted,
 		hostile,
 	}
+	var free mpi.Payloads
 	for pi, v := range payloads {
 		for _, compress := range []bool{false, true} {
 			var w wire.Writer
 			writePart(&w, v, compress)
 			r := wire.NewReader(w.Buf)
-			got := readPart(&r)
+			got := readPart(&r, free.Take)
 			if err := frameErr(&r, framePost); err != nil {
 				t.Fatalf("payload %d compress=%v: decode error: %v", pi, compress, err)
 			}
@@ -101,6 +103,7 @@ func TestPartRoundtrip(t *testing.T) {
 			if len(v) == 0 && len(got) != 0 {
 				t.Fatalf("payload %d compress=%v: empty payload decoded as %v", pi, compress, got)
 			}
+			free.Put(got) // the next payload may decode into this one's buffer
 		}
 	}
 	var raw, enc wire.Writer
@@ -119,7 +122,7 @@ func TestPartDecodeRejectsTruncation(t *testing.T) {
 	writePart(&w, []int64{5, 9, 12, 40, 41}, true)
 	for cut := 1; cut < len(w.Buf); cut++ {
 		r := wire.NewReader(w.Buf[:cut])
-		readPart(&r)
+		readPart(&r, new(mpi.Payloads).Take)
 		if err := frameErr(&r, framePost); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded cleanly", cut, len(w.Buf))
 		}

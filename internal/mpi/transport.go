@@ -31,6 +31,13 @@ import (
 // must be safe for concurrent use. Inbound traffic is delivered by the
 // transport's own receiver goroutines through the World's Deliver* methods
 // after Bind.
+//
+// Remote payloads have a lifetime. A receiver decodes each inbound part
+// into a buffer from the bound world's Payloads and hands it over with
+// DeliverPost; from then on the mailbox owns it, and when its generation
+// retires in this process the buffer goes back to Payloads for the next
+// part of its size class. The envelope is the receiver's own: DeliverPost
+// keeps nothing of it, so one PostMsg per connection serves every frame.
 type Transport interface {
 	// Name identifies the backend ("inproc", "tcp") in conformance tests
 	// and logs.
@@ -93,6 +100,8 @@ type PostMsg struct {
 	Op string
 	// Parts[i] is the payload addressed to member i; Present[i]
 	// distinguishes an empty part from a nil one (both move zero words).
+	// On delivery each present part must be a buffer of its own, which the
+	// mailbox takes over (see World.DeliverPost).
 	Parts [][]int64
 	// Present reports, per member, whether a part was posted at all.
 	Present []bool

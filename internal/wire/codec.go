@@ -141,14 +141,21 @@ func (r *Reader) Count(minSize int) int {
 }
 
 // Delta reads count values of a delta-varint stream (AppendEncoded) that
-// fills the next nbytes bytes. Every value takes at least one byte, so a
-// count beyond nbytes is rejected before the result is allocated.
-func (r *Reader) Delta(count, nbytes int) []int64 {
+// fills the next nbytes bytes into a destination of length count from
+// take (nil take allocates one). Every value takes at least one byte, so a
+// count beyond nbytes is rejected before take is asked for anything.
+func (r *Reader) Delta(count, nbytes int, take func(n int) []int64) []int64 {
 	p := r.Next(nbytes)
 	if !r.fits(count, 1, len(p)) {
 		return nil
 	}
-	v, err := Decode(make([]int64, 0, count), count, p)
+	var dst []int64
+	if take != nil {
+		dst = take(count)[:0]
+	} else {
+		dst = make([]int64, 0, count)
+	}
+	v, err := Decode(dst, count, p)
 	if err != nil {
 		r.Fail(err)
 		return nil

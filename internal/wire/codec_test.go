@@ -39,8 +39,13 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if n != 2 || seq[0] != 7 || seq[1] != 8 {
 		t.Fatalf("sequence read back as %d %v", n, seq)
 	}
-	if v := r.Delta(len(delta), int(r.U32())); !reflect.DeepEqual(v, delta) {
+	dst := []int64{9, 9, 9, 9, 9, 9}
+	v := r.Delta(len(delta), int(r.U32()), func(n int) []int64 { return dst[:n] })
+	if !reflect.DeepEqual(v, delta) {
 		t.Fatalf("delta stream read back as %v, want %v", v, delta)
+	}
+	if &v[0] != &dst[0] {
+		t.Fatal("delta stream did not decode into the destination take returned")
 	}
 	if err := r.Done(); err != nil {
 		t.Fatalf("exactly consumed input: %v", err)
@@ -49,8 +54,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 
 // TestReaderGuards: a count that the remaining bytes cannot hold, whether a
 // sequence count or a delta-stream count, poisons the reader with the count
-// error before anything is sized from it, and the rejecting read allocates
-// nothing. After a failure every read returns zero and the first error
+// error before anything is sized from it — a delta stream's destination is
+// never asked for — and the rejecting read allocates nothing. After a failure every read returns zero and the first error
 // sticks; a clean read reports exact consumption and trailing bytes.
 func TestReaderGuards(t *testing.T) {
 	u32 := func(v uint32, tail int) []byte {
@@ -69,6 +74,7 @@ func TestReaderGuards(t *testing.T) {
 		want    int // the count, or number of values, read
 		wantErr error
 		left    int // bytes left unread after a clean read
+		taken   int // destinations a delta read asked for
 	}
 	// read reads the count and then its elements, as a decoder would. It is
 	// a direct call, so the reader stays on the stack.
@@ -78,7 +84,10 @@ func TestReaderGuards(t *testing.T) {
 			r.Next(n * tc.minSize)
 			return n
 		}
-		return len(r.Delta(tc.count, tc.nbytes))
+		return len(r.Delta(tc.count, tc.nbytes, func(n int) []int64 {
+			tc.taken++
+			return make([]int64, n)
+		}))
 	}
 	cases := []guardCase{
 		{name: "count u32 max", in: u32(math.MaxUint32, 64), minSize: 1, wantErr: errCount},
@@ -105,7 +114,10 @@ func TestReaderGuards(t *testing.T) {
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("%s: Done reports %v, want the sticky %v", tc.name, err, tc.wantErr)
 			}
-			if r.U8() != 0 || r.U64() != 0 || r.Str() != "" || r.Count(1) != 0 || r.Delta(0, 0) != nil || r.Err() != tc.wantErr {
+			if tc.taken != 0 {
+				t.Fatalf("%s: the rejecting read asked for %d destinations", tc.name, tc.taken)
+			}
+			if r.U8() != 0 || r.U64() != 0 || r.Str() != "" || r.Count(1) != 0 || r.Delta(0, 0, nil) != nil || r.Err() != tc.wantErr {
 				t.Fatalf("%s: a poisoned reader read a value or lost its first error (%v)", tc.name, r.Err())
 			}
 			if allocs := testing.AllocsPerRun(50, func() {
