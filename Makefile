@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test examples race bench bench-smoke bench-record bench-test vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke
+.PHONY: build test examples race bench bench-smoke bench-record bench-test vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke loc
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,11 @@ test:
 # Build and run every example; each exits non-zero on a wrong answer.
 examples:
 	@for d in examples/*/; do echo "$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
+
+# Non-test Go lines outside benchmark/ (and outside .bench_build/, the
+# benchmark's build copy): the code size every ROADMAP progress entry quotes.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # Vet, then fail if any file is not gofmt-clean (CI's lint job runs this).
 vet:

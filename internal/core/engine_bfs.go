@@ -99,7 +99,7 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 	s := r.s
 	mater := r.mater
 	r.pathc.Fill(semiring.None)
-	var fcCount *mpi.ValueRequest
+	var fcCount *mpi.Pending[int64]
 	s.tr.track(OpOther, func() { fcCount = s.startFrontierCount(fc) })
 	paths := 0
 

@@ -12,6 +12,6 @@ import (
 // phase-final frontier, behind nothing — the request is simply waited). A
 // split-phase collective meters at completion, so the count is metered
 // inside the tracked loop-top section.
-func (s *Solver) startFrontierCount(fc *dvec.SparseV) *mpi.ValueRequest {
+func (s *Solver) startFrontierCount(fc *dvec.SparseV) *mpi.Pending[int64] {
 	return s.G.World.IAllreduce(mpi.OpSum, int64(fc.LocalNnz()))
 }

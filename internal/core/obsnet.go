@@ -36,15 +36,19 @@ func obsMeterPoints(m mpi.Meter) []obs.MeterPoint {
 }
 
 // obsAttach wires the observability plane into a capable transport before
-// the world launches: the payload provider that ShipObs (or the BYE-drain
-// fallback in Close) renders, and the heartbeat RTT observer feeding one
-// histogram per directed link — which is what makes NetFaultSpec slow-link
-// injection visible on the metrics endpoint. No-op on backends without the
+// the world launches: it declares the transport's local ranks hosted on the
+// collector (so the coordinator's merge never installs a payload over a
+// rank recorded here — the loopback shape shares one collector), and sets
+// the payload provider that ShipObs (or the BYE-drain fallback in Close)
+// renders and the heartbeat RTT observer feeding one histogram per directed
+// link — which is what makes NetFaultSpec slow-link injection visible on
+// the metrics endpoint. The last two are no-ops on backends without the
 // optional capabilities (the in-process oracle needs neither).
 func obsAttach(tr mpi.Transport, col *obs.Collector) {
 	if col == nil {
 		return
 	}
+	col.Host(tr.LocalRanks())
 	if sh, ok := tr.(mpi.ObsShipper); ok {
 		sh.SetObsProvider(func() []byte {
 			return col.Export(tr.LocalRanks(), 0).Encode()

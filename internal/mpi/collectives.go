@@ -4,7 +4,18 @@ import "fmt"
 
 // Barrier blocks until every rank of the communicator has entered it.
 func (c *Comm) Barrier() {
-	c.start("barrier", make([]any, c.Size()), false, nil).Wait()
+	c.start("barrier", make([][]int64, c.Size()), false, nil).Wait()
+}
+
+// fill returns a row that addresses v to every member: the send row of the
+// collectives that post one payload to all (the allgathers, IAllreduce,
+// Split).
+func (c *Comm) fill(v []int64) [][]int64 {
+	row := make([][]int64, c.Size())
+	for d := range row {
+		row[d] = v
+	}
+	return row
 }
 
 // Allgatherv gathers each rank's contribution on every rank. The result has
@@ -49,18 +60,17 @@ func (c *Comm) AlltoallvFlat(parts [][]int64, buf []int64) []int64 {
 // ranks receive nil.
 func (c *Comm) Gatherv(root int, data []int64) [][]int64 {
 	size := c.Size()
-	parts := make([]any, size)
-	parts[root] = data
+	row := make([][]int64, size)
+	row[root] = data
 	var out [][]int64
-	c.start("gatherv", parts, true, func(got []any) {
+	c.start("gatherv", row, true, func(got [][]int64) {
 		if c.member != root {
 			c.addComm(KindGather, 1, int64(len(data)), c.encWords(data))
 			return
 		}
 		out = make([][]int64, size)
 		var words, wordsEnc int64
-		for s := 0; s < size; s++ {
-			in := asInts(got[s])
+		for s, in := range got {
 			if s == root {
 				out[s] = data
 				continue
@@ -78,18 +88,15 @@ func (c *Comm) Gatherv(root int, data []int64) [][]int64 {
 // slice. Non-root callers pass nil.
 func (c *Comm) Scatterv(root int, parts [][]int64) []int64 {
 	size := c.Size()
-	anyParts := make([]any, size)
-	if c.member == root {
-		if len(parts) != size {
-			panic(fmt.Sprintf("mpi: Scatterv with %d parts on %d ranks", len(parts), size))
-		}
-		for d := 0; d < size; d++ {
-			anyParts[d] = parts[d]
-		}
+	row := parts
+	if c.member != root {
+		row = make([][]int64, size)
+	} else if len(parts) != size {
+		panic(fmt.Sprintf("mpi: Scatterv with %d parts on %d ranks", len(parts), size))
 	}
 	var out []int64
-	c.start("scatterv", anyParts, true, func(got []any) {
-		in := asInts(got[root])
+	c.start("scatterv", row, true, func(got [][]int64) {
+		in := got[root]
 		if c.member == root {
 			var words, wordsEnc int64
 			for d := 0; d < size; d++ {
@@ -190,21 +197,16 @@ func (c *Comm) Allreduce(op ReduceOp, val int64) int64 {
 // communicator, ordered by (key, rank). Every rank must call Split; a
 // negative color yields a nil communicator (MPI_COMM_NULL).
 func (c *Comm) Split(color, key int) *Comm {
-	size := c.Size()
-	parts := make([]any, size)
-	for d := 0; d < size; d++ {
-		parts[d] = []int64{int64(color), int64(key)}
-	}
 	type memberInfo struct{ key, member int }
 	var members []memberInfo
-	c.exchange(parts, "split", func(got []any) {
-		for s := 0; s < size; s++ {
-			ck := asInts(got[s])
+	row := c.fill([]int64{int64(color), int64(key)})
+	c.start("split", row, false, func(got [][]int64) {
+		for s, ck := range got {
 			if int(ck[0]) == color {
 				members = append(members, memberInfo{key: int(ck[1]), member: s})
 			}
 		}
-	})
+	}).Wait()
 	if color < 0 {
 		return nil
 	}
@@ -232,11 +234,4 @@ func (c *Comm) Split(color, key int) *Comm {
 	id := fmt.Sprintf("%s/split@%d/c%d", c.st.id, c.nextGen, color)
 	st := c.st.world.commStateFor(id, worldRanks)
 	return &Comm{st: st, member: myIndex, worldRank: c.worldRank}
-}
-
-func asInts(v any) []int64 {
-	if v == nil {
-		return nil
-	}
-	return v.([]int64)
 }

@@ -283,6 +283,99 @@ func TestConformanceRequests(t *testing.T) { conformanceCase(t, requestProgram) 
 
 func TestConformanceRMA(t *testing.T) { conformanceCase(t, rmaProgram) }
 
+// nilEmptyProgram runs every payload-carrying collective on parts that are
+// nil on some ranks, empty on others and one word long on the rest. A nil
+// part is "not posted", an empty one "posted empty": readers see zero words
+// either way, on every backend, so the digest records each received part's
+// length and contents.
+func nilEmptyProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
+	return func(c *mpi.Comm) error {
+		r := c.Rank()
+		part := func(d int) []int64 {
+			switch (r + d) % 3 {
+			case 0:
+				return nil
+			case 1:
+				return []int64{}
+			}
+			return []int64{int64(10*r + d)}
+		}
+		var out []int64
+		digest := func(parts ...[]int64) {
+			for _, p := range parts {
+				out = append(out, int64(len(p)))
+				out = append(out, p...)
+			}
+		}
+		// drain folds a progressive request order-free: Next yields parts
+		// in arrival order.
+		drain := func(pr *mpi.PartsRequest) {
+			mix := int64(0)
+			for {
+				src, p, ok := pr.Next()
+				if !ok {
+					break
+				}
+				mix += int64(src+1) * int64(len(p)+1)
+				for _, x := range p {
+					mix += int64(src+3) * x
+				}
+			}
+			pr.Finish()
+			out = append(out, mix)
+		}
+		parts := make([][]int64, size)
+		for d := range parts {
+			parts[d] = part(d)
+		}
+		mine := part(0)
+
+		digest(c.Allgatherv(mine)...)
+		digest(c.Alltoallv(parts)...)
+		digest(c.AllgathervInto(mine, nil))
+		digest(c.AlltoallvFlat(parts, nil))
+		drain(c.IAllgathervParts(mine))
+		drain(c.IAlltoallvParts(parts))
+		digest(c.Gatherv(0, mine)...)
+		var scat [][]int64
+		if r == 0 {
+			scat = parts
+		}
+		digest(c.Scatterv(0, scat))
+
+		rows[c.WorldRank()] = out
+		return nil
+	}
+}
+
+// TestConformanceNilEmptyPayloads pins nil and empty payloads against the
+// oracle, rows and per-kind meters.
+func TestConformanceNilEmptyPayloads(t *testing.T) { conformanceCase(t, nilEmptyProgram) }
+
+// TestConformanceNilEmptyPayloadsCompressed is the same program with wire
+// compression on, where a posted-empty part and a nil one take different
+// encodings on the wire but must still read, and meter, alike.
+func TestConformanceNilEmptyPayloadsCompressed(t *testing.T) {
+	cfg := func() mpi.RunConfig { return mpi.RunConfig{Compress: true} }
+	for _, size := range conformanceSizes {
+		oracleRows := make([][]int64, size)
+		oracle := runBackend(t, backends[0], size, cfg, nilEmptyProgram(size, oracleRows))
+		if err := oracle.firstErr(); err != nil {
+			t.Fatalf("oracle size %d: %v", size, err)
+		}
+		for _, b := range backends[1:] {
+			gotRows := make([][]int64, size)
+			got := runBackend(t, b, size, cfg, nilEmptyProgram(size, gotRows))
+			for rank, err := range got.errOf {
+				if err != nil {
+					t.Fatalf("%s size %d endpoint %d: %v", b.name, size, rank, err)
+				}
+			}
+			pinRanks(t, b.name, size, oracle, got, oracleRows, gotRows)
+		}
+	}
+}
+
 // TestConformanceFault pins injected-crash behavior: the endpoint hosting
 // the crash rank reports the injected error on every backend, and every
 // other endpoint observes the abort (locally structured or propagated).
@@ -399,14 +492,14 @@ func TestLendingSendBuffersReusableOnReturn(t *testing.T) {
 	const nap = 500 * time.Millisecond
 	type lending struct {
 		name  string
-		start func(c *mpi.Comm, send []int64) *mpi.IntsRequest
+		start func(c *mpi.Comm, send []int64) *mpi.Pending[[]int64]
 		want  []int64 // rank 1's result: rank 0's part, then its own
 	}
 	for _, coll := range []lending{
-		{"IAlltoallvFlat", func(c *mpi.Comm, send []int64) *mpi.IntsRequest {
+		{"IAlltoallvFlat", func(c *mpi.Comm, send []int64) *mpi.Pending[[]int64] {
 			return c.IAlltoallvFlat([][]int64{send[:2], send[2:]}, nil)
 		}, []int64{3, 4, 7, 8}},
-		{"IAllgathervInto", func(c *mpi.Comm, send []int64) *mpi.IntsRequest {
+		{"IAllgathervInto", func(c *mpi.Comm, send []int64) *mpi.Pending[[]int64] {
 			return c.IAllgathervInto(send, nil)
 		}, []int64{1, 2, 3, 4, 5, 6, 7, 8}},
 	} {

@@ -145,7 +145,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // enterCollective is the per-rank gate at the top of every collective entry
-// point (start, exchange, the progressive Parts starters). It unwinds the
+// point (start and the progressive Parts starters). It unwinds the
 // rank if the world has been aborted, then runs fault injection.
 func (c *Comm) enterCollective(op string) {
 	w := c.st.world

@@ -38,7 +38,10 @@
 //
 // Payloads are []int64 throughout: every object the matching algorithms
 // communicate (indices, mates, parents, roots) is an integer, and a flat
-// integer payload makes the word-count metering exact.
+// integer payload makes the word-count metering exact. The mailbox holds
+// each post as a row of [][]int64 parts, one per destination member: a nil
+// part was not posted, an empty non-nil one was posted empty, and readers
+// see zero words either way.
 //
 // Metering conventions (per rank, documented so the cost model is auditable):
 //
@@ -266,9 +269,10 @@ type commState struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// posted[src][gen] is src's contribution to collective gen (one entry
-	// per destination member), held from post until the gen retires.
-	posted  []map[int64][]any
+	// posted[src][gen] is src's row for collective gen (one part per
+	// destination member), held from post until the gen retires. A nil
+	// part was not posted; an empty non-nil one was posted empty.
+	posted  []map[int64][][]int64
 	arrived map[int64]int // gen -> members posted so far
 	taken   map[int64]int // gen -> local members done reading
 	// Retired generations are a watermark plus a sparse set, so the maps
@@ -290,7 +294,7 @@ func newCommState(w *World, id string, ranks []int) *commState {
 		id:      id,
 		world:   w,
 		ranks:   ranks,
-		posted:  make([]map[int64][]any, len(ranks)),
+		posted:  make([]map[int64][][]int64, len(ranks)),
 		arrived: make(map[int64]int),
 		taken:   make(map[int64]int),
 		doneSet: make(map[int64]bool),
@@ -302,43 +306,34 @@ func newCommState(w *World, id string, ranks []int) *commState {
 		}
 	}
 	for s := range st.posted {
-		st.posted[s] = make(map[int64][]any)
+		st.posted[s] = make(map[int64][][]int64)
 	}
 	st.cond = sync.NewCond(&st.mu)
 	return st
 }
 
-// post deposits member m's contribution to collective gen locally and ships
-// the remote-addressed parts through the world's transport. It never blocks
-// beyond the transport's own send path: a rank may run arbitrarily far
-// ahead of its peers. op labels the generation for watchdog diagnostics.
-func (st *commState) post(m int, gen int64, parts []any, op string) {
-	st.deposit(m, gen, parts, op)
+// post deposits member m's row for collective gen locally and hands the
+// same row, uncopied, to the world's transport for the remote-addressed
+// parts. It never blocks beyond the transport's own send path: a rank may
+// run arbitrarily far ahead of its peers. op labels the generation for
+// watchdog diagnostics.
+func (st *commState) post(m int, gen int64, row [][]int64, op string) {
+	st.deposit(m, gen, row, op)
 	if st.nlocal == len(st.ranks) {
 		return // no remote members
 	}
-	msg := &PostMsg{
-		Comm: st.id, Ranks: st.ranks, Src: m, Gen: gen, Op: op,
-		Parts:   make([][]int64, len(parts)),
-		Present: make([]bool, len(parts)),
-	}
-	for i, p := range parts {
-		if p != nil {
-			msg.Parts[i] = asInts(p)
-			msg.Present[i] = true
-		}
-	}
+	msg := &PostMsg{Comm: st.id, Ranks: st.ranks, Src: m, Gen: gen, Op: op, Parts: row}
 	if err := st.world.transport.Post(msg); err != nil {
 		st.world.Abort(&TransportError{Backend: st.world.transport.Name(), Op: "post", Err: err})
 	}
 }
 
-// deposit is the local half of post: it files the contribution in this
-// process's mailbox and wakes waiters. Remote contributions arrive here too,
-// via World.DeliverPost.
-func (st *commState) deposit(m int, gen int64, parts []any, op string) {
+// deposit is the local half of post: it files the row in this process's
+// mailbox and wakes waiters. Remote rows arrive here too, via
+// World.DeliverPost.
+func (st *commState) deposit(m int, gen int64, row [][]int64, op string) {
 	st.mu.Lock()
-	st.posted[m][gen] = parts
+	st.posted[m][gen] = row
 	st.arrived[gen]++
 	if _, ok := st.ops[gen]; !ok {
 		st.ops[gen] = op
@@ -355,7 +350,7 @@ func (st *commState) deposit(m int, gen int64, parts []any, op string) {
 // waiting, the rank unwinds with an abortSignal panic (contained by
 // RunTransport); the deferred unlock keeps the mailbox usable for peers doing
 // the same.
-func (st *commState) collect(m int, gen int64) []any {
+func (st *commState) collect(m int, gen int64) [][]int64 {
 	size := len(st.ranks)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -365,7 +360,7 @@ func (st *commState) collect(m int, gen int64) []any {
 		}
 		st.cond.Wait()
 	}
-	out := make([]any, size)
+	out := make([][]int64, size)
 	for s := 0; s < size; s++ {
 		out[s] = st.posted[s][gen][m]
 	}
@@ -376,7 +371,7 @@ func (st *commState) collect(m int, gen int64) []any {
 // posted gen, and returns that member and its part addressed to member m.
 // The caller marks delivered afterwards (under its own lock) and must not
 // ask for more sources than the communicator has.
-func (st *commState) nextArrived(m int, gen int64, delivered []bool) (int, any) {
+func (st *commState) nextArrived(m int, gen int64, delivered []bool) (int, []int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for {
@@ -384,8 +379,8 @@ func (st *commState) nextArrived(m int, gen int64, delivered []bool) (int, any) 
 			if delivered[s] {
 				continue
 			}
-			if parts, ok := st.posted[s][gen]; ok {
-				return s, parts[m]
+			if row, ok := st.posted[s][gen]; ok {
+				return s, row[m]
 			}
 		}
 		if st.aborted {
@@ -410,7 +405,7 @@ func (st *commState) finishRead(gen int64) {
 			if st.nlocal < len(st.ranks) && !st.world.isLocalRank(st.ranks[s]) {
 				for _, p := range st.posted[s][gen] {
 					if p != nil {
-						st.world.payloads.Put(p.([]int64))
+						st.world.payloads.Put(p)
 					}
 				}
 			}
@@ -586,38 +581,6 @@ func (w *World) TotalMeter() Meter {
 	return m
 }
 
-// exchange is the blocking rendezvous retained for Split and WinCreate:
-// member r contributes parts (one entry per destination member) and read
-// receives one entry per source member once every member has posted (nil
-// read ignores them). read runs before this member retires the generation:
-// a retired generation's remote parts go back to the world's free list, so
-// got must not be read, or kept, after read returns. All members of a
-// communicator must call collectives in the same order (standard MPI
-// semantics); the per-handle generation counter does the matching.
-func (c *Comm) exchange(parts []any, op string, read func(got []any)) {
-	st := c.st
-	if len(parts) != len(st.ranks) {
-		panic(fmt.Sprintf("mpi: exchange with %d parts on a %d-rank comm", len(parts), len(st.ranks)))
-	}
-	c.enterCollective(op)
-	gen := c.nextGen
-	c.nextGen++
-	tr := c.tracer()
-	var t0 int64
-	if tr != nil {
-		t0 = obs.Now()
-	}
-	st.post(c.member, gen, parts, op)
-	got := st.collect(c.member, gen)
-	if read != nil {
-		read(got)
-	}
-	st.finishRead(gen)
-	if tr != nil {
-		tr.EndFlow(obs.KindCollective, op, t0, gen, obs.FlowID(st.id, gen))
-	}
-}
-
 func logTreeDepth(p int) int64 {
 	if p <= 1 {
 		return 0
@@ -658,21 +621,18 @@ func (w *World) commStateFor(id string, ranks []int) *commState {
 // mailbox. Called by transport receiver goroutines; safe concurrently with
 // local posts.
 //
-// The mailbox keeps nothing of msg but its present part payloads, so the
-// caller may reuse msg, its slices and its strings the moment DeliverPost
-// returns. Each present part must be a buffer of its own, ideally taken
-// from Payloads: the mailbox owns it until its generation retires in this
-// process and then puts it back on the free list, so the transport must
-// neither read nor write it after handing it over.
+// The mailbox copies msg.Parts into a row of its own and keeps nothing
+// else of msg, so the caller may reuse msg, its slices and its strings the
+// moment DeliverPost returns. A nil part was not posted. Each non-nil part
+// must be a buffer of its own, ideally taken from Payloads: the mailbox
+// owns it until its generation retires in this process and then puts it
+// back on the free list, so the transport must neither read nor write it
+// after handing it over.
 func (w *World) DeliverPost(msg *PostMsg) {
 	st := w.commStateFor(msg.Comm, msg.Ranks)
-	parts := make([]any, len(msg.Ranks))
-	for i := range parts {
-		if i < len(msg.Present) && msg.Present[i] {
-			parts[i] = msg.Parts[i]
-		}
-	}
-	st.deposit(msg.Src, msg.Gen, parts, msg.Op)
+	row := make([][]int64, len(msg.Ranks))
+	copy(row, msg.Parts)
+	st.deposit(msg.Src, msg.Gen, row, msg.Op)
 }
 
 // DeliverAbort aborts this process's share of the world with a cause

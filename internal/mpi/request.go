@@ -12,14 +12,14 @@ import (
 // already been posted to the mailbox (starting never blocks); it completes
 // in Wait. Completion assembles the result, meters the transfer exactly once
 // with the same counts as the blocking counterpart, and — for collectives
-// whose peers read this rank's send buffer (all of them except Allreduce and
-// Barrier) — waits until every peer hosted in this process has finished
+// whose peers read this rank's send buffer (all of them except Allreduce,
+// Barrier, Split and WinCreate, which post rows of their own) — waits until every peer hosted in this process has finished
 // reading, so the MPI contract "the send buffer may be reused after
 // completion" carries over to recycled arena buffers. Peers in other
 // processes read the copy the transport made at post time.
 //
 // A Request is safe for concurrent Wait from multiple goroutines; the
-// result on the typed wrappers is valid once any of them returns.
+// result on a Pending handle is valid once any of them returns.
 type Request struct {
 	c   *Comm
 	gen int64
@@ -28,28 +28,32 @@ type Request struct {
 	mu      sync.Mutex
 	started time.Time
 	done    bool
-	lending bool        // completion additionally waits for consumption
-	finish  func([]any) // assembles the result and meters; nil for Barrier
+	lending bool            // completion additionally waits for consumption
+	finish  func([][]int64) // reads the received row and meters; may be nil
 }
 
-// start posts parts as this communicator's next collective and returns the
-// request handle. It never blocks (beyond the fault plane's injected
-// straggler delay, when one is configured). op labels the collective for
-// watchdog diagnostics and fault injection.
-func (c *Comm) start(op string, parts []any, lending bool, finish func([]any)) *Request {
+// start posts row (one part per destination member, nil for none) as this
+// communicator's next collective and returns the request handle. It never
+// blocks (beyond the fault plane's injected straggler delay, when one is
+// configured). op labels the collective for watchdog diagnostics and fault
+// injection. Every collective but the progressive Parts variants runs
+// through start and Wait.
+func (c *Comm) start(op string, row [][]int64, lending bool, finish func(got [][]int64)) *Request {
 	c.enterCollective(op)
 	gen := c.nextGen
 	c.nextGen++
 	r := &Request{c: c, gen: gen, op: op, started: time.Now(), lending: lending, finish: finish}
-	c.st.post(c.member, gen, parts, op)
+	c.st.post(c.member, gen, row, op)
 	return r
 }
 
-// Wait blocks until the collective completes: it assembles the result,
-// retires this rank's read and, for a lending collective, waits for every
-// local peer to retire theirs. It then records the time ledger once, plus a
-// collective span (post to completion) on the rank's comm track when tracing
-// is on. Idempotent.
+// Wait blocks until the collective completes: finish reads the received
+// row, then this rank retires its read and, for a lending collective, waits
+// for every local peer to retire theirs. finish runs before the retirement
+// because a retired generation's remote parts go back to the world's free
+// list: got must not be read, or kept, after finish returns. Wait then
+// records the time ledger once, plus a collective span (post to
+// completion) on the rank's comm track when tracing is on. Idempotent.
 func (r *Request) Wait() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -73,59 +77,29 @@ func (r *Request) Wait() {
 	}
 }
 
-// SlicesRequest is a split-phase collective resolving to one slice per
-// source rank (IAllgatherv, IAlltoallv).
-type SlicesRequest struct {
+// Pending is a split-phase collective resolving to a T: one slice per
+// source rank (IAllgatherv, IAlltoallv), one flat buffer (IAllgathervInto,
+// IAlltoallvFlat) or a scalar (IAllreduce).
+type Pending[T any] struct {
 	r   *Request
-	out [][]int64
+	out T
 }
 
 // Wait blocks until the collective completes and returns the result.
-func (q *SlicesRequest) Wait() [][]int64 {
-	q.r.Wait()
-	return q.out
-}
-
-// IntsRequest is a split-phase collective resolving to one flat []int64
-// (IAllgathervInto, IAlltoallvFlat).
-type IntsRequest struct {
-	r   *Request
-	out []int64
-}
-
-// Wait blocks until the collective completes and returns the result.
-func (q *IntsRequest) Wait() []int64 {
-	q.r.Wait()
-	return q.out
-}
-
-// ValueRequest is a split-phase collective resolving to a single value
-// (IAllreduce).
-type ValueRequest struct {
-	r   *Request
-	out int64
-}
-
-// Wait blocks until the collective completes and returns the result.
-func (q *ValueRequest) Wait() int64 {
+func (q *Pending[T]) Wait() T {
 	q.r.Wait()
 	return q.out
 }
 
 // IAllgatherv starts a split-phase allgather of data; result and metering
 // as Allgatherv. The caller must not mutate data before completion.
-func (c *Comm) IAllgatherv(data []int64) *SlicesRequest {
+func (c *Comm) IAllgatherv(data []int64) *Pending[[][]int64] {
 	size := c.Size()
-	parts := make([]any, size)
-	for d := 0; d < size; d++ {
-		parts[d] = data
-	}
-	q := &SlicesRequest{}
-	q.r = c.start("allgatherv", parts, true, func(got []any) {
+	q := &Pending[[][]int64]{}
+	q.r = c.start("allgatherv", c.fill(data), true, func(got [][]int64) {
 		out := make([][]int64, size)
 		var words, wordsEnc int64
-		for s := 0; s < size; s++ {
-			in := asInts(got[s])
+		for s, in := range got {
 			if s == c.member {
 				out[s] = data
 				continue
@@ -143,25 +117,19 @@ func (c *Comm) IAllgatherv(data []int64) *SlicesRequest {
 // IAllgathervInto starts a split-phase buffer-lending allgather; result and
 // metering as AllgathervInto. On completion no peer reads data any more, so
 // both data and the returned buffer may be recycled.
-func (c *Comm) IAllgathervInto(data []int64, buf []int64) *IntsRequest {
+func (c *Comm) IAllgathervInto(data []int64, buf []int64) *Pending[[]int64] {
 	size := c.Size()
-	parts := make([]any, size)
-	for d := 0; d < size; d++ {
-		parts[d] = data
-	}
-	q := &IntsRequest{}
-	q.r = c.start("allgatherv", parts, true, func(got []any) {
+	q := &Pending[[]int64]{out: buf}
+	q.r = c.start("allgatherv", c.fill(data), true, func(got [][]int64) {
 		var words, wordsEnc int64
-		for s := 0; s < size; s++ {
-			in := asInts(got[s])
+		for s, in := range got {
 			if s != c.member {
 				words += int64(len(in))
 				wordsEnc += c.encWords(in)
 			}
-			buf = append(buf, in...)
+			q.out = append(q.out, in...)
 		}
 		c.addComm(KindAllgather, int64(size-1), words, wordsEnc)
-		q.out = buf
 	})
 	return q
 }
@@ -169,14 +137,13 @@ func (c *Comm) IAllgathervInto(data []int64, buf []int64) *IntsRequest {
 // IAlltoallv starts a split-phase personalized all-to-all; result and
 // metering as Alltoallv. The caller must not mutate parts before
 // completion.
-func (c *Comm) IAlltoallv(parts [][]int64) *SlicesRequest {
-	anyParts, words, wordsEnc := c.checkParts("Alltoallv", parts)
+func (c *Comm) IAlltoallv(parts [][]int64) *Pending[[][]int64] {
+	words, wordsEnc := c.checkParts("Alltoallv", parts)
 	size := c.Size()
-	q := &SlicesRequest{}
-	q.r = c.start("alltoallv", anyParts, true, func(got []any) {
+	q := &Pending[[][]int64]{}
+	q.r = c.start("alltoallv", parts, true, func(got [][]int64) {
 		out := make([][]int64, size)
-		for s := 0; s < size; s++ {
-			in := asInts(got[s])
+		for s, in := range got {
 			if s == c.member {
 				out[s] = in
 				continue
@@ -192,35 +159,31 @@ func (c *Comm) IAlltoallv(parts [][]int64) *SlicesRequest {
 // IAlltoallvFlat starts a split-phase flat personalized all-to-all; result
 // and metering as AlltoallvFlat. On completion parts and the buffer may be
 // recycled.
-func (c *Comm) IAlltoallvFlat(parts [][]int64, buf []int64) *IntsRequest {
-	anyParts, words, wordsEnc := c.checkParts("AlltoallvFlat", parts)
+func (c *Comm) IAlltoallvFlat(parts [][]int64, buf []int64) *Pending[[]int64] {
+	words, wordsEnc := c.checkParts("AlltoallvFlat", parts)
 	size := c.Size()
-	q := &IntsRequest{}
-	q.r = c.start("alltoallv", anyParts, true, func(got []any) {
-		for s := 0; s < size; s++ {
-			buf = append(buf, asInts(got[s])...)
+	q := &Pending[[]int64]{out: buf}
+	q.r = c.start("alltoallv", parts, true, func(got [][]int64) {
+		for _, in := range got {
+			q.out = append(q.out, in...)
 		}
 		c.addComm(KindAlltoall, int64(size-1), words, wordsEnc)
-		q.out = buf
 	})
 	return q
 }
 
 // IAllreduce starts a split-phase allreduce of val; result and metering as
-// Allreduce. Nothing is lent (payloads are copied at start), so completion
-// does not wait for peers to read — the natural fit for pipelined scalar
-// reductions like the frontier count.
-func (c *Comm) IAllreduce(op ReduceOp, val int64) *ValueRequest {
+// Allreduce. Nothing is lent (the one-word payload, shared by the whole
+// row, is allocated at start), so completion does not wait for peers to
+// read — the natural fit for pipelined scalar reductions like the frontier
+// count.
+func (c *Comm) IAllreduce(op ReduceOp, val int64) *Pending[int64] {
 	size := c.Size()
-	parts := make([]any, size)
-	for d := 0; d < size; d++ {
-		parts[d] = []int64{val}
-	}
-	q := &ValueRequest{}
-	q.r = c.start("allreduce", parts, false, func(got []any) {
-		acc := asInts(got[0])[0]
-		for s := 1; s < size; s++ {
-			acc = op.Apply(acc, asInts(got[s])[0])
+	q := &Pending[int64]{}
+	q.r = c.start("allreduce", c.fill([]int64{val}), false, func(got [][]int64) {
+		acc := got[0][0]
+		for _, in := range got[1:] {
+			acc = op.Apply(acc, in[0])
 		}
 		depth := logTreeDepth(size)
 		c.addComm(KindReduce, 2*depth, 2*depth, c.rawEnc(2*depth))
@@ -229,25 +192,21 @@ func (c *Comm) IAllreduce(op ReduceOp, val int64) *ValueRequest {
 	return q
 }
 
-// checkParts validates a personalized-all-to-all parts slice before
-// anything is posted (so a malformed call panics without corrupting the
-// collective stream) and returns the boxed parts plus the raw and encoded
-// words sent to other ranks.
-func (c *Comm) checkParts(name string, parts [][]int64) ([]any, int64, int64) {
-	size := c.Size()
-	if len(parts) != size {
-		panic(fmt.Sprintf("mpi: %s with %d parts on %d ranks", name, len(parts), size))
+// checkParts validates a personalized-all-to-all send row before anything
+// is posted (so a malformed call panics without corrupting the collective
+// stream) and returns the raw and encoded words sent to other ranks. The
+// row itself is posted as it is.
+func (c *Comm) checkParts(name string, parts [][]int64) (words, wordsEnc int64) {
+	if len(parts) != c.Size() {
+		panic(fmt.Sprintf("mpi: %s with %d parts on %d ranks", name, len(parts), c.Size()))
 	}
-	anyParts := make([]any, size)
-	var words, wordsEnc int64
-	for d := 0; d < size; d++ {
-		anyParts[d] = parts[d]
+	for d, p := range parts {
 		if d != c.member {
-			words += int64(len(parts[d]))
-			wordsEnc += c.encWords(parts[d])
+			words += int64(len(p))
+			wordsEnc += c.encWords(p)
 		}
 	}
-	return anyParts, words, wordsEnc
+	return words, wordsEnc
 }
 
 // PartsRequest is a progressive split-phase collective: instead of waiting
@@ -280,45 +239,28 @@ type PartsRequest struct {
 // contribution is surfaced by Next as it arrives. Metering (at Finish) is
 // identical to Allgatherv.
 func (c *Comm) IAllgathervParts(data []int64) *PartsRequest {
-	size := c.Size()
-	parts := make([]any, size)
-	for d := 0; d < size; d++ {
-		parts[d] = data
-	}
-	c.enterCollective("allgatherv")
-	gen := c.nextGen
-	c.nextGen++
-	pr := &PartsRequest{
-		c: c, gen: gen, op: "allgatherv",
-		delivered: make([]bool, size),
-		kind:      KindAllgather,
-		msgs:      int64(size - 1),
-		recvWords: true,
-		started:   time.Now(),
-	}
-	c.st.post(c.member, gen, parts, "allgatherv")
-	return pr
+	return c.startParts("allgatherv", c.fill(data), &PartsRequest{kind: KindAllgather, recvWords: true})
 }
 
 // IAlltoallvParts starts a progressive personalized all-to-all: each
 // source's part is surfaced by Next as it arrives. Metering (at Finish) is
 // identical to Alltoallv.
 func (c *Comm) IAlltoallvParts(parts [][]int64) *PartsRequest {
-	anyParts, words, wordsEnc := c.checkParts("AlltoallvParts", parts)
-	size := c.Size()
-	c.enterCollective("alltoallv")
-	gen := c.nextGen
+	words, wordsEnc := c.checkParts("AlltoallvParts", parts)
+	return c.startParts("alltoallv", parts, &PartsRequest{kind: KindAlltoall, words: words, wordsEnc: wordsEnc})
+}
+
+// startParts is start for the progressive requests: it posts row as this
+// communicator's next collective and returns pr, whose metering rule the
+// caller has set, as its handle.
+func (c *Comm) startParts(op string, row [][]int64, pr *PartsRequest) *PartsRequest {
+	c.enterCollective(op)
+	pr.c, pr.gen, pr.op = c, c.nextGen, op
 	c.nextGen++
-	pr := &PartsRequest{
-		c: c, gen: gen, op: "alltoallv",
-		delivered: make([]bool, size),
-		kind:      KindAlltoall,
-		msgs:      int64(size - 1),
-		words:     words,
-		wordsEnc:  wordsEnc,
-		started:   time.Now(),
-	}
-	c.st.post(c.member, gen, anyParts, "alltoallv")
+	pr.delivered = make([]bool, len(row))
+	pr.msgs = int64(len(row) - 1)
+	pr.started = time.Now()
+	c.st.post(c.member, pr.gen, row, op)
 	return pr
 }
 
@@ -340,11 +282,10 @@ func (pr *PartsRequest) next() (int, []int64, bool) {
 		return -1, nil, false
 	}
 	begin := time.Now()
-	src, part := pr.c.st.nextArrived(pr.c.member, pr.gen, pr.delivered)
+	src, in := pr.c.st.nextArrived(pr.c.member, pr.gen, pr.delivered)
 	pr.exposed += time.Since(begin)
 	pr.delivered[src] = true
 	pr.ndeliv++
-	in := asInts(part)
 	if pr.recvWords && src != pr.c.member {
 		pr.words += int64(len(in))
 		pr.wordsEnc += pr.c.encWords(in)

@@ -36,8 +36,8 @@ type Win struct {
 //
 // The window id is derived collectively (communicator id plus the call's
 // generation), so every process materializes the same window under the same
-// id; each process registers only the slices of its own ranks. The exchange
-// doubles as the barrier MPI_Win_create implies — on return every member
+// id; each process registers only the slices of its own ranks. The
+// collective doubles as the barrier MPI_Win_create implies — on return every member
 // has registered, so one-sided traffic may start immediately.
 func WinCreate(c *Comm, local []int64) *Win {
 	id := fmt.Sprintf("%s/win@%d", c.st.id, c.nextGen)
@@ -46,9 +46,9 @@ func WinCreate(c *Comm, local []int64) *Win {
 	<-st.ranks[c.member].mu
 	st.ranks[c.member].data = local
 	st.ranks[c.member].mu <- struct{}{}
-	// The rendezvous: an unmetered exchange, exactly one collective entry
+	// The rendezvous: an unmetered collective, exactly one collective entry
 	// per member (the fault plane counts it, identically on every backend).
-	c.exchange(make([]any, c.Size()), "win-create", nil)
+	c.start("win-create", make([][]int64, c.Size()), false, nil).Wait()
 	return &Win{comm: c, st: st}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"mcmdist/internal/mpi"
@@ -109,8 +110,8 @@ func TestDecodePostIntoWarmEnvelopeAllocatesNothing(t *testing.T) {
 			if err := decodePost(body.Buf, &msg, free.Take); err != nil {
 				t.Fatal(err)
 			}
-			for i, p := range msg.Parts {
-				if msg.Present[i] {
+			for _, p := range msg.Parts {
+				if p != nil {
 					free.Put(p)
 				}
 			}
@@ -121,7 +122,7 @@ func TestDecodePostIntoWarmEnvelopeAllocatesNothing(t *testing.T) {
 			t.Errorf("compress=%v: %v allocations per POST decoded into a warm envelope, want 0", compress, allocs)
 		}
 		want := goldenPost()
-		if got := fmt.Sprint(msg.Comm, msg.Ranks, msg.Src, msg.Gen, msg.Op, msg.Present, msg.Parts[1]); got != fmt.Sprint(want.Comm, want.Ranks, want.Src, want.Gen, want.Op, []bool{false, true}, want.Parts[1]) {
+		if got := fmt.Sprint(msg.Comm, msg.Ranks, msg.Src, msg.Gen, msg.Op, msg.Parts[0] != nil, msg.Parts[1] != nil, msg.Parts[1]); got != fmt.Sprint(want.Comm, want.Ranks, want.Src, want.Gen, want.Op, false, true, want.Parts[1]) {
 			t.Errorf("compress=%v: warm decode gave %s", compress, got)
 		}
 	}
@@ -175,6 +176,41 @@ func TestForgedPartCountTakesNothing(t *testing.T) {
 		var msg mpi.PostMsg
 		if err := decodePost(body, &msg, take); err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+		if taken != 0 {
+			t.Errorf("%s: the free list was asked for %d buffers", name, taken)
+		}
+	}
+}
+
+// TestAbsentSlotCarriesNothing: an absent POST slot decodes to a nil part,
+// and it must be exactly what writePost writes for one, an empty raw part.
+// An absent slot carrying anything else fails the frame as malformed
+// before the free list is asked for a buffer, even an empty one.
+func TestAbsentSlotCarriesNothing(t *testing.T) {
+	var ok mpi.PostMsg
+	if err := decodePost(postWithAbsentSlot(func(w *wire.Writer) { writePart(w, nil, false) }), &ok, new(mpi.Payloads).Take); err != nil {
+		t.Fatalf("writePost's absent slot: %v", err)
+	}
+	if ok.Parts[0] != nil || ok.Parts[1] == nil {
+		t.Fatalf("absent slot decoded to %v (nil %v), present slot nil %v", ok.Parts[0], ok.Parts[0] == nil, ok.Parts[1] == nil)
+	}
+	forged := map[string][]byte{
+		"raw part":         postWithAbsentSlot(func(w *wire.Writer) { writePart(w, []int64{4, 5}, false) }),
+		"empty delta part": postWithAbsentSlot(func(w *wire.Writer) { writePart(w, nil, true) }),
+		"delta part":       postWithAbsentSlot(func(w *wire.Writer) { writePart(w, []int64{4, 5}, true) }),
+		"unknown encoding": postWithAbsentSlot(func(w *wire.Writer) { w.U8(7); w.U32(0) }),
+	}
+	for name, body := range forged {
+		taken := 0
+		take := func(n int) []int64 {
+			taken++
+			return make([]int64, n)
+		}
+		var msg mpi.PostMsg
+		err := decodePost(body, &msg, take)
+		if err == nil || !strings.Contains(err.Error(), "malformed POST frame") {
+			t.Errorf("%s: decode gave %v, want a malformed POST frame", name, err)
 		}
 		if taken != 0 {
 			t.Errorf("%s: the free list was asked for %d buffers", name, taken)

@@ -33,7 +33,7 @@ func pipeNet(opts Options) (*Net, net.Conn) {
 // 8·words bytes on the rank-1 queue.
 func postToRank1(n *Net, gen int64, words int) error {
 	return n.Post(&mpi.PostMsg{Comm: "world", Ranks: []int{0, 1}, Gen: gen, Op: "test",
-		Parts: [][]int64{nil, make([]int64, words)}, Present: []bool{false, true}})
+		Parts: [][]int64{nil, make([]int64, words)}})
 }
 
 // waitNetGoroutinesGone polls until no tcpnet read/flush/heartbeat goroutine

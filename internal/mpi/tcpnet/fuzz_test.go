@@ -122,7 +122,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var msg mpi.PostMsg
 		if err := decodePost(body, &msg, new(mpi.Payloads).Take); err == nil {
-			if len(msg.Parts) != len(msg.Ranks) || len(msg.Present) != len(msg.Ranks) {
+			if len(msg.Parts) != len(msg.Ranks) {
 				t.Fatalf("POST decoded with parts/ranks mismatch: %d parts, %d ranks", len(msg.Parts), len(msg.Ranks))
 			}
 		}
@@ -225,6 +225,7 @@ func staleBody(data []byte) []byte {
 // holds stale ones: it must give the fresh decode's result.
 func FuzzDecodePostDelivery(f *testing.F) {
 	f.Add(seedBodies()[0])
+	f.Add(postWithAbsentSlot(func(w *wire.Writer) { writePart(w, []int64{4, 5}, false) }))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var fresh mpi.PostMsg
 		err := decodePost(body, &fresh, func(n int) []int64 { return make([]int64, n) })
@@ -237,22 +238,47 @@ func FuzzDecodePostDelivery(f *testing.F) {
 			return
 		}
 		for _, msg := range []*mpi.PostMsg{&fresh, stale} {
-			if len(msg.Parts) != len(msg.Ranks) || len(msg.Present) != len(msg.Ranks) {
-				t.Fatalf("POST decoded with %d parts and %d presence flags for %d ranks", len(msg.Parts), len(msg.Present), len(msg.Ranks))
-			}
-			for i := range msg.Parts {
-				if msg.Present[i] && msg.Parts[i] == nil {
-					// Present parts decode to empty-but-non-nil slices at
-					// worst, and the free list hands out the same for 0.
-					t.Fatalf("part %d present but nil", i)
-				}
+			if len(msg.Parts) != len(msg.Ranks) {
+				t.Fatalf("POST decoded with %d parts for %d ranks", len(msg.Parts), len(msg.Ranks))
 			}
 		}
-		if got, want := fmt.Sprintf("%q %v %d %d %q %v %v", stale.Comm, stale.Ranks, stale.Src, stale.Gen, stale.Op, stale.Present, stale.Parts),
-			fmt.Sprintf("%q %v %d %d %q %v %v", fresh.Comm, fresh.Ranks, fresh.Src, fresh.Gen, fresh.Op, fresh.Present, fresh.Parts); got != want {
+		// A part is present iff it is non-nil: present parts decode to
+		// empty-but-non-nil slices at worst, and the free list hands out
+		// the same for 0. %v prints nil and empty alike, so the presence
+		// flags are compared on their own.
+		if got, want := fmt.Sprintf("%q %v %d %d %q %v %v", stale.Comm, stale.Ranks, stale.Src, stale.Gen, stale.Op, present(stale.Parts), stale.Parts),
+			fmt.Sprintf("%q %v %d %d %q %v %v", fresh.Comm, fresh.Ranks, fresh.Src, fresh.Gen, fresh.Op, present(fresh.Parts), fresh.Parts); got != want {
 			t.Fatalf("decoding into a stale envelope gave\n  %s\nwant\n  %s", got, want)
 		}
 	})
+}
+
+// present reports which parts of a decoded POST are present (non-nil).
+func present(parts [][]int64) []bool {
+	flags := make([]bool, len(parts))
+	for i, p := range parts {
+		flags[i] = p != nil
+	}
+	return flags
+}
+
+// postWithAbsentSlot builds a two-member POST body whose member-0 slot is
+// absent and carries what slot writes (writePost writes an empty raw part
+// there; a forged frame may carry more), and whose member-1 slot holds a
+// present raw part.
+func postWithAbsentSlot(slot func(w *wire.Writer)) []byte {
+	var w wire.Writer
+	w.Str("world")
+	writeRanks(&w, []int{0, 1})
+	w.U32(0)
+	w.I64(3)
+	w.Str("alltoallv")
+	w.U32(2)
+	w.U8(0)
+	slot(&w)
+	w.U8(1)
+	writePart(&w, []int64{6, 7}, false)
+	return w.Buf
 }
 
 // staleEnvelope builds the reuse arm's leftovers: an envelope that decoded
@@ -266,8 +292,8 @@ func staleEnvelope(t *testing.T, body []byte) (*mpi.PostMsg, *mpi.Payloads) {
 	if err := decodePost(seedBodies()[0], msg, free.Take); err != nil {
 		t.Fatalf("decoding the seed POST: %v", err)
 	}
-	for i, p := range msg.Parts {
-		if msg.Present[i] {
+	for _, p := range msg.Parts {
+		if p != nil {
 			free.Put(p)
 		}
 	}

@@ -148,8 +148,7 @@ func goldenWorld(t *testing.T, compress bool) *mpi.World {
 // rank 0 ships to rank 1; member 0's travels as an absent part.
 func goldenPost() *mpi.PostMsg {
 	return &mpi.PostMsg{Comm: "world/split@3/c1", Ranks: []int{0, 1}, Src: 0, Gen: 7, Op: "allgatherv",
-		Parts:   [][]int64{{1, 2}, {100, 101, 104, 109, -5, 1 << 40}},
-		Present: []bool{true, true}}
+		Parts: [][]int64{{1, 2}, {100, 101, 104, 109, -5, 1 << 40}}}
 }
 
 // rmaReqBody hand-builds an RMA_REQ body for the handler to serve.

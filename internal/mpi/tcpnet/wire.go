@@ -215,10 +215,15 @@ func readPart(r *wire.Reader, take func(n int) []int64) []int64 {
 	}
 }
 
-var errPartEncoding = errors.New("tcpnet: unknown part encoding")
+var (
+	errPartEncoding = errors.New("tcpnet: unknown part encoding")
+	errAbsentPart   = errors.New("tcpnet: absent POST slot carries a part")
+)
 
 // writePost writes the POST body that carries member i's part: the
-// envelope, then one slot per member, of which only slot i may be present.
+// envelope, then one slot per member, of which only slot i may be present,
+// and only if its part is non-nil (posted). An absent slot is a zero flag
+// and an empty raw part.
 func writePost(w *wire.Writer, msg *mpi.PostMsg, i int, compress bool) {
 	w.Str(msg.Comm)
 	writeRanks(w, msg.Ranks)
@@ -227,7 +232,7 @@ func writePost(w *wire.Writer, msg *mpi.PostMsg, i int, compress bool) {
 	w.Str(msg.Op)
 	w.U32(uint32(len(msg.Ranks)))
 	for j := range msg.Ranks {
-		if j == i && j < len(msg.Present) && msg.Present[j] {
+		if j == i && msg.Parts[j] != nil {
 			w.U8(1)
 			writePart(w, msg.Parts[j], compress)
 		} else {
@@ -325,12 +330,14 @@ const frameReadChunk = 1 << 20
 // never a panic, never a silently wrong message.
 
 // decodePost decodes a POST frame body into msg, the connection's own
-// envelope: its Ranks, Parts and Present slices are reused once they have
-// the room, and its Comm and Op strings are kept when the bytes match, so a
-// warm envelope costs no allocation. Each part payload gets a buffer of its
-// own from take (World.Payloads().Take on the read loop), never the one the
-// envelope held before: DeliverPost has handed that one to the mailbox. On
-// error msg holds a partial decode.
+// envelope: its Ranks and Parts slices are reused once they have the room,
+// and its Comm and Op strings are kept when the bytes match, so a warm
+// envelope costs no allocation. Each present part gets a buffer of its own
+// from take (World.Payloads().Take on the read loop), never the one the
+// envelope held before: DeliverPost has handed that one to the mailbox. An
+// absent slot decodes to a nil part and must be what writePost writes for
+// one, an empty raw part: anything else fails the frame before take is
+// asked. On error msg holds a partial decode.
 func decodePost(body []byte, msg *mpi.PostMsg, take func(n int) []int64) error {
 	rb := wire.NewReader(body)
 	readStr(&rb, &msg.Comm)
@@ -343,10 +350,13 @@ func decodePost(body []byte, msg *mpi.PostMsg, take func(n int) []int64) error {
 		return fmt.Errorf("tcpnet: POST parts/ranks mismatch")
 	}
 	msg.Parts = resize(msg.Parts, nparts)
-	msg.Present = resize(msg.Present, nparts)
-	for i := 0; i < nparts; i++ {
-		msg.Present[i] = rb.U8() != 0
-		msg.Parts[i] = readPart(&rb, take)
+	for i := range msg.Parts {
+		msg.Parts[i] = nil
+		if rb.U8() != 0 {
+			msg.Parts[i] = readPart(&rb, take)
+		} else if rb.U8() != encRaw || rb.U32() != 0 {
+			rb.Fail(errAbsentPart)
+		}
 	}
 	return frameErr(&rb, framePost)
 }

@@ -37,7 +37,8 @@ import (
 // DeliverPost; from then on the mailbox owns it, and when its generation
 // retires in this process the buffer goes back to Payloads for the next
 // part of its size class. The envelope is the receiver's own: DeliverPost
-// keeps nothing of it, so one PostMsg per connection serves every frame.
+// copies its Parts row and keeps nothing else, so one PostMsg per
+// connection serves every frame.
 type Transport interface {
 	// Name identifies the backend ("inproc", "tcp") in conformance tests
 	// and logs.
@@ -59,11 +60,14 @@ type Transport interface {
 	// Post ships the remote-addressed parts of one mailbox post to the
 	// processes hosting them. The caller has already deposited the local
 	// parts; implementations must deliver to each remote process exactly
-	// one DeliverPost per (source, generation). Never called when every
-	// member of the communicator is local. Post must not retain msg.Parts
-	// after it returns: a buffer-lending collective completes once the
-	// local members have read, and its caller may then overwrite the send
-	// buffers while remote members have yet to read their copies.
+	// one DeliverPost per (source, generation), carrying a nil part where
+	// msg.Parts has one (not posted) and a non-nil part, empty or not,
+	// where it was posted. Never called when every member of the
+	// communicator is local. msg.Parts is the poster's own send row, not a
+	// copy, so Post must neither modify it nor retain it or its parts after
+	// it returns: a buffer-lending collective completes once the local
+	// members have read, and its caller may then overwrite the send buffers
+	// while remote members have yet to read their copies.
 	Post(msg *PostMsg) error
 
 	// RMA executes one one-sided operation against the window registry of
@@ -98,13 +102,11 @@ type PostMsg struct {
 	Gen int64
 	// Op labels the collective for watchdog diagnostics ("allreduce", ...).
 	Op string
-	// Parts[i] is the payload addressed to member i; Present[i]
-	// distinguishes an empty part from a nil one (both move zero words).
-	// On delivery each present part must be a buffer of its own, which the
-	// mailbox takes over (see World.DeliverPost).
+	// Parts[i] is the payload addressed to member i. A nil part was not
+	// posted; an empty non-nil part was posted empty (both move zero
+	// words). On delivery each non-nil part must be a buffer of its own,
+	// which the mailbox takes over (see World.DeliverPost).
 	Parts [][]int64
-	// Present reports, per member, whether a part was posted at all.
-	Present []bool
 }
 
 // RMAOp codes the one-sided operation an RMAReq carries.

@@ -84,6 +84,11 @@ func Read(r io.Reader) (*spmat.CSC, error) {
 	if nrows < 0 || ncols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("mtx: negative size %d %d %d", nrows, ncols, nnz)
 	}
+	if h.symmetry == "symmetric" && nrows != ncols {
+		// The mirrored entry (j,i) of an in-range (i,j) is only in range
+		// when the matrix is square, as the format requires.
+		return nil, fmt.Errorf("mtx: symmetric matrix of size %dx%d is not square", nrows, ncols)
+	}
 
 	coo := spmat.NewCOO(nrows, ncols)
 	coo.Entries = make([]spmat.Triple, 0, nnz)

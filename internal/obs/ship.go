@@ -123,12 +123,33 @@ func (c *Collector) RankMeters(rank int) []MeterPoint {
 	return c.meters[rank]
 }
 
+// Host declares ranks as hosted by this process: their goroutines record
+// into this collector, so InstallRemote never installs a payload for them.
+// The declaration must come before any payload that re-encodes them can
+// arrive; the solve declares its transport's local ranks before the world
+// launches.
+func (c *Collector) Host(ranks []int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	if c.hosted == nil {
+		c.hosted = make(map[int]bool)
+	}
+	for _, r := range ranks {
+		c.hosted[r] = true
+	}
+	c.mu.Unlock()
+}
+
 // Export captures the collector's state for the given ranks as a ProcObs.
-// Call after the local ranks have finished recording.
+// Call after the local ranks have finished recording. A collector exports
+// only ranks it records, so Export declares them hosted (see Host).
 func (c *Collector) Export(ranks []int, gen int64) *ProcObs {
 	if c == nil {
 		return nil
 	}
+	c.Host(ranks)
 	po := &ProcObs{Gen: gen, Events: c.Events()}
 	for _, r := range ranks {
 		ro := RankObs{Rank: r, Meters: c.RankMeters(r)}
@@ -154,51 +175,45 @@ func (c *Collector) Export(ranks []int, gen int64) *ProcObs {
 // shifts by the same offset, so relative order and nesting are preserved
 // by construction.
 //
-// A rank whose local tracer or recorder already holds data is skipped:
-// that is the loopback shape where every endpoint shares one collector and
-// the "remote" payload is a re-encoding of spans already present. When
-// every carried rank is skipped that way, the events and metrics of the
-// payload are skipped too, so a shared collector is never double-counted.
+// A rank hosted here (see Host) is skipped without looking at its tracer
+// or recorder, which its own goroutine writes: that is the loopback shape
+// where every endpoint shares one collector and the "remote" payload is a
+// re-encoding of what is already recorded. When every carried rank is
+// hosted here, the events and metrics of the payload are skipped too, so a
+// shared collector is never double-counted.
 func (c *Collector) InstallRemote(po *ProcObs, offsetNs int64) {
 	if c == nil || po == nil {
 		return
 	}
-	hasPayload := false
-	installed := false
+	var remote []RankObs
+	c.mu.Lock()
 	for _, ro := range po.Ranks {
-		if len(ro.Spans) > 0 || len(ro.Samples) > 0 {
-			hasPayload = true
-		}
-		r := ro.Rank
-		if len(ro.Spans) > 0 && r >= 0 && r < len(c.tracers) {
-			if t := c.tracers[r]; t != nil && t.total == 0 {
-				for _, sp := range ro.Spans {
-					sp.Start += offsetNs
-					t.record(sp)
-				}
-				installed = true
-				if ro.Dropped > 0 {
-					c.mu.Lock()
-					c.remoteDropped += ro.Dropped
-					c.mu.Unlock()
-				}
-			}
-		}
-		if len(ro.Samples) > 0 && r >= 0 && r < len(c.recs) {
-			if rec := c.recs[r]; rec != nil && len(rec.samples) == 0 {
-				for _, s := range ro.Samples {
-					s.Rank = r
-					rec.samples = append(rec.samples, s)
-				}
-				installed = true
-			}
-		}
-		if len(ro.Meters) > 0 && c.RankMeters(r) == nil {
-			c.SetRankMeter(r, ro.Meters)
+		if !c.hosted[ro.Rank] {
+			remote = append(remote, ro)
 		}
 	}
-	if hasPayload && !installed {
+	c.mu.Unlock()
+	if len(po.Ranks) > 0 && len(remote) == 0 {
 		return
+	}
+	for _, ro := range remote {
+		r := ro.Rank
+		if t := c.Tracer(r); t != nil && len(ro.Spans) > 0 {
+			for _, sp := range ro.Spans {
+				sp.Start += offsetNs
+				t.record(sp)
+			}
+			c.mu.Lock()
+			c.remoteDropped += ro.Dropped
+			c.mu.Unlock()
+		}
+		if rec := c.Recorder(r); rec != nil {
+			for _, s := range ro.Samples {
+				s.Rank = r
+				rec.samples = append(rec.samples, s)
+			}
+		}
+		c.SetRankMeter(r, ro.Meters)
 	}
 	if len(po.Events) > 0 {
 		evs := make([]Event, len(po.Events))

@@ -39,6 +39,7 @@ type Collector struct {
 	events        []Event
 	meters        map[int][]MeterPoint
 	remoteDropped uint64
+	hosted        map[int]bool // ranks recorded here (see Host)
 }
 
 // NewCollector builds a collector for a world of the given size.
