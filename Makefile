@@ -21,9 +21,12 @@ examples:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
-# Vet, then fail if any file is not gofmt-clean (CI's lint job runs this).
+# Vet the module and the benchmark's separate module (./... stops at
+# benchmark/go.mod), then fail if any file is not gofmt-clean (CI's lint
+# job runs this).
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet .
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # The simulated MPI runtime is goroutine-per-rank; the race detector

@@ -1,11 +1,18 @@
 package mcmdist
 
-// A dead-surface lint: every exported identifier declared under internal/
-// must be reached from some non-test file of the module or of the repo
-// benchmark. An export that only its own tests call is code kept alive by
-// nothing the solver runs; it is deleted, or moved into the test that
-// needs it. The check type-checks every non-test package with the standard
-// library's go/types and counts a use, anywhere, of each declared object.
+// A dead-surface lint over two scopes. Every exported identifier declared
+// under internal/ must be reached from some non-test file of the module or
+// of the repo benchmark: an export that only its own tests call is code kept
+// alive by nothing the solver runs; it is deleted, or moved into the test
+// that needs it. The public mcmdist package answers to a stricter rule,
+// since its callers live outside it: its exported functions, methods and
+// variables must be reached from examples/, cmd/ or benchmark/; a type may
+// also be reached by a declaration of the package itself (a signature, a
+// field, an alias), though not by a function body or a method receiver,
+// which no caller sees; and a typed constant is reached when its type is. Struct fields of the
+// public package are exempt. The check type-checks every non-test package
+// with the standard library's go/types and counts each use of every
+// declared object, with where it came from.
 
 import (
 	"go/ast"
@@ -18,13 +25,26 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// deadExportAllowlist names the exports under internal/ that no non-test
-// code reaches but that stay, each with the reason it stays. Keys are
+// rootPath is the import path of the public package.
+const rootPath = "mcmdist"
+
+// deadExportAllowlist names the exports that the rule of their scope does
+// not reach but that stay, each with the reason it stays. Keys are
 // "<import path>.<Name>" or "<import path>.<Type>.<Method or field>".
 var deadExportAllowlist = map[string]string{
+	"mcmdist.CoordinateTCP":                "rank 0 of a multi-process TCP world built by the caller's own launcher (docs/TRANSPORT.md); cmd/mcm coordinates through tcpnet to ship its job spec",
+	"mcmdist.FromMatrixMarket":             "reads the paper's SuiteSparse inputs from a stream; cmd/mcm ships its -in file in the job spec and parses it internally",
+	"mcmdist.FromMatrixMarketFile":         "FromMatrixMarket for a file on disk",
+	"mcmdist.Graph.Verify":                 "structural validity check of a caller's matching, the precondition VerifyMaximum, HallViolator and MaximumTransversal build on",
+	"mcmdist.JoinTCP":                      "worker half of CoordinateTCP for the caller's own launcher; cmd/mcmrank joins through tcpnet to read its job spec",
+	"mcmdist.ObsReport.WriteMetrics":       "Prometheus export of Observe.Metrics, the only way a caller reads that registry",
+	"mcmdist.ObsReport.WriteTimeSeriesCSV": "the one reader of the per-iteration time-series Observe.TimeSeries records",
+	"mcmdist.PanicError":                   "the dynamic type of a panic converted to an error at the API boundary; callers match it with errors.As",
+
 	"mcmdist/internal/core.Ops":                 "per-op meter table pinned by the golden trajectory test",
 	"mcmdist/internal/mpi.Comm.World":           "reaches a rank's world for the per-kind meter oracle of the core tests",
 	"mcmdist/internal/mpi.FaultPlan.Fired":      "cross-package test oracle of the fault plane",
@@ -40,18 +60,34 @@ var deadExportAllowlist = map[string]string{
 }
 
 func TestNoDeadInternalExports(t *testing.T) {
+	checkDeadExports(t, rootPath+"/internal/", "exported identifiers under internal/ have no non-test reference")
+}
+
+func TestNoDeadPublicExports(t *testing.T) {
+	checkDeadExports(t, rootPath+".", "exports of the mcmdist package are not reached from examples/, cmd/ or benchmark/")
+}
+
+// loadChecker type-checks the repo once for both scopes of the lint.
+var loadChecker = sync.OnceValues(func() (*deadExportChecker, error) {
 	c := newDeadExportChecker()
-	if err := c.loadRepo(); err != nil {
+	return c, c.loadRepo()
+})
+
+// checkDeadExports applies the lint to the declared identifiers whose keys
+// start with prefix, and checks the allowlist entries of that scope.
+func checkDeadExports(t *testing.T, prefix, what string) {
+	c, err := loadChecker()
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	ifaceMethods := c.interfaceMethodNames()
 	var dead []string
 	for _, obj := range c.declared {
-		if c.used[obj] {
+		key := objectKey(obj)
+		if !strings.HasPrefix(key, prefix) || c.reached(obj) {
 			continue
 		}
-		key := objectKey(obj)
 		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && ifaceMethods[fn.Name()] {
 			continue
 		}
@@ -62,12 +98,14 @@ func TestNoDeadInternalExports(t *testing.T) {
 	}
 	sort.Strings(dead)
 	if len(dead) > 0 {
-		t.Errorf("%d exported identifiers under internal/ have no non-test reference; delete them, "+
-			"move them into the _test.go file that needs them, or allowlist them with a reason:\n  %s",
-			len(dead), strings.Join(dead, "\n  "))
+		t.Errorf("%d %s; delete them, move them into the _test.go file that needs them, "+
+			"or allowlist them with a reason:\n  %s", len(dead), what, strings.Join(dead, "\n  "))
 	}
 
 	for key, reason := range deadExportAllowlist {
+		if !strings.HasPrefix(key, prefix) {
+			continue
+		}
 		if strings.TrimSpace(reason) == "" {
 			t.Errorf("allowlist entry %s carries no reason", key)
 		}
@@ -76,20 +114,56 @@ func TestNoDeadInternalExports(t *testing.T) {
 		}
 	}
 	for _, obj := range c.declared {
-		if _, listed := deadExportAllowlist[objectKey(obj)]; listed && c.used[obj] {
-			t.Errorf("allowlist entry %s is stale: non-test code uses it", objectKey(obj))
+		key := objectKey(obj)
+		if _, listed := deadExportAllowlist[key]; listed && strings.HasPrefix(key, prefix) && c.reached(obj) {
+			t.Errorf("allowlist entry %s is stale: its scope's rule now reaches it", key)
 		}
 	}
 }
 
+// reach records where the uses of an object come from.
+type reach uint8
+
+const (
+	reachBody    reach = 1 << iota // a function body of the public package
+	reachDecl                      // the public package, outside function bodies
+	reachOutside                   // any other package
+)
+
+// reached applies the rule of obj's scope to its recorded uses.
+func (c *deadExportChecker) reached(obj types.Object) bool {
+	r := c.used[obj]
+	if obj.Pkg().Path() != rootPath {
+		return r != 0
+	}
+	switch o := obj.(type) {
+	case *types.TypeName:
+		return r&(reachOutside|reachDecl) != 0
+	case *types.Const:
+		if r&reachOutside != 0 {
+			return true
+		}
+		scope := o.Pkg().Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.Exported() &&
+				types.Identical(tn.Type(), o.Type()) && c.reached(tn) {
+				return true
+			}
+		}
+		return false
+	}
+	return r&reachOutside != 0
+}
+
 // deadExportChecker type-checks the module's non-test packages from source,
-// recording every object they use and every export declared under internal/.
+// recording every object they use, from where, and every export declared
+// in the public package or under internal/.
 type deadExportChecker struct {
 	fset         *token.FileSet
 	std          types.Importer
 	dirs         map[string]string // import path → directory
 	pkgs         map[string]*types.Package
-	used         map[types.Object]bool
+	used         map[types.Object]reach
 	declared     []types.Object
 	declaredKeys map[string]bool
 	// bodyIfaces are the interface types of the repo's expressions,
@@ -104,7 +178,7 @@ func newDeadExportChecker() *deadExportChecker {
 		std:          importer.Default(),
 		dirs:         map[string]string{},
 		pkgs:         map[string]*types.Package{},
-		used:         map[types.Object]bool{},
+		used:         map[types.Object]reach{},
 		declaredKeys: map[string]bool{},
 	}
 }
@@ -179,11 +253,23 @@ func (c *deadExportChecker) Import(path string) (*types.Package, error) {
 		return nil, err
 	}
 	c.pkgs[path] = pkg
-	for _, obj := range info.Uses {
-		c.use(obj)
+	site := func(token.Pos) reach { return reachOutside }
+	if path == rootPath {
+		bodies := functionBodies(files)
+		site = func(pos token.Pos) reach {
+			for _, b := range bodies {
+				if b.Pos() <= pos && pos < b.End() {
+					return reachBody
+				}
+			}
+			return reachDecl
+		}
 	}
-	for _, sel := range info.Selections {
-		c.use(sel.Obj())
+	for id, obj := range info.Uses {
+		c.use(obj, site(id.Pos()))
+	}
+	for sel, s := range info.Selections {
+		c.use(s.Obj(), site(sel.Sel.Pos()))
 	}
 	for _, tv := range info.Types {
 		if tv.Type != nil {
@@ -192,26 +278,54 @@ func (c *deadExportChecker) Import(path string) (*types.Package, error) {
 			}
 		}
 	}
-	if strings.HasPrefix(path, "mcmdist/internal/") {
-		c.declare(pkg)
+	switch {
+	case path == rootPath:
+		c.declare(pkg, false)
+	case strings.HasPrefix(path, rootPath+"/internal/"):
+		c.declare(pkg, true)
 	}
 	return pkg, nil
 }
 
-// use marks obj, and the generic declaration it instantiates, as reached.
-func (c *deadExportChecker) use(obj types.Object) {
+// functionBodies returns the bodies of the files' functions and function
+// literals, and the receivers of their methods: a method naming its own
+// type reaches no caller either.
+func functionBodies(files []*ast.File) []ast.Node {
+	var bodies []ast.Node
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Recv != nil {
+					bodies = append(bodies, fn.Recv)
+				}
+				if fn.Body != nil {
+					bodies = append(bodies, fn.Body)
+				}
+			case *ast.FuncLit:
+				bodies = append(bodies, fn.Body)
+			}
+			return true
+		})
+	}
+	return bodies
+}
+
+// use records a use of obj, and of the generic declaration it instantiates,
+// from site.
+func (c *deadExportChecker) use(obj types.Object, site reach) {
 	switch o := obj.(type) {
 	case *types.Func:
 		obj = o.Origin()
 	case *types.Var:
 		obj = o.Origin()
 	}
-	c.used[obj] = true
+	c.used[obj] |= site
 }
 
 // declare records pkg's exported package-level objects, and the exported
-// methods and struct fields of its exported named types.
-func (c *deadExportChecker) declare(pkg *types.Package) {
+// methods — and, with fields, struct fields — of its exported named types.
+func (c *deadExportChecker) declare(pkg *types.Package, fields bool) {
 	add := func(obj types.Object) {
 		c.declared = append(c.declared, obj)
 		c.declaredKeys[objectKey(obj)] = true
@@ -236,7 +350,7 @@ func (c *deadExportChecker) declare(pkg *types.Package) {
 				add(m)
 			}
 		}
-		if st, ok := named.Underlying().(*types.Struct); ok {
+		if st, ok := named.Underlying().(*types.Struct); ok && fields {
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() && !f.Embedded() {
 					add(f)

@@ -48,19 +48,6 @@ func main() {
 		log.Fatalf("permutation inconsistent: %d diagonal nonzeros, matching %d", got, m.Cardinality())
 	}
 	fmt.Println("the permuted system has a maximum zero-free diagonal; ready for factorization")
-
-	// Block triangular form: the coarse Dulmage-Mendelsohn decomposition
-	// splits the system into independent sub-systems a solver can
-	// factorize separately.
-	btf, err := g.DulmageMendelsohn(m)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nDulmage-Mendelsohn: horizontal %dx%d, square %dx%d, vertical %dx%d\n",
-		len(btf.HorizontalRows), len(btf.HorizontalCols),
-		len(btf.SquareRows), len(btf.SquareCols),
-		len(btf.VerticalRows), len(btf.VerticalCols))
-	fmt.Printf("structural rank %d (matches |M| = %d)\n", btf.StructuralRank(), m.Cardinality())
 }
 
 // diagNonzeros counts nonzero diagonal entries of the (optionally row-

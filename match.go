@@ -19,7 +19,8 @@ const Unmatched int64 = -1
 
 // Matching is a bipartite matching as two mate vectors: MateR[i] is the
 // column matched to row i and MateC[j] the row matched to column j, with
-// Unmatched (-1) elsewhere.
+// Unmatched (-1) elsewhere. It is not an alias of the solver's matching
+// type, whose methods take the internal sparse matrix.
 type Matching struct {
 	// MateR[i] is the column matched to row i; MateC[j] the row matched to
 	// column j; Unmatched (-1) elsewhere.
@@ -49,6 +50,12 @@ func fromInternal(m *matching.Matching) *Matching {
 // matched pairs are edges of g.
 func (g *Graph) Verify(m *Matching) error {
 	return verify.Valid(g.a, m.internal())
+}
+
+// valid reports whether m is a non-nil, structurally valid matching of g —
+// the precondition of every method that indexes a caller's mate vectors.
+func (g *Graph) valid(m *Matching) bool {
+	return m != nil && g.Verify(m) == nil
 }
 
 // VerifyMaximum certifies that m is a maximum cardinality matching of g via
@@ -184,27 +191,19 @@ func (o Options) toConfig() (core.Config, error) {
 }
 
 // CommStats counts one rank's communication and local work: messages
-// (latency units), 8-byte words (bandwidth units) and local operations.
-type CommStats struct {
-	// Msgs counts messages (latency units), Words 8-byte words moved
-	// (bandwidth units), Work local operations (compute units).
-	Msgs, Words, Work int64
-}
+// (latency units), 8-byte words (bandwidth units), local operations, and
+// the wire-compressed word volume when Options.Compress is on.
+type CommStats = mpi.Meter
 
 // CommTime splits one category's communication wall time in two: Total is
 // the time its collectives' requests were in flight, Exposed the part the
 // rank actually spent blocked waiting on them. The difference is latency the
 // split-phase schedules hid behind local computation.
-type CommTime struct {
-	// Total is the request-in-flight wall time; Exposed the blocked part.
-	Total, Exposed time.Duration
-}
+type CommTime = mpi.CommTimes
 
-// Hidden returns the communication latency overlapped with computation,
-// Total minus Exposed.
-func (ct CommTime) Hidden() time.Duration { return ct.Total - ct.Exposed }
-
-// Stats reports a distributed run.
+// Stats reports a distributed run. It is not an alias of the solver's own
+// stats: callers (the repo benchmark among them) index WallByOp, CommByOp
+// and CommTimeByOp with plain string keys.
 type Stats struct {
 	// Engine is the registry name of the engine that ran the solve — the
 	// concrete choice even when Options.Engine was "auto" or empty.
@@ -255,53 +254,20 @@ type Stats struct {
 
 // MachineModel holds alpha-beta cost-model constants (seconds per local op,
 // per message, per 8-byte word).
-type MachineModel struct {
-	// Name labels the machine in reports.
-	Name string
-	// TOp is seconds per local graph operation.
-	TOp float64
-	// Alpha is seconds of latency per message.
-	Alpha float64
-	// Beta is seconds per 8-byte word transferred.
-	Beta float64
-}
+type MachineModel = costmodel.Machine
 
 // EdisonXC30 approximates the paper's evaluation platform: a Cray XC30 with
 // the Aries dragonfly interconnect.
-var EdisonXC30 = MachineModel{
-	Name:  costmodel.Edison.Name,
-	TOp:   costmodel.Edison.TOp,
-	Alpha: costmodel.Edison.Alpha,
-	Beta:  costmodel.Edison.Beta,
-}
-
-func (mm MachineModel) internal() costmodel.Machine {
-	return costmodel.Machine{Name: mm.Name, TOp: mm.TOp, Alpha: mm.Alpha, Beta: mm.Beta}
-}
+var EdisonXC30 = costmodel.Edison
 
 // ModeledSeconds projects the run onto the machine model: the maximum over
 // ranks of F*t_op/threads + alpha*S + beta*W (Section IV-B).
 func (st *Stats) ModeledSeconds(mm MachineModel) float64 {
-	m := mm.internal()
 	var worst float64
 	for _, cs := range st.PerRank {
-		t := m.Time(toMeter(cs), st.Threads)
-		if t > worst {
-			worst = t
-		}
+		worst = max(worst, mm.Time(cs, st.Threads))
 	}
 	return worst
-}
-
-// ModeledBreakdown projects the per-primitive communication breakdown onto
-// the machine model, in seconds.
-func (st *Stats) ModeledBreakdown(mm MachineModel) map[string]float64 {
-	m := mm.internal()
-	out := make(map[string]float64, len(st.CommByOp))
-	for k, cs := range st.CommByOp {
-		out[k] = m.Time(toMeter(cs), st.Threads)
-	}
-	return out
 }
 
 // MaximumMatching computes a maximum cardinality matching of g with the
@@ -329,7 +295,6 @@ func maximumMatchingOn(tr mpi.Transport, g *Graph, opts Options) (m *Matching, s
 		return nil, nil, fmt.Errorf("mcmdist: Options.Procs %d != transport world size %d", procs, tr.WorldSize())
 	}
 	cfg.Obs = opts.Observe.collector(procs)
-	opts.Observe.live(cfg.Obs)
 	res, err := core.SolveOn(tr, g.a, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -381,51 +346,28 @@ func MaximumMatchingSerial(g *Graph, alg SerialAlgorithm, init *Matching) (m *Ma
 	}
 }
 
-// MaximalAlgorithm selects a serial maximal-matching heuristic.
-type MaximalAlgorithm int
-
-// Maximal matching heuristics (Section II-A).
-const (
-	GreedyMaximal MaximalAlgorithm = iota
-	KarpSipserMaximal
-	DynamicMindegreeMaximal
-)
-
-// MaximalMatching computes a maximal (not necessarily maximum) matching
-// with the selected heuristic; seed drives Karp–Sipser's randomness.
-func MaximalMatching(g *Graph, alg MaximalAlgorithm, seed int64) (m *Matching, err error) {
-	defer guard(&err)
-	switch alg {
-	case GreedyMaximal:
-		return fromInternal(matching.Greedy(g.a)), nil
-	case KarpSipserMaximal:
-		return fromInternal(matching.KarpSipser(g.a, seed)), nil
-	case DynamicMindegreeMaximal:
-		return fromInternal(matching.DynMinDegree(g.a)), nil
-	default:
-		return nil, fmt.Errorf("mcmdist: unknown maximal algorithm %d", int(alg))
-	}
-}
-
-func toMeter(cs CommStats) mpi.Meter {
-	return mpi.Meter{Msgs: cs.Msgs, Words: cs.Words, Work: cs.Work}
-}
-
 // HallViolator returns, when m (a maximum matching of g) leaves columns
 // unmatched, a set S of columns with |N(S)| < |S| — a Hall-condition
 // violator proving no matching can saturate the columns. Returns nil when
-// all columns are matched. The gap |S| - |N(S)| equals the deficiency.
+// all columns are matched, and when m is not a valid matching of g (see
+// Verify). The gap |S| - |N(S)| equals the deficiency.
 func (g *Graph) HallViolator(m *Matching) []int {
+	if !g.valid(m) {
+		return nil
+	}
 	return verify.HallViolator(g.a, m.internal())
 }
 
 // MaximumTransversal returns a row permutation placing a maximum number of
-// nonzeros on the diagonal of g's matrix: row perm[i] of the original
-// matrix moves to row i... precisely, perm[i] = j means original row i
+// nonzeros on the diagonal of g's matrix: perm[i] = j means original row i
 // moves to position j, so column j's matched entry lands on the diagonal.
-// Unmatched rows fill the remaining positions arbitrarily. This is the
-// sparse-solver preprocessing step that motivates the paper (Section I).
+// Unmatched rows fill the remaining positions arbitrarily. Returns nil when
+// m is not a valid matching of g (see Verify). This is the sparse-solver
+// preprocessing step that motivates the paper (Section I).
 func MaximumTransversal(g *Graph, m *Matching) []int {
+	if !g.valid(m) {
+		return nil
+	}
 	n := g.Rows()
 	perm := make([]int, n)
 	for i := range perm {

@@ -130,9 +130,6 @@ func TestMaximumMatchingEndToEnd(t *testing.T) {
 	if st.ModeledSeconds(EdisonXC30) <= 0 {
 		t.Fatal("modeled time not positive")
 	}
-	if len(st.ModeledBreakdown(EdisonXC30)) == 0 {
-		t.Fatal("empty modeled breakdown")
-	}
 }
 
 func TestMaximumMatchingRejectsNonSquare(t *testing.T) {
@@ -187,7 +184,12 @@ func TestSerialAlgorithmsAgree(t *testing.T) {
 
 func TestSerialWithWarmStart(t *testing.T) {
 	g := mustRMAT(t, G500, 8, 4, 4)
-	init, err := MaximalMatching(g, DynamicMindegreeMaximal, 0)
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dg.Close()
+	init, _, err := dg.MaximalMatchingDistributed(DynamicMindegreeInit, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,25 +205,6 @@ func TestSerialWithWarmStart(t *testing.T) {
 	}
 	if m.Cardinality() < init.Cardinality() {
 		t.Fatal("warm start lost cardinality")
-	}
-}
-
-func TestMaximalAlgorithms(t *testing.T) {
-	g := mustRMAT(t, ER, 7, 3, 6)
-	for _, alg := range []MaximalAlgorithm{GreedyMaximal, KarpSipserMaximal, DynamicMindegreeMaximal} {
-		m, err := MaximalMatching(g, alg, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Verify(m); err != nil {
-			t.Fatalf("alg %d: %v", alg, err)
-		}
-		if m.Cardinality() == 0 {
-			t.Fatalf("alg %d: empty maximal matching", alg)
-		}
-	}
-	if _, err := MaximalMatching(g, MaximalAlgorithm(9), 0); err == nil {
-		t.Fatal("unknown maximal algorithm accepted")
 	}
 }
 
@@ -273,46 +256,6 @@ func TestDirectionOptimizedPublicAPI(t *testing.T) {
 	}
 	if st.PullIterations == 0 {
 		t.Fatal("full-frontier first phase should have used pull")
-	}
-}
-
-func TestDulmageMendelsohnPublicAPI(t *testing.T) {
-	g := mustRMAT(t, G500, 9, 4, 17)
-	m, _, err := MaximumMatching(g, Options{Procs: 4, Init: DynamicMindegreeInit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	btf, err := g.DulmageMendelsohn(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if btf.StructuralRank() != m.Cardinality() {
-		t.Fatalf("structural rank %d != |M| %d", btf.StructuralRank(), m.Cardinality())
-	}
-	if len(btf.SquareRows) != len(btf.SquareCols) {
-		t.Fatal("square block not square")
-	}
-	if len(btf.RowOrder()) != g.Rows() || len(btf.ColOrder()) != g.Cols() {
-		t.Fatal("orders have wrong length")
-	}
-	// Orders must be permutations.
-	seen := make([]bool, g.Rows())
-	for _, i := range btf.RowOrder() {
-		if seen[i] {
-			t.Fatalf("row %d twice in order", i)
-		}
-		seen[i] = true
-	}
-
-	// Rejects non-maximum matchings.
-	sub, err := MaximalMatching(g, GreedyMaximal, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Cardinality() < m.Cardinality() {
-		if _, err := g.DulmageMendelsohn(sub); err == nil {
-			t.Fatal("non-maximum matching accepted")
-		}
 	}
 }
 
@@ -370,32 +313,6 @@ func TestHallViolatorPublicAPI(t *testing.T) {
 	}
 }
 
-func TestFineBlocksPublicAPI(t *testing.T) {
-	g, err := TableII("Freescale1", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := MaximumMatching(g, Options{Procs: 4, Init: DynamicMindegreeInit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	btf, err := g.DulmageMendelsohn(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := g.FineBlocks(m, btf)
-	total := 0
-	for _, b := range blocks {
-		if len(b.Rows) != len(b.Cols) {
-			t.Fatal("non-square diagonal block")
-		}
-		total += len(b.Cols)
-	}
-	if total != len(btf.SquareCols) {
-		t.Fatalf("fine blocks cover %d of %d", total, len(btf.SquareCols))
-	}
-}
-
 func TestMaximumTransversal(t *testing.T) {
 	g, err := TableII("nlpkkt200", 8)
 	if err != nil {
@@ -423,6 +340,46 @@ func TestMaximumTransversal(t *testing.T) {
 	}
 	if diag != m.Cardinality() {
 		t.Fatalf("diagonal nonzeros %d != |M| %d", diag, m.Cardinality())
+	}
+}
+
+// TestCallerMatchingsValidated feeds the methods that index a caller's mate
+// vectors matchings that do not belong to the graph: each must answer with
+// its documented invalid-matching result instead of panicking.
+func TestCallerMatchingsValidated(t *testing.T) {
+	g, err := FromEdges(3, 3, [][2]int{{0, 0}, {0, 1}, {1, 1}, {2, 0}, {2, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := Unmatched
+	for _, tc := range []struct {
+		name string
+		m    *Matching
+	}{
+		{"nil", nil},
+		{"smaller graph, empty", &Matching{MateR: []int64{u, u}, MateC: []int64{u, u}}},
+		{"smaller graph, full", &Matching{MateR: []int64{0, 1}, MateC: []int64{0, 1}}},
+		{"mate out of range", &Matching{MateR: []int64{u, u, u}, MateC: []int64{7, u, u}}},
+		{"inconsistent mates", &Matching{MateR: []int64{1, u, u}, MateC: []int64{u, 2, u}}},
+		{"pair is not an edge", &Matching{MateR: []int64{2, u, u}, MateC: []int64{u, u, 0}}},
+	} {
+		if g.IsMaximal(tc.m) {
+			t.Errorf("%s: IsMaximal = true", tc.name)
+		}
+		if s := g.HallViolator(tc.m); s != nil {
+			t.Errorf("%s: HallViolator = %v, want nil", tc.name, s)
+		}
+		if perm := MaximumTransversal(g, tc.m); perm != nil {
+			t.Errorf("%s: MaximumTransversal = %v, want nil", tc.name, perm)
+		}
+	}
+
+	valid := &Matching{MateR: []int64{1, u, 0}, MateC: []int64{2, 0, u}}
+	if !g.IsMaximal(valid) {
+		t.Error("valid maximal matching: IsMaximal = false")
+	}
+	if perm := MaximumTransversal(g, valid); len(perm) != 3 {
+		t.Errorf("valid matching: MaximumTransversal = %v", perm)
 	}
 }
 

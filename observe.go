@@ -2,8 +2,6 @@ package mcmdist
 
 import (
 	"io"
-	"net/http"
-	"time"
 
 	"mcmdist/internal/obs"
 )
@@ -30,12 +28,6 @@ type Observe struct {
 	// histograms) during the run, exposable in Prometheus text format via
 	// ObsReport.WriteMetrics.
 	Metrics bool
-	// OnLive, when non-nil, receives the run's ObsReport the moment the
-	// observability plane is built — before the solve launches, while the
-	// report is still empty. It lets a caller serve live data during the
-	// run (ObsReport.MetricsHandler over HTTP is the intended use); the
-	// same report keeps accumulating and is returned on Stats.Obs.
-	OnLive func(*ObsReport)
 }
 
 // collector builds the internal collector for an effective rank count, or
@@ -57,63 +49,6 @@ func (o *Observe) collector(procs int) *obs.Collector {
 		TimeSeries: o.TimeSeries,
 		Metrics:    reg,
 	})
-}
-
-// live invokes the OnLive hook, if any, with the freshly built collector's
-// report — the moment the observability plane exists, before the solve
-// launches.
-func (o *Observe) live(col *obs.Collector) {
-	if o == nil || o.OnLive == nil || col == nil {
-		return
-	}
-	o.OnLive(newObsReport(col))
-}
-
-// IterSample is one BFS iteration's observation. Per-rank samples carry the
-// observing rank; merged samples (Rank = -1) take the rank maximum of the
-// wall and communication times (critical path) and the rank sum of the
-// volume counters.
-type IterSample struct {
-	// Rank is the observing rank, or -1 for a cross-rank merged sample.
-	Rank int
-	// Phase is the 1-based MS-BFS phase and Iteration the 1-based global
-	// iteration number (monotone across phases).
-	Phase, Iteration int
-	// Frontier is the column-frontier size entering the iteration, NewPaths
-	// the augmenting paths discovered by it, and Matched the matching
-	// cardinality the run had found when it ended (initializer included).
-	Frontier, NewPaths, Matched int
-	// Pull reports whether the bottom-up SpMV direction was used.
-	Pull bool
-	// Wall is the iteration's wall-clock time; Comm the time its
-	// communication requests were in flight, of which Exposed was actually
-	// spent blocked (the rest hid behind computation).
-	Wall, Comm, Exposed time.Duration
-	// Msgs and Words count the messages and 8-byte words the iteration moved.
-	Msgs, Words int64
-	// PoolBusy is the worker-pool busy time inside the iteration and
-	// PoolSpan the pool's capacity over the same interval (busy/span is
-	// utilization).
-	PoolBusy, PoolSpan time.Duration
-}
-
-func sampleFromInternal(s obs.IterSample) IterSample {
-	return IterSample{
-		Rank:      s.Rank,
-		Phase:     s.Phase,
-		Iteration: s.Iteration,
-		Frontier:  s.Frontier,
-		NewPaths:  s.NewPaths,
-		Matched:   s.Matched,
-		Pull:      s.Pull,
-		Wall:      time.Duration(s.WallNs),
-		Comm:      time.Duration(s.CommNs),
-		Exposed:   time.Duration(s.ExposedNs),
-		Msgs:      s.Msgs,
-		Words:     s.Words,
-		PoolBusy:  time.Duration(s.PoolBusyNs),
-		PoolSpan:  time.Duration(s.PoolSpanNs),
-	}
 }
 
 // ObsReport is the observability data of one run, returned on Stats.Obs
@@ -153,26 +88,6 @@ func (r *ObsReport) WriteTimeSeriesCSV(w io.Writer) error {
 	return r.col.WriteSeriesCSV(w)
 }
 
-// Samples returns the merged per-iteration time-series (one sample per BFS
-// iteration, Rank = -1). Requires Observe.TimeSeries.
-func (r *ObsReport) Samples() []IterSample {
-	return samplesFromInternal(r.col.Series())
-}
-
-// PerRankSamples returns every rank's per-iteration samples, ordered by
-// iteration then rank. Requires Observe.TimeSeries.
-func (r *ObsReport) PerRankSamples() []IterSample {
-	return samplesFromInternal(r.col.PerRankSeries())
-}
-
-func samplesFromInternal(in []obs.IterSample) []IterSample {
-	out := make([]IterSample, len(in))
-	for i, s := range in {
-		out[i] = sampleFromInternal(s)
-	}
-	return out
-}
-
 // DroppedSpans reports how many spans the per-rank rings overwrote; nonzero
 // means the trace shows only the most recent Observe.SpanCap spans per rank.
 func (r *ObsReport) DroppedSpans() uint64 {
@@ -187,18 +102,4 @@ func (r *ObsReport) WriteMetrics(w io.Writer) error {
 		return nil
 	}
 	return reg.WritePrometheus(w)
-}
-
-// MetricsHandler returns an http.Handler serving the run's live metrics
-// registry in Prometheus text format, or nil without Observe.Metrics.
-// Combined with Observe.OnLive it gives a scrape endpoint that is live for
-// the duration of the run; on a multi-process coordinator the registry
-// absorbs every worker's metrics at solve end, so the endpoint ends up
-// reporting world-aggregated values.
-func (r *ObsReport) MetricsHandler() http.Handler {
-	reg := r.col.Registry()
-	if reg == nil {
-		return nil
-	}
-	return reg.Handler()
 }

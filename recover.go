@@ -16,7 +16,9 @@ import (
 // same failure on every execution. The zero value injects nothing. Terminal
 // faults (crash, RMA failure) share a budget of MaxFires (default 1) across
 // all attempts of one SolveRecoverable call, which is what lets the retry
-// observe the failure once and then run clean.
+// observe the failure once and then run clean. It is not an alias of the
+// internal plan, which carries that budget as an atomic counter: each call
+// copies the spec into a fresh plan.
 type FaultSpec struct {
 	// Seed drives the straggler jitter.
 	Seed int64
@@ -69,6 +71,8 @@ func (f *FaultSpec) plan() *mpi.FaultPlan {
 // the same failure at the same point on every execution. The zero value
 // injects nothing; terminal faults (drop, partition) share a budget of
 // MaxFires (default 1) across all attempts of one SolveRecoverable call.
+// Like FaultSpec it is copied into a fresh injector per call, since the
+// internal one carries the budget as an atomic counter.
 type NetFaultSpec struct {
 	// Seed drives the slow-link jitter.
 	Seed int64
@@ -158,6 +162,8 @@ type RecoveryPolicy struct {
 }
 
 // Recovery reports what the recovery loop of a SolveRecoverable call did.
+// It copies the solver's recovery stats without their observation
+// collector, whose data reaches callers as Stats.Obs.
 type Recovery struct {
 	// Attempts counts solve attempts run (1 when no fault occurred);
 	// Retries is Attempts minus one unless the final attempt also failed.
@@ -200,8 +206,7 @@ func recoveryFromCore(r *core.RecoveryStats) *Recovery {
 // and network failures for testing the recovery paths themselves.
 // opts.Procs, opts.Permute and the grid are handled as in MaximumMatching.
 // opts.Observe records every attempt into a fresh collector, and Stats.Obs
-// is the final attempt's; OnLive is not called, since no one report spans
-// all attempts.
+// is the final attempt's.
 func (dg *DistributedGraph) SolveRecoverable(opts Options, pol RecoveryPolicy) (m *Matching, st *Stats, rec *Recovery, err error) {
 	defer guard(&err)
 	cfg, err := dg.config(opts)

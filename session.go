@@ -7,7 +7,6 @@ import (
 	"mcmdist/internal/core"
 	"mcmdist/internal/dvec"
 	"mcmdist/internal/grid"
-	"mcmdist/internal/matching"
 	"mcmdist/internal/obs"
 	"mcmdist/internal/rt"
 	"mcmdist/internal/spmat"
@@ -65,9 +64,6 @@ func Distribute(g *Graph, procs int) (dg *DistributedGraph, err error) {
 	}, nil
 }
 
-// Procs returns the number of ranks the graph is distributed over.
-func (dg *DistributedGraph) Procs() int { return dg.procs }
-
 // Close releases the per-rank runtime contexts' worker pools. The pools'
 // goroutines park between solves (that is what makes repeated solves cheap)
 // but are never garbage collected, so a DistributedGraph that ran solves
@@ -79,9 +75,6 @@ func (dg *DistributedGraph) Close() {
 		ctx.Close()
 	}
 }
-
-// Graph returns the underlying graph.
-func (dg *DistributedGraph) Graph() *Graph { return dg.g }
 
 // config converts opts for a solve on the distribution's fixed grid: Procs
 // comes from the distribution, and a grid set in opts must be the
@@ -113,7 +106,6 @@ func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stat
 		return nil, nil, err
 	}
 	cfg.Obs = opts.Observe.collector(dg.procs)
-	opts.Observe.live(cfg.Obs)
 	return dg.solve(cfg, (*core.Solver).Solve)
 }
 
@@ -146,9 +138,10 @@ func (dg *DistributedGraph) solve(cfg core.Config, step func(*core.Solver) (mate
 	return fromInternal(res.Matching), statsFromCore(res, cfg.Obs), nil
 }
 
-// IsMaximal reports whether no edge of g joins two unmatched vertices.
+// IsMaximal reports whether m is a valid matching of g (see Verify) in
+// which no edge joins two unmatched vertices; an invalid m is not maximal.
 func (g *Graph) IsMaximal(m *Matching) bool {
-	return (&matching.Matching{MateR: m.MateR, MateC: m.MateC}).IsMaximal(g.a)
+	return g.valid(m) && m.internal().IsMaximal(g.a)
 }
 
 // statsFromCore converts a solve's merged core stats into the public form,
@@ -174,20 +167,18 @@ func statsFromCore(res *core.Result, col *obs.Collector) *Stats {
 		WallByOp:              make(map[string]time.Duration),
 		CommByOp:              make(map[string]CommStats),
 		CommTimeByOp:          make(map[string]CommTime),
+		PerRank:               res.PerRank,
+		PeakFrontier:          cs.PeakFrontier,
+		PeakFrontierIteration: cs.PeakFrontierIteration,
 	}
 	for op, d := range cs.Wall {
 		st.WallByOp[string(op)] = d
 	}
 	for op, m := range cs.Meter {
-		st.CommByOp[string(op)] = CommStats{Msgs: m.Msgs, Words: m.Words, Work: m.Work}
+		st.CommByOp[string(op)] = m
 	}
-	st.PeakFrontier = cs.PeakFrontier
-	st.PeakFrontierIteration = cs.PeakFrontierIteration
 	for op, ct := range cs.Comm {
-		st.CommTimeByOp[string(op)] = CommTime{Total: ct.Total, Exposed: ct.Exposed}
-	}
-	for _, m := range res.PerRank {
-		st.PerRank = append(st.PerRank, CommStats{Msgs: m.Msgs, Words: m.Words, Work: m.Work})
+		st.CommTimeByOp[string(op)] = ct
 	}
 	st.Obs = newObsReport(col)
 	return st

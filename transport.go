@@ -20,15 +20,6 @@ type Transport struct {
 	t mpi.Transport
 }
 
-// Backend returns the backend name ("inproc", "tcp").
-func (t *Transport) Backend() string { return t.t.Name() }
-
-// WorldSize returns the total rank count of the world.
-func (t *Transport) WorldSize() int { return t.t.WorldSize() }
-
-// LocalRanks returns the world ranks this process hosts.
-func (t *Transport) LocalRanks() []int { return append([]int(nil), t.t.LocalRanks()...) }
-
 // Close tears the endpoint down. Call it after the last MaximumMatchingOn;
 // the drain is graceful (bounded by the backend's close timeout), so peers
 // still finishing their result gathering are not cut off.
@@ -37,21 +28,13 @@ func (t *Transport) Close() error { return t.t.Close() }
 // CoordinateTCP bootstraps a procs-rank TCP world as rank 0: listen on addr,
 // wait for the procs-1 workers to JoinTCP, and exchange the roster. The
 // returned endpoint hosts rank 0.
-func CoordinateTCP(addr string, procs int) (*Transport, error) {
-	return CoordinateTCPWithConfig(addr, procs, nil)
-}
-
-// CoordinateTCPWithConfig is CoordinateTCP with an opaque config blob that
-// every worker receives in the roster exchange (cmd/mcmrank workers expect
-// an internal job spec there; custom harnesses may ship anything). Nil
-// sends no blob.
-func CoordinateTCPWithConfig(addr string, procs int, config []byte) (tr *Transport, err error) {
+func CoordinateTCP(addr string, procs int) (tr *Transport, err error) {
 	defer guard(&err)
 	rv, err := tcpnet.Listen(addr, tcpnet.Options{})
 	if err != nil {
 		return nil, err
 	}
-	n, err := rv.Coordinate(procs, config)
+	n, err := rv.Coordinate(procs, nil)
 	if err != nil {
 		return nil, err
 	}
