@@ -87,7 +87,8 @@ bench:
 
 # One-iteration pass over the Table I benchmarks (the primitive chain and
 # the end-to-end solve at t=1 vs t=4), the in-process and 4-endpoint
-# loopback solves' allocation benchmarks, the degree initializers', the
+# loopback solves' allocation benchmarks, the recovery path's (one crash,
+# a checkpoint every phase), the degree initializers', the
 # sparse-frontier SpMV kernel's, and the push and pull SpMV allocation
 # benchmarks, whose folds run through dvec's scatter-reduce receive — the
 # CI smoke that keeps the threaded hot path and the per-rank distribution
@@ -96,7 +97,7 @@ bench:
 # time-series CSV (direction decisions, encoded words) is validated by
 # cmd/tracelint.
 bench-smoke:
-	$(GO) test -bench 'TableI|SolveAllocs|SolveOnAllocs|MaximalInit' -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'TableI|SolveAllocs|SolveOnAllocs|RecoverableAllocs|MaximalInit' -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'MulSparseFrontier|SpMVAllocs|SpMVPullAllocs' -benchtime=1x -run '^$$' ./internal/spmv/
 	$(GO) run ./cmd/mcm -rmat g500 -scale 12 -procs 4 -direction auto -compress -timeseries direction-series.csv
 	$(GO) run ./cmd/tracelint direction-series.csv

@@ -215,6 +215,41 @@ func BenchmarkSolveAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveRecoverableAllocs measures allocations of the recovery
+// path: a SolveRecoverable on the road_usa stand-in at scale 11 with a
+// checkpoint after every phase and one injected crash, so each op runs two
+// attempts, encodes every snapshot and resumes the second attempt from
+// phase 2 of 3.
+// EXPERIMENTS.md records the numbers before and after the mate gathers
+// stopped assembling full vectors on the ranks that do not read them.
+func BenchmarkSolveRecoverableAllocs(b *testing.B) {
+	g, err := TableII("road_usa", 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dg.Close()
+	opts := Options{Threads: 1, Engine: "bfs", Init: DynamicMindegreeInit}
+	pol := RecoveryPolicy{
+		CheckpointEvery: 1,
+		Fault:           &FaultSpec{CrashRank: 1, CrashAtCollective: 300},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, rec, err := dg.SolveRecoverable(opts, pol)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rec.Attempts != 2 {
+			b.Fatalf("recovery ran %d attempts, want 2", rec.Attempts)
+		}
+	}
+}
+
 // BenchmarkSolveTraceOverhead measures the cost of the observability plane
 // (ISSUE 5) on a full distributed solve: "off" is the baseline with no
 // Observe config and must stay within noise of the seed solve; "spans" adds

@@ -111,11 +111,11 @@ func (c Config) CheckpointHash(n1, n2 int) uint64 {
 // maybeCheckpoint takes a phase-boundary checkpoint when the configuration
 // asks for one: after the initializer (phase 0) and after every
 // CheckpointEvery-th augmentation phase. Collective — the gate is
-// SPMD-replicated, every rank joins the gathers, and rank 0 packages the
-// snapshot and delivers it to OnCheckpoint. All ranks account the overhead
-// in Stats (Checkpoints, CheckpointBytes, CheckpointWall); the gathered
-// vectors are full on every rank, so the compressed encoded size is exact
-// everywhere.
+// SPMD-replicated and every rank joins the cardinality reduction and the
+// gathers, but only rank 0 assembles the full vectors, packages the snapshot,
+// counts its encoded size in CheckpointBytes and delivers it to
+// OnCheckpoint; the other ranks drain the gathers without building a copy.
+// Every rank counts Checkpoints and CheckpointWall.
 func (s *Solver) maybeCheckpoint(phase int, mater, matec *dvec.Dense) {
 	if s.Cfg.CheckpointEvery <= 0 || s.Cfg.OnCheckpoint == nil {
 		return
@@ -126,8 +126,12 @@ func (s *Solver) maybeCheckpoint(phase int, mater, matec *dvec.Dense) {
 	begin := time.Now()
 	s.tr.track(OpOther, func() {
 		card := s.N2 - s.countUnmatched(matec)
-		fullR := mater.Gather()
-		fullC := matec.Gather()
+		root := s.G.World.Rank() == 0
+		fullR := mater.Gather(root)
+		fullC := matec.Gather(root)
+		if !root {
+			return
+		}
 		ck := &Checkpoint{
 			Phase:       phase,
 			Cardinality: card,
@@ -139,9 +143,7 @@ func (s *Solver) maybeCheckpoint(phase int, mater, matec *dvec.Dense) {
 			MateC:       fullC,
 		}
 		s.Stats.CheckpointBytes += int64(ck.EncodedSize())
-		if s.G.World.Rank() == 0 {
-			s.Cfg.OnCheckpoint(ck)
-		}
+		s.Cfg.OnCheckpoint(ck)
 	})
 	s.Stats.Checkpoints++
 	s.Stats.CheckpointWall += time.Since(begin)

@@ -4,11 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"mcmdist/internal/dvec"
 	"mcmdist/internal/matching"
 	"mcmdist/internal/semiring"
+	"mcmdist/internal/spmat"
 	"mcmdist/internal/verify"
 )
 
@@ -315,5 +318,75 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	good.Resume = &forged
 	if _, err := Solve(a, good); err == nil {
 		t.Fatal("resume with forged config hash accepted")
+	}
+}
+
+// TestCheckpointAssembledOnRankZero drives maybeCheckpoint on p = 4 through
+// five phase boundaries with CheckpointEvery 2. OnCheckpoint must fire once
+// per checkpoint (phases 0, 2 and 4), each delivered snapshot must equal,
+// field for field, the one every rank builds when it gathers both full
+// vectors itself, and the merged CheckpointBytes must total the encodings.
+func TestCheckpointAssembledOnRankZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	a := randomBipartite(rng, 50, 40, 130)
+	maximum := matching.HopcroftKarp(a, nil)
+	var delivered []*Checkpoint
+	cfg := Config{
+		Procs:           4,
+		Engine:          EngineBFS,
+		CheckpointEvery: 2,
+		OnCheckpoint:    func(ck *Checkpoint) { delivered = append(delivered, ck) },
+	}
+	var built [4][]*Checkpoint
+	blocks := spmat.DistributeRanks(a, 2, 2, nil)
+	res, err := SolveBlocks(nil, 2, 2, a.NRows, a.NCols, blocks, cfg, nil,
+		func(s *Solver) (mater, matec *dvec.Dense, err error) {
+			rank := s.G.World.Rank()
+			for phase := 0; phase <= 4; phase++ {
+				// A growing valid matching: the maximum one on columns j
+				// with j%5 <= phase.
+				m := matching.NewMatching(a.NRows, a.NCols)
+				for j, i := range maximum.MateC {
+					if i != semiring.None && j%5 <= phase {
+						m.Match(int(i), j)
+					}
+				}
+				mater = dvec.NewDenseFrom(s.RowL, m.MateR)
+				matec = dvec.NewDenseFrom(s.ColL, m.MateC)
+				s.maybeCheckpoint(phase, mater, matec)
+				if phase%cfg.CheckpointEvery != 0 {
+					continue
+				}
+				built[rank] = append(built[rank], &Checkpoint{
+					Phase:       phase,
+					Cardinality: s.N2 - s.countUnmatched(matec),
+					ConfigHash:  s.Cfg.CheckpointHash(s.N1, s.N2),
+					Engine:      s.Cfg.Engine,
+					N1:          s.N1,
+					N2:          s.N2,
+					MateR:       mater.Gather(true),
+					MateC:       matec.Gather(true),
+				})
+			}
+			return mater, matec, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(delivered) != 3 || res.Stats.Checkpoints != 3 {
+		t.Fatalf("OnCheckpoint fired %d times, Stats.Checkpoints = %d; want 3 and 3",
+			len(delivered), res.Stats.Checkpoints)
+	}
+	var wantBytes int64
+	for k, ck := range delivered {
+		for rank := range built {
+			if !reflect.DeepEqual(ck, built[rank][k]) {
+				t.Fatalf("checkpoint %d: delivered %+v, rank %d builds %+v", k, ck, rank, built[rank][k])
+			}
+		}
+		wantBytes += int64(ck.EncodedSize())
+	}
+	if res.Stats.CheckpointBytes != wantBytes {
+		t.Fatalf("Stats.CheckpointBytes = %d, encodings total %d", res.Stats.CheckpointBytes, wantBytes)
 	}
 }

@@ -131,8 +131,8 @@ func TestWorkedExamplePhase(t *testing.T) {
 			if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
 				return err
 			}
-			fullR := mater.Gather()
-			fullC := matec.Gather()
+			fullR := mater.Gather(true)
+			fullC := matec.Gather(true)
 			if s.G.World.Rank() == 0 {
 				mateR, mateC = fullR, fullC
 			}
@@ -445,8 +445,8 @@ func TestDistributedInitializersAreMaximal(t *testing.T) {
 			err := RunDistributed(nil, side, side, a.NRows, a.NCols, blocks,
 				Config{Procs: side * side, Init: init}, nil, func(s *Solver) error {
 					mater, matec := s.MaximalInit()
-					fullR := mater.Gather()
-					fullC := matec.Gather()
+					fullR := mater.Gather(true)
+					fullC := matec.Gather(true)
 					if s.G.World.Rank() == 0 {
 						mateR, mateC = fullR, fullC
 					}

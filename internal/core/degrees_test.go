@@ -18,7 +18,7 @@ import (
 func gatherInt(s *dvec.SparseInt) []int64 {
 	d := dvec.NewDense(s.L, semiring.None)
 	d.Scatter(s)
-	return d.Gather()
+	return d.Gather(true)
 }
 
 // serialResidualDegrees is the recompute-from-scratch reference: for every
@@ -246,8 +246,8 @@ func TestDegreeInitRoundsMatchSerialOracle(t *testing.T) {
 						}
 						// The production entry point must agree.
 						mr, mc := s.MaximalInit()
-						fullR, fullC := mr.Gather(), mc.Gather()
-						if !slices.Equal(fullR, mater.Gather()) || !slices.Equal(fullC, matec.Gather()) {
+						fullR, fullC := mr.Gather(true), mc.Gather(true)
+						if !slices.Equal(fullR, mater.Gather(true)) || !slices.Equal(fullC, matec.Gather(true)) {
 							return fmt.Errorf("MaximalInit differs from the per-round pass")
 						}
 						if s.G.World.Rank() == 0 {

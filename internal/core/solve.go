@@ -160,9 +160,11 @@ func onEndpoints(eps []mpi.Transport, fn func(mpi.Transport) (*Result, error)) (
 // session API once per solve. A nil tr is an in-process world of pr·pc
 // ranks; blocks must hold the entries of every rank tr hosts, and a step
 // that runs an engine needs cfg.Engine resolved (ResolveEngineConfig).
-// The mates are allgathered, so the lowest hosted rank holds the full
-// vectors; Stats and PerRank cover only the hosted ranks (on the in-process
-// backend that is every rank; remote ranks report in their own process).
+// Every rank joins the allgather of the mates, but only the lowest hosted
+// rank assembles the full vectors; the other ranks drain their parts and
+// keep only their own blocks. Stats and PerRank cover only the hosted ranks
+// (on the in-process backend that is every rank; remote ranks report in
+// their own process).
 func SolveBlocks(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, step func(*Solver) (mater, matec *dvec.Dense, err error)) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -179,9 +181,9 @@ func SolveBlocks(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMa
 		if err != nil {
 			return err
 		}
-		fullR := mater.Gather()
-		fullC := matec.Gather()
 		r := s.G.World.Rank()
+		fullR := mater.Gather(r == localRoot)
+		fullC := matec.Gather(r == localRoot)
 		if r == localRoot {
 			mateR, mateC = fullR, fullC
 		}

@@ -48,7 +48,10 @@ type Stats struct {
 	GraftReleasedRows int
 	// Checkpoint counters (Config.CheckpointEvery): checkpoints taken,
 	// bytes their encodings total, and wall time spent gathering and
-	// packaging them — the recovery overhead a bench run reports.
+	// packaging them — the recovery overhead a bench run reports. Every
+	// rank counts Checkpoints and CheckpointWall; CheckpointBytes is
+	// counted where the snapshot is built, on rank 0, and zero elsewhere
+	// (MergeMax carries rank 0's total).
 	Checkpoints     int
 	CheckpointBytes int64
 	CheckpointWall  time.Duration

@@ -78,11 +78,21 @@ func BenchmarkTableIPrune(b *testing.B) {
 	})
 }
 
+// BenchmarkDenseGather times Gather on every rank of the grid: keep
+// assembles the full vector everywhere, drain only joins the allgather.
 func BenchmarkDenseGather(b *testing.B) {
-	benchOnGrid(b, func(g *grid.Grid, _ int) {
-		d := NewDense(NewLayout(g, benchN, ColAligned), 7)
-		d.Gather()
-	})
+	for _, bc := range []struct {
+		name string
+		keep bool
+	}{{"keep", true}, {"drain", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			benchOnGrid(b, func(g *grid.Grid, _ int) {
+				d := NewDense(NewLayout(g, benchN, ColAligned), 7)
+				d.Gather(bc.keep)
+			})
+		})
+	}
 }
 
 // BenchmarkTableIPrimitiveAllocs measures steady-state allocations of the

@@ -53,13 +53,16 @@ func (d *Dense) Fill(v int64) {
 	}
 }
 
-// Gather reconstructs the full vector on every rank. Collective; intended
-// for verification, result extraction and small outputs, not inner loops.
-// The send payload is an rt arena buffer and each peer's block is placed
-// straight out of its send buffer as it arrives (progressive split-phase
-// allgather, zero staging copies); only the returned global slice is
-// allocated. Metering is identical to Allgatherv.
-func (d *Dense) Gather() []int64 {
+// Gather reconstructs the full vector on the ranks that pass keep and
+// returns nil on the others. Collective; every rank posts its block to the
+// same allgather whatever keep is, so metering does not depend on it.
+// Intended for verification, result extraction and small outputs, not
+// inner loops. The send payload is an rt arena buffer; a keeping rank
+// places each peer's block straight out of its send buffer as it arrives
+// (progressive split-phase allgather, zero staging copies) and allocates
+// only the returned global slice, and the others let Finish drain the
+// parts without allocating one.
+func (d *Dense) Gather(keep bool) []int64 {
 	c := d.L.G.World
 	ctx := d.L.G.RT
 	tr := ctx.Tracer()
@@ -69,15 +72,18 @@ func (d *Dense) Gather() []int64 {
 	payload := ctx.GetInts(len(d.Local) + 1)
 	payload = append(payload, int64(r.Lo))
 	payload = append(payload, d.Local...)
-	out := make([]int64, d.L.N)
 	rq := c.IAllgathervParts(payload)
-	for {
-		_, p, ok := rq.Next()
-		if !ok {
-			break
+	var out []int64
+	if keep {
+		out = make([]int64, d.L.N)
+		for {
+			_, p, ok := rq.Next()
+			if !ok {
+				break
+			}
+			lo := int(p[0])
+			copy(out[lo:lo+len(p)-1], p[1:])
 		}
-		lo := int(p[0])
-		copy(out[lo:lo+len(p)-1], p[1:])
 	}
 	rq.Finish()
 	ctx.PutInts(payload)

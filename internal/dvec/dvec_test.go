@@ -3,6 +3,7 @@ package dvec
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mcmdist/internal/grid"
@@ -103,12 +104,90 @@ func TestDenseRoundTrip(t *testing.T) {
 		onGrid(t, shape[0], shape[1], func(g *grid.Grid) error {
 			l := NewLayout(g, len(global), ColAligned)
 			d := NewDenseFrom(l, global)
-			got := d.Gather()
+			got := d.Gather(true)
 			if !reflect.DeepEqual(got, global) {
 				return fmt.Errorf("shape %v: gather = %v", shape, got)
 			}
 			return nil
 		})
+	}
+}
+
+// TestGatherKeepsOnlyWhereAsked pins Gather's keep argument on a 2x2 grid:
+// keeping ranks get the whole vector, the others nil, every rank's meter
+// reads as in an all-keep run, and a warm call in which no rank keeps
+// allocates less than a quarter of the vector.
+func TestGatherKeepsOnlyWhereAsked(t *testing.T) {
+	const n = 1 << 14
+	global := make([]int64, n)
+	for i := range global {
+		global[i] = int64(i*7%n) - 1
+	}
+	run := func(keep func(rank int) bool) [4]mpi.Meter {
+		var meters [4]mpi.Meter
+		onGrid(t, 2, 2, func(g *grid.Grid) error {
+			rank := g.World.Rank()
+			d := NewDenseFrom(NewLayout(g, n, ColAligned), global)
+			got := d.Gather(keep(rank))
+			if keep(rank) && !reflect.DeepEqual(got, global) {
+				return fmt.Errorf("rank %d kept a wrong vector", rank)
+			}
+			if !keep(rank) && got != nil {
+				return fmt.Errorf("rank %d did not keep but got %d entries", rank, len(got))
+			}
+			s := NewSparseV(d.L)
+			r := d.L.MyRange()
+			for gi := r.Lo; gi < r.Hi; gi++ {
+				if gi%5 == 0 {
+					s.Append(gi, semiring.Vertex{Parent: global[gi], Root: int64(gi)})
+				}
+			}
+			vs := s.GatherVertices(keep(rank))
+			if !keep(rank) && vs != nil {
+				return fmt.Errorf("rank %d did not keep but got %d vertices", rank, len(vs))
+			}
+			for gi, v := range vs {
+				want := semiring.Vertex{Parent: semiring.None, Root: semiring.None}
+				if gi%5 == 0 {
+					want = semiring.Vertex{Parent: global[gi], Root: int64(gi)}
+				}
+				if v != want {
+					return fmt.Errorf("rank %d: vertex %d = %v, want %v", rank, gi, v, want)
+				}
+			}
+			meters[rank] = g.World.MeterSnapshot()
+			return nil
+		})
+		return meters
+	}
+	all := run(func(int) bool { return true })
+	if mixed := run(func(rank int) bool { return rank == 0 || rank == 3 }); mixed != all {
+		t.Fatalf("meters with keep on ranks 0 and 3 = %v, all-keep run = %v", mixed, all)
+	}
+
+	// Warm drains: the arena holds the send buffer after the first call, so
+	// what a call still allocates is the collective's bookkeeping.
+	const calls = 64
+	var before, after runtime.MemStats
+	onGrid(t, 2, 2, func(g *grid.Grid) error {
+		d := NewDenseFrom(NewLayout(g, n, ColAligned), global)
+		d.Gather(false)
+		g.World.Barrier()
+		if g.World.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		g.World.Barrier()
+		for i := 0; i < calls; i++ {
+			d.Gather(false)
+		}
+		g.World.Barrier()
+		if g.World.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+		return nil
+	})
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 8*n/4 {
+		t.Fatalf("a warm drain on 4 ranks allocates %d bytes per call, want < %d", per, 8*n/4)
 	}
 }
 
@@ -123,7 +202,7 @@ func TestDenseAtSet(t *testing.T) {
 			}
 			d.SetAt(x, int64(x*2))
 		}
-		full := d.Gather()
+		full := d.Gather(true)
 		for x := 0; x < 10; x++ {
 			if full[x] != int64(x*2) {
 				return fmt.Errorf("full[%d] = %d", x, full[x])
@@ -146,7 +225,7 @@ func appendInt(s *SparseInt, g int, v int64) {
 func gatherInt(s *SparseInt) []int64 {
 	d := NewDense(s.L, semiring.None)
 	d.Scatter(s)
-	return d.Gather()
+	return d.Gather(true)
 }
 
 // buildSparseInt distributes the given dense representation (0 = missing,
@@ -203,7 +282,7 @@ func TestTableISelect(t *testing.T) {
 			d := NewDenseFrom(l, y)
 			s.Select(d, func(v int64) bool { return v == -1 })
 			var got []int64
-			for _, v := range s.GatherVertices() {
+			for _, v := range s.GatherVertices(true) {
 				got = append(got, v.Parent)
 			}
 			want := []int64{semiring.None, semiring.None, 2, semiring.None, semiring.None}
@@ -224,7 +303,7 @@ func TestTableISet(t *testing.T) {
 		s := buildSparseInt(l, x)
 		d := NewDense(l, semiring.None)
 		d.Scatter(s)
-		got := d.Gather()
+		got := d.Gather(true)
 		want := []int64{3, -1, 2, 2, -1}
 		if !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("SET = %v", got)
@@ -280,7 +359,7 @@ func TestTableIPrune(t *testing.T) {
 		if s.Nnz() != 1 {
 			return fmt.Errorf("PRUNE kept %d entries", s.Nnz())
 		}
-		vs := s.GatherVertices()
+		vs := s.GatherVertices(true)
 		if vs[2].Root != 5 {
 			return fmt.Errorf("PRUNE kept wrong entry: %v", vs)
 		}
@@ -330,7 +409,7 @@ func TestInvertParentsAndRoots(t *testing.T) {
 				s.Append(gi, v)
 			}
 		}
-		byParent := s.InvertParents(lc, nil).GatherVertices()
+		byParent := s.InvertParents(lc, nil).GatherVertices(true)
 		// Parent 2 claimed by rows 1 and 4: smallest source (1) wins.
 		if byParent[2].Parent != 1 || byParent[2].Root != 5 {
 			return fmt.Errorf("byParent[2] = %v", byParent[2])
@@ -342,7 +421,7 @@ func TestInvertParentsAndRoots(t *testing.T) {
 			return fmt.Errorf("byParent[1] = %v, want missing", byParent[1])
 		}
 
-		byRoot := s.InvertRoots(lc, nil).GatherVertices()
+		byRoot := s.InvertRoots(lc, nil).GatherVertices(true)
 		for _, root := range []int{5, 1, 3} {
 			if byRoot[root].Root != int64(root) {
 				return fmt.Errorf("byRoot[%d] = %v", root, byRoot[root])
@@ -377,7 +456,7 @@ func TestSetParentsFromAndScatterParents(t *testing.T) {
 		}
 		pi := NewDense(l, semiring.None)
 		pi.ScatterParents(s)
-		full := pi.Gather()
+		full := pi.Gather(true)
 		for gi := 0; gi < 5; gi++ {
 			want := semiring.None
 			if gi%2 == 0 {

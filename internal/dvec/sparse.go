@@ -396,24 +396,34 @@ func (s *SparseV) PruneRoots(localRoots []int64) {
 	s.Idx, s.Val = s.Idx[:n], s.Val[:n]
 }
 
-// GatherVertices reconstructs the full VERTEX vector on every rank, with
-// (None, None) at missing positions. For tests and result extraction.
-func (s *SparseV) GatherVertices() []semiring.Vertex {
-	c := s.L.G.World
+// GatherVertices reconstructs the full VERTEX vector, with (None, None) at
+// missing positions, on the ranks that pass keep and returns nil on the
+// others. Collective: every rank contributes its entries to the same
+// progressive allgather whatever keep is, and a rank that does not keep
+// lets Finish drain the parts. For tests and result extraction.
+func (s *SparseV) GatherVertices(keep bool) []semiring.Vertex {
 	payload := make([]int64, 0, 3*len(s.Idx))
 	for k, g := range s.Idx {
 		payload = append(payload, int64(g), s.Val[k].Parent, s.Val[k].Root)
 	}
-	parts := c.Allgatherv(payload)
-	out := make([]semiring.Vertex, s.L.N)
-	for i := range out {
-		out[i] = semiring.Vertex{Parent: semiring.None, Root: semiring.None}
-	}
-	for _, p := range parts {
-		for off := 0; off < len(p); off += 3 {
-			out[p[off]] = semiring.Vertex{Parent: p[off+1], Root: p[off+2]}
+	rq := s.L.G.World.IAllgathervParts(payload)
+	var out []semiring.Vertex
+	if keep {
+		out = make([]semiring.Vertex, s.L.N)
+		for i := range out {
+			out[i] = semiring.Vertex{Parent: semiring.None, Root: semiring.None}
+		}
+		for {
+			_, p, ok := rq.Next()
+			if !ok {
+				break
+			}
+			for off := 0; off < len(p); off += 3 {
+				out[p[off]] = semiring.Vertex{Parent: p[off+1], Root: p[off+2]}
+			}
 		}
 	}
+	rq.Finish()
 	return out
 }
 

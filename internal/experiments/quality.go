@@ -131,8 +131,9 @@ func TreeBalance(w io.Writer, scale, procs int, names []string) []TreeBalanceRow
 						fc.Append(gi, semiring.Self(int64(gi)))
 					}
 					fr := spmv.Mul(s.A, fc, op, s.RowL, nil)
-					full := fr.GatherVertices()
-					if s.G.World.Rank() == 0 {
+					root := s.G.World.Rank() == 0
+					full := fr.GatherVertices(root)
+					if root {
 						rootOf = make([]int64, len(full))
 						for i, v := range full {
 							rootOf[i] = v.Root

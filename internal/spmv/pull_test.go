@@ -42,7 +42,7 @@ func runPull(t *testing.T, a *spmat.CSC, x map[int]semiring.Vertex,
 			}
 		}
 		y, _ := MulPull(local, rowAdj, fx, vis, op, yl, nil)
-		got := y.GatherVertices()
+		got := y.GatherVertices(true)
 		if c.Rank() == 0 {
 			result = got
 		}

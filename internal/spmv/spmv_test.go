@@ -50,7 +50,7 @@ func runMul(t *testing.T, a *spmat.CSC, x map[int]semiring.Vertex, op semiring.A
 			}
 		}
 		y := Mul(local, fx, op, yl, nil)
-		results[c.Rank()] = y.GatherVertices()
+		results[c.Rank()] = y.GatherVertices(true)
 		return nil
 	})
 	if err != nil {

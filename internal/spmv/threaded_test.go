@@ -35,7 +35,7 @@ func runMulThreads(t *testing.T, a *spmat.CSC, op semiring.AddOp, pr, pc, thread
 			fx.Append(gi, semiring.Self(int64(gi)))
 		}
 		y := Mul(blocks[g.MyRow][g.MyCol], fx, op, yl, nil)
-		full := y.GatherVertices()
+		full := y.GatherVertices(true)
 		if c.Rank() == 0 {
 			result = full
 		}

@@ -225,7 +225,10 @@ type Stats struct {
 	// Checkpoints counts phase-boundary snapshots taken during the run;
 	// zero unless launched through the recovery plane (SolveRecoverable).
 	Checkpoints int
-	// CheckpointBytes is the total encoded volume of those snapshots.
+	// CheckpointBytes is the total encoded volume of those snapshots. It is
+	// counted where the snapshots are built, on rank 0, so in-process and
+	// recovery-loop results agree; in a world spanning several processes,
+	// a process that does not host rank 0 reports 0.
 	CheckpointBytes int64
 	// CheckpointWall is the wall time spent taking those snapshots (rank
 	// maximum) — the recovery plane's overhead on the critical path.
