@@ -11,8 +11,8 @@ import (
 // edges along each path. It dispatches between the two variants of Section
 // IV-B: the bulk-synchronous level-parallel Algorithm 3 and the one-sided
 // path-parallel Algorithm 4, switching automatically at k < 2p² under
-// AugmentAuto. Collective.
-func (s *Solver) augment(pathc, pir, mater, matec *dvec.Dense, k int) {
+// AugmentAuto. lv holds the level-parallel variant's vectors. Collective.
+func (s *Solver) augment(pathc, pir, mater, matec *dvec.Dense, k int, lv *levelVecs) {
 	p := s.G.World.Size()
 	mode := s.Cfg.Augment
 	if mode == AugmentAuto {
@@ -27,35 +27,54 @@ func (s *Solver) augment(pathc, pir, mater, matec *dvec.Dense, k int) {
 		s.augmentPathParallel(pathc, pir, mater, matec)
 	} else {
 		s.Stats.LevelParallelAugments++
-		s.augmentLevelParallel(pathc, pir, mater, matec)
+		s.augmentLevelParallel(pathc, pir, mater, matec, lv)
+	}
+}
+
+// levelVecs are the sparse vectors of Algorithm 3, held for the solve: the
+// row fronts of the current level, and the parent columns and their
+// previous mates it finds.
+type levelVecs struct {
+	fronts, jc, old *dvec.SparseInt
+}
+
+// holdLevelVecs holds Algorithm 3's vectors for the solve; a run that
+// never augments level-parallel leaves them empty.
+func (s *Solver) holdLevelVecs() levelVecs {
+	return levelVecs{
+		fronts: dvec.HoldSparseInt(s.RowL),
+		jc:     dvec.HoldSparseInt(s.ColL),
+		old:    dvec.HoldSparseInt(s.ColL),
 	}
 }
 
 // augmentLevelParallel is Algorithm 3: all paths advance together, two
 // matched edges per level-synchronous iteration, expressed entirely with
 // INVERT and SET. Each iteration costs two personalized all-to-alls, which
-// is why its latency term grows as alpha*p*h for path length h.
-func (s *Solver) augmentLevelParallel(pathc, pir, mater, matec *dvec.Dense) {
+// is why its latency term grows as alpha*p*h for path length h. Every
+// vector of a level refills one of lv's, each dead by then.
+func (s *Solver) augmentLevelParallel(pathc, pir, mater, matec *dvec.Dense, lv *levelVecs) {
+	matched := func(v int64) bool { return v != semiring.None }
 	// v_c: sparse vector from path_c by removing -1 entries (line 2); then
 	// flip to the unmatched end rows, where augmentation starts.
-	vc := pathc.SparseWhere(func(v int64) bool { return v != semiring.None })
-	fronts := vc.Invert(s.RowL) // fronts[end row] = root column
+	vc := pathc.SparseWhere(matched, lv.old)
+	fronts := vc.Invert(s.RowL, lv.fronts) // fronts[end row] = root column
 
 	for fronts.Nnz() > 0 {
-		// Row fronts adopt their parents (SET with pi_r)...
-		parents := fronts.Clone()
+		// Row fronts adopt their parents (SET with pi_r), in place...
+		parents := fronts
 		parents.GatherFrom(pir)
 		// ...and flip to those parent columns (INVERT): jc[j] = front row.
-		jc := parents.Invert(s.ColL)
+		jc := parents.Invert(s.ColL, lv.jc)
 		// Remember the parent columns' previous mates (SET with mate_c)
 		// before overwriting them: they are the next level's fronts.
-		oldMates := jc.Clone()
+		oldMates := jc.Clone(lv.old)
 		oldMates.GatherFrom(matec)
 		// Update both mate vectors (lines 8-9).
 		matec.Scatter(jc)
 		mater.Scatter(parents)
 		// Paths whose parent column was the (unmatched) root are finished.
-		fronts = oldMates.Filter(func(v int64) bool { return v != semiring.None }).Invert(s.RowL)
+		fronts = oldMates.Filter(matched, oldMates).Invert(s.RowL, parents)
 	}
 }
 

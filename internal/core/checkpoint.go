@@ -172,8 +172,10 @@ func (s *Solver) RestoreMates(ck *Checkpoint) (mater, matec *dvec.Dense, err err
 		return nil, nil, fmt.Errorf("core: checkpoint config hash %#x does not match current config %#x", ck.ConfigHash, want)
 	}
 	s.tr.track(OpInit, func() {
-		mater = dvec.NewDenseFrom(s.RowL, ck.MateR)
-		matec = dvec.NewDenseFrom(s.ColL, ck.MateC)
+		mater = dvec.HoldDense(s.RowL, 0)
+		copy(mater.Local, ck.MateR[s.RowL.MyRange().Lo:])
+		matec = dvec.HoldDense(s.ColL, 0)
+		copy(matec.Local, ck.MateC[s.ColL.MyRange().Lo:])
 	})
 	s.Stats.InitCardinality = ck.Cardinality
 	return mater, matec, nil

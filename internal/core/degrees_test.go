@@ -16,7 +16,7 @@ import (
 // gatherInt is s as a global dense slice on every rank, with semiring.None
 // where s holds no entry. Collective.
 func gatherInt(s *dvec.SparseInt) []int64 {
-	d := dvec.NewDense(s.L, semiring.None)
+	d := dvec.HoldDense(s.L, semiring.None)
 	d.Scatter(s)
 	return d.Gather(true)
 }
@@ -115,7 +115,7 @@ func TestResidualDegreesMatchSerial(t *testing.T) {
 						keepR := func(i int) bool { return int(mateR[i])%2 == half }
 						s.markMatched(m, localPairs(s.ColL, mateC, keepC), localPairs(s.RowL, mateR, keepR))
 					}
-					if err := checkDegrees(gatherInt(s.residualColDegrees(m)), want); err != nil {
+					if err := checkDegrees(gatherInt(s.residualColDegrees(m, nil)), want); err != nil {
 						return fmt.Errorf("rank %d: %v", s.G.World.Rank(), err)
 					}
 					return nil
@@ -218,12 +218,12 @@ func TestDegreeInitRoundsMatchSerialOracle(t *testing.T) {
 						// pick to compare each round's degrees.
 						pick := s.minDegreeFrontier
 						if init == InitKarpSipser {
-							pick = s.karpSipserFrontier
+							pick = s.karpSipserFrontier()
 						}
 						round := 0
 						var roundErr error
-						mater := dvec.NewDense(s.RowL, semiring.None)
-						matec := dvec.NewDense(s.ColL, semiring.None)
+						mater := dvec.HoldDense(s.RowL, semiring.None)
+						matec := dvec.HoldDense(s.ColL, semiring.None)
 						s.degreeInit(mater, matec, func(degU *dvec.SparseInt, dst *dvec.SparseV) (*dvec.SparseV, semiring.AddOp) {
 							got := gatherInt(degU)
 							if roundErr == nil {

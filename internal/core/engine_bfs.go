@@ -30,9 +30,9 @@ func init() {
 type msbfs struct {
 	s            *Solver
 	mater, matec *dvec.Dense
-	// The level buffers, owned by the run rather than the rt arena: a
-	// vector the level has finished with lends its storage to the next
-	// output. col holds the column frontier f_c, dead once the SpMV returns
+	// The level buffers, held for the solve rather than lent by the rt
+	// arena: a vector the level has finished with lends its storage to the
+	// next output. col holds the column frontier f_c, dead once the SpMV returns
 	// and refilled by the next INVERT; row holds the row frontier f_r, dead
 	// once that INVERT returns and refilled by the next SpMV. ufr and tc
 	// hold each level's path endpoints, row- and col-aligned.
@@ -40,6 +40,8 @@ type msbfs struct {
 	// pathc maps each root column to the unmatched row ending its path
 	// (path_c); each phase refills it with None.
 	pathc *dvec.Dense
+	// aug holds the level-parallel augmentation's sparse vectors.
+	aug levelVecs
 	// dir carries the adaptive direction choice (see direction.go): the
 	// sticky pull-disable, the discovered-row count, and the resolved
 	// switch threshold.
@@ -49,12 +51,15 @@ type msbfs struct {
 	phase int
 }
 
+// newMSBFS holds the run's vectors for the solve (see rt's solve-lifetime
+// store).
 func newMSBFS(s *Solver, mater, matec *dvec.Dense) msbfs {
 	return msbfs{
 		s: s, mater: mater, matec: matec,
-		col: dvec.NewSparseV(s.ColL), row: dvec.NewSparseV(s.RowL),
-		ufr: dvec.NewSparseV(s.RowL), tc: dvec.NewSparseV(s.ColL),
-		pathc: dvec.NewDense(s.ColL, semiring.None),
+		col: dvec.HoldSparseV(s.ColL), row: dvec.HoldSparseV(s.RowL),
+		ufr: dvec.HoldSparseV(s.RowL), tc: dvec.HoldSparseV(s.ColL),
+		pathc: dvec.HoldDense(s.ColL, semiring.None),
+		aug:   s.holdLevelVecs(),
 	}
 }
 
@@ -201,7 +206,7 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 	s.Stats.Phases++
 	s.Stats.AugmentedPaths += paths
 	s.tr.track(OpAugment, func() {
-		s.augment(r.pathc, p.pir, mater, r.matec, paths)
+		s.augment(r.pathc, p.pir, mater, r.matec, paths, &r.aug)
 	})
 	s.maybeCheckpoint(s.Stats.Phases, mater, r.matec)
 	return paths
@@ -225,7 +230,7 @@ func (bfsEngine) Caps() EngineCaps {
 
 // Start begins one MCM-DIST solve.
 func (bfsEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
-	return &bfsRun{newMSBFS(s, mater, matec), dvec.NewDense(s.RowL, semiring.None)}
+	return &bfsRun{newMSBFS(s, mater, matec), dvec.HoldDense(s.RowL, semiring.None)}
 }
 
 type bfsRun struct {
@@ -263,11 +268,11 @@ func (bfsSSEngine) Caps() EngineCaps {
 func (bfsSSEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
 	return &bfsSSRun{
 		msbfs: newMSBFS(s, mater, matec),
-		pir:   dvec.NewDense(s.RowL, semiring.None),
+		pir:   dvec.HoldDense(s.RowL, semiring.None),
 		// retired marks columns proven unmatchable: once no augmenting path
 		// leaves a vertex, none ever will again (augmentations only grow the
 		// reachable matching), so retirement is permanent.
-		retired: dvec.NewDense(s.ColL, 0),
+		retired: dvec.HoldDense(s.ColL, 0),
 	}
 }
 
@@ -342,8 +347,8 @@ func (bfsGraftEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
 		msbfs: newMSBFS(s, mater, matec),
 		// Persistent across phases: parents of visited rows and the root of
 		// the alternating tree owning each row (None = unowned).
-		pir:   dvec.NewDense(s.RowL, semiring.None),
-		rootR: dvec.NewDense(s.RowL, semiring.None),
+		pir:   dvec.HoldDense(s.RowL, semiring.None),
+		rootR: dvec.HoldDense(s.RowL, semiring.None),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"mcmdist/internal/parallel"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmv"
+	"slices"
 )
 
 // MaximalInit computes the configured distributed maximal matching and
@@ -14,15 +15,15 @@ import (
 // matrix-algebraic initializers of the paper's prior work [21], compared in
 // Fig. 3; all are built from the Table I primitive subset.
 func (s *Solver) MaximalInit() (mater, matec *dvec.Dense) {
-	mater = dvec.NewDense(s.RowL, semiring.None)
-	matec = dvec.NewDense(s.ColL, semiring.None)
+	mater = dvec.HoldDense(s.RowL, semiring.None)
+	matec = dvec.HoldDense(s.ColL, semiring.None)
 	s.tr.track(OpInit, func() {
 		switch s.Cfg.Init {
 		case InitNone:
 		case InitGreedy:
 			s.greedyInit(mater, matec)
 		case InitKarpSipser:
-			s.degreeInit(mater, matec, s.karpSipserFrontier)
+			s.degreeInit(mater, matec, s.karpSipserFrontier())
 		default:
 			s.degreeInit(mater, matec, s.minDegreeFrontier)
 		}
@@ -55,7 +56,7 @@ func (s *Solver) greedyRound(mater, matec *dvec.Dense, fc, row *dvec.SparseV, op
 // greedyInit runs greedy rounds until no unmatched column can be matched.
 // Each round's vectors back the next round's.
 func (s *Solver) greedyInit(mater, matec *dvec.Dense) {
-	fc, fr := dvec.NewSparseV(s.ColL), dvec.NewSparseV(s.RowL)
+	fc, fr := dvec.HoldSparseV(s.ColL), dvec.HoldSparseV(s.RowL)
 	for {
 		fc = s.unmatchedColFrontier(matec, fc)
 		if fc.Nnz() == 0 {
@@ -105,26 +106,34 @@ func (s *Solver) markMatched(m matchedSets, tc, mr *dvec.SparseV) {
 // Each rank counts in its own block of A: it walks the block's nonempty
 // columns, skips the matched ones, and counts the rows whose matched bit is
 // clear. The partial counts of a column's pr blocks meet at its owner in one
-// all-to-all along the grid column, summed on receipt. Collective.
-func (s *Solver) residualColDegrees(m matchedSets) *dvec.SparseInt {
+// all-to-all along the grid column, summed on receipt. The counts are
+// written into dst, a vector the caller has finished with (nil allocates
+// one). Collective.
+func (s *Solver) residualColDegrees(m matchedSets, dst *dvec.SparseInt) *dvec.SparseInt {
 	g := s.G
 	ctx := g.RT
 	blk := s.A.M
 	// Each pool worker counts a contiguous run of nonempty columns into its
 	// own arena buffer, sized for one pair per column, so the buffers
 	// concatenated in worker order list the (column, count) pairs in column
-	// order for any thread count.
+	// order for any thread count. Each worker also counts its pairs per
+	// owner (owners[w·pr + i] for the i-th rank of my grid column): my
+	// block's columns are my grid column's slab of ColL, which the pr owner
+	// ranges split in order, so a cursor over them follows the columns.
 	pool := ctx.Pool()
 	nzc := blk.NZC()
 	bounds := pool.Chunks(nzc, parallel.DefaultMinChunk)
 	width := len(bounds) - 1
 	bufs := make([][]int64, width)
 	works := make([]int64, width)
+	owners := make([]int, width*g.PR)
 	for w := range bufs {
 		bufs[w] = ctx.GetInts(2 * (bounds[w+1] - bounds[w]))
 	}
 	pool.ForChunked(nzc, parallel.DefaultMinChunk, func(w, lo, hi int) {
 		buf := bufs[w]
+		own := owners[w*g.PR : (w+1)*g.PR]
+		i, end := 0, s.ColL.RangeAt(0, g.MyCol).Hi
 		wk := int64(hi - lo)
 		for k := lo; k < hi; k++ {
 			c, rows := blk.ColByIndex(k)
@@ -139,7 +148,13 @@ func (s *Solver) residualColDegrees(m matchedSets) *dvec.SparseInt {
 			}
 			wk += int64(len(rows))
 			if n > 0 {
-				buf = append(buf, int64(s.A.Cols.Lo+c), int64(n))
+				gc := s.A.Cols.Lo + c
+				buf = append(buf, int64(gc), int64(n))
+				for gc >= end {
+					i++
+					end = s.ColL.RangeAt(i, g.MyCol).Hi
+				}
+				own[i]++
 			}
 		}
 		bufs[w] = buf
@@ -151,15 +166,22 @@ func (s *Solver) residualColDegrees(m matchedSets) *dvec.SparseInt {
 	}
 	g.World.AddWork(int(work))
 
-	// My block's columns are my grid column's slab of ColL, which the pr
-	// owner ranges split in order: walk them alongside the sorted pairs.
+	// Size each owner's part for exactly its pairs (the workers' counts
+	// summed into owners[:pr]) before filling it, so a part grows at most
+	// once instead of doubling through the appends; then fill the parts
+	// from the sorted pairs, owner i's after owner i-1's.
 	parts := ctx.GetParts(g.PR)
-	i, hi := 0, s.ColL.RangeAt(0, g.MyCol).Hi
+	for i := range parts {
+		for w := 1; w < width; w++ {
+			owners[i] += owners[w*g.PR+i]
+		}
+		parts[i] = slices.Grow(parts[i], 2*owners[i])
+	}
+	i := 0
 	for _, buf := range bufs {
 		for o := 0; o < len(buf); o += 2 {
-			for int(buf[o]) >= hi {
+			for len(parts[i]) == 2*owners[i] {
 				i++
-				hi = s.ColL.RangeAt(i, g.MyCol).Hi
 			}
 			parts[i] = append(parts[i], buf[o], buf[o+1])
 		}
@@ -169,7 +191,7 @@ func (s *Solver) residualColDegrees(m matchedSets) *dvec.SparseInt {
 	flat := g.Col.AlltoallvFlat(parts, ctx.GetInts(2*g.PR*s.ColL.MyRange().Len()))
 	ctx.PutParts(parts)
 	// Every block of my grid column may count the same column: sum them.
-	deg := dvec.ReceiveInt(s.ColL, flat)
+	deg := dvec.ReceiveInt(s.ColL, flat, dst)
 	g.World.AddWork(len(flat) / 2)
 	ctx.PutInts(flat)
 	return deg
@@ -198,11 +220,12 @@ func (s *Solver) frontierFromCols(cols *dvec.SparseInt, dst *dvec.SparseV) *dvec
 // unmatched neighbor or a round matches nothing. pick builds the frontier
 // in the storage of dst, the column vector the previous round has finished
 // with.
-func (s *Solver) degreeInit(mater, matec *dvec.Dense, pick func(degU *dvec.SparseInt, dst *dvec.SparseV) (*dvec.SparseV, semiring.AddOp)) {
+func (s *Solver) degreeInit(mater, matec *dvec.Dense, pick frontierPick) {
 	m := s.newMatchedSets()
-	fc, fr := dvec.NewSparseV(s.ColL), dvec.NewSparseV(s.RowL)
+	fc, fr := dvec.HoldSparseV(s.ColL), dvec.HoldSparseV(s.RowL)
+	degU := dvec.HoldSparseInt(s.ColL)
 	for {
-		degU := s.residualColDegrees(m)
+		degU = s.residualColDegrees(m, degU)
 		if degU.Nnz() == 0 {
 			return
 		}
@@ -215,17 +238,26 @@ func (s *Solver) degreeInit(mater, matec *dvec.Dense, pick func(degU *dvec.Spars
 	}
 }
 
-// karpSipserFrontier is the distributed Karp–Sipser round: if any unmatched
-// column has residual degree exactly 1, only those (forced, always-safe)
-// columns are matched this round; otherwise one general greedy round runs.
-// Forced rounds match few columns each, so Karp–Sipser runs many more rounds
-// than greedy, each paying a degree count and a replication of the new
-// pairs (the Fig. 3 observation). Collective.
-func (s *Solver) karpSipserFrontier(degU *dvec.SparseInt, dst *dvec.SparseV) (*dvec.SparseV, semiring.AddOp) {
-	if d1 := degU.Filter(func(v int64) bool { return v == 1 }); d1.Nnz() > 0 {
-		return s.frontierFromCols(d1, dst), semiring.MinParent
+// frontierPick turns a round's residual degrees into its frontier, built in
+// dst's storage, and semiring.
+type frontierPick func(degU *dvec.SparseInt, dst *dvec.SparseV) (*dvec.SparseV, semiring.AddOp)
+
+// karpSipserFrontier returns the pick of the distributed Karp–Sipser round:
+// if any unmatched column has residual degree exactly 1, only those
+// (forced, always-safe) columns are matched this round; otherwise one
+// general greedy round runs. Forced rounds match few columns each, so
+// Karp–Sipser runs many more rounds than greedy, each paying a degree count
+// and a replication of the new pairs (the Fig. 3 observation). Every round
+// filters the degree-1 columns into one vector held for the solve. The pick
+// is collective.
+func (s *Solver) karpSipserFrontier() frontierPick {
+	d1 := dvec.HoldSparseInt(s.ColL)
+	return func(degU *dvec.SparseInt, dst *dvec.SparseV) (*dvec.SparseV, semiring.AddOp) {
+		if d1 = degU.Filter(func(v int64) bool { return v == 1 }, d1); d1.Nnz() > 0 {
+			return s.frontierFromCols(d1, dst), semiring.MinParent
+		}
+		return s.frontierFromCols(degU, dst), semiring.MinParent
 	}
-	return s.frontierFromCols(degU, dst), semiring.MinParent
 }
 
 // minDegreeFrontier is the distributed dynamic-mindegree round: each row

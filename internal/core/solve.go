@@ -187,6 +187,10 @@ func SolveBlocks(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMa
 		if r == localRoot {
 			mateR, mateC = fullR, fullC
 		}
+		// The solve is done with its held vectors, and the gathers were its
+		// last collectives: hand them back for the next solve on this
+		// context. A rank that unwound never gets here.
+		s.G.RT.Release()
 		perRankStats[r] = s.Stats
 		perRankMeter[r] = s.G.World.MeterSnapshot()
 		return nil

@@ -46,7 +46,7 @@ func benchSparse(g *grid.Grid, stride int) *SparseV {
 func BenchmarkTableISelect(b *testing.B) {
 	benchOnGrid(b, func(g *grid.Grid, _ int) {
 		s := benchSparse(g, 3)
-		d := NewDense(s.L, semiring.None)
+		d := HoldDense(s.L, semiring.None)
 		s.Select(d, func(v int64) bool { return v == semiring.None })
 	})
 }
@@ -54,7 +54,7 @@ func BenchmarkTableISelect(b *testing.B) {
 func BenchmarkTableISet(b *testing.B) {
 	benchOnGrid(b, func(g *grid.Grid, _ int) {
 		s := benchSparse(g, 3)
-		d := NewDense(s.L, semiring.None)
+		d := HoldDense(s.L, semiring.None)
 		d.ScatterParents(s)
 	})
 }
@@ -88,7 +88,7 @@ func BenchmarkDenseGather(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			benchOnGrid(b, func(g *grid.Grid, _ int) {
-				d := NewDense(NewLayout(g, benchN, ColAligned), 7)
+				d := HoldDense(NewLayout(g, benchN, ColAligned), 7)
 				d.Gather(bc.keep)
 			})
 		})
@@ -111,8 +111,8 @@ func BenchmarkTableIPrimitiveAllocs(b *testing.B) {
 			return err
 		}
 		kept := benchSparse(g, 3)
-		visited := NewDense(kept.L, semiring.None)
-		mater := NewDense(kept.L, semiring.None)
+		visited := HoldDense(kept.L, semiring.None)
+		mater := HoldDense(kept.L, semiring.None)
 		r := kept.L.MyRange()
 		for gi := r.Lo; gi < r.Hi; gi += 2 {
 			mater.SetAt(gi, int64(gi))

@@ -15,13 +15,16 @@ type Dense struct {
 	Local []int64 // values for MyRange(), index-shifted by MyRange().Lo
 }
 
-// NewDense builds a distributed dense vector with every element fill.
-func NewDense(l Layout, fill int64) *Dense {
-	local := make([]int64, l.MyRange().Len())
-	for i := range local {
-		local[i] = fill
-	}
-	return &Dense{L: l, Local: local}
+// HoldDense builds a distributed dense vector with every element fill, in
+// storage the rank's runtime context holds for the solve (rt.Ctx.HoldDense):
+// a warm context lends a buffer an earlier solve released, and the solve's
+// Release sets Local to nil. A vector no Release reaches is ordinary
+// garbage-collected storage.
+func HoldDense(l Layout, fill int64) *Dense {
+	d := &Dense{L: l}
+	l.G.RT.HoldDense(&d.Local, l.MyRange().Len())
+	d.Fill(fill)
+	return d
 }
 
 // NewDenseFrom builds a distributed dense vector from a replicated global
@@ -94,14 +97,12 @@ func (d *Dense) Gather(keep bool) []int64 {
 // SparseWhere builds a sparse vector from the dense entries satisfying
 // pred, keeping their values. Local (the paper's "sparse vector from path_c
 // by removing entries with -1"). The scan runs as the two-pass compaction
-// on the rank's worker pool, so both result slices are sized exactly; Val
-// is drawn from the rt arena, and hot-path callers may hand it back with
-// Ctx.PutInts once the vector is dead (callers that don't simply leave it
-// to the garbage collector).
-func (d *Dense) SparseWhere(pred func(int64) bool) *SparseInt {
+// on the rank's worker pool, so the result is sized before it is filled.
+// The result is written into dst, a vector the caller has finished with
+// (nil allocates one).
+func (d *Dense) SparseWhere(pred func(int64) bool, dst *SparseInt) *SparseInt {
 	lo := d.L.MyRange().Lo
-	ctx := d.L.G.RT
-	pool := ctx.Pool()
+	pool := d.L.G.RT.Pool()
 	n := len(d.Local)
 	bounds := pool.Chunks(n, parallel.DefaultMinChunk)
 	w := len(bounds) - 1
@@ -119,10 +120,8 @@ func (d *Dense) SparseWhere(pred func(int64) bool) *SparseInt {
 		offsets[i] += offsets[i-1]
 	}
 	total := offsets[w]
-	out := &SparseInt{L: d.L}
+	out := reuseInts(dst, d.L, total)
 	if total > 0 {
-		out.Idx = make([]int, total)
-		out.Val = ctx.GetInts(total)[:total]
 		pool.ForChunked(n, parallel.DefaultMinChunk, func(wi, clo, chi int) {
 			o := offsets[wi]
 			for i := clo; i < chi; i++ {

@@ -194,7 +194,7 @@ func TestGatherKeepsOnlyWhereAsked(t *testing.T) {
 func TestDenseAtSet(t *testing.T) {
 	onGrid(t, 2, 2, func(g *grid.Grid) error {
 		l := NewLayout(g, 10, RowAligned)
-		d := NewDense(l, semiring.None)
+		d := HoldDense(l, semiring.None)
 		r := l.MyRange()
 		for x := r.Lo; x < r.Hi; x++ {
 			if d.Local[x-r.Lo] != semiring.None {
@@ -223,7 +223,7 @@ func appendInt(s *SparseInt, g int, v int64) {
 // gatherInt is s as a global dense slice on every rank, with semiring.None
 // where s holds no entry. Collective.
 func gatherInt(s *SparseInt) []int64 {
-	d := NewDense(s.L, semiring.None)
+	d := HoldDense(s.L, semiring.None)
 	d.Scatter(s)
 	return d.Gather(true)
 }
@@ -301,7 +301,7 @@ func TestTableISet(t *testing.T) {
 	onGrid(t, 2, 2, func(g *grid.Grid) error {
 		l := NewLayout(g, len(x), ColAligned)
 		s := buildSparseInt(l, x)
-		d := NewDense(l, semiring.None)
+		d := HoldDense(l, semiring.None)
 		d.Scatter(s)
 		got := d.Gather(true)
 		want := []int64{3, -1, 2, 2, -1}
@@ -323,7 +323,7 @@ func TestTableIInvert(t *testing.T) {
 			l := NewLayout(g, len(x), ColAligned)
 			outL := NewLayout(g, len(x), RowAligned)
 			s := buildSparseInt(l, x)
-			z := s.Invert(outL)
+			z := s.Invert(outL, nil)
 			got := gatherInt(z)
 			want := []int64{semiring.None, semiring.None, 2, 0, semiring.None}
 			if !reflect.DeepEqual(got, want) {
@@ -374,8 +374,8 @@ func TestInvertRoundTripOnInjective(t *testing.T) {
 	onGrid(t, 2, 2, func(g *grid.Grid) error {
 		l := NewLayout(g, len(full), ColAligned)
 		s := buildSparseInt(l, full)
-		inv := s.Invert(NewLayout(g, 8, RowAligned))
-		back := inv.Invert(l)
+		inv := s.Invert(NewLayout(g, 8, RowAligned), nil)
+		back := inv.Invert(l, nil)
 		got := gatherInt(back)
 		for gi, v := range full {
 			if v == 0 {
@@ -454,7 +454,7 @@ func TestSetParentsFromAndScatterParents(t *testing.T) {
 				return fmt.Errorf("root[%d] changed", gi)
 			}
 		}
-		pi := NewDense(l, semiring.None)
+		pi := HoldDense(l, semiring.None)
 		pi.ScatterParents(s)
 		full := pi.Gather(true)
 		for gi := 0; gi < 5; gi++ {
@@ -497,7 +497,7 @@ func TestSparseWhere(t *testing.T) {
 	onGrid(t, 2, 2, func(g *grid.Grid) error {
 		l := NewLayout(g, 6, ColAligned)
 		d := NewDenseFrom(l, []int64{-1, 5, -1, 3, -1, 8})
-		s := d.SparseWhere(func(v int64) bool { return v != semiring.None })
+		s := d.SparseWhere(func(v int64) bool { return v != semiring.None }, nil)
 		if s.Nnz() != 3 {
 			return fmt.Errorf("nnz = %d", s.Nnz())
 		}
@@ -555,7 +555,7 @@ func TestAppendValidation(t *testing.T) {
 func TestSelectLayoutMismatchPanics(t *testing.T) {
 	onGrid(t, 1, 1, func(g *grid.Grid) error {
 		s := NewSparseV(NewLayout(g, 5, RowAligned))
-		d := NewDense(NewLayout(g, 5, ColAligned), 0)
+		d := HoldDense(NewLayout(g, 5, ColAligned), 0)
 		defer func() {
 			if recover() == nil {
 				panic("expected panic")
@@ -582,7 +582,7 @@ func TestInvertMeterUsesAllToAll(t *testing.T) {
 		for gi := r.Lo; gi < r.Hi; gi++ {
 			appendInt(s, gi, int64(39-gi))
 		}
-		s.Invert(NewLayout(g, 40, RowAligned))
+		s.Invert(NewLayout(g, 40, RowAligned), nil)
 		return nil
 	})
 	if err != nil {
@@ -603,14 +603,14 @@ func TestCloneAndFilter(t *testing.T) {
 		for gi := r.Lo; gi < r.Hi; gi++ {
 			appendInt(s, gi, int64(gi))
 		}
-		cl := s.Clone()
+		cl := s.Clone(nil)
 		if len(cl.Val) > 0 {
 			cl.Val[0] = -99
 			if s.Val[0] == -99 {
 				return fmt.Errorf("clone shares storage")
 			}
 		}
-		even := s.Filter(func(v int64) bool { return v%2 == 0 })
+		even := s.Filter(func(v int64) bool { return v%2 == 0 }, nil)
 		for _, v := range even.Val {
 			if v%2 != 0 {
 				return fmt.Errorf("filter kept odd value %d", v)
@@ -634,7 +634,7 @@ func TestInvertKeepsSmallestSourceProperty(t *testing.T) {
 		for gi := r.Lo; gi < r.Hi; gi++ {
 			appendInt(s, gi, int64(gi%4)) // heavy collisions on 4 targets
 		}
-		inv := s.Invert(outL)
+		inv := s.Invert(outL, nil)
 		got := gatherInt(inv)
 		for tgt := 0; tgt < 4; tgt++ {
 			if got[tgt] != int64(tgt) { // smallest source with gi%4==tgt is tgt itself
@@ -655,7 +655,7 @@ func TestInvertPanicsOnOutOfRangeTarget(t *testing.T) {
 				panic("expected panic")
 			}
 		}()
-		s.Invert(NewLayout(g, 5, RowAligned))
+		s.Invert(NewLayout(g, 5, RowAligned), nil)
 		return nil
 	})
 }

@@ -174,7 +174,7 @@ func checkReceives(t *testing.T, name string, pr, pc, threads int, n int) {
 			return nil
 		}
 		tgtC := NewLayout(g, targets, ColAligned)
-		gotI, mI := metered(c, func() *SparseInt { return xi.Invert(tgtL) })
+		gotI, mI := metered(c, func() *SparseInt { return xi.Invert(tgtL, nil) })
 		wantI, wI := metered(c, func() *SparseInt { return oracleInvert(xi, tgtL) })
 		if err := check("Invert", mI, wI, sameInt(gotI, wantI)); err != nil {
 			return err
@@ -304,12 +304,12 @@ func TestReceiveEmptyStreams(t *testing.T) {
 func TestReceivePanicsOnOutOfRangeIndex(t *testing.T) {
 	onGrid(t, 2, 2, func(g *grid.Grid) error {
 		wide, narrow := NewLayout(g, 400, RowAligned), NewLayout(g, 40, RowAligned)
-		ReceiveInt(wide, nil) // grows the rank's receive scratch to 100
+		ReceiveInt(wide, nil, nil) // grows the rank's receive scratch to 100
 		r := narrow.MyRange()
 		for _, idx := range []int{r.Hi, r.Lo - 1} {
 			msg := func() (msg string) {
 				defer func() { msg = fmt.Sprint(recover()) }()
-				ReceiveInt(narrow, []int64{int64(r.Lo), 1, int64(idx), 2})
+				ReceiveInt(narrow, []int64{int64(r.Lo), 1, int64(idx), 2}, nil)
 				return ""
 			}()
 			if !strings.HasPrefix(msg, "dvec: ") {

@@ -6,6 +6,7 @@ package dvec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 func levelVector(g *grid.Grid, n int) (*SparseV, *Dense) {
 	l := NewLayout(g, n, RowAligned)
 	s := NewSparseV(l)
-	d := NewDense(l, semiring.None)
+	d := HoldDense(l, semiring.None)
 	r := l.MyRange()
 	for gi := r.Lo; gi < r.Hi; gi += 3 {
 		s.Append(gi, semiring.Vertex{Parent: int64(gi / 2), Root: int64(gi % 7)})
@@ -192,4 +193,70 @@ func TestReceiverAsDstPanics(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestSparseIntIntoDst: Clone, Filter (into another vector and in place),
+// ReceiveInt and Invert give into a stale dst what they give into a fresh
+// one, and the local ones fill a warm dst without one allocation.
+func TestSparseIntIntoDst(t *testing.T) {
+	for _, shape := range gridShapes {
+		onGrid(t, shape[0], shape[1], func(g *grid.Grid) error {
+			l := NewLayout(g, 300, ColAligned)
+			r := l.MyRange()
+			s := NewSparseInt(l)
+			for gi := r.Lo; gi < r.Hi; gi += 2 {
+				s.Idx = append(s.Idx, gi)
+				s.Val = append(s.Val, int64(gi%5))
+			}
+			// stale is a dst that held more entries, of another layout.
+			stale := func() *SparseInt {
+				d := &SparseInt{Idx: make([]int, 151), Val: make([]int64, 151)}
+				for k := range d.Idx {
+					d.Idx[k], d.Val[k] = -1-k, 9
+				}
+				return d
+			}
+			even := func(v int64) bool { return v%2 == 0 }
+			same := func(name string, got, want *SparseInt) error {
+				if !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Val, want.Val) || !got.L.Same(want.L) {
+					return fmt.Errorf("grid %v %s: got %v:%v, want %v:%v", shape, name, got.Idx, got.Val, want.Idx, want.Val)
+				}
+				return nil
+			}
+			if err := same("Clone", s.Clone(stale()), s.Clone(nil)); err != nil {
+				return err
+			}
+			if err := same("Filter", s.Filter(even, stale()), s.Filter(even, nil)); err != nil {
+				return err
+			}
+			inPlace := s.Clone(nil)
+			if err := same("Filter in place", inPlace.Filter(even, inPlace), s.Filter(even, nil)); err != nil {
+				return err
+			}
+			outL := NewLayout(g, 300, RowAligned)
+			if err := same("Invert", s.Invert(outL, stale()), s.Invert(outL, nil)); err != nil {
+				return err
+			}
+			flat := make([]int64, 0, 2*len(s.Idx))
+			for k, gi := range s.Idx {
+				flat = append(flat, int64(gi), s.Val[k])
+			}
+			if err := same("ReceiveInt", ReceiveInt(l, flat, stale()), ReceiveInt(l, flat, nil)); err != nil {
+				return err
+			}
+
+			dst := s.Clone(nil)
+			allocs := map[string]float64{
+				"Clone":      testing.AllocsPerRun(20, func() { s.Clone(dst) }),
+				"Filter":     testing.AllocsPerRun(20, func() { s.Filter(even, dst) }),
+				"ReceiveInt": testing.AllocsPerRun(20, func() { ReceiveInt(l, flat, dst) }),
+			}
+			for name, n := range allocs {
+				if n != 0 {
+					return fmt.Errorf("grid %v %s: %v allocations per run into a warm dst, want 0", shape, name, n)
+				}
+			}
+			return nil
+		})
+	}
 }

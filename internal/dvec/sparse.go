@@ -44,6 +44,21 @@ func NewSparseInt(l Layout) *SparseInt { return &SparseInt{L: l} }
 // NewSparseV returns an empty sparse vector with the given layout.
 func NewSparseV(l Layout) *SparseV { return &SparseV{L: l} }
 
+// HoldSparseInt returns an empty sparse vector with the given layout whose
+// arrays the rank's runtime context holds for the solve, as HoldDense's.
+func HoldSparseInt(l Layout) *SparseInt {
+	s := &SparseInt{L: l}
+	l.G.RT.HoldSparse(&s.Idx, &s.Val)
+	return s
+}
+
+// HoldSparseV is HoldSparseInt for a VERTEX vector.
+func HoldSparseV(l Layout) *SparseV {
+	s := &SparseV{L: l}
+	l.G.RT.HoldVertices(&s.Idx, &s.Val)
+	return s
+}
+
 func checkAppend(l Layout, idx []int, g int) {
 	if !l.MyRange().Contains(g) {
 		panic(fmt.Sprintf("dvec: append index %d outside local range", g))
@@ -242,7 +257,7 @@ func Reuse(dst *SparseV, l Layout, n int) *SparseV {
 }
 
 // checkDst panics when an operation would write into the vector it reads.
-func checkDst(s, dst *SparseV) {
+func checkDst[V SparseV | SparseInt](s, dst *V) {
 	if dst == s {
 		panic("dvec: a vector cannot be its own dst")
 	}
@@ -261,13 +276,25 @@ func vertices(dst *SparseV, outL Layout, sc *rt.Scratch, k int) *SparseV {
 	return out
 }
 
+// reuseInts is Reuse for an (index, int64) vector.
+func reuseInts(dst *SparseInt, l Layout, n int) *SparseInt {
+	if dst == nil {
+		dst = NewSparseInt(l)
+	}
+	dst.L = l
+	dst.Idx = slices.Grow(dst.Idx[:0], n)[:n]
+	dst.Val = slices.Grow(dst.Val[:0], n)[:n]
+	return dst
+}
+
 // ints is vertices for (index, value) records: the value is the parent.
-func ints(outL Layout, sc *rt.Scratch, k int) *SparseInt {
+func ints(dst *SparseInt, outL Layout, sc *rt.Scratch, k int) *SparseInt {
 	lo := outL.MyRange().Lo
-	out := &SparseInt{L: outL, Idx: make([]int, 0, k), Val: make([]int64, 0, k)}
+	out := reuseInts(dst, outL, k)
+	i := 0
 	for off := sc.Next(0); off < sc.Len(); off = sc.Next(off + 1) {
-		out.Idx = append(out.Idx, lo+off)
-		out.Val = append(out.Val, sc.Val[off].Parent)
+		out.Idx[i], out.Val[i] = lo+off, sc.Val[off].Parent
+		i++
 	}
 	return out
 }
@@ -287,11 +314,12 @@ func ReceiveV(outL Layout, rq *mpi.PartsRequest, op semiring.AddOp, dst *SparseV
 // ReceiveInt builds the sparse vector with layout outL from received
 // (index, value) records, summing the values of one index: the
 // residual-degree count. The indices must fall in outL.MyRange(); flat
-// stays the caller's.
-func ReceiveInt(outL Layout, flat []int64) *SparseInt {
+// stays the caller's. The result is written into dst, a vector the caller
+// has finished with (nil allocates one).
+func ReceiveInt(outL Layout, flat []int64, dst *SparseInt) *SparseInt {
 	r := outL.MyRange()
 	sc := outL.G.RT.Scratch("dvec.receive", r.Len())
-	return ints(outL, sc, scatterReduce(sc, r, flat, 2, sum))
+	return ints(dst, outL, sc, scatterReduce(sc, r, flat, 2, sum))
 }
 
 // sum adds the values of two records with one index.
@@ -331,14 +359,16 @@ func invert(l Layout, outL Layout, records []int64, stride int) (*rt.Scratch, in
 // Invert computes the Table I INVERT primitive: a sparse vector z with
 // layout outL where z[x[i]] = i for every nonzero of x. When several source
 // entries carry the same value, the smallest source index wins ("we keep
-// the first index"). Collective: personalized all-to-all.
-func (s *SparseInt) Invert(outL Layout) *SparseInt {
+// the first index"). The result is written into dst as for InvertParents;
+// s itself as dst panics. Collective: personalized all-to-all.
+func (s *SparseInt) Invert(outL Layout, dst *SparseInt) *SparseInt {
+	checkDst(s, dst)
 	records := s.L.G.RT.GetInts(2 * len(s.Idx))
 	for k, g := range s.Idx {
 		records = append(records, s.Val[k], int64(g))
 	}
 	sc, k := invert(s.L, outL, records, 2)
-	return ints(outL, sc, k)
+	return ints(dst, outL, sc, k)
 }
 
 // InvertParents inverts a VERTEX vector by its parents: the result has one
@@ -427,25 +457,30 @@ func (s *SparseV) GatherVertices(keep bool) []semiring.Vertex {
 	return out
 }
 
-// Clone returns a deep copy.
-func (s *SparseInt) Clone() *SparseInt {
-	return &SparseInt{
-		L:   s.L,
-		Idx: append([]int(nil), s.Idx...),
-		Val: append([]int64(nil), s.Val...),
-	}
+// Clone copies s into dst, a vector the caller has finished with (nil
+// allocates one), and returns it.
+func (s *SparseInt) Clone(dst *SparseInt) *SparseInt {
+	out := reuseInts(dst, s.L, len(s.Idx))
+	copy(out.Idx, s.Idx)
+	copy(out.Val, s.Val)
+	return out
 }
 
-// Filter keeps the entries whose value satisfies pred. Local.
-func (s *SparseInt) Filter(pred func(int64) bool) *SparseInt {
-	out := NewSparseInt(s.L)
-	for k, g := range s.Idx {
-		if pred(s.Val[k]) {
-			out.Idx = append(out.Idx, g)
-			out.Val = append(out.Val, s.Val[k])
+// Filter writes the entries whose value satisfies pred into dst (nil
+// allocates one) and returns it; dst may be s itself, which filters in
+// place. Local.
+func (s *SparseInt) Filter(pred func(int64) bool, dst *SparseInt) *SparseInt {
+	n := len(s.Idx)
+	out := reuseInts(dst, s.L, n)
+	m := 0
+	for k := 0; k < n; k++ {
+		if v := s.Val[k]; pred(v) {
+			out.Idx[m], out.Val[m] = s.Idx[k], v
+			m++
 		}
 	}
-	s.L.G.World.AddWork(len(s.Idx))
+	s.L.G.World.AddWork(n)
+	out.Idx, out.Val = out.Idx[:m], out.Val[:m]
 	return out
 }
 

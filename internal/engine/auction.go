@@ -55,8 +55,8 @@ func (auctionEngine) Caps() core.EngineCaps {
 func (auctionEngine) Start(s *core.Solver, mater, matec *dvec.Dense) core.EngineRun {
 	return &auctionRun{
 		s: s, mater: mater, matec: matec,
-		price:      dvec.NewDense(s.RowL, 0),
-		pricedOut:  dvec.NewDense(s.ColL, 0),
+		price:      dvec.HoldDense(s.RowL, 0),
+		pricedOut:  dvec.HoldDense(s.ColL, 0),
 		priceBound: int64(min(s.N1, s.N2) + 1),
 	}
 }

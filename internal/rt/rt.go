@@ -12,6 +12,11 @@
 //     strict borrow/return discipline: a lent buffer never outlives the
 //     primitive call that borrowed it, so pooled storage can never alias
 //     live algorithm state;
+//   - a solve-lifetime store (HoldDense, HoldSparse, HoldVertices, Release)
+//     for the solve's own vectors — mates, parents, paths, frontiers —
+//     kept apart from the arena, with its own rule: a held buffer lives
+//     until the solve that took it hands it back, and a solve that unwinds
+//     hands back nothing;
 //   - dense scratch (Scratch), a value array plus a presence bitmap cleared
 //     on borrow, that replaces the per-call "allocate scratch + present"
 //     pattern: a borrow clears one word per 64 entries, and Next walks the
@@ -20,11 +25,13 @@
 //   - per-op measurement (Track): the wall time and communication deltas
 //     of one tracked section, recorded as an op span.
 //
-// The frontier vectors are not arena storage. They belong to the engine run
-// that made them and outlive every primitive call: a vector the level has
-// finished with is handed to the next receive as its destination, and
-// SELECT and PRUNE filter in place (see package dvec). Keeping them out of
-// the arena is what lets the arena keep its one rule.
+// A Hold points a vector's fields at a store buffer and records them;
+// Release, once the solve has gathered its result, returns every buffer as
+// the solve grew it and sets the fields to nil, so a use after release
+// panics instead of reading the next solve's data. Bind forgets what an
+// unwound solve still held. Within a solve a vector the level has finished
+// with is the next receive's destination, and SELECT and PRUNE filter in
+// place (see package dvec).
 //
 // A Ctx belongs to exactly one rank goroutine at a time and is not
 // internally synchronized. It may be rebound (Bind) to a fresh communicator
@@ -32,13 +39,14 @@
 // matchings on one DistributedGraph run allocation-quiet — but never shared
 // between concurrently running ranks.
 //
-// A nil or disabled Ctx is always safe: every Get falls back to a plain
-// allocation and every Put is a no-op, which is also the "pooling off"
-// arm of the equivalence tests.
+// A nil or disabled Ctx is always safe: every Get and Hold falls back to a
+// plain allocation and every Put and Release is a no-op, which is also the
+// "pooling off" arm of the equivalence tests.
 package rt
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 
 	"mcmdist/internal/mpi"
@@ -69,6 +77,13 @@ type Ctx struct {
 	scratch map[string]*Scratch
 	shards  map[string][]*Scratch
 
+	// The solve-lifetime store: dense vectors, and the index and value
+	// arrays of the two sparse vector kinds.
+	dense kept[int64]
+	idx   kept[int]
+	vals  kept[int64]
+	verts kept[semiring.Vertex]
+
 	pool *parallel.Pool
 
 	// trc is the rank's span tracer (nil = tracing off). Track records one
@@ -91,10 +106,16 @@ func NewDisabled(comm *mpi.Comm) *Ctx {
 
 // Bind re-attaches the context to a new communicator. Buffer and scratch
 // contents survive, which is the point: a session reuses one context per
-// rank across solves, each solve running on a fresh simulated world.
+// rank across solves, each solve running on a fresh simulated world. Held
+// buffers a previous solve never released (it unwound) are forgotten, not
+// returned to the store.
 func (c *Ctx) Bind(comm *mpi.Comm) {
 	if c != nil {
 		c.comm = comm
+		c.dense.forget()
+		c.idx.forget()
+		c.vals.forget()
+		c.verts.forget()
 	}
 }
 
@@ -257,6 +278,97 @@ func (c *Ctx) PutParts(ps [][]int64) {
 	if len(c.parts) < maxPerClass {
 		c.parts = append(c.parts, ps[:cap(ps)])
 	}
+}
+
+// maxKept bounds how many free buffers each kind of the solve-lifetime
+// store retains; one solve holds fewer than that of each kind.
+const maxKept = 16
+
+// kept is one element type's share of the solve-lifetime store: the free
+// buffers, and the vector fields pointing at the lent ones.
+type kept[T any] struct {
+	free [][]T
+	lent []*[]T
+}
+
+// hold points *p at a buffer of length n — the most recently freed one
+// whose capacity holds n, or a new one of exactly n — and records p.
+func (k *kept[T]) hold(p *[]T, n int) {
+	i := len(k.free) - 1
+	for i >= 0 && cap(k.free[i]) < n {
+		i--
+	}
+	if i >= 0 {
+		*p = k.free[i][:n]
+		k.free = slices.Delete(k.free, i, i+1)
+	} else {
+		*p = make([]T, n)
+	}
+	k.lent = append(k.lent, p)
+}
+
+// release frees every lent buffer and sets its field to nil. It frees them
+// in reverse order, so the next solve's holds, made in the same order, get
+// back the buffers of the same roles.
+func (k *kept[T]) release() {
+	for i := len(k.lent) - 1; i >= 0; i-- {
+		p := k.lent[i]
+		if cap(*p) > 0 && len(k.free) < maxKept {
+			k.free = append(k.free, (*p)[:0])
+		}
+		*p = nil
+	}
+	k.forget()
+}
+
+// forget drops the record of lent buffers without freeing them.
+func (k *kept[T]) forget() {
+	clear(k.lent)
+	k.lent = k.lent[:0]
+}
+
+// HoldDense points *p at a buffer of exactly n values that the solve keeps
+// until Release; the contents are undefined. A disabled context allocates
+// it and keeps no record.
+func (c *Ctx) HoldDense(p *[]int64, n int) {
+	if !c.Enabled() {
+		*p = make([]int64, n)
+		return
+	}
+	c.dense.hold(p, n)
+}
+
+// HoldSparse points the index and value arrays of an (index, int64) sparse
+// vector at empty buffers, with the capacity they grew to in an earlier
+// solve, that the solve keeps until Release. A disabled context leaves them
+// nil.
+func (c *Ctx) HoldSparse(idx *[]int, val *[]int64) {
+	if c.Enabled() {
+		c.idx.hold(idx, 0)
+		c.vals.hold(val, 0)
+	}
+}
+
+// HoldVertices is HoldSparse for a sparse vector of VERTEX values.
+func (c *Ctx) HoldVertices(idx *[]int, val *[]semiring.Vertex) {
+	if c.Enabled() {
+		c.idx.hold(idx, 0)
+		c.verts.hold(val, 0)
+	}
+}
+
+// Release ends the solve: every buffer held since the last Bind returns to
+// the store, and the fields that pointed at it are set to nil. Call it only
+// when the solve is done with every held vector and no peer can still read
+// one.
+func (c *Ctx) Release() {
+	if !c.Enabled() {
+		return
+	}
+	c.dense.release()
+	c.idx.release()
+	c.vals.release()
+	c.verts.release()
 }
 
 // Scratch is a dense (value, present) workspace over the index range [0, n)

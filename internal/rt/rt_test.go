@@ -471,3 +471,110 @@ func TestEnsureThreadsLifecycle(t *testing.T) {
 		t.Fatal("nil ctx must report 1 thread")
 	}
 }
+
+// vec is a stand-in for a dvec vector: the fields the store points at.
+type vec struct {
+	dense []int64
+	idx   []int
+	val   []semiring.Vertex
+}
+
+// TestHoldColdExactAndReleaseNils: a cold context hands out fresh buffers
+// of exactly the requested dense length; Release sets every held field to
+// nil, and the next solve's holds, made in the same order, get back the
+// buffers of the same roles, grown as the last solve left them.
+func TestHoldColdExactAndReleaseNils(t *testing.T) {
+	c := New(nil)
+	var a, b vec
+	c.HoldDense(&a.dense, 100)
+	c.HoldDense(&b.dense, 7)
+	if len(a.dense) != 100 || cap(a.dense) != 100 || len(b.dense) != 7 || cap(b.dense) != 7 {
+		t.Fatalf("cold dense holds: len/cap %d/%d and %d/%d, want exact", len(a.dense), cap(a.dense), len(b.dense), cap(b.dense))
+	}
+	c.HoldVertices(&a.idx, &a.val)
+	if len(a.idx) != 0 || len(a.val) != 0 {
+		t.Fatalf("cold sparse hold is not empty: %d, %d", len(a.idx), len(a.val))
+	}
+	a.idx = append(a.idx, make([]int, 300)...) // the solve grows its frontier
+	a.val = append(a.val, make([]semiring.Vertex, 300)...)
+	denseA, idxA, valA := &a.dense[0], &a.idx[0], &a.val[0]
+	c.Release()
+	if a.dense != nil || b.dense != nil || a.idx != nil || a.val != nil {
+		t.Fatal("Release left a held field set")
+	}
+
+	var x, y vec
+	c.HoldDense(&x.dense, 100)
+	c.HoldDense(&y.dense, 7)
+	c.HoldVertices(&x.idx, &x.val)
+	if &x.dense[0] != denseA || len(x.dense) != 100 {
+		t.Error("warm dense hold did not get its role's buffer back")
+	}
+	if len(x.idx) != 0 || cap(x.idx) < 300 || &x.idx[:1][0] != idxA || &x.val[:1][0] != valA {
+		t.Error("warm sparse hold did not get its grown buffers back")
+	}
+	if len(y.dense) != 7 {
+		t.Errorf("warm dense hold length %d, want 7", len(y.dense))
+	}
+}
+
+// TestHoldFitsAndBounds: a dense hold never gets a buffer too small for it,
+// and the store keeps at most maxKept free buffers of a kind.
+func TestHoldFitsAndBounds(t *testing.T) {
+	c := New(nil)
+	vs := make([]vec, maxKept+4)
+	for i := range vs {
+		c.HoldDense(&vs[i].dense, 10+i)
+	}
+	c.Release()
+	if n := len(c.dense.free); n != maxKept {
+		t.Fatalf("store keeps %d free dense buffers, want %d", n, maxKept)
+	}
+	var big vec
+	c.HoldDense(&big.dense, 1000)
+	if len(big.dense) != 1000 {
+		t.Fatalf("hold of 1000 got length %d", len(big.dense))
+	}
+	if n := len(c.dense.free); n != maxKept {
+		t.Errorf("a hold no free buffer fits took one: %d left", n)
+	}
+}
+
+// TestBindForgetsUnreleasedHolds: a solve that unwinds never releases; the
+// next Bind forgets its holds, so they never return to the store and their
+// fields stay as the unwound solve left them.
+func TestBindForgetsUnreleasedHolds(t *testing.T) {
+	c := New(nil)
+	var v vec
+	c.HoldDense(&v.dense, 50)
+	c.Bind(nil)
+	c.Release()
+	if v.dense == nil {
+		t.Fatal("Release after Bind reached a hold of the unwound solve")
+	}
+	if n := len(c.dense.free); n != 0 {
+		t.Fatalf("an unwound solve's buffer returned to the store (%d free)", n)
+	}
+	var w vec
+	c.HoldDense(&w.dense, 50)
+	if &w.dense[0] == &v.dense[0] {
+		t.Fatal("a new solve got the unwound solve's buffer")
+	}
+}
+
+// TestDisabledHoldKeepsNothing: a disabled (or nil) context allocates every
+// hold and its Release touches nothing.
+func TestDisabledHoldKeepsNothing(t *testing.T) {
+	for _, c := range []*Ctx{NewDisabled(nil), nil} {
+		var v vec
+		c.HoldDense(&v.dense, 9)
+		c.HoldVertices(&v.idx, &v.val)
+		if len(v.dense) != 9 || v.idx != nil || v.val != nil {
+			t.Fatalf("disabled holds: dense %d, sparse %v %v", len(v.dense), v.idx, v.val)
+		}
+		c.Release()
+		if v.dense == nil {
+			t.Fatal("a disabled context's Release cleared a field")
+		}
+	}
+}

@@ -69,7 +69,7 @@ func BenchmarkSpMVPullAllocs(b *testing.B) {
 		for gi := r.Lo; gi < r.Hi; gi += 3 {
 			fx.Append(gi, semiring.Self(int64(gi)))
 		}
-		vis := dvec.NewDense(yl, semiring.None)
+		vis := dvec.HoldDense(yl, semiring.None)
 		var y *dvec.SparseV
 		for i := 0; i < b.N; i++ {
 			y, _ = MulPull(local, rowAdj, fx, vis, semiring.MinParent, yl, y)

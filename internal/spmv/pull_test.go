@@ -34,7 +34,7 @@ func runPull(t *testing.T, a *spmat.CSC, x map[int]semiring.Vertex,
 				fx.Append(gi, v)
 			}
 		}
-		vis := dvec.NewDense(yl, semiring.None)
+		vis := dvec.HoldDense(yl, semiring.None)
 		vr := yl.MyRange()
 		for gi := vr.Lo; gi < vr.Hi; gi++ {
 			if visited[gi] {
@@ -147,7 +147,7 @@ func TestPullWorkSavings(t *testing.T) {
 				fx.Append(gi, semiring.Self(int64(gi)))
 			}
 			if pull {
-				_, _ = MulPull(local, RowMajor(local), fx, dvec.NewDense(yl, semiring.None), semiring.MinParent, yl, nil)
+				_, _ = MulPull(local, RowMajor(local), fx, dvec.HoldDense(yl, semiring.None), semiring.MinParent, yl, nil)
 			} else {
 				Mul(local, fx, semiring.MinParent, yl, nil)
 			}

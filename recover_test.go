@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +75,59 @@ func TestSolveRecoverableSession(t *testing.T) {
 	}
 	if m3.Cardinality() != clean.Cardinality() {
 		t.Fatalf("post-recovery solve found %d, want %d", m3.Cardinality(), clean.Cardinality())
+	}
+}
+
+// TestRecoverableThenWarmSolve: the ranks of an attempt that crashes
+// unwind without handing their solve-lifetime vectors back, so the plain
+// solves that follow on the same DistributedGraph must match those of a
+// fresh DistributedGraph bit for bit, for every engine. The crash points
+// fall inside the engine's phases, after the run has held its vectors.
+func TestRecoverableThenWarmSolve(t *testing.T) {
+	g := mustRMAT(t, G500, 9, 4, 13)
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dg.Close()
+	for _, tc := range []struct {
+		opts  Options
+		crash int
+	}{
+		{Options{Engine: "bfs", Init: DynamicMindegreeInit, Threads: 2}, 60},
+		{Options{Engine: "bfs-graft", Init: NoInit}, 100},
+		{Options{Engine: "bfs-ss", Init: GreedyInit}, 160},
+		{Options{Engine: "auction", Init: KarpSipserInit}, 160},
+	} {
+		name := tc.opts.Engine
+		_, _, rec, err := dg.SolveRecoverable(tc.opts, RecoveryPolicy{
+			CheckpointEvery: 1,
+			Fault:           &FaultSpec{CrashRank: 1, CrashAtCollective: tc.crash},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rec.Attempts != 2 {
+			t.Fatalf("%s: the crash never fired (%d attempts)", name, rec.Attempts)
+		}
+		fresh, err := Distribute(g, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := fresh.MaximumMatching(tc.opts)
+		fresh.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			got, _, err := dg.MaximumMatching(tc.opts)
+			if err != nil {
+				t.Fatalf("%s: warm solve %d: %v", name, i, err)
+			}
+			if !slices.Equal(got.MateR, want.MateR) || !slices.Equal(got.MateC, want.MateC) {
+				t.Fatalf("%s: warm solve %d after a crashed attempt differs from a fresh DistributedGraph", name, i)
+			}
+		}
 	}
 }
 

@@ -19,9 +19,10 @@ import (
 // matrices with one nonzero pattern, and the "already distributed" premise
 // of the paper's Section VI-E.
 //
-// Each rank's runtime context (buffer arena, dense scratch, worker pool)
-// is also cached here and rebound to every solve's fresh in-process world,
-// so repeated solves run allocation-quiet: the buffers grown by the first
+// Each rank's runtime context (buffer arena, solve-lifetime store of the
+// mate, parent, path and frontier vectors, dense scratch, worker pool) is
+// also cached here and rebound to every solve's fresh in-process world, so
+// repeated solves run allocation-quiet: the buffers grown by the first
 // solve serve all later ones. Like the rest of the struct this is safe for
 // sequential reuse, not for concurrent solves on one DistributedGraph.
 //
