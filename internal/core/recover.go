@@ -122,9 +122,11 @@ func SolveRecoverable(a *spmat.CSC, cfg Config, pol RecoveryPolicy) (*Result, *R
 // already distributed (the session API). a is the assembled matrix in the
 // same index space as the blocks; it resolves an "auto" engine and verifies
 // checkpoints. ctxs optionally reuses per-rank runtime contexts across
-// attempts and solves (worker pools hold no communicator state, so a
-// context that survived an aborted attempt is safe to rebind); nil builds
-// fresh contexts per attempt.
+// attempts and solves; nil builds fresh contexts per attempt. A context
+// that survived an aborted attempt is safe to rebind: attempt returns only
+// once every endpoint of the failed world is closed and every rank it
+// hosted has returned, so the next attempt's Bind takes back the vectors
+// the crashed ranks held and the retry runs on warm storage.
 func SolveRecoverableGrid(a *spmat.CSC, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, pol RecoveryPolicy) (*Result, *RecoveryStats, error) {
 	return recoverLoop(a, pr, pc, n1, n2, cfg, ctxs, pol,

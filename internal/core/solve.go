@@ -164,7 +164,9 @@ func onEndpoints(eps []mpi.Transport, fn func(mpi.Transport) (*Result, error)) (
 // rank assembles the full vectors; the other ranks drain their parts and
 // keep only their own blocks. Stats and PerRank cover only the hosted ranks
 // (on the in-process backend that is every rank; remote ranks report in
-// their own process).
+// their own process). The vectors a rank held stay with its context until
+// the context's next Bind hands them back, whether the rank gathered its
+// mates or unwound.
 func SolveBlocks(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, step func(*Solver) (mater, matec *dvec.Dense, err error)) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -187,10 +189,6 @@ func SolveBlocks(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMa
 		if r == localRoot {
 			mateR, mateC = fullR, fullC
 		}
-		// The solve is done with its held vectors, and the gathers were its
-		// last collectives: hand them back for the next solve on this
-		// context. A rank that unwound never gets here.
-		s.G.RT.Release()
 		perRankStats[r] = s.Stats
 		perRankMeter[r] = s.G.World.MeterSnapshot()
 		return nil

@@ -17,9 +17,9 @@ type Dense struct {
 
 // HoldDense builds a distributed dense vector with every element fill, in
 // storage the rank's runtime context holds for the solve (rt.Ctx.HoldDense):
-// a warm context lends a buffer an earlier solve released, and the solve's
-// Release sets Local to nil. A vector no Release reaches is ordinary
-// garbage-collected storage.
+// a warm context lends a buffer an earlier solve held, and the context's
+// next Bind sets Local to nil. A vector of a context no Bind reaches again
+// is ordinary garbage-collected storage.
 func HoldDense(l Layout, fill int64) *Dense {
 	d := &Dense{L: l}
 	l.G.RT.HoldDense(&d.Local, l.MyRange().Len())

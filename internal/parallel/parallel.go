@@ -36,9 +36,10 @@ type task struct {
 	busy      *cell
 }
 
-// panicBox captures the first panic raised inside a worker so the region's
-// dispatcher can re-raise it on its own goroutine (matching the behavior of
-// the same loop run inline).
+// panicBox captures the first panic raised inside any chunk of a region, a
+// worker's or the dispatcher's own, so the dispatcher can re-raise it on its
+// own goroutine after the region's last chunk is done (matching the
+// behavior of the same loop run inline).
 type panicBox struct {
 	mu  sync.Mutex
 	val any
@@ -51,6 +52,17 @@ func (b *panicBox) store(v any) {
 		b.val, b.set = v, true
 	}
 	b.mu.Unlock()
+}
+
+// run calls fn(w, lo, hi), storing a panic it raises instead of letting it
+// unwind the calling goroutine.
+func (b *panicBox) run(fn func(w, lo, hi int), w, lo, hi int) {
+	defer func() {
+		if r := recover(); r != nil {
+			b.store(r)
+		}
+	}()
+	fn(w, lo, hi)
 }
 
 func (b *panicBox) get() (any, bool) {
@@ -106,14 +118,7 @@ func NewPool(threads int) *Pool {
 func (p *Pool) worker() {
 	for t := range p.tasks {
 		start := time.Now()
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.panics.store(r)
-				}
-			}()
-			t.fn(t.w, t.lo, t.hi)
-		}()
+		t.panics.run(t.fn, t.w, t.lo, t.hi)
 		t.busy.v.Add(int64(time.Since(start)))
 		t.wg.Done()
 	}
@@ -184,9 +189,11 @@ func (p *Pool) Chunks(n, minChunk int) []int {
 // ForChunked splits [0, n) into Width(n, minChunk) contiguous chunks and
 // runs fn(w, lo, hi) on each, where w is the chunk (worker) index — the key
 // for striped scratch. Chunk 0 runs on the calling goroutine; the rest on
-// parked workers. Returns after every chunk completes. A panic in any chunk
-// is re-raised on the caller. Width 1 runs fn(0, 0, n) inline with no
-// synchronization at all.
+// parked workers. Returns after every chunk completes, also when one
+// panics: the first panic of any chunk, the caller's own included, is
+// re-raised on the caller once every chunk has finished, so no worker still
+// writes into the region's data after the region unwinds. Width 1 runs
+// fn(0, 0, n) inline with no synchronization at all.
 func (p *Pool) ForChunked(n, minChunk int, fn func(w, lo, hi int)) {
 	t := p.Width(n, minChunk)
 	if t <= 1 {
@@ -207,7 +214,7 @@ func (p *Pool) ForChunked(n, minChunk int, fn func(w, lo, hi int)) {
 		p.tasks <- task{fn: fn, w: w, lo: bounds[w], hi: bounds[w+1], wg: &wg, panics: box, busy: &p.busy[w]}
 	}
 	callerStart := time.Now()
-	fn(0, bounds[0], bounds[1])
+	box.run(fn, 0, bounds[0], bounds[1])
 	p.busy[0].v.Add(int64(time.Since(callerStart)))
 	wg.Wait()
 	p.regions++

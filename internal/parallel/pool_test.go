@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestPoolForChunkedCoversRangeExactly(t *testing.T) {
@@ -215,4 +216,30 @@ func TestPoolConcurrentRanksStress(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+}
+
+// TestForChunkedPanicWaitsForWorkers: when the caller's own chunk panics,
+// the region still waits for every worker chunk before re-raising, so no
+// worker writes into the region's data after the region has unwound.
+func TestForChunkedPanicWaitsForWorkers(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	var done atomic.Bool
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		p.ForChunked(2, 1, func(w, lo, hi int) {
+			if w == 0 {
+				panic("boom")
+			}
+			time.Sleep(50 * time.Millisecond)
+			done.Store(true)
+		})
+	}()
+	if !done.Load() {
+		t.Fatal("the region unwound while a worker chunk was still running")
+	}
 }

@@ -12,11 +12,11 @@
 //     strict borrow/return discipline: a lent buffer never outlives the
 //     primitive call that borrowed it, so pooled storage can never alias
 //     live algorithm state;
-//   - a solve-lifetime store (HoldDense, HoldSparse, HoldVertices, Release)
-//     for the solve's own vectors — mates, parents, paths, frontiers —
-//     kept apart from the arena, with its own rule: a held buffer lives
-//     until the solve that took it hands it back, and a solve that unwinds
-//     hands back nothing;
+//   - a solve-lifetime store (HoldDense, HoldSparse, HoldVertices) for the
+//     solve's own vectors — mates, parents, paths, frontiers — kept apart
+//     from the arena, with its own rule: a held buffer lives until the
+//     context is bound to the next solve's world, whether the solve that
+//     took it gathered its result or unwound;
 //   - dense scratch (Scratch), a value array plus a presence bitmap cleared
 //     on borrow, that replaces the per-call "allocate scratch + present"
 //     pattern: a borrow clears one word per 64 entries, and Next walks the
@@ -25,13 +25,18 @@
 //   - per-op measurement (Track): the wall time and communication deltas
 //     of one tracked section, recorded as an op span.
 //
-// A Hold points a vector's fields at a store buffer and records them;
-// Release, once the solve has gathered its result, returns every buffer as
-// the solve grew it and sets the fields to nil, so a use after release
-// panics instead of reading the next solve's data. Bind forgets what an
-// unwound solve still held. Within a solve a vector the level has finished
-// with is the next receive's destination, and SELECT and PRUNE filter in
-// place (see package dvec).
+// A Hold points a vector's fields at a store buffer and records them. Bind
+// is the store's one release point: it returns every buffer the previous
+// solve held, as that solve grew it, and sets the fields to nil, so a late
+// use panics instead of reading the next solve's data. That is safe because
+// a context serves sequential solves only, so by its next Bind the previous
+// solve's world has ended in this process: every rank goroutine it hosted
+// has returned, every parallel region of the rank has waited for its
+// workers (a panicking one too), and every endpoint of a recovery attempt
+// has been closed, its read loops with it, so no late remote RMA write can
+// land in a held vector. Within a solve a vector the level has finished with is
+// the next receive's destination, and SELECT and PRUNE filter in place (see
+// package dvec).
 //
 // A Ctx belongs to exactly one rank goroutine at a time and is not
 // internally synchronized. It may be rebound (Bind) to a fresh communicator
@@ -40,8 +45,8 @@
 // between concurrently running ranks.
 //
 // A nil or disabled Ctx is always safe: every Get and Hold falls back to a
-// plain allocation and every Put and Release is a no-op, which is also the
-// "pooling off" arm of the equivalence tests.
+// plain allocation, every Put is a no-op and Bind reclaims nothing, which is
+// also the "pooling off" arm of the equivalence tests.
 package rt
 
 import (
@@ -104,18 +109,24 @@ func NewDisabled(comm *mpi.Comm) *Ctx {
 	return &Ctx{comm: comm, enabled: false}
 }
 
-// Bind re-attaches the context to a new communicator. Buffer and scratch
+// Bind re-attaches the context to a new communicator. Arena and scratch
 // contents survive, which is the point: a session reuses one context per
-// rank across solves, each solve running on a fresh simulated world. Held
-// buffers a previous solve never released (it unwound) are forgotten, not
-// returned to the store.
+// rank across solves, each solve running on a fresh world. Bind also ends
+// the previous solve on this context: every buffer that solve held returns
+// to the store, and the fields that pointed at it are set to nil, whether
+// the solve gathered its mates or unwound. The caller guarantees that the
+// previous solve's world has ended in this process (see the package doc):
+// its rank goroutines returned and its endpoints are closed.
 func (c *Ctx) Bind(comm *mpi.Comm) {
-	if c != nil {
-		c.comm = comm
-		c.dense.forget()
-		c.idx.forget()
-		c.vals.forget()
-		c.verts.forget()
+	if c == nil {
+		return
+	}
+	c.comm = comm
+	if c.enabled {
+		c.dense.release()
+		c.idx.release()
+		c.vals.release()
+		c.verts.release()
 	}
 }
 
@@ -318,18 +329,13 @@ func (k *kept[T]) release() {
 		}
 		*p = nil
 	}
-	k.forget()
-}
-
-// forget drops the record of lent buffers without freeing them.
-func (k *kept[T]) forget() {
 	clear(k.lent)
 	k.lent = k.lent[:0]
 }
 
 // HoldDense points *p at a buffer of exactly n values that the solve keeps
-// until Release; the contents are undefined. A disabled context allocates
-// it and keeps no record.
+// until the next Bind; the contents are undefined. A disabled context
+// allocates it and keeps no record.
 func (c *Ctx) HoldDense(p *[]int64, n int) {
 	if !c.Enabled() {
 		*p = make([]int64, n)
@@ -340,8 +346,8 @@ func (c *Ctx) HoldDense(p *[]int64, n int) {
 
 // HoldSparse points the index and value arrays of an (index, int64) sparse
 // vector at empty buffers, with the capacity they grew to in an earlier
-// solve, that the solve keeps until Release. A disabled context leaves them
-// nil.
+// solve, that the solve keeps until the next Bind. A disabled context
+// leaves them nil.
 func (c *Ctx) HoldSparse(idx *[]int, val *[]int64) {
 	if c.Enabled() {
 		c.idx.hold(idx, 0)
@@ -355,20 +361,6 @@ func (c *Ctx) HoldVertices(idx *[]int, val *[]semiring.Vertex) {
 		c.idx.hold(idx, 0)
 		c.verts.hold(val, 0)
 	}
-}
-
-// Release ends the solve: every buffer held since the last Bind returns to
-// the store, and the fields that pointed at it are set to nil. Call it only
-// when the solve is done with every held vector and no peer can still read
-// one.
-func (c *Ctx) Release() {
-	if !c.Enabled() {
-		return
-	}
-	c.dense.release()
-	c.idx.release()
-	c.vals.release()
-	c.verts.release()
 }
 
 // Scratch is a dense (value, present) workspace over the index range [0, n)

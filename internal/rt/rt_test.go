@@ -480,9 +480,9 @@ type vec struct {
 }
 
 // TestHoldColdExactAndReleaseNils: a cold context hands out fresh buffers
-// of exactly the requested dense length; Release sets every held field to
-// nil, and the next solve's holds, made in the same order, get back the
-// buffers of the same roles, grown as the last solve left them.
+// of exactly the requested dense length; the next Bind sets every held
+// field to nil, and the next solve's holds, made in the same order, get
+// back the buffers of the same roles, grown as the last solve left them.
 func TestHoldColdExactAndReleaseNils(t *testing.T) {
 	c := New(nil)
 	var a, b vec
@@ -498,9 +498,9 @@ func TestHoldColdExactAndReleaseNils(t *testing.T) {
 	a.idx = append(a.idx, make([]int, 300)...) // the solve grows its frontier
 	a.val = append(a.val, make([]semiring.Vertex, 300)...)
 	denseA, idxA, valA := &a.dense[0], &a.idx[0], &a.val[0]
-	c.Release()
+	c.Bind(nil)
 	if a.dense != nil || b.dense != nil || a.idx != nil || a.val != nil {
-		t.Fatal("Release left a held field set")
+		t.Fatal("Bind left a held field set")
 	}
 
 	var x, y vec
@@ -526,7 +526,7 @@ func TestHoldFitsAndBounds(t *testing.T) {
 	for i := range vs {
 		c.HoldDense(&vs[i].dense, 10+i)
 	}
-	c.Release()
+	c.Bind(nil)
 	if n := len(c.dense.free); n != maxKept {
 		t.Fatalf("store keeps %d free dense buffers, want %d", n, maxKept)
 	}
@@ -540,30 +540,61 @@ func TestHoldFitsAndBounds(t *testing.T) {
 	}
 }
 
-// TestBindForgetsUnreleasedHolds: a solve that unwinds never releases; the
-// next Bind forgets its holds, so they never return to the store and their
-// fields stay as the unwound solve left them.
-func TestBindForgetsUnreleasedHolds(t *testing.T) {
+// TestBindReclaimsHolds: Bind is the store's one release point. Whether
+// the previous solve gathered its result or unwound, Bind sets every field
+// it held to nil and puts the buffer on its kind's free list, and the next
+// hold of that size gets the same backing array back. Every kind is
+// covered: dense, index, int64 value and vertex value.
+func TestBindReclaimsHolds(t *testing.T) {
 	c := New(nil)
 	var v vec
+	var sidx []int
+	var sval []int64
 	c.HoldDense(&v.dense, 50)
+	c.HoldVertices(&v.idx, &v.val)
+	c.HoldSparse(&sidx, &sval)
+	// The solve grows its sparse vectors, then unwinds without a word to
+	// the store.
+	v.idx = append(v.idx, make([]int, 40)...)
+	v.val = append(v.val, make([]semiring.Vertex, 40)...)
+	sidx = append(sidx, make([]int, 20)...)
+	sval = append(sval, make([]int64, 20)...)
+	dense, idx, val, si, sv := &v.dense[0], &v.idx[0], &v.val[0], &sidx[0], &sval[0]
+
 	c.Bind(nil)
-	c.Release()
-	if v.dense == nil {
-		t.Fatal("Release after Bind reached a hold of the unwound solve")
+	if v.dense != nil || v.idx != nil || v.val != nil || sidx != nil || sval != nil {
+		t.Fatal("Bind left a held field set")
 	}
-	if n := len(c.dense.free); n != 0 {
-		t.Fatalf("an unwound solve's buffer returned to the store (%d free)", n)
+	if len(c.dense.free) != 1 || len(c.idx.free) != 2 || len(c.vals.free) != 1 || len(c.verts.free) != 1 {
+		t.Fatalf("free lists after Bind: dense %d, idx %d, vals %d, verts %d; want 1, 2, 1, 1",
+			len(c.dense.free), len(c.idx.free), len(c.vals.free), len(c.verts.free))
 	}
+	if len(c.dense.lent)+len(c.idx.lent)+len(c.vals.lent)+len(c.verts.lent) != 0 {
+		t.Fatal("Bind kept a record of the previous solve's holds")
+	}
+
 	var w vec
+	var widx []int
+	var wval []int64
 	c.HoldDense(&w.dense, 50)
-	if &w.dense[0] == &v.dense[0] {
-		t.Fatal("a new solve got the unwound solve's buffer")
+	c.HoldVertices(&w.idx, &w.val)
+	c.HoldSparse(&widx, &wval)
+	if len(w.dense) != 50 || &w.dense[0] != dense {
+		t.Error("the next dense hold did not get the reclaimed buffer back")
+	}
+	if &w.idx[:1][0] != idx || &w.val[:1][0] != val {
+		t.Error("the next vertex hold did not get the reclaimed buffers back")
+	}
+	if &widx[:1][0] != si || &wval[:1][0] != sv {
+		t.Error("the next int64 hold did not get the reclaimed buffers back")
+	}
+	if len(w.idx)+len(w.val)+len(widx)+len(wval) != 0 {
+		t.Error("a reclaimed sparse buffer came back non-empty")
 	}
 }
 
 // TestDisabledHoldKeepsNothing: a disabled (or nil) context allocates every
-// hold and its Release touches nothing.
+// hold and its Bind touches nothing.
 func TestDisabledHoldKeepsNothing(t *testing.T) {
 	for _, c := range []*Ctx{NewDisabled(nil), nil} {
 		var v vec
@@ -572,9 +603,9 @@ func TestDisabledHoldKeepsNothing(t *testing.T) {
 		if len(v.dense) != 9 || v.idx != nil || v.val != nil {
 			t.Fatalf("disabled holds: dense %d, sparse %v %v", len(v.dense), v.idx, v.val)
 		}
-		c.Release()
+		c.Bind(nil)
 		if v.dense == nil {
-			t.Fatal("a disabled context's Release cleared a field")
+			t.Fatal("a disabled context's Bind cleared a field")
 		}
 	}
 }

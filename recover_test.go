@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mcmdist/internal/mpi"
+	"mcmdist/internal/rt"
 )
 
 func TestSolveRecoverableSession(t *testing.T) {
@@ -79,10 +80,15 @@ func TestSolveRecoverableSession(t *testing.T) {
 }
 
 // TestRecoverableThenWarmSolve: the ranks of an attempt that crashes
-// unwind without handing their solve-lifetime vectors back, so the plain
-// solves that follow on the same DistributedGraph must match those of a
-// fresh DistributedGraph bit for bit, for every engine. The crash points
-// fall inside the engine's phases, after the run has held its vectors.
+// unwind, and the retry's Bind takes back the solve-lifetime vectors they
+// held, so the retry and the plain solves that follow on the same
+// DistributedGraph run on reclaimed storage. Every one of them must match
+// the same call on a fresh DistributedGraph whose contexts keep nothing
+// (rt.NewDisabled), bit for bit, for every engine, on goroutine ranks and
+// over loopback sockets. The crash points fall inside the engine's phases,
+// after the run has held its vectors; the RMA failure fires inside the
+// path-parallel augmentation, whose windows expose the held mate vectors
+// to remote writes.
 func TestRecoverableThenWarmSolve(t *testing.T) {
 	g := mustRMAT(t, G500, 9, 4, 13)
 	dg, err := Distribute(g, 4)
@@ -90,41 +96,60 @@ func TestRecoverableThenWarmSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dg.Close()
+	crashAt := func(n int) FaultSpec { return FaultSpec{CrashRank: 1, CrashAtCollective: n} }
 	for _, tc := range []struct {
-		opts  Options
-		crash int
+		opts      Options
+		fault     FaultSpec
+		transport string
 	}{
-		{Options{Engine: "bfs", Init: DynamicMindegreeInit, Threads: 2}, 60},
-		{Options{Engine: "bfs-graft", Init: NoInit}, 100},
-		{Options{Engine: "bfs-ss", Init: GreedyInit}, 160},
-		{Options{Engine: "auction", Init: KarpSipserInit}, 160},
+		{Options{Engine: "bfs", Init: DynamicMindegreeInit, Threads: 2}, crashAt(60), ""},
+		{Options{Engine: "bfs-graft", Init: NoInit}, crashAt(100), ""},
+		{Options{Engine: "bfs-ss", Init: GreedyInit}, crashAt(160), ""},
+		{Options{Engine: "auction", Init: KarpSipserInit}, crashAt(160), ""},
+		{Options{Engine: "bfs", Init: DynamicMindegreeInit, Threads: 2}, crashAt(60), "tcp"},
+		{Options{Engine: "bfs-graft", Init: NoInit}, crashAt(100), "tcp"},
+		{Options{Engine: "bfs", Init: NoInit, Augment: PathParallel},
+			FaultSpec{RMAFailRank: 1, RMAFailAt: 40}, "tcp"},
 	} {
-		name := tc.opts.Engine
-		_, _, rec, err := dg.SolveRecoverable(tc.opts, RecoveryPolicy{
-			CheckpointEvery: 1,
-			Fault:           &FaultSpec{CrashRank: 1, CrashAtCollective: tc.crash},
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if rec.Attempts != 2 {
-			t.Fatalf("%s: the crash never fired (%d attempts)", name, rec.Attempts)
-		}
+		name := tc.opts.Engine + "/" + tc.transport
+		pol := RecoveryPolicy{CheckpointEvery: 1, Fault: &tc.fault, Transport: tc.transport}
 		fresh, err := Distribute(g, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for r := range fresh.ctxs {
+			fresh.ctxs[r] = rt.NewDisabled(nil)
+		}
 		want, _, err := fresh.MaximumMatching(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Auction resumes with fresh prices, so its recovered matching need
+		// not be the clean one: the reference is the same recoverable solve.
+		wantRec, _, _, err := fresh.SolveRecoverable(tc.opts, pol)
 		fresh.Close()
 		if err != nil {
 			t.Fatal(err)
+		}
+		same := func(m, want *Matching) bool {
+			return slices.Equal(m.MateR, want.MateR) && slices.Equal(m.MateC, want.MateC)
+		}
+		m, _, rec, err := dg.SolveRecoverable(tc.opts, pol)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rec.Attempts != 2 {
+			t.Fatalf("%s: the fault never fired (%d attempts)", name, rec.Attempts)
+		}
+		if !same(m, wantRec) {
+			t.Fatalf("%s: the retry on reclaimed storage differs from a fresh DistributedGraph", name)
 		}
 		for i := 0; i < 2; i++ {
 			got, _, err := dg.MaximumMatching(tc.opts)
 			if err != nil {
 				t.Fatalf("%s: warm solve %d: %v", name, i, err)
 			}
-			if !slices.Equal(got.MateR, want.MateR) || !slices.Equal(got.MateC, want.MateC) {
+			if !same(got, want) {
 				t.Fatalf("%s: warm solve %d after a crashed attempt differs from a fresh DistributedGraph", name, i)
 			}
 		}

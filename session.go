@@ -21,10 +21,12 @@ import (
 //
 // Each rank's runtime context (buffer arena, solve-lifetime store of the
 // mate, parent, path and frontier vectors, dense scratch, worker pool) is
-// also cached here and rebound to every solve's fresh in-process world, so
-// repeated solves run allocation-quiet: the buffers grown by the first
-// solve serve all later ones. Like the rest of the struct this is safe for
-// sequential reuse, not for concurrent solves on one DistributedGraph.
+// also cached here and rebound to every solve's fresh world, so repeated
+// solves run allocation-quiet: the buffers grown by the first solve serve
+// all later ones. Rebinding hands back what the previous solve held even
+// when it unwound, so the retry of a crashed SolveRecoverable attempt runs
+// warm too. Like the rest of the struct this is safe for sequential reuse,
+// not for concurrent solves on one DistributedGraph.
 //
 // A DistributedGraph always solves on the in-process transport backend —
 // the cached contexts assume one address space — and so holds the blocks of

@@ -1,10 +1,12 @@
 package mcmdist
 
-// Allocation budget of a warm session solve. A DistributedGraph's per-rank
+// Allocation budgets of warm session solves. A DistributedGraph's per-rank
 // contexts keep the solve's vectors between solves (the arena for what one
 // primitive call borrows, the solve-lifetime store for mates, parents,
 // paths and frontiers), so a warm solve allocates its gathered result and,
 // beyond it, only what every collective and every world allocates afresh.
+// The store takes its vectors back at each Bind, also from an attempt that
+// crashed, so the retry of a recoverable solve runs warm as well.
 
 import (
 	"runtime"
@@ -44,5 +46,53 @@ func TestWarmSessionSolveAllocations(t *testing.T) {
 	t.Logf("third solve: %d bytes (%d of them the result), %d mallocs", got, result, after.Mallocs-before.Mallocs)
 	if got > result+warmRest {
 		t.Errorf("third solve allocated %d bytes, want at most %d (result) + %d", got, result, warmRest)
+	}
+}
+
+// TestWarmRecoverableAllocations counts the bytes allocated by the third
+// SolveRecoverable on one DistributedGraph of the road_usa stand-in at
+// scale 11 on 2x2 ranks, with a checkpoint after every phase and one
+// injected crash (the shape of BenchmarkSolveRecoverableAllocs), so each
+// solve runs two attempts and the second resumes from a checkpoint. The
+// budget is the gathered mate vectors plus warmRecoverableRest: about
+// 850-935 KB was measured on a 2-vCPU host, up to 980 KB under -race, with
+// under 10% headroom over the highest. While an attempt that crashed kept
+// its vectors from the store, the same solve allocated 1.17-1.26 MB.
+func TestWarmRecoverableAllocations(t *testing.T) {
+	const warmRecoverableRest = 1_040_000
+	g, err := TableII("road_usa", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dg.Close()
+	opts := Options{Threads: 1, Engine: "bfs", Init: DynamicMindegreeInit}
+	pol := RecoveryPolicy{
+		CheckpointEvery: 1,
+		Fault:           &FaultSpec{CrashRank: 1, CrashAtCollective: 300},
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, _, err := dg.SolveRecoverable(opts, pol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, _, rec, err := dg.SolveRecoverable(opts, pol)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Attempts != 2 {
+		t.Fatalf("recovery ran %d attempts, want 2", rec.Attempts)
+	}
+	result := uint64(8 * (len(m.MateR) + len(m.MateC)))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("third recoverable solve: %d bytes (%d of them the result), %d mallocs", got, result, after.Mallocs-before.Mallocs)
+	if got > result+warmRecoverableRest {
+		t.Errorf("third recoverable solve allocated %d bytes, want at most %d (result) + %d", got, result, warmRecoverableRest)
 	}
 }
