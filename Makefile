@@ -36,10 +36,12 @@ race:
 
 # Fault plane, watchdog, and checkpoint/restart tests under the race
 # detector: injected crashes/stragglers/RMA failures, deadlock detection,
-# goroutine-leak regressions, the recovery fault matrix, and the supervised
-# multi-process half of the recovery loop (Supervise/WorkLoop over loopback).
+# goroutine-leak regressions, the recovery fault matrix, the supervised
+# multi-process half of the recovery loop (Supervise/WorkLoop over loopback),
+# tcpnet's RMA calls unwinding after an abort or a peer's BYE, and pooled
+# one-shot contexts across a crashed world.
 test-faults:
-	$(GO) test -race -count=1 -run 'Fault|Watchdog|Crash|Straggler|RMA|Panic|Leak|Checkpoint|Resume|Recoverable|Guard|Boundary|Supervise|WorkLoop' ./internal/mpi/ ./internal/core/ ./internal/distjob/ .
+	$(GO) test -race -count=1 -run 'Fault|Watchdog|Crash|Straggler|RMA|Panic|Leak|Checkpoint|Resume|Recoverable|Guard|Boundary|Supervise|WorkLoop' ./internal/mpi/ ./internal/mpi/tcpnet/ ./internal/core/ ./internal/distjob/ .
 
 # Nightly-style chaos soak: hundreds of worlds cycling injected faults,
 # watchdog aborts, and genuine wedges, with a goroutine-leak check at the

@@ -358,10 +358,12 @@ func solveLoopback(b *testing.B, g *Graph, opts Options) {
 
 // BenchmarkSolveOnAllocs measures the allocations of one multi-process
 // solve: a 4-endpoint loopback TCP world on RMAT G500 scale 12, every
-// endpoint permuting the matrix and building the blocks of the rank it
-// hosts, then solving with the cost model's engine and direction choices.
-// EXPERIMENTS.md records bytes/op and allocs/op before and after the
-// per-rank block builder.
+// endpoint building the blocks of the rank it hosts (Permute is off), then
+// solving with the cost model's engine and direction choices. Bootstrap
+// and Close run with the timer stopped. EXPERIMENTS.md records bytes/op
+// and allocs/op before and after the per-rank block builder, and before
+// and after one-shot solves started borrowing their rank state from the
+// process.
 func BenchmarkSolveOnAllocs(b *testing.B) {
 	g, err := RMAT(G500, 12, 8, 5)
 	if err != nil {
@@ -376,7 +378,7 @@ func BenchmarkSolveOnAllocs(b *testing.B) {
 }
 
 // BenchmarkDistributeAllocs measures building a 2x2 DistributedGraph (the
-// blocks of A and Aᵀ for every rank) from RMAT G500 scale 12.
+// blocks of A for every rank) from RMAT G500 scale 12.
 func BenchmarkDistributeAllocs(b *testing.B) {
 	g, err := RMAT(G500, 12, 8, 5)
 	if err != nil {

@@ -106,7 +106,7 @@ func (s *Solver) notePullScan(d *dirState, ps spmv.PullStats) {
 func (s *Solver) mulDirected(usePull bool, d *dirState, fc *dvec.SparseV, visited *dvec.Dense, dst *dvec.SparseV) *dvec.SparseV {
 	if usePull {
 		if s.rowAdj == nil {
-			s.rowAdj = spmv.RowMajor(s.A)
+			s.rowAdj = spmv.RowMajor(s.A, s.G.RT)
 		}
 		fr, ps := spmv.MulPull(s.A, s.rowAdj, fc, visited, s.Cfg.AddOp, s.RowL, dst)
 		s.Stats.PullIterations++

@@ -122,7 +122,8 @@ func SolveRecoverable(a *spmat.CSC, cfg Config, pol RecoveryPolicy) (*Result, *R
 // already distributed (the session API). a is the assembled matrix in the
 // same index space as the blocks; it resolves an "auto" engine and verifies
 // checkpoints. ctxs optionally reuses per-rank runtime contexts across
-// attempts and solves; nil builds fresh contexts per attempt. A context
+// attempts and solves; nil borrows contexts from the process per attempt
+// (RunDistributed), and a failed attempt's are dropped. A context
 // that survived an aborted attempt is safe to rebind: attempt returns only
 // once every endpoint of the failed world is closed and every rank it
 // hosted has returned, so the next attempt's Bind takes back the vectors

@@ -249,8 +249,12 @@ func (r *Result) String() string {
 // mate vectors themselves call it directly. ctxs supplies one runtime
 // context per rank (indexed by world rank): a session that solves
 // repeatedly on the same distributed graph passes the same contexts every
-// time, so the arena and scratch warmed up by one solve serve the next. A
-// nil ctxs builds fresh contexts, closed with their rank.
+// time, so the arena, scratch and store warmed up by one solve serve the
+// next. A nil ctxs borrows one context per hosted rank from the process
+// (rankCtxs) and gives them back when the world ends, so one-shot solves
+// in a process run as warm as a session's from the second on. fn must not
+// keep a vector the rank held past its return: a borrowed context may
+// serve another solve as soon as RunDistributed returns.
 func RunDistributed(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, fn func(*Solver) error) error {
 	if tr == nil {
@@ -258,6 +262,13 @@ func RunDistributed(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.Loca
 	}
 	if err := checkWorldSize(tr, pr*pc); err != nil {
 		return err
+	}
+	borrowed := ctxs == nil
+	if borrowed {
+		ctxs = make([]*rt.Ctx, pr*pc)
+		for _, r := range tr.LocalRanks() {
+			ctxs[r] = rankCtxs.Get().(*rt.Ctx)
+		}
 	}
 	w, err := mpi.RunTransport(mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout, Compress: cfg.Compress},
 		tr, func(c *mpi.Comm) error {
@@ -269,13 +280,13 @@ func RunDistributed(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.Loca
 					cfg.Obs.SetRankMeter(c.Rank(), obsMeterPoints(c.MeterSnapshot()))
 				}()
 			}
-			ctx := newRankCtx(c, cfg, ctxs, c.Rank())
-			if ctxs == nil {
-				// Fresh context: its worker pool dies with the rank. A caller-
-				// supplied context keeps its pool warm across solves; the caller
-				// releases it (e.g. DistributedGraph.Close).
-				defer ctx.Close()
-			}
+			// Attach (or detach) the rank's span tracer on both the runtime
+			// context (op spans via Track) and the comm (collective, RMA and
+			// fault spans inside internal/mpi).
+			ctx := ctxs[c.Rank()]
+			trc := cfg.Obs.Tracer(c.Rank())
+			ctx.SetTracer(trc)
+			c.SetTracer(trc)
 			g, err := grid.NewWithRT(c, pr, pc, ctx)
 			if err != nil {
 				return err
@@ -285,23 +296,30 @@ func RunDistributed(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.Loca
 	if w != nil {
 		cfg.Obs.AddEvents(w.ObsEvents())
 	}
+	if borrowed {
+		returnRankCtxs(tr.LocalRanks(), ctxs, err == nil)
+	}
 	return err
 }
 
-// newRankCtx picks the runtime context for one rank: the caller-supplied
-// one when present, otherwise a fresh context.
-func newRankCtx(c *mpi.Comm, cfg Config, ctxs []*rt.Ctx, rank int) *rt.Ctx {
-	var ctx *rt.Ctx
-	if ctxs != nil {
-		ctx = ctxs[rank]
-	} else {
-		ctx = rt.New(c)
+// rankCtxs lends one-shot solves their per-rank runtime contexts. The GC
+// bounds what it keeps, so it needs no size.
+var rankCtxs = sync.Pool{New: func() any { return rt.New(nil) }}
+
+// returnRankCtxs ends the borrow of the hosted ranks' contexts: their
+// worker goroutines stop and their tracers detach. When the world
+// succeeded, each is unbound from it — which takes back the vectors it
+// held — and returns to rankCtxs. A failed world's contexts are dropped
+// instead: its endpoint may still be bound, and a late RMA from a peer
+// could land in a held vector after another solve took it.
+func returnRankCtxs(ranks []int, ctxs []*rt.Ctx, ok bool) {
+	for _, r := range ranks {
+		ctx := ctxs[r]
+		ctx.Close()
+		ctx.SetTracer(nil)
+		if ok {
+			ctx.Bind(nil)
+			rankCtxs.Put(ctx)
+		}
 	}
-	// Attach (or, for a reused session context, detach) the rank's span
-	// tracer on both the runtime context (op spans via Track) and the comm
-	// (collective/RMA/fault spans inside internal/mpi).
-	tr := cfg.Obs.Tracer(c.Rank())
-	ctx.SetTracer(tr)
-	c.SetTracer(tr)
-	return ctx
 }

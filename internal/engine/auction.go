@@ -58,6 +58,8 @@ func (auctionEngine) Start(s *core.Solver, mater, matec *dvec.Dense) core.Engine
 		price:      dvec.HoldDense(s.RowL, 0),
 		pricedOut:  dvec.HoldDense(s.ColL, 0),
 		priceBound: int64(min(s.N1, s.N2) + 1),
+		folds:      make([]semiring.Best2, s.ColL.MyRange().Len()),
+		wins:       make([]semiring.WVertex, s.RowL.MyRange().Len()),
 	}
 }
 
@@ -69,6 +71,10 @@ type auctionRun struct {
 	pricedOut    *dvec.Dense // 1 = column proven unmatchable, col-aligned
 	priceBound   int64       // min(n1,n2)+1: cheapest-neighbor price that retires a bidder
 	round        int
+	// Per-round workspaces, reset by every round: the folded top-2 per
+	// owned column and the winning bid per owned row.
+	folds []semiring.Best2
+	wins  []semiring.WVertex
 }
 
 // Iterate runs one synchronous bidding round and reports done when no
@@ -110,7 +116,7 @@ func (r *auctionRun) Iterate() (bool, error) {
 	// along the grid column, likewise contiguous over A.Cols).
 	var prices, flags []int64
 	s.Track(core.OpSpMV, func() {
-		prices = g.Row.AllgathervInto(r.price.Local, ctx.GetInts(0))
+		prices = g.Row.AllgathervInto(r.price.Local, ctx.GetInts(s.A.Rows.Len()))
 		af := ctx.GetInts(len(r.matec.Local))
 		for i, v := range r.matec.Local {
 			a := int64(0)
@@ -119,7 +125,7 @@ func (r *auctionRun) Iterate() (bool, error) {
 			}
 			af = append(af, a)
 		}
-		flags = g.Col.AllgathervInto(af, ctx.GetInts(0))
+		flags = g.Col.AllgathervInto(af, ctx.GetInts(s.A.Cols.Len()))
 		ctx.PutInts(af)
 	})
 
@@ -167,7 +173,7 @@ func (r *auctionRun) Iterate() (bool, error) {
 	myCols := s.ColL.MyRange()
 	bids := ctx.GetParts(g.World.Size())
 	s.Track(core.OpSelect, func() {
-		folds := make([]semiring.Best2, myCols.Len())
+		folds := r.folds
 		for i := range folds {
 			folds[i] = semiring.NewBest2(semiring.MinVal)
 		}
@@ -212,7 +218,7 @@ func (r *auctionRun) Iterate() (bool, error) {
 	updates := ctx.GetParts(g.World.Size())
 	s.Track(core.OpAugment, func() {
 		myRows := s.RowL.MyRange()
-		wins := make([]semiring.WVertex, myRows.Len())
+		wins := r.wins
 		for i := range wins {
 			wins[i] = semiring.WNone
 		}

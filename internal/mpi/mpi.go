@@ -235,7 +235,7 @@ type World struct {
 	obsEvents  []obs.Event
 
 	// payloads recycles the buffers remote parts arrive in (see Payloads).
-	payloads Payloads
+	payloads *Payloads
 }
 
 type meterCell struct {

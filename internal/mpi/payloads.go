@@ -20,14 +20,22 @@ const (
 // it back. Buffers are filed by power-of-two capacity, Take(n) never
 // returns more than 2n capacity, and each class keeps a fixed number of
 // idle buffers, so the list holds at most what a burst of generations had
-// in flight. It is dropped with its world. Safe for concurrent use.
+// in flight. A world borrows its list from the process (payloadPool) when
+// it starts and returns it once its rank goroutines have joined, so the
+// next world in the process decodes into the buffers this one grew. A
+// transport whose read loops outlive the world may still Take from or Put
+// to the list after that; it stays a plain free list, so such a late buffer
+// only changes hands. Safe for concurrent use.
 type Payloads struct {
 	mu   sync.Mutex
 	free [payloadClasses][][]int64
 }
 
+// payloadPool lends each world its Payloads; the GC bounds what it keeps.
+var payloadPool = sync.Pool{New: func() any { return new(Payloads) }}
+
 // Payloads returns the world's free list of remote part buffers.
-func (w *World) Payloads() *Payloads { return &w.payloads }
+func (w *World) Payloads() *Payloads { return w.payloads }
 
 // Take returns a buffer of length n, recycled when one of its class is
 // idle. A zero n gives an empty non-nil slice. The caller must have bounded

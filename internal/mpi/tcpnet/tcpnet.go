@@ -19,7 +19,11 @@
 // keeps the written buffer as its spare for the next swap, so neither
 // buffer is reallocated once both have grown. Each peer's read loop reads
 // every frame into one body buffer of its own. That buffer can be reused
-// because every body decoder copies out what it keeps. A POST decodes into
+// because every body decoder copies out what it keeps. The three buffers
+// outlive the endpoint: Close returns them to a process-wide pool once the
+// peer's flusher and read loop have exited, and Bind hands them to the
+// next endpoint's peers, so a process that opens one world after another
+// writes and reads into the buffers the earlier worlds grew. A POST decodes into
 // the peer's own envelope (peer.post), whose slices and strings are reused
 // from frame to frame, and its parts into buffers from the bound world's
 // free list (mpi.Payloads). DeliverPost keeps only the parts: the mailbox
@@ -130,6 +134,7 @@ type peer struct {
 	qmu      sync.Mutex
 	qcv      *sync.Cond
 	qbuf     []byte // framed mailbox bytes awaiting the flusher
+	qspare   []byte // the flusher's last written buffer; the queue after its next swap
 	qbusy    bool   // a flusher Write is in flight
 	qstop    bool   // no further enqueues; flusher exits once drained
 	qtimeout bool   // drainWrites gave up waiting; Close is tearing down
@@ -148,7 +153,7 @@ type Net struct {
 	world atomic.Pointer[mpi.World]
 
 	callID  atomic.Uint64
-	pending sync.Map // callID → chan rmaReply
+	pending sync.Map // callID → rmaCall
 
 	closed   atomic.Bool
 	readers  sync.WaitGroup
@@ -195,6 +200,13 @@ func (n *Net) WireStats() WireStats {
 type rmaReply struct {
 	resp *mpi.RMAResp
 	err  error
+}
+
+// rmaCall is one in-flight RMA call: the rank whose reply it awaits and
+// the channel the reply goes to.
+type rmaCall struct {
+	rank int
+	ch   chan rmaReply
 }
 
 // Rendezvous is rank 0's bootstrap listener, split from Coordinate so the
@@ -498,6 +510,11 @@ func (n *Net) Bind(w *mpi.World) error {
 		if p == nil {
 			continue
 		}
+		b := wirePool.Get().(*wireBufs)
+		p.qmu.Lock()
+		p.qbuf, p.qspare = b.queue, b.spare
+		p.qmu.Unlock()
+		p.in.body = b.body
 		n.readers.Add(1)
 		go n.readLoop(p)
 		n.flushers.Add(1)
@@ -744,7 +761,6 @@ func (n *Net) enqueuePost(p *peer, msg *mpi.PostMsg, i int, compress bool) error
 // closing).
 func (n *Net) flushLoop(p *peer) {
 	defer n.flushers.Done()
-	var spare []byte // the last buffer written; the queue after the next swap
 	p.qmu.Lock()
 	for {
 		for len(p.qbuf) == 0 && !p.qstop {
@@ -755,7 +771,7 @@ func (n *Net) flushLoop(p *peer) {
 			return
 		}
 		buf := p.qbuf
-		p.qbuf = spare[:0]
+		p.qbuf = p.qspare[:0]
 		p.qbusy = true
 		p.qmu.Unlock()
 
@@ -768,9 +784,9 @@ func (n *Net) flushLoop(p *peer) {
 			n.writes.Add(1)
 			n.bytes.Add(int64(len(buf)))
 		}
-		spare = buf
 
 		p.qmu.Lock()
+		p.qspare = buf
 		p.qbusy = false
 		if err != nil {
 			injected := p.qerr != nil // sever poisoned the queue first
@@ -863,8 +879,19 @@ func (n *Net) RMA(rank int, req *mpi.RMAReq) (*mpi.RMAResp, error) {
 	}
 	id := n.callID.Add(1)
 	ch := make(chan rmaReply, 1)
-	n.pending.Store(id, ch)
+	n.pending.Store(id, rmaCall{rank: rank, ch: ch})
 	defer n.pending.Delete(id)
+	// Whatever dooms the reply — a world abort, Close, the end of p's read
+	// loop — fails the calls registered when it happens, so a call
+	// registered after it must fail here instead of waiting forever.
+	select {
+	case <-p.bye:
+		return nil, fmt.Errorf("tcpnet: rma to rank %d: its connection has drained", rank)
+	default:
+	}
+	if w := n.world.Load(); n.closed.Load() || w != nil && w.Aborted() {
+		return nil, fmt.Errorf("tcpnet: rma to rank %d: world aborted or endpoint closed", rank)
+	}
 
 	var b wire.Writer
 	b.U64(id)
@@ -1074,15 +1101,47 @@ func (n *Net) Close() error {
 	n.failPending(fmt.Errorf("tcpnet: endpoint closed"))
 	n.readers.Wait()
 	n.flushers.Wait()
+	if n.world.Load() != nil {
+		for _, p := range n.peers {
+			if p != nil {
+				p.releaseBufs()
+			}
+		}
+	}
 	return nil
 }
 
+// wireBufs is one peer's byte buffers between endpoints: the write queue
+// pair and the read body.
+type wireBufs struct{ queue, spare, body []byte }
+
+// wirePool lends a bound endpoint's peers their buffers; the GC bounds what
+// it keeps.
+var wirePool = sync.Pool{New: func() any { return new(wireBufs) }}
+
+// releaseBufs returns the peer's buffers to wirePool. Close calls it once
+// the peer's flusher and read loop have exited; the queue was stopped by
+// drainWrites, so no Post can append to it again.
+func (p *peer) releaseBufs() {
+	p.qmu.Lock()
+	b := &wireBufs{queue: p.qbuf[:0], spare: p.qspare[:0], body: p.in.body[:0]}
+	p.qbuf, p.qspare, p.in.body = nil, nil, nil
+	p.qmu.Unlock()
+	wirePool.Put(b)
+}
+
 // failPending resolves every in-flight RMA call with err.
-func (n *Net) failPending(err error) {
+func (n *Net) failPending(err error) { n.failCalls(-1, err) }
+
+// failCalls resolves the in-flight RMA calls awaiting rank's reply (every
+// call when rank is -1) with err.
+func (n *Net) failCalls(rank int, err error) {
 	n.pending.Range(func(key, value any) bool {
-		select {
-		case value.(chan rmaReply) <- rmaReply{err: err}:
-		default:
+		if c := value.(rmaCall); rank < 0 || c.rank == rank {
+			select {
+			case c.ch <- rmaReply{err: err}:
+			default:
+			}
 		}
 		return true
 	})
@@ -1097,8 +1156,13 @@ func (n *Net) failPending(err error) {
 func (n *Net) readLoop(p *peer) {
 	defer n.readers.Done()
 	// However the loop ends — BYE, EOF, fault — the peer needs nothing more
-	// from us; marking it drained lets Close stop waiting for it.
-	defer p.byeO.Do(func() { close(p.bye) })
+	// from us; marking it drained lets Close stop waiting for it. No reply
+	// from it can arrive any more either, so the calls awaiting one fail
+	// (after the mark, which RMA checks once its call is registered).
+	defer func() {
+		p.byeO.Do(func() { close(p.bye) })
+		n.failCalls(p.rank, fmt.Errorf("tcpnet: connection to rank %d drained", p.rank))
+	}()
 	for {
 		typ, body, err := readFrame(p.conn, &p.in)
 		if err != nil {
@@ -1112,7 +1176,7 @@ func (n *Net) readLoop(p *peer) {
 			default:
 			}
 			cause := &mpi.PeerDownError{Rank: p.rank, Op: "read", Err: err}
-			n.failPendingPeer(cause)
+			n.failPending(cause)
 			if w := n.world.Load(); w != nil {
 				w.Abort(cause)
 			}
@@ -1130,11 +1194,6 @@ func (n *Net) readLoop(p *peer) {
 		}
 	}
 }
-
-// failPendingPeer fails in-flight RMA calls when a connection dies. Call ids
-// are not tracked per peer; failing all of them is correct because the world
-// is about to abort anyway.
-func (n *Net) failPendingPeer(err error) { n.failPending(err) }
 
 // handle dispatches one inbound frame through the shared body decoders (the
 // same pure functions the fuzz targets exercise).
@@ -1176,9 +1235,9 @@ func (n *Net) handle(p *peer, typ byte, body []byte) error {
 		} else {
 			reply.err = fmt.Errorf("tcpnet: remote rma failed on rank %d: %s", p.rank, remoteErr)
 		}
-		if ch, found := n.pending.Load(id); found {
+		if c, found := n.pending.Load(id); found {
 			select {
-			case ch.(chan rmaReply) <- reply:
+			case c.(rmaCall).ch <- reply:
 			default:
 			}
 		}

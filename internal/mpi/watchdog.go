@@ -236,7 +236,9 @@ func RunTransport(cfg RunConfig, tr Transport, fn func(c *Comm) error) (*World, 
 		faultColl:  make([]atomic.Int64, size),
 		faultRMA:   make([]atomic.Int64, size),
 		obsTracers: make([]*obs.Tracer, size),
+		payloads:   payloadPool.Get().(*Payloads),
 	}
+	defer payloadPool.Put(w.payloads)
 	ranks := make([]int, size)
 	for i := range ranks {
 		ranks[i] = i

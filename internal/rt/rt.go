@@ -12,8 +12,9 @@
 //     strict borrow/return discipline: a lent buffer never outlives the
 //     primitive call that borrowed it, so pooled storage can never alias
 //     live algorithm state;
-//   - a solve-lifetime store (HoldDense, HoldSparse, HoldVertices) for the
-//     solve's own vectors — mates, parents, paths, frontiers — kept apart
+//   - a solve-lifetime store (HoldDense, HoldIndex, HoldSparse,
+//     HoldVertices) for the solve's own vectors — mates, parents, paths,
+//     frontiers, the pull direction's row-major block — kept apart
 //     from the arena, with its own rule: a held buffer lives until the
 //     context is bound to the next solve's world, whether the solve that
 //     took it gathered its result or unwound;
@@ -32,17 +33,23 @@
 // a context serves sequential solves only, so by its next Bind the previous
 // solve's world has ended in this process: every rank goroutine it hosted
 // has returned, every parallel region of the rank has waited for its
-// workers (a panicking one too), and every endpoint of a recovery attempt
-// has been closed, its read loops with it, so no late remote RMA write can
-// land in a held vector. Within a solve a vector the level has finished with is
+// workers (a panicking one too), and no late remote RMA write can land in a
+// held vector: either the world succeeded, so every RMA epoch closed at a
+// fence this rank joined, or its endpoint has been closed, read loops and
+// all (the recovery loop closes a failed attempt's endpoints before the
+// next attempt, and a one-shot solve never returns a failed world's
+// contexts to the process). Within a solve a vector the level has finished with is
 // the next receive's destination, and SELECT and PRUNE filter in place (see
 // package dvec).
 //
 // A Ctx belongs to exactly one rank goroutine at a time and is not
 // internally synchronized. It may be rebound (Bind) to a fresh communicator
 // and reused across solves — the session layer does this so repeated
-// matchings on one DistributedGraph run allocation-quiet — but never shared
-// between concurrently running ranks.
+// matchings on one DistributedGraph run allocation-quiet, and one-shot
+// solves borrow contexts that earlier worlds in the process returned
+// (core.RunDistributed) — but never shared between concurrently running
+// ranks. Which rank a returned context serves next is not fixed, so its
+// buffers may be shaped for another rank's piece and regrow once.
 //
 // A nil or disabled Ctx is always safe: every Get and Hold falls back to a
 // plain allocation, every Put is a no-op and Bind reclaims nothing, which is
@@ -190,8 +197,9 @@ func (c *Ctx) ThreadStats() parallel.Stats { return c.Pool().Stats() }
 // parked worker goroutines. Buffers and scratch are plain garbage-collected
 // memory and need no release, but parked goroutines are GC roots — a context
 // that had EnsureThreads called must be Closed when its rank is done (the
-// solver does this for contexts it creates; sessions close their cached
-// contexts via DistributedGraph.Close). Safe on a nil context, idempotent,
+// launcher does this for the contexts one-shot solves borrow, before it
+// returns them; sessions close their cached contexts via
+// DistributedGraph.Close). Safe on a nil context, idempotent,
 // and the context remains usable afterwards with an inline pool.
 func (c *Ctx) Close() {
 	if c == nil {
@@ -342,6 +350,15 @@ func (c *Ctx) HoldDense(p *[]int64, n int) {
 		return
 	}
 	c.dense.hold(p, n)
+}
+
+// HoldIndex is HoldDense for an array of n indices.
+func (c *Ctx) HoldIndex(p *[]int, n int) {
+	if !c.Enabled() {
+		*p = make([]int, n)
+		return
+	}
+	c.idx.hold(p, n)
 }
 
 // HoldSparse points the index and value arrays of an (index, int64) sparse

@@ -48,23 +48,6 @@ func (d *DCSC) index() *DCSC {
 	return d
 }
 
-// ToCSC expands the DCSC matrix back to plain CSC form.
-func (d *DCSC) ToCSC() *CSC {
-	m := &CSC{
-		NRows:  d.NRows,
-		NCols:  d.NCols,
-		ColPtr: make([]int, d.NCols+1),
-		RowIdx: d.IR,
-	}
-	for k, j := range d.JC {
-		m.ColPtr[j+1] = d.CP[k+1] - d.CP[k]
-	}
-	for j := 0; j < d.NCols; j++ {
-		m.ColPtr[j+1] += m.ColPtr[j]
-	}
-	return m
-}
-
 // NNZ returns the number of nonzeros.
 func (d *DCSC) NNZ() int { return len(d.IR) }
 

@@ -61,7 +61,7 @@ func BenchmarkSpMVPullAllocs(b *testing.B) {
 			return err
 		}
 		local := blocks[g.MyRow][g.MyCol]
-		rowAdj := RowMajor(local)
+		rowAdj := RowMajor(local, g.RT)
 		xl := dvec.NewLayout(g, a.NCols, dvec.ColAligned)
 		yl := dvec.NewLayout(g, a.NRows, dvec.RowAligned)
 		fx := dvec.NewSparseV(xl)

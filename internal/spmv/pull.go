@@ -3,6 +3,7 @@ package spmv
 import (
 	"mcmdist/internal/dvec"
 	"mcmdist/internal/obs"
+	"mcmdist/internal/rt"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmat"
 )
@@ -187,9 +188,33 @@ type PullStats struct {
 	Hits    int // rows that found a frontier parent
 }
 
-// RowMajor converts a local block to the row-major (CSR) adjacency MulPull
+// RowMajor builds the row-major (CSR) twin of a local block that MulPull
 // needs: the returned matrix's column r lists the local column indices
-// adjacent to local row r.
-func RowMajor(a *spmat.LocalMatrix) *spmat.CSC {
-	return a.M.ToCSC().Transpose()
+// adjacent to local row r, ascending. It is a counting sort straight from
+// the DCSC into two arrays held from ctx's solve-lifetime store, so a rank
+// whose context served an earlier solve rebuilds the twin in place. Row r's
+// count goes to ColPtr[r+2], so after the prefix sum ColPtr[r+1] is where
+// row r starts; the scatter advances it as row r's cursor and leaves it at
+// row r's end, which is where row r+1 starts.
+func RowMajor(a *spmat.LocalMatrix, ctx *rt.Ctx) *spmat.CSC {
+	d := a.M
+	t := &spmat.CSC{NRows: d.NCols, NCols: d.NRows}
+	ctx.HoldIndex(&t.ColPtr, d.NRows+2)
+	ctx.HoldIndex(&t.RowIdx, d.NNZ())
+	ptr := t.ColPtr
+	clear(ptr)
+	for _, r := range d.IR {
+		ptr[r+2]++
+	}
+	for r := 2; r < len(ptr); r++ {
+		ptr[r] += ptr[r-1]
+	}
+	for k, j := range d.JC {
+		for _, r := range d.IR[d.CP[k]:d.CP[k+1]] {
+			t.RowIdx[ptr[r+1]] = j
+			ptr[r+1]++
+		}
+	}
+	t.ColPtr = ptr[:d.NRows+1]
+	return t
 }

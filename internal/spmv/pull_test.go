@@ -8,6 +8,7 @@ import (
 	"mcmdist/internal/grid"
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/rmat"
+	"mcmdist/internal/rt"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmat"
 )
@@ -24,7 +25,7 @@ func runPull(t *testing.T, a *spmat.CSC, x map[int]semiring.Vertex,
 			return err
 		}
 		local := blocks[g.MyRow][g.MyCol]
-		rowAdj := RowMajor(local)
+		rowAdj := RowMajor(local, g.RT)
 		xl := dvec.NewLayout(g, a.NCols, dvec.ColAligned)
 		yl := dvec.NewLayout(g, a.NRows, dvec.RowAligned)
 		fx := dvec.NewSparseV(xl)
@@ -147,7 +148,7 @@ func TestPullWorkSavings(t *testing.T) {
 				fx.Append(gi, semiring.Self(int64(gi)))
 			}
 			if pull {
-				_, _ = MulPull(local, RowMajor(local), fx, dvec.HoldDense(yl, semiring.None), semiring.MinParent, yl, nil)
+				_, _ = MulPull(local, RowMajor(local, g.RT), fx, dvec.HoldDense(yl, semiring.None), semiring.MinParent, yl, nil)
 			} else {
 				Mul(local, fx, semiring.MinParent, yl, nil)
 			}
@@ -177,25 +178,32 @@ func TestPullEmptyFrontier(t *testing.T) {
 	}
 }
 
+// TestRowMajorShape: RowMajor's counting sort equals the
+// transpose of the block assembled entry by entry, both on a nil context
+// and in arrays the store recycled from a larger twin (stale contents, so
+// every entry must be rewritten).
 func TestRowMajorShape(t *testing.T) {
 	a := rmat.MustGenerate(rmat.G500, 6, 4, 9)
-	blocks := spmat.Distribute2D(a, 2, 2)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			lm := blocks[i][j]
-			ra := RowMajor(lm)
-			if ra.NRows != lm.Cols.Len() || ra.NCols != lm.Rows.Len() {
-				t.Fatalf("block (%d,%d): RowMajor dims %dx%d, block %dx%d",
-					i, j, ra.NRows, ra.NCols, lm.Rows.Len(), lm.Cols.Len())
-			}
-			// Every (row, col) of the block appears as (col entry) in
-			// RowMajor's column row.
-			lc := lm.M.ToCSC()
-			for _, e := range lc.Triples() {
-				if !ra.Has(e.Col, e.Row) {
-					t.Fatalf("block (%d,%d): RowMajor missing (%d,%d)", i, j, e.Col, e.Row)
+	big := spmat.Distribute2D(rmat.MustGenerate(rmat.ER, 8, 8, 3), 1, 1)[0][0]
+	ctx := rt.New(nil)
+	for _, row := range spmat.Distribute2D(a, 2, 3) {
+		for _, lm := range row {
+			want := spmat.NewCOO(lm.Cols.Len(), lm.Rows.Len())
+			for k := range lm.M.NZC() {
+				j, rows := lm.M.ColByIndex(k)
+				for _, i := range rows {
+					want.Add(j, i)
 				}
 			}
+			if got := RowMajor(lm, nil); !got.Equal(want.ToCSC()) {
+				t.Fatalf("block rows %v cols %v: RowMajor differs from the transpose", lm.Rows, lm.Cols)
+			}
+			RowMajor(big, ctx)
+			ctx.Bind(nil)
+			if got := RowMajor(lm, ctx); !got.Equal(want.ToCSC()) {
+				t.Fatalf("block rows %v cols %v: RowMajor into recycled arrays differs from the transpose", lm.Rows, lm.Cols)
+			}
+			ctx.Bind(nil)
 		}
 	}
 }

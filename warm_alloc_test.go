@@ -9,7 +9,9 @@ package mcmdist
 // crashed, so the retry of a recoverable solve runs warm as well.
 
 import (
+	"errors"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -94,5 +96,72 @@ func TestWarmRecoverableAllocations(t *testing.T) {
 	t.Logf("third recoverable solve: %d bytes (%d of them the result), %d mallocs", got, result, after.Mallocs-before.Mallocs)
 	if got > result+warmRecoverableRest {
 		t.Errorf("third recoverable solve allocated %d bytes, want at most %d (result) + %d", got, result, warmRecoverableRest)
+	}
+}
+
+// TestWarmOneShotAllocations counts the bytes allocated by the second
+// one-shot MaximumMatchingOn in a process, on a 4-endpoint loopback TCP
+// world of RMAT G500 scale 14 with the auto engine and direction on a
+// compressed wire (the shape of the repo benchmark's rmat-tcp-auto), from
+// the world's bootstrap to the last endpoint's Close. One-shot solves
+// borrow their rank contexts, each world's payload free list and each
+// peer's wire buffers from the process, so the second solve runs on what
+// the first one grew. Which rank gets which rank's context is up to
+// sync.Pool, so what a solve regrows varies: 3.7-5.6 MB beyond the four
+// results was measured on a 2-vCPU host, and the budget leaves 15%
+// headroom over the highest. When one-shot solves built every rank's state
+// afresh, the same solve allocated 12.9 MB. Under -race sync.Pool drops a
+// quarter of what is put back, so a solve there may run nearly as cold as
+// the first one in the process (13.5 MB): 4.0-10.0 MB was measured over 44
+// runs, and the race budget only has to stay below the 14.2 MB the same
+// solve allocated when nothing was pooled.
+func TestWarmOneShotAllocations(t *testing.T) {
+	warmOneShotRest := uint64(6_400_000)
+	if raceBuild {
+		warmOneShotRest = 13_000_000
+	}
+	g := mustRMAT(t, G500, 14, 8, 5)
+	opts := Options{Procs: 4, Threads: 1, Engine: "auto", Direction: "auto", Compress: true, Init: DynamicMindegreeInit}
+	solve := func() (*Matching, error) {
+		trs, err := LoopbackTCP(opts.Procs)
+		if err != nil {
+			return nil, err
+		}
+		ms := make([]*Matching, len(trs))
+		errs := make([]error, 2*len(trs))
+		var wg sync.WaitGroup
+		for i, tr := range trs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ms[i], _, errs[i] = MaximumMatchingOn(tr, g, opts)
+			}()
+		}
+		wg.Wait()
+		for i, tr := range trs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[len(trs)+i] = tr.Close()
+			}()
+		}
+		wg.Wait()
+		return ms[0], errors.Join(errs...)
+	}
+	if _, err := solve(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := solve()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := uint64(4 * 8 * (len(m.MateR) + len(m.MateC)))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("second one-shot solve: %d bytes (%d of them the four results), %d mallocs", got, result, after.Mallocs-before.Mallocs)
+	if got > result+warmOneShotRest {
+		t.Errorf("second one-shot solve allocated %d bytes, want at most %d (results) + %d", got, result, warmOneShotRest)
 	}
 }
