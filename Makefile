@@ -38,8 +38,10 @@ race:
 # detector: injected crashes/stragglers/RMA failures, deadlock detection,
 # goroutine-leak regressions, the recovery fault matrix, the supervised
 # multi-process half of the recovery loop (Supervise/WorkLoop over loopback),
-# tcpnet's RMA calls unwinding after an abort or a peer's BYE, and pooled
-# one-shot contexts across a crashed world.
+# tcpnet's RMA calls unwinding after an abort or a peer's BYE, pooled
+# one-shot contexts across a crashed world, and the engine conformance
+# suite's fault, recovery and cross-engine/semiring resume cases (every
+# engine, the auction included, lives in internal/core).
 test-faults:
 	$(GO) test -race -count=1 -run 'Fault|Watchdog|Crash|Straggler|RMA|Panic|Leak|Checkpoint|Resume|Recoverable|Guard|Boundary|Supervise|WorkLoop' ./internal/mpi/ ./internal/mpi/tcpnet/ ./internal/core/ ./internal/distjob/ .
 

@@ -31,7 +31,7 @@ type Checkpoint struct {
 	Phase       int    // augmentation phases (or auction rounds) completed when taken (0 = just initialized)
 	Cardinality int    // matching cardinality at the snapshot
 	ConfigHash  uint64 // hash binding the snapshot to its Config and problem shape
-	Engine      string // registry name of the engine that produced the snapshot
+	Engine      string // name of the engine that produced the snapshot
 	N1, N2      int    // global rows and columns
 	MateR       []int64
 	MateC       []int64

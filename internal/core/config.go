@@ -108,7 +108,7 @@ func (d *Direction) UnmarshalText(text []byte) error {
 // tags is its wire and record format, the multi-process job spec and the
 // bench drivers carry it, and the public Options convert to it.
 type Config struct {
-	// Engine names the matching engine to run: a registered engine name
+	// Engine names the matching engine to run: one of the four engines
 	// ("bfs", "bfs-ss", "bfs-graft", "auction" — see EngineNames), "auto"
 	// to let ResolveEngineConfig pick per instance via the cost model, or ""
 	// for the default, bfs.
@@ -266,11 +266,13 @@ func (c Config) Validate() error {
 
 // IterInfo is one iteration's trace record.
 type IterInfo struct {
-	Phase        int  // 1-based phase number
-	Iteration    int  // 1-based iteration within the run
-	FrontierSize int  // columns in the frontier entering the iteration
-	NewPaths     int  // augmenting paths discovered this iteration
-	Pull         bool // whether the bottom-up SpMV direction was used
+	Phase        int // 1-based phase number
+	Iteration    int // 1-based iteration within the run
+	FrontierSize int // columns in the frontier entering the iteration
+	// NewPaths counts the augmenting paths discovered this iteration; for
+	// an auction round, its net new matches (accepted bids on free rows).
+	NewPaths int
+	Pull     bool // whether the bottom-up SpMV direction was used
 }
 
 // String renders the record as one trace line.

@@ -128,7 +128,7 @@ func TestWorkedExamplePhase(t *testing.T) {
 		Config{Procs: side * side, AddOp: semiring.MinParent}, nil, func(s *Solver) error {
 			mater := dvec.NewDenseFrom(s.RowL, []int64{-1, 2, -1, 3, -1})
 			matec := dvec.NewDenseFrom(s.ColL, []int64{-1, -1, 1, 3, -1})
-			if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
+			if err := s.RunEngine(EngineBFS, mater, matec); err != nil {
 				return err
 			}
 			fullR := mater.Gather(true)
@@ -629,7 +629,7 @@ func TestCommKindAttribution(t *testing.T) {
 			Config{Procs: side * side, Init: InitGreedy, Augment: mode}, nil,
 			func(s *Solver) error {
 				mater, matec := s.MaximalInit()
-				if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
+				if err := s.RunEngine(EngineBFS, mater, matec); err != nil {
 					return err
 				}
 				if s.G.World.Rank() == 0 {
@@ -701,7 +701,7 @@ func TestSingleSourceMatchesOracle(t *testing.T) {
 		err := RunDistributed(nil, side, side, a.NRows, a.NCols, blocks,
 			Config{Procs: 4, Init: InitGreedy}, nil, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
-				if err := s.RunEngineByName(EngineBFSSingleSource, mater, matec); err != nil {
+				if err := s.RunEngine(EngineBFSSingleSource, mater, matec); err != nil {
 					return err
 				}
 				if s.G.World.Rank() == 0 {
@@ -734,11 +734,11 @@ func TestSingleSourceNeedsFarMoreIterations(t *testing.T) {
 			Config{Procs: 4, Init: InitNone}, nil, func(s *Solver) error {
 				mater, matec := s.MaximalInit()
 				if single {
-					if err := s.RunEngineByName(EngineBFSSingleSource, mater, matec); err != nil {
+					if err := s.RunEngine(EngineBFSSingleSource, mater, matec); err != nil {
 						return err
 					}
 				} else {
-					if err := s.RunEngineByName(EngineBFS, mater, matec); err != nil {
+					if err := s.RunEngine(EngineBFS, mater, matec); err != nil {
 						return err
 					}
 				}

@@ -7,23 +7,12 @@ import (
 	"mcmdist/internal/semiring"
 )
 
-// This file holds the three MS-BFS engines behind the Engine seam. They run
-// one copy of Algorithm 2's phase (searchPhase: the level-synchronous search
-// and the augmentation by the paths it found); each engine keeps only its
-// policy — where a phase starts, which rows count as visited, and what
-// survives the phase. Each Iterate() executes exactly one phase; the
-// direction × compression × backend × threads sweep tests pin that every
-// trajectory is bit-identical. The engines live in core rather than
-// internal/engine because their phase kernels are core's private
-// SpMV/select/augment machinery and because core's own in-package tests
-// drive them through Solve; internal/engine hosts the external plug-ins
-// (docs/ENGINES.md discusses the trade-off).
-
-func init() {
-	RegisterEngine(bfsEngine{})
-	RegisterEngine(bfsSSEngine{})
-	RegisterEngine(bfsGraftEngine{})
-}
+// This file holds the three MS-BFS engines. They run one copy of Algorithm
+// 2's phase (searchPhase: the level-synchronous search and the augmentation
+// by the paths it found); each engine keeps only its policy — where a phase
+// starts, which rows count as visited, and what survives the phase. Each
+// Iterate() executes exactly one phase; the direction × compression ×
+// backend × threads sweep tests pin that every trajectory is bit-identical.
 
 // msbfs is the state the three BFS engines carry across the phases of one
 // solve.
@@ -191,7 +180,7 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 				fcCount = s.startFrontierCount(fc)
 			})
 		}
-		s.obsIterEnd(iter0, r.phase, frontierSize, newPaths, usePull)
+		s.obsIterEnd(iter0, r.phase, frontierSize, newPaths, s.Stats.InitCardinality+s.Stats.AugmentedPaths, usePull)
 		if stop {
 			break
 		}
@@ -216,20 +205,10 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 // against π_r, an unmatched one against mate_r.
 func unset(v int64) bool { return v == semiring.None }
 
-// bfsEngine is MCM-DIST (Algorithm 2): every phase searches from all
-// unmatched columns at once and augments by every vertex-disjoint path found.
-type bfsEngine struct{}
-
-// Name returns "bfs".
-func (bfsEngine) Name() string { return EngineBFS }
-
-// Caps reports the full BFS capability set.
-func (bfsEngine) Caps() EngineCaps {
-	return EngineCaps{Checkpointable: true, DirectionOptimized: true, Augmenting: true}
-}
-
-// Start begins one MCM-DIST solve.
-func (bfsEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
+// startBFS begins one MCM-DIST (Algorithm 2) solve: every phase searches
+// from all unmatched columns at once and augments by every vertex-disjoint
+// path found.
+func startBFS(s *Solver, mater, matec *dvec.Dense) engineRun {
 	return &bfsRun{newMSBFS(s, mater, matec), dvec.HoldDense(s.RowL, semiring.None)}
 }
 
@@ -248,24 +227,14 @@ func (r *bfsRun) Iterate() (bool, error) {
 	return r.searchPhase(&phaseSearch{pir: r.pir, visited: r.pir}, r.unmatchedFrontier()) == 0, nil
 }
 
-// bfsSSEngine is the single-source (SS-BFS) variant the paper's Section
-// III-A dismisses: each phase searches from ONE unmatched column instead of
-// all of them. It exists to quantify that argument — the level-synchronous
-// machinery is identical, but the algorithm needs ~|C| phases of ~diameter
-// iterations each, so its synchronization count (and hence its latency
-// term) explodes while every SpMV does trivial work.
-type bfsSSEngine struct{}
-
-// Name returns "bfs-ss".
-func (bfsSSEngine) Name() string { return EngineBFSSingleSource }
-
-// Caps matches bfs except that pruning never engages (one tree per phase).
-func (bfsSSEngine) Caps() EngineCaps {
-	return EngineCaps{Checkpointable: true, DirectionOptimized: true, Augmenting: true}
-}
-
-// Start begins one single-source solve.
-func (bfsSSEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
+// startBFSSS begins one solve of the single-source (SS-BFS) variant the
+// paper's Section III-A dismisses: each phase searches from ONE unmatched
+// column instead of all of them, so pruning never engages. It exists to
+// quantify that argument — the level-synchronous machinery is identical, but
+// the algorithm needs ~|C| phases of ~diameter iterations each, so its
+// synchronization count (and hence its latency term) explodes while every
+// SpMV does trivial work.
+func startBFSSS(s *Solver, mater, matec *dvec.Dense) engineRun {
 	return &bfsSSRun{
 		msbfs: newMSBFS(s, mater, matec),
 		pir:   dvec.HoldDense(s.RowL, semiring.None),
@@ -318,31 +287,20 @@ func (r *bfsSSRun) Iterate() (bool, error) {
 	return false, nil
 }
 
-// bfsGraftEngine is the tree-grafting variant of MCM-DIST — the distributed
-// form of MS-BFS-Graft [Azad, Buluç, Pothen], which the paper names as
-// future work. The difference from bfs: the parent and tree-ownership
-// vectors persist across phases, so alternating trees that found no
-// augmenting path keep their traversal; only the trees that were augmented
-// release their vertices, and released rows are grafted onto surviving
-// trees when rediscovered.
+// startBFSGraft begins one solve of the tree-grafting variant of MCM-DIST —
+// the distributed form of MS-BFS-Graft [Azad, Buluç, Pothen], which the
+// paper names as future work. The difference from bfs: the parent and
+// tree-ownership vectors persist across phases, so alternating trees that
+// found no augmenting path keep their traversal; only the trees that were
+// augmented release their vertices, and released rows are grafted onto
+// surviving trees when rediscovered.
 //
 // Rendition note (same as the serial matching.MSBFSGraft): when a grafted
 // phase discovers nothing, all state is reset and one plain MS-BFS phase
 // runs; only if that fresh sweep also finds nothing is the matching
 // declared maximum, which keeps the termination condition identical to
 // Algorithm 2's.
-type bfsGraftEngine struct{}
-
-// Name returns "bfs-graft".
-func (bfsGraftEngine) Name() string { return EngineBFSGraft }
-
-// Caps reports the full BFS capability set.
-func (bfsGraftEngine) Caps() EngineCaps {
-	return EngineCaps{Checkpointable: true, DirectionOptimized: true, Augmenting: true}
-}
-
-// Start begins one tree-grafting solve.
-func (bfsGraftEngine) Start(s *Solver, mater, matec *dvec.Dense) EngineRun {
+func startBFSGraft(s *Solver, mater, matec *dvec.Dense) engineRun {
 	return &bfsGraftRun{
 		msbfs: newMSBFS(s, mater, matec),
 		// Persistent across phases: parents of visited rows and the root of

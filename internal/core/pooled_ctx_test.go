@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"mcmdist/internal/core"
-	_ "mcmdist/internal/engine"
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/mpi/tcpnet"

@@ -225,7 +225,7 @@ func (s *Solver) Solve() (mater, matec *dvec.Dense, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return mater, matec, s.RunEngineByName(s.Cfg.Engine, mater, matec)
+	return mater, matec, s.RunEngine(s.Cfg.Engine, mater, matec)
 }
 
 func checkWorldSize(tr mpi.Transport, procs int) error {

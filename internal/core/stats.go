@@ -28,13 +28,14 @@ var Ops = []Op{OpInit, OpSpMV, OpSelect, OpInvert, OpPrune, OpAugment, OpOther}
 // Stats aggregates one rank's (and after merging, the whole run's)
 // measurements.
 type Stats struct {
-	// Engine is the registry name of the engine that ran the solve
-	// (SPMD-replicated; set by RunEngine).
+	// Engine is the name of the engine that ran the solve (SPMD-replicated;
+	// set by RunEngine).
 	Engine     string
 	Phases     int // MS-BFS phases executed (repeat-until rounds)
 	Iterations int // level-synchronous frontier iterations, all phases
-	// PushIterations and PullIterations split the iterations by SpMV
-	// direction when direction optimization is enabled.
+	// PushIterations and PullIterations split the BFS iterations by SpMV
+	// direction when direction optimization is enabled. Auction rounds
+	// count in Iterations but in neither split.
 	PushIterations, PullIterations int
 	// Augmentations counts how many times each variant ran.
 	LevelParallelAugments int

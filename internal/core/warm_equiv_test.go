@@ -4,9 +4,7 @@ package core_test
 // warmed — their arenas, scratch and solve-lifetime stores holding buffers
 // of other engines, initializers, thread counts and graph sizes — must
 // compute exactly what a solve on fresh contexts computes. Any divergence
-// means a held buffer carried state from one solve into the next. This is
-// an external test package so that the auction engine, which lives in
-// internal/engine and imports core, is registered.
+// means a held buffer carried state from one solve into the next.
 
 import (
 	"fmt"
@@ -14,7 +12,6 @@ import (
 	"testing"
 
 	"mcmdist/internal/core"
-	_ "mcmdist/internal/engine"
 	"mcmdist/internal/matching"
 	"mcmdist/internal/rmat"
 	"mcmdist/internal/rt"

@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"mcmdist/internal/core"
-	_ "mcmdist/internal/engine" // register the out-of-core engines for worker solves
 	"mcmdist/internal/gen"
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"

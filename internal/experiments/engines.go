@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mcmdist/internal/core"
-	_ "mcmdist/internal/engine" // register the out-of-core engines (auction)
 	"mcmdist/internal/verify"
 )
 
@@ -25,7 +24,7 @@ type EngineSweepRow struct {
 	Verified       bool    `json:"verified"`
 }
 
-// EngineSweep runs every registered matching engine (plus the cost model's
+// EngineSweep runs every matching engine (plus the cost model's
 // "auto" pick, labeled with the engine it resolved to) on one matrix and
 // tabulates wall clock, modeled time, iterations and exact communication
 // volume. Every engine must produce a maximum matching — the sweep panics

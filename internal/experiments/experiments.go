@@ -20,9 +20,9 @@ import (
 	"mcmdist/internal/spmat"
 )
 
-// Model is the machine model all experiments project onto: Edison rescaled
+// model is the machine model all experiments project onto: Edison rescaled
 // to the miniature input sizes (see costmodel.EdisonMini for the rationale).
-var Model = costmodel.EdisonMini
+var model = costmodel.EdisonMini
 
 // The experiments take the bench's solver configuration as a parameter:
 // Procs is the rank count of the single-p experiments and Threads the
@@ -43,7 +43,7 @@ func run(a *spmat.CSC, rc core.Config) *core.Result {
 // modeledTime evaluates the run on the Edison model: critical path over
 // ranks of F/t + alpha*S + beta*W.
 func modeledTime(res *core.Result, threads int) float64 {
-	return Model.CriticalTime(res.PerRank, threads)
+	return model.CriticalTime(res.PerRank, threads)
 }
 
 // newTab returns a tabwriter for aligned experiment tables.
@@ -131,18 +131,18 @@ type Fig3Row struct {
 	FinalCard int
 }
 
-// Fig3Matrices are the four representative graphs of the figure.
-var Fig3Matrices = []string{"amazon-2008", "wikipedia-20070206", "cage15", "road_usa"}
+// fig3Matrices are the four representative graphs of the figure.
+var fig3Matrices = []string{"amazon-2008", "wikipedia-20070206", "cage15", "road_usa"}
 
 // Fig3 regenerates Fig. 3: the impact of the initializer (greedy,
 // Karp–Sipser, dynamic mindegree) on total MCM time, on cfg.Procs ranks.
 func Fig3(w io.Writer, cfg core.Config, scale int) []Fig3Row {
 	var rows []Fig3Row
-	for _, name := range Fig3Matrices {
+	for _, name := range fig3Matrices {
 		a := suiteMatrix(name, scale)
 		for _, init := range []core.Init{core.InitGreedy, core.InitKarpSipser, core.InitDynMinDegree} {
 			res := run(a, core.Config{Procs: cfg.Procs, Init: init, Permute: true, Seed: 5})
-			bd := Model.Breakdown(meterByOp(res), cfg.Threads)
+			bd := model.Breakdown(meterByOp(res), cfg.Threads)
 			rows = append(rows, Fig3Row{
 				Matrix:    name,
 				Init:      init,

@@ -41,7 +41,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestFig3KarpSipserSlower(t *testing.T) {
 	rows := Fig3(io.Discard, testConfig(4), 7)
-	if len(rows) != len(Fig3Matrices)*3 {
+	if len(rows) != len(fig3Matrices)*3 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	// Paper claim: on distributed memory, Karp-Sipser's initializer time
@@ -54,16 +54,16 @@ func TestFig3KarpSipserSlower(t *testing.T) {
 		}
 	}
 	slower := 0
-	for _, m := range Fig3Matrices {
+	for _, m := range fig3Matrices {
 		ks := byKey[m+"/karpsipser"].InitTime
 		gr := byKey[m+"/greedy"].InitTime
 		if ks > gr {
 			slower++
 		}
 	}
-	if slower < len(Fig3Matrices)-1 {
+	if slower < len(fig3Matrices)-1 {
 		t.Errorf("Karp-Sipser slower on only %d/%d matrices; paper expects it to be the slow one",
-			slower, len(Fig3Matrices))
+			slower, len(fig3Matrices))
 	}
 }
 

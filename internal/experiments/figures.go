@@ -28,17 +28,17 @@ type Fig4Row struct {
 	Points []ScalePoint
 }
 
-// DefaultProcs is the simulated process-count sweep used by the scaling
+// defaultProcs is the simulated process-count sweep used by the scaling
 // figures. The paper sweeps 24..2048 cores with 12 threads per rank and a
 // 2x2 process grid at its 24-core baseline, so the sweep starts at p=4 and
 // rank count p corresponds to roughly 12*p cores.
-var DefaultProcs = []int{4, 16, 64}
+var defaultProcs = []int{4, 16, 64}
 
 // Fig4 regenerates the strong-scaling experiment of Fig. 4 across the
 // Table II suite: modeled time and speedup per process count.
 func Fig4(w io.Writer, cfg core.Config, scale int, procs []int, names []string) []Fig4Row {
 	if procs == nil {
-		procs = DefaultProcs
+		procs = defaultProcs
 	}
 	if names == nil {
 		names = allSuiteNames()
@@ -91,22 +91,22 @@ type Fig5Row struct {
 	Seconds  map[string]float64 // category -> modeled seconds
 }
 
-// Fig5Matrices are the four representative matrices of the figure.
-var Fig5Matrices = []string{"road_usa", "delaunay_n24", "ljournal-2008", "amazon-2008"}
+// fig5Matrices are the four representative matrices of the figure.
+var fig5Matrices = []string{"road_usa", "delaunay_n24", "ljournal-2008", "amazon-2008"}
 
 // Fig5 regenerates the runtime-breakdown experiment: the share of SpMV,
 // INVERT, PRUNE, SELECT and AUGMENT in total modeled time as the process
 // count grows.
 func Fig5(w io.Writer, cfg core.Config, scale int, procs []int) []Fig5Row {
 	if procs == nil {
-		procs = DefaultProcs
+		procs = defaultProcs
 	}
 	var rows []Fig5Row
-	for _, name := range Fig5Matrices {
+	for _, name := range fig5Matrices {
 		a := suiteMatrix(name, scale)
 		for _, p := range procs {
 			res := run(a, core.Config{Procs: p, Init: core.InitDynMinDegree, Permute: true, Seed: 7})
-			bd := Model.Breakdown(meterByOp(res), cfg.Threads)
+			bd := model.Breakdown(meterByOp(res), cfg.Threads)
 			total := 0.0
 			for _, v := range bd {
 				total += v
@@ -144,7 +144,7 @@ type Fig6Row struct {
 // SSCA matrices.
 func Fig6(w io.Writer, cfg core.Config, scales []int, procs []int) []Fig6Row {
 	if procs == nil {
-		procs = DefaultProcs
+		procs = defaultProcs
 	}
 	classes := []struct {
 		name string
@@ -215,7 +215,7 @@ type Fig7Row struct {
 // because the latency and synchronization terms grow with the rank count.
 // The effect is a latency phenomenon, so the modeled columns use the
 // unscaled Edison latency constants (costmodel.Edison) rather than the
-// size-rescaled Model used by the bandwidth-shaped scaling figures. Since
+// size-rescaled model used by the bandwidth-shaped scaling figures. Since
 // the worker pools are real, the measured columns report what the host
 // wall clock actually saw for the same flat and hybrid configurations.
 func Fig7(w io.Writer, cfg core.Config, scale int, coreBudgets []int) []Fig7Row {
@@ -327,7 +327,7 @@ func Fig9(w io.Writer, edgeCounts []int, modelProcs, measureProcs int) []Fig9Row
 	var rows []Fig9Row
 	for _, m := range edgeCounts {
 		n := m / 8
-		row := Fig9Row{Edges: m, Modeled: Model.GatherScatter(m, n, modelProcs)}
+		row := Fig9Row{Edges: m, Modeled: model.GatherScatter(m, n, modelProcs)}
 		if measureProcs > 1 && m <= 1<<22 {
 			row.Measured = measureGatherScatter(m, n, measureProcs)
 		}
@@ -367,7 +367,7 @@ func measureGatherScatter(m, n, p int) float64 {
 	if err != nil {
 		panic(err)
 	}
-	return Model.CriticalTime(metersOf(w, p), 1)
+	return model.CriticalTime(metersOf(w, p), 1)
 }
 
 func metersOf(w *mpi.World, p int) []mpi.Meter {
@@ -455,7 +455,7 @@ func runAugmentOnly(cfg core.Config, a *spmat.CSC, init *matching.Matching, mode
 		core.Config{Procs: side * side, Augment: mode}, nil, func(s *core.Solver) (mater, matec *dvec.Dense, err error) {
 			mater = dvec.NewDenseFrom(s.RowL, init.MateR)
 			matec = dvec.NewDenseFrom(s.ColL, init.MateC)
-			return mater, matec, s.RunEngineByName(core.EngineBFS, mater, matec)
+			return mater, matec, s.RunEngine(core.EngineBFS, mater, matec)
 		})
 	if err != nil {
 		panic(err)
@@ -666,7 +666,7 @@ func SingleVsMultiSource(w io.Writer, cfg core.Config, scale int, names []string
 			err := core.RunDistributed(nil, side, side, a.NRows, a.NCols, blocks,
 				core.Config{Procs: side * side, Init: core.InitGreedy}, nil, func(s *core.Solver) error {
 					mater, matec := s.MaximalInit()
-					if err := s.RunEngineByName(engine, mater, matec); err != nil {
+					if err := s.RunEngine(engine, mater, matec); err != nil {
 						return err
 					}
 					r := s.G.World.Rank()

@@ -7,7 +7,6 @@ import (
 
 	"mcmdist/internal/core"
 	"mcmdist/internal/costmodel"
-	_ "mcmdist/internal/engine" // register the out-of-core engines (auction)
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/semiring"
@@ -205,7 +204,7 @@ type CommTime = mpi.CommTimes
 // stats: callers (the repo benchmark among them) index WallByOp, CommByOp
 // and CommTimeByOp with plain string keys.
 type Stats struct {
-	// Engine is the registry name of the engine that ran the solve — the
+	// Engine is the name of the engine that ran the solve — the
 	// concrete choice even when Options.Engine was "auto" or empty.
 	Engine string
 	// Cardinality is |M| of the returned matching; InitCardinality is the
