@@ -8,8 +8,7 @@
 // By default every rank is a goroutine of this process (the in-process
 // transport). With -transport tcp the solve spans OS processes: rank 0
 // (this binary) listens on -addr, coordinates the rendezvous, and ships the
-// job spec to the cmd/mcmrank workers that join; `mcm -transport tcp
-// -rank N` is an alternative worker spelling. See docs/TRANSPORT.md.
+// job spec to the cmd/mcmrank workers that join. See docs/TRANSPORT.md.
 //
 // Observability (docs/OBSERVABILITY.md): -trace-out writes the solve's span
 // timeline as Perfetto-loadable trace JSON, -timeseries the per-iteration
@@ -82,7 +81,6 @@ func main() {
 	out := flag.String("out", "", "write the matching as 'row col' lines to this file")
 	transport := flag.String("transport", "inproc", "transport backend: inproc (ranks are goroutines) or tcp (ranks are OS processes)")
 	addr := flag.String("addr", "", "tcp transport: rendezvous address (rank 0 listens, workers dial)")
-	rank := flag.Int("rank", 0, "tcp transport: the world rank this process hosts; rank 0 coordinates and ships the job, ranks >= 1 join as workers and ignore the graph/solver flags")
 	recoverFlag := flag.Bool("recover", false, "tcp transport: supervise the world across failures — restart it up to -max-restarts times, resuming from the last checkpoint")
 	maxRestarts := flag.Int("max-restarts", 3, "tcp transport: world restarts before giving up (with -recover)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "tcp transport: checkpoint every Nth phase (with -recover); 0 restarts from scratch")
@@ -100,15 +98,12 @@ func main() {
 
 	switch *transport {
 	case "inproc":
-		if *addr != "" || *rank != 0 {
-			log.Fatal("-addr and -rank require -transport tcp")
+		if *addr != "" {
+			log.Fatal("-addr requires -transport tcp")
 		}
 	case "tcp":
 		if *addr == "" {
 			log.Fatal("-transport tcp requires -addr")
-		}
-		if *rank < 0 {
-			log.Fatalf("-rank %d out of range", *rank)
 		}
 	default:
 		log.Fatalf("unknown -transport %q", *transport)
@@ -118,12 +113,6 @@ func main() {
 	}
 	if *flightDir != "" && *transport != "tcp" {
 		log.Fatal("-flight-dir requires -transport tcp (the flight recorder captures multi-process failures)")
-	}
-	if *transport == "tcp" && *rank > 0 {
-		// Worker mode: the coordinator ships the job spec, so every graph
-		// and solver flag is ignored here — mcmrank with mcm's clothes on.
-		runWorker(*addr, *rank, *out)
-		return
 	}
 
 	wantMetrics := *metricsAddr != "" || *metricsOut != ""
@@ -290,26 +279,6 @@ func runSupervisor(addr string, spec *distjob.Spec, a *spmat.CSC, maxRestarts, c
 	oo.srv.install(stats.Obs)
 	writeObsOutputs(stats.Obs, oo)
 	verifyAndWrite(a, res.Matching, verifyFlag, out)
-}
-
-// runWorker joins a TCP world as a non-coordinator rank: the job spec
-// arrives in the roster exchange, and the graph and configuration are
-// rebuilt locally from it (see internal/distjob). A supervised job makes
-// the worker rejoin restarted generations until one completes.
-func runWorker(addr string, rank int, out string) {
-	log.SetPrefix(fmt.Sprintf("mcm[rank %d]: ", rank))
-	res, err := distjob.WorkLoop(addr, rank, tcpnet.Options{}, log.Printf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("|M| = %d (worker rank %d of %d)\n",
-		res.Stats.Cardinality, rank, res.Procs)
-	if out != "" {
-		if err := distjob.WriteMatching(out, res.Matching); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("matching written to %s\n", out)
-	}
 }
 
 // obsOutputs carries the observability artifact destinations.

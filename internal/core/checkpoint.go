@@ -151,25 +151,12 @@ func (s *Solver) maybeCheckpoint(phase int, mater, matec *dvec.Dense) {
 }
 
 // RestoreMates rebuilds this rank's mate-vector pieces from a checkpoint,
-// the restart half of the phase-boundary protocol. The snapshot's shape,
-// engine and config hash must match — a checkpoint taken by one engine is
-// never resumed by another, even when both could continue from the matching
-// (their Stats and trajectories would silently diverge). The restored
-// cardinality becomes this attempt's InitCardinality (the checkpoint plays
-// the role of the initializer).
+// the restart half of the phase-boundary protocol, once ck.admit has
+// accepted it. The restored cardinality becomes this attempt's
+// InitCardinality (the checkpoint plays the role of the initializer).
 func (s *Solver) RestoreMates(ck *Checkpoint) (mater, matec *dvec.Dense, err error) {
-	if ck.N1 != s.N1 || ck.N2 != s.N2 {
-		return nil, nil, fmt.Errorf("core: checkpoint is %dx%d, solver is %dx%d", ck.N1, ck.N2, s.N1, s.N2)
-	}
-	if len(ck.MateR) != ck.N1 || len(ck.MateC) != ck.N2 {
-		return nil, nil, fmt.Errorf("core: checkpoint mate vectors are %dx%d, header says %dx%d",
-			len(ck.MateR), len(ck.MateC), ck.N1, ck.N2)
-	}
-	if want := s.Cfg.Engine; ck.Engine != "" && ck.Engine != want {
-		return nil, nil, fmt.Errorf("core: checkpoint was taken by engine %q, refusing cross-engine resume with %q", ck.Engine, want)
-	}
-	if want := s.Cfg.CheckpointHash(s.N1, s.N2); ck.ConfigHash != want {
-		return nil, nil, fmt.Errorf("core: checkpoint config hash %#x does not match current config %#x", ck.ConfigHash, want)
+	if err := ck.admit(s.Cfg, s.N1, s.N2); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	s.tr.track(OpInit, func() {
 		mater = dvec.HoldDense(s.RowL, 0)
@@ -191,6 +178,27 @@ func (s *Solver) InitOrRestore() (mater, matec *dvec.Dense, err error) {
 	mater, matec = s.MaximalInit()
 	s.maybeCheckpoint(0, mater, matec)
 	return mater, matec, nil
+}
+
+// admit is the one admission check of a checkpoint against the n1×n2
+// problem and the configuration that would resume it: the snapshot's shape,
+// engine and config hash must match. A checkpoint taken by one engine is
+// never resumed by another, even when both could continue from the matching
+// (their Stats and trajectories would silently diverge).
+func (ck *Checkpoint) admit(cfg Config, n1, n2 int) error {
+	if ck.N1 != n1 || ck.N2 != n2 {
+		return fmt.Errorf("checkpoint is %dx%d, problem is %dx%d", ck.N1, ck.N2, n1, n2)
+	}
+	if len(ck.MateR) != n1 || len(ck.MateC) != n2 {
+		return fmt.Errorf("checkpoint mate vectors are %dx%d, want %dx%d", len(ck.MateR), len(ck.MateC), n1, n2)
+	}
+	if want := cfg.Engine; ck.Engine != "" && ck.Engine != want {
+		return fmt.Errorf("checkpoint was taken by engine %q, refusing cross-engine resume with %q", ck.Engine, want)
+	}
+	if want := cfg.CheckpointHash(n1, n2); ck.ConfigHash != want {
+		return fmt.Errorf("checkpoint config hash %#x does not match current config %#x", ck.ConfigHash, want)
+	}
+	return nil
 }
 
 // countMatched returns how many entries of a full mate vector are matched

@@ -291,21 +291,13 @@ func pickAttemptError(errs []error) error {
 	return nil
 }
 
-// validateCheckpoint is the pre-restart safety net: shape, config hash,
-// internally consistent cardinality, and a full validity check that every
-// matched pair is an edge and the two mate vectors agree.
+// validateCheckpoint is the pre-restart safety net: the admission check
+// (shape, engine, config hash), internally consistent cardinality, and a
+// full validity check that every matched pair is an edge and the two mate
+// vectors agree.
 func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint) error {
-	if ck.N1 != n1 || ck.N2 != n2 {
-		return fmt.Errorf("checkpoint is %dx%d, problem is %dx%d", ck.N1, ck.N2, n1, n2)
-	}
-	if len(ck.MateR) != n1 || len(ck.MateC) != n2 {
-		return fmt.Errorf("checkpoint mate vectors are %dx%d, want %dx%d", len(ck.MateR), len(ck.MateC), n1, n2)
-	}
-	if want := cfg.Engine; ck.Engine != "" && ck.Engine != want {
-		return fmt.Errorf("checkpoint was taken by engine %q, refusing cross-engine resume with %q", ck.Engine, want)
-	}
-	if want := cfg.CheckpointHash(n1, n2); ck.ConfigHash != want {
-		return fmt.Errorf("checkpoint config hash %#x does not match current config %#x", ck.ConfigHash, want)
+	if err := ck.admit(cfg, n1, n2); err != nil {
+		return err
 	}
 	if got := countMatched(ck.MateC); got != ck.Cardinality {
 		return fmt.Errorf("checkpoint says cardinality %d but mate vector holds %d matches", ck.Cardinality, got)

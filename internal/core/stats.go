@@ -92,8 +92,9 @@ func newStats() *Stats {
 }
 
 // MergeMax folds another rank's stats into s, taking per-category maxima for
-// wall time and meters (critical-path approximation) and verifying the
-// SPMD-replicated counters agree.
+// wall time and meters (critical-path approximation). The SPMD-replicated
+// counters (cardinality, phases, iterations, ...) are s's own: every rank
+// computes the same values, and MergeMax does not compare them.
 func (s *Stats) MergeMax(o *Stats) {
 	if s.Engine == "" {
 		s.Engine = o.Engine

@@ -63,7 +63,7 @@ func (d *Dense) Fill(v int64) {
 // inner loops. The send payload is an rt arena buffer; a keeping rank
 // places each peer's block straight out of its send buffer as it arrives
 // (progressive split-phase allgather, zero staging copies) and allocates
-// only the returned global slice, and the others let Finish drain the
+// only the returned global slice, and the others let Wait drain the
 // parts without allocating one.
 func (d *Dense) Gather(keep bool) []int64 {
 	c := d.L.G.World
@@ -88,7 +88,7 @@ func (d *Dense) Gather(keep bool) []int64 {
 			copy(out[lo:lo+len(p)-1], p[1:])
 		}
 	}
-	rq.Finish()
+	rq.Wait()
 	ctx.PutInts(payload)
 	tr.End(obs.KindOp, "dvec.gather", t0, int64(d.L.N))
 	return out

@@ -25,7 +25,7 @@ import (
 func flatAlltoall(c *mpi.Comm, ctx *rt.Ctx, parts [][]int64, hint int) []int64 {
 	rq := c.IAlltoallvParts(parts)
 	flat := rq.Drain(ctx.GetInts(hint))
-	rq.Finish()
+	rq.Wait()
 	return flat
 }
 
@@ -194,7 +194,7 @@ func checkReceives(t *testing.T, name string, pr, pc, threads int, n int) {
 }
 
 // streamsOf returns a next function that yields streams in order, the way
-// a PartsRequest yields them in arrival order.
+// a progressive mpi.Request yields them in arrival order.
 func streamsOf(streams ...[]int64) func() (int, []int64, bool) {
 	i := 0
 	return func() (int, []int64, bool) {

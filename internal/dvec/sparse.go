@@ -17,7 +17,7 @@ import (
 func flatAllgather(c *mpi.Comm, ctx *rt.Ctx, data []int64, hint int) []int64 {
 	rq := c.IAllgathervParts(data)
 	flat := rq.Drain(ctx.GetInts(hint))
-	rq.Finish()
+	rq.Wait()
 	return flat
 }
 
@@ -301,13 +301,13 @@ func ints(dst *SparseInt, outL Layout, sc *rt.Scratch, k int) *SparseInt {
 
 // ReceiveV builds the sparse vector with layout outL from the (index,
 // parent, root) streams of rq, combining the records of one index with the
-// semiring addition op, and finishes rq. This is the SpMV fold's merge: op
+// semiring addition op, and completes rq. This is the SpMV fold's merge: op
 // is associative and commutative, so arrival order cannot change the
 // result. The indices must fall in outL.MyRange(). The result is written
 // into dst, a vector the caller has finished with (nil allocates one).
-func ReceiveV(outL Layout, rq *mpi.PartsRequest, op semiring.AddOp, dst *SparseV) *SparseV {
+func ReceiveV(outL Layout, rq *mpi.Request, op semiring.AddOp, dst *SparseV) *SparseV {
 	sc, k, _ := receive(outL, rq.Next, 3, op.Combine)
-	rq.Finish()
+	rq.Wait()
 	return vertices(dst, outL, sc, k)
 }
 
@@ -350,7 +350,7 @@ func invert(l Layout, outL Layout, records []int64, stride int) (*rt.Scratch, in
 	ctx.PutInts(records)
 	rq := c.IAlltoallvParts(parts)
 	sc, k, n := receive(outL, rq.Next, stride, semiring.MinParent.Combine)
-	rq.Finish()
+	rq.Wait()
 	ctx.PutParts(parts)
 	c.AddWork(n)
 	return sc, k
@@ -430,7 +430,7 @@ func (s *SparseV) PruneRoots(localRoots []int64) {
 // missing positions, on the ranks that pass keep and returns nil on the
 // others. Collective: every rank contributes its entries to the same
 // progressive allgather whatever keep is, and a rank that does not keep
-// lets Finish drain the parts. For tests and result extraction.
+// lets Wait drain the parts. For tests and result extraction.
 func (s *SparseV) GatherVertices(keep bool) []semiring.Vertex {
 	payload := make([]int64, 0, 3*len(s.Idx))
 	for k, g := range s.Idx {
@@ -453,7 +453,7 @@ func (s *SparseV) GatherVertices(keep bool) []semiring.Vertex {
 			}
 		}
 	}
-	rq.Finish()
+	rq.Wait()
 	return out
 }
 

@@ -1,9 +1,10 @@
 package mpi
 
 // Allocation budget of the hot collectives. The mailbox moves []int64 rows
-// as they are, so a warm call allocates only its request handle, its
-// completion callback, its received row and, where it posts one payload to
-// every member, the send row.
+// as they are, so a warm call allocates only its request, its result handle
+// and completion callback, its received row (a progressive request: its
+// delivered flags instead) and, where it posts one payload to every member,
+// the send row.
 
 import (
 	"runtime"
@@ -38,6 +39,19 @@ func TestWarmCollectiveAllocations(t *testing.T) {
 			buf := make([]int64, 0, 2*p)
 			return func() { buf = c.AlltoallvFlat(parts, buf[:0]) }
 		}},
+		// send row, request, delivered flags: the SpMV expand
+		{"IAllgathervParts", 3, func(c *Comm) func() {
+			data := []int64{int64(c.Rank()), 7}
+			return func() {
+				q := c.IAllgathervParts(data)
+				for {
+					if _, _, ok := q.Next(); !ok {
+						break
+					}
+				}
+				q.Wait()
+			}
+		}},
 		// request, delivered flags
 		{"IAlltoallvParts", 2, func(c *Comm) func() {
 			parts := warmParts(c)
@@ -48,7 +62,7 @@ func TestWarmCollectiveAllocations(t *testing.T) {
 						break
 					}
 				}
-				q.Finish()
+				q.Wait()
 			}
 		}},
 	}

@@ -4,7 +4,7 @@ import "fmt"
 
 // Barrier blocks until every rank of the communicator has entered it.
 func (c *Comm) Barrier() {
-	c.start("barrier", make([][]int64, c.Size()), false, nil).Wait()
+	c.start("barrier", make([][]int64, c.Size()), false, tally{}, nil).Wait()
 }
 
 // fill returns a row that addresses v to every member: the send row of the
@@ -59,27 +59,17 @@ func (c *Comm) AlltoallvFlat(parts [][]int64, buf []int64) []int64 {
 // Gatherv collects every rank's contribution on root, in rank order. Non-root
 // ranks receive nil.
 func (c *Comm) Gatherv(root int, data []int64) [][]int64 {
-	size := c.Size()
-	row := make([][]int64, size)
+	row := make([][]int64, c.Size())
 	row[root] = data
+	t := tally{kind: KindGather, msgs: int32(c.Size() - 1), recv: true}
+	if c.member != root {
+		t = tally{kind: KindGather, msgs: 1, words: int64(len(data)), wordsEnc: c.encWords(data)}
+	}
 	var out [][]int64
-	c.start("gatherv", row, true, func(got [][]int64) {
-		if c.member != root {
-			c.addComm(KindGather, 1, int64(len(data)), c.encWords(data))
-			return
+	c.start("gatherv", row, true, t, func(got [][]int64) {
+		if c.member == root {
+			out = c.copied(got)
 		}
-		out = make([][]int64, size)
-		var words, wordsEnc int64
-		for s, in := range got {
-			if s == root {
-				out[s] = data
-				continue
-			}
-			words += int64(len(in))
-			wordsEnc += c.encWords(in)
-			out[s] = append([]int64(nil), in...)
-		}
-		c.addComm(KindGather, int64(size-1), words, wordsEnc)
 	}).Wait()
 	return out
 }
@@ -87,30 +77,19 @@ func (c *Comm) Gatherv(root int, data []int64) [][]int64 {
 // Scatterv distributes parts[d] from root to rank d and returns each rank's
 // slice. Non-root callers pass nil.
 func (c *Comm) Scatterv(root int, parts [][]int64) []int64 {
-	size := c.Size()
 	row := parts
-	if c.member != root {
-		row = make([][]int64, size)
-	} else if len(parts) != size {
-		panic(fmt.Sprintf("mpi: Scatterv with %d parts on %d ranks", len(parts), size))
+	t := tally{kind: KindScatter, msgs: 1, recv: true}
+	if c.member == root {
+		t = c.scattered("Scatterv", KindScatter, parts)
+	} else {
+		row = make([][]int64, c.Size())
 	}
 	var out []int64
-	c.start("scatterv", row, true, func(got [][]int64) {
-		in := got[root]
-		if c.member == root {
-			var words, wordsEnc int64
-			for d := 0; d < size; d++ {
-				if d != root {
-					words += int64(len(parts[d]))
-					wordsEnc += c.encWords(parts[d])
-				}
-			}
-			c.addComm(KindScatter, int64(size-1), words, wordsEnc)
-			out = in
-			return
+	c.start("scatterv", row, true, t, func(got [][]int64) {
+		out = got[root]
+		if c.member != root {
+			out = append([]int64(nil), out...)
 		}
-		c.addComm(KindScatter, 1, int64(len(in)), c.encWords(in))
-		out = append([]int64(nil), in...)
 	}).Wait()
 	return out
 }
@@ -200,7 +179,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	type memberInfo struct{ key, member int }
 	var members []memberInfo
 	row := c.fill([]int64{int64(color), int64(key)})
-	c.start("split", row, false, func(got [][]int64) {
+	c.start("split", row, false, tally{}, func(got [][]int64) {
 		for s, ck := range got {
 			if int(ck[0]) == color {
 				members = append(members, memberInfo{key: int(ck[1]), member: s})

@@ -199,7 +199,7 @@ func requestProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 			}
 			sum += int64(src+1) * part[0]
 		}
-		preq.Finish()
+		preq.Wait()
 		out = append(out, sum)
 
 		// Digest must be commutative: Next yields parts in arrival order,
@@ -213,7 +213,7 @@ func requestProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 			}
 			mix += (int64(src) + 3) * (part[0]*part[0] + 1)
 		}
-		gp.Finish()
+		gp.Wait()
 		out = append(out, mix)
 
 		rows[c.WorldRank()] = out
@@ -309,7 +309,7 @@ func nilEmptyProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 		}
 		// drain folds a progressive request order-free: Next yields parts
 		// in arrival order.
-		drain := func(pr *mpi.PartsRequest) {
+		drain := func(pr *mpi.Request) {
 			mix := int64(0)
 			for {
 				src, p, ok := pr.Next()
@@ -321,7 +321,7 @@ func nilEmptyProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 					mix += int64(src+3) * x
 				}
 			}
-			pr.Finish()
+			pr.Wait()
 			out = append(out, mix)
 		}
 		parts := make([][]int64, size)
@@ -428,7 +428,7 @@ func TestConformanceWatchdog(t *testing.T) {
 		return nil
 	}
 	cfg := func() mpi.RunConfig {
-		return mpi.RunConfig{WatchdogTimeout: 200 * time.Millisecond, WatchdogPoll: 10 * time.Millisecond}
+		return mpi.RunConfig{WatchdogTimeout: 200 * time.Millisecond}
 	}
 	for _, b := range backends {
 		run := runBackend(t, b, size, cfg, program)

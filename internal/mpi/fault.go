@@ -57,21 +57,21 @@ type FaultPlan struct {
 	// CrashAtCollective-th collective (1-based, counted per rank across
 	// all communicators including Barrier/Split/WinCreate). Zero disables.
 	CrashRank         int
-	CrashAtCollective int
+	CrashAtCollective int // 1-based; zero disables the crash
 
 	// StragglerRank sleeps StragglerDelay (plus seeded jitter up to
 	// StragglerJitter) on entry to every StragglerEvery-th collective
 	// (default every one). Zero delay disables. Stragglers perturb timing
 	// only — results stay bit-identical — and never consume MaxFires.
 	StragglerRank   int
-	StragglerDelay  time.Duration
-	StragglerEvery  int
-	StragglerJitter time.Duration
+	StragglerDelay  time.Duration // zero disables the straggler
+	StragglerEvery  int           // delay every Nth collective; zero means 1
+	StragglerJitter time.Duration // seeded extra delay, up to this much
 
 	// RMAFailRank dies with ErrInjectedRMAFailure on its RMAFailAt-th
 	// one-sided op (1-based, per rank). Zero disables.
 	RMAFailRank int
-	RMAFailAt   int
+	RMAFailAt   int // 1-based; zero disables the failure
 
 	// MaxFires bounds how many terminal faults (crash + RMA) the plan
 	// injects in total, across all worlds sharing it. Zero means 1.
@@ -144,9 +144,9 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// enterCollective is the per-rank gate at the top of every collective entry
-// point (start and the progressive Parts starters). It unwinds the
-// rank if the world has been aborted, then runs fault injection.
+// enterCollective is the per-rank gate at the top of start, every
+// collective's entry point. It unwinds the rank if the world has been
+// aborted, then runs fault injection.
 func (c *Comm) enterCollective(op string) {
 	w := c.st.world
 	if w == nil {

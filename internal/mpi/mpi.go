@@ -11,10 +11,13 @@
 //     the 2D process grid's row and column communicators;
 //   - the bulk-synchronous collectives CombBLAS uses: Barrier, Allgatherv,
 //     Alltoallv, Gatherv, Scatterv, Allreduce;
-//   - split-phase (nonblocking) collectives — IAllgatherv,
-//     IAlltoallv, IAllreduce and the buffer-lending/progressive variants —
-//     returning Request handles with Wait, so callers can overlap
-//     local computation with communication (MPI_Iallgatherv & co.);
+//   - split-phase (nonblocking) collectives, so callers can overlap local
+//     computation with communication (MPI_Iallgatherv & co.): IAllgatherv,
+//     IAlltoallv, IAllreduce and the buffer-lending IAllgathervInto and
+//     IAlltoallvFlat return a Pending result, and the progressive
+//     IAllgathervParts and IAlltoallvParts return the Request itself, whose
+//     Next hands back each source's part as it arrives; every one of them
+//     completes in Request.Wait;
 //   - one-sided RMA windows with Get, Put and FetchAndOp, matching the
 //     MPI_GET / MPI_PUT / MPI_FETCH_AND_OP calls of the paper's path-parallel
 //     augmentation (Algorithm 4);
@@ -55,9 +58,11 @@
 //   - RMA Get/Put/FetchAndOp: 1 message per call plus the words moved;
 //     operations on the caller's own window are local and cost nothing.
 //
-// A split-phase collective meters exactly once, at completion (the first
-// Wait, or Finish for a progressive request), with the same counts as its
-// blocking counterpart — the request layer never double-counts.
+// Every collective, blocking or split-phase, meters exactly once, in the
+// first Request.Wait, by the rule the request was started with — the
+// request layer never double-counts. A progressive request counts the
+// sources it never handed back through Next too, so its counts equal its
+// blocking counterpart's however much of it was read.
 //
 // When the world runs with wire compression (RunConfig.Compress), every
 // metering site additionally records Meter.WordsEnc: the delta-varint
@@ -92,7 +97,7 @@ import (
 // CommKind labels the collective family a transfer belongs to, for the
 // per-kind telemetry that attributes algorithm phases to communication
 // patterns (e.g. INVERT to personalized all-to-all, PRUNE to allgather).
-type CommKind int
+type CommKind uint8
 
 // The collective families.
 const (
@@ -170,11 +175,11 @@ func (m Meter) Max(o Meter) Meter {
 // Total is the wall time requests spent in flight (start to completion,
 // summed over requests; concurrent requests overlap-count by design) and
 // Exposed is the part of that the rank actually spent blocked inside
-// Wait/Next/Finish. Total - Exposed is the latency hidden behind local
+// Wait and Next. Total - Exposed is the latency hidden behind local
 // computation; for fully blocking collectives the two are nearly equal.
 type CommTimes struct {
-	Total   time.Duration
-	Exposed time.Duration
+	Total   time.Duration // requests in flight, start to completion
+	Exposed time.Duration // the part of Total spent blocked
 }
 
 // Add returns the element-wise sum of two ledgers.
@@ -433,6 +438,14 @@ func (st *commState) finishRead(gen int64) {
 // holds st.mu.
 func (st *commState) retired(gen int64) bool {
 	return gen < st.doneLow || st.doneSet[gen]
+}
+
+// label returns the collective that opened generation gen, which must still
+// be in flight: the one name every collective of gen carries.
+func (st *commState) label(gen int64) string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.ops[gen]
 }
 
 // waitConsumed blocks until gen retires in this process. Deadlock-free under

@@ -63,7 +63,7 @@ type NetFaultSpec struct {
 	// observes the closed connection as a PeerDownError. DropAtFrame 0
 	// disables.
 	DropFrom, DropTo int
-	DropAtFrame      int
+	DropAtFrame      int // 1-based; zero disables the drop
 
 	// Partition severs every link between the Partition rank set and its
 	// complement. The cut is enacted deterministically at the lowest rank of
@@ -71,16 +71,16 @@ type NetFaultSpec struct {
 	// cross-cut data frame (1-based), it closes all of its cross-cut links
 	// and aborts with ErrInjectedNetFault. PartitionAtFrame 0 disables.
 	Partition        []int
-	PartitionAtFrame int
+	PartitionAtFrame int // 1-based; zero disables the partition
 
 	// SlowFrom/SlowTo delay every SlowEvery-th data frame (default every
 	// one) on that directed link by SlowDelay plus seeded jitter up to
 	// SlowJitter. Timing only — results stay bit-identical — and never
 	// consumes MaxFires. SlowDelay 0 disables.
 	SlowFrom, SlowTo int
-	SlowDelay        time.Duration
-	SlowEvery        int
-	SlowJitter       time.Duration
+	SlowDelay        time.Duration // zero disables the slow link
+	SlowEvery        int           // delay every Nth frame; zero means 1
+	SlowJitter       time.Duration // seeded extra delay, up to this much
 
 	// MaxFires bounds how many terminal faults (drop + partition) the spec
 	// injects in total, across all worlds sharing it. Zero means 1.

@@ -7,7 +7,7 @@ import (
 )
 
 // SetTracer attaches t as this rank's span tracer: from now on every
-// collective completion, progressive exchange, RMA op and injected fault on
+// collective completion, progressive ones included, RMA op and injected fault on
 // this rank records into t. Each rank goroutine must set (and later read)
 // only its own tracer — the world keeps one slot per rank precisely so no
 // two goroutines ever share one. A nil t turns tracing off for the rank.

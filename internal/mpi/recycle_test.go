@@ -66,7 +66,7 @@ func recycleProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 				}
 				mix += int64(src+1) * digest(p)
 			}
-			ag.Finish()
+			ag.Wait()
 			at := c.IAlltoallvParts(parts())
 			for {
 				src, p, ok := at.Next()
@@ -75,7 +75,7 @@ func recycleProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 				}
 				mix += int64(src+7) * digest(p)
 			}
-			at.Finish()
+			at.Wait()
 			out = append(out, mix)
 
 			root := int(round) % size

@@ -8,8 +8,9 @@ import (
 
 // driveCollectives issues one of every collective family. With split set it
 // routes everything expressible through the request layer (including the
-// progressive Parts variants); otherwise it uses the blocking forms with
-// the same payloads. The two schedules must leave identical meters.
+// progressive Parts variants, one of them waited after a single Next);
+// otherwise it uses the blocking forms with the same payloads. The two
+// schedules must leave identical meters.
 func driveCollectives(c *Comm, split bool) {
 	p := c.Size()
 	data := make([]int64, 8+c.Rank())
@@ -30,16 +31,22 @@ func driveCollectives(c *Comm, split bool) {
 				break
 			}
 		}
-		rq.Finish()
+		rq.Wait()
 		rq = c.IAlltoallvParts(parts)
 		rq.Drain(nil)
-		rq.Finish()
+		rq.Wait()
+		// One source delivered, the rest left to Wait: undelivered
+		// sources are metered like delivered ones.
+		rq = c.IAllgathervParts(data)
+		rq.Next()
+		rq.Wait()
 	} else {
 		c.Allgatherv(data)
 		c.Alltoallv(parts)
 		c.Allreduce(OpSum, int64(c.Rank()))
 		c.Allgatherv(data) // blocking counterpart of the Parts allgather
 		c.Alltoallv(parts) // blocking counterpart of the Parts alltoall
+		c.Allgatherv(data) // blocking counterpart of the partly read allgather
 	}
 	c.Barrier()
 	c.Gatherv(0, data)

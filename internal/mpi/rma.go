@@ -48,7 +48,7 @@ func WinCreate(c *Comm, local []int64) *Win {
 	st.ranks[c.member].mu <- struct{}{}
 	// The rendezvous: an unmetered collective, exactly one collective entry
 	// per member (the fault plane counts it, identically on every backend).
-	c.start("win-create", make([][]int64, c.Size()), false, nil).Wait()
+	c.start("win-create", make([][]int64, c.Size()), false, tally{}, nil).Wait()
 	return &Win{comm: c, st: st}
 }
 

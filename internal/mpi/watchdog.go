@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -53,7 +52,7 @@ func (w *World) abortReason() error {
 // RunTransport contains. On a multi-process backend the abort is propagated
 // to every peer process, which aborts its share of the world the same way.
 // Idempotent — only the first cause is kept. Safe to call from any goroutine
-// (the watchdog, a context watcher, a rank's deferred error handler).
+// (the watchdog, a transport's read loop, a rank's deferred error handler).
 func (w *World) Abort(cause error) {
 	w.abort(cause, true)
 }
@@ -158,11 +157,8 @@ func (w *World) deadlockError(timeout time.Duration) *DeadlockError {
 }
 
 // RunConfig configures a fault-aware SPMD execution. The zero value behaves
-// exactly like plain Run: no fault injection, no watchdog, no cancellation.
+// exactly like plain Run: no fault injection, no watchdog.
 type RunConfig struct {
-	// Context cancels the run: on Done the world aborts with ctx.Err() and
-	// every rank unwinds. Nil means no cancellation.
-	Context context.Context
 	// Faults is the fault injector to attach to the world (nil for none).
 	Faults *FaultPlan
 	// WatchdogTimeout arms the progress watchdog: if no collective posts,
@@ -170,11 +166,9 @@ type RunConfig struct {
 	// with a DeadlockError. It must comfortably exceed the longest
 	// communication-free stretch of the program (local compute between
 	// collectives does not count as progress) and any injected straggler
-	// delay. Zero disables the watchdog.
+	// delay. Zero disables the watchdog. The watchdog samples progress
+	// every WatchdogTimeout/8 (at least 1ms).
 	WatchdogTimeout time.Duration
-	// WatchdogPoll overrides how often the watchdog samples the progress
-	// counter (default WatchdogTimeout/8, at least 1ms).
-	WatchdogPoll time.Duration
 	// Compress enables the delta-varint wire codec for this world: backends
 	// that serialize payloads (tcpnet) encode them on the wire, and every
 	// backend meters the encoded volume as Meter.WordsEnc (see the package
@@ -257,18 +251,7 @@ func RunTransport(cfg RunConfig, tr Transport, fn func(c *Comm) error) (*World, 
 		aux.Add(1)
 		go func() {
 			defer aux.Done()
-			w.watchdog(cfg.WatchdogTimeout, cfg.WatchdogPoll, stop)
-		}()
-	}
-	if cfg.Context != nil {
-		aux.Add(1)
-		go func() {
-			defer aux.Done()
-			select {
-			case <-cfg.Context.Done():
-				w.Abort(cfg.Context.Err())
-			case <-stop:
-			}
+			w.watchdog(cfg.WatchdogTimeout, stop)
 		}()
 	}
 
@@ -318,14 +301,8 @@ func RunTransport(cfg RunConfig, tr Transport, fn func(c *Comm) error) (*World, 
 
 // watchdog samples the world's progress counter until stop closes, aborting
 // with a DeadlockError when it stalls past timeout.
-func (w *World) watchdog(timeout, poll time.Duration, stop <-chan struct{}) {
-	if poll <= 0 {
-		poll = timeout / 8
-	}
-	if poll < time.Millisecond {
-		poll = time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
+func (w *World) watchdog(timeout time.Duration, stop <-chan struct{}) {
+	ticker := time.NewTicker(max(timeout/8, time.Millisecond))
 	defer ticker.Stop()
 	last := w.progress.Load()
 	lastChange := time.Now()

@@ -33,9 +33,6 @@ var epoch = time.Now()
 // process trace epoch.
 func Now() int64 { return int64(time.Since(epoch)) }
 
-// At converts an absolute time to a trace timestamp.
-func At(t time.Time) int64 { return int64(t.Sub(epoch)) }
-
 // Kind types a span. The hierarchy KindSolve > KindPhase > KindIteration >
 // KindOp is properly nested on each rank's compute track; KindCollective
 // and KindRMA live on the rank's communication track because a split-phase

@@ -98,7 +98,7 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 			frontier.Set(lcol, semiring.Vertex{Parent: piece[off+1], Root: piece[off+2]})
 		}
 	}
-	rqF.Finish()
+	rqF.Wait()
 	ctx.PutInts(payload)
 	nvis := 0
 	for {
@@ -109,7 +109,7 @@ func MulPull(a *spmat.LocalMatrix, rowAdj *spmat.CSC, x *dvec.SparseV,
 		skip.SetIndices(piece, a.Rows.Lo)
 		nvis += len(piece)
 	}
-	rqV.Finish()
+	rqV.Wait()
 	ctx.PutInts(mine)
 	// The dense visited/frontier bitmaps are scanned with packed bitwise
 	// operations: 64 entries per word.

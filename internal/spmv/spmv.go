@@ -108,7 +108,7 @@ func Mul(a *spmat.LocalMatrix, x *dvec.SparseV, op semiring.AddOp, outL dvec.Lay
 			work += int64(multiplyRange(a, piece, 0, n, sc, op))
 		}
 	}
-	rq.Finish()
+	rq.Wait()
 	ctx.PutInts(payload)
 	g.World.AddWork(int(work))
 	mergeShards(pool, shards[:used], op, a.Rows.Len())
