@@ -21,11 +21,13 @@ examples:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
-# Vet the module and the benchmark's separate module (./... stops at
+# Vet the module, the faultsoak-tagged soak tests (which plain builds never
+# compile) and the benchmark's separate module (./... stops at
 # benchmark/go.mod), then fail if any file is not gofmt-clean (CI's lint
 # job runs this).
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags faultsoak ./internal/mpi/ ./internal/mpi/tcpnet/
 	cd benchmark && $(GO) vet .
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 

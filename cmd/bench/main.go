@@ -5,9 +5,7 @@
 // Usage:
 //
 //	bench -exp table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|augment|enginesweep|...|all
-//	      [-scale N] [-matrix NAME] [solver flags: -procs P -threads T
-//	      -engine E -init I -semiring S -augment A -direction push|pull|auto
-//	      -compress -no-prune -no-permute -seed N]
+//	      [-scale N] [-matrix NAME] [-procs P] [-threads T]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Scaling figures report times from the alpha-beta cost model (see
@@ -15,10 +13,11 @@
 // calls for it (fig7); EXPERIMENTS.md compares their shapes against the
 // paper's. Larger -scale values sharpen the shapes but take longer.
 //
-// The solver flags are core.BindFlags's: the paper's experiments take its
-// rank count, thread count and overlap switch and fix the options they
-// sweep. -cpuprofile and -memprofile write pprof profiles covering the
-// experiment runs.
+// The experiments take only the rank count (-procs, a perfect square) and
+// the thread count (-threads) from the command line; every other solver
+// option is fixed per experiment, or is the option it sweeps.
+// -cpuprofile and -memprofile write pprof profiles covering the experiment
+// runs.
 //
 // Measuring a single solve is not this command's job: the repo benchmark
 // (benchmark/README.md) times solves end to end and layer by layer, and
@@ -37,8 +36,9 @@ import (
 )
 
 func main() {
-	cfg := core.Config{Procs: 16, Threads: 12, Init: core.InitDynMinDegree, Permute: true, Seed: 9}
-	core.BindFlags(flag.CommandLine, &cfg)
+	cfg := core.Config{Procs: 16, Threads: 12}
+	flag.IntVar(&cfg.Procs, "procs", cfg.Procs, "simulated ranks (perfect square)")
+	flag.IntVar(&cfg.Threads, "threads", cfg.Threads, "worker threads per rank (divides the modeled work term)")
 	exp := flag.String("exp", "all", "experiment to run: table2, fig3..fig9, augment, direction, dirsweep, enginesweep, gridshape, graft, quality, balance, ssms, treebalance, dynamics, all")
 	scale := flag.Int("scale", 12, "matrix scale (~2^scale vertices per side)")
 	matrix := flag.String("matrix", "road_usa", "matrix -exp enginesweep runs on: a Table II stand-in name or g500/er/ssca (RMAT)")
@@ -52,8 +52,9 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fail(err)
 	}
-	// The experiments divide by the thread count; 0 means 1, as in the solver.
-	cfg.Threads = max(cfg.Threads, 1)
+	// The experiments divide by the thread count and take the square root
+	// of the rank count; 0 means 1 for both, as in the solver.
+	cfg.Procs, cfg.Threads = max(cfg.Procs, 1), max(cfg.Threads, 1)
 	if err := experiments.CheckMatrix(*matrix); err != nil {
 		fail(err)
 	}

@@ -9,6 +9,11 @@
 // like mcm does, which is how the transport smoke test cross-checks the
 // backends.
 //
+// The chaos flags (-slow-to, -drop-to) give the worker a fault plan
+// (mpi.FaultPlan) with link faults on its own outbound links. Every
+// generation the worker joins runs under that one plan, so a drop fires
+// once across the generations of a recoverable job.
+//
 // Example (one coordinator plus three workers, any order):
 //
 //	mcm -rmat g500 -scale 10 -procs 4 -transport tcp -addr 127.0.0.1:9301 &
@@ -52,27 +57,26 @@ func main() {
 		}
 	}
 
-	opts := tcpnet.Options{DialTimeout: *timeout}
-	// The chaos flags attach the deterministic network fault injector to this
-	// worker's endpoint — scripts/chaos_smoke.sh uses the slow link to keep a
-	// solve running long enough to SIGKILL this process mid-flight, and the
-	// drop to reproduce a link failure at an exact frame.
+	// The chaos flags build this worker's fault plan, which every
+	// generation's world runs under — scripts/chaos_smoke.sh uses the slow
+	// link to keep a solve running long enough to SIGKILL this process
+	// mid-flight, and the drop to reproduce a link failure at an exact frame.
+	var faults *mpi.FaultPlan
 	if *slowTo >= 0 || *dropTo >= 0 {
-		f := &mpi.NetFaultSpec{}
+		faults = &mpi.FaultPlan{}
 		if *slowTo >= 0 {
-			f.SlowFrom, f.SlowTo, f.SlowDelay = *rank, *slowTo, *slowDelay
+			faults.SlowFrom, faults.SlowTo, faults.SlowDelay = *rank, *slowTo, *slowDelay
 		}
 		if *dropTo >= 0 {
-			f.DropFrom, f.DropTo, f.DropAtFrame = *rank, *dropTo, *dropAt
+			faults.DropFrom, faults.DropTo, faults.DropAtFrame = *rank, *dropTo, *dropAt
 		}
-		opts.Faults = f
 	}
 
 	say("joining %s", *addr)
 	// WorkLoop behaves exactly like a single join-and-solve for ordinary
 	// jobs; when the coordinator runs with -recover it also rejoins each
 	// restarted generation until one completes (see internal/distjob).
-	res, err := distjob.WorkLoop(*addr, *rank, opts, say)
+	res, err := distjob.WorkLoop(*addr, *rank, tcpnet.Options{DialTimeout: *timeout}, faults, say)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,7 +48,6 @@ var deadExportAllowlist = map[string]string{
 	"mcmdist/internal/core.Ops":                 "per-op meter table pinned by the golden trajectory test",
 	"mcmdist/internal/mpi.Comm.World":           "reaches a rank's world for the per-kind meter oracle of the core tests",
 	"mcmdist/internal/mpi.FaultPlan.Fired":      "cross-package test oracle of the fault plane",
-	"mcmdist/internal/mpi.NetFaultSpec.Fired":   "cross-package test oracle of the network fault plane",
 	"mcmdist/internal/mpi.World.RankKindMeter":  "cross-package test oracle of the per-kind meters",
 	"mcmdist/internal/mpi.World.TotalMeter":     "cross-package test oracle of the world meter",
 	"mcmdist/internal/mpi/tcpnet.Net.WireStats": "wire-accounting oracle of the tcpnet tests",

@@ -163,9 +163,10 @@ type Config struct {
 	// default) records nothing and keeps the hot path at its untraced cost.
 	Obs *obs.Collector `json:"-"`
 
-	// Fault attaches a deterministic fault injector to the run's simulated
-	// world (crash at the Nth collective, straggler latency, RMA failure);
-	// nil injects nothing. See mpi.FaultPlan.
+	// Fault attaches a deterministic fault injector to the run's world
+	// (crash at the Nth collective, straggler latency, RMA failure, and on
+	// the tcp backend a dropped, cut or slow link); nil injects nothing.
+	// It is the one way a plan reaches a world. See mpi.FaultPlan.
 	Fault *mpi.FaultPlan `json:"-"`
 	// WatchdogTimeout arms the runtime's progress watchdog: a run making no
 	// communication progress for this long is aborted with an

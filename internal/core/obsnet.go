@@ -41,7 +41,7 @@ func obsMeterPoints(m mpi.Meter) []obs.MeterPoint {
 // rank recorded here — the loopback shape shares one collector), and sets
 // the payload provider that ShipObs (or the BYE-drain fallback in Close)
 // renders and the heartbeat RTT observer feeding one histogram per directed
-// link — which is what makes NetFaultSpec slow-link injection visible on
+// link — which is what makes a FaultPlan slow link visible on
 // the metrics endpoint. The last two are no-ops on backends without the
 // optional capabilities (the in-process oracle needs neither).
 func obsAttach(tr mpi.Transport, col *obs.Collector) {

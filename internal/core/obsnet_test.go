@@ -155,11 +155,10 @@ func TestObsCollectionTCPBitIdentity(t *testing.T) {
 func TestHeartbeatRTTSlowLinkVisibility(t *testing.T) {
 	const procs = 4
 	const slow = 2 * time.Millisecond
-	_, cols := solveLoopbackCollected(t, procs, Config{Procs: procs, Seed: 3}, tcpnet.Options{
+	_, cols := solveLoopbackCollected(t, procs, Config{Procs: procs, Seed: 3, Fault: &mpi.FaultPlan{
+		Seed: 9, SlowFrom: 0, SlowTo: 1, SlowDelay: slow, SlowEvery: 1,
+	}}, tcpnet.Options{
 		HeartbeatInterval: 3 * time.Millisecond,
-		Faults: &mpi.NetFaultSpec{
-			Seed: 9, SlowFrom: 0, SlowTo: 1, SlowDelay: slow, SlowEvery: 1,
-		},
 	})
 	coord := cols[0]
 

@@ -23,41 +23,40 @@ import (
 )
 
 // tcpWorlds returns a Worlds provider building one loopback TCP world per
-// attempt, every endpoint sharing the one fault spec — the same sharing
-// SolveRecoverable's public wiring uses, so the terminal budget spans
-// attempts.
-func tcpWorlds(procs int, f *mpi.NetFaultSpec) func(int, *Checkpoint) ([]mpi.Transport, error) {
+// attempt — the same worlds SolveRecoverable's public wiring builds. The
+// fault plan rides Config.Fault, which every endpoint's world shares, so the
+// terminal budget spans attempts.
+func tcpWorlds(procs int) func(int, *Checkpoint) ([]mpi.Transport, error) {
 	return func(int, *Checkpoint) ([]mpi.Transport, error) {
-		return tcpnet.LoopbackOpts(procs, nil, tcpnet.Options{Faults: f})
+		return tcpnet.Loopback(procs)
 	}
 }
 
-// netFaultCases is the network fault matrix: for each case a fresh injector,
-// whether it is terminal (must cost exactly one retry) and an optional
-// process-fault plan to cross with it.
+// netFaultCases is the network fault matrix: for each case a fresh plan
+// (link faults, rank faults or both crossed) and whether it is terminal
+// (must cost exactly one retry).
 type netFaultCase struct {
-	net      func() *mpi.NetFaultSpec
-	fault    func() *mpi.FaultPlan
+	plan     func() *mpi.FaultPlan
 	terminal bool
 }
 
 func netFaultCases() map[string]netFaultCase {
 	return map[string]netFaultCase{
 		"drop": {
-			net: func() *mpi.NetFaultSpec {
-				return &mpi.NetFaultSpec{DropFrom: 0, DropTo: 1, DropAtFrame: 4}
+			plan: func() *mpi.FaultPlan {
+				return &mpi.FaultPlan{DropFrom: 0, DropTo: 1, DropAtFrame: 4}
 			},
 			terminal: true,
 		},
 		"partition": {
-			net: func() *mpi.NetFaultSpec {
-				return &mpi.NetFaultSpec{Partition: []int{0, 1}, PartitionAtFrame: 3}
+			plan: func() *mpi.FaultPlan {
+				return &mpi.FaultPlan{Partition: []int{0, 1}, PartitionAtFrame: 3}
 			},
 			terminal: true,
 		},
 		"slow": {
-			net: func() *mpi.NetFaultSpec {
-				return &mpi.NetFaultSpec{
+			plan: func() *mpi.FaultPlan {
+				return &mpi.FaultPlan{
 					Seed: 5, SlowFrom: 0, SlowTo: 1,
 					SlowDelay: 100 * time.Microsecond, SlowEvery: 2, SlowJitter: 50 * time.Microsecond,
 				}
@@ -68,13 +67,13 @@ func netFaultCases() map[string]netFaultCase {
 			// A process fault observed through the socket plane: rank 1's
 			// goroutine dies mid-collective and its peers see genuine link
 			// death, not an injected wire fault.
-			fault: func() *mpi.FaultPlan {
+			plan: func() *mpi.FaultPlan {
 				return &mpi.FaultPlan{CrashRank: 1, CrashAtCollective: 6}
 			},
 			terminal: true,
 		},
 		"straggler-over-tcp": {
-			fault: func() *mpi.FaultPlan {
+			plan: func() *mpi.FaultPlan {
 				return &mpi.FaultPlan{
 					Seed: 1, StragglerRank: 2,
 					StragglerDelay: 100 * time.Microsecond, StragglerEvery: 3,
@@ -85,11 +84,9 @@ func netFaultCases() map[string]netFaultCase {
 		"drop-and-straggler": {
 			// Crossed axes: a timing perturbation on one rank while a link
 			// drops — recovery must still converge to the clean matching.
-			net: func() *mpi.NetFaultSpec {
-				return &mpi.NetFaultSpec{DropFrom: 1, DropTo: 0, DropAtFrame: 5}
-			},
-			fault: func() *mpi.FaultPlan {
+			plan: func() *mpi.FaultPlan {
 				return &mpi.FaultPlan{
+					DropFrom: 1, DropTo: 0, DropAtFrame: 5,
 					Seed: 2, StragglerRank: 3,
 					StragglerDelay: 50 * time.Microsecond, StragglerEvery: 4,
 				}
@@ -110,19 +107,12 @@ func TestRecoverableNetFaultMatrix(t *testing.T) {
 	clean := mustSolve(t, a, base)
 	for name, tc := range netFaultCases() {
 		t.Run(name, func(t *testing.T) {
-			var nf *mpi.NetFaultSpec
-			if tc.net != nil {
-				nf = tc.net()
-			}
-			var plan *mpi.FaultPlan
+			plan := tc.plan()
 			cfg := base
-			if tc.fault != nil {
-				plan = tc.fault()
-				cfg.Fault = plan
-			}
+			cfg.Fault = plan
 			pol := RecoveryPolicy{
 				Backoff: time.Millisecond, MaxBackoff: time.Millisecond,
-				Worlds: tcpWorlds(4, nf),
+				Worlds: tcpWorlds(4),
 			}
 			res, rec, err := SolveRecoverable(a, cfg, pol)
 			if err != nil {
@@ -144,13 +134,7 @@ func TestRecoverableNetFaultMatrix(t *testing.T) {
 					t.Fatalf("MateC[%d] = %d, clean %d", j, res.Matching.MateC[j], clean.Matching.MateC[j])
 				}
 			}
-			fired := 0
-			if nf != nil {
-				fired += nf.Fired()
-			}
-			if plan != nil {
-				fired += plan.Fired()
-			}
+			fired := plan.Fired()
 			if tc.terminal {
 				if fired != 1 {
 					t.Fatalf("terminal case fired %d faults, want exactly 1", fired)
@@ -170,6 +154,42 @@ func TestRecoverableNetFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestRecoverableOnePlanOneBudget pins the merged plan's budget: one plan
+// arms a rank crash and a link drop on loopback tcp, and with MaxFires 1
+// they share one terminal fault between them. The crash fires first (rank 1
+// never finishes its second collective, so the first world cannot ship the
+// drop's fourth frame on 0->1); the retry starts before any checkpoint and
+// ships that frame, and must still run clean — a separate link budget would
+// drop it and cost a second retry.
+func TestRecoverableOnePlanOneBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	a := randomBipartite(rng, 60, 60, 140)
+	clean := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy})
+	plan := &mpi.FaultPlan{
+		CrashRank: 1, CrashAtCollective: 2,
+		DropFrom: 0, DropTo: 1, DropAtFrame: 4,
+		MaxFires: 1,
+	}
+	cfg := Config{Procs: 4, Init: InitGreedy, CheckpointEvery: 1, Fault: plan}
+	pol := RecoveryPolicy{
+		Backoff: time.Millisecond, MaxBackoff: time.Millisecond,
+		Worlds: tcpWorlds(4),
+	}
+	res, rec, err := SolveRecoverable(a, cfg, pol)
+	if err != nil {
+		t.Fatalf("recoverable solve failed: %v (recovery %+v)", err, rec)
+	}
+	if got := plan.Fired(); got != 1 {
+		t.Fatalf("plan fired %d faults, want exactly 1", got)
+	}
+	if rec.Retries != 1 {
+		t.Fatalf("retries %d, want 1 (errors %v)", rec.Retries, rec.Errors)
+	}
+	if !slices.Equal(res.Matching.MateR, clean.Matching.MateR) || !slices.Equal(res.Matching.MateC, clean.Matching.MateC) {
+		t.Fatal("recovered mates differ from the clean solve")
+	}
+}
+
 // TestRecoverableFlightRecorder pins the crash flight recorder on a world
 // no supervisor runs: a loopback TCP attempt killed by a dropped link
 // leaves one decodable generation-0 dump per endpoint, the recovery stats
@@ -179,11 +199,12 @@ func TestRecoverableFlightRecorder(t *testing.T) {
 	a := randomBipartite(rng, 60, 60, 140)
 	dir := t.TempDir()
 	cfg := Config{Procs: 4, Init: InitGreedy, CheckpointEvery: 1, FlightDir: dir,
-		Obs: obs.NewCollector(4, obs.Options{Spans: true})}
+		Obs:   obs.NewCollector(4, obs.Options{Spans: true}),
+		Fault: &mpi.FaultPlan{DropFrom: 0, DropTo: 1, DropAtFrame: 4}}
 	clean := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy})
 	pol := RecoveryPolicy{
 		Backoff: time.Millisecond, MaxBackoff: time.Millisecond,
-		Worlds: tcpWorlds(4, &mpi.NetFaultSpec{DropFrom: 0, DropTo: 1, DropAtFrame: 4}),
+		Worlds: tcpWorlds(4),
 	}
 	res, rec, err := SolveRecoverable(a, cfg, pol)
 	if err != nil {
@@ -222,11 +243,11 @@ func TestRecoverableNetFaultDeterministicErrors(t *testing.T) {
 	a := randomBipartite(rng, 50, 50, 120)
 	texts := make([]string, 2)
 	for run := range texts {
-		f := &mpi.NetFaultSpec{DropFrom: 0, DropTo: 1, DropAtFrame: 4}
-		cfg := Config{Procs: 4, Init: InitGreedy, CheckpointEvery: 1}
+		f := &mpi.FaultPlan{DropFrom: 0, DropTo: 1, DropAtFrame: 4}
+		cfg := Config{Procs: 4, Init: InitGreedy, CheckpointEvery: 1, Fault: f}
 		pol := RecoveryPolicy{
 			Backoff: time.Millisecond, MaxBackoff: time.Millisecond,
-			Worlds: tcpWorlds(4, f),
+			Worlds: tcpWorlds(4),
 		}
 		_, rec, err := SolveRecoverable(a, cfg, pol)
 		if err != nil {

@@ -88,7 +88,11 @@ func Supervise(rv *tcpnet.Rendezvous, spec *Spec, pol core.RecoveryPolicy) (*cor
 // failed world and re-listens; a Join failure after the retry window means
 // the coordinator is gone (it finished, gave up, or died), and its error
 // surfaces alongside the generation's.
-func WorkLoop(addr string, rank int, opts tcpnet.Options, logf func(format string, args ...any)) (*core.Result, error) {
+//
+// faults is this worker's fault plan (nil for none). It is set on every
+// generation's spec, so its budget spans the generations: a fault that
+// fired in one does not fire again in the next.
+func WorkLoop(addr string, rank int, opts tcpnet.Options, faults *mpi.FaultPlan, logf func(format string, args ...any)) (*core.Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -105,6 +109,7 @@ func WorkLoop(addr string, rank int, opts tcpnet.Options, logf func(format strin
 		if spec.Generation > 0 {
 			logf("rejoined as generation %d", spec.Generation)
 		}
+		spec.Fault = faults
 		a, err := spec.BuildMatrix()
 		if err != nil {
 			n.Close()

@@ -62,7 +62,7 @@ func TestSuperviseRecoversFromDroppedLink(t *testing.T) {
 	// One injector for the faulty worker, shared across its rejoins: the
 	// MaxFires budget (default 1) makes generation 0 fault and generation 1
 	// run clean.
-	fault := &mpi.NetFaultSpec{DropFrom: 1, DropTo: 2, DropAtFrame: 3}
+	fault := &mpi.FaultPlan{DropFrom: 1, DropTo: 2, DropAtFrame: 3}
 
 	rv := listen(t, tcpnet.Options{})
 	addr := rv.Addr()
@@ -87,11 +87,11 @@ func TestSuperviseRecoversFromDroppedLink(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			opts := tcpnet.Options{}
+			var f *mpi.FaultPlan
 			if rank == 1 {
-				opts.Faults = fault
+				f = fault
 			}
-			workerRes[rank], workerErr[rank] = WorkLoop(addr, rank, opts, t.Logf)
+			workerRes[rank], workerErr[rank] = WorkLoop(addr, rank, tcpnet.Options{}, f, t.Logf)
 		}(rank)
 	}
 	wg.Wait()
@@ -160,7 +160,7 @@ func TestSuperviseCleanRunNoRestart(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			workerRes[rank], workerErr[rank] = WorkLoop(addr, rank, tcpnet.Options{}, nil)
+			workerRes[rank], workerErr[rank] = WorkLoop(addr, rank, tcpnet.Options{}, nil, nil)
 		}(rank)
 	}
 	wg.Wait()
@@ -202,7 +202,7 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 			ObsSpans: true, ObsSeries: true, ObsMetrics: true,
 		}
 	}
-	fault := &mpi.NetFaultSpec{DropFrom: 1, DropTo: 2, DropAtFrame: 3}
+	fault := &mpi.FaultPlan{DropFrom: 1, DropTo: 2, DropAtFrame: 3}
 
 	rv := listen(t, tcpnet.Options{})
 	addr := rv.Addr()
@@ -223,11 +223,11 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			opts := tcpnet.Options{}
+			var f *mpi.FaultPlan
 			if rank == 1 {
-				opts.Faults = fault
+				f = fault
 			}
-			WorkLoop(addr, rank, opts, t.Logf)
+			WorkLoop(addr, rank, tcpnet.Options{}, f, t.Logf)
 		}(rank)
 	}
 	wg.Wait()

@@ -9,6 +9,7 @@ import (
 	"mcmdist/internal/core"
 	"mcmdist/internal/costmodel"
 	"mcmdist/internal/dvec"
+	"mcmdist/internal/grid"
 	"mcmdist/internal/matching"
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/rmat"
@@ -259,14 +260,11 @@ func Fig7(w io.Writer, cfg core.Config, scale int, coreBudgets []int) []Fig7Row 
 	return rows
 }
 
+// nearestSquare is the largest perfect square of at most p ranks, and at
+// least 1: Fig. 7 divides a core budget by the thread count, which can
+// leave less than one rank.
 func nearestSquare(p int) int {
-	if p < 1 {
-		return 1
-	}
-	s := 1
-	for (s+1)*(s+1) <= p {
-		s++
-	}
+	s := max(grid.Square(p), 1)
 	return s * s
 }
 
@@ -449,7 +447,7 @@ func ladderForest(k, pathLen int) (*spmat.CSC, *matching.Matching) {
 // the given matching and returns the modeled seconds attributed to the
 // augment category.
 func runAugmentOnly(cfg core.Config, a *spmat.CSC, init *matching.Matching, mode core.AugmentMode) float64 {
-	side := nearestSquareSide(cfg.Procs)
+	side := grid.Square(cfg.Procs)
 	blocks := spmat.DistributeRanks(a, side, side, nil)
 	res, err := core.SolveBlocks(nil, side, side, a.NRows, a.NCols, blocks,
 		core.Config{Procs: side * side, Augment: mode}, nil, func(s *core.Solver) (mater, matec *dvec.Dense, err error) {
@@ -461,14 +459,6 @@ func runAugmentOnly(cfg core.Config, a *spmat.CSC, init *matching.Matching, mode
 		panic(err)
 	}
 	return costmodel.Edison.Time(res.Stats.Meter[core.OpAugment], cfg.Threads)
-}
-
-func nearestSquareSide(p int) int {
-	s := 1
-	for (s+1)*(s+1) <= p {
-		s++
-	}
-	return s
 }
 
 // DirectionRow is one matrix's direction-optimization ablation.
@@ -655,7 +645,7 @@ func SingleVsMultiSource(w io.Writer, cfg core.Config, scale int, names []string
 	if names == nil {
 		names = []string{"road_usa", "amazon-2008"}
 	}
-	side := nearestSquareSide(cfg.Procs)
+	side := grid.Square(cfg.Procs)
 	var rows []SSMSRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)

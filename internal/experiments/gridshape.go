@@ -29,10 +29,7 @@ type GridShapeRow struct {
 // n/sqrt(p) while either 1D shape moves O(n) per rank.
 func GridShapeAblation(w io.Writer, scale, procs int) []GridShapeRow {
 	a := rmat.MustGenerate(rmat.ER, scale, 8, 33)
-	side := 1
-	for (side+1)*(side+1) <= procs {
-		side++
-	}
+	side := grid.Square(procs)
 	procs = side * side
 	shapes := [][2]int{{1, procs}, {procs, 1}, {side, side}}
 

@@ -7,6 +7,7 @@ import (
 	"mcmdist/internal/core"
 	"mcmdist/internal/dvec"
 	"mcmdist/internal/gen"
+	"mcmdist/internal/grid"
 	"mcmdist/internal/matching"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmat"
@@ -115,7 +116,7 @@ func TreeBalance(w io.Writer, scale, procs int, names []string) []TreeBalanceRow
 	if names == nil {
 		names = []string{"ljournal-2008", "cage15"}
 	}
-	side := nearestSquareSide(procs)
+	side := grid.Square(procs)
 	var rows []TreeBalanceRow
 	for _, name := range names {
 		a := suiteMatrix(name, scale)

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -38,19 +39,29 @@ func (e *RankError) Error() string {
 // Unwrap returns the underlying cause for errors.Is / errors.As.
 func (e *RankError) Unwrap() error { return e.Err }
 
-// FaultPlan is a deterministic, seeded fault injector configured per Run.
-// The zero value injects nothing. Faults trigger at fixed points in each
-// rank's own operation stream (its Nth collective entry, Nth RMA op), so a
-// given plan reproduces the same failure on every execution of the same
-// program — faults are part of the simulation, not noise.
+// FaultPlan is the deterministic, seeded fault injector of a world: rank
+// faults (crash, straggler, RMA failure) and, on backends with a wire, link
+// faults (drop, partition, slow link). The zero value injects nothing. It is
+// attached once, through RunConfig.Faults, and a multi-process backend reads
+// it from its bound world (World.Faults). Faults trigger at fixed points in
+// each rank's own operation stream — its Nth collective entry, its Nth RMA
+// op, the Nth data frame it ships on a link — so a given plan reproduces the
+// same failure on every execution of the same program: faults are part of
+// the simulation, not noise.
 //
-// Terminal faults (crash, RMA failure) draw from a shared budget of MaxFires
-// (default 1). The budget spans every world the plan is attached to, which
-// is what makes checkpoint/restart testable: the first attempt faults, the
-// budget is exhausted, and the retry runs clean.
+// Only data frames the rank's own goroutine initiates (POSTs and RMA
+// requests) count toward the link triggers; reactive traffic (RMA
+// responses) and control traffic (heartbeats, aborts, byes, bootstrap) is
+// exempt, because its interleaving is timer- or peer-driven and counting it
+// would make the trigger point racy.
+//
+// Terminal faults (crash, RMA failure, drop, partition) draw from one
+// shared budget of MaxFires (default 1). The budget spans every world the
+// plan is attached to, which is what makes checkpoint/restart testable: the
+// first attempt faults, the budget is exhausted, and the retry runs clean.
 type FaultPlan struct {
-	// Seed drives the straggler jitter; unrelated plans with different
-	// seeds delay differently, same seed reproduces exactly.
+	// Seed drives the straggler and slow-link jitter; unrelated plans with
+	// different seeds delay differently, same seed reproduces exactly.
 	Seed int64
 
 	// CrashRank dies with ErrInjectedCrash upon entering its
@@ -73,8 +84,33 @@ type FaultPlan struct {
 	RMAFailRank int
 	RMAFailAt   int // 1-based; zero disables the failure
 
-	// MaxFires bounds how many terminal faults (crash + RMA) the plan
-	// injects in total, across all worlds sharing it. Zero means 1.
+	// DropFrom/DropTo sever that directed link when the sender is about to
+	// ship its DropAtFrame-th data frame on it (1-based). The sender's world
+	// aborts with ErrInjectedNetFault naming the link and frame; the receiver
+	// observes the closed connection as a PeerDownError.
+	DropFrom, DropTo int
+	DropAtFrame      int // 1-based; zero disables the drop
+
+	// Partition severs every link between the Partition rank set and its
+	// complement. The cut is enacted deterministically at the lowest rank of
+	// the set: when that sender is about to ship its PartitionAtFrame-th
+	// cross-cut data frame (1-based), it closes all of its cross-cut links
+	// and aborts with ErrInjectedNetFault.
+	Partition        []int
+	PartitionAtFrame int // 1-based; zero disables the partition
+
+	// SlowFrom/SlowTo delay every SlowEvery-th data frame (default every
+	// one) on that directed link by SlowDelay plus seeded jitter up to
+	// SlowJitter. Timing only — results stay bit-identical — and never
+	// consumes MaxFires.
+	SlowFrom, SlowTo int
+	SlowDelay        time.Duration // zero disables the slow link
+	SlowEvery        int           // delay every Nth frame; zero means 1
+	SlowJitter       time.Duration // seeded extra delay, up to this much
+
+	// MaxFires bounds how many terminal faults (crash, RMA failure, drop,
+	// partition) the plan injects in total, across all worlds sharing it.
+	// Zero means 1.
 	MaxFires int
 
 	fired atomic.Int64
@@ -101,6 +137,15 @@ func (f *FaultPlan) fire() bool {
 	}
 }
 
+// seededDelay is base plus seeded jitter below jitter (none when jitter is
+// not positive); key is what the delay belongs to, mixed with the seed.
+func (f *FaultPlan) seededDelay(base, jitter time.Duration, key uint64) time.Duration {
+	if jitter > 0 {
+		base += time.Duration(splitmix64(uint64(f.Seed)^key) % uint64(jitter))
+	}
+	return base
+}
+
 // onCollective runs the fault checks for one rank entering its n-th
 // collective (n is 1-based). It panics with a *RankError for a crash; the
 // panic is contained by RunTransport. Fired faults leave an instant on the
@@ -117,10 +162,7 @@ func (f *FaultPlan) onCollective(rank int, op string, n int64, tr *obs.Tracer) {
 			every = 1
 		}
 		if n%int64(every) == 0 {
-			d := f.StragglerDelay
-			if f.StragglerJitter > 0 {
-				d += time.Duration(splitmix64(uint64(f.Seed)^uint64(rank)<<40^uint64(n)) % uint64(f.StragglerJitter))
-			}
+			d := f.seededDelay(f.StragglerDelay, f.StragglerJitter, uint64(rank)<<40^uint64(n))
 			tr.Instant("fault.straggler", int64(d))
 			time.Sleep(d)
 		}
@@ -135,8 +177,60 @@ func (f *FaultPlan) onRMA(rank int, op string, n int64, tr *obs.Tracer) {
 	}
 }
 
+// DropsLink reports whether the sender's n-th data frame on the directed
+// link from→to severs it, consuming budget when it does.
+func (f *FaultPlan) DropsLink(from, to int, n int64) bool {
+	return f.DropAtFrame > 0 && from == f.DropFrom && to == f.DropTo &&
+		n == int64(f.DropAtFrame) && f.fire()
+}
+
+// PartitionSender returns the rank that enacts the partition cut (the lowest
+// rank of the set), or -1 when no partition is configured.
+func (f *FaultPlan) PartitionSender() int {
+	if f.PartitionAtFrame <= 0 || len(f.Partition) == 0 {
+		return -1
+	}
+	return slices.Min(f.Partition)
+}
+
+// InPartition reports whether rank is in the configured partition set.
+func (f *FaultPlan) InPartition(rank int) bool { return slices.Contains(f.Partition, rank) }
+
+// CrossesCut reports whether the directed link from→to crosses the
+// partition cut.
+func (f *FaultPlan) CrossesCut(from, to int) bool {
+	if len(f.Partition) == 0 {
+		return false
+	}
+	return f.InPartition(from) != f.InPartition(to)
+}
+
+// DropsCut reports whether the enacting sender's n-th cross-cut data frame
+// triggers the partition, consuming budget when it does. Callers must only
+// count cross-cut frames at PartitionSender().
+func (f *FaultPlan) DropsCut(n int64) bool {
+	return f.PartitionAtFrame > 0 && n == int64(f.PartitionAtFrame) && f.fire()
+}
+
+// Delay returns the injected latency for the sender's n-th data frame on
+// the directed link from→to (zero for none). Deterministic in (plan, link,
+// n); never consumes budget.
+func (f *FaultPlan) Delay(from, to int, n int64) time.Duration {
+	if f.SlowDelay <= 0 || from != f.SlowFrom || to != f.SlowTo {
+		return 0
+	}
+	every := f.SlowEvery
+	if every <= 0 {
+		every = 1
+	}
+	if n%int64(every) != 0 {
+		return 0
+	}
+	return f.seededDelay(f.SlowDelay, f.SlowJitter, uint64(from)<<40^uint64(to)<<20^uint64(n))
+}
+
 // splitmix64 is the SplitMix64 mixer, used to derive deterministic straggler
-// jitter from (seed, rank, op index).
+// and slow-link jitter from the seed and the rank or link and op index.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -532,6 +532,10 @@ func (c *Comm) rawEnc(words int64) int64 {
 // when metering WordsEnc.
 func (w *World) Compress() bool { return w.compress }
 
+// Faults returns the fault plan attached to this world (RunConfig.Faults;
+// nil for none): the tcp backend reads its link faults from it.
+func (w *World) Faults() *FaultPlan { return w.faults }
+
 func (c *Comm) addCommTimes(total, exposed time.Duration) {
 	cell := &c.st.world.meters[c.worldRank]
 	cell.commNs.Add(int64(total))

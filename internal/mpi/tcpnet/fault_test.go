@@ -3,7 +3,7 @@ package tcpnet_test
 // Network fault-injection tests: the deterministic wire-level failures
 // (dropped link, partition, slow link) that the recovery plane is tested
 // against. The key property pinned here is reproducibility — the same
-// NetFaultSpec fails the same world at the same frame with the same error
+// FaultPlan fails the same world at the same frame with the same error
 // text on every run — because that is what makes recovery tests debuggable
 // and the failure matrix in internal/core meaningful.
 
@@ -18,18 +18,19 @@ import (
 	"mcmdist/internal/mpi/tcpnet"
 )
 
-// runFaulted executes exchange over a size-rank loopback world under opts
-// (typically carrying a fault injector) and returns each endpoint's
-// RunTransport error. Faulted worlds end dirty, so Close errors are ignored.
-func runFaulted(t *testing.T, size int, opts tcpnet.Options) []error {
+// runFaulted executes exchange over a size-rank loopback world under the
+// fault plan f (shared by every endpoint's world) and returns each
+// endpoint's RunTransport error. Faulted worlds end dirty, so Close errors
+// are ignored.
+func runFaulted(t *testing.T, size int, f *mpi.FaultPlan) []error {
 	t.Helper()
-	return runFaultedProgram(t, size, opts, exchange)
+	return runFaultedProgram(t, size, f, exchange)
 }
 
 // runFaultedProgram is runFaulted with an explicit per-rank program.
-func runFaultedProgram(t *testing.T, size int, opts tcpnet.Options, program func(*mpi.Comm) error) []error {
+func runFaultedProgram(t *testing.T, size int, f *mpi.FaultPlan, program func(*mpi.Comm) error) []error {
 	t.Helper()
-	eps, err := tcpnet.LoopbackOpts(size, nil, opts)
+	eps, err := tcpnet.Loopback(size)
 	if err != nil {
 		t.Fatalf("building faulted loopback world: %v", err)
 	}
@@ -39,7 +40,7 @@ func runFaultedProgram(t *testing.T, size int, opts tcpnet.Options, program func
 		wg.Add(1)
 		go func(i int, ep mpi.Transport) {
 			defer wg.Done()
-			_, errs[i] = mpi.RunTransport(mpi.RunConfig{}, ep, program)
+			_, errs[i] = mpi.RunTransport(mpi.RunConfig{Faults: f}, ep, program)
 		}(i, ep)
 	}
 	wg.Wait()
@@ -76,13 +77,13 @@ func injectedFrom(errs []error) error {
 // second exchange so that rank 0, which is not on the link, still needs
 // rank 2's post-drop contribution and cannot finish cleanly.
 func TestDropLinkDeterministic(t *testing.T) {
-	spec := func() *mpi.NetFaultSpec {
-		return &mpi.NetFaultSpec{DropFrom: 1, DropTo: 2, DropAtFrame: 2}
+	spec := func() *mpi.FaultPlan {
+		return &mpi.FaultPlan{DropFrom: 1, DropTo: 2, DropAtFrame: 2}
 	}
 	var texts []string
 	for run := 0; run < 2; run++ {
 		f := spec()
-		errs := runFaultedProgram(t, 3, tcpnet.Options{Faults: f}, exchangeTwice)
+		errs := runFaultedProgram(t, 3, f, exchangeTwice)
 		inj := injectedFrom(errs)
 		if inj == nil {
 			t.Fatalf("run %d: no injected fault surfaced: %v", run, errs)
@@ -114,8 +115,8 @@ func TestDropLinkDeterministic(t *testing.T) {
 func TestPartitionDeterministic(t *testing.T) {
 	var texts []string
 	for run := 0; run < 2; run++ {
-		f := &mpi.NetFaultSpec{Partition: []int{0, 1}, PartitionAtFrame: 2}
-		errs := runFaulted(t, 4, tcpnet.Options{Faults: f})
+		f := &mpi.FaultPlan{Partition: []int{0, 1}, PartitionAtFrame: 2}
+		errs := runFaulted(t, 4, f)
 		inj := injectedFrom(errs)
 		if inj == nil {
 			t.Fatalf("run %d: no injected fault surfaced: %v", run, errs)
@@ -142,11 +143,11 @@ func TestPartitionDeterministic(t *testing.T) {
 func TestSlowLinkPerturbsTimingOnly(t *testing.T) {
 	const p = 3
 	clean := runLoopback(t, mpi.RunConfig{}, p, exchange)
-	f := &mpi.NetFaultSpec{
+	f := &mpi.FaultPlan{
 		Seed: 7, SlowFrom: 0, SlowTo: 1,
 		SlowDelay: 200 * time.Microsecond, SlowEvery: 2, SlowJitter: 100 * time.Microsecond,
 	}
-	eps, err := tcpnet.LoopbackOpts(p, nil, tcpnet.Options{Faults: f})
+	eps, err := tcpnet.Loopback(p)
 	if err != nil {
 		t.Fatalf("building slow loopback world: %v", err)
 	}
@@ -156,7 +157,7 @@ func TestSlowLinkPerturbsTimingOnly(t *testing.T) {
 		wg.Add(1)
 		go func(i int, ep mpi.Transport) {
 			defer wg.Done()
-			_, errs[i] = mpi.RunTransport(mpi.RunConfig{}, ep, exchange)
+			_, errs[i] = mpi.RunTransport(mpi.RunConfig{Faults: f}, ep, exchange)
 		}(i, ep)
 	}
 	wg.Wait()
@@ -188,15 +189,15 @@ func TestSlowLinkPerturbsTimingOnly(t *testing.T) {
 // the first world, exhausts its MaxFires budget, and lets the next world run
 // clean end to end.
 func TestFaultBudgetSpansWorlds(t *testing.T) {
-	f := &mpi.NetFaultSpec{DropFrom: 0, DropTo: 1, DropAtFrame: 1}
-	errs := runFaulted(t, 3, tcpnet.Options{Faults: f})
+	f := &mpi.FaultPlan{DropFrom: 0, DropTo: 1, DropAtFrame: 1}
+	errs := runFaulted(t, 3, f)
 	if injectedFrom(errs) == nil {
 		t.Fatalf("first world did not observe the injected drop: %v", errs)
 	}
 	if f.Fired() != 1 {
 		t.Fatalf("budget after first world: %d fired, want 1", f.Fired())
 	}
-	errs = runFaulted(t, 3, tcpnet.Options{Faults: f})
+	errs = runFaulted(t, 3, f)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("second world endpoint %d failed with the budget spent: %v", i, err)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"mcmdist/internal/mpi"
-	"mcmdist/internal/mpi/tcpnet"
 )
 
 // TestSoakNetFaultChaos cycles loopback TCP worlds through the fault modes.
@@ -28,19 +27,19 @@ func TestSoakNetFaultChaos(t *testing.T) {
 
 	for i := 0; i < iters; i++ {
 		size := 3 + i%2 // alternate 3- and 4-rank worlds
-		var f *mpi.NetFaultSpec
+		var f *mpi.FaultPlan
 		mode := i % 4
 		switch mode {
 		case 0: // dropped link, rotating endpoints and trigger frame
-			f = &mpi.NetFaultSpec{
+			f = &mpi.FaultPlan{
 				DropFrom: i % size, DropTo: (i + 1) % size, DropAtFrame: 1 + i%3,
 			}
 		case 1: // partition splitting off the low ranks
-			f = &mpi.NetFaultSpec{
+			f = &mpi.FaultPlan{
 				Partition: []int{0, 1}, PartitionAtFrame: 1 + i%3,
 			}
 		case 2: // slow link: timing perturbation only, must still succeed
-			f = &mpi.NetFaultSpec{
+			f = &mpi.FaultPlan{
 				Seed: int64(i), SlowFrom: i % size, SlowTo: (i + 1) % size,
 				SlowDelay: 50 * time.Microsecond, SlowEvery: 2,
 				SlowJitter: 25 * time.Microsecond,
@@ -48,14 +47,10 @@ func TestSoakNetFaultChaos(t *testing.T) {
 		case 3: // clean control world
 		}
 
-		var opts tcpnet.Options
-		if f != nil {
-			opts.Faults = f
-		}
 		// One exchange is two mailbox collectives, so it frames only two
 		// POSTs per link; two exchanges put every trigger frame (1–3)
 		// inside each link's data-frame stream.
-		errs := runFaultedProgram(t, size, opts, exchangeTwice)
+		errs := runFaultedProgram(t, size, f, exchangeTwice)
 
 		terminal := mode == 0 || mode == 1
 		if terminal {

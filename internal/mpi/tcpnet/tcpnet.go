@@ -10,7 +10,10 @@
 // contract — collective posts and one-sided RMA operations — so everything
 // above the seam (metering, CommTimes, fault injection, the watchdog,
 // tracing) behaves identically to the in-process oracle; the conformance
-// suite in package mpi pins that bit-for-bit.
+// suite in package mpi pins that bit-for-bit. Below the seam, the write
+// plane injects the link faults (drop, partition, slow link) of the fault
+// plan the bound world runs under (mpi.World.Faults, attached through
+// mpi.RunConfig.Faults); an endpoint has no fault option of its own.
 //
 // Buffer ownership on the data plane: Post encodes each POST frame once,
 // straight into the peer's pending queue, under the queue lock; nothing
@@ -68,11 +71,6 @@ type Options struct {
 	// healthy peer can go without writing (pings bound that by
 	// HeartbeatInterval plus scheduling noise). Default 10s.
 	HeartbeatTimeout time.Duration
-	// Faults attaches the deterministic network fault injector to this
-	// endpoint's write plane (nil injects nothing). Loopback test worlds
-	// share one spec across endpoints so drop/partition budgets span the
-	// world, mirroring mpi.FaultPlan.
-	Faults *mpi.NetFaultSpec
 }
 
 func (o Options) withDefaults() Options {
@@ -592,7 +590,7 @@ func (n *Net) heartbeats() {
 // the data-frame fault triggers.
 func (n *Net) sendPing(p *peer) {
 	t0 := obs.Now()
-	if f := n.opts.Faults; f != nil {
+	if f := n.faults(); f != nil {
 		if d := f.Delay(n.rank, p.rank, p.pingN.Add(1)); d > 0 {
 			time.Sleep(d)
 		}
@@ -665,18 +663,29 @@ func (n *Net) sendTimed(p *peer, typ byte, body []byte, deadline time.Time) erro
 	return err
 }
 
-// faultData applies the injector (if any) to the next outbound data frame on
-// the link n.rank→p.rank: it sleeps first when the link is slow, and returns
-// a non-nil error when the frame must not be sent because the link was
-// dropped or the partition cut fired. Terminal faults sever the affected
-// connections — so the far side observes real peer death — and abort the
-// local world with ErrInjectedNetFault naming the exact trigger point, which
-// is what makes the same spec reproduce the same failure on every run.
+// faults returns the fault plan of the bound world (nil when there is none
+// or no world is bound): RunConfig.Faults is the one place a plan attaches.
+func (n *Net) faults() *mpi.FaultPlan {
+	if w := n.world.Load(); w != nil {
+		return w.Faults()
+	}
+	return nil
+}
+
+// faultData applies the bound world's fault plan (if any) to the next
+// outbound data frame on the link n.rank→p.rank: it sleeps first when the
+// link is slow, and returns a non-nil error when the frame must not be sent
+// because the link was dropped or the partition cut fired. Terminal faults
+// sever the affected connections — so the far side observes real peer
+// death — and abort the local world with ErrInjectedNetFault naming the
+// exact trigger point, which is what makes the same plan reproduce the same
+// failure on every run.
 func (n *Net) faultData(p *peer) error {
-	f := n.opts.Faults
+	f := n.faults()
 	if f == nil {
 		return nil
 	}
+	w := n.world.Load() // bound: the plan came from it
 	seq := p.faultN.Add(1)
 	if d := f.Delay(n.rank, p.rank, seq); d > 0 {
 		time.Sleep(d)
@@ -687,9 +696,7 @@ func (n *Net) faultData(p *peer) error {
 		// own read loop with a PeerDownError, and the abort cause must already
 		// be the injected error when it does — first cause wins, and the
 		// injected one is the deterministic one.
-		if w := n.world.Load(); w != nil {
-			w.Abort(err)
-		}
+		w.Abort(err)
 		n.sever(p, err)
 		return err
 	}
@@ -697,9 +704,7 @@ func (n *Net) faultData(p *peer) error {
 		cut := n.cutN.Add(1)
 		if f.DropsCut(cut) {
 			err := fmt.Errorf("%w: partition %v cut at cross frame %d", mpi.ErrInjectedNetFault, f.Partition, cut)
-			if w := n.world.Load(); w != nil {
-				w.Abort(err)
-			}
+			w.Abort(err)
 			for _, q := range n.peers {
 				if q != nil && f.CrossesCut(n.rank, q.rank) {
 					n.sever(q, err)
@@ -1288,9 +1293,9 @@ func Loopback(size int) ([]mpi.Transport, error) {
 
 // LoopbackOpts is Loopback with a coordinator config blob (each Join-side
 // endpoint receives it in the roster) and explicit Options applied to
-// every endpoint; the fault and failure-detector tests use it to attach a shared
-// NetFaultSpec (so drop/partition budgets span the world, like FaultPlan)
-// and tight heartbeat windows.
+// every endpoint; the failure-detector tests use it for tight heartbeat
+// windows. Faults are not an endpoint option: each endpoint reads them from
+// the world it is bound to (mpi.RunConfig.Faults).
 func LoopbackOpts(size int, config []byte, opts Options) ([]mpi.Transport, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("tcpnet: world size %d must be positive", size)

@@ -159,7 +159,9 @@ func (w *World) deadlockError(timeout time.Duration) *DeadlockError {
 // RunConfig configures a fault-aware SPMD execution. The zero value behaves
 // exactly like plain Run: no fault injection, no watchdog.
 type RunConfig struct {
-	// Faults is the fault injector to attach to the world (nil for none).
+	// Faults is the fault plan to attach to the world (nil for none): the
+	// one way in for rank and link faults alike. A backend with a wire
+	// reads the link faults back through World.Faults.
 	Faults *FaultPlan
 	// WatchdogTimeout arms the progress watchdog: if no collective posts,
 	// none retires, and no RMA op runs for this long, the world aborts

@@ -11,16 +11,19 @@ import (
 )
 
 // FaultSpec configures the deterministic fault injector for a recoverable
-// solve. It mirrors the simulator's fault plane: faults trigger at fixed
-// points in each rank's own operation stream, so a given spec reproduces the
-// same failure on every execution. The zero value injects nothing. Terminal
-// faults (crash, RMA failure) share a budget of MaxFires (default 1) across
-// all attempts of one SolveRecoverable call, which is what lets the retry
-// observe the failure once and then run clean. It is not an alias of the
-// internal plan, which carries that budget as an atomic counter: each call
-// copies the spec into a fresh plan.
+// solve: rank faults (crash, straggler, RMA failure) and, on the tcp
+// transport, link faults (drop, partition, slow link). It mirrors the
+// runtime's one fault plan: faults trigger at fixed points in each rank's
+// own operation stream — its Nth collective, its Nth one-sided op, the Nth
+// data frame it ships on a link — so a given spec reproduces the same
+// failure on every execution. The zero value injects nothing. Terminal
+// faults (crash, RMA failure, drop, partition) share one budget of MaxFires
+// (default 1) across all attempts of one SolveRecoverable call, which is
+// what lets the retry observe the failure once and then run clean. It is
+// not an alias of the internal plan, which carries that budget as an atomic
+// counter: each call copies the spec into a fresh plan.
 type FaultSpec struct {
-	// Seed drives the straggler jitter.
+	// Seed drives the straggler and slow-link jitter.
 	Seed int64
 	// CrashRank dies upon entering its CrashAtCollective-th collective
 	// (1-based, counted per rank). CrashAtCollective 0 disables.
@@ -39,6 +42,28 @@ type FaultSpec struct {
 	// RMAFailRank dies on its RMAFailAt-th one-sided operation (1-based).
 	// RMAFailAt 0 disables.
 	RMAFailRank, RMAFailAt int
+	// DropFrom/DropTo name the directed link the drop fault severs; the
+	// receiving side observes genuine peer death. Link faults need
+	// RecoveryPolicy.Transport "tcp": the in-process backend has no wire.
+	DropFrom, DropTo int
+	// DropAtFrame is the 1-based data frame (counted per link at the
+	// sender) whose send severs the link. 0 disables.
+	DropAtFrame int
+	// Partition is the rank set whose every link to the complement is
+	// severed when the cut fires.
+	Partition []int
+	// PartitionAtFrame is the 1-based cross-cut data frame (counted at the
+	// set's lowest rank) whose send enacts the cut. 0 disables.
+	PartitionAtFrame int
+	// SlowFrom/SlowTo name the directed link the slow fault delays. Timing
+	// only — results stay bit-identical, and no retry is triggered.
+	SlowFrom, SlowTo int
+	// SlowDelay is the base delay injected per triggering frame; 0 disables.
+	SlowDelay time.Duration
+	// SlowEvery selects which data frames are delayed (default every one).
+	SlowEvery int
+	// SlowJitter bounds the additional seeded random delay.
+	SlowJitter time.Duration
 	// MaxFires bounds how many terminal faults fire in total across the
 	// retry loop. 0 means 1.
 	MaxFires int
@@ -60,69 +85,24 @@ func (f *FaultSpec) plan() *mpi.FaultPlan {
 		StragglerJitter:   f.StragglerJitter,
 		RMAFailRank:       f.RMAFailRank,
 		RMAFailAt:         f.RMAFailAt,
+		DropFrom:          f.DropFrom,
+		DropTo:            f.DropTo,
+		DropAtFrame:       f.DropAtFrame,
+		Partition:         f.Partition,
+		PartitionAtFrame:  f.PartitionAtFrame,
+		SlowFrom:          f.SlowFrom,
+		SlowTo:            f.SlowTo,
+		SlowDelay:         f.SlowDelay,
+		SlowEvery:         f.SlowEvery,
+		SlowJitter:        f.SlowJitter,
 		MaxFires:          f.MaxFires,
 	}
 }
 
-// NetFaultSpec configures the deterministic network fault injector, the
-// wire-level sibling of FaultSpec for recoverable solves on the tcp
-// transport. Faults trigger at fixed points in each sender's own data-frame
-// stream — the Nth frame it ships on a link — so a given spec reproduces
-// the same failure at the same point on every execution. The zero value
-// injects nothing; terminal faults (drop, partition) share a budget of
-// MaxFires (default 1) across all attempts of one SolveRecoverable call.
-// Like FaultSpec it is copied into a fresh injector per call, since the
-// internal one carries the budget as an atomic counter.
-type NetFaultSpec struct {
-	// Seed drives the slow-link jitter.
-	Seed int64
-	// DropFrom/DropTo name the directed link the drop fault severs; the
-	// receiving side observes genuine peer death.
-	DropFrom, DropTo int
-	// DropAtFrame is the 1-based data frame (counted per link at the
-	// sender) whose send severs the link. 0 disables.
-	DropAtFrame int
-	// Partition is the rank set whose every link to the complement is
-	// severed when the cut fires.
-	Partition []int
-	// PartitionAtFrame is the 1-based cross-cut data frame (counted at the
-	// set's lowest rank) whose send enacts the cut. 0 disables.
-	PartitionAtFrame int
-	// SlowFrom/SlowTo name the directed link the slow fault delays. Timing
-	// only — results stay bit-identical, and no retry is triggered.
-	SlowFrom, SlowTo int
-	// SlowDelay is the base delay injected per triggering frame; 0 disables.
-	SlowDelay time.Duration
-	// SlowEvery selects which data frames are delayed (default every one).
-	SlowEvery int
-	// SlowJitter bounds the additional seeded random delay.
-	SlowJitter time.Duration
-	// MaxFires bounds the terminal faults injected across the retry loop.
-	// 0 means 1.
-	MaxFires int
-}
-
-// spec converts the public mirror into the injector the transport layer
-// consumes. One spec per SolveRecoverable call: its budget must span every
-// attempt, so the first attempt faults and the retry runs clean.
-func (f *NetFaultSpec) spec() *mpi.NetFaultSpec {
-	if f == nil {
-		return nil
-	}
-	return &mpi.NetFaultSpec{
-		Seed:             f.Seed,
-		DropFrom:         f.DropFrom,
-		DropTo:           f.DropTo,
-		DropAtFrame:      f.DropAtFrame,
-		Partition:        f.Partition,
-		PartitionAtFrame: f.PartitionAtFrame,
-		SlowFrom:         f.SlowFrom,
-		SlowTo:           f.SlowTo,
-		SlowDelay:        f.SlowDelay,
-		SlowEvery:        f.SlowEvery,
-		SlowJitter:       f.SlowJitter,
-		MaxFires:         f.MaxFires,
-	}
+// linkFaults reports whether the spec arms a link fault (drop, partition
+// or slow link), which only a backend with a wire can inject.
+func (f *FaultSpec) linkFaults() bool {
+	return f != nil && (f.DropAtFrame > 0 || f.PartitionAtFrame > 0 || f.SlowDelay > 0)
 }
 
 // RecoveryPolicy configures SolveRecoverable: how often to checkpoint, how
@@ -145,8 +125,9 @@ type RecoveryPolicy struct {
 	// making no communication progress for this long is aborted (and then
 	// retried like any other fault). 0 leaves the watchdog off.
 	WatchdogTimeout time.Duration
-	// Fault optionally injects deterministic faults, for testing the
-	// recovery path itself.
+	// Fault optionally injects deterministic rank and link faults, for
+	// testing the recovery path itself. Link faults require Transport
+	// "tcp", since the in-process backend has no wire to fail.
 	Fault *FaultSpec
 	// Transport selects the backend the recovery loop provisions for each
 	// attempt: "" or "inproc" runs every rank as a goroutine of this
@@ -155,10 +136,6 @@ type RecoveryPolicy struct {
 	// separation. (A solve that actually spans OS processes runs the same
 	// loop over rendezvous worlds; see docs/FAULTS.md.)
 	Transport string
-	// Net optionally injects deterministic network faults (drop, partition,
-	// slow link); it requires Transport "tcp", since the in-process backend
-	// has no wire to fail.
-	Net *NetFaultSpec
 }
 
 // Recovery reports what the recovery loop of a SolveRecoverable call did.
@@ -202,8 +179,8 @@ func recoveryFromCore(r *core.RecoveryStats) *Recovery {
 // first attempt.
 // Each attempt gets a fresh world on the backend pol.Transport selects —
 // goroutine ranks by default, a loopback TCP world (sockets, heartbeats,
-// the lot) with "tcp" — and pol.Fault/pol.Net inject deterministic process
-// and network failures for testing the recovery paths themselves.
+// the lot) with "tcp" — and pol.Fault injects deterministic process and
+// network failures for testing the recovery paths themselves.
 // opts.Procs, opts.Permute and the grid are handled as in MaximumMatching.
 // opts.Observe records every attempt into a fresh collector, and Stats.Obs
 // is the final attempt's.
@@ -231,14 +208,13 @@ func (dg *DistributedGraph) SolveRecoverable(opts Options, pol RecoveryPolicy) (
 	}
 	switch pol.Transport {
 	case "", "inproc":
-		if pol.Net != nil {
-			return nil, nil, nil, fmt.Errorf("mcmdist: RecoveryPolicy.Net requires Transport %q (the in-process backend has no wire to fail)", "tcp")
+		if pol.Fault.linkFaults() {
+			return nil, nil, nil, fmt.Errorf("mcmdist: link faults in RecoveryPolicy.Fault require Transport %q (the in-process backend has no wire to fail)", "tcp")
 		}
 	case "tcp":
-		nf := pol.Net.spec() // one injector: its budget spans every attempt
 		procs := dg.procs
 		corePol.Worlds = func(int, *core.Checkpoint) ([]mpi.Transport, error) {
-			return tcpnet.LoopbackOpts(procs, nil, tcpnet.Options{Faults: nf})
+			return tcpnet.Loopback(procs)
 		}
 	default:
 		return nil, nil, nil, fmt.Errorf("mcmdist: unknown RecoveryPolicy.Transport %q (want inproc or tcp)", pol.Transport)

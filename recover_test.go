@@ -354,7 +354,7 @@ func TestSolveRecoverableTCPTransport(t *testing.T) {
 	// bit-identical to the clean one.
 	m2, _, rec2, err := dg.SolveRecoverable(opts, RecoveryPolicy{
 		Transport: "tcp",
-		Net:       &NetFaultSpec{DropFrom: 0, DropTo: 1, DropAtFrame: 4},
+		Fault:     &FaultSpec{DropFrom: 0, DropTo: 1, DropAtFrame: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,6 +383,37 @@ func TestSolveRecoverableTCPTransport(t *testing.T) {
 	}
 }
 
+// TestFaultSpecBudgetPerCall pins the public spec's per-call budget: one
+// FaultSpec with a link drop, reused for two tcp SolveRecoverable calls,
+// costs exactly one retry in each — every call copies it into a fresh plan
+// — and both recover the clean matching.
+func TestFaultSpecBudgetPerCall(t *testing.T) {
+	g := mustRMAT(t, G500, 8, 4, 17)
+	dg, err := Distribute(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dg.Close()
+	opts := Options{Init: GreedyInit}
+	clean, _, err := dg.MaximumMatching(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := RecoveryPolicy{Transport: "tcp", Fault: &FaultSpec{DropFrom: 0, DropTo: 1, DropAtFrame: 4}}
+	for call := 0; call < 2; call++ {
+		m, _, rec, err := dg.SolveRecoverable(opts, pol)
+		if err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		if rec.Attempts != 2 || rec.Retries != 1 {
+			t.Fatalf("call %d: recovery %+v, want one retry", call, rec)
+		}
+		if !slices.Equal(m.MateR, clean.MateR) || !slices.Equal(m.MateC, clean.MateC) {
+			t.Fatalf("call %d: recovered mates differ from the clean solve", call)
+		}
+	}
+}
+
 func TestSolveRecoverableRejectsBadTransport(t *testing.T) {
 	g := mustRMAT(t, ER, 7, 4, 3)
 	dg, err := Distribute(g, 4)
@@ -393,7 +424,7 @@ func TestSolveRecoverableRejectsBadTransport(t *testing.T) {
 	if _, _, _, err := dg.SolveRecoverable(Options{}, RecoveryPolicy{Transport: "carrier-pigeon"}); err == nil {
 		t.Fatal("unknown transport accepted")
 	}
-	if _, _, _, err := dg.SolveRecoverable(Options{}, RecoveryPolicy{Net: &NetFaultSpec{DropAtFrame: 1}}); err == nil {
+	if _, _, _, err := dg.SolveRecoverable(Options{}, RecoveryPolicy{Fault: &FaultSpec{DropAtFrame: 1}}); err == nil {
 		t.Fatal("network faults accepted on the in-process backend")
 	}
 }
