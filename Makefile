@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test examples race bench bench-smoke bench-record bench-test vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke loc
+.PHONY: build test examples race bench bench-smoke bench-record bench-test vet test-faults soak trace-smoke transport-smoke fuzz-smoke chaos-smoke enginesweep loc
 
 build:
 	$(GO) build ./...
@@ -101,12 +101,20 @@ bench:
 # compiling and running without paying full bench time — plus one
 # adaptive-direction compressed cmd/mcm solve whose per-iteration
 # time-series CSV (direction decisions, encoded words) is validated by
-# cmd/tracelint.
+# cmd/tracelint, plus one engine-sweep cell, which panics if any engine's
+# matching is not maximum (the König certificate).
 bench-smoke:
 	$(GO) test -bench 'TableI|SolveAllocs|SolveOnAllocs|RecoverableAllocs|MaximalInit' -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'MulSparseFrontier|SpMVAllocs|SpMVPullAllocs' -benchtime=1x -run '^$$' ./internal/spmv/
 	$(GO) run ./cmd/mcm -rmat g500 -scale 12 -procs 4 -direction auto -compress -timeseries direction-series.csv
 	$(GO) run ./cmd/tracelint direction-series.csv
+	$(GO) run ./cmd/bench -exp enginesweep -matrix g500 -scale 8 -procs 4
+
+# Every engine on every Table II stand-in and RMAT class at scales 10 and 12
+# and p in {4, 16}: the evidence behind docs/ENGINES.md's standings and the
+# EXPERIMENTS.md engine table. Minutes of run time, so not part of CI.
+enginesweep:
+	scripts/enginesweep.sh
 
 # The repo benchmark's own tests, run from its separate module: unit tests
 # of its percentile rule, trace fold and failure accounting, plus a scale-10

@@ -359,11 +359,11 @@ func solveLoopback(b *testing.B, g *Graph, opts Options) {
 // BenchmarkSolveOnAllocs measures the allocations of one multi-process
 // solve: a 4-endpoint loopback TCP world on RMAT G500 scale 12, every
 // endpoint building the blocks of the rank it hosts (Permute is off), then
-// solving with the cost model's engine and direction choices. Bootstrap
-// and Close run with the timer stopped. EXPERIMENTS.md records bytes/op
-// and allocs/op before and after the per-rank block builder, and before
-// and after one-shot solves started borrowing their rank state from the
-// process.
+// solving with the auto engine (bfs) and direction. Bootstrap and Close
+// run with the timer stopped. EXPERIMENTS.md records bytes/op and
+// allocs/op before and after the per-rank block builder, before and after
+// one-shot solves started borrowing their rank state from the process,
+// and before and after auto became bfs.
 func BenchmarkSolveOnAllocs(b *testing.B) {
 	g, err := RMAT(G500, 12, 8, 5)
 	if err != nil {

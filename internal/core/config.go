@@ -109,9 +109,8 @@ func (d *Direction) UnmarshalText(text []byte) error {
 // bench drivers carry it, and the public Options convert to it.
 type Config struct {
 	// Engine names the matching engine to run: one of the four engines
-	// ("bfs", "bfs-ss", "bfs-graft", "auction" — see EngineNames), "auto"
-	// to let ResolveEngineConfig pick per instance via the cost model, or ""
-	// for the default, bfs.
+	// ("bfs", "bfs-ss", "bfs-graft", "auction" — see EngineNames), or ""
+	// or "auto" for the default, bfs.
 	Engine string `json:"engine,omitempty"`
 	// Procs is the number of simulated MPI ranks. Unless GridRows/GridCols
 	// are set it must be a perfect square (the configuration the paper
@@ -203,7 +202,7 @@ type Config struct {
 func BindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.IntVar(&cfg.Procs, "procs", cfg.Procs, "simulated ranks (perfect square)")
 	fs.IntVar(&cfg.Threads, "threads", cfg.Threads, "worker threads per rank (also divides the modeled work term)")
-	fs.Var(engineFlag{&cfg.Engine}, "engine", "matching engine: bfs (the default), bfs-ss, bfs-graft, auction, or auto (cost-model selection)")
+	fs.Var(engineFlag{&cfg.Engine}, "engine", "matching engine: bfs (the default; auto is an alias), bfs-ss, bfs-graft, auction")
 	fs.TextVar(&cfg.Init, "init", cfg.Init, "initializer: "+strings.Join(initNames, ", "))
 	fs.TextVar(&cfg.AddOp, "semiring", cfg.AddOp, "SpMV semiring: minparent, randroot, randparent")
 	fs.TextVar(&cfg.Augment, "augment", cfg.Augment, "augmentation: "+strings.Join(augmentNames, ", "))
@@ -294,7 +293,7 @@ func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = 1
 	}
-	if c.Engine == "" {
+	if c.Engine == "" || c.Engine == EngineAuto {
 		c.Engine = EngineBFS
 	}
 	return c

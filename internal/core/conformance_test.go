@@ -174,27 +174,6 @@ func TestCrossSemiringResumeRefused(t *testing.T) {
 	}
 }
 
-// TestAutoEngineResolvesAndSolves pins the online selection path: "auto"
-// must resolve to some engine in the table and still produce a maximum
-// matching, with Stats.Engine reporting the concrete choice.
-func TestAutoEngineResolvesAndSolves(t *testing.T) {
-	a := rmat.MustGenerate(rmat.G500, 6, 4, 13)
-	res, err := core.Solve(a, core.Config{Engine: core.EngineAuto, Procs: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustMaximum(t, a, res.Matching, "auto")
-	found := false
-	for _, n := range core.EngineNames() {
-		if res.Stats.Engine == n {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Stats.Engine = %q, not a registered engine %v", res.Stats.Engine, core.EngineNames())
-	}
-}
-
 // TestFacade covers the engine table as seen through core's exported
 // surface: the canonical names are present and only canonical spellings
 // validate.

@@ -2,18 +2,14 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
-	"mcmdist/internal/costmodel"
 	"mcmdist/internal/dvec"
 	"mcmdist/internal/obs"
-	"mcmdist/internal/spmat"
 )
 
-// Canonical engine names. EngineAuto is not an engine: ResolveEngineConfig
-// replaces it with a concrete choice from the cost model before a solver is
-// built.
+// Canonical engine names. EngineAuto is not an engine: Config.withDefaults
+// maps it, like "", to EngineBFS.
 const (
 	// EngineBFS is the paper's MCM-DIST (Algorithm 2): multi-source BFS
 	// phases with pruning, per-phase parent vectors.
@@ -26,8 +22,9 @@ const (
 	EngineBFSGraft = "bfs-graft"
 	// EngineAuction is the distributed auction engine (engine_auction.go).
 	EngineAuction = "auction"
-	// EngineAuto asks ResolveEngineConfig to pick an engine per instance
-	// via costmodel.SelectEngine.
+	// EngineAuto is an alias of EngineBFS, kept so existing specs and
+	// command lines that spell "auto" still run. No per-instance choice
+	// beats bfs overall in the engine sweep (docs/ENGINES.md).
 	EngineAuto = "auto"
 )
 
@@ -69,51 +66,6 @@ func checkEngine(name string) error {
 	}
 	return fmt.Errorf("core: unknown engine %q (want %s, %s, %s, %s or %s)",
 		name, EngineBFS, EngineBFSSingleSource, EngineBFSGraft, EngineAuction, EngineAuto)
-}
-
-// ResolveEngineConfig validates cfg and pins cfg.Engine to a concrete
-// engine, replacing "auto" with the cost model's per-instance
-// choice computed from the global matrix a, in the index space the solve
-// distributes (degree distribution, density, grid size, thread count — all
-// SPMD-replicated, so every rank resolves identically). The solve drivers
-// call it once before building solvers, so checkpoint hashes and Stats
-// always see the concrete engine.
-func ResolveEngineConfig(cfg Config, a *spmat.CSC) (Config, error) {
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	cfg = cfg.withDefaults()
-	if cfg.Engine == EngineAuto {
-		// The cost model spells its verdicts as literals; hold them to the
-		// table.
-		cfg.Engine = costmodel.SelectEngine(costmodel.Laptop, engineFeatures(cfg, a)).Engine
-		if _, ok := engines[cfg.Engine]; !ok {
-			return cfg, fmt.Errorf("core: cost model chose unknown engine %q (have %v)", cfg.Engine, EngineNames())
-		}
-	}
-	return cfg, nil
-}
-
-// engineFeatures summarizes the instance for the online selector: shape,
-// density, and the column-degree coefficient of variation (the skew signal —
-// auction rounds degrade on power-law degree distributions while BFS phases
-// do not). The squared deviations are summed in column order.
-func engineFeatures(cfg Config, a *spmat.CSC) costmodel.GraphFeatures {
-	n2, nnz := a.NCols, a.NNZ()
-	cv := 0.0
-	if n2 > 0 && nnz > 0 {
-		mean := float64(nnz) / float64(n2)
-		var ss float64
-		for j := 0; j < n2; j++ {
-			diff := float64(a.ColDegree(j)) - mean
-			ss += diff * diff
-		}
-		cv = math.Sqrt(ss/float64(n2)) / mean
-	}
-	return costmodel.GraphFeatures{
-		N1: a.NRows, N2: n2, NNZ: nnz, DegCV: cv,
-		Procs: cfg.Procs, Threads: cfg.Threads,
-	}
 }
 
 // RunEngine drives the named engine to completion on this rank: record the

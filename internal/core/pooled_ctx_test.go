@@ -68,8 +68,7 @@ func oneShot(a *spmat.CSC, cfg core.Config, tcp bool) ([]*matching.Matching, err
 func disabledSolve(t *testing.T, a *spmat.CSC, cfg core.Config) *matching.Matching {
 	t.Helper()
 	side := map[int]int{1: 1, 4: 2, 9: 3}[cfg.Procs]
-	cfg, err := core.ResolveEngineConfig(cfg, a)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	ctxs := make([]*rt.Ctx, cfg.Procs)

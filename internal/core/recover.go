@@ -120,14 +120,14 @@ func SolveRecoverable(a *spmat.CSC, cfg Config, pol RecoveryPolicy) (*Result, *R
 
 // SolveRecoverableGrid is SolveRecoverable for callers whose matrix is
 // already distributed (the session API). a is the assembled matrix in the
-// same index space as the blocks; it resolves an "auto" engine and verifies
-// checkpoints. ctxs optionally reuses per-rank runtime contexts across
-// attempts and solves; nil borrows contexts from the process per attempt
-// (RunDistributed), and a failed attempt's are dropped. A context
-// that survived an aborted attempt is safe to rebind: attempt returns only
-// once every endpoint of the failed world is closed and every rank it
-// hosted has returned, so the next attempt's Bind takes back the vectors
-// the crashed ranks held and the retry runs on warm storage.
+// same index space as the blocks; it verifies checkpoints. ctxs optionally
+// reuses per-rank runtime contexts across attempts and solves; nil borrows
+// contexts from the process per attempt (RunDistributed), and a failed
+// attempt's are dropped. A context that survived an aborted attempt is
+// safe to rebind: attempt returns only once every endpoint of the failed
+// world is closed and every rank it hosted has returned, so the next
+// attempt's Bind takes back the vectors the crashed ranks held and the
+// retry runs on warm storage.
 func SolveRecoverableGrid(a *spmat.CSC, pr, pc, n1, n2 int, blocks [][]*spmat.LocalMatrix,
 	cfg Config, ctxs []*rt.Ctx, pol RecoveryPolicy) (*Result, *RecoveryStats, error) {
 	return recoverLoop(a, pr, pc, n1, n2, cfg, ctxs, pol,
@@ -154,11 +154,7 @@ func recoverLoop(a *spmat.CSC, pr, pc, n1, n2 int, cfg Config, ctxs []*rt.Ctx, p
 	place func(ranks []int) [][]*spmat.LocalMatrix) (*Result, *RecoveryStats, error) {
 	cfg = cfg.withDefaults()
 	cfg.Procs = pr * pc
-	// Resolve the engine once, up front, so validateCheckpoint compares
-	// hashes against the same concrete engine every attempt runs (an "auto"
-	// choice must not drift between attempts of one recoverable solve).
-	cfg, err := ResolveEngineConfig(cfg, a)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	r := &recovery{a: a, pr: pr, pc: pc, n1: n1, n2: n2, ctxs: ctxs, pol: pol.withDefaults(cfg.Procs), place: place}

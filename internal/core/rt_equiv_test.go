@@ -31,7 +31,7 @@ func solveUnpooled(t *testing.T, a *spmat.CSC, cfg Config) *Result {
 	}
 	cfg.Procs = pr * pc
 	tr := mpi.NewInproc(cfg.Procs)
-	cfg, d, err := distribute(tr, a, cfg, pr, pc)
+	d, err := distribute(tr, a, cfg, pr, pc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func SolveOn(tr mpi.Transport, a *spmat.CSC, cfg Config) (*Result, error) {
 	if tr == nil {
 		tr = mpi.NewInproc(cfg.Procs)
 	}
-	cfg, d, err := distribute(tr, a, cfg, pr, pc)
+	d, err := distribute(tr, a, cfg, pr, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -90,22 +90,19 @@ func permute(a *spmat.CSC, cfg Config) *distributed {
 	return d
 }
 
-// distribute prepares a for a pr x pc solve on tr: the permutation, the
-// engine pinned (the resolution is deterministic from SPMD-replicated
-// inputs, so every process derives the same choice and checkpoint hashes
-// see the concrete name), and the blocks of the ranks tr hosts. Blocks of
-// ranks hosted elsewhere stay nil.
-func distribute(tr mpi.Transport, a *spmat.CSC, cfg Config, pr, pc int) (Config, *distributed, error) {
-	d := permute(a, cfg)
-	cfg, err := ResolveEngineConfig(cfg, d.work)
-	if err != nil {
-		return cfg, nil, err
+// distribute prepares a for a pr x pc solve on tr after validating cfg: the
+// permutation and the blocks of the ranks tr hosts. Blocks of ranks hosted
+// elsewhere stay nil.
+func distribute(tr mpi.Transport, a *spmat.CSC, cfg Config, pr, pc int) (*distributed, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if err := checkWorldSize(tr, cfg.Procs); err != nil {
-		return cfg, nil, err
+		return nil, err
 	}
+	d := permute(a, cfg)
 	d.blocks = spmat.DistributeRanks(d.work, pr, pc, tr.LocalRanks())
-	return cfg, d, nil
+	return d, nil
 }
 
 // unpermute maps a matching of P·A·Q back to A's index space: if row i was
@@ -158,8 +155,7 @@ func onEndpoints(eps []mpi.Transport, fn func(mpi.Transport) (*Result, error)) (
 // the only gather of a solve's result: SolveOn calls it once, the recovery
 // loop once per attempt (setting cfg.Resume between attempts), and the
 // session API once per solve. A nil tr is an in-process world of pr·pc
-// ranks; blocks must hold the entries of every rank tr hosts, and a step
-// that runs an engine needs cfg.Engine resolved (ResolveEngineConfig).
+// ranks; blocks must hold the entries of every rank tr hosts.
 // Every rank joins the allgather of the mates, but only the lowest hosted
 // rank assembles the full vectors; the other ranks drain their parts and
 // keep only their own blocks. Stats and PerRank cover only the hosted ranks

@@ -103,7 +103,7 @@ func TestSolveOnBuildsOnlyHostedBlocks(t *testing.T) {
 	}()
 
 	for _, ep := range eps {
-		_, d, err := distribute(ep, a, cfg, 2, 2)
+		d, err := distribute(ep, a, cfg, 2, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

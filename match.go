@@ -117,11 +117,11 @@ type Options struct {
 	// socket); it scales the local-work term of the cost model. 0 means 1.
 	Threads int
 	// Engine names the matching engine: "bfs" (the paper's MCM-DIST, also
-	// the default ""), "bfs-ss" (single-source ablation), "bfs-graft" (tree
-	// grafting), "auction" (the distributed auction solver), or "auto" to
-	// let the online cost model pick per instance from the graph's degree
-	// distribution, density and the run's grid and thread shape.
-	// Stats.Engine reports the engine that actually ran.
+	// the default "" and "auto"), "bfs-ss" (single-source ablation),
+	// "bfs-graft" (tree grafting) or "auction" (the distributed auction
+	// solver). "auto" is bfs, the fastest engine overall in the engine
+	// sweep (docs/ENGINES.md). Stats.Engine reports the engine that
+	// actually ran.
 	Engine string
 	// Init selects the maximal-matching initializer. The zero value is
 	// NoInit; the paper's recommended setting is DynamicMindegreeInit.
@@ -204,8 +204,8 @@ type CommTime = mpi.CommTimes
 // stats: callers (the repo benchmark among them) index WallByOp, CommByOp
 // and CommTimeByOp with plain string keys.
 type Stats struct {
-	// Engine is the name of the engine that ran the solve — the
-	// concrete choice even when Options.Engine was "auto" or empty.
+	// Engine is the name of the engine that ran the solve — "bfs" when
+	// Options.Engine was "auto" or empty.
 	Engine string
 	// Cardinality is |M| of the returned matching; InitCardinality is the
 	// size after the maximal-matching initializer.

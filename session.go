@@ -101,13 +101,6 @@ func (dg *DistributedGraph) MaximumMatching(opts Options) (m *Matching, st *Stat
 	if err != nil {
 		return nil, nil, err
 	}
-	// Resolve the engine ("auto" via the cost model) once, against the
-	// cached distribution, so every rank runs the same concrete engine and
-	// Stats/checkpoints name it.
-	cfg, err = core.ResolveEngineConfig(cfg, dg.g.a)
-	if err != nil {
-		return nil, nil, err
-	}
 	cfg.Obs = opts.Observe.collector(dg.procs)
 	return dg.solve(cfg, (*core.Solver).Solve)
 }
