@@ -43,7 +43,7 @@ race:
 # tcpnet's RMA calls unwinding after an abort or a peer's BYE, pooled
 # one-shot contexts across a crashed world, and the engine conformance
 # suite's fault, recovery and cross-engine/semiring resume cases (every
-# engine, the auction included, lives in internal/core).
+# engine lives in internal/core).
 test-faults:
 	$(GO) test -race -count=1 -run 'Fault|Watchdog|Crash|Straggler|RMA|Panic|Leak|Checkpoint|Resume|Recoverable|Guard|Boundary|Supervise|WorkLoop' ./internal/mpi/ ./internal/mpi/tcpnet/ ./internal/core/ ./internal/distjob/ .
 
@@ -136,7 +136,7 @@ bench-record:
 # Multi-process transport smoke: one solve spanning four OS processes over
 # loopback TCP (mcm coordinating, three mcmrank workers), its matching
 # byte-compared against the in-process oracle — raw, with wire compression
-# + adaptive direction, with the auction engine, and once fully traced:
+# + adaptive direction, with the bfs-graft engine, and once fully traced:
 # the coordinator collects every rank's observations and writes ONE merged
 # world trace + time-series + aggregated metrics, all validated by
 # cmd/tracelint. That traced pass is the smoke's only trace artifact. See

@@ -23,12 +23,10 @@ const checkpointMagic = "MCMCKPT2"
 // between augmentation phases the mate vectors always encode a valid
 // matching — the same property that lets the paper seed MCM from any
 // maximal matching — so a solve killed mid-phase can restart from the last
-// snapshot and lose at most one phase of work. The auction engine keeps the
-// same invariant at bidding-round boundaries (prices reset to zero on
-// restore, which any matching satisfies). The vectors are stored in the
-// solver's (possibly permuted) global index space.
+// snapshot and lose at most one phase of work. The vectors are stored in
+// the solver's (possibly permuted) global index space.
 type Checkpoint struct {
-	Phase       int    // augmentation phases (or auction rounds) completed when taken (0 = just initialized)
+	Phase       int    // augmentation phases completed when taken (0 = just initialized)
 	Cardinality int    // matching cardinality at the snapshot
 	ConfigHash  uint64 // hash binding the snapshot to its Config and problem shape
 	Engine      string // name of the engine that produced the snapshot

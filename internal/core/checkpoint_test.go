@@ -140,7 +140,7 @@ func TestCheckpointRoundtripShapes(t *testing.T) {
 // must decode to an error, never to garbage mate vectors.
 func TestCheckpointRejectsEveryTruncation(t *testing.T) {
 	ck := &Checkpoint{
-		Phase: 2, Cardinality: 3, ConfigHash: 0xabcd, Engine: EngineAuction,
+		Phase: 2, Cardinality: 3, ConfigHash: 0xabcd, Engine: EngineBFSGraft,
 		N1: 5, N2: 5,
 		MateR: []int64{5, 9, semiring.None, 12, 40},
 		MateC: []int64{41, semiring.None, 0, 2, 1},

@@ -10,6 +10,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -135,22 +136,28 @@ func TestEngineConformanceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestCrossEngineResumeRefused takes a checkpoint under bfs and asserts the
-// auction engine refuses to resume from it (and vice versa).
+// TestCrossEngineResumeRefused takes a checkpoint under bfs and asserts
+// bfs-graft refuses to resume from it, and vice versa.
 func TestCrossEngineResumeRefused(t *testing.T) {
 	a := rmat.MustGenerate(rmat.G500, 6, 4, 11)
-	var cks []*core.Checkpoint
-	cfg := core.Config{Engine: core.EngineBFS, Procs: 4, Seed: 1,
-		CheckpointEvery: 1, OnCheckpoint: func(ck *core.Checkpoint) { cks = append(cks, ck) }}
-	if _, err := core.Solve(a, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(cks) == 0 {
-		t.Fatal("no checkpoints taken")
-	}
-	_, err := core.Solve(a, core.Config{Engine: core.EngineAuction, Procs: 4, Seed: 1, Resume: cks[len(cks)-1]})
-	if err == nil || !strings.Contains(err.Error(), "refusing cross-engine resume") {
-		t.Fatalf("cross-engine resume not refused: %v", err)
+	for _, pair := range [][2]string{
+		{core.EngineBFS, core.EngineBFSGraft},
+		{core.EngineBFSGraft, core.EngineBFS},
+	} {
+		from, to := pair[0], pair[1]
+		var cks []*core.Checkpoint
+		cfg := core.Config{Engine: from, Procs: 4, Seed: 1,
+			CheckpointEvery: 1, OnCheckpoint: func(ck *core.Checkpoint) { cks = append(cks, ck) }}
+		if _, err := core.Solve(a, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(cks) == 0 {
+			t.Fatalf("%s: no checkpoints taken", from)
+		}
+		_, err := core.Solve(a, core.Config{Engine: to, Procs: 4, Seed: 1, Resume: cks[len(cks)-1]})
+		if err == nil || !strings.Contains(err.Error(), "refusing cross-engine resume") {
+			t.Fatalf("%s resumed a %s checkpoint: %v", to, from, err)
+		}
 	}
 }
 
@@ -175,22 +182,14 @@ func TestCrossSemiringResumeRefused(t *testing.T) {
 }
 
 // TestFacade covers the engine table as seen through core's exported
-// surface: the canonical names are present and only canonical spellings
-// validate.
+// surface: the canonical names are exactly the table and only canonical
+// spellings validate.
 func TestFacade(t *testing.T) {
-	names := core.EngineNames()
-	for _, want := range []string{core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft, core.EngineAuction} {
-		ok := false
-		for _, n := range names {
-			if n == want {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Fatalf("engine %q not registered (have %v)", want, names)
-		}
+	want := []string{core.EngineBFS, core.EngineBFSGraft, core.EngineBFSSingleSource}
+	if names := core.EngineNames(); !slices.Equal(names, want) {
+		t.Fatalf("EngineNames() = %v, want %v", names, want)
 	}
-	for _, alias := range []string{"graft", "ss", "single-source", "ms-bfs", "nope"} {
+	for _, alias := range []string{"graft", "ss", "single-source", "ms-bfs", "auction", "nope"} {
 		if err := (core.Config{Engine: alias}).Validate(); err == nil {
 			t.Fatalf("engine spelling %q accepted", alias)
 		}

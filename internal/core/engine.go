@@ -20,8 +20,6 @@ const (
 	// EngineBFSGraft is the tree-grafting variant: alternating trees
 	// persist across phases, only augmented trees release their rows.
 	EngineBFSGraft = "bfs-graft"
-	// EngineAuction is the distributed auction engine (engine_auction.go).
-	EngineAuction = "auction"
 	// EngineAuto is an alias of EngineBFS, kept so existing specs and
 	// command lines that spell "auto" still run. No per-instance choice
 	// beats bfs overall in the engine sweep (docs/ENGINES.md).
@@ -35,7 +33,7 @@ const (
 // span), so an engine only iterates. Every rank calls Iterate in lockstep
 // with an identical sequence of collectives.
 type engineRun interface {
-	Iterate() (done bool, err error)
+	Iterate() (done bool)
 }
 
 // engines is the closed engine set: each name maps to the function that
@@ -45,7 +43,6 @@ var engines = map[string]func(s *Solver, mater, matec *dvec.Dense) engineRun{
 	EngineBFS:             startBFS,
 	EngineBFSSingleSource: startBFSSS,
 	EngineBFSGraft:        startBFSGraft,
-	EngineAuction:         startAuction,
 }
 
 // EngineNames returns the engine names, sorted.
@@ -64,8 +61,8 @@ func checkEngine(name string) error {
 	if _, ok := engines[name]; ok || name == "" || name == EngineAuto {
 		return nil
 	}
-	return fmt.Errorf("core: unknown engine %q (want %s, %s, %s, %s or %s)",
-		name, EngineBFS, EngineBFSSingleSource, EngineBFSGraft, EngineAuction, EngineAuto)
+	return fmt.Errorf("core: unknown engine %q (want %s, %s, %s or %s)",
+		name, EngineBFS, EngineBFSSingleSource, EngineBFSGraft, EngineAuto)
 }
 
 // RunEngine drives the named engine to completion on this rank: record the
@@ -81,14 +78,7 @@ func (s *Solver) RunEngine(name string, mater, matec *dvec.Dense) error {
 	trc := s.G.RT.Tracer()
 	solve0 := trc.Begin()
 	run := start(s, mater, matec)
-	for {
-		done, err := run.Iterate()
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
+	for !run.Iterate() {
 	}
 	s.Stats.Cardinality = s.N2 - s.countUnmatched(matec)
 	s.captureThreadStats()

@@ -180,7 +180,7 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 				fcCount = s.startFrontierCount(fc)
 			})
 		}
-		s.obsIterEnd(iter0, r.phase, frontierSize, newPaths, s.Stats.InitCardinality+s.Stats.AugmentedPaths, usePull)
+		s.obsIterEnd(iter0, r.phase, frontierSize, newPaths, usePull)
 		if stop {
 			break
 		}
@@ -220,11 +220,11 @@ type bfsRun struct {
 // Iterate runs one MS-BFS phase from every unmatched column with its
 // parents reset to None. Returns done when a phase discovers no path (the
 // matching is maximum).
-func (r *bfsRun) Iterate() (bool, error) {
+func (r *bfsRun) Iterate() bool {
 	defer r.openPhase()()
 	r.dir.resetPhase()
 	r.pir.Fill(semiring.None)
-	return r.searchPhase(&phaseSearch{pir: r.pir, visited: r.pir}, r.unmatchedFrontier()) == 0, nil
+	return r.searchPhase(&phaseSearch{pir: r.pir, visited: r.pir}, r.unmatchedFrontier()) == 0
 }
 
 // startBFSSS begins one solve of the single-source (SS-BFS) variant the
@@ -254,7 +254,7 @@ type bfsSSRun struct {
 // Iterate runs one single-source phase: pick the globally smallest
 // unmatched, unretired column, search until the first augmenting path, and
 // apply it (or retire the source). Returns done when no source remains.
-func (r *bfsSSRun) Iterate() (bool, error) {
+func (r *bfsSSRun) Iterate() bool {
 	s := r.s
 	var src int64
 	s.tr.track(OpOther, func() {
@@ -270,7 +270,7 @@ func (r *bfsSSRun) Iterate() (bool, error) {
 		s.G.World.AddWork(len(r.matec.Local))
 	})
 	if src >= int64(s.N2) {
-		return true, nil // every unmatched column is retired: maximum reached
+		return true // every unmatched column is retired: maximum reached
 	}
 	defer r.openPhase()()
 	r.dir.resetPhase()
@@ -284,7 +284,7 @@ func (r *bfsSSRun) Iterate() (bool, error) {
 		// The source is unmatchable now, hence forever: retire it.
 		r.retired.SetAt(int(src), 1)
 	}
-	return false, nil
+	return false
 }
 
 // startBFSGraft begins one solve of the tree-grafting variant of MCM-DIST —
@@ -321,7 +321,7 @@ type bfsGraftRun struct {
 
 // Iterate runs one grafted sweep. An empty grafted sweep triggers the
 // full-reset verification phase; only an empty fresh sweep reports done.
-func (r *bfsGraftRun) Iterate() (bool, error) {
+func (r *bfsGraftRun) Iterate() bool {
 	s := r.s
 	pir, rootR := r.pir, r.rootR
 	defer r.openPhase()()
@@ -331,7 +331,7 @@ func (r *bfsGraftRun) Iterate() (bool, error) {
 	p := &phaseSearch{pir: pir, visited: rootR, roots: rootR}
 	if r.searchPhase(p, r.unmatchedFrontier()) == 0 {
 		if r.fresh {
-			return true, nil // a full fresh sweep found nothing: maximum reached
+			return true // a full fresh sweep found nothing: maximum reached
 		}
 		// Grafted state may be blocking paths; reset and verify with
 		// one plain phase.
@@ -343,7 +343,7 @@ func (r *bfsGraftRun) Iterate() (bool, error) {
 		r.dir.resetPhase()
 		s.Stats.GraftResets++
 		r.fresh = true
-		return false, nil
+		return false
 	}
 	r.fresh = false
 
@@ -384,5 +384,5 @@ func (r *bfsGraftRun) Iterate() (bool, error) {
 		r.dir.noteDiscovered(-globalReleased)
 		s.G.World.AddWork(len(rootR.Local) + len(dead))
 	})
-	return false, nil
+	return false
 }

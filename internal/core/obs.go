@@ -34,10 +34,10 @@ func (s *Solver) obsIterBegin() int64 {
 // obsIterEnd closes one iteration's observation: it updates the Stats
 // frontier summary, records the iteration span, reports the iteration to
 // Config.OnIteration on rank 0, and appends a time-series sample with this
-// rank's meter/comm/pool deltas since obsIterBegin. matched is the matching
-// size the engine reports for the sample. Always called (it is nil-safe), so
-// the peak-frontier summary is maintained even with observability off.
-func (s *Solver) obsIterEnd(t0 int64, phase, frontier, newPaths, matched int, pull bool) {
+// rank's meter/comm/pool deltas since obsIterBegin. Always called (it is
+// nil-safe), so the peak-frontier summary is maintained even with
+// observability off.
+func (s *Solver) obsIterEnd(t0 int64, phase, frontier, newPaths int, pull bool) {
 	if frontier > s.Stats.PeakFrontier {
 		s.Stats.PeakFrontier = frontier
 		s.Stats.PeakFrontierIteration = s.Stats.Iterations
@@ -67,7 +67,7 @@ func (s *Solver) obsIterEnd(t0 int64, phase, frontier, newPaths, matched int, pu
 		Iteration:    s.Stats.Iterations,
 		Frontier:     frontier,
 		NewPaths:     newPaths,
-		Matched:      matched,
+		Matched:      s.Stats.InitCardinality + s.Stats.AugmentedPaths,
 		Pull:         pull,
 		Direction:    direction,
 		WallNs:       obs.Now() - s.iterBase.wall,

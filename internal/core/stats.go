@@ -34,8 +34,7 @@ type Stats struct {
 	Phases     int // MS-BFS phases executed (repeat-until rounds)
 	Iterations int // level-synchronous frontier iterations, all phases
 	// PushIterations and PullIterations split the BFS iterations by SpMV
-	// direction when direction optimization is enabled. Auction rounds
-	// count in Iterations but in neither split.
+	// direction when direction optimization is enabled.
 	PushIterations, PullIterations int
 	// Augmentations counts how many times each variant ran.
 	LevelParallelAugments int

@@ -49,8 +49,6 @@ func TestTraceSpansNestPerRank(t *testing.T) {
 // TestOnIterationEveryEngine checks that every engine reports each of its
 // iterations to Config.OnIteration, that the reports agree with rank 0's
 // iteration time-series, and that the series ends on the final cardinality.
-// An auction round's NewPaths is its net new matches, so they sum to what
-// the rounds added to the initializer's matching.
 func TestOnIterationEveryEngine(t *testing.T) {
 	a := rmat.MustGenerate(rmat.G500, 8, 8, 5)
 	for _, engine := range EngineNames() {
@@ -69,7 +67,6 @@ func TestOnIterationEveryEngine(t *testing.T) {
 			if len(samples) != len(got) {
 				t.Fatalf("%d OnIteration reports, %d rank-0 samples", len(got), len(samples))
 			}
-			newPaths := 0
 			for i, ii := range got {
 				sm := samples[i]
 				want := IterInfo{Phase: sm.Phase, Iteration: sm.Iteration,
@@ -77,13 +74,9 @@ func TestOnIterationEveryEngine(t *testing.T) {
 				if ii != want || ii.Iteration != i+1 {
 					t.Fatalf("report %d = %+v, time-series %+v", i, ii, want)
 				}
-				newPaths += ii.NewPaths
 			}
 			if last := samples[len(samples)-1]; last.Matched != res.Stats.Cardinality {
 				t.Fatalf("last sample Matched = %d, Stats.Cardinality = %d", last.Matched, res.Stats.Cardinality)
-			}
-			if added := res.Stats.Cardinality - res.Stats.InitCardinality; engine == EngineAuction && newPaths != added {
-				t.Fatalf("auction rounds report %d new matches, the matching grew by %d", newPaths, added)
 			}
 		})
 	}

@@ -42,7 +42,7 @@ func TestRoundTrip(t *testing.T) {
 			cases = append(cases, []string{e.flag, string(name)})
 		}
 	}
-	for _, eng := range []string{"", core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft, core.EngineAuction, core.EngineAuto} {
+	for _, eng := range []string{"", core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft, core.EngineAuto} {
 		cases = append(cases, []string{"-engine", eng})
 	}
 	for _, b := range []string{"-compress", "-no-prune", "-no-permute"} {

@@ -10,7 +10,7 @@ import (
 )
 
 // EngineSweepRow is one engine's line of the engine comparison: measured
-// host wall clock, modeled Edison time, round/iteration count, the exact
+// host wall clock, modeled Edison time, iteration count, the exact
 // words-on-wire ledger, and whether the König certificate confirmed the
 // matching is maximum.
 type EngineSweepRow struct {
@@ -24,15 +24,8 @@ type EngineSweepRow struct {
 	Verified       bool    `json:"verified"`
 }
 
-// auctionMaxScale is the largest scale EngineSweep runs the auction at. The
-// auction's price-out termination has no useful round bound on these graphs:
-// at scale 12 it took 767,129 rounds and 130 s on amazon-2008 and had not
-// finished on er after 8 minutes, against well under a second for bfs.
-const auctionMaxScale = 10
-
-// EngineSweep runs every matching engine on one matrix (the auction only up
-// to auctionMaxScale) and tabulates wall clock, modeled time, iterations and
-// exact communication volume. Every engine must produce a maximum matching —
+// EngineSweep runs every matching engine on one matrix and tabulates wall
+// clock, modeled time, iterations and exact communication volume. Every engine must produce a maximum matching —
 // the sweep panics if the verifier rejects one, since a fast engine that
 // returns a smaller matching is not comparable. Backs the engine table in
 // EXPERIMENTS.md.
@@ -40,9 +33,6 @@ func EngineSweep(w io.Writer, cfg core.Config, matrixName string, scale int) []E
 	a := suiteMatrix(matrixName, scale)
 	var rows []EngineSweepRow
 	for _, name := range core.EngineNames() {
-		if name == core.EngineAuction && scale > auctionMaxScale {
-			continue
-		}
 		start := time.Now()
 		res := run(a, core.Config{
 			Engine: name, Procs: cfg.Procs, Threads: cfg.Threads,

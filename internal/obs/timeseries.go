@@ -23,11 +23,11 @@ type IterSample struct {
 	// Frontier is the number of active column vertices entering the
 	// iteration.
 	Frontier int `json:"frontier"`
-	// NewPaths is the number of augmenting paths discovered this iteration
-	// (for an auction round, its net new matches).
+	// NewPaths is the number of augmenting paths discovered this
+	// iteration.
 	NewPaths int `json:"new_paths"`
 	// Matched is the cardinality so far: initialization plus all paths
-	// augmented (or, auction, all rounds' new matches) up to this sample.
+	// augmented up to this sample.
 	Matched int `json:"matched"`
 	// Pull reports whether the direction-optimizing solver ran this
 	// iteration in pull mode.

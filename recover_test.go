@@ -105,13 +105,13 @@ func TestRecoverableThenWarmSolve(t *testing.T) {
 		{Options{Engine: "bfs", Init: DynamicMindegreeInit, Threads: 2}, crashAt(60), ""},
 		{Options{Engine: "bfs-graft", Init: NoInit}, crashAt(100), ""},
 		{Options{Engine: "bfs-ss", Init: GreedyInit}, crashAt(160), ""},
-		{Options{Engine: "auction", Init: KarpSipserInit}, crashAt(160), ""},
+		{Options{Engine: "bfs-ss", Init: KarpSipserInit}, crashAt(160), ""},
 		{Options{Engine: "bfs", Init: DynamicMindegreeInit, Threads: 2}, crashAt(60), "tcp"},
 		{Options{Engine: "bfs-graft", Init: NoInit}, crashAt(100), "tcp"},
 		{Options{Engine: "bfs", Init: NoInit, Augment: PathParallel},
 			FaultSpec{RMAFailRank: 1, RMAFailAt: 40}, "tcp"},
 	} {
-		name := tc.opts.Engine + "/" + tc.transport
+		name := tc.opts.Engine + "/" + tc.opts.Init.String() + "/" + tc.transport
 		pol := RecoveryPolicy{CheckpointEvery: 1, Fault: &tc.fault, Transport: tc.transport}
 		fresh, err := Distribute(g, 4)
 		if err != nil {
@@ -124,8 +124,9 @@ func TestRecoverableThenWarmSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Auction resumes with fresh prices, so its recovered matching need
-		// not be the clean one: the reference is the same recoverable solve.
+		// A resumed solve starts its phase state afresh (bfs-graft's trees),
+		// so its recovered matching need not be the clean one: the
+		// reference is the same recoverable solve.
 		wantRec, _, _, err := fresh.SolveRecoverable(tc.opts, pol)
 		fresh.Close()
 		if err != nil {

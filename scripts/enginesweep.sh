@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Engine sweep: run every matching engine through cmd/bench -exp enginesweep
-# on every Table II stand-in and on the g500, er and ssca RMAT classes, at
-# scales 10 and 12 and at 4 and 16 ranks, and print each cell's table
-# followed by the sweep's total run time. Every cell König-certifies every
-# engine's matching (the sweep panics on a non-maximum one). The auction
-# runs only at scale 10 (see auctionMaxScale in internal/experiments).
+# Engine sweep: run every matching engine (bfs, bfs-graft, bfs-ss) through
+# cmd/bench -exp enginesweep on every Table II stand-in and on the g500, er
+# and ssca RMAT classes, at scales 10 and 12 and at 4 and 16 ranks, and
+# print each cell's table followed by the sweep's total run time. Every
+# cell König-certifies every engine's matching (the sweep panics on a
+# non-maximum one).
 #
 #   make enginesweep            # or: scripts/enginesweep.sh
 #

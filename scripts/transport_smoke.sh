@@ -66,30 +66,30 @@ cmp "$work/oracle.txt" "$work/rank0c.txt"
 cmp "$work/oracle.txt" "$work/rank3c.txt"
 echo "transport-smoke: compressed+auto 4-process matching is byte-identical to the oracle (scale $scale, $addr2)"
 
-# Third pass: the auction engine. The engine name ships to the workers in the
-# job spec (distjob v2), every process resolves it identically, and the
-# 4-process result must be byte-identical to the auction engine's own
-# in-process oracle (the auction visits different matchings than BFS, so it
-# gets its own oracle file rather than comparing against oracle.txt).
+# Third pass: a non-default engine, bfs-graft. The engine name ships to the
+# workers in the job spec, every process resolves it identically, and the
+# 4-process result must be byte-identical to bfs-graft's own in-process
+# oracle (grafting visits different matchings than bfs, so it gets its own
+# oracle file rather than comparing against oracle.txt).
 addr3="127.0.0.1:${SMOKE_PORT3:-$((9700 + RANDOM % 200))}"
-"$work/mcm" "${graph[@]}" -engine auction -out "$work/oracle_auction.txt" >/dev/null
+"$work/mcm" "${graph[@]}" -engine bfs-graft -out "$work/oracle_graft.txt" >/dev/null
 
-"$work/mcm" "${graph[@]}" -engine auction -transport tcp -addr "$addr3" \
+"$work/mcm" "${graph[@]}" -engine bfs-graft -transport tcp -addr "$addr3" \
   -out "$work/rank0a.txt" >"$work/coorda.log" 2>&1 &
 coord=$!
 "$work/mcmrank" -addr "$addr3" -rank 1 -quiet &
 "$work/mcmrank" -addr "$addr3" -rank 2 -quiet &
 "$work/mcmrank" -addr "$addr3" -rank 3 -quiet -out "$work/rank3a.txt"
 if ! wait "$coord"; then
-  echo "transport-smoke: auction coordinator failed:" >&2
+  echo "transport-smoke: bfs-graft coordinator failed:" >&2
   cat "$work/coorda.log" >&2
   exit 1
 fi
 wait
 
-cmp "$work/oracle_auction.txt" "$work/rank0a.txt"
-cmp "$work/oracle_auction.txt" "$work/rank3a.txt"
-echo "transport-smoke: auction-engine 4-process matching is byte-identical to its in-process oracle (scale $scale, $addr3)"
+cmp "$work/oracle_graft.txt" "$work/rank0a.txt"
+cmp "$work/oracle_graft.txt" "$work/rank3a.txt"
+echo "transport-smoke: bfs-graft 4-process matching is byte-identical to its in-process oracle (scale $scale, $addr3)"
 
 # Fourth pass: whole-world observability. The coordinator requests spans,
 # time-series and metrics; the workers enable the same planes from the job

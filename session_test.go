@@ -145,7 +145,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dg.Close()
-	for _, engine := range []string{"bfs", "bfs-ss", "bfs-graft", "auction"} {
+	for _, engine := range []string{"bfs", "bfs-ss", "bfs-graft"} {
 		for _, threads := range []int{1, 3} {
 			for _, observe := range []bool{false, true} {
 				opts := Options{Procs: 4, Engine: engine, Threads: threads, Init: GreedyInit}
