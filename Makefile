@@ -138,8 +138,9 @@ bench-record:
 # byte-compared against the in-process oracle — raw, with wire compression
 # + adaptive direction, with the bfs-graft engine, and once fully traced:
 # the coordinator collects every rank's observations and writes ONE merged
-# world trace + time-series + aggregated metrics, all validated by
-# cmd/tracelint. That traced pass is the smoke's only trace artifact. See
+# world trace + time-series, both validated by cmd/tracelint, and the trace
+# must carry rank 1's hb.rtt heartbeat instant. That traced pass is the
+# smoke's only trace artifact. See
 # docs/TRANSPORT.md and docs/OBSERVABILITY.md.
 transport-smoke:
 	scripts/transport_smoke.sh

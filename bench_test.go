@@ -253,9 +253,8 @@ func BenchmarkSolveRecoverableAllocs(b *testing.B) {
 // BenchmarkSolveTraceOverhead measures the cost of the observability plane
 // (ISSUE 5) on a full distributed solve: "off" is the baseline with no
 // Observe config and must stay within noise of the seed solve; "spans" adds
-// per-rank span tracing; "full" adds the iteration time-series and metrics
-// registry on top. EXPERIMENTS.md records the enabled overhead (<5%
-// target).
+// per-rank span tracing; "full" adds the iteration time-series on top.
+// EXPERIMENTS.md records the enabled overhead (<5% target).
 func BenchmarkSolveTraceOverhead(b *testing.B) {
 	g, err := RMAT(G500, 12, 8, 5)
 	if err != nil {
@@ -272,7 +271,7 @@ func BenchmarkSolveTraceOverhead(b *testing.B) {
 	}{
 		{"off", nil},
 		{"spans", &Observe{Spans: true}},
-		{"full", &Observe{Spans: true, TimeSeries: true, Metrics: true}},
+		{"full", &Observe{Spans: true, TimeSeries: true}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -286,8 +285,8 @@ func BenchmarkSolveTraceOverhead(b *testing.B) {
 
 // BenchmarkSolveObsCollection measures the cost of whole-world observation
 // collection on the tcp backend: a 4-endpoint loopback world runs one full
-// solve per iteration, once untraced and once with every observability
-// plane on — spans, time-series, metrics, plus the solve-end shipping and
+// solve per iteration, once untraced and once with both observability
+// planes on — spans and time-series, plus the solve-end shipping and
 // the coordinator-side merge that the single-process benchmark above never
 // pays. EXPERIMENTS.md records the collected overhead (<5% target; the
 // disabled plane must stay within noise of "off").
@@ -302,7 +301,7 @@ func BenchmarkSolveObsCollection(b *testing.B) {
 		obs  *Observe
 	}{
 		{"off", nil},
-		{"collected", &Observe{Spans: true, TimeSeries: true, Metrics: true}},
+		{"collected", &Observe{Spans: true, TimeSeries: true}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			opts := Options{Procs: procs, Init: GreedyInit, Observe: tc.obs}

@@ -21,7 +21,7 @@
 //
 // Measuring a single solve is not this command's job: the repo benchmark
 // (benchmark/README.md) times solves end to end and layer by layer, and
-// cmd/mcm writes a solve's trace, time-series and metrics artifacts.
+// cmd/mcm writes a solve's trace and time-series artifacts.
 package main
 
 import (

@@ -11,11 +11,10 @@
 // job spec to the cmd/mcmrank workers that join. See docs/TRANSPORT.md.
 //
 // Observability (docs/OBSERVABILITY.md): -trace-out writes the solve's span
-// timeline as Perfetto-loadable trace JSON, -timeseries the per-iteration
-// series as CSV, -metrics-out a Prometheus text snapshot, and -metrics-addr
-// serves the live registry at /metrics while the solve runs. On a tcp world
-// the artifacts are whole-world merges: the workers ship their observations
-// at solve end and the coordinator aligns and merges them. -flight-dir arms
+// timeline as Perfetto-loadable trace JSON, heartbeat RTT probes included as
+// hb.rtt instants, and -timeseries the per-iteration series as CSV. On a tcp
+// world both are whole-world merges: the workers ship their observations at
+// solve end and the coordinator aligns and merges them. -flight-dir arms
 // the crash flight recorder — a failed generation leaves
 // flight-g<gen>-r<rank>.dump post-mortems there (decode with cmd/tracelint).
 //
@@ -31,7 +30,7 @@
 //	mcm -matrix road_usa -scale 12 -procs 16 -verify
 //	mcm -rmat g500 -scale 10 -procs 4 -transport tcp -addr 127.0.0.1:9301
 //	mcm -rmat g500 -scale 10 -procs 4 -transport tcp -addr 127.0.0.1:9301 \
-//	    -trace-out world.json -timeseries world.csv -metrics-out world.prom
+//	    -trace-out world.json -timeseries world.csv
 package main
 
 import (
@@ -39,11 +38,8 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"mcmdist/internal/core"
@@ -75,8 +71,6 @@ func main() {
 	trace := flag.Bool("trace", false, "print one line per BFS iteration")
 	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace of the solve to this file (tcp coordinator: one merged world trace, all ranks)")
 	timeseries := flag.String("timeseries", "", "write the per-iteration time-series CSV to this file (tcp coordinator: rank-merged across the world)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the metrics registry in Prometheus text format at this address for the duration of the run (tcp coordinator: world-aggregated at solve end)")
-	metricsOut := flag.String("metrics-out", "", "write the final metrics registry in Prometheus text format to this file")
 	flightDir := flag.String("flight-dir", "", "tcp transport: crash flight recorder directory — on a failed attempt every surviving process dumps its span-ring tail, meters and generation here")
 	out := flag.String("out", "", "write the matching as 'row col' lines to this file")
 	transport := flag.String("transport", "inproc", "transport backend: inproc (ranks are goroutines) or tcp (ranks are OS processes)")
@@ -115,11 +109,10 @@ func main() {
 		log.Fatal("-flight-dir requires -transport tcp (the flight recorder captures multi-process failures)")
 	}
 
-	wantMetrics := *metricsAddr != "" || *metricsOut != ""
 	cfg.FlightDir = *flightDir
 	spec := &distjob.Spec{
 		RMAT: *rmatClass, Matrix: *matrix, Scale: *scale, Config: cfg,
-		ObsSpans: *traceOut != "", ObsSeries: *timeseries != "", ObsMetrics: wantMetrics,
+		ObsSpans: *traceOut != "", ObsSeries: *timeseries != "",
 	}
 	if err := readInput(spec, *in); err != nil {
 		log.Fatal(err)
@@ -132,15 +125,7 @@ func main() {
 	if *trace {
 		spec.OnIteration = func(ii core.IterInfo) { fmt.Println(ii) }
 	}
-	var msrv metricsServer
-	if *metricsAddr != "" {
-		bound, err := msrv.listen(*metricsAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("serving metrics at http://%s/metrics\n", bound)
-	}
-	oo := obsOutputs{trace: *traceOut, series: *timeseries, metrics: *metricsOut, srv: &msrv}
+	oo := obsOutputs{trace: *traceOut, series: *timeseries}
 
 	if *recoverFlag {
 		runSupervisor(*addr, spec, a, *maxRestarts, *ckptEvery, *verifyFlag, *out, oo)
@@ -165,11 +150,6 @@ func main() {
 		defer n.Close()
 		tr = n
 	}
-	// Build the collector up front so the live metrics endpoint serves it
-	// while the solve runs.
-	spec.Obs = spec.NewCollector()
-	msrv.install(spec.Obs)
-
 	res, col, err := spec.Solve(tr, a)
 	if err != nil {
 		log.Fatal(err)
@@ -276,20 +256,18 @@ func runSupervisor(addr string, spec *distjob.Spec, a *spmat.CSC, maxRestarts, c
 		fmt.Printf(" (resumed from phase %d)", stats.ResumedPhase)
 	}
 	fmt.Println()
-	oo.srv.install(stats.Obs)
 	writeObsOutputs(stats.Obs, oo)
 	verifyAndWrite(a, res.Matching, verifyFlag, out)
 }
 
 // obsOutputs carries the observability artifact destinations.
 type obsOutputs struct {
-	trace, series, metrics string
-	srv                    *metricsServer
+	trace, series string
 }
 
 // writeObsOutputs writes whichever observability artifacts were requested
-// from the solve's collector: the merged Perfetto trace, the rank-merged
-// time-series CSV, and the final metrics registry in Prometheus text format.
+// from the solve's collector: the merged Perfetto trace and the rank-merged
+// time-series CSV.
 func writeObsOutputs(col *obs.Collector, oo obsOutputs) {
 	if col == nil {
 		return
@@ -313,12 +291,6 @@ func writeObsOutputs(col *obs.Collector, oo obsOutputs) {
 	}
 	write(oo.trace, "trace", col.WriteTrace)
 	write(oo.series, "time-series", col.WriteSeriesCSV)
-	write(oo.metrics, "metrics", func(w io.Writer) error {
-		if reg := col.Registry(); reg != nil {
-			return reg.WritePrometheus(w)
-		}
-		return nil
-	})
 }
 
 // reportFlightDumps points the operator at the post-mortem bundle a
@@ -331,38 +303,4 @@ func reportFlightDumps(stats *core.RecoveryStats, dir string) {
 	for _, p := range stats.FlightDumps {
 		fmt.Printf("  %s\n", p)
 	}
-}
-
-// metricsServer serves /metrics for the duration of the run. Until the
-// solve's registry comes live it answers 503, so a scrape during bootstrap
-// fails soft instead of hanging.
-type metricsServer struct {
-	h atomic.Value // http.Handler
-}
-
-func (s *metricsServer) listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", s)
-	go http.Serve(ln, mux)
-	return ln.Addr().String(), nil
-}
-
-// install starts serving col's registry, if it has one.
-func (s *metricsServer) install(col *obs.Collector) {
-	if reg := col.Registry(); reg != nil {
-		s.h.Store(reg.Handler())
-	}
-}
-
-func (s *metricsServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h, _ := s.h.Load().(http.Handler)
-	if h == nil {
-		http.Error(w, "registry not live yet", http.StatusServiceUnavailable)
-		return
-	}
-	h.ServeHTTP(w, r)
 }

@@ -41,7 +41,6 @@ var deadExportAllowlist = map[string]string{
 	"mcmdist.FromMatrixMarketFile":         "FromMatrixMarket for a file on disk",
 	"mcmdist.Graph.Verify":                 "structural validity check of a caller's matching, the precondition VerifyMaximum, HallViolator and MaximumTransversal build on",
 	"mcmdist.JoinTCP":                      "worker half of CoordinateTCP for the caller's own launcher; cmd/mcmrank joins through tcpnet to read its job spec",
-	"mcmdist.ObsReport.WriteMetrics":       "Prometheus export of Observe.Metrics, the only way a caller reads that registry",
 	"mcmdist.ObsReport.WriteTimeSeriesCSV": "the one reader of the per-iteration time-series Observe.TimeSeries records",
 	"mcmdist.PanicError":                   "the dynamic type of a panic converted to an error at the API boundary; callers match it with errors.As",
 
@@ -52,7 +51,6 @@ var deadExportAllowlist = map[string]string{
 	"mcmdist/internal/mpi.World.TotalMeter":     "cross-package test oracle of the world meter",
 	"mcmdist/internal/mpi/tcpnet.Net.WireStats": "wire-accounting oracle of the tcpnet tests",
 	"mcmdist/internal/mtx.WriteFile":            "writes the Matrix Market fixtures tests read back",
-	"mcmdist/internal/obs.Histogram.Count":      "observation-count oracle of the obs and core tests",
 	"mcmdist/internal/rt.NewDisabled":           "reference context of the pooled-vs-unpooled equivalence tests",
 	"mcmdist/internal/spmat.CSC.Equal":          "cross-package test oracle",
 	"mcmdist/internal/spmat.CSC.Triples":        "cross-package test oracle",

@@ -156,10 +156,10 @@ type Config struct {
 	// lightweight trace for debugging and teaching.
 	OnIteration func(IterInfo) `json:"-"`
 	// Obs attaches the observability plane (internal/obs) to the run: span
-	// tracing onto per-rank ring buffers, per-iteration time-series, and an
-	// optional live metrics registry, per the collector's own options. The
-	// collector must be built for at least the run's rank count. Nil (the
-	// default) records nothing and keeps the hot path at its untraced cost.
+	// tracing onto per-rank ring buffers and the per-iteration time-series,
+	// per the collector's own options. The collector must be built for at
+	// least the run's rank count. Nil (the default) records nothing and
+	// keeps the hot path at its untraced cost.
 	Obs *obs.Collector `json:"-"`
 
 	// Fault attaches a deterministic fault injector to the run's world

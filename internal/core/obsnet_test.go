@@ -3,9 +3,9 @@ package core
 // Tests for whole-world observability collection over the tcp backend:
 // traced and untraced solves stay bit-identical, the coordinator's
 // collector ends up holding every rank's spans and samples after the
-// solve-end shipping, its registry reports world-aggregated counters equal
-// to the in-process (already world-summed) values, and injected slow-link
-// latency shows up in the per-link heartbeat RTT histograms.
+// solve-end shipping, the merged samples carry each rank's communication
+// volume exactly as the in-process solve records it, and injected slow-link
+// latency shows up in the hb.rtt instant events of the merged trace.
 
 import (
 	"bytes"
@@ -38,9 +38,7 @@ func solveLoopbackCollected(t *testing.T, procs int, cfg Config, netOpts tcpnet.
 	var wg sync.WaitGroup
 	for i, ep := range eps {
 		cfgI := cfg
-		cfgI.Obs = obs.NewCollector(procs, obs.Options{
-			Spans: true, TimeSeries: true, Metrics: obs.NewRegistry(),
-		})
+		cfgI.Obs = obs.NewCollector(procs, obs.Options{Spans: true, TimeSeries: true})
 		r := ep.LocalRanks()[0]
 		cols[r] = cfgI.Obs
 		wg.Add(1)
@@ -120,35 +118,34 @@ func TestObsCollectionTCPBitIdentity(t *testing.T) {
 		t.Errorf("merged trace declares %d ranks, want %d", tf.OtherData.Ranks, procs)
 	}
 
-	// World-aggregated counters: the in-process solve feeds one registry
-	// from all ranks, so its counters ARE the world sums; the coordinator's
-	// registry must agree after absorbing the workers (the run is
-	// deterministic, so volumes are bit-identical across backends).
-	inprocCol := obs.NewCollector(procs, obs.Options{TimeSeries: true, Metrics: obs.NewRegistry()})
+	// World aggregation on the time-series: the in-process solve records
+	// every rank in one collector, so its per-rank sums are the reference;
+	// the coordinator's merged samples must carry the same per-rank message
+	// and word volumes (the run is deterministic, so volumes are
+	// bit-identical across backends).
+	inprocCol := obs.NewCollector(procs, obs.Options{TimeSeries: true})
 	cfgIn := cfg
 	cfgIn.Obs = inprocCol
 	if _, err := Solve(a, cfgIn); err != nil {
-		t.Fatalf("inproc metrics solve: %v", err)
+		t.Fatalf("inproc time-series solve: %v", err)
 	}
-	for _, name := range []string{"mcm_comm_words_total", "mcm_comm_msgs_total", "mcm_iterations_total", "mcm_paths_total"} {
-		want := inprocCol.Registry().Counter(name, "").Value()
-		got := coord.Registry().Counter(name, "").Value()
-		if want == 0 {
-			t.Errorf("%s: world sum is 0; the assertion is vacuous", name)
+	volume := func(samples []obs.IterSample) (msgs, words int64) {
+		for _, s := range samples {
+			msgs += s.Msgs
+			words += s.Words
 		}
-		if got != want {
-			t.Errorf("%s: coordinator aggregate %d, world sum %d", name, got, want)
+		return msgs, words
+	}
+	for r := 0; r < procs; r++ {
+		wantMsgs, wantWords := volume(inprocCol.Recorder(r).Samples())
+		gotMsgs, gotWords := volume(coord.Recorder(r).Samples())
+		if wantMsgs == 0 || wantWords == 0 {
+			t.Errorf("rank %d: in-process volume is %d msgs, %d words; the assertion is vacuous", r, wantMsgs, wantWords)
 		}
-	}
-	// Sanity on the same property stated as the acceptance criterion: the
-	// coordinator's counter equals the sum of the per-process values.
-	var sum int64
-	for r := 1; r < procs; r++ {
-		sum += cols[r].Registry().Counter("mcm_comm_words_total", "").Value()
-	}
-	coordOwn := inprocCol.Registry().Counter("mcm_comm_words_total", "").Value() - sum
-	if got := coord.Registry().Counter("mcm_comm_words_total", "").Value(); got != coordOwn+sum {
-		t.Errorf("coordinator words %d != own %d + workers %d", got, coordOwn, sum)
+		if gotMsgs != wantMsgs || gotWords != wantWords {
+			t.Errorf("rank %d: coordinator's merged samples carry %d msgs, %d words; in-process %d msgs, %d words",
+				r, gotMsgs, gotWords, wantMsgs, wantWords)
+		}
 	}
 }
 
@@ -162,27 +159,26 @@ func TestHeartbeatRTTSlowLinkVisibility(t *testing.T) {
 	})
 	coord := cols[0]
 
-	// The slow link's RTT histogram must exist on the coordinator and every
-	// observation must carry at least the injected delay.
-	h := coord.Registry().Histogram("mcm_heartbeat_rtt_seconds_link_0_1", "", nil)
-	if h.Count() == 0 {
-		t.Fatal("no RTT observations on the slow link 0->1")
-	}
-	if mean := h.Sum() / float64(h.Count()); mean < slow.Seconds() {
-		t.Errorf("slow link mean RTT %.6fs, want >= injected %.6fs", mean, slow.Seconds())
-	}
-
-	// Heartbeat RTTs also land as instant events in the world trace, so the
-	// injection is visible in Perfetto too — including the workers' links,
-	// which arrive through the OBS shipping.
-	byName := map[string]int{}
+	// Every heartbeat probe the coordinator sent over the slow link 0->1
+	// lands as an hb.rtt instant carrying its round trip in ns, and each
+	// must include the injected delay. The workers' probes arrive through
+	// the OBS shipping, so a worker-side hb.rtt to 0 proves event shipping.
+	var slowProbes, workerProbes int
 	for _, ev := range coord.Events() {
-		byName[ev.Name]++
+		switch {
+		case ev.Name == "hb.rtt to 1" && ev.Rank == 0:
+			slowProbes++
+			if ev.Arg < int64(slow) {
+				t.Errorf("slow link 0->1 probe RTT %dns, want >= injected %dns", ev.Arg, int64(slow))
+			}
+		case ev.Name == "hb.rtt to 0":
+			workerProbes++
+		}
 	}
-	if byName["hb.rtt to 1"] == 0 {
-		t.Error("no hb.rtt instant events for the slow link")
+	if slowProbes == 0 {
+		t.Fatal("no hb.rtt instant events for the slow link 0->1")
 	}
-	if byName["hb.rtt to 0"] == 0 {
+	if workerProbes == 0 {
 		t.Error("no worker-side hb.rtt events arrived; event shipping broken")
 	}
 }

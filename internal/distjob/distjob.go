@@ -69,9 +69,11 @@ func (s *Spec) Solve(tr mpi.Transport, a *spmat.CSC) (*core.Result, *obs.Collect
 // the observability plane and flight recorder, 5 replaced the hand-mirrored
 // solver fields with the embedded core.Config schema, 6 dropped the
 // restart policy (the coordinator's recovery loop alone bounds retries) and
-// moved flight_dir into core.Config, and 7 dropped the no_overlap,
-// pull_threshold and disable_reuse solver fields.
-const Version = 7
+// moved flight_dir into core.Config, 7 dropped the no_overlap,
+// pull_threshold and disable_reuse solver fields, and 8 dropped the
+// metrics-plane flag (binaries from either side of that change refuse each
+// other's specs instead of one silently dropping the flag).
+const Version = 8
 
 // Spec describes one distributed solve: the graph source (exactly one of
 // RMAT, Matrix or MTX), the solver options — the embedded core.Config,
@@ -120,9 +122,6 @@ type Spec struct {
 	ObsSpans bool `json:"obs_spans,omitempty"`
 	// ObsSeries enables the per-iteration time-series on every process.
 	ObsSeries bool `json:"obs_series,omitempty"`
-	// ObsMetrics gives every process a live metrics registry; the
-	// coordinator absorbs the workers' registries into world aggregates.
-	ObsMetrics bool `json:"obs_metrics,omitempty"`
 }
 
 // Encode serializes the spec, stamping the codec version.
@@ -244,14 +243,10 @@ func (s *Spec) coreConfig() (core.Config, error) {
 // the flight recorder implies span tracing (a dump without spans names
 // nothing).
 func (s *Spec) NewCollector() *obs.Collector {
-	if !s.ObsSpans && !s.ObsSeries && !s.ObsMetrics && s.FlightDir == "" {
+	if !s.ObsSpans && !s.ObsSeries && s.FlightDir == "" {
 		return nil
 	}
-	opt := obs.Options{Spans: s.ObsSpans || s.FlightDir != "", TimeSeries: s.ObsSeries}
-	if s.ObsMetrics {
-		opt.Metrics = obs.NewRegistry()
-	}
-	return obs.NewCollector(s.Procs, opt)
+	return obs.NewCollector(s.Procs, obs.Options{Spans: s.ObsSpans || s.FlightDir != "", TimeSeries: s.ObsSeries})
 }
 
 // WriteMatching stores a matching's pairs as "row col" lines, one per

@@ -65,7 +65,7 @@ func TestRoundTrip(t *testing.T) {
 		cfg.FlightDir = "/tmp/f"
 		s := &Spec{RMAT: "ssca", Scale: 9, EdgeFactor: 8, Config: cfg,
 			Generation: 2, Recover: true, Checkpoint: []byte{1, 2},
-			ObsSpans: true, ObsSeries: true, ObsMetrics: true}
+			ObsSpans: true, ObsSeries: true}
 		blob, err := s.Encode()
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)
@@ -121,6 +121,7 @@ func TestDecodeRejects(t *testing.T) {
 		4: `{"v":4,"rmat":"g500","procs":4,"init":"mindegree","no_permute":true,"graft":true}`,
 		5: `{"v":5,"rmat":"g500","procs":4,"recover":true,"max_restarts":3}`,
 		6: `{"v":6,"rmat":"g500","procs":4,"no_overlap":true,"pull_threshold":0.5}`,
+		7: `{"v":7,"rmat":"g500","procs":4,"obs_spans":true,"obs_metrics":true}`,
 	} {
 		if _, err := Decode([]byte(blob)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
 			t.Errorf("v%d blob: %v", v, err)

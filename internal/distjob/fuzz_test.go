@@ -28,7 +28,8 @@ func FuzzSpecDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"v":5,"rmat":"g500","procs":4,"max_restarts":3}`))
 	f.Add([]byte(`{"v":6,"rmat":"g500","procs":4,"no_overlap":true,"pull_threshold":0.5}`))
-	f.Add([]byte(`{"v":7,"rmat":"g500","procs":4,"init":"bogus"}`))
+	f.Add([]byte(`{"v":7,"rmat":"g500","procs":4,"obs_spans":true,"obs_metrics":true}`))
+	f.Add([]byte(`{"v":8,"rmat":"g500","procs":4,"init":"bogus"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {

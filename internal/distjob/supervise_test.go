@@ -199,7 +199,7 @@ func TestSuperviseFlightRecorder(t *testing.T) {
 			Config: core.Config{
 				Seed: 11, Procs: procs, Init: core.InitGreedy, Permute: true, CheckpointEvery: 1,
 				FlightDir: dir},
-			ObsSpans: true, ObsSeries: true, ObsMetrics: true,
+			ObsSpans: true, ObsSeries: true,
 		}
 	}
 	fault := &mpi.FaultPlan{DropFrom: 1, DropTo: 2, DropAtFrame: 3}

@@ -37,11 +37,3 @@ type ObsShipper interface {
 	// estimate yet are absent (treat as offset zero).
 	ClockOffsets() map[int]int64
 }
-
-// RTTObservable is the optional heartbeat round-trip-time reporting
-// capability of a Transport. The observer is invoked from the transport's
-// receive plane on every completed PING/PONG exchange; it must be fast and
-// must not call back into the transport.
-type RTTObservable interface {
-	SetRTTObserver(func(peerRank int, rttNs int64))
-}

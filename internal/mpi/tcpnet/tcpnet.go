@@ -168,12 +168,10 @@ type Net struct {
 	// The observability shipping plane (wire v4): a worker renders its
 	// collector state via obsProvider and ships it to the coordinator once
 	// (obsShipped); the coordinator accumulates inbound payloads in obsIn.
-	// rttObs, when set, receives every completed heartbeat RTT sample.
 	obsProvider atomic.Value // func() []byte
 	obsShipped  atomic.Bool
 	obsMu       sync.Mutex
 	obsIn       map[int][]byte
-	rttObs      atomic.Value // func(peerRank int, rttNs int64)
 }
 
 // WireStats counts this endpoint's outbound wire activity. Frames is the
@@ -608,8 +606,8 @@ func (n *Net) sendPong(p *peer, t0 int64) {
 // observePong folds one completed probe into the peer's clock state: if the
 // exchange was the fastest seen, its midpoint estimate wins (Cristian's
 // algorithm with minimum-RTT filtering — the tightest round trip bounds the
-// true offset best). The RTT also feeds the observer hook and the world's
-// event list, so injected slow links show up in metrics and traces.
+// true offset best). The RTT also enters the world's event list as an
+// hb.rtt instant, so injected slow links show up in traces.
 func (n *Net) observePong(p *peer, t0, tPeer int64) {
 	rtt := obs.Now() - t0
 	if rtt < 0 {
@@ -619,9 +617,6 @@ func (n *Net) observePong(p *peer, t0, tPeer int64) {
 		p.minRTT.Store(rtt)
 		p.clockOff.Store(t0 + rtt/2 - tPeer)
 		p.hasOff.Store(true)
-	}
-	if f, ok := n.rttObs.Load().(func(peerRank int, rttNs int64)); ok && f != nil {
-		f(p.rank, rtt)
 	}
 	if w := n.world.Load(); w != nil {
 		w.RecordObsEvent(fmt.Sprintf("hb.rtt to %d", p.rank), n.rank, rtt)
@@ -936,11 +931,8 @@ func (n *Net) Abort(msg string) {
 	n.failPending(fmt.Errorf("tcpnet: world aborted: %s", msg))
 }
 
-// Net implements the optional observability capabilities of the seam.
-var (
-	_ mpi.ObsShipper    = (*Net)(nil)
-	_ mpi.RTTObservable = (*Net)(nil)
-)
+// Net implements the optional observability capability of the seam.
+var _ mpi.ObsShipper = (*Net)(nil)
 
 // SetObsProvider registers the callback that renders this process's
 // observability payload (mpi.ObsShipper).
@@ -1028,14 +1020,6 @@ func (n *Net) ClockOffsets() map[int]int64 {
 		}
 	}
 	return out
-}
-
-// SetRTTObserver registers the heartbeat round-trip hook
-// (mpi.RTTObservable); it runs on the read plane, so it must be fast.
-func (n *Net) SetRTTObserver(f func(peerRank int, rttNs int64)) {
-	if f != nil {
-		n.rttObs.Store(f)
-	}
 }
 
 // Close drains the mesh gracefully: send BYE to every peer, wait (bounded by

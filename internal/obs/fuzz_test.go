@@ -8,23 +8,27 @@ package obs
 // with the production encoders so they track the format.
 
 import (
+	"bytes"
 	"testing"
 )
+
+// oldProcObsMagic is the magic of the format that still ended in a
+// metrics section. Payloads under it must fail to decode: a coordinator
+// refuses a shipment from an older worker instead of misreading it.
+const oldProcObsMagic = "MCMOBS1"
 
 // seedObs builds one valid encoding of each payload kind from a collector
 // with every plane populated.
 func seedObs() [][]byte {
-	c := NewCollector(2, Options{Spans: true, TimeSeries: true, Metrics: NewRegistry()})
+	c := NewCollector(2, Options{Spans: true, TimeSeries: true})
 	fillRank(c, 0, 0)
 	fillRank(c, 1, 0)
 	c.AddEvents([]Event{{Name: "hb.rtt to 1", Rank: 0, At: 77, Arg: 52_000}})
-	c.Registry().Histogram("mcm_heartbeat_rtt_seconds_link_0_1", "rtt", []float64{1e-4, 1e-2}).Observe(5e-3)
 	return [][]byte{
 		c.Export([]int{0, 1}, 2).Encode(),
 		(&ProcObs{}).Encode(),
 		c.BuildFlightDump([]int{0, 1}, 2, "injected: rank 1 died").Encode(),
 		(&FlightDump{Cause: "watchdog: deadlock"}).Encode(),
-		typeClashPayload(),
 	}
 }
 
@@ -36,21 +40,28 @@ func FuzzObsDecode(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("MCMOBS1"))
-	f.Add([]byte("MCMFDR1"))
-	f.Add([]byte("MCMOBS1\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")) // count fields past the buffer
+	f.Add([]byte(procObsMagic))
+	f.Add([]byte(oldProcObsMagic))
+	f.Add([]byte(flightMagic))
+	f.Add([]byte(procObsMagic + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")) // count fields past the buffer
+	// A current body under the old magic: only the magic tells them apart.
+	f.Add(append([]byte(oldProcObsMagic), (&ProcObs{}).Encode()[len(procObsMagic):]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if po, err := DecodeProcObs(data); err == nil {
+		po, err := DecodeProcObs(data)
+		if err == nil && bytes.HasPrefix(data, []byte(oldProcObsMagic)) {
+			t.Fatalf("%s payload decoded cleanly", oldProcObsMagic)
+		}
+		if err == nil {
 			dec, err := DecodeProcObs(po.Encode())
 			if err != nil {
 				t.Fatalf("decoded ProcObs does not re-decode: %v", err)
 			}
-			if len(dec.Ranks) != len(po.Ranks) || len(dec.Metrics) != len(po.Metrics) || len(dec.Events) != len(po.Events) {
+			if len(dec.Ranks) != len(po.Ranks) || len(dec.Events) != len(po.Events) {
 				t.Fatal("ProcObs did not round-trip through re-encoding")
 			}
 			// The coordinator installs decoded payloads; doing so on a fresh
 			// collector must not panic whatever the rank numbers claim.
-			NewCollector(2, Options{Spans: true, TimeSeries: true, Metrics: NewRegistry()}).InstallRemote(po, 123)
+			NewCollector(2, Options{Spans: true, TimeSeries: true}).InstallRemote(po, 123)
 		}
 		if d, err := DecodeFlightDump(data); err == nil {
 			if _, err := DecodeFlightDump(d.Encode()); err != nil {

@@ -2,7 +2,7 @@ package obs
 
 // Golden shipment bytes: one ProcObs and one FlightDump built from fixed
 // literals that touch every field of the format, compared byte for byte
-// with testdata/golden-ship.txt. The file pins MCMOBS1 and MCMFDR1: a change
+// with testdata/golden-ship.txt. The file pins MCMOBS2 and MCMFDR1: a change
 // that moves any byte fails here, however the codec is written. Each golden
 // must also decode back to its literal, and every strict prefix of it, as
 // well as the golden with one trailing byte, must fail to decode.
@@ -44,8 +44,7 @@ func goldenRankObs(rank int) RankObs {
 	}
 }
 
-// goldenProcObs is a two-rank shipment with events and one metric of
-// every type.
+// goldenProcObs is a two-rank shipment with events.
 func goldenProcObs() *ProcObs {
 	return &ProcObs{
 		Gen:   3,
@@ -53,12 +52,6 @@ func goldenProcObs() *ProcObs {
 		Events: []Event{
 			{Name: "hb.rtt to 0", Rank: 1, At: 77, Arg: 52_000},
 			{Name: "fault", Rank: -1, At: 9_000, Arg: 2},
-		},
-		Metrics: []MetricPoint{
-			{Name: "mcm_iterations_total", Help: "BFS iterations", Type: 'c', Value: 42},
-			{Name: "mcm_matched", Help: "matched pairs", Type: 'g', Value: 131},
-			{Name: "mcm_iteration_seconds", Help: "iteration wall time", Type: 'h',
-				Uppers: []float64{1e-4, 1e-2, 1}, Counts: []int64{5, 9, 1, 0}, Sum: 0.0625},
 		},
 	}
 }
@@ -130,7 +123,7 @@ func checkGolden[T any](t *testing.T, goldens map[string][]byte, name string, wa
 func TestGoldenShipments(t *testing.T) {
 	goldens := readGolden(t, "testdata/golden-ship.txt")
 	po := goldenProcObs()
-	checkGolden(t, goldens, "MCMOBS1", po, po.Encode(), DecodeProcObs)
+	checkGolden(t, goldens, "MCMOBS2", po, po.Encode(), DecodeProcObs)
 	d := goldenFlightDump()
 	checkGolden(t, goldens, "MCMFDR1", d, d.Encode(), DecodeFlightDump)
 }

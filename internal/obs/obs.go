@@ -1,8 +1,7 @@
 // Package obs is the per-rank observability plane of the simulated
-// distributed runtime: span tracing, per-iteration time-series, and a
-// metrics registry. It answers the question the paper's evaluation keeps
-// asking of the implementation — where did the time go? — at three zoom
-// levels:
+// distributed runtime: span tracing and per-iteration time-series. It
+// answers the question the paper's evaluation keeps asking of the
+// implementation — where did the time go? — at two zoom levels:
 //
 //   - spans: a fixed-capacity per-rank ring buffer of typed, timestamped
 //     intervals (solve → phase → BFS iteration → Table I op, plus
@@ -11,9 +10,7 @@
 //     and flow events tying each collective's rendezvous across ranks;
 //   - iteration time-series: one sample per level-synchronous BFS iteration
 //     (frontier size, paths found, bytes moved, exposed vs hidden
-//     communication time, pool utilization), exported as CSV or JSON;
-//   - metrics: counters/gauges/histograms with a Prometheus text-exposition
-//     writer and an http.Handler, for watching a long bench run live.
+//     communication time, pool utilization), exported as CSV or JSON.
 //
 // The package is a leaf: it imports nothing from the repository, so mpi,
 // rt and core can all depend on it without cycles. Recording is designed

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -60,7 +59,7 @@ func TestFlowIDDeterministicAndDistinct(t *testing.T) {
 
 func TestCollectorNilSafety(t *testing.T) {
 	var c *Collector
-	if c.Tracer(0) != nil || c.Recorder(0) != nil || c.Registry() != nil {
+	if c.Tracer(0) != nil || c.Recorder(0) != nil {
 		t.Fatal("nil collector returned non-nil parts")
 	}
 	c.AddEvents([]Event{{Name: "x"}})
@@ -200,95 +199,5 @@ func TestSeriesMergeAndCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "rank,phase,iteration,frontier") {
 		t.Fatalf("bad CSV header: %s", lines[0])
-	}
-}
-
-func TestRegistryPrometheusExposition(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("mcm_solves_total", "Solves completed.").Add(3)
-	reg.Gauge("mcm_frontier_size", "Frontier size.").Set(17)
-	h := reg.Histogram("mcm_iteration_seconds", "Iteration wall time.", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
-
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE mcm_solves_total counter",
-		"mcm_solves_total 3",
-		"mcm_frontier_size 17",
-		`mcm_iteration_seconds_bucket{le="0.1"} 1`,
-		`mcm_iteration_seconds_bucket{le="1"} 2`,
-		`mcm_iteration_seconds_bucket{le="+Inf"} 3`,
-		"mcm_iteration_seconds_count 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	if h.Count() != 3 {
-		t.Fatalf("histogram count = %d", h.Count())
-	}
-	if s := h.Sum(); s < 5.54 || s > 5.56 {
-		t.Fatalf("histogram sum = %g", s)
-	}
-
-	// Get-or-create returns the same instruments; type clash panics.
-	if reg.Counter("mcm_solves_total", "").Value() != 3 {
-		t.Fatal("counter get-or-create returned a fresh instrument")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("type clash did not panic")
-			}
-		}()
-		reg.Gauge("mcm_solves_total", "")
-	}()
-}
-
-func TestRegistryHandler(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("x_total", "x").Add(1)
-	srv := httptest.NewServer(reg.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	buf := make([]byte, 1<<12)
-	n, _ := resp.Body.Read(buf)
-	if !strings.Contains(string(buf[:n]), "x_total 1") {
-		t.Fatalf("handler body missing counter: %s", buf[:n])
-	}
-}
-
-func TestRecorderFeedsRegistry(t *testing.T) {
-	reg := NewRegistry()
-	c := NewCollector(2, Options{TimeSeries: true, Metrics: reg})
-	c.Recorder(0).Record(IterSample{Iteration: 1, Frontier: 9, NewPaths: 4, Matched: 50, WallNs: 1e6, Msgs: 2, Words: 20})
-	c.Recorder(1).Record(IterSample{Iteration: 1, Frontier: 9, NewPaths: 4, Matched: 50, WallNs: 1e6, Msgs: 3, Words: 30})
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"mcm_iterations_total 1",  // rank 0 only: SPMD counters scraped once
-		"mcm_comm_words_total 50", // volume counters summed across ranks
-		"mcm_frontier_size 9",
-		"mcm_matched 50",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -5,13 +5,13 @@ package obs
 // A multi-process world records per-process: each endpoint's Collector only
 // ever sees the ranks its process hosts. At solve end every worker process
 // encodes its collector state as a ProcObs — span rings, iteration samples,
-// meter points, world events, and a metrics snapshot — and ships the bytes
+// meter points and world events — and ships the bytes
 // to the coordinator over the transport (the tcpnet OBS frame). The
 // coordinator calls InstallRemote with the per-peer clock offset estimated
 // from the heartbeat PING/PONG exchange, which shifts every remote
 // timestamp into the coordinator's trace timebase at merge time; live
 // clocks are never adjusted. After installation the ordinary exporters
-// (WriteTrace, WriteSeriesCSV, WritePrometheus) produce world-level
+// (WriteTrace, WriteSeriesCSV) produce world-level
 // artifacts with no further changes.
 //
 // The same encoding, under its own magic, is the crash flight recorder: a
@@ -23,11 +23,8 @@ package obs
 // decode or error, never panic or over-allocate.
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"os"
-	"slices"
 	"sort"
 
 	"mcmdist/internal/wire"
@@ -37,7 +34,7 @@ import (
 // exactly, so an old reader rejects a new dump loudly instead of
 // misparsing it.
 const (
-	procObsMagic = "MCMOBS1"
+	procObsMagic = "MCMOBS2"
 	flightMagic  = "MCMFDR1"
 )
 
@@ -54,21 +51,6 @@ type MeterPoint struct {
 	Value int64
 }
 
-// MetricPoint is one metric's snapshot as it crosses a process boundary.
-type MetricPoint struct {
-	Name string
-	Help string
-	// Type is 'c' (counter), 'g' (gauge) or 'h' (histogram).
-	Type byte
-	// Value is the counter or gauge reading.
-	Value int64
-	// Uppers, Counts (len(Uppers)+1, +Inf last) and Sum are the histogram
-	// state.
-	Uppers []float64
-	Counts []int64
-	Sum    float64
-}
-
 // RankObs is one rank's share of a shipped or dumped observation: its span
 // ring (unwrapped), drop count, iteration samples, and meter points.
 type RankObs struct {
@@ -80,13 +62,12 @@ type RankObs struct {
 }
 
 // ProcObs is one process's whole observability state in transit: the ranks
-// it hosts, the world events its runtime recorded, and its metrics
-// snapshot.
+// it hosts and the world events its runtime recorded (among them the
+// heartbeat's hb.rtt probes).
 type ProcObs struct {
-	Gen     int64
-	Ranks   []RankObs
-	Events  []Event
-	Metrics []MetricPoint
+	Gen    int64
+	Ranks  []RankObs
+	Events []Event
 }
 
 // FlightDump is the crash flight recorder's payload: what every local rank
@@ -162,9 +143,6 @@ func (c *Collector) Export(ranks []int, gen int64) *ProcObs {
 		}
 		po.Ranks = append(po.Ranks, ro)
 	}
-	if reg := c.Registry(); reg != nil {
-		po.Metrics = reg.Export()
-	}
 	return po
 }
 
@@ -179,8 +157,8 @@ func (c *Collector) Export(ranks []int, gen int64) *ProcObs {
 // or recorder, which its own goroutine writes: that is the loopback shape
 // where every endpoint shares one collector and the "remote" payload is a
 // re-encoding of what is already recorded. When every carried rank is
-// hosted here, the events and metrics of the payload are skipped too, so a
-// shared collector is never double-counted.
+// hosted here, the events of the payload are skipped too, so a shared
+// collector is never double-counted.
 func (c *Collector) InstallRemote(po *ProcObs, offsetNs int64) {
 	if c == nil || po == nil {
 		return
@@ -222,89 +200,6 @@ func (c *Collector) InstallRemote(po *ProcObs, offsetNs int64) {
 			evs[i] = ev
 		}
 		c.AddEvents(evs)
-	}
-	if reg := c.Registry(); reg != nil {
-		reg.Absorb(po.Metrics)
-	}
-}
-
-// Export snapshots every metric in registration order.
-func (r *Registry) Export() []MetricPoint {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	metrics := make([]any, len(r.order))
-	copy(metrics, r.order)
-	r.mu.Unlock()
-	out := make([]MetricPoint, 0, len(metrics))
-	for _, m := range metrics {
-		switch m := m.(type) {
-		case *Counter:
-			out = append(out, MetricPoint{Name: m.name, Help: m.help, Type: 'c', Value: m.Value()})
-		case *Gauge:
-			out = append(out, MetricPoint{Name: m.name, Help: m.help, Type: 'g', Value: m.Value()})
-		case *Histogram:
-			pt := MetricPoint{Name: m.name, Help: m.help, Type: 'h', Sum: m.Sum()}
-			pt.Uppers = append(pt.Uppers, m.uppers...)
-			pt.Counts = make([]int64, len(m.counts))
-			for i := range m.counts {
-				pt.Counts[i] = m.counts[i].Load()
-			}
-			out = append(out, pt)
-		}
-	}
-	return out
-}
-
-// Absorb folds a remote process's metric snapshot into the registry under
-// the SPMD conventions: counters are volume and add up to world totals;
-// gauges are rank-0-replicated state, so an existing local gauge wins and
-// a remote one is only installed when the name is new here; histogram
-// bucket counts and sums merge when the bucket layout matches (they share
-// code, so it always does) and are dropped otherwise. A point whose name
-// the registry already holds under another type is dropped too: the
-// payload came off the network, and a malformed one must not panic.
-func (r *Registry) Absorb(pts []MetricPoint) {
-	if r == nil {
-		return
-	}
-	for _, pt := range pts {
-		switch pt.Type {
-		case 'c':
-			if c, ok := register(r, pt.Name, func() *Counter { return &Counter{name: pt.Name, help: pt.Help} }); ok {
-				c.Add(pt.Value)
-			}
-		case 'g':
-			fresh := false
-			g, ok := register(r, pt.Name, func() *Gauge {
-				fresh = true
-				return &Gauge{name: pt.Name, help: pt.Help}
-			})
-			if ok && fresh {
-				g.Set(pt.Value)
-			}
-		case 'h':
-			h, ok := register(r, pt.Name, func() *Histogram { return newHistogram(pt.Name, pt.Help, pt.Uppers) })
-			if !ok || len(h.counts) != len(pt.Counts) || !slices.Equal(h.uppers, pt.Uppers) {
-				continue
-			}
-			for i, n := range pt.Counts {
-				h.counts[i].Add(n)
-			}
-			h.addSum(pt.Sum)
-		}
-	}
-}
-
-// addSum atomically adds v to the histogram's sum.
-func (h *Histogram) addSum(v float64) {
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
 	}
 }
 
@@ -372,7 +267,6 @@ const (
 	minMeter   = 4 + 8             // name length, value
 	minRankObs = 4 + 4 + 8 + 4 + 4 // rank, three empty counts, dropped
 	minEvent   = 4 + 3*8           // name length, rank, at, arg
-	minMetric  = 4 + 4 + 1         // name and help lengths, type
 )
 
 func writeSpan(w *wire.Writer, sp Span) {
@@ -471,7 +365,7 @@ func readRankObs(r *wire.Reader) RankObs {
 	return ro
 }
 
-// Encode serializes the observation under the MCMOBS1 magic.
+// Encode serializes the observation under the MCMOBS2 magic.
 func (po *ProcObs) Encode() []byte {
 	w := wire.Writer{Buf: []byte(procObsMagic)}
 	w.I64(po.Gen)
@@ -486,7 +380,6 @@ func (po *ProcObs) Encode() []byte {
 		w.I64(ev.At)
 		w.I64(ev.Arg)
 	}
-	writeMetrics(&w, po.Metrics)
 	return w.Buf
 }
 
@@ -510,7 +403,6 @@ func DecodeProcObs(data []byte) (*ProcObs, error) {
 		ev.Arg = r.I64()
 		po.Events = append(po.Events, ev)
 	}
-	po.Metrics = readMetrics(&r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("obs: malformed %s observation: %w", procObsMagic, err)
 	}
@@ -545,57 +437,6 @@ func DecodeFlightDump(data []byte) (*FlightDump, error) {
 		return nil, fmt.Errorf("obs: malformed %s flight dump: %w", flightMagic, err)
 	}
 	return d, nil
-}
-
-func writeMetrics(w *wire.Writer, pts []MetricPoint) {
-	w.U32(uint32(len(pts)))
-	for _, pt := range pts {
-		w.Str(pt.Name)
-		w.Str(pt.Help)
-		w.U8(pt.Type)
-		switch pt.Type {
-		case 'h':
-			w.U32(uint32(len(pt.Uppers)))
-			for _, ub := range pt.Uppers {
-				w.F64(ub)
-			}
-			for _, n := range pt.Counts {
-				w.I64(n)
-			}
-			w.F64(pt.Sum)
-		default:
-			w.I64(pt.Value)
-		}
-	}
-}
-
-var errMetricType = errors.New("obs: unknown metric type")
-
-func readMetrics(r *wire.Reader) []MetricPoint {
-	n := r.Count(minMetric)
-	var out []MetricPoint
-	for i := 0; i < n && r.Err() == nil; i++ {
-		pt := MetricPoint{Name: r.Str(), Help: r.Str(), Type: r.U8()}
-		switch pt.Type {
-		case 'h':
-			nb := r.Count(8)
-			for j := 0; j < nb && r.Err() == nil; j++ {
-				pt.Uppers = append(pt.Uppers, r.F64())
-			}
-			for j := 0; j < nb+1 && r.Err() == nil; j++ {
-				pt.Counts = append(pt.Counts, r.I64())
-			}
-			pt.Sum = r.F64()
-		case 'c', 'g':
-			pt.Value = r.I64()
-		default:
-			r.Fail(errMetricType)
-		}
-		if r.Err() == nil {
-			out = append(out, pt)
-		}
-	}
-	return out
 }
 
 // sortSpansForTrack orders one track's spans for emission: by start, then

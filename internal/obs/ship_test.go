@@ -2,8 +2,7 @@ package obs
 
 // Tests for the cross-process shipping layer: the ProcObs/FlightDump codec
 // round trip, the clock-offset merge invariants (nesting and per-track
-// order survive any skew), the shared-collector double-count guard, and the
-// world-sum semantics of Registry.Absorb.
+// order survive any skew), and the shared-collector double-count guard.
 
 import (
 	"bytes"
@@ -33,7 +32,7 @@ func fillRank(c *Collector, rank int, base int64) {
 }
 
 func newTestCollector(ranks int) *Collector {
-	return NewCollector(ranks, Options{Spans: true, TimeSeries: true, Metrics: NewRegistry()})
+	return NewCollector(ranks, Options{Spans: true, TimeSeries: true})
 }
 
 func TestProcObsRoundTrip(t *testing.T) {
@@ -148,13 +147,12 @@ func assertTraceMonotone(t *testing.T, c *Collector) {
 // TestInstallRemoteSharedCollector pins the loopback guard: when every
 // endpoint shares one collector, re-installing a payload that re-encodes
 // locally recorded ranks must change nothing — no duplicate spans, no
-// duplicate events, no double-counted metrics.
+// duplicate events.
 func TestInstallRemoteSharedCollector(t *testing.T) {
 	c := newTestCollector(2)
 	fillRank(c, 0, 0)
 	fillRank(c, 1, 0)
 	c.AddEvents([]Event{{Name: "hb.rtt to 0", Rank: 1, At: 10, Arg: 1}})
-	words := c.Registry().Counter("mcm_comm_words_total", "").Value()
 
 	po, err := DecodeProcObs(c.Export([]int{1}, 0).Encode())
 	if err != nil {
@@ -171,98 +169,6 @@ func TestInstallRemoteSharedCollector(t *testing.T) {
 	if n := len(c.Events()); n != 1 {
 		t.Fatalf("shared-collector install duplicated events: %d, want 1", n)
 	}
-	if got := c.Registry().Counter("mcm_comm_words_total", "").Value(); got != words {
-		t.Fatalf("shared-collector install double-counted metrics: %d, want %d", got, words)
-	}
-}
-
-// TestRegistryAbsorbWorldSums pins the SPMD merge conventions: counters add
-// to world totals, gauges keep the local (rank 0) value when present and
-// install when new, histograms merge bucket-by-bucket.
-func TestRegistryAbsorbWorldSums(t *testing.T) {
-	world := NewRegistry()
-	world.Counter("mcm_comm_words_total", "").Add(100)
-	world.Gauge("mcm_matched", "").Set(7)
-	world.Histogram("mcm_iteration_seconds", "", []float64{0.1, 1}).Observe(0.05)
-
-	for i := 0; i < 3; i++ {
-		peer := NewRegistry()
-		peer.Counter("mcm_comm_words_total", "").Add(int64(10 * (i + 1)))
-		peer.Gauge("mcm_matched", "").Set(999) // must lose to the local gauge
-		peer.Gauge("mcm_peer_only", "").Set(int64(i))
-		peer.Histogram("mcm_iteration_seconds", "", []float64{0.1, 1}).Observe(0.5)
-		pts, err := decodeMetricsRoundTrip(peer.Export())
-		if err != nil {
-			t.Fatalf("peer %d: %v", i, err)
-		}
-		world.Absorb(pts)
-	}
-
-	if got := world.Counter("mcm_comm_words_total", "").Value(); got != 160 {
-		t.Fatalf("counter world sum %d, want 100+10+20+30 = 160", got)
-	}
-	if got := world.Gauge("mcm_matched", "").Value(); got != 7 {
-		t.Fatalf("local gauge overwritten: %d, want 7", got)
-	}
-	if got := world.Gauge("mcm_peer_only", "").Value(); got != 0 {
-		t.Fatalf("first remote gauge should win: %d, want 0", got)
-	}
-	h := world.Histogram("mcm_iteration_seconds", "", []float64{0.1, 1})
-	if got := h.Count(); got != 4 {
-		t.Fatalf("histogram world count %d, want 4", got)
-	}
-	if got := h.Sum(); got != 0.05+3*0.5 {
-		t.Fatalf("histogram world sum %g, want %g", got, 0.05+3*0.5)
-	}
-}
-
-// typeClashPayload carries the metric x twice, as a counter and as a
-// histogram: a remote process can send it, so decoding and installing it
-// must not take the coordinator down.
-func typeClashPayload() []byte {
-	return (&ProcObs{Metrics: []MetricPoint{
-		{Name: "x", Type: 'c', Value: 5},
-		{Name: "x", Type: 'h', Uppers: []float64{1}, Counts: []int64{1, 0}, Sum: 0.5},
-	}}).Encode()
-}
-
-// TestAbsorbSkipsTypeClash: a remote metric whose name the registry holds
-// under another type is skipped, like a histogram of another layout, both
-// when the clash is inside one payload and when it is with a local metric.
-func TestAbsorbSkipsTypeClash(t *testing.T) {
-	po, err := DecodeProcObs(typeClashPayload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newTestCollector(2)
-	c.InstallRemote(po, 0)
-	if got := c.Registry().Counter("x", "").Value(); got != 5 {
-		t.Fatalf("counter x = %d after install, want 5", got)
-	}
-
-	local := NewRegistry()
-	local.Gauge("g", "").Set(3)
-	local.Counter("c", "").Add(1)
-	local.Absorb([]MetricPoint{
-		{Name: "g", Type: 'c', Value: 9},
-		{Name: "g", Type: 'h', Uppers: []float64{1}, Counts: []int64{1, 0}},
-		{Name: "c", Type: 'g', Value: 9},
-		{Name: "c", Type: 'h', Uppers: []float64{1}, Counts: []int64{1, 0}},
-	})
-	if g, n := local.Gauge("g", "").Value(), local.Counter("c", "").Value(); g != 3 || n != 1 {
-		t.Fatalf("clashing points changed local metrics: gauge %d, counter %d, want 3 and 1", g, n)
-	}
-}
-
-// decodeMetricsRoundTrip pushes metric points through the wire codec, the
-// way Absorb receives them in production.
-func decodeMetricsRoundTrip(pts []MetricPoint) ([]MetricPoint, error) {
-	po := &ProcObs{Metrics: pts}
-	dec, err := DecodeProcObs(po.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return dec.Metrics, nil
 }
 
 func TestFlightDumpRoundTripAndTail(t *testing.T) {

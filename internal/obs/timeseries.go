@@ -55,58 +55,20 @@ type IterSample struct {
 	PoolSpanNs int64 `json:"pool_span_ns"`
 }
 
-// IterRecorder accumulates one rank's iteration samples and, when a
-// registry is attached, feeds the live metrics. Like Tracer it is
+// IterRecorder accumulates one rank's iteration samples. Like Tracer it is
 // single-writer (the owning rank goroutine) and nil-safe.
 type IterRecorder struct {
 	rank    int
 	samples []IterSample
-
-	reg       *Registry
-	mIters    *Counter
-	mPaths    *Counter
-	mWords    *Counter
-	mMsgs     *Counter
-	mFrontier *Gauge
-	mMatched  *Gauge
-	mIterSec  *Histogram
 }
 
-func newIterRecorder(rank int, reg *Registry) *IterRecorder {
-	r := &IterRecorder{rank: rank, samples: make([]IterSample, 0, 256), reg: reg}
-	if reg != nil {
-		r.mIters = reg.Counter("mcm_iterations_total", "BFS iterations completed (rank 0 view).")
-		r.mPaths = reg.Counter("mcm_paths_total", "Augmenting paths discovered (rank 0 view).")
-		r.mWords = reg.Counter("mcm_comm_words_total", "Words moved by collectives, summed over ranks.")
-		r.mMsgs = reg.Counter("mcm_comm_msgs_total", "Messages sent by collectives, summed over ranks.")
-		r.mFrontier = reg.Gauge("mcm_frontier_size", "Active frontier size of the current iteration (rank 0 view).")
-		r.mMatched = reg.Gauge("mcm_matched", "Matching cardinality so far (rank 0 view).")
-		r.mIterSec = reg.Histogram("mcm_iteration_seconds", "Per-iteration wall time (rank 0 view).", nil)
-	}
-	return r
-}
-
-// Record appends one sample (and updates the live metrics when attached:
-// per-rank counters from every rank, SPMD gauges from rank 0 only so the
-// scrape sees each value once).
+// Record appends one sample.
 func (r *IterRecorder) Record(s IterSample) {
 	if r == nil {
 		return
 	}
 	s.Rank = r.rank
 	r.samples = append(r.samples, s)
-	if r.reg == nil {
-		return
-	}
-	r.mWords.Add(s.Words)
-	r.mMsgs.Add(s.Msgs)
-	if r.rank == 0 {
-		r.mIters.Add(1)
-		r.mPaths.Add(int64(s.NewPaths))
-		r.mFrontier.Set(int64(s.Frontier))
-		r.mMatched.Set(int64(s.Matched))
-		r.mIterSec.Observe(float64(s.WallNs) / 1e9)
-	}
 }
 
 // Samples returns this rank's samples in recording order. Call after the

@@ -16,17 +16,13 @@ type Options struct {
 	SpanCap int
 	// TimeSeries enables per-BFS-iteration sampling.
 	TimeSeries bool
-	// Metrics, when non-nil, is fed live by the iteration recorders and by
-	// anything else holding the registry (cmd/mcm serves it over HTTP).
-	Metrics *Registry
 }
 
 // Collector owns one solve's observability state: a Tracer and an
-// IterRecorder per rank, the world-plane event list, and the optional
-// metrics registry. It is created before the world launches, handed to each
-// rank read-only (each rank touches only its own tracer/recorder slot), and
-// drained after the world joins — so the merge path needs no locking beyond
-// the event list.
+// IterRecorder per rank and the world-plane event list. It is created
+// before the world launches, handed to each rank read-only (each rank
+// touches only its own tracer/recorder slot), and drained after the world
+// joins — so the merge path needs no locking beyond the event list.
 //
 // A nil *Collector is the observability-off state; the accessors return nil
 // recorders/tracers, which are themselves no-ops.
@@ -54,26 +50,19 @@ func NewCollector(ranks int, opt Options) *Collector {
 	if opt.TimeSeries {
 		c.recs = make([]*IterRecorder, ranks)
 		for r := range c.recs {
-			c.recs[r] = newIterRecorder(r, opt.Metrics)
+			c.recs[r] = &IterRecorder{rank: r, samples: make([]IterSample, 0, 256)}
 		}
 	}
 	return c
 }
 
 // Sibling builds a fresh collector with the same planes enabled as c — the
-// shape a peer process of the same world would build from the job spec. A
-// metrics-enabled sibling gets its own registry: per-process registries are
-// the real multi-process topology, and the coordinator's InstallRemote
-// absorbs them into world aggregates at collection time.
+// shape a peer process of the same world would build from the job spec.
 func (c *Collector) Sibling(ranks int) *Collector {
 	if c == nil {
 		return nil
 	}
-	opt := c.opt
-	if opt.Metrics != nil {
-		opt.Metrics = NewRegistry()
-	}
-	return NewCollector(ranks, opt)
+	return NewCollector(ranks, c.opt)
 }
 
 // Tracer returns rank's span tracer (nil when spans are off or the rank is
@@ -91,14 +80,6 @@ func (c *Collector) Recorder(rank int) *IterRecorder {
 		return nil
 	}
 	return c.recs[rank]
-}
-
-// Registry returns the live metrics registry, if one was configured.
-func (c *Collector) Registry() *Registry {
-	if c == nil {
-		return nil
-	}
-	return c.opt.Metrics
 }
 
 // AddEvents appends world-plane events (thread-safe; called by the runtime

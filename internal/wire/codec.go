@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Writer appends little-endian fields to Buf. Fixed-width integers take
@@ -17,7 +16,6 @@ func (w *Writer) U8(v byte)        { w.Buf = append(w.Buf, v) }
 func (w *Writer) U32(v uint32)     { w.Buf = binary.LittleEndian.AppendUint32(w.Buf, v) }
 func (w *Writer) U64(v uint64)     { w.Buf = binary.LittleEndian.AppendUint64(w.Buf, v) }
 func (w *Writer) I64(v int64)      { w.U64(uint64(v)) }
-func (w *Writer) F64(v float64)    { w.U64(math.Float64bits(v)) }
 func (w *Writer) Uvarint(v uint64) { w.Buf = binary.AppendUvarint(w.Buf, v) }
 
 func (w *Writer) Str(s string) {
@@ -107,8 +105,7 @@ func (r *Reader) U64() uint64 {
 	return 0
 }
 
-func (r *Reader) I64() int64   { return int64(r.U64()) }
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {

@@ -153,9 +153,9 @@ type Options struct {
 	// used.
 	Trace io.Writer
 	// Observe, when non-nil, attaches the observability plane — span
-	// tracing, per-iteration time-series, live metrics — per its fields;
-	// the recorded data comes back on Stats.Obs. Nil records nothing and
-	// keeps the solver at its untraced cost.
+	// tracing and the per-iteration time-series — per its fields; the
+	// recorded data comes back on Stats.Obs. Nil records nothing and keeps
+	// the solver at its untraced cost.
 	Observe *Observe
 }
 
@@ -248,8 +248,8 @@ type Stats struct {
 	// summary of the iteration time-series, recorded even without
 	// Options.Observe.
 	PeakFrontier, PeakFrontierIteration int
-	// Obs carries the run's observability data (span trace, time-series,
-	// metrics) when Options.Observe was set; nil otherwise.
+	// Obs carries the run's observability data (span trace and
+	// time-series) when Options.Observe was set; nil otherwise.
 	Obs *ObsReport
 }
 

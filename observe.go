@@ -7,11 +7,10 @@ import (
 )
 
 // Observe configures the observability plane of a distributed run: per-rank
-// span tracing (Chrome trace_event / Perfetto export), a per-iteration
-// time-series, and a live Prometheus-style metrics registry. Attach one via
-// Options.Observe; the resulting data is returned on Stats.Obs. All layers
-// default to off, and a nil Observe keeps the solver hot path at its
-// untraced cost.
+// span tracing (Chrome trace_event / Perfetto export) and a per-iteration
+// time-series. Attach one via Options.Observe; the resulting data is
+// returned on Stats.Obs. Both default to off, and a nil Observe keeps the
+// solver hot path at its untraced cost.
 type Observe struct {
 	// Spans records begin/end spans of every solve, phase, BFS iteration,
 	// Table I primitive, collective, and RMA operation into a fixed-capacity
@@ -24,10 +23,6 @@ type Observe struct {
 	// size, paths found, bytes moved, exposed vs hidden communication time,
 	// and worker-pool utilization.
 	TimeSeries bool
-	// Metrics maintains a live metrics registry (counters, gauges,
-	// histograms) during the run, exposable in Prometheus text format via
-	// ObsReport.WriteMetrics.
-	Metrics bool
 }
 
 // collector builds the internal collector for an effective rank count, or
@@ -39,15 +34,10 @@ func (o *Observe) collector(procs int) *obs.Collector {
 	if procs < 1 {
 		procs = 1
 	}
-	var reg *obs.Registry
-	if o.Metrics {
-		reg = obs.NewRegistry()
-	}
 	return obs.NewCollector(procs, obs.Options{
 		Spans:      o.Spans,
 		SpanCap:    o.SpanCap,
 		TimeSeries: o.TimeSeries,
-		Metrics:    reg,
 	})
 }
 
@@ -59,9 +49,9 @@ func (o *Observe) collector(procs int) *obs.Collector {
 // at solve end the workers ship their observations to the coordinator,
 // which aligns the timestamps with its heartbeat-estimated clock offsets
 // and merges everything: rank 0's report then covers the whole world —
-// one trace with a track pair per world rank, a rank-merged time-series,
-// and world-aggregated metrics — while a worker's report keeps covering
-// only its local ranks. See docs/OBSERVABILITY.md.
+// one trace with a track pair per world rank (heartbeat RTT probes included
+// as hb.rtt instants) and a rank-merged time-series — while a worker's
+// report keeps covering only its local ranks. See docs/OBSERVABILITY.md.
 type ObsReport struct {
 	col *obs.Collector
 }
@@ -92,14 +82,4 @@ func (r *ObsReport) WriteTimeSeriesCSV(w io.Writer) error {
 // means the trace shows only the most recent Observe.SpanCap spans per rank.
 func (r *ObsReport) DroppedSpans() uint64 {
 	return r.col.Dropped()
-}
-
-// WriteMetrics writes the run's metrics registry in Prometheus text
-// exposition format. Requires Observe.Metrics.
-func (r *ObsReport) WriteMetrics(w io.Writer) error {
-	reg := r.col.Registry()
-	if reg == nil {
-		return nil
-	}
-	return reg.WritePrometheus(w)
 }

@@ -91,8 +91,8 @@ cmp "$work/oracle_graft.txt" "$work/rank0a.txt"
 cmp "$work/oracle_graft.txt" "$work/rank3a.txt"
 echo "transport-smoke: bfs-graft 4-process matching is byte-identical to its in-process oracle (scale $scale, $addr3)"
 
-# Fourth pass: whole-world observability. The coordinator requests spans,
-# time-series and metrics; the workers enable the same planes from the job
+# Fourth pass: whole-world observability. The coordinator requests spans
+# and the time-series; the workers enable the same planes from the job
 # spec, ship their observations back at solve end, and the coordinator
 # writes ONE merged trace covering all four ranks. tracelint then enforces
 # the world-level invariants: a compute/comm track pair per rank, per-track
@@ -100,7 +100,7 @@ echo "transport-smoke: bfs-graft 4-process matching is byte-identical to its in-
 # chains. The matching must still be byte-identical — tracing is passive.
 addr4="127.0.0.1:${SMOKE_PORT4:-$((9530 + RANDOM % 170))}"
 "$work/mcm" "${graph[@]}" -transport tcp -addr "$addr4" \
-  -trace-out "$work/world.json" -timeseries "$work/world.csv" -metrics-out "$work/world.prom" \
+  -trace-out "$work/world.json" -timeseries "$work/world.csv" \
   -out "$work/rank0t.txt" >"$work/coordt.log" 2>&1 &
 coord=$!
 "$work/mcmrank" -addr "$addr4" -rank 1 -quiet &
@@ -116,11 +116,12 @@ wait
 cmp "$work/oracle.txt" "$work/rank0t.txt"
 cmp "$work/oracle.txt" "$work/rank3t.txt"
 "$work/tracelint" "$work/world.json" "$work/world.csv"
-# The merged time-series carries rows from every rank, and the aggregated
-# registry carries the per-link heartbeat RTT histograms the workers shipped.
+# The merged time-series carries rows from every rank, and the merged trace
+# carries a worker's heartbeat RTT probe: an hb.rtt to 0 instant on tid 2,
+# rank 1's compute track, which only the OBS shipping can have put there.
 for r in 0 1 2 3; do
   grep -q "^$r," "$work/world.csv" || { echo "transport-smoke: no series rows for rank $r" >&2; exit 1; }
 done
-grep -q "mcm_heartbeat_rtt_seconds_link_1_0" "$work/world.prom" || {
-  echo "transport-smoke: worker RTT histograms missing from the aggregated registry" >&2; exit 1; }
+grep -q '"tid":2,[^}]*"name":"hb.rtt to 0"' "$work/world.json" || {
+  echo "transport-smoke: rank 1's hb.rtt instants missing from the merged trace" >&2; exit 1; }
 echo "transport-smoke: traced 4-process solve produced one tracelint-clean world trace (scale $scale, $addr4)"
