@@ -12,10 +12,10 @@
 //
 // Observability (docs/OBSERVABILITY.md): -trace-out writes the solve's span
 // timeline as Perfetto-loadable trace JSON, heartbeat RTT probes included as
-// hb.rtt instants, and -timeseries the per-iteration series as CSV. On a tcp
-// world both are whole-world merges: the workers ship their observations at
-// solve end and the coordinator aligns and merges them. -flight-dir arms
-// the crash flight recorder — a failed generation leaves
+// hb.rtt instants, and -timeseries one CSV row per rank per BFS iteration.
+// On a tcp world both are whole-world merges: the workers ship their
+// observations at solve end and the coordinator aligns and merges them.
+// -flight-dir arms the crash flight recorder — a failed generation leaves
 // flight-g<gen>-r<rank>.dump post-mortems there (decode with cmd/tracelint).
 //
 // The solver flags (-procs -threads -engine -init -semiring -augment
@@ -68,10 +68,9 @@ func main() {
 	serial := flag.String("serial", "", "also run a serial baseline for comparison: hk, pf, msbfs, graft, pr")
 	verifyFlag := flag.Bool("verify", false, "certify the result with the König vertex-cover certificate")
 	breakdown := flag.Bool("breakdown", false, "print the per-primitive runtime breakdown")
-	trace := flag.Bool("trace", false, "print one line per BFS iteration")
 	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace of the solve to this file (tcp coordinator: one merged world trace, all ranks)")
 	timeseries := flag.String("timeseries", "", "write the per-iteration time-series CSV to this file (tcp coordinator: rank-merged across the world)")
-	flightDir := flag.String("flight-dir", "", "tcp transport: crash flight recorder directory — on a failed attempt every surviving process dumps its span-ring tail, meters and generation here")
+	flightDir := flag.String("flight-dir", "", "tcp transport: crash flight recorder directory — on a failed attempt every surviving process dumps its span-ring tail, cause and generation here")
 	out := flag.String("out", "", "write the matching as 'row col' lines to this file")
 	transport := flag.String("transport", "inproc", "transport backend: inproc (ranks are goroutines) or tcp (ranks are OS processes)")
 	addr := flag.String("addr", "", "tcp transport: rendezvous address (rank 0 listens, workers dial)")
@@ -122,9 +121,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("bipartite graph %d x %d, %d edges\n", a.NRows, a.NCols, a.NNZ())
-	if *trace {
-		spec.OnIteration = func(ii core.IterInfo) { fmt.Println(ii) }
-	}
 	oo := obsOutputs{trace: *traceOut, series: *timeseries}
 
 	if *recoverFlag {

@@ -11,11 +11,15 @@
 // that passes loads in Perfetto (ui.perfetto.dev) and chrome://tracing.
 //
 // For CSVs (dispatched on the .csv extension) it checks the exact header
-// obs.WriteSeriesCSV writes, row arity, numeric fields, and the direction
-// column's push/pull vocabulary.
+// obs.WriteSeriesCSV writes, row arity, numeric fields, the direction
+// column's push/pull vocabulary and its agreement with pull, and the
+// iteration structure: every rank, the merged rank -1 included, numbers
+// consecutive iterations over the same first and last one, and agrees with
+// the merged row on the SPMD-replicated phase, frontier, new_paths, matched
+// and pull columns.
 //
 // For flight dumps (dispatched on the .dump extension) it decodes the
-// MCMFDR1 payload and prints the generation, the cause, and each rank's
+// MCMFDR2 payload and prints the generation, the cause, and each rank's
 // last span — the post-mortem view `make chaos-smoke` asserts on.
 //
 // It is the CI gate behind the trace-smoke, bench-smoke, transport-smoke
@@ -327,28 +331,31 @@ func lintCSV(path string) int {
 		return 1
 	}
 	cols := strings.Split(seriesHeader, ",")
-	pullCol, dirCol := -1, -1
+	col := make(map[string]int, len(cols))
 	for i, c := range cols {
-		switch c {
-		case "pull":
-			pullCol = i
-		case "direction":
-			dirCol = i
-		}
+		col[c] = i
 	}
 	problems := 0
 	bad := func(ln int, format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "tracelint: %s: line %d: %s\n", path, ln+1, fmt.Sprintf(format, args...))
 		problems++
 	}
+	// Iteration structure: every rank, the merged rank -1 included,
+	// numbers consecutive iterations over one span (first[r]..last[r]),
+	// and all rows of one iteration agree on the SPMD-replicated columns.
+	first, last := make(map[int64]int64), make(map[int64]int64)
+	var ranks []int64
+	spmd, spmdLine := make(map[int64]string), make(map[int64]int)
 	for ln := 1; ln < len(lines); ln++ {
 		fields := strings.Split(lines[ln], ",")
 		if len(fields) != len(cols) {
 			bad(ln, "%d fields, want %d", len(fields), len(cols))
 			continue
 		}
+		before := problems
+		nums := make([]int64, len(fields))
 		for i, f := range fields {
-			if i == dirCol {
+			if i == col["direction"] {
 				if f != "push" && f != "pull" {
 					bad(ln, "direction %q, want push or pull", f)
 				}
@@ -357,20 +364,45 @@ func lintCSV(path string) int {
 			v, err := strconv.ParseInt(f, 10, 64)
 			if err != nil {
 				bad(ln, "column %s: %q is not an integer", cols[i], f)
-				continue
-			}
-			if i == pullCol && v != 0 && v != 1 {
+			} else if i == col["pull"] && v != 0 && v != 1 {
 				bad(ln, "pull %d, want 0 or 1", v)
 			}
+			nums[i] = v
 		}
-		if pullCol >= 0 && dirCol >= 0 {
-			wantDir := "push"
-			if fields[pullCol] == "1" {
-				wantDir = "pull"
-			}
-			if fields[dirCol] != wantDir && (fields[dirCol] == "push" || fields[dirCol] == "pull") {
-				bad(ln, "direction %q disagrees with pull %s", fields[dirCol], fields[pullCol])
-			}
+		if problems > before {
+			continue
+		}
+		wantDir := "push"
+		if nums[col["pull"]] == 1 {
+			wantDir = "pull"
+		}
+		if fields[col["direction"]] != wantDir {
+			bad(ln, "direction %q disagrees with pull %d", fields[col["direction"]], nums[col["pull"]])
+		}
+		rank, it := nums[col["rank"]], nums[col["iteration"]]
+		if prev, seen := last[rank]; !seen {
+			first[rank] = it
+			ranks = append(ranks, rank)
+		} else if it != prev+1 {
+			bad(ln, "rank %d: iteration %d follows %d", rank, it, prev)
+		}
+		last[rank] = it
+		key := fmt.Sprint(nums[col["phase"]], nums[col["frontier"]], nums[col["new_paths"]],
+			nums[col["matched"]], nums[col["pull"]])
+		if want, seen := spmd[it]; !seen {
+			spmd[it], spmdLine[it] = key, ln
+		} else if key != want {
+			bad(ln, "rank %d iteration %d: phase/frontier/new_paths/matched/pull %s, line %d has %s",
+				rank, it, key, spmdLine[it]+1, want)
+		}
+	}
+	// Without merged rows first[-1] and last[-1] read 0, so every rank
+	// fails here too.
+	for _, r := range ranks {
+		if first[r] != first[-1] || last[r] != last[-1] {
+			fmt.Fprintf(os.Stderr, "tracelint: %s: rank %d spans iterations %d..%d, merged rows %d..%d\n",
+				path, r, first[r], last[r], first[-1], last[-1])
+			problems++
 		}
 	}
 	return problems

@@ -151,15 +151,11 @@ type Config struct {
 	Permute bool `json:"permute,omitempty"`
 	// Seed drives the permutation and any randomized initializer.
 	Seed int64 `json:"seed,omitempty"`
-	// OnIteration, when non-nil, is invoked by rank 0 after every
-	// level-synchronous iteration with SPMD-replicated counters — a
-	// lightweight trace for debugging and teaching.
-	OnIteration func(IterInfo) `json:"-"`
-	// Obs attaches the observability plane (internal/obs) to the run: span
-	// tracing onto per-rank ring buffers and the per-iteration time-series,
-	// per the collector's own options. The collector must be built for at
-	// least the run's rank count. Nil (the default) records nothing and
-	// keeps the hot path at its untraced cost.
+	// Obs attaches the observability plane (internal/obs): span tracing
+	// onto per-rank ring buffers and the per-iteration time-series (the
+	// solve's one per-iteration record), per the collector's options. The
+	// collector must be built for at least the run's rank count. Nil (the
+	// default) records nothing and keeps the hot path at its untraced cost.
 	Obs *obs.Collector `json:"-"`
 
 	// Fault attaches a deterministic fault injector to the run's world
@@ -188,8 +184,8 @@ type Config struct {
 	Resume *Checkpoint `json:"-"`
 	// FlightDir, when non-empty, arms the crash flight recorder: every
 	// failed attempt of a recoverable solve, and every failed worker solve
-	// of a multi-process job, persists its ranks' span-ring tails, last
-	// meter points, generation and cause to
+	// of a multi-process job, persists its ranks' span-ring tails,
+	// generation and cause to
 	// FlightDir/flight-g<gen>-r<rank>.dump (see WriteFlightDump). The path
 	// is interpreted in each process's own filesystem namespace.
 	FlightDir string `json:"flight_dir,omitempty"`
@@ -262,25 +258,6 @@ func (c Config) Validate() error {
 	}
 	_, _, err := c.withDefaults().gridShape()
 	return err
-}
-
-// IterInfo is one iteration's trace record.
-type IterInfo struct {
-	Phase        int  // 1-based phase number
-	Iteration    int  // 1-based iteration within the run
-	FrontierSize int  // columns in the frontier entering the iteration
-	NewPaths     int  // augmenting paths discovered this iteration
-	Pull         bool // whether the bottom-up SpMV direction was used
-}
-
-// String renders the record as one trace line.
-func (ii IterInfo) String() string {
-	dir := "push"
-	if ii.Pull {
-		dir = "pull"
-	}
-	return fmt.Sprintf("phase %d iter %d: frontier %d, %d paths, %s",
-		ii.Phase, ii.Iteration, ii.FrontierSize, ii.NewPaths, dir)
 }
 
 // withDefaults normalizes zero values.

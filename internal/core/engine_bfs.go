@@ -36,7 +36,7 @@ type msbfs struct {
 	// switch threshold.
 	dir dirState
 	// phase numbers the searches started, empty ones included. It labels
-	// the phase spans, the iteration time-series and Config.OnIteration.
+	// the phase spans and the iteration time-series.
 	phase int
 }
 

@@ -2,13 +2,15 @@ package core
 
 // Golden trajectories of the three BFS engines. Each cell solves one graph
 // with one engine, SpMV direction and thread count, and reduces the run to a
-// digest: the mates hash, the SPMD Stats counters, the per-rank meters, the
+// digest: the mates hash, the SPMD Stats counters, the peak frontier and
+// its iteration (read from rank 0's time-series), the per-rank meters, the
 // per-op meters and (for bfs and bfs-graft) the per-rank iteration
 // time-series, per-iteration meter deltas included. A change to the shared
 // MS-BFS phase that moves any collective, counter or mate fails here.
 //
-// bfs-ss cells pin no time-series. Its phase column numbers the sources
-// tried, which TestOnIterationEveryEngine checks against Config.OnIteration.
+// bfs-ss cells pin no time-series beyond the peak. Its phase column numbers
+// the sources tried, whose per-rank agreement and count
+// TestTimeSeriesEveryEngine checks.
 
 import (
 	"fmt"
@@ -37,11 +39,18 @@ func trajectoryDigest(res *Result, col *obs.Collector, withSeries bool) string {
 		fmt.Fprintf(h, "%s:%d/%d/%d/%d;", op, m.Msgs, m.Words, m.Work, m.WordsEnc)
 	}
 	ops := h.Sum64()
+	// The peak is the first iteration with the strictly largest frontier.
+	var peak, peakIter int
+	for _, s := range col.Recorder(0).Samples() {
+		if s.Frontier > peak {
+			peak, peakIter = s.Frontier, s.Iteration
+		}
+	}
 	st := res.Stats
 	d := fmt.Sprintf("mates=%016x card=%d it=%d push=%d pull=%d ph=%d ap=%d lvl=%d path=%d gr=%d rel=%d peak=%d@%d rank=%016x ops=%016x",
 		mates, st.Cardinality, st.Iterations, st.PushIterations, st.PullIterations,
 		st.Phases, st.AugmentedPaths, st.LevelParallelAugments, st.PathParallelAugments,
-		st.GraftResets, st.GraftReleasedRows, st.PeakFrontier, st.PeakFrontierIteration,
+		st.GraftResets, st.GraftReleasedRows, peak, peakIter,
 		perRank, ops)
 	if !withSeries {
 		return d

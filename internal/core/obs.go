@@ -31,37 +31,17 @@ func (s *Solver) obsIterBegin() int64 {
 	return s.G.RT.Tracer().Begin()
 }
 
-// obsIterEnd closes one iteration's observation: it updates the Stats
-// frontier summary, records the iteration span, reports the iteration to
-// Config.OnIteration on rank 0, and appends a time-series sample with this
-// rank's meter/comm/pool deltas since obsIterBegin. Always called (it is
-// nil-safe), so the peak-frontier summary is maintained even with
-// observability off.
+// obsIterEnd closes one iteration's observation: it records the iteration
+// span and appends a time-series sample with this rank's meter/comm/pool
+// deltas since obsIterBegin. Always called (it is nil-safe).
 func (s *Solver) obsIterEnd(t0 int64, phase, frontier, newPaths int, pull bool) {
-	if frontier > s.Stats.PeakFrontier {
-		s.Stats.PeakFrontier = frontier
-		s.Stats.PeakFrontierIteration = s.Stats.Iterations
-	}
 	s.G.RT.Tracer().End(obs.KindIteration, "iteration", t0, int64(frontier))
-	if s.Cfg.OnIteration != nil && s.G.World.Rank() == 0 {
-		s.Cfg.OnIteration(IterInfo{
-			Phase:        phase,
-			Iteration:    s.Stats.Iterations,
-			FrontierSize: frontier,
-			NewPaths:     newPaths,
-			Pull:         pull,
-		})
-	}
 	if s.rec == nil {
 		return
 	}
 	meter := s.G.World.MeterSnapshot().Sub(s.iterBase.meter)
 	comm := s.G.World.CommTimes().Sub(s.iterBase.comm)
 	pool := s.G.RT.ThreadStats().Sub(s.iterBase.pool)
-	direction := "push"
-	if pull {
-		direction = "pull"
-	}
 	s.rec.Record(obs.IterSample{
 		Phase:        phase,
 		Iteration:    s.Stats.Iterations,
@@ -69,7 +49,6 @@ func (s *Solver) obsIterEnd(t0 int64, phase, frontier, newPaths int, pull bool) 
 		NewPaths:     newPaths,
 		Matched:      s.Stats.InitCardinality + s.Stats.AugmentedPaths,
 		Pull:         pull,
-		Direction:    direction,
 		WallNs:       obs.Now() - s.iterBase.wall,
 		Msgs:         meter.Msgs,
 		Words:        meter.Words,

@@ -14,18 +14,6 @@ import (
 // matters when a peer dies in the window between solving and shipping.
 const obsCollectTimeout = 5 * time.Second
 
-// obsMeterPoints renders a communication meter as the leaf obs package's
-// generic name/value pairs, the form meters take in shipped observations
-// and flight dumps.
-func obsMeterPoints(m mpi.Meter) []obs.MeterPoint {
-	return []obs.MeterPoint{
-		{Name: "msgs", Value: m.Msgs},
-		{Name: "words", Value: m.Words},
-		{Name: "work", Value: m.Work},
-		{Name: "words_enc", Value: m.WordsEnc},
-	}
-}
-
 // obsAttach wires the observability plane into a capable transport before
 // the world launches: it declares the transport's local ranks hosted on the
 // collector (so the coordinator's merge never installs a payload over a

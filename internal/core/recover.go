@@ -305,8 +305,8 @@ func validateCheckpoint(a *spmat.CSC, cfg Config, n1, n2 int, ck *Checkpoint) er
 }
 
 // WriteFlightDump is the crash flight recorder of one failed process or
-// endpoint: it persists the span-ring tails and last meter points of ranks
-// from col, the generation and the cause, as
+// endpoint: it persists the span-ring tails of ranks from col, the
+// generation and the cause, as
 // dir/flight-g<gen>-r<lowest rank>.dump. A no-op when dir is empty. Best
 // effort — the world is dying, so a failed dump must not mask the solve
 // error — and atomic, so a dump that exists always decodes.

@@ -268,14 +268,6 @@ func RunDistributed(tr mpi.Transport, pr, pc, n1, n2 int, blocks [][]*spmat.Loca
 	}
 	w, err := mpi.RunTransport(mpi.RunConfig{Faults: cfg.Fault, WatchdogTimeout: cfg.WatchdogTimeout, Compress: cfg.Compress},
 		tr, func(c *mpi.Comm) error {
-			if cfg.Obs != nil {
-				// Capture the rank's final meter on every exit path — success
-				// or unwind — so shipped observations and flight dumps carry
-				// what the rank had moved when the world ended.
-				defer func() {
-					cfg.Obs.SetRankMeter(c.Rank(), obsMeterPoints(c.MeterSnapshot()))
-				}()
-			}
 			// Attach (or detach) the rank's span tracer on both the runtime
 			// context (op spans via Track) and the comm (collective, RMA and
 			// fault spans inside internal/mpi).

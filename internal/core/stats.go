@@ -55,12 +55,6 @@ type Stats struct {
 	Checkpoints     int
 	CheckpointBytes int64
 	CheckpointWall  time.Duration
-	// PeakFrontier is the largest column frontier any iteration entered and
-	// PeakFrontierIteration the global iteration number it occurred at —
-	// the one-line summary of the iteration time-series, kept even when the
-	// full per-iteration series (Config.Obs) is not recorded.
-	PeakFrontier          int
-	PeakFrontierIteration int
 
 	// Threading is this rank's worker-pool telemetry for the solve: team
 	// size, parallel regions fanned out vs. run inline, busy time, and
@@ -107,10 +101,6 @@ func (s *Stats) MergeMax(o *Stats) {
 	}
 	if o.CheckpointWall > s.CheckpointWall {
 		s.CheckpointWall = o.CheckpointWall
-	}
-	if o.PeakFrontier > s.PeakFrontier {
-		s.PeakFrontier = o.PeakFrontier
-		s.PeakFrontierIteration = o.PeakFrontierIteration
 	}
 	for op, d := range o.Wall {
 		if d > s.Wall[op] {

@@ -46,33 +46,50 @@ func TestTraceSpansNestPerRank(t *testing.T) {
 	t.Run("graft", func(t *testing.T) { checkNesting(t, Config{Engine: EngineBFSGraft}) })
 }
 
-// TestOnIterationEveryEngine checks that every engine reports each of its
-// iterations to Config.OnIteration, that the reports agree with rank 0's
-// iteration time-series, and that the series ends on the final cardinality.
-func TestOnIterationEveryEngine(t *testing.T) {
+// TestTimeSeriesEveryEngine checks that every engine records each of its
+// iterations in the time-series: rank 0 holds one sample per iteration,
+// numbered 1..N, with the pull count matching Stats; every rank agrees with
+// rank 0 on the SPMD-replicated fields; and the series ends on the final
+// cardinality.
+func TestTimeSeriesEveryEngine(t *testing.T) {
 	a := rmat.MustGenerate(rmat.G500, 8, 8, 5)
 	for _, engine := range EngineNames() {
 		t.Run(engine, func(t *testing.T) {
 			const procs = 4
 			col := obs.NewCollector(procs, obs.Options{TimeSeries: true})
-			var got []IterInfo
-			res := mustSolve(t, a, Config{
-				Procs: procs, Engine: engine, Direction: DirectionAuto, Obs: col,
-				OnIteration: func(ii IterInfo) { got = append(got, ii) },
-			})
-			if res.Stats.Iterations == 0 || len(got) != res.Stats.Iterations {
-				t.Fatalf("OnIteration fired %d times, Stats.Iterations = %d", len(got), res.Stats.Iterations)
-			}
+			res := mustSolve(t, a, Config{Procs: procs, Engine: engine, Direction: DirectionAuto, Obs: col})
 			samples := col.Recorder(0).Samples()
-			if len(samples) != len(got) {
-				t.Fatalf("%d OnIteration reports, %d rank-0 samples", len(got), len(samples))
+			if res.Stats.Iterations == 0 || len(samples) != res.Stats.Iterations {
+				t.Fatalf("%d rank-0 samples, Stats.Iterations = %d", len(samples), res.Stats.Iterations)
 			}
-			for i, ii := range got {
-				sm := samples[i]
-				want := IterInfo{Phase: sm.Phase, Iteration: sm.Iteration,
-					FrontierSize: sm.Frontier, NewPaths: sm.NewPaths, Pull: sm.Pull}
-				if ii != want || ii.Iteration != i+1 {
-					t.Fatalf("report %d = %+v, time-series %+v", i, ii, want)
+			pulls := 0
+			for i, sm := range samples {
+				if sm.Iteration != i+1 {
+					t.Fatalf("sample %d numbers iteration %d", i, sm.Iteration)
+				}
+				if sm.Pull {
+					pulls++
+				}
+			}
+			if pulls != res.Stats.PullIterations {
+				t.Fatalf("%d pull samples, Stats.PullIterations = %d", pulls, res.Stats.PullIterations)
+			}
+			type spmd struct {
+				phase, frontier, newPaths, matched int
+				pull                               bool
+			}
+			key := func(sm obs.IterSample) spmd {
+				return spmd{sm.Phase, sm.Frontier, sm.NewPaths, sm.Matched, sm.Pull}
+			}
+			for r := 1; r < procs; r++ {
+				rs := col.Recorder(r).Samples()
+				if len(rs) != len(samples) {
+					t.Fatalf("rank %d holds %d samples, rank 0 %d", r, len(rs), len(samples))
+				}
+				for i, sm := range rs {
+					if sm.Iteration != samples[i].Iteration || key(sm) != key(samples[i]) {
+						t.Fatalf("rank %d sample %d = %+v, rank 0 %+v", r, i, sm, samples[i])
+					}
 				}
 			}
 			if last := samples[len(samples)-1]; last.Matched != res.Stats.Cardinality {
@@ -223,7 +240,6 @@ func TestMergeMaxAllCategories(t *testing.T) {
 	a.Wall[OpSpMV] = 10 * time.Millisecond
 	a.Meter[OpSpMV] = mpi.Meter{Msgs: 5, Words: 100, Work: 7}
 	a.Comm[OpSpMV] = mpi.CommTimes{Total: 8 * time.Millisecond, Exposed: 2 * time.Millisecond}
-	a.PeakFrontier, a.PeakFrontierIteration = 40, 2
 	a.Checkpoints, a.CheckpointBytes = 1, 100
 
 	b := newStats()
@@ -232,7 +248,6 @@ func TestMergeMaxAllCategories(t *testing.T) {
 	b.Meter[OpSpMV] = mpi.Meter{Msgs: 9, Words: 50, Work: 3}
 	b.Comm[OpSpMV] = mpi.CommTimes{Total: 12 * time.Millisecond, Exposed: 1 * time.Millisecond}
 	b.Comm[OpAugment] = mpi.CommTimes{Total: 3 * time.Millisecond, Exposed: 3 * time.Millisecond}
-	b.PeakFrontier, b.PeakFrontierIteration = 90, 5
 
 	a.MergeMax(b)
 
@@ -249,9 +264,6 @@ func TestMergeMaxAllCategories(t *testing.T) {
 	}
 	if ct := a.Comm[OpAugment]; ct.Total != 3*time.Millisecond || ct.Exposed != 3*time.Millisecond {
 		t.Fatalf("Comm[augment] merge wrong: %+v", ct)
-	}
-	if a.PeakFrontier != 90 || a.PeakFrontierIteration != 5 {
-		t.Fatalf("PeakFrontier merge wrong: %d@%d", a.PeakFrontier, a.PeakFrontierIteration)
 	}
 	if a.Checkpoints != 1 || a.CheckpointBytes != 100 {
 		t.Fatalf("checkpoint merge wrong: %d/%d", a.Checkpoints, a.CheckpointBytes)

@@ -9,6 +9,7 @@ import (
 	"mcmdist/internal/gen"
 	"mcmdist/internal/grid"
 	"mcmdist/internal/matching"
+	"mcmdist/internal/obs"
 	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmat"
 	"mcmdist/internal/spmv"
@@ -79,16 +80,17 @@ func FrontierDynamics(w io.Writer, name string, scale, procs int) []DynamicsRow 
 		panic(err)
 	}
 	a := gen.MustGenerate(sp, scale)
-	var rows []DynamicsRow
-	cfg := core.Config{Procs: procs, Init: core.InitGreedy, Permute: true, Seed: 23}
-	cfg.OnIteration = func(ii core.IterInfo) {
-		rows = append(rows, DynamicsRow{
-			Phase: ii.Phase, Iteration: ii.Iteration,
-			FrontierSize: ii.FrontierSize, NewPaths: ii.NewPaths,
-		})
-	}
+	col := obs.NewCollector(procs, obs.Options{TimeSeries: true})
+	cfg := core.Config{Procs: procs, Init: core.InitGreedy, Permute: true, Seed: 23, Obs: col}
 	if _, err := core.Solve(a, cfg); err != nil {
 		panic(err)
+	}
+	var rows []DynamicsRow
+	for _, s := range col.Recorder(0).Samples() {
+		rows = append(rows, DynamicsRow{
+			Phase: s.Phase, Iteration: s.Iteration,
+			FrontierSize: s.Frontier, NewPaths: s.NewPaths,
+		})
 	}
 	tw := newTab(w)
 	fmt.Fprintf(tw, "Frontier dynamics (%s, p=%d)\tphase\tfrontier\tpaths\n", name, procs)

@@ -12,10 +12,12 @@ import (
 	"testing"
 )
 
-// oldProcObsMagic is the magic of the format that still ended in a
-// metrics section. Payloads under it must fail to decode: a coordinator
-// refuses a shipment from an older worker instead of misreading it.
-const oldProcObsMagic = "MCMOBS1"
+// oldMagics are the magics of earlier formats: MCMOBS1 still ended in a
+// metrics section, and MCMOBS2 and MCMFDR1 still carried meter points and a
+// direction string per sample. Payloads under them must fail to decode: a
+// coordinator refuses a shipment from an older worker, and a supervisor an
+// older dump, instead of misreading it.
+var oldMagics = []string{"MCMOBS1", "MCMOBS2", "MCMFDR1"}
 
 // seedObs builds one valid encoding of each payload kind from a collector
 // with every plane populated.
@@ -41,15 +43,21 @@ func FuzzObsDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte(procObsMagic))
-	f.Add([]byte(oldProcObsMagic))
 	f.Add([]byte(flightMagic))
 	f.Add([]byte(procObsMagic + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")) // count fields past the buffer
-	// A current body under the old magic: only the magic tells them apart.
-	f.Add(append([]byte(oldProcObsMagic), (&ProcObs{}).Encode()[len(procObsMagic):]...))
+	// Current bodies under the old magics: only the magic tells them apart.
+	for _, m := range oldMagics {
+		f.Add([]byte(m))
+		f.Add(append([]byte(m), (&ProcObs{}).Encode()[len(procObsMagic):]...))
+		f.Add(append([]byte(m), (&FlightDump{}).Encode()[len(flightMagic):]...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		po, err := DecodeProcObs(data)
-		if err == nil && bytes.HasPrefix(data, []byte(oldProcObsMagic)) {
-			t.Fatalf("%s payload decoded cleanly", oldProcObsMagic)
+		d, ferr := DecodeFlightDump(data)
+		for _, m := range oldMagics {
+			if (err == nil || ferr == nil) && bytes.HasPrefix(data, []byte(m)) {
+				t.Fatalf("%s payload decoded cleanly", m)
+			}
 		}
 		if err == nil {
 			dec, err := DecodeProcObs(po.Encode())
@@ -63,7 +71,7 @@ func FuzzObsDecode(f *testing.F) {
 			// collector must not panic whatever the rank numbers claim.
 			NewCollector(2, Options{Spans: true, TimeSeries: true}).InstallRemote(po, 123)
 		}
-		if d, err := DecodeFlightDump(data); err == nil {
+		if ferr == nil {
 			if _, err := DecodeFlightDump(d.Encode()); err != nil {
 				t.Fatalf("decoded FlightDump does not re-decode: %v", err)
 			}

@@ -2,7 +2,7 @@ package obs
 
 // Golden shipment bytes: one ProcObs and one FlightDump built from fixed
 // literals that touch every field of the format, compared byte for byte
-// with testdata/golden-ship.txt. The file pins MCMOBS2 and MCMFDR1: a change
+// with testdata/golden-ship.txt. The file pins MCMOBS3 and MCMFDR2: a change
 // that moves any byte fails here, however the codec is written. Each golden
 // must also decode back to its literal, and every strict prefix of it, as
 // well as the golden with one trailing byte, must fail to decode.
@@ -18,7 +18,7 @@ import (
 )
 
 // goldenRankObs is one rank's share with every field set: several span
-// kinds, a dropped count, a push and a pull sample, and meter points.
+// kinds, a dropped count, and a push and a pull sample.
 // Samples carry Rank 0 because the codec leaves the per-sample rank out.
 func goldenRankObs(rank int) RankObs {
 	return RankObs{
@@ -34,13 +34,12 @@ func goldenRankObs(rank int) RankObs {
 		},
 		Dropped: 17,
 		Samples: []IterSample{
-			{Phase: 1, Iteration: 1, Frontier: 64, NewPaths: 3, Matched: 120, Direction: "push",
+			{Phase: 1, Iteration: 1, Frontier: 64, NewPaths: 3, Matched: 120,
 				WallNs: 5_000, Msgs: 6, Words: 400, CommNs: 2_000, ExposedNs: 900, PoolBusyNs: 7_000, PoolSpanNs: 4_000},
-			{Phase: 1, Iteration: 2, Frontier: 900, NewPaths: 11, Matched: 131, Pull: true, Direction: "pull",
+			{Phase: 1, Iteration: 2, Frontier: 900, NewPaths: 11, Matched: 131, Pull: true,
 				WallNs: 8_000, Msgs: 6, Words: 1_800, WordsEncoded: 700, CommNs: 3_000, ExposedNs: 1_100,
 				PoolBusyNs: 12_000, PoolSpanNs: 6_500},
 		},
-		Meters: []MeterPoint{{Name: "msgs", Value: 12}, {Name: "words", Value: 2_200}, {Name: "words_enc", Value: -3}},
 	}
 }
 
@@ -123,7 +122,7 @@ func checkGolden[T any](t *testing.T, goldens map[string][]byte, name string, wa
 func TestGoldenShipments(t *testing.T) {
 	goldens := readGolden(t, "testdata/golden-ship.txt")
 	po := goldenProcObs()
-	checkGolden(t, goldens, "MCMOBS2", po, po.Encode(), DecodeProcObs)
+	checkGolden(t, goldens, "MCMOBS3", po, po.Encode(), DecodeProcObs)
 	d := goldenFlightDump()
-	checkGolden(t, goldens, "MCMFDR1", d, d.Encode(), DecodeFlightDump)
+	checkGolden(t, goldens, "MCMFDR2", d, d.Encode(), DecodeFlightDump)
 }

@@ -4,8 +4,8 @@ package obs
 //
 // A multi-process world records per-process: each endpoint's Collector only
 // ever sees the ranks its process hosts. At solve end every worker process
-// encodes its collector state as a ProcObs — span rings, iteration samples,
-// meter points and world events — and ships the bytes
+// encodes its collector state as a ProcObs — span rings, iteration samples
+// and world events — and ships the bytes
 // to the coordinator over the transport (the tcpnet OBS frame). The
 // coordinator calls InstallRemote with the per-peer clock offset estimated
 // from the heartbeat PING/PONG exchange, which shifts every remote
@@ -16,8 +16,8 @@ package obs
 //
 // The same encoding, under its own magic, is the crash flight recorder: a
 // process whose solve dies (abort, peer down, watchdog deadlock) persists a
-// FlightDump — the tail of its span rings, its last meter points, the
-// generation id and the cause — so a supervisor can assemble a post-mortem
+// FlightDump — the tail of its span rings, the generation id and the
+// cause — so a supervisor can assemble a post-mortem
 // bundle across restarts. Both codecs are versioned by magic (the MCMCKPT
 // idiom) and their decoders are fuzz-hardened: arbitrary bytes either
 // decode or error, never panic or over-allocate.
@@ -34,8 +34,8 @@ import (
 // exactly, so an old reader rejects a new dump loudly instead of
 // misparsing it.
 const (
-	procObsMagic = "MCMOBS2"
-	flightMagic  = "MCMFDR1"
+	procObsMagic = "MCMOBS3"
+	flightMagic  = "MCMFDR2"
 )
 
 // FlightSpanTail bounds how many trailing spans per rank a flight dump
@@ -43,22 +43,13 @@ const (
 // enough to write during teardown.
 const FlightSpanTail = 64
 
-// MeterPoint is one named int64 datum (a communication-meter field). The
-// obs package is a leaf, so meters cross into it as generic name/value
-// pairs rather than as mpi types.
-type MeterPoint struct {
-	Name  string
-	Value int64
-}
-
 // RankObs is one rank's share of a shipped or dumped observation: its span
-// ring (unwrapped), drop count, iteration samples, and meter points.
+// ring (unwrapped), drop count and iteration samples.
 type RankObs struct {
 	Rank    int
 	Spans   []Span
 	Dropped uint64
 	Samples []IterSample
-	Meters  []MeterPoint
 }
 
 // ProcObs is one process's whole observability state in transit: the ranks
@@ -71,37 +62,12 @@ type ProcObs struct {
 }
 
 // FlightDump is the crash flight recorder's payload: what every local rank
-// was doing (span tail + meters) when the world died, plus the generation
+// was doing (its span tail) when the world died, plus the generation
 // and the rendered cause.
 type FlightDump struct {
 	Gen   int64
 	Cause string
 	Ranks []RankObs
-}
-
-// SetRankMeter stores a rank's latest meter points on the collector
-// (thread-safe; each rank goroutine stores its own rank). The points ride
-// along in ProcObs shipments and flight dumps.
-func (c *Collector) SetRankMeter(rank int, pts []MeterPoint) {
-	if c == nil || len(pts) == 0 {
-		return
-	}
-	c.mu.Lock()
-	if c.meters == nil {
-		c.meters = make(map[int][]MeterPoint)
-	}
-	c.meters[rank] = pts
-	c.mu.Unlock()
-}
-
-// RankMeters returns the stored meter points for a rank (nil if none).
-func (c *Collector) RankMeters(rank int) []MeterPoint {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.meters[rank]
 }
 
 // Host declares ranks as hosted by this process: their goroutines record
@@ -133,7 +99,7 @@ func (c *Collector) Export(ranks []int, gen int64) *ProcObs {
 	c.Host(ranks)
 	po := &ProcObs{Gen: gen, Events: c.Events()}
 	for _, r := range ranks {
-		ro := RankObs{Rank: r, Meters: c.RankMeters(r)}
+		ro := RankObs{Rank: r}
 		if t := c.Tracer(r); t != nil {
 			ro.Spans = t.Spans()
 			ro.Dropped = t.Dropped()
@@ -191,7 +157,6 @@ func (c *Collector) InstallRemote(po *ProcObs, offsetNs int64) {
 				rec.samples = append(rec.samples, s)
 			}
 		}
-		c.SetRankMeter(r, ro.Meters)
 	}
 	if len(po.Events) > 0 {
 		evs := make([]Event, len(po.Events))
@@ -204,14 +169,13 @@ func (c *Collector) InstallRemote(po *ProcObs, offsetNs int64) {
 }
 
 // BuildFlightDump captures the flight-recorder payload for the given local
-// ranks: the last FlightSpanTail spans of each ring, the rank's meter
-// points, the generation and the cause.
+// ranks: the last FlightSpanTail spans of each ring, the generation and
+// the cause.
 func (c *Collector) BuildFlightDump(ranks []int, gen int64, cause string) *FlightDump {
 	d := &FlightDump{Gen: gen, Cause: cause}
 	for _, r := range ranks {
 		ro := RankObs{Rank: r}
 		if c != nil {
-			ro.Meters = c.RankMeters(r)
 			if t := c.Tracer(r); t != nil {
 				spans := t.Spans()
 				if len(spans) > FlightSpanTail {
@@ -262,11 +226,10 @@ func ReadFlightDump(path string) (*FlightDump, error) {
 // The minimum encoded sizes of the counted records, which bound how many of
 // them a count may claim in the bytes that remain.
 const (
-	minSpan    = 1 + 4 + 3*8 + 8   // kind, name length, start/dur/arg, flow
-	minSample  = 13*8 + 1 + 4      // thirteen i64 fields, pull, direction length
-	minMeter   = 4 + 8             // name length, value
-	minRankObs = 4 + 4 + 8 + 4 + 4 // rank, three empty counts, dropped
-	minEvent   = 4 + 3*8           // name length, rank, at, arg
+	minSpan    = 1 + 4 + 3*8 + 8 // kind, name length, start/dur/arg, flow
+	minSample  = 13*8 + 1        // thirteen i64 fields, pull
+	minRankObs = 4 + 4 + 8 + 4   // rank, two empty counts, dropped
+	minEvent   = 4 + 3*8         // name length, rank, at, arg
 )
 
 func writeSpan(w *wire.Writer, sp Span) {
@@ -298,7 +261,6 @@ func writeSample(w *wire.Writer, v IterSample) {
 	} else {
 		w.U8(0)
 	}
-	w.Str(v.Direction)
 	w.I64(v.WallNs)
 	w.I64(v.Msgs)
 	w.I64(v.Words)
@@ -317,7 +279,6 @@ func readSample(r *wire.Reader) IterSample {
 	v.NewPaths = int(r.I64())
 	v.Matched = int(r.I64())
 	v.Pull = r.U8() != 0
-	v.Direction = r.Str()
 	v.WallNs = r.I64()
 	v.Msgs = r.I64()
 	v.Words = r.I64()
@@ -340,11 +301,6 @@ func writeRankObs(w *wire.Writer, ro RankObs) {
 	for _, sm := range ro.Samples {
 		writeSample(w, sm)
 	}
-	w.U32(uint32(len(ro.Meters)))
-	for _, mp := range ro.Meters {
-		w.Str(mp.Name)
-		w.I64(mp.Value)
-	}
 }
 
 func readRankObs(r *wire.Reader) RankObs {
@@ -358,14 +314,10 @@ func readRankObs(r *wire.Reader) RankObs {
 	for i := 0; i < nsamples && r.Err() == nil; i++ {
 		ro.Samples = append(ro.Samples, readSample(r))
 	}
-	nmeters := r.Count(minMeter)
-	for i := 0; i < nmeters && r.Err() == nil; i++ {
-		ro.Meters = append(ro.Meters, MeterPoint{Name: r.Str(), Value: r.I64()})
-	}
 	return ro
 }
 
-// Encode serializes the observation under the MCMOBS2 magic.
+// Encode serializes the observation under the MCMOBS3 magic.
 func (po *ProcObs) Encode() []byte {
 	w := wire.Writer{Buf: []byte(procObsMagic)}
 	w.I64(po.Gen)
@@ -409,7 +361,7 @@ func DecodeProcObs(data []byte) (*ProcObs, error) {
 	return po, nil
 }
 
-// Encode serializes the dump under the MCMFDR1 magic.
+// Encode serializes the dump under the MCMFDR2 magic.
 func (d *FlightDump) Encode() []byte {
 	w := wire.Writer{Buf: []byte(flightMagic)}
 	w.I64(d.Gen)

@@ -15,8 +15,8 @@ import (
 	"testing"
 )
 
-// fillRank records a deterministic little span hierarchy, two iteration
-// samples, and meter points for one rank of a collector, shifted by base —
+// fillRank records a deterministic little span hierarchy and two iteration
+// samples for one rank of a collector, shifted by base —
 // the stand-in for a process whose epoch differs from ours by base.
 func fillRank(c *Collector, rank int, base int64) {
 	t := c.Tracer(rank)
@@ -28,7 +28,6 @@ func fillRank(c *Collector, rank int, base int64) {
 	rec := c.Recorder(rank)
 	rec.Record(IterSample{Phase: 1, Iteration: 1, Frontier: 8, NewPaths: 2, Matched: 10, WallNs: 5_000, Msgs: 3, Words: 40})
 	rec.Record(IterSample{Phase: 1, Iteration: 2, Frontier: 4, NewPaths: 1, Matched: 11, Pull: true, WallNs: 4_000, Msgs: 2, Words: 20})
-	c.SetRankMeter(rank, []MeterPoint{{Name: "msgs", Value: 5}, {Name: "words", Value: 60}})
 }
 
 func newTestCollector(ranks int) *Collector {
@@ -58,7 +57,7 @@ func TestProcObsRoundTrip(t *testing.T) {
 	if dec.Gen != 3 || len(dec.Ranks) != 1 || dec.Ranks[0].Rank != 2 {
 		t.Fatalf("wrong envelope: %+v", dec)
 	}
-	if len(dec.Ranks[0].Spans) != 5 || len(dec.Ranks[0].Samples) != 2 || len(dec.Ranks[0].Meters) != 2 {
+	if len(dec.Ranks[0].Spans) != 5 || len(dec.Ranks[0].Samples) != 2 {
 		t.Fatalf("rank payload truncated: %+v", dec.Ranks[0])
 	}
 
@@ -177,7 +176,6 @@ func TestFlightDumpRoundTripAndTail(t *testing.T) {
 	for i := 0; i < FlightSpanTail+40; i++ {
 		tr.record(Span{Kind: KindOp, Name: fmt.Sprintf("op-%d", i), Start: int64(i * 10), Dur: 5})
 	}
-	c.SetRankMeter(0, []MeterPoint{{Name: "msgs", Value: 9}})
 
 	d := c.BuildFlightDump([]int{0}, 4, "injected: rank 2 died")
 	if len(d.Ranks[0].Spans) != FlightSpanTail {

@@ -32,10 +32,6 @@ type IterSample struct {
 	// Pull reports whether the direction-optimizing solver ran this
 	// iteration in pull mode.
 	Pull bool `json:"pull"`
-	// Direction is the SpMV kernel the iteration ran: "push" or "pull"
-	// (the string form of Pull, kept explicit so CSV consumers need no
-	// boolean decoding convention).
-	Direction string `json:"direction"`
 	// WallNs is the iteration wall time in nanoseconds.
 	WallNs int64 `json:"wall_ns"`
 	// Msgs and Words are the communication meter deltas (α messages,
@@ -144,7 +140,8 @@ func (c *Collector) Series() []IterSample {
 }
 
 // WriteSeriesCSV writes every rank's samples (plus the merged rows,
-// Rank = -1) as CSV with a header row.
+// Rank = -1) as CSV with a header row. The direction column spells Pull as
+// "push" or "pull", so CSV consumers need no boolean decoding convention.
 func (c *Collector) WriteSeriesCSV(w io.Writer) error {
 	if c == nil {
 		return fmt.Errorf("obs: no collector (time-series was not enabled)")
@@ -152,17 +149,9 @@ func (c *Collector) WriteSeriesCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "rank,phase,iteration,frontier,new_paths,matched,pull,direction,wall_ns,msgs,words,words_encoded,comm_ns,exposed_ns,pool_busy_ns,pool_span_ns")
 	row := func(s IterSample) {
-		pull := 0
+		pull, dir := 0, "push"
 		if s.Pull {
-			pull = 1
-		}
-		dir := s.Direction
-		if dir == "" {
-			if s.Pull {
-				dir = "pull"
-			} else {
-				dir = "push"
-			}
+			pull, dir = 1, "pull"
 		}
 		fmt.Fprintf(bw, "%d,%d,%d,%d,%d,%d,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d\n",
 			s.Rank, s.Phase, s.Iteration, s.Frontier, s.NewPaths, s.Matched, pull, dir,

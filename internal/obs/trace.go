@@ -33,7 +33,6 @@ type Collector struct {
 
 	mu            sync.Mutex
 	events        []Event
-	meters        map[int][]MeterPoint
 	remoteDropped uint64
 	hosted        map[int]bool // ranks recorded here (see Host)
 }

@@ -2,7 +2,6 @@ package mcmdist
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"mcmdist/internal/core"
@@ -148,10 +147,6 @@ type Options struct {
 	Permute bool
 	// Seed drives the permutation.
 	Seed int64
-	// Trace, when non-nil, receives one line per level-synchronous
-	// iteration: phase, frontier size, paths found, and the SpMV direction
-	// used.
-	Trace io.Writer
 	// Observe, when non-nil, attaches the observability plane — span
 	// tracing and the per-iteration time-series — per its fields; the
 	// recorded data comes back on Stats.Obs. Nil records nothing and keeps
@@ -180,10 +175,6 @@ func (o Options) toConfig() (core.Config, error) {
 		if err := cfg.Direction.UnmarshalText([]byte(o.Direction)); err != nil {
 			return cfg, fmt.Errorf("mcmdist: %w", err)
 		}
-	}
-	if o.Trace != nil {
-		trace := o.Trace
-		cfg.OnIteration = func(ii core.IterInfo) { fmt.Fprintln(trace, ii) }
 	}
 	return cfg, cfg.Validate()
 }
@@ -243,11 +234,6 @@ type Stats struct {
 	CommTimeByOp map[string]CommTime
 	// PerRank holds every rank's cumulative totals.
 	PerRank []CommStats
-	// PeakFrontier is the largest column frontier any BFS iteration entered
-	// and PeakFrontierIteration the iteration it occurred at — the one-line
-	// summary of the iteration time-series, recorded even without
-	// Options.Observe.
-	PeakFrontier, PeakFrontierIteration int
 	// Obs carries the run's observability data (span trace and
 	// time-series) when Options.Observe was set; nil otherwise.
 	Obs *ObsReport

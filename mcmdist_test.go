@@ -261,17 +261,26 @@ func TestDirectionOptimizedPublicAPI(t *testing.T) {
 
 func TestTraceOutput(t *testing.T) {
 	g := mustRMAT(t, ER, 7, 4, 3)
-	var buf bytes.Buffer
-	_, st, err := MaximumMatching(g, Options{Procs: 4, Trace: &buf})
+	_, st, err := MaximumMatching(g, Options{Procs: 4, Observe: &Observe{TimeSeries: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Count(buf.String(), "\n")
-	if lines != st.Iterations {
-		t.Fatalf("%d trace lines for %d iterations", lines, st.Iterations)
+	var buf bytes.Buffer
+	if err := st.Obs.WriteTimeSeriesCSV(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "phase 1 iter 1") {
-		t.Fatalf("trace malformed: %q", buf.String())
+	// Rank-0 rows are "0,phase,iteration,...".
+	var rank0 []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "0,") {
+			rank0 = append(rank0, line)
+		}
+	}
+	if st.Iterations == 0 || len(rank0) != st.Iterations {
+		t.Fatalf("%d rank-0 rows for %d iterations", len(rank0), st.Iterations)
+	}
+	if !strings.HasPrefix(rank0[0], "0,1,1,") {
+		t.Fatalf("first rank-0 row is not phase 1, iteration 1: %q", rank0[0])
 	}
 }
 

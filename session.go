@@ -164,8 +164,6 @@ func statsFromCore(res *core.Result, col *obs.Collector) *Stats {
 		CommByOp:              make(map[string]CommStats),
 		CommTimeByOp:          make(map[string]CommTime),
 		PerRank:               res.PerRank,
-		PeakFrontier:          cs.PeakFrontier,
-		PeakFrontierIteration: cs.PeakFrontierIteration,
 	}
 	for op, d := range cs.Wall {
 		st.WallByOp[string(op)] = d
