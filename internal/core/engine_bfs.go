@@ -75,8 +75,9 @@ func (r *msbfs) openPhase() func() {
 	return func() { trc.End(obs.KindPhase, "phase", t0, int64(phase)) }
 }
 
-// unmatchedFrontier seeds a phase from every unmatched column (Algorithm 2,
-// lines 6-8), in the column frontier's storage.
+// unmatchedFrontier seeds a phase from every unmatched column with an edge
+// (Algorithm 2, lines 6-8; an edgeless column grows no tree), in the column
+// frontier's storage.
 func (r *msbfs) unmatchedFrontier() *dvec.SparseV {
 	var fc *dvec.SparseV
 	r.s.tr.track(OpOther, func() { fc = r.s.unmatchedColFrontier(r.matec, r.col) })

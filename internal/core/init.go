@@ -217,24 +217,24 @@ func (s *Solver) frontierFromCols(cols *dvec.SparseInt, dst *dvec.SparseV) *dvec
 // round counts the residual degrees of the unmatched columns, pick turns
 // them into the round's frontier and semiring, and the round's new pairs
 // join the matched sets. It stops once no unmatched column has an
-// unmatched neighbor or a round matches nothing. pick builds the frontier
-// in the storage of dst, the column vector the previous round has finished
-// with.
+// unmatched neighbor or a round matches nothing. The first round counts
+// over the still empty matched sets, so its degrees list the solve's live
+// columns and are kept as that list (see liveCols); later rounds count into
+// a vector of their own. pick builds the frontier in the storage of dst,
+// the column vector the previous round has finished with.
 func (s *Solver) degreeInit(mater, matec *dvec.Dense, pick frontierPick) {
 	m := s.newMatchedSets()
 	fc, fr := dvec.HoldSparseV(s.ColL), dvec.HoldSparseV(s.RowL)
-	degU := dvec.HoldSparseInt(s.ColL)
-	for {
-		degU = s.residualColDegrees(m, degU)
-		if degU.Nnz() == 0 {
-			return
-		}
+	s.live = s.residualColDegrees(m, dvec.HoldSparseInt(s.ColL))
+	degU, next := s.live, dvec.HoldSparseInt(s.ColL)
+	for degU.Nnz() > 0 {
 		f, op := pick(degU, fc)
 		tc, mr := s.greedyRound(mater, matec, f, fr, op)
 		if tc.Nnz() == 0 {
 			return
 		}
 		s.markMatched(m, tc, mr)
+		degU = s.residualColDegrees(m, next)
 	}
 }
 

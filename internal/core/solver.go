@@ -26,6 +26,11 @@ type Solver struct {
 	// the bottom-up SpMV direction (see direction.go).
 	rowAdj *spmat.CSC
 
+	// live lists, col-aligned and sorted, the columns of my ColL range that
+	// have at least one edge, valued by their degree; nil until liveCols
+	// first runs. Held for the solve.
+	live *dvec.SparseInt
+
 	Stats *Stats
 	tr    *tracker
 
@@ -107,21 +112,36 @@ func fillFiltered(pool *parallel.Pool, n int, pred func(i int) bool,
 	return total
 }
 
+// liveCols returns the columns of my ColL range that have at least one
+// edge: the residual degrees over empty matched sets. The degree
+// initializers' first round counts exactly that and keeps it (degreeInit);
+// InitNone, greedy and a restored attempt count it here on first use.
+// Collective on that first call.
+func (s *Solver) liveCols() *dvec.SparseInt {
+	if s.live == nil {
+		s.live = s.residualColDegrees(s.newMatchedSets(), dvec.HoldSparseInt(s.ColL))
+	}
+	return s.live
+}
+
 // unmatchedColFrontier builds the initial frontier of a phase in dst's
-// storage: every unmatched column with itself as parent and root (Algorithm
-// 2, lines 6-8). Both the scan and the ordered fill run across the rank's
-// worker pool (the paper's OpenMP loops) via the two-pass compaction.
+// storage: every unmatched column that has an edge, with itself as parent
+// and root (Algorithm 2, lines 6-8). An edgeless column grows no tree, so
+// leaving it out changes no search. Both the scan of the live columns and
+// the ordered fill run across the rank's worker pool (the paper's OpenMP
+// loops) via the two-pass compaction. Collective on the solve's first call.
 func (s *Solver) unmatchedColFrontier(matec *dvec.Dense, dst *dvec.SparseV) *dvec.SparseV {
+	live := s.liveCols().Idx
 	var f *dvec.SparseV
 	lo := s.ColL.MyRange().Lo
-	fillFiltered(s.G.RT.Pool(), len(matec.Local),
-		func(i int) bool { return matec.Local[i] == semiring.None },
+	fillFiltered(s.G.RT.Pool(), len(live),
+		func(k int) bool { return matec.Local[live[k]-lo] == semiring.None },
 		func(total int) { f = dvec.Reuse(dst, s.ColL, total) },
-		func(o, i int) {
-			f.Idx[o] = lo + i
-			f.Val[o] = semiring.Self(int64(lo + i))
+		func(o, k int) {
+			f.Idx[o] = live[k]
+			f.Val[o] = semiring.Self(int64(live[k]))
 		})
-	s.G.World.AddWork(len(matec.Local))
+	s.G.World.AddWork(len(live))
 	return f
 }
 

@@ -1,9 +1,9 @@
 package spmat
 
 // DCSC is the doubly compressed sparse columns format used by CombBLAS for
-// local submatrices (Buluç & Gilbert). Unlike CSC it does not spend O(ncols)
-// storage on empty columns: only the nzc columns that contain at least one
-// nonzero are represented.
+// local submatrices (Buluç & Gilbert). Unlike CSC it does not walk empty
+// columns: only the nzc columns that contain at least one nonzero are
+// listed.
 //
 //	JC[k]          = index of the k-th nonempty column (strictly increasing)
 //	CP[k]..CP[k+1] = range of IR holding the row indices of column JC[k]
@@ -13,38 +13,33 @@ package spmat
 // n/√p-column slab frequently has far fewer than n/√p nonempty columns
 // (hypersparsity), and iterating over it must cost O(nzc), not O(ncols).
 //
-// Every constructor also builds the AUX index of Buluç & Gilbert's
-// hypersparse format, which makes FindCol O(1) expected: the columns are cut
-// into chunks of cf = ⌈ncols/nzc⌉, and aux[c] is the first position in JC
-// whose column falls in chunk c or later (aux[len(aux)-1] = nzc). That is at
-// most nzc+1 ints, and a chunk holds one nonempty column on average.
+// Lookups by column index go through one dense int32 pointer over the
+// block's column slab: IR[ptr[j]:ptr[j+1]] are column j's rows, empty for an
+// empty column, so FindCol is one load. The pointer costs 4·(ncols+1)
+// bytes, O(n/√p) per rank, the same order as the dense scratches every rank
+// already holds over its row and column slabs; iteration still walks only
+// JC and CP.
 type DCSC struct {
 	NRows, NCols int
 	JC           []int // nonempty column indices, len nzc
 	CP           []int // column pointers, len nzc+1
 	IR           []int // row indices, len nnz
 
-	cf  int   // columns per AUX chunk
-	aux []int // aux[c] = first k with JC[k] >= c*cf
+	ptr []int32 // ptr[j]..ptr[j+1] = range of IR holding column j, len ncols+1
 }
 
-// index builds the AUX index over JC. Constructors call it once JC is final.
+// index builds the dense column pointer from JC and CP. Constructors call it
+// once both are final, on at most math.MaxInt32 nonzeros.
 func (d *DCSC) index() *DCSC {
-	nzc := len(d.JC)
-	d.cf = max(1, d.NCols)
-	if nzc > 0 {
-		d.cf = (d.NCols + nzc - 1) / nzc
-	}
-	chunks := (d.NCols + d.cf - 1) / d.cf
-	d.aux = make([]int, chunks+1)
+	d.ptr = make([]int32, d.NCols+1)
 	k := 0
-	for c := range chunks {
-		d.aux[c] = k
-		for k < nzc && d.JC[k] < (c+1)*d.cf {
+	for j := range d.NCols {
+		d.ptr[j] = int32(d.CP[k])
+		if k < len(d.JC) && d.JC[k] == j {
 			k++
 		}
 	}
-	d.aux[chunks] = nzc
+	d.ptr[d.NCols] = int32(len(d.IR))
 	return d
 }
 
@@ -61,20 +56,14 @@ func (d *DCSC) ColByIndex(k int) (col int, rows []int) {
 }
 
 // FindCol returns the sorted row indices of column j, or nil when the column
-// is empty or j is outside [0, NCols). It scans j's AUX chunk, which is O(1)
-// expected.
+// is empty or j is outside [0, NCols). One load of the dense column pointer.
 func (d *DCSC) FindCol(j int) []int {
 	if uint(j) >= uint(d.NCols) {
 		return nil
 	}
-	c := j / d.cf
-	for k := d.aux[c]; k < d.aux[c+1]; k++ {
-		if d.JC[k] >= j {
-			if d.JC[k] == j {
-				return d.IR[d.CP[k]:d.CP[k+1]]
-			}
-			return nil
-		}
+	lo, hi := d.ptr[j], d.ptr[j+1]
+	if lo == hi {
+		return nil
 	}
-	return nil
+	return d.IR[lo:hi]
 }

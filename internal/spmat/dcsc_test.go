@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// bsearchCol is the binary search over JC that the AUX index replaced; it is
-// the reference FindCol must reproduce.
+// bsearchCol is a binary search over JC, the reference FindCol's dense
+// column pointer must reproduce.
 func bsearchCol(d *DCSC, j int) []int {
 	k, ok := slices.BinarySearch(d.JC, j)
 	if !ok {
@@ -18,23 +18,24 @@ func bsearchCol(d *DCSC, j int) []int {
 }
 
 // checkFindCol compares FindCol with the reference on every column index,
-// plus -1 and NCols, and bounds the AUX index by nzc+1 ints.
+// plus -1 and NCols, and requires nil (not an empty slice) for an empty or
+// out-of-range column.
 func checkFindCol(d *DCSC) error {
-	if len(d.aux) > max(d.NZC(), 1)+1 {
-		return fmt.Errorf("aux holds %d ints for nzc %d", len(d.aux), d.NZC())
-	}
 	for j := -1; j <= d.NCols; j++ {
 		got, want := d.FindCol(j), bsearchCol(d, j)
-		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+		if len(want) == 0 && got != nil {
+			return fmt.Errorf("%dx%d nzc %d: FindCol(%d) = %#v, want nil", d.NRows, d.NCols, d.NZC(), j, got)
+		}
+		if !slices.Equal(got, want) {
 			return fmt.Errorf("%dx%d nzc %d: FindCol(%d) = %v, want %v", d.NRows, d.NCols, d.NZC(), j, got, want)
 		}
 	}
 	return nil
 }
 
-// findColShapes are the block shapes the AUX index must cover: hypersparse
-// (nzc ≪ ncols, including every nonempty column bunched into one chunk),
-// dense, empty and single-column.
+// findColShapes are the block shapes the column pointer must cover:
+// hypersparse (nzc ≪ ncols, including every nonempty column bunched at the
+// start of the slab), dense, empty and single-column.
 func findColShapes(rng *rand.Rand) []*CSC {
 	var out []*CSC
 	add := func(nr, nc int, entries func(c *COO)) {
@@ -69,8 +70,8 @@ func findColShapes(rng *rand.Rand) []*CSC {
 	return out
 }
 
-// TestFindColMatchesBinarySearch checks the AUX lookup of every DCSC
-// constructor: Submatrix (through DistributeRanks) and the tests' toDCSC.
+// TestFindColMatchesBinarySearch checks the column-pointer lookup of every
+// DCSC constructor: Submatrix (through DistributeRanks) and the tests' toDCSC.
 func TestFindColMatchesBinarySearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for n, m := range findColShapes(rng) {

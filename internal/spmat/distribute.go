@@ -1,6 +1,10 @@
 package spmat
 
-import "slices"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Block describes one contiguous block of a 1D index range that has been
 // split across processes: global indices [Lo, Hi) map to local 0..Hi-Lo.
@@ -54,7 +58,8 @@ type LocalMatrix struct {
 // relative to rows.Lo and cols.Lo. Each column of a CSC is sorted, so its run
 // inside the row slab is contiguous and found by binary search: one pass
 // sizes the result and a second copies the runs, with no staging and no sort.
-// The AUX column index is built last, in O(nzc).
+// The dense column pointer is built last, in O(ncols). It panics on a block
+// whose nnz does not fit in the pointer's int32.
 func Submatrix(a *CSC, rows, cols Block) *DCSC {
 	nzc, nnz := 0, 0
 	for j := cols.Lo; j < cols.Hi; j++ {
@@ -62,6 +67,9 @@ func Submatrix(a *CSC, rows, cols Block) *DCSC {
 			nzc++
 			nnz += hi - lo
 		}
+	}
+	if nnz > math.MaxInt32 {
+		panic(fmt.Sprintf("spmat: block %v x %v has %d nonzeros, more than an int32 column pointer holds", rows, cols, nnz))
 	}
 	d := &DCSC{
 		NRows: rows.Len(),
