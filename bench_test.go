@@ -103,33 +103,6 @@ func BenchmarkAugmentVariants(b *testing.B) {
 	}
 }
 
-// BenchmarkSerialBaselines measures the shared-memory algorithms the paper
-// compares against (Section VI-E).
-func BenchmarkSerialBaselines(b *testing.B) {
-	g, err := RMAT(G500, 13, 8, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		alg  SerialAlgorithm
-	}{
-		{"hopcroft-karp", HopcroftKarp},
-		{"pothen-fan", PothenFan},
-		{"ms-bfs", MSBFS},
-		{"ms-bfs-graft", MSBFSGraft},
-		{"push-relabel", PushRelabelAlg},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := MaximumMatchingSerial(g, tc.alg, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMCMDistByProcs measures wall time of the full distributed solve
 // at several simulated grid sizes (in-process; communication is metered,
 // wall time includes simulation overhead).

@@ -65,7 +65,7 @@ func main() {
 	matrix := flag.String("matrix", "", "generate a Table II stand-in by name (see -list)")
 	list := flag.Bool("list", false, "list the Table II stand-in names and exit")
 	scale := flag.Int("scale", 12, "scale of generated matrices (2^scale vertices per side)")
-	serial := flag.String("serial", "", "also run a serial baseline for comparison: hk, pf, msbfs, graft, pr")
+	serial := flag.String("serial", "", "cross-check |M| against a serial oracle and exit 1 on a disagreement: hk (Hopcroft–Karp)")
 	verifyFlag := flag.Bool("verify", false, "certify the result with the König vertex-cover certificate")
 	breakdown := flag.Bool("breakdown", false, "print the per-primitive runtime breakdown")
 	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace of the solve to this file (tcp coordinator: one merged world trace, all ranks)")
@@ -174,22 +174,16 @@ func main() {
 	verifyAndWrite(a, res.Matching, *verifyFlag, *out)
 
 	if *serial != "" {
-		alg, ok := map[string]func(*spmat.CSC, *matching.Matching) *matching.Matching{
-			"hk": matching.HopcroftKarp, "pf": matching.PothenFan,
-			"msbfs": matching.MSBFS, "graft": matching.MSBFSGraft,
-			"pr": matching.PushRelabel,
-		}[*serial]
-		if !ok {
-			log.Fatalf("unknown -serial %q", *serial)
+		if *serial != "hk" {
+			log.Fatalf("unknown -serial %q (want hk)", *serial)
 		}
 		start := time.Now()
-		card := alg(a, nil).Cardinality()
-		fmt.Printf("serial %s: |M| = %d in %v", *serial, card, time.Since(start))
-		if card == st.Cardinality {
-			fmt.Println(" (agrees with MCM-DIST)")
-		} else {
-			fmt.Println(" (DISAGREES with MCM-DIST!)")
+		card := matching.HopcroftKarp(a, nil).Cardinality()
+		elapsed := time.Since(start)
+		if card != st.Cardinality {
+			log.Fatalf("serial hk: |M| = %d in %v DISAGREES with MCM-DIST's %d", card, elapsed, st.Cardinality)
 		}
+		fmt.Printf("serial hk: |M| = %d in %v (agrees with MCM-DIST)\n", card, elapsed)
 	}
 }
 

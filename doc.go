@@ -19,10 +19,10 @@
 //	fmt.Println(m.Cardinality(), stats.Phases)
 //	if err := g.VerifyMaximum(m); err != nil { ... } // König certificate
 //
-// Serial baselines (Hopcroft–Karp, Pothen–Fan, MS-BFS, MS-BFS-Graft,
-// push-relabel) are available through MaximumMatchingSerial, and the three
-// distributed maximal-matching initializers (greedy, Karp–Sipser, dynamic
-// mindegree) alone through DistributedGraph.MaximalMatchingDistributed.
+// The serial Hopcroft–Karp oracle is available through
+// MaximumMatchingSerial, and the three distributed maximal-matching
+// initializers (greedy, Karp–Sipser, dynamic mindegree) alone through
+// DistributedGraph.MaximalMatchingDistributed.
 // The cmd/bench tool regenerates every table and figure of the paper's
 // evaluation section; see DESIGN.md and EXPERIMENTS.md.
 package mcmdist

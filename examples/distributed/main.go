@@ -4,7 +4,7 @@
 // and the effect of tree pruning (Fig. 8), all through the public API on a
 // skewed power-law graph. The graph is distributed once and every solve
 // reuses that distribution (the session API), and every cardinality is
-// checked against the shared-memory comparator.
+// checked against the serial Hopcroft–Karp oracle.
 package main
 
 import (
@@ -24,7 +24,7 @@ func main() {
 	fmt.Println(g)
 	const procs = 16
 
-	ref, err := mcmdist.MaximumMatchingSerial(g, mcmdist.MSBFSGraft, nil)
+	ref, err := mcmdist.MaximumMatchingSerial(g, mcmdist.HopcroftKarp, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if m.Cardinality() != ref.Cardinality() {
-			log.Fatalf("disagreement: MS-BFS-Graft %d vs MCM-DIST %d (%+v)", ref.Cardinality(), m.Cardinality(), opts)
+			log.Fatalf("disagreement: Hopcroft–Karp %d vs MCM-DIST %d (%+v)", ref.Cardinality(), m.Cardinality(), opts)
 		}
 		return st
 	}
@@ -102,5 +102,5 @@ func main() {
 			label, spmv.Words, st.Iterations)
 	}
 
-	fmt.Printf("\nMS-BFS-Graft (shared-memory) and every MCM-DIST solve agree: |M| = %d\n", ref.Cardinality())
+	fmt.Printf("\nHopcroft–Karp (serial) and every MCM-DIST solve agree: |M| = %d\n", ref.Cardinality())
 }

@@ -296,11 +296,12 @@ func (r *bfsSSRun) Iterate() bool {
 // augmented release their vertices, and released rows are grafted onto
 // surviving trees when rediscovered.
 //
-// Rendition note (same as the serial matching.MSBFSGraft): when a grafted
-// phase discovers nothing, all state is reset and one plain MS-BFS phase
-// runs; only if that fresh sweep also finds nothing is the matching
-// declared maximum, which keeps the termination condition identical to
-// Algorithm 2's.
+// Rendition note: when a grafted phase discovers nothing, all state is
+// reset and one plain MS-BFS phase runs; only if that fresh sweep also
+// finds nothing is the matching declared maximum. Surviving trees may hide
+// an augmenting path that only a fresh sweep sees, so this keeps the
+// termination condition identical to Algorithm 2's ("no augmenting path in
+// a fresh sweep") while grafting still saves traversal in the common case.
 func startBFSGraft(s *Solver, mater, matec *dvec.Dense) engineRun {
 	return &bfsGraftRun{
 		msbfs: newMSBFS(s, mater, matec),

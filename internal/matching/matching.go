@@ -1,14 +1,10 @@
-// Package matching implements the serial and shared-memory bipartite
-// matching algorithms the paper builds on and compares against:
+// Package matching implements the serial bipartite matching algorithms the
+// paper builds on:
 //
 //   - the three maximal-matching initializers of Section II-A and VI-A:
 //     greedy, Karp–Sipser, and dynamic mindegree;
 //   - Hopcroft–Karp, the asymptotically best augmenting-path MCM algorithm,
-//     used here as the correctness oracle;
-//   - Pothen–Fan (multi-source DFS with lookahead);
-//   - MS-BFS, the serial form of the algorithm the paper parallelizes;
-//   - MS-BFS-Graft, the tree-grafting variant [Azad, Buluç, Pothen] that is
-//     the paper's shared-memory comparator (Section VI-E).
+//     used here as the correctness oracle.
 //
 // The bipartite graph G = (R, C, E) is given as an n1 x n2 pattern matrix:
 // rows are R vertices, columns are C vertices.

@@ -7,6 +7,7 @@ import (
 
 	"mcmdist/internal/gen"
 	"mcmdist/internal/rmat"
+	"mcmdist/internal/semiring"
 	"mcmdist/internal/spmat"
 )
 
@@ -92,16 +93,6 @@ func maximalAlgos() map[string]func(*spmat.CSC) *Matching {
 	}
 }
 
-func mcmAlgos() map[string]func(*spmat.CSC, *Matching) *Matching {
-	return map[string]func(*spmat.CSC, *Matching) *Matching{
-		"hopcroft-karp": HopcroftKarp,
-		"ms-bfs":        MSBFS,
-		"pothen-fan":    PothenFan,
-		"ms-bfs-graft":  MSBFSGraft,
-		"push-relabel":  PushRelabel,
-	}
-}
-
 func TestMaximalAlgorithmsAreValidAndMaximal(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 15; trial++ {
@@ -157,15 +148,8 @@ func TestMCMAlgorithmsAgreeWithOracle(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		nr, nc := 1+rng.Intn(50), 1+rng.Intn(50)
 		a := randomBipartite(rng, nr, nc, rng.Intn(5*(nr+nc)))
-		want := HopcroftKarp(a, nil).Cardinality()
-		for name, algo := range mcmAlgos() {
-			m := algo(a, nil)
-			if err := m.Validate(a); err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
-			}
-			if got := m.Cardinality(); got != want {
-				t.Fatalf("trial %d %s: cardinality %d, oracle %d", trial, name, got, want)
-			}
+		if err := certifyMaximum(a, HopcroftKarp(a, nil)); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
@@ -174,17 +158,10 @@ func TestMCMWithInitializers(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 8; trial++ {
 		a := randomBipartite(rng, 40, 45, 250)
-		want := HopcroftKarp(a, nil).Cardinality()
 		for initName, initAlgo := range maximalAlgos() {
 			init := initAlgo(a)
-			for name, algo := range mcmAlgos() {
-				m := algo(a, init)
-				if err := m.Validate(a); err != nil {
-					t.Fatalf("%s+%s: %v", initName, name, err)
-				}
-				if got := m.Cardinality(); got != want {
-					t.Fatalf("%s+%s: %d, oracle %d", initName, name, got, want)
-				}
+			if err := certifyMaximum(a, HopcroftKarp(a, init)); err != nil {
+				t.Fatalf("%s+hopcroft-karp: %v", initName, err)
 			}
 			// init must not have been mutated.
 			if err := init.Validate(a); err != nil {
@@ -200,11 +177,8 @@ func TestMCMOnStructuredGraphs(t *testing.T) {
 	}
 	for _, sp := range gen.Suite() {
 		a := gen.MustGenerate(sp, 7)
-		want := HopcroftKarp(a, nil).Cardinality()
-		for name, algo := range mcmAlgos() {
-			if got := algo(a, nil).Cardinality(); got != want {
-				t.Errorf("%s on %s: %d, oracle %d", name, sp.Name, got, want)
-			}
+		if err := certifyMaximum(a, HopcroftKarp(a, nil)); err != nil {
+			t.Errorf("%s: %v", sp.Name, err)
 		}
 	}
 }
@@ -212,12 +186,21 @@ func TestMCMOnStructuredGraphs(t *testing.T) {
 func TestMCMOnRMAT(t *testing.T) {
 	for _, p := range []rmat.Params{rmat.G500, rmat.SSCA, rmat.ER} {
 		a := rmat.MustGenerate(p, 8, 4, 11)
-		want := HopcroftKarp(a, nil).Cardinality()
-		for name, algo := range mcmAlgos() {
-			if got := algo(a, nil).Cardinality(); got != want {
-				t.Errorf("%s on rmat %+v: %d, oracle %d", name, p, got, want)
-			}
+		if err := certifyMaximum(a, HopcroftKarp(a, nil)); err != nil {
+			t.Errorf("rmat %+v: %v", p, err)
 		}
+	}
+}
+
+// expectMaximum certifies HK's matching of a and checks its cardinality.
+func expectMaximum(t *testing.T, a *spmat.CSC, init *Matching, want int) {
+	t.Helper()
+	m := HopcroftKarp(a, init)
+	if err := certifyMaximum(a, m); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Cardinality(); got != want {
+		t.Errorf("|M| = %d, want %d", got, want)
 	}
 }
 
@@ -227,32 +210,18 @@ func TestPerfectMatchingOnIdentity(t *testing.T) {
 	for k := 0; k < n; k++ {
 		c.Add(k, k)
 	}
-	a := c.ToCSC()
-	for name, algo := range mcmAlgos() {
-		if got := algo(a, nil).Cardinality(); got != n {
-			t.Errorf("%s: %d on identity, want %d", name, got, n)
-		}
-	}
+	expectMaximum(t, c.ToCSC(), nil, n)
 }
 
 func TestStructurallyDeficient(t *testing.T) {
 	// 4 columns all adjacent only to row 0: MCM = 1.
 	a := tiny(t, 3, 4, [2]int{0, 0}, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3})
-	for name, algo := range mcmAlgos() {
-		m := algo(a, nil)
-		if got := m.Cardinality(); got != 1 {
-			t.Errorf("%s: %d, want 1", name, got)
-		}
-	}
+	expectMaximum(t, a, nil, 1)
 }
 
 func TestEmptyGraph(t *testing.T) {
 	a := tiny(t, 5, 5)
-	for name, algo := range mcmAlgos() {
-		if got := algo(a, nil).Cardinality(); got != 0 {
-			t.Errorf("%s: %d on empty graph", name, got)
-		}
-	}
+	expectMaximum(t, a, nil, 0)
 	for name, algo := range maximalAlgos() {
 		if got := algo(a).Cardinality(); got != 0 {
 			t.Errorf("%s: %d on empty graph", name, got)
@@ -261,38 +230,29 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 func TestZeroDimensions(t *testing.T) {
-	a := tiny(t, 0, 0)
-	for name, algo := range mcmAlgos() {
-		if got := algo(a, nil).Cardinality(); got != 0 {
-			t.Errorf("%s: %d on 0x0", name, got)
-		}
-	}
+	expectMaximum(t, tiny(t, 0, 0), nil, 0)
 }
 
-// TestAugmentationRaisesCardinalityByPathCount checks the Section II
-// invariant |M ⊕ P| = |M| + |P| indirectly: starting MCM algorithms from a
-// maximal matching must close exactly the deficiency.
+// TestDeficiencyClosed checks the Section II invariant |M ⊕ P| = |M| + |P|
+// indirectly: starting Hopcroft–Karp from a maximal matching must close
+// exactly the deficiency, leaving no augmenting path.
 func TestDeficiencyClosed(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randomBipartite(rng, 80, 80, 240)
 	init := Greedy(a)
-	opt := HopcroftKarp(a, nil).Cardinality()
-	got := MSBFS(a, init).Cardinality()
-	if got != opt {
-		t.Fatalf("MSBFS from greedy: %d, want %d", got, opt)
+	m := HopcroftKarp(a, init)
+	if err := certifyMaximum(a, m); err != nil {
+		t.Fatalf("Hopcroft-Karp from greedy: %v", err)
 	}
-	if init.Cardinality() > got {
+	if init.Cardinality() > m.Cardinality() {
 		t.Fatal("augmentation lost edges")
 	}
 }
 
-// TestLongPathAugmentation exercises a graph whose only augmenting path is
-// long: a ladder forcing O(n)-length alternating paths.
-func TestLongPathAugmentation(t *testing.T) {
-	// Columns c0..c{n-1}, rows r0..r{n-1}; ci adjacent to ri and r{i+1};
-	// initial matching ci-r{i+1} for i<n-1 leaves c{n-1} and r0 unmatched,
-	// with the unique augmenting path traversing the whole ladder.
-	const n = 400
+// ladder returns the n x n graph whose column k is adjacent to rows k and
+// k+1, with the matching ck-r{k+1} for k < n-1: it leaves c{n-1} and r0
+// unmatched, and the unique augmenting path traverses the whole ladder.
+func ladder(n int) (*spmat.CSC, *Matching) {
 	c := spmat.NewCOO(n, n)
 	for k := 0; k < n; k++ {
 		c.Add(k, k)
@@ -300,19 +260,33 @@ func TestLongPathAugmentation(t *testing.T) {
 			c.Add(k+1, k)
 		}
 	}
-	a := c.ToCSC()
 	init := NewMatching(n, n)
 	for k := 0; k < n-1; k++ {
 		init.Match(k+1, k)
 	}
-	for name, algo := range mcmAlgos() {
-		m := algo(a, init)
-		if err := m.Validate(a); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m.Cardinality() != n {
-			t.Errorf("%s: %d, want perfect %d", name, m.Cardinality(), n)
-		}
+	return c.ToCSC(), init
+}
+
+// TestLongPathAugmentation exercises a graph whose only augmenting path is
+// long: a ladder forcing O(n)-length alternating paths.
+func TestLongPathAugmentation(t *testing.T) {
+	const n = 400
+	a, init := ladder(n)
+	expectMaximum(t, a, init, n)
+}
+
+// TestCertifyMaximumCatchesAugmentingPath checks the Berge check itself: a
+// valid matching one short of maximum, whose one augmenting path is
+// hundreds of edges long, must be refused, and so must an invalid one.
+func TestCertifyMaximumCatchesAugmentingPath(t *testing.T) {
+	a, init := ladder(400)
+	if err := certifyMaximum(a, init); err == nil {
+		t.Fatal("matching with an augmenting path certified as maximum")
+	}
+	bad := HopcroftKarp(a, nil)
+	bad.MateR[0] = semiring.None
+	if err := certifyMaximum(a, bad); err == nil {
+		t.Fatal("inconsistent mates certified as maximum")
 	}
 }
 
@@ -351,37 +325,31 @@ func BenchmarkMaximalInitializers(b *testing.B) {
 
 func BenchmarkMCMAlgorithms(b *testing.B) {
 	a := rmat.MustGenerate(rmat.G500, 13, 8, 5)
-	for name, algo := range mcmAlgos() {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				algo(a, nil)
-			}
-		})
-	}
+	b.Run("hopcroft-karp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			HopcroftKarp(a, nil)
+		}
+	})
 }
 
 // TestQuickAllAlgorithmsAgree is the property-based heart of the package:
-// for arbitrary random graphs, every MCM algorithm (with and without every
-// initializer) agrees with Hopcroft-Karp and every result is certified
-// structurally valid.
+// for arbitrary random graphs, Hopcroft–Karp (cold, and warm-started from
+// every initializer) returns a structurally valid matching with no
+// augmenting path, and every initializer returns a valid maximal matching.
 func TestQuickAllAlgorithmsAgree(t *testing.T) {
 	f := func(nr, nc uint8, seed int64) bool {
 		rows, cols := int(nr%40)+1, int(nc%40)+1
 		rng := rand.New(rand.NewSource(seed))
 		a := randomBipartite(rng, rows, cols, rng.Intn(4*(rows+cols)))
-		want := HopcroftKarp(a, nil).Cardinality()
-		for _, algo := range mcmAlgos() {
-			m := algo(a, nil)
-			if m.Validate(a) != nil || m.Cardinality() != want {
-				return false
-			}
+		if certifyMaximum(a, HopcroftKarp(a, nil)) != nil {
+			return false
 		}
 		for _, init := range maximalAlgos() {
 			im := init(a)
 			if im.Validate(a) != nil || !im.IsMaximal(a) {
 				return false
 			}
-			if MSBFS(a, im).Cardinality() != want {
+			if certifyMaximum(a, HopcroftKarp(a, im)) != nil {
 				return false
 			}
 		}
@@ -392,10 +360,9 @@ func TestQuickAllAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// TestSymmetricDifferenceInvariant: augmenting a matching along one
-// augmenting path raises cardinality by exactly one — checked by comparing
-// the sequence of cardinalities PothenFan reaches pass by pass against the
-// size deltas (indirect, via monotonicity plus final agreement).
+// TestMonotoneImprovement: warm-starting Hopcroft–Karp from each
+// initializer never loses cardinality, and the heuristics' cardinalities
+// stay within a factor of two of each other.
 func TestMonotoneImprovement(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	a := randomBipartite(rng, 60, 60, 200)

@@ -59,7 +59,7 @@ func TestMaximumRejectsInvalid(t *testing.T) {
 func TestMaximumOnStructures(t *testing.T) {
 	for _, p := range []rmat.Params{rmat.G500, rmat.SSCA, rmat.ER} {
 		a := rmat.MustGenerate(p, 7, 4, 3)
-		m := matching.MSBFSGraft(a, nil)
+		m := matching.HopcroftKarp(a, nil)
 		if err := Maximum(a, m); err != nil {
 			t.Fatalf("%+v: %v", p, err)
 		}
@@ -82,7 +82,7 @@ func TestKoenigCoverSizeAlwaysMatches(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		nr, nc := 1+rng.Intn(30), 1+rng.Intn(30)
 		a := randomBipartite(rng, nr, nc, rng.Intn(4*(nr+nc)))
-		m := matching.PothenFan(a, nil)
+		m := matching.HopcroftKarp(a, nil)
 		if err := Maximum(a, m); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

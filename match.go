@@ -222,17 +222,20 @@ type Stats struct {
 	// CheckpointWall is the wall time spent taking those snapshots (rank
 	// maximum) — the recovery plane's overhead on the critical path.
 	CheckpointWall time.Duration
-	// WallByOp is the per-primitive wall-clock breakdown (rank maximum),
-	// keyed by "spmv", "invert", "prune", "select", "augment", "init",
-	// "other" — the Fig. 5 decomposition.
+	// WallByOp is the per-primitive wall-clock breakdown (maximum over
+	// the ranks this process hosts), keyed by "spmv", "invert", "prune",
+	// "select", "augment", "init", "other" — the Fig. 5 decomposition.
 	WallByOp map[string]time.Duration
-	// CommByOp is the per-primitive communication breakdown (rank maximum).
+	// CommByOp is the per-primitive communication breakdown (maximum over
+	// the ranks this process hosts).
 	CommByOp map[string]CommStats
-	// CommTimeByOp is the per-primitive communication-time ledger (rank
-	// maximum): total request-in-flight time vs the exposed part spent
-	// blocked. See CommTime.
+	// CommTimeByOp is the per-primitive communication-time ledger (maximum
+	// over the ranks this process hosts): total request-in-flight time vs
+	// the exposed part spent blocked. See CommTime.
 	CommTimeByOp map[string]CommTime
-	// PerRank holds every rank's cumulative totals.
+	// PerRank holds the cumulative totals of the ranks this process hosts:
+	// every rank in process, only the local ranks on a transport spanning
+	// several processes (remote ranks report in their own process).
 	PerRank []CommStats
 	// Obs carries the run's observability data (span trace and
 	// time-series) when Options.Observe was set; nil otherwise.
@@ -289,48 +292,25 @@ func maximumMatchingOn(tr mpi.Transport, g *Graph, opts Options) (m *Matching, s
 	return fromInternal(res.Matching), statsFromCore(res, cfg.Obs), nil
 }
 
-// SerialAlgorithm selects a shared-memory MCM baseline.
+// SerialAlgorithm selects a serial MCM algorithm.
 type SerialAlgorithm int
 
-// Serial MCM algorithms (Section II).
-const (
-	// HopcroftKarp is the O(m*sqrt(n)) oracle.
-	HopcroftKarp SerialAlgorithm = iota
-	// PothenFan is multi-source DFS with lookahead.
-	PothenFan
-	// MSBFS is the serial form of the algorithm MCM-DIST parallelizes.
-	MSBFS
-	// MSBFSGraft is the tree-grafting variant, the paper's shared-memory
-	// comparator.
-	MSBFSGraft
-	// PushRelabelAlg is the push-relabel method, the other MCM family of
-	// Section II-A (the paper's closest distributed prior work, Langguth
-	// et al., parallelized it).
-	PushRelabelAlg
-)
+// HopcroftKarp is the O(m*sqrt(n)) serial MCM algorithm of Section II-A,
+// the correctness oracle and the only SerialAlgorithm.
+const HopcroftKarp SerialAlgorithm = 0
 
-// MaximumMatchingSerial computes an MCM with the selected shared-memory
-// baseline, optionally warm-started from init (pass nil to start empty).
+// MaximumMatchingSerial computes an MCM with the selected serial algorithm,
+// optionally warm-started from init (pass nil to start empty).
 func MaximumMatchingSerial(g *Graph, alg SerialAlgorithm, init *Matching) (m *Matching, err error) {
 	defer guard(&err)
+	if alg != HopcroftKarp {
+		return nil, fmt.Errorf("mcmdist: unknown serial algorithm %d", int(alg))
+	}
 	var in *matching.Matching
 	if init != nil {
 		in = init.internal()
 	}
-	switch alg {
-	case HopcroftKarp:
-		return fromInternal(matching.HopcroftKarp(g.a, in)), nil
-	case PothenFan:
-		return fromInternal(matching.PothenFan(g.a, in)), nil
-	case MSBFS:
-		return fromInternal(matching.MSBFS(g.a, in)), nil
-	case MSBFSGraft:
-		return fromInternal(matching.MSBFSGraft(g.a, in)), nil
-	case PushRelabelAlg:
-		return fromInternal(matching.PushRelabel(g.a, in)), nil
-	default:
-		return nil, fmt.Errorf("mcmdist: unknown serial algorithm %d", int(alg))
-	}
+	return fromInternal(matching.HopcroftKarp(g.a, in)), nil
 }
 
 // HallViolator returns, when m (a maximum matching of g) leaves columns

@@ -23,7 +23,12 @@ go build -o "$work/" ./cmd/mcm ./cmd/mcmrank ./cmd/tracelint
 
 graph=(-rmat g500 -scale "$scale" -seed 1 -procs "$procs")
 
-"$work/mcm" "${graph[@]}" -out "$work/oracle.txt" >/dev/null
+# The in-process oracle run also checks its cardinality against serial
+# Hopcroft–Karp (-serial hk exits non-zero on a disagreement).
+"$work/mcm" "${graph[@]}" -serial hk -out "$work/oracle.txt" >"$work/oracle.log"
+grep -q "agrees with MCM-DIST" "$work/oracle.log" || {
+  echo "transport-smoke: -serial hk did not report agreement:" >&2
+  cat "$work/oracle.log" >&2; exit 1; }
 
 "$work/mcm" "${graph[@]}" -transport tcp -addr "$addr" \
   -out "$work/rank0.txt" >"$work/coord.log" 2>&1 &
