@@ -136,7 +136,7 @@ bench-record:
 # Multi-process transport smoke: one solve spanning four OS processes over
 # loopback TCP (mcm coordinating, three mcmrank workers), its matching
 # byte-compared against the in-process oracle — raw, with wire compression
-# + adaptive direction, with the bfs-graft engine, and once fully traced:
+# + adaptive direction, with the bfs-ss engine, and once fully traced:
 # the coordinator collects every rank's observations and writes ONE merged
 # world trace + time-series, both validated by cmd/tracelint, and the trace
 # must carry rank 1's hb.rtt heartbeat instant. That traced pass is the

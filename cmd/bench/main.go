@@ -27,21 +27,67 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"mcmdist/internal/core"
 	"mcmdist/internal/experiments"
 )
 
+// params are the command-line values the experiments read.
+type params struct {
+	cfg    core.Config
+	scale  int
+	matrix string
+}
+
+// exps is the one experiment list: every -exp name in the order the flag
+// help shows them. The ones marked all run, in this order, under -exp all.
+var exps = []struct {
+	name string
+	all  bool
+	run  func(w io.Writer, p params)
+}{
+	{"table2", true, func(w io.Writer, p params) { experiments.Table2(w, p.scale) }},
+	{"fig3", true, func(w io.Writer, p params) { experiments.Fig3(w, p.cfg, min(p.scale, 9)) }},
+	{"fig4", true, func(w io.Writer, p params) { experiments.Fig4(w, p.cfg, p.scale, nil, nil) }},
+	{"fig5", true, func(w io.Writer, p params) { experiments.Fig5(w, p.cfg, p.scale, nil) }},
+	{"fig6", true, func(w io.Writer, p params) { experiments.Fig6(w, p.cfg, []int{p.scale - 2, p.scale}, nil) }},
+	{"fig7", true, func(w io.Writer, p params) { experiments.Fig7(w, p.cfg, p.scale, nil) }},
+	{"fig8", true, func(w io.Writer, p params) { experiments.Fig8(w, p.cfg, min(p.scale, 9), nil) }},
+	{"fig9", true, func(w io.Writer, p params) { experiments.Fig9(w, nil, 2048, 8) }},
+	{"augment", true, func(w io.Writer, p params) {
+		four := p.cfg
+		four.Procs = 4 // the k < 2p² crossover is charted at p = 4
+		experiments.AugmentCrossover(w, four, 16, nil)
+	}},
+	{"direction", true, func(w io.Writer, p params) { experiments.DirectionAblation(w, p.cfg, p.scale, nil) }},
+	{"dirsweep", false, func(w io.Writer, p params) {
+		experiments.DirectionSweep(w, p.cfg, []int{min(p.scale, 14), min(p.scale+1, 15), min(p.scale+2, 16)})
+	}},
+	{"enginesweep", false, func(w io.Writer, p params) { experiments.EngineSweep(w, p.cfg, p.matrix, p.scale) }},
+	{"gridshape", true, func(w io.Writer, p params) { experiments.GridShapeAblation(w, p.scale, p.cfg.Procs) }},
+	{"quality", true, func(w io.Writer, p params) { experiments.InitQuality(w, p.scale, nil) }},
+	{"balance", true, func(w io.Writer, p params) { experiments.BalanceAblation(w, p.cfg, p.scale, nil) }},
+	{"ssms", true, func(w io.Writer, p params) { experiments.SingleVsMultiSource(w, p.cfg, min(p.scale, 10), nil) }},
+	{"treebalance", true, func(w io.Writer, p params) { experiments.TreeBalance(w, p.scale, p.cfg.Procs, nil) }},
+	{"dynamics", false, func(w io.Writer, p params) { experiments.FrontierDynamics(w, "road_usa", p.scale, p.cfg.Procs) }},
+}
+
 func main() {
-	cfg := core.Config{Procs: 16, Threads: 12}
-	flag.IntVar(&cfg.Procs, "procs", cfg.Procs, "simulated ranks (perfect square)")
-	flag.IntVar(&cfg.Threads, "threads", cfg.Threads, "worker threads per rank (divides the modeled work term)")
-	exp := flag.String("exp", "all", "experiment to run: table2, fig3..fig9, augment, direction, dirsweep, enginesweep, gridshape, graft, quality, balance, ssms, treebalance, dynamics, all")
-	scale := flag.Int("scale", 12, "matrix scale (~2^scale vertices per side)")
-	matrix := flag.String("matrix", "road_usa", "matrix -exp enginesweep runs on: a Table II stand-in name or g500/er/ssca (RMAT)")
+	p := params{cfg: core.Config{Procs: 16, Threads: 12}}
+	names := make([]string, 0, len(exps)+1)
+	for _, e := range exps {
+		names = append(names, e.name)
+	}
+	flag.IntVar(&p.cfg.Procs, "procs", p.cfg.Procs, "simulated ranks (perfect square)")
+	flag.IntVar(&p.cfg.Threads, "threads", p.cfg.Threads, "worker threads per rank (divides the modeled work term)")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(append(names, "all"), ", "))
+	flag.IntVar(&p.scale, "scale", 12, "matrix scale (~2^scale vertices per side)")
+	flag.StringVar(&p.matrix, "matrix", "road_usa", "matrix -exp enginesweep runs on: a Table II stand-in name or g500/er/ssca (RMAT)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile taken after the experiment runs to this path")
 	flag.Parse()
@@ -49,13 +95,13 @@ func main() {
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected arguments %q", flag.Args()))
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := p.cfg.Validate(); err != nil {
 		fail(err)
 	}
 	// The experiments divide by the thread count and take the square root
 	// of the rank count; 0 means 1 for both, as in the solver.
-	cfg.Procs, cfg.Threads = max(cfg.Procs, 1), max(cfg.Threads, 1)
-	if err := experiments.CheckMatrix(*matrix); err != nil {
+	p.cfg.Procs, p.cfg.Threads = max(p.cfg.Procs, 1), max(p.cfg.Threads, 1)
+	if err := experiments.CheckMatrix(p.matrix); err != nil {
 		fail(err)
 	}
 	if *cpuProfile != "" {
@@ -71,64 +117,20 @@ func main() {
 	}
 
 	w := os.Stdout
-	runOne := func(name string) bool {
-		switch name {
-		case "table2":
-			experiments.Table2(w, *scale)
-		case "fig3":
-			experiments.Fig3(w, cfg, min(*scale, 9))
-		case "fig4":
-			experiments.Fig4(w, cfg, *scale, nil, nil)
-		case "fig5":
-			experiments.Fig5(w, cfg, *scale, nil)
-		case "fig6":
-			experiments.Fig6(w, cfg, []int{*scale - 2, *scale}, nil)
-		case "fig7":
-			experiments.Fig7(w, cfg, *scale, nil)
-		case "fig8":
-			experiments.Fig8(w, cfg, min(*scale, 9), nil)
-		case "fig9":
-			experiments.Fig9(w, nil, 2048, 8)
-		case "augment":
-			four := cfg
-			four.Procs = 4 // the k < 2p² crossover is charted at p = 4
-			experiments.AugmentCrossover(w, four, 16, nil)
-		case "direction":
-			experiments.DirectionAblation(w, cfg, *scale, nil)
-		case "dirsweep":
-			experiments.DirectionSweep(w, cfg, []int{min(*scale, 14), min(*scale+1, 15), min(*scale+2, 16)})
-		case "enginesweep":
-			experiments.EngineSweep(w, cfg, *matrix, *scale)
-		case "gridshape":
-			experiments.GridShapeAblation(w, *scale, cfg.Procs)
-		case "graft":
-			experiments.GraftAblation(w, cfg, *scale, nil)
-		case "quality":
-			experiments.InitQuality(w, *scale, nil)
-		case "balance":
-			experiments.BalanceAblation(w, cfg, *scale, nil)
-		case "ssms":
-			experiments.SingleVsMultiSource(w, cfg, min(*scale, 10), nil)
-		case "treebalance":
-			experiments.TreeBalance(w, *scale, cfg.Procs, nil)
-		case "dynamics":
-			experiments.FrontierDynamics(w, "road_usa", *scale, cfg.Procs)
-		default:
-			return false
+	ok := false
+	for _, e := range exps {
+		switch {
+		case *exp == "all" && e.all:
+			fmt.Fprintf(w, "=== %s ===\n", e.name)
+		case *exp != e.name:
+			continue
 		}
+		e.run(w, p)
 		fmt.Fprintln(w)
-		return true
+		ok = true
 	}
-
-	ok := true
-	if *exp == "all" {
-		for _, name := range []string{"table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "augment", "direction", "gridshape", "graft", "quality", "balance", "ssms", "treebalance"} {
-			fmt.Fprintf(w, "=== %s ===\n", name)
-			runOne(name)
-		}
-	} else if !runOne(*exp) {
+	if !ok {
 		fmt.Fprintf(os.Stderr, "bench: unknown experiment %q\n", *exp)
-		ok = false
 	}
 
 	if *memProfile != "" {

@@ -45,6 +45,7 @@ var deadExportAllowlist = map[string]string{
 	"mcmdist.PanicError":                   "the dynamic type of a panic converted to an error at the API boundary; callers match it with errors.As",
 
 	"mcmdist/internal/core.Ops":                 "per-op meter table pinned by the golden trajectory test",
+	"mcmdist/internal/mpi.Comm.Allgatherv":      "the per-rank allgather the mpi, tcpnet and rt tests drive every backend with; the hot paths use the lending variants",
 	"mcmdist/internal/mpi.Comm.World":           "reaches a rank's world for the per-kind meter oracle of the core tests",
 	"mcmdist/internal/mpi.FaultPlan.Fired":      "cross-package test oracle of the fault plane",
 	"mcmdist/internal/mpi.World.RankKindMeter":  "cross-package test oracle of the per-kind meters",

@@ -26,7 +26,7 @@ func goldenCheckpoint() *Checkpoint {
 		Phase:       5,
 		Cardinality: 4,
 		ConfigHash:  0x0123456789abcdef,
-		Engine:      EngineBFSGraft,
+		Engine:      "bfs-graft", // the recorded bytes spell this name; decoding does not check it
 		N1:          6,
 		N2:          5,
 		MateR:       []int64{3, semiring.None, 0, 1, semiring.None, 1 << 33},

@@ -107,7 +107,7 @@ func TestCheckpointRoundtripShapes(t *testing.T) {
 	vectors := [][]int64{nil, {}, {0}, {semiring.None}, sortedish, hostile, allNone}
 	for vi, v := range vectors {
 		ck := &Checkpoint{
-			Engine: EngineBFSGraft,
+			Engine: EngineBFSSingleSource,
 			N1:     len(v), N2: len(v),
 			MateR: v, MateC: append([]int64(nil), v...),
 		}
@@ -140,7 +140,7 @@ func TestCheckpointRoundtripShapes(t *testing.T) {
 // must decode to an error, never to garbage mate vectors.
 func TestCheckpointRejectsEveryTruncation(t *testing.T) {
 	ck := &Checkpoint{
-		Phase: 2, Cardinality: 3, ConfigHash: 0xabcd, Engine: EngineBFSGraft,
+		Phase: 2, Cardinality: 3, ConfigHash: 0xabcd, Engine: EngineBFSSingleSource,
 		N1: 5, N2: 5,
 		MateR: []int64{5, 9, semiring.None, 12, 40},
 		MateC: []int64{41, semiring.None, 0, 2, 1},
@@ -164,7 +164,7 @@ func TestCheckpointHashSensitivity(t *testing.T) {
 		{Procs: 4, Init: InitKarpSipser},
 		{Procs: 4, Init: InitGreedy, Augment: AugmentPathParallel},
 		{Procs: 4, Init: InitGreedy, DisablePrune: true},
-		{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft},
+		{Procs: 4, Init: InitGreedy, Engine: EngineBFSSingleSource},
 		{Procs: 4, Init: InitGreedy, Permute: true},
 		{Procs: 4, Init: InitGreedy, Seed: 7},
 		{Procs: 4, Init: InitGreedy, AddOp: semiring.RandRoot},

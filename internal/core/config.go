@@ -108,9 +108,9 @@ func (d *Direction) UnmarshalText(text []byte) error {
 // tags is its wire and record format, the multi-process job spec and the
 // bench drivers carry it, and the public Options convert to it.
 type Config struct {
-	// Engine names the matching engine to run: one of the three engines
-	// ("bfs", "bfs-ss", "bfs-graft" — see EngineNames), or "" or "auto"
-	// for the default, bfs.
+	// Engine names the matching engine to run: one of the two engines
+	// ("bfs", "bfs-ss" — see EngineNames), or "" or "auto" for the
+	// default, bfs.
 	Engine string `json:"engine,omitempty"`
 	// Procs is the number of simulated MPI ranks. Unless GridRows/GridCols
 	// are set it must be a perfect square (the configuration the paper
@@ -198,7 +198,7 @@ type Config struct {
 func BindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.IntVar(&cfg.Procs, "procs", cfg.Procs, "simulated ranks (perfect square)")
 	fs.IntVar(&cfg.Threads, "threads", cfg.Threads, "worker threads per rank (also divides the modeled work term)")
-	fs.Var(engineFlag{&cfg.Engine}, "engine", "matching engine: bfs (the default; auto is an alias), bfs-ss, bfs-graft")
+	fs.Var(engineFlag{&cfg.Engine}, "engine", "matching engine: "+strings.Join(EngineNames(), ", ")+" (bfs is the default; auto is an alias of it)")
 	fs.TextVar(&cfg.Init, "init", cfg.Init, "initializer: "+strings.Join(initNames, ", "))
 	fs.TextVar(&cfg.AddOp, "semiring", cfg.AddOp, "SpMV semiring: minparent, randroot, randparent")
 	fs.TextVar(&cfg.Augment, "augment", cfg.Augment, "augmentation: "+strings.Join(augmentNames, ", "))

@@ -137,12 +137,12 @@ func TestEngineConformanceUnderFaults(t *testing.T) {
 }
 
 // TestCrossEngineResumeRefused takes a checkpoint under bfs and asserts
-// bfs-graft refuses to resume from it, and vice versa.
+// bfs-ss refuses to resume from it, and vice versa.
 func TestCrossEngineResumeRefused(t *testing.T) {
 	a := rmat.MustGenerate(rmat.G500, 6, 4, 11)
 	for _, pair := range [][2]string{
-		{core.EngineBFS, core.EngineBFSGraft},
-		{core.EngineBFSGraft, core.EngineBFS},
+		{core.EngineBFS, core.EngineBFSSingleSource},
+		{core.EngineBFSSingleSource, core.EngineBFS},
 	} {
 		from, to := pair[0], pair[1]
 		var cks []*core.Checkpoint
@@ -185,11 +185,11 @@ func TestCrossSemiringResumeRefused(t *testing.T) {
 // surface: the canonical names are exactly the table and only canonical
 // spellings validate.
 func TestFacade(t *testing.T) {
-	want := []string{core.EngineBFS, core.EngineBFSGraft, core.EngineBFSSingleSource}
+	want := []string{core.EngineBFS, core.EngineBFSSingleSource}
 	if names := core.EngineNames(); !slices.Equal(names, want) {
 		t.Fatalf("EngineNames() = %v, want %v", names, want)
 	}
-	for _, alias := range []string{"graft", "ss", "single-source", "ms-bfs", "auction", "nope"} {
+	for _, alias := range []string{"graft", "bfs-graft", "ss", "single-source", "ms-bfs", "auction", "nope"} {
 		if err := (core.Config{Engine: alias}).Validate(); err == nil {
 			t.Fatalf("engine spelling %q accepted", alias)
 		}

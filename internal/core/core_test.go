@@ -466,67 +466,6 @@ func TestDistributedInitializersAreMaximal(t *testing.T) {
 	}
 }
 
-func TestTreeGraftingMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 6; trial++ {
-		nr, nc := 20+rng.Intn(60), 20+rng.Intn(60)
-		a := randomBipartite(rng, nr, nc, rng.Intn(4*(nr+nc))+nr)
-		want := matching.HopcroftKarp(a, nil).Cardinality()
-		for _, procs := range []int{1, 4, 9} {
-			for _, init := range []Init{InitNone, InitGreedy, InitDynMinDegree} {
-				res := mustSolve(t, a, Config{Procs: procs, Init: init, Engine: EngineBFSGraft})
-				if res.Stats.Cardinality != want {
-					t.Fatalf("trial %d p=%d init=%v: graft %d, oracle %d",
-						trial, procs, init, res.Stats.Cardinality, want)
-				}
-			}
-		}
-	}
-}
-
-func TestTreeGraftingOnStructuredGraphs(t *testing.T) {
-	for _, sp := range gen.Suite()[:5] {
-		a := gen.MustGenerate(sp, 6)
-		want := matching.HopcroftKarp(a, nil).Cardinality()
-		res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft, Permute: true})
-		if res.Stats.Cardinality != want {
-			t.Fatalf("%s: graft %d, oracle %d", sp.Name, res.Stats.Cardinality, want)
-		}
-	}
-}
-
-func TestTreeGraftingAllAugmentModes(t *testing.T) {
-	// Long augmenting paths through persistent trees exercise the
-	// cross-phase parent chains in both augmentation variants.
-	const n = 50
-	coo := spmat.NewCOO(n, n)
-	for k := 0; k < n; k++ {
-		coo.Add(k, k)
-		if k+1 < n {
-			coo.Add(k+1, k)
-		}
-	}
-	a := coo.ToCSC()
-	for _, mode := range []AugmentMode{AugmentLevelParallel, AugmentPathParallel} {
-		res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft, Augment: mode})
-		if res.Stats.Cardinality != n {
-			t.Fatalf("mode=%v: %d, want %d", mode, res.Stats.Cardinality, n)
-		}
-	}
-}
-
-func TestTreeGraftingStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a := randomBipartite(rng, 120, 120, 400) // sparse enough for several phases
-	res := mustSolve(t, a, Config{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft})
-	if res.Stats.Phases > 0 && res.Stats.GraftReleasedRows == 0 {
-		t.Error("phases augmented but no rows ever released")
-	}
-	if res.Stats.GraftResets == 0 {
-		t.Error("termination requires at least one full-reset verification phase... unless first sweep found nothing")
-	}
-}
-
 // TestAugmentedPathsAccounting: the symmetric-difference invariant of
 // Section II — every applied path raises cardinality by one — shows up in
 // the stats: final = initial + total augmenting paths, on every variant.
@@ -536,7 +475,7 @@ func TestAugmentedPathsAccounting(t *testing.T) {
 		a := randomBipartite(rng, 60, 60, 250)
 		for _, cfg := range []Config{
 			{Procs: 4, Init: InitGreedy},
-			{Procs: 4, Init: InitGreedy, Engine: EngineBFSGraft},
+			{Procs: 4, Init: InitGreedy, Engine: EngineBFSSingleSource},
 			{Procs: 9, Init: InitNone, Augment: AugmentLevelParallel},
 			{Procs: 4, Init: InitDynMinDegree, Direction: DirectionAuto},
 		} {
@@ -602,7 +541,7 @@ func TestEmptyRowsAndColumns(t *testing.T) {
 	a := coo.ToCSC()
 	for _, cfg := range []Config{
 		{Procs: 4},
-		{Procs: 4, Engine: EngineBFSGraft},
+		{Procs: 4, Engine: EngineBFSSingleSource},
 		{Procs: 4, Direction: DirectionAuto},
 		{Procs: 4, Init: InitKarpSipser},
 	} {
@@ -669,7 +608,7 @@ func TestRectangularGrids(t *testing.T) {
 	a := randomBipartite(rng, 70, 50, 320)
 	want := matching.HopcroftKarp(a, nil).Cardinality()
 	for _, shape := range [][2]int{{1, 4}, {4, 1}, {2, 3}, {3, 2}, {2, 8}, {1, 9}} {
-		for _, engine := range []string{EngineBFS, EngineBFSGraft} {
+		for _, engine := range []string{EngineBFS, EngineBFSSingleSource} {
 			cfg := Config{GridRows: shape[0], GridCols: shape[1],
 				Init: InitDynMinDegree, Engine: engine, Permute: true, Seed: 4}
 			res := mustSolve(t, a, cfg)

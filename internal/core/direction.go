@@ -101,7 +101,7 @@ func (s *Solver) notePullScan(d *dirState, ps spmv.PullStats) {
 
 // mulDirected runs one SpMV in the chosen direction, maintaining the lazy
 // row-major adjacency and the per-direction iteration counters — the single
-// selection site all three MCM variants flow through. The row frontier is
+// selection site both MS-BFS engines flow through. The row frontier is
 // written into dst.
 func (s *Solver) mulDirected(usePull bool, d *dirState, fc *dvec.SparseV, visited *dvec.Dense, dst *dvec.SparseV) *dvec.SparseV {
 	if usePull {

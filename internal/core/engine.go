@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"mcmdist/internal/dvec"
 	"mcmdist/internal/obs"
@@ -17,9 +18,6 @@ const (
 	// EngineBFSSingleSource is the single-source ablation variant (one
 	// unmatched column per phase).
 	EngineBFSSingleSource = "bfs-ss"
-	// EngineBFSGraft is the tree-grafting variant: alternating trees
-	// persist across phases, only augmented trees release their rows.
-	EngineBFSGraft = "bfs-graft"
 	// EngineAuto is an alias of EngineBFS, kept so existing specs and
 	// command lines that spell "auto" still run. No per-instance choice
 	// beats bfs overall in the engine sweep (docs/ENGINES.md).
@@ -42,7 +40,6 @@ type engineRun interface {
 var engines = map[string]func(s *Solver, mater, matec *dvec.Dense) engineRun{
 	EngineBFS:             startBFS,
 	EngineBFSSingleSource: startBFSSS,
-	EngineBFSGraft:        startBFSGraft,
 }
 
 // EngineNames returns the engine names, sorted.
@@ -61,8 +58,8 @@ func checkEngine(name string) error {
 	if _, ok := engines[name]; ok || name == "" || name == EngineAuto {
 		return nil
 	}
-	return fmt.Errorf("core: unknown engine %q (want %s, %s, %s or %s)",
-		name, EngineBFS, EngineBFSSingleSource, EngineBFSGraft, EngineAuto)
+	return fmt.Errorf("core: unknown engine %q (want %s or %s)",
+		name, strings.Join(EngineNames(), ", "), EngineAuto)
 }
 
 // RunEngine drives the named engine to completion on this rank: record the

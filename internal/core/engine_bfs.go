@@ -7,18 +7,21 @@ import (
 	"mcmdist/internal/semiring"
 )
 
-// This file holds the three MS-BFS engines. They run one copy of Algorithm
+// This file holds the two MS-BFS engines. They run one copy of Algorithm
 // 2's phase (searchPhase: the level-synchronous search and the augmentation
 // by the paths it found); each engine keeps only its policy — where a phase
-// starts, which rows count as visited, and what survives the phase. Each
-// Iterate() executes exactly one phase; the direction × compression ×
-// backend × threads sweep tests pin that every trajectory is bit-identical.
+// starts and whether it stops at the first path. Each Iterate() executes
+// exactly one phase; the direction × compression × backend × threads sweep
+// tests pin that every trajectory is bit-identical.
 
-// msbfs is the state the three BFS engines carry across the phases of one
+// msbfs is the state the two BFS engines carry across the phases of one
 // solve.
 type msbfs struct {
 	s            *Solver
 	mater, matec *dvec.Dense
+	// pir holds the parents of the rows visited in this phase (π_r): the
+	// rows a level may not claim. Each phase refills it with None.
+	pir *dvec.Dense
 	// The level buffers, held for the solve rather than lent by the rt
 	// arena: a vector the level has finished with lends its storage to the
 	// next output. col holds the column frontier f_c, dead once the SpMV returns
@@ -49,21 +52,8 @@ func newMSBFS(s *Solver, mater, matec *dvec.Dense) msbfs {
 		ufr: dvec.HoldSparseV(s.RowL), tc: dvec.HoldSparseV(s.ColL),
 		pathc: dvec.HoldDense(s.ColL, semiring.None),
 		aug:   s.holdLevelVecs(),
+		pir:   dvec.HoldDense(s.RowL, semiring.None),
 	}
-}
-
-// phaseSearch is what one phase's search varies between the engines.
-type phaseSearch struct {
-	pir *dvec.Dense // parents of visited rows (π_r)
-	// visited holds the rows a level may not claim: pir itself, or the
-	// tree-ownership vector when grafting (rows owned by any tree, from
-	// this phase or an earlier one).
-	visited *dvec.Dense
-	// roots, when non-nil, records the tree that claims each row (grafting).
-	roots *dvec.Dense
-	// firstPath ends the search at the first level that finds a path (the
-	// single-source engine: its one tree has nothing left to prune).
-	firstPath bool
 }
 
 // openPhase numbers the next search and opens its phase span; the returned
@@ -88,11 +78,15 @@ func (r *msbfs) unmatchedFrontier() *dvec.SparseV {
 // level from the column frontier fc (Steps 1-7 per level), then augment by
 // every vertex-disjoint path found (Step 8) and take the phase-boundary
 // checkpoint. fc is r.col, and every level's vectors live in the run's
-// level buffers. Returns the number of paths augmented; 0 means no
-// augmenting path leaves fc. Collective.
-func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
+// level buffers. firstPath ends the search at the first level that finds a
+// path (the single-source engine: its one tree has nothing left to prune).
+// Returns the number of paths augmented; 0 means no augmenting path leaves
+// fc. Collective.
+func (r *msbfs) searchPhase(fc *dvec.SparseV, firstPath bool) int {
 	s := r.s
-	mater := r.mater
+	mater, pir := r.mater, r.pir
+	r.dir.resetPhase()
+	pir.Fill(semiring.None)
 	r.pathc.Fill(semiring.None)
 	var fcCount *mpi.Pending[int64]
 	s.tr.track(OpOther, func() { fcCount = s.startFrontierCount(fc) })
@@ -117,19 +111,15 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 		var fr *dvec.SparseV
 		usePull := s.chooseDirection(&r.dir, frontierSize)
 		s.tr.track(OpSpMV, func() {
-			fr = s.mulDirected(usePull, &r.dir, fc, p.visited, r.row)
+			fr = s.mulDirected(usePull, &r.dir, fc, pir, r.row)
 		})
 
-		// Steps 2-4: unvisited rows; record parents (and, grafting, the
-		// claiming tree); split into unmatched (path endpoints) and
-		// matched rows.
+		// Steps 2-4: unvisited rows; record parents; split into unmatched
+		// (path endpoints) and matched rows.
 		ufr := r.ufr
 		s.tr.track(OpSelect, func() {
-			fr.Select(p.visited, unset)
-			p.pir.ScatterParents(fr)
-			if p.roots != nil {
-				p.roots.ScatterRoots(fr)
-			}
+			fr.Select(pir, unset)
+			pir.ScatterParents(fr)
 			fr.Split(mater, unset, ufr)
 		})
 		if s.adaptiveDirection() {
@@ -157,7 +147,7 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 			s.tr.track(OpOther, func() {
 				paths += tc.Nnz()
 			})
-			stop = p.firstPath
+			stop = firstPath
 
 			// Step 6: prune vertices in trees that already yielded a
 			// path (the Fig. 8 ablation switch).
@@ -196,7 +186,7 @@ func (r *msbfs) searchPhase(p *phaseSearch, fc *dvec.SparseV) int {
 	s.Stats.Phases++
 	s.Stats.AugmentedPaths += paths
 	s.tr.track(OpAugment, func() {
-		s.augment(r.pathc, p.pir, mater, r.matec, paths, &r.aug)
+		s.augment(r.pathc, pir, mater, r.matec, paths, &r.aug)
 	})
 	s.maybeCheckpoint(s.Stats.Phases, mater, r.matec)
 	return paths
@@ -210,22 +200,16 @@ func unset(v int64) bool { return v == semiring.None }
 // from all unmatched columns at once and augments by every vertex-disjoint
 // path found.
 func startBFS(s *Solver, mater, matec *dvec.Dense) engineRun {
-	return &bfsRun{newMSBFS(s, mater, matec), dvec.HoldDense(s.RowL, semiring.None)}
+	return &bfsRun{newMSBFS(s, mater, matec)}
 }
 
-type bfsRun struct {
-	msbfs
-	pir *dvec.Dense // π_r, refilled with None by every phase
-}
+type bfsRun struct{ msbfs }
 
-// Iterate runs one MS-BFS phase from every unmatched column with its
-// parents reset to None. Returns done when a phase discovers no path (the
-// matching is maximum).
+// Iterate runs one MS-BFS phase from every unmatched column. Returns done
+// when a phase discovers no path (the matching is maximum).
 func (r *bfsRun) Iterate() bool {
 	defer r.openPhase()()
-	r.dir.resetPhase()
-	r.pir.Fill(semiring.None)
-	return r.searchPhase(&phaseSearch{pir: r.pir, visited: r.pir}, r.unmatchedFrontier()) == 0
+	return r.searchPhase(r.unmatchedFrontier(), false) == 0
 }
 
 // startBFSSS begins one solve of the single-source (SS-BFS) variant the
@@ -238,7 +222,6 @@ func (r *bfsRun) Iterate() bool {
 func startBFSSS(s *Solver, mater, matec *dvec.Dense) engineRun {
 	return &bfsSSRun{
 		msbfs: newMSBFS(s, mater, matec),
-		pir:   dvec.HoldDense(s.RowL, semiring.None),
 		// retired marks columns proven unmatchable: once no augmenting path
 		// leaves a vertex, none ever will again (augmentations only grow the
 		// reachable matching), so retirement is permanent.
@@ -248,7 +231,6 @@ func startBFSSS(s *Solver, mater, matec *dvec.Dense) engineRun {
 
 type bfsSSRun struct {
 	msbfs
-	pir     *dvec.Dense // π_r, refilled with None by every phase
 	retired *dvec.Dense
 }
 
@@ -274,117 +256,14 @@ func (r *bfsSSRun) Iterate() bool {
 		return true // every unmatched column is retired: maximum reached
 	}
 	defer r.openPhase()()
-	r.dir.resetPhase()
 	mine := s.ColL.MyRange().Contains(int(src))
 	fc := dvec.Reuse(r.col, s.ColL, 0)
 	if mine {
 		fc.Append(int(src), semiring.Self(src))
 	}
-	r.pir.Fill(semiring.None)
-	if r.searchPhase(&phaseSearch{pir: r.pir, visited: r.pir, firstPath: true}, fc) == 0 && mine {
+	if r.searchPhase(fc, true) == 0 && mine {
 		// The source is unmatchable now, hence forever: retire it.
 		r.retired.SetAt(int(src), 1)
 	}
-	return false
-}
-
-// startBFSGraft begins one solve of the tree-grafting variant of MCM-DIST —
-// the distributed form of MS-BFS-Graft [Azad, Buluç, Pothen], which the
-// paper names as future work. The difference from bfs: the parent and
-// tree-ownership vectors persist across phases, so alternating trees that
-// found no augmenting path keep their traversal; only the trees that were
-// augmented release their vertices, and released rows are grafted onto
-// surviving trees when rediscovered.
-//
-// Rendition note: when a grafted phase discovers nothing, all state is
-// reset and one plain MS-BFS phase runs; only if that fresh sweep also
-// finds nothing is the matching declared maximum. Surviving trees may hide
-// an augmenting path that only a fresh sweep sees, so this keeps the
-// termination condition identical to Algorithm 2's ("no augmenting path in
-// a fresh sweep") while grafting still saves traversal in the common case.
-func startBFSGraft(s *Solver, mater, matec *dvec.Dense) engineRun {
-	return &bfsGraftRun{
-		msbfs: newMSBFS(s, mater, matec),
-		// Persistent across phases: parents of visited rows and the root of
-		// the alternating tree owning each row (None = unowned).
-		pir:   dvec.HoldDense(s.RowL, semiring.None),
-		rootR: dvec.HoldDense(s.RowL, semiring.None),
-	}
-}
-
-// bfsGraftRun's dir mirrors rootR's lifetime, not the phase's: tree
-// ownership persists across grafted phases, so the discovered-row count
-// feeding the heuristic only resets when the trees do.
-type bfsGraftRun struct {
-	msbfs
-	pir, rootR *dvec.Dense
-	fresh      bool // true while running the full-reset verification phase
-}
-
-// Iterate runs one grafted sweep. An empty grafted sweep triggers the
-// full-reset verification phase; only an empty fresh sweep reports done.
-func (r *bfsGraftRun) Iterate() bool {
-	s := r.s
-	pir, rootR := r.pir, r.rootR
-	defer r.openPhase()()
-	// Grafting filter: skip rows owned by ANY tree, from this phase or an
-	// earlier one. Fresh rows are claimed for the discovering tree
-	// (ownership recorded in rootR, parents in pi_r).
-	p := &phaseSearch{pir: pir, visited: rootR, roots: rootR}
-	if r.searchPhase(p, r.unmatchedFrontier()) == 0 {
-		if r.fresh {
-			return true // a full fresh sweep found nothing: maximum reached
-		}
-		// Grafted state may be blocking paths; reset and verify with
-		// one plain phase.
-		s.tr.track(OpOther, func() {
-			pir.Fill(semiring.None)
-			rootR.Fill(semiring.None)
-			s.G.World.AddWork(len(pir.Local) + len(rootR.Local))
-		})
-		r.dir.resetPhase()
-		s.Stats.GraftResets++
-		r.fresh = true
-		return false
-	}
-	r.fresh = false
-
-	// Release the augmented (dead) trees: their vertices become
-	// graftable. Dead roots are the pathc entries; every rank gathers
-	// the full set (the same allgather pattern as PRUNE) and scans its
-	// local pieces.
-	s.tr.track(OpOther, func() {
-		var local []int64
-		lo := s.ColL.MyRange().Lo
-		for i, end := range r.pathc.Local {
-			if end != semiring.None {
-				local = append(local, int64(lo+i))
-			}
-		}
-		parts := s.G.World.Allgatherv(local)
-		dead := make(map[int64]struct{})
-		for _, p := range parts {
-			for _, root := range p {
-				dead[root] = struct{}{}
-			}
-		}
-		released := 0
-		for i, root := range rootR.Local {
-			if root == semiring.None {
-				continue
-			}
-			if _, ok := dead[root]; ok {
-				rootR.Local[i] = semiring.None
-				pir.Local[i] = semiring.None
-				released++
-			}
-		}
-		globalReleased := int(s.G.World.Allreduce(mpi.OpSum, int64(released)))
-		s.Stats.GraftReleasedRows += globalReleased
-		// Released rows are unowned again: fold them back into the
-		// direction heuristic's unvisited count.
-		r.dir.noteDiscovered(-globalReleased)
-		s.G.World.AddWork(len(rootR.Local) + len(dead))
-	})
 	return false
 }

@@ -63,8 +63,8 @@ func checkMaximum(t *testing.T, a *spmat.CSC, m *matching.Matching, want int) {
 	}
 }
 
-// TestPhaseFrontierIsLiveUnmatched pins the frontier rule of the bfs and
-// bfs-graft phases: a phase starts from the unmatched columns that have an
+// TestPhaseFrontierIsLiveUnmatched pins the frontier rule of the bfs
+// phases: a phase starts from the unmatched columns that have an
 // edge, never from an edgeless one, under every initializer and thread
 // count, and in an attempt that resumed from a checkpoint (whose solve never
 // ran an initializer). The G500 graph leaves about half its columns
@@ -77,20 +77,18 @@ func TestPhaseFrontierIsLiveUnmatched(t *testing.T) {
 		t.Fatalf("only %d of %d columns are edgeless; the test needs many", a.NCols-live, a.NCols)
 	}
 	want := matching.HopcroftKarp(a, nil).Cardinality()
-	for _, engine := range []string{EngineBFS, EngineBFSGraft} {
-		for _, init := range []Init{InitNone, InitGreedy, InitKarpSipser, InitDynMinDegree} {
-			for _, threads := range []int{1, 3} {
-				t.Run(fmt.Sprintf("%s/%s/t%d", engine, init, threads), func(t *testing.T) {
-					col := obs.NewCollector(procs, obs.Options{TimeSeries: true})
-					res := mustSolve(t, a, Config{
-						Procs: procs, Threads: threads, Init: init, Engine: engine, Obs: col,
-					})
-					checkMaximum(t, a, res.Matching, want)
-					if checkPhaseFrontiers(t, col, procs, live) == 0 {
-						t.Fatal("no phase recorded an iteration")
-					}
+	for _, init := range []Init{InitNone, InitGreedy, InitKarpSipser, InitDynMinDegree} {
+		for _, threads := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/%s/t%d", EngineBFS, init, threads), func(t *testing.T) {
+				col := obs.NewCollector(procs, obs.Options{TimeSeries: true})
+				res := mustSolve(t, a, Config{
+					Procs: procs, Threads: threads, Init: init, Engine: EngineBFS, Obs: col,
 				})
-			}
+				checkMaximum(t, a, res.Matching, want)
+				if checkPhaseFrontiers(t, col, procs, live) == 0 {
+					t.Fatal("no phase recorded an iteration")
+				}
+			})
 		}
 	}
 

@@ -1,10 +1,10 @@
 package core
 
-// Golden trajectories of the three BFS engines. Each cell solves one graph
+// Golden trajectories of the two BFS engines. Each cell solves one graph
 // with one engine, SpMV direction and thread count, and reduces the run to a
 // digest: the mates hash, the SPMD Stats counters, the peak frontier and
 // its iteration (read from rank 0's time-series), the per-rank meters, the
-// per-op meters and (for bfs and bfs-graft) the per-rank iteration
+// per-op meters and (for bfs) the per-rank iteration
 // time-series, per-iteration meter deltas included. A change to the shared
 // MS-BFS phase that moves any collective, counter or mate fails here.
 //
@@ -47,11 +47,10 @@ func trajectoryDigest(res *Result, col *obs.Collector, withSeries bool) string {
 		}
 	}
 	st := res.Stats
-	d := fmt.Sprintf("mates=%016x card=%d it=%d push=%d pull=%d ph=%d ap=%d lvl=%d path=%d gr=%d rel=%d peak=%d@%d rank=%016x ops=%016x",
+	d := fmt.Sprintf("mates=%016x card=%d it=%d push=%d pull=%d ph=%d ap=%d lvl=%d path=%d peak=%d@%d rank=%016x ops=%016x",
 		mates, st.Cardinality, st.Iterations, st.PushIterations, st.PullIterations,
 		st.Phases, st.AugmentedPaths, st.LevelParallelAugments, st.PathParallelAugments,
-		st.GraftResets, st.GraftReleasedRows, peak, peakIter,
-		perRank, ops)
+		peak, peakIter, perRank, ops)
 	if !withSeries {
 		return d
 	}
@@ -79,7 +78,7 @@ func TestGoldenTrajectory(t *testing.T) {
 		{"road", gen.MustGenerate(road, 9)},
 	}
 	for _, g := range graphs {
-		for _, engine := range []string{EngineBFS, EngineBFSSingleSource, EngineBFSGraft} {
+		for _, engine := range []string{EngineBFS, EngineBFSSingleSource} {
 			for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAuto} {
 				for _, threads := range []int{1, 3} {
 					name := fmt.Sprintf("%s/%s/%s/t%d", engine, dir, g.name, threads)
@@ -105,40 +104,28 @@ func TestGoldenTrajectory(t *testing.T) {
 }
 
 var goldenTrajectories = map[string]string{
-	"bfs/push/g500/t1":       "mates=4afced5508d98fce card=278 it=26 push=26 pull=0 ph=3 ap=14 lvl=0 path=3 gr=0 rel=0 peak=109@1 rank=2cfa43a5c3ae9fe2 ops=d2cbf3f25af96d87 series=d4e8d01c79a14cc6",
-	"bfs/push/g500/t3":       "mates=4afced5508d98fce card=278 it=26 push=26 pull=0 ph=3 ap=14 lvl=0 path=3 gr=0 rel=0 peak=109@1 rank=2cfa43a5c3ae9fe2 ops=d2cbf3f25af96d87 series=d4e8d01c79a14cc6",
-	"bfs/pull/g500/t1":       "mates=4afced5508d98fce card=278 it=26 push=0 pull=26 ph=3 ap=14 lvl=0 path=3 gr=0 rel=0 peak=109@1 rank=2896f946d28e8883 ops=ec7ee353bcc98fd0 series=22d70807d3f70f41",
-	"bfs/pull/g500/t3":       "mates=4afced5508d98fce card=278 it=26 push=0 pull=26 ph=3 ap=14 lvl=0 path=3 gr=0 rel=0 peak=109@1 rank=2896f946d28e8883 ops=ec7ee353bcc98fd0 series=22d70807d3f70f41",
-	"bfs/auto/g500/t1":       "mates=4afced5508d98fce card=278 it=26 push=25 pull=1 ph=3 ap=14 lvl=0 path=3 gr=0 rel=0 peak=109@1 rank=f426eaf29587ca9e ops=262ee89fc4227dfa series=1ba5885d435cff0d",
-	"bfs/auto/g500/t3":       "mates=4afced5508d98fce card=278 it=26 push=25 pull=1 ph=3 ap=14 lvl=0 path=3 gr=0 rel=0 peak=109@1 rank=f426eaf29587ca9e ops=262ee89fc4227dfa series=1ba5885d435cff0d",
-	"bfs-ss/push/g500/t1":    "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 gr=0 rel=0 peak=28@273 rank=0a41c66fe2cf15d3 ops=cdc9acee2807e3d9",
-	"bfs-ss/push/g500/t3":    "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 gr=0 rel=0 peak=28@273 rank=0a41c66fe2cf15d3 ops=cdc9acee2807e3d9",
-	"bfs-ss/pull/g500/t1":    "mates=36cc58c74ae50475 card=278 it=486 push=0 pull=486 ph=14 ap=14 lvl=0 path=14 gr=0 rel=0 peak=28@273 rank=4c9ccdf3c4fd0c02 ops=12db00732fccc20d",
-	"bfs-ss/pull/g500/t3":    "mates=36cc58c74ae50475 card=278 it=486 push=0 pull=486 ph=14 ap=14 lvl=0 path=14 gr=0 rel=0 peak=28@273 rank=4c9ccdf3c4fd0c02 ops=12db00732fccc20d",
-	"bfs-ss/auto/g500/t1":    "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 gr=0 rel=0 peak=28@273 rank=dbf8882a1ad6a6b4 ops=008cfc7a4f530911",
-	"bfs-ss/auto/g500/t3":    "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 gr=0 rel=0 peak=28@273 rank=dbf8882a1ad6a6b4 ops=008cfc7a4f530911",
-	"bfs-graft/push/g500/t1": "mates=4afced5508d98fce card=278 it=26 push=26 pull=0 ph=3 ap=14 lvl=0 path=3 gr=1 rel=119 peak=109@1 rank=cd22c0b798e6bdf2 ops=1015c4e46ba9171c series=e086ce17b98ec5f5",
-	"bfs-graft/push/g500/t3": "mates=4afced5508d98fce card=278 it=26 push=26 pull=0 ph=3 ap=14 lvl=0 path=3 gr=1 rel=119 peak=109@1 rank=cd22c0b798e6bdf2 ops=1015c4e46ba9171c series=e086ce17b98ec5f5",
-	"bfs-graft/pull/g500/t1": "mates=4afced5508d98fce card=278 it=26 push=0 pull=26 ph=3 ap=14 lvl=0 path=3 gr=1 rel=119 peak=109@1 rank=8e62731f4d81a360 ops=a9a01a38c6412ccf series=8c4506fbf812ce07",
-	"bfs-graft/pull/g500/t3": "mates=4afced5508d98fce card=278 it=26 push=0 pull=26 ph=3 ap=14 lvl=0 path=3 gr=1 rel=119 peak=109@1 rank=8e62731f4d81a360 ops=a9a01a38c6412ccf series=8c4506fbf812ce07",
-	"bfs-graft/auto/g500/t1": "mates=4afced5508d98fce card=278 it=26 push=25 pull=1 ph=3 ap=14 lvl=0 path=3 gr=1 rel=119 peak=109@1 rank=ec096613834e9507 ops=64ff96b88f066c2f series=1fa4e8caf117ceba",
-	"bfs-graft/auto/g500/t3": "mates=4afced5508d98fce card=278 it=26 push=25 pull=1 ph=3 ap=14 lvl=0 path=3 gr=1 rel=119 peak=109@1 rank=ec096613834e9507 ops=64ff96b88f066c2f series=1fa4e8caf117ceba",
-	"bfs/push/road/t1":       "mates=9f14ca86bae439b3 card=510 it=46 push=46 pull=0 ph=2 ap=33 lvl=0 path=2 gr=0 rel=0 peak=130@2 rank=aa890475eab09faa ops=b79a530746df7901 series=81c1fac57881449f",
-	"bfs/push/road/t3":       "mates=9f14ca86bae439b3 card=510 it=46 push=46 pull=0 ph=2 ap=33 lvl=0 path=2 gr=0 rel=0 peak=130@2 rank=aa890475eab09faa ops=b79a530746df7901 series=81c1fac57881449f",
-	"bfs/pull/road/t1":       "mates=9f14ca86bae439b3 card=510 it=46 push=0 pull=46 ph=2 ap=33 lvl=0 path=2 gr=0 rel=0 peak=130@2 rank=31b8fd619b049bfa ops=0ba61152ac6f8846 series=0dfeeac9e198470c",
-	"bfs/pull/road/t3":       "mates=9f14ca86bae439b3 card=510 it=46 push=0 pull=46 ph=2 ap=33 lvl=0 path=2 gr=0 rel=0 peak=130@2 rank=31b8fd619b049bfa ops=0ba61152ac6f8846 series=0dfeeac9e198470c",
-	"bfs/auto/road/t1":       "mates=9f14ca86bae439b3 card=510 it=46 push=46 pull=0 ph=2 ap=33 lvl=0 path=2 gr=0 rel=0 peak=130@2 rank=3029a431570b9744 ops=44d2151e82a8051d series=04215e1bb6ce5af5",
-	"bfs/auto/road/t3":       "mates=9f14ca86bae439b3 card=510 it=46 push=45 pull=1 ph=2 ap=33 lvl=0 path=2 gr=0 rel=0 peak=130@2 rank=f605dcbb9eba4d08 ops=b1c9f6a9f3fd3657 series=76351e8d5b937c98",
-	"bfs-ss/push/road/t1":    "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 gr=0 rel=0 peak=10@53 rank=28124040dd1bd040 ops=6f9796de88996653",
-	"bfs-ss/push/road/t3":    "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 gr=0 rel=0 peak=10@53 rank=28124040dd1bd040 ops=6f9796de88996653",
-	"bfs-ss/pull/road/t1":    "mates=6f91a2d2b2f2c063 card=510 it=174 push=0 pull=174 ph=33 ap=33 lvl=0 path=33 gr=0 rel=0 peak=10@53 rank=2a8c82fb9b5ae3ad ops=7ab8c259c0b57020",
-	"bfs-ss/pull/road/t3":    "mates=6f91a2d2b2f2c063 card=510 it=174 push=0 pull=174 ph=33 ap=33 lvl=0 path=33 gr=0 rel=0 peak=10@53 rank=2a8c82fb9b5ae3ad ops=7ab8c259c0b57020",
-	"bfs-ss/auto/road/t1":    "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 gr=0 rel=0 peak=10@53 rank=6561b130284d7aaf ops=691615c00314eb0d",
-	"bfs-ss/auto/road/t3":    "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 gr=0 rel=0 peak=10@53 rank=6561b130284d7aaf ops=691615c00314eb0d",
-	"bfs-graft/push/road/t1": "mates=9f14ca86bae439b3 card=510 it=53 push=53 pull=0 ph=3 ap=33 lvl=0 path=3 gr=2 rel=403 peak=130@2 rank=cdae73e96f9c411f ops=1ade8710398c83db series=d88985a39d200cc0",
-	"bfs-graft/push/road/t3": "mates=9f14ca86bae439b3 card=510 it=53 push=53 pull=0 ph=3 ap=33 lvl=0 path=3 gr=2 rel=403 peak=130@2 rank=cdae73e96f9c411f ops=1ade8710398c83db series=d88985a39d200cc0",
-	"bfs-graft/pull/road/t1": "mates=9f14ca86bae439b3 card=510 it=53 push=0 pull=53 ph=3 ap=33 lvl=0 path=3 gr=2 rel=403 peak=130@2 rank=eb914610078785a2 ops=8d230f2a7a78f912 series=da8e804d4f6cf04d",
-	"bfs-graft/pull/road/t3": "mates=9f14ca86bae439b3 card=510 it=53 push=0 pull=53 ph=3 ap=33 lvl=0 path=3 gr=2 rel=403 peak=130@2 rank=eb914610078785a2 ops=8d230f2a7a78f912 series=da8e804d4f6cf04d",
-	"bfs-graft/auto/road/t1": "mates=9f14ca86bae439b3 card=510 it=53 push=53 pull=0 ph=3 ap=33 lvl=0 path=3 gr=2 rel=403 peak=130@2 rank=a17665cdefdaddb1 ops=0ef756a7a0f77047 series=a1f4f504e9cf922f",
-	"bfs-graft/auto/road/t3": "mates=9f14ca86bae439b3 card=510 it=53 push=52 pull=1 ph=3 ap=33 lvl=0 path=3 gr=2 rel=403 peak=130@2 rank=1d69b4e120d245dd ops=dcce0d607536664a series=01dbd0a47383a1d6",
+	"bfs/push/g500/t1":    "mates=4afced5508d98fce card=278 it=26 push=26 pull=0 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=2cfa43a5c3ae9fe2 ops=d2cbf3f25af96d87 series=d4e8d01c79a14cc6",
+	"bfs/push/g500/t3":    "mates=4afced5508d98fce card=278 it=26 push=26 pull=0 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=2cfa43a5c3ae9fe2 ops=d2cbf3f25af96d87 series=d4e8d01c79a14cc6",
+	"bfs/pull/g500/t1":    "mates=4afced5508d98fce card=278 it=26 push=0 pull=26 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=2896f946d28e8883 ops=ec7ee353bcc98fd0 series=22d70807d3f70f41",
+	"bfs/pull/g500/t3":    "mates=4afced5508d98fce card=278 it=26 push=0 pull=26 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=2896f946d28e8883 ops=ec7ee353bcc98fd0 series=22d70807d3f70f41",
+	"bfs/auto/g500/t1":    "mates=4afced5508d98fce card=278 it=26 push=25 pull=1 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=f426eaf29587ca9e ops=262ee89fc4227dfa series=1ba5885d435cff0d",
+	"bfs/auto/g500/t3":    "mates=4afced5508d98fce card=278 it=26 push=25 pull=1 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=f426eaf29587ca9e ops=262ee89fc4227dfa series=1ba5885d435cff0d",
+	"bfs-ss/push/g500/t1": "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=0a41c66fe2cf15d3 ops=cdc9acee2807e3d9",
+	"bfs-ss/push/g500/t3": "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=0a41c66fe2cf15d3 ops=cdc9acee2807e3d9",
+	"bfs-ss/pull/g500/t1": "mates=36cc58c74ae50475 card=278 it=486 push=0 pull=486 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=4c9ccdf3c4fd0c02 ops=12db00732fccc20d",
+	"bfs-ss/pull/g500/t3": "mates=36cc58c74ae50475 card=278 it=486 push=0 pull=486 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=4c9ccdf3c4fd0c02 ops=12db00732fccc20d",
+	"bfs-ss/auto/g500/t1": "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=dbf8882a1ad6a6b4 ops=008cfc7a4f530911",
+	"bfs-ss/auto/g500/t3": "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=dbf8882a1ad6a6b4 ops=008cfc7a4f530911",
+	"bfs/push/road/t1":    "mates=9f14ca86bae439b3 card=510 it=46 push=46 pull=0 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=aa890475eab09faa ops=b79a530746df7901 series=81c1fac57881449f",
+	"bfs/push/road/t3":    "mates=9f14ca86bae439b3 card=510 it=46 push=46 pull=0 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=aa890475eab09faa ops=b79a530746df7901 series=81c1fac57881449f",
+	"bfs/pull/road/t1":    "mates=9f14ca86bae439b3 card=510 it=46 push=0 pull=46 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=31b8fd619b049bfa ops=0ba61152ac6f8846 series=0dfeeac9e198470c",
+	"bfs/pull/road/t3":    "mates=9f14ca86bae439b3 card=510 it=46 push=0 pull=46 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=31b8fd619b049bfa ops=0ba61152ac6f8846 series=0dfeeac9e198470c",
+	"bfs/auto/road/t1":    "mates=9f14ca86bae439b3 card=510 it=46 push=46 pull=0 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=3029a431570b9744 ops=44d2151e82a8051d series=04215e1bb6ce5af5",
+	"bfs/auto/road/t3":    "mates=9f14ca86bae439b3 card=510 it=46 push=45 pull=1 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=f605dcbb9eba4d08 ops=b1c9f6a9f3fd3657 series=76351e8d5b937c98",
+	"bfs-ss/push/road/t1": "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=28124040dd1bd040 ops=6f9796de88996653",
+	"bfs-ss/push/road/t3": "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=28124040dd1bd040 ops=6f9796de88996653",
+	"bfs-ss/pull/road/t1": "mates=6f91a2d2b2f2c063 card=510 it=174 push=0 pull=174 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=2a8c82fb9b5ae3ad ops=7ab8c259c0b57020",
+	"bfs-ss/pull/road/t3": "mates=6f91a2d2b2f2c063 card=510 it=174 push=0 pull=174 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=2a8c82fb9b5ae3ad ops=7ab8c259c0b57020",
+	"bfs-ss/auto/road/t1": "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=6561b130284d7aaf ops=691615c00314eb0d",
+	"bfs-ss/auto/road/t3": "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=6561b130284d7aaf ops=691615c00314eb0d",
 }

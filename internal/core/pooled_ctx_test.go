@@ -97,14 +97,14 @@ func TestPooledContextsAcrossGraphsAndCrash(t *testing.T) {
 	}
 	steps := []step{
 		{graph: 0, procs: 4, threads: 1, engine: core.EngineBFS},
-		{graph: 1, procs: 9, threads: 2, engine: core.EngineBFSGraft},
+		{graph: 1, procs: 9, threads: 2, engine: core.EngineBFSSingleSource},
 		{graph: 2, procs: 1, threads: 1, engine: core.EngineBFSSingleSource},
-		{graph: 0, procs: 4, threads: 2, engine: core.EngineBFSGraft, tcp: true},
+		{graph: 0, procs: 4, threads: 2, engine: core.EngineBFSSingleSource, tcp: true},
 		{graph: 1, procs: 4, threads: 1, engine: core.EngineBFS, tcp: true, crash: true},
 		{graph: 2, procs: 9, threads: 1, engine: core.EngineBFS},
 		{graph: 1, procs: 4, threads: 2, engine: core.EngineBFSSingleSource, tcp: true},
 		{graph: 0, procs: 1, threads: 2, engine: core.EngineBFS},
-		{graph: 2, procs: 4, threads: 1, engine: core.EngineBFSGraft, tcp: true},
+		{graph: 2, procs: 4, threads: 1, engine: core.EngineBFSSingleSource, tcp: true},
 		{graph: 0, procs: 9, threads: 1, engine: core.EngineBFSSingleSource},
 	}
 	type kept struct {

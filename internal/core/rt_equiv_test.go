@@ -89,9 +89,9 @@ func TestPoolingOnOffEquivalenceRandom(t *testing.T) {
 
 func TestPoolingOnOffEquivalenceVariants(t *testing.T) {
 	// The harder configurations: every initializer, the randomized
-	// semirings, tree grafting, direction optimization, permutation, and
-	// rectangular grids — each compared pooled vs unpooled on random and
-	// RMAT generators.
+	// semirings, the single-source engine, direction optimization,
+	// permutation, and rectangular grids — each compared pooled vs unpooled
+	// on random and RMAT generators.
 	rng := rand.New(rand.NewSource(10))
 	graphs := []struct {
 		name string
@@ -109,7 +109,7 @@ func TestPoolingOnOffEquivalenceVariants(t *testing.T) {
 		{"dyn-mindegree", Config{Procs: 4, Init: InitDynMinDegree}},
 		{"rand-root", Config{Procs: 4, AddOp: semiring.RandRoot}},
 		{"rand-parent", Config{Procs: 4, AddOp: semiring.RandParent}},
-		{"graft-permuted", Config{Procs: 4, Init: InitDynMinDegree, Engine: EngineBFSGraft, Permute: true, Seed: 4}},
+		{"ss-permuted", Config{Procs: 4, Init: InitDynMinDegree, Engine: EngineBFSSingleSource, Permute: true, Seed: 4}},
 		{"dir-opt", Config{Procs: 4, Init: InitGreedy, Direction: DirectionAuto}},
 		{"grid-2x3", Config{GridRows: 2, GridCols: 3, Init: InitDynMinDegree, Permute: true, Seed: 4}},
 		{"grid-1x4", Config{GridRows: 1, GridCols: 4, Init: InitGreedy}},

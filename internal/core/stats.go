@@ -42,10 +42,6 @@ type Stats struct {
 	AugmentedPaths        int // total augmenting paths applied
 	InitCardinality       int // matching size after the initializer
 	Cardinality           int // final matching size
-	// Tree-grafting counters (the bfs-graft engine): full resets performed and total
-	// rows released from augmented trees.
-	GraftResets       int
-	GraftReleasedRows int
 	// Checkpoint counters (Config.CheckpointEvery): checkpoints taken,
 	// bytes their encodings total, and wall time spent gathering and
 	// packaging them — the recovery overhead a bench run reports. Every

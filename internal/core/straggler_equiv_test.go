@@ -78,8 +78,8 @@ func TestStragglerArrivalOrderRandom(t *testing.T) {
 
 func TestStragglerArrivalOrderVariants(t *testing.T) {
 	// The schedules with the most arrival-order freedom: every initializer,
-	// the randomized semirings, tree grafting (its own pipelined frontier
-	// count), direction optimization (MulPull's two concurrent gathers),
+	// the randomized semirings, the single-source engine (its own source
+	// allreduce), direction optimization (MulPull's two concurrent gathers),
 	// permutation, and rectangular grids where the row and column
 	// communicators have different sizes.
 	rng := rand.New(rand.NewSource(18))
@@ -99,12 +99,12 @@ func TestStragglerArrivalOrderVariants(t *testing.T) {
 		{"dyn-mindegree", Config{Procs: 4, Init: InitDynMinDegree}},
 		{"rand-root", Config{Procs: 4, AddOp: semiring.RandRoot}},
 		{"rand-parent", Config{Procs: 4, AddOp: semiring.RandParent}},
-		{"graft-permuted", Config{Procs: 4, Init: InitDynMinDegree, Engine: EngineBFSGraft, Permute: true, Seed: 6}},
+		{"ss-permuted", Config{Procs: 4, Init: InitDynMinDegree, Engine: EngineBFSSingleSource, Permute: true, Seed: 6}},
 		{"dir-opt", Config{Procs: 4, Init: InitGreedy, Direction: DirectionAuto}},
 		{"dir-opt-ks", Config{Procs: 4, Init: InitKarpSipser, Direction: DirectionAuto, Permute: true, Seed: 6}},
 		{"grid-2x3", Config{GridRows: 2, GridCols: 3, Init: InitDynMinDegree, Permute: true, Seed: 6}},
 		{"grid-1x4", Config{GridRows: 1, GridCols: 4, Init: InitGreedy}},
-		{"grid-3x2", Config{GridRows: 3, GridCols: 2, Init: InitGreedy, Engine: EngineBFSGraft}},
+		{"grid-3x2", Config{GridRows: 3, GridCols: 2, Init: InitGreedy, Engine: EngineBFSSingleSource}},
 	}
 	for _, g := range graphs {
 		for _, c := range configs {

@@ -48,7 +48,7 @@ func TestSolveThreadInvariant(t *testing.T) {
 		oracle := matching.HopcroftKarp(c.a, nil).Cardinality()
 		for _, sh := range shapes {
 			for _, init := range []Init{InitGreedy, InitDynMinDegree} {
-				for _, engine := range []string{EngineBFS, EngineBFSGraft} {
+				for _, engine := range []string{EngineBFS, EngineBFSSingleSource} {
 					cfg := Config{
 						Procs: sh.procs, GridRows: sh.gr, GridCols: sh.gc,
 						Init: init, AddOp: semiring.MinParent,

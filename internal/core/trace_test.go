@@ -43,7 +43,6 @@ func computeKind(k obs.Kind) bool {
 func TestTraceSpansNestPerRank(t *testing.T) {
 	t.Run("mcm", func(t *testing.T) { checkNesting(t, Config{}) })
 	t.Run("ss", func(t *testing.T) { checkNesting(t, Config{Engine: EngineBFSSingleSource}) })
-	t.Run("graft", func(t *testing.T) { checkNesting(t, Config{Engine: EngineBFSGraft}) })
 }
 
 // TestTimeSeriesEveryEngine checks that every engine records each of its

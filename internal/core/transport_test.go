@@ -36,7 +36,7 @@ func TestSolveOnLoopbackTCPMatchesOracle(t *testing.T) {
 	}{
 		{"plain", Config{Procs: 4, Seed: 3}},
 		{"permute-init", Config{Procs: 4, Init: InitKarpSipser, Permute: true, Seed: 3}},
-		{"grafting", Config{Procs: 4, Engine: EngineBFSGraft, Seed: 3}},
+		{"single-source", Config{Procs: 4, Engine: EngineBFSSingleSource, Seed: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			oracle, err := Solve(a, tc.cfg)

@@ -51,7 +51,7 @@ func TestWarmContextsMatchFreshAcrossSolves(t *testing.T) {
 	}
 
 	solves := 0
-	for _, engine := range []string{core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft} {
+	for _, engine := range []string{core.EngineBFS, core.EngineBFSSingleSource} {
 		for _, init := range []core.Init{core.InitNone, core.InitGreedy, core.InitKarpSipser, core.InitDynMinDegree} {
 			for _, threads := range []int{1, 4} {
 				for _, dir := range []core.Direction{core.DirectionPush, core.DirectionAuto} {

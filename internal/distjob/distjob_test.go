@@ -42,7 +42,7 @@ func TestRoundTrip(t *testing.T) {
 			cases = append(cases, []string{e.flag, string(name)})
 		}
 	}
-	for _, eng := range []string{"", core.EngineBFS, core.EngineBFSSingleSource, core.EngineBFSGraft, core.EngineAuto} {
+	for _, eng := range []string{"", core.EngineBFS, core.EngineBFSSingleSource, core.EngineAuto} {
 		cases = append(cases, []string{"-engine", eng})
 	}
 	for _, b := range []string{"-compress", "-no-prune", "-no-permute"} {
@@ -143,6 +143,11 @@ func TestDecodeRejects(t *testing.T) {
 		if _, err := Decode([]byte(blob)); err == nil {
 			t.Errorf("accepted %s", blob)
 		}
+	}
+	// A removed engine is an unknown one, not an alias.
+	blob := fmt.Sprintf(`{"v":%d,"rmat":"g500","procs":4,"engine":"bfs-graft"}`, Version)
+	if _, err := Decode([]byte(blob)); err == nil || !strings.Contains(err.Error(), `unknown engine "bfs-graft"`) {
+		t.Errorf("%s: %v", blob, err)
 	}
 }
 

@@ -17,7 +17,7 @@ func FuzzSpecDecode(f *testing.F) {
 	for _, s := range []*Spec{
 		{RMAT: "g500", Scale: 7, Config: core.Config{Procs: 4, Init: core.InitDynMinDegree, Permute: true, Seed: 1}},
 		{MTX: "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 2\n",
-			Config:  core.Config{Procs: 1, Engine: core.EngineBFSGraft, Direction: core.DirectionAuto, Compress: true, FlightDir: "d"},
+			Config:  core.Config{Procs: 1, Engine: core.EngineBFSSingleSource, Direction: core.DirectionAuto, Compress: true, FlightDir: "d"},
 			Recover: true, Generation: 1, Checkpoint: []byte("MCMCKPT2"), ObsSpans: true},
 	} {
 		blob, err := s.Encode()

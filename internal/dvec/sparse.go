@@ -483,16 +483,3 @@ func (s *SparseInt) Filter(pred func(int64) bool, dst *SparseInt) *SparseInt {
 	out.Idx, out.Val = out.Idx[:m], out.Val[:m]
 	return out
 }
-
-// ScatterRoots stores each entry's root into the aligned dense vector —
-// used by the tree-grafting MCM variant to persist tree ownership. Local.
-func (d *Dense) ScatterRoots(x *SparseV) {
-	if !d.L.Same(x.L) {
-		panic("dvec: SET layout mismatch")
-	}
-	lo := d.L.MyRange().Lo
-	for k, g := range x.Idx {
-		d.Local[g-lo] = x.Val[k].Root
-	}
-	d.L.G.World.AddWork(len(x.Idx))
-}

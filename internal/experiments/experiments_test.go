@@ -204,20 +204,6 @@ func TestGridShapeSquareWins(t *testing.T) {
 	}
 }
 
-func TestGraftAblation(t *testing.T) {
-	rows := GraftAblation(io.Discard, testConfig(4), 10, []string{"amazon-2008", "delaunay_n24"})
-	for _, r := range rows {
-		if r.ReleasedRows == 0 {
-			t.Errorf("%s: no rows released", r.Matrix)
-		}
-		// On these classes (trees keep finding paths), grafting must cut
-		// SpMV work.
-		if r.ReductionPct <= 0 {
-			t.Errorf("%s: grafting increased work by %.1f%%", r.Matrix, -r.ReductionPct)
-		}
-	}
-}
-
 func TestInitQualityOrdering(t *testing.T) {
 	rows := InitQuality(io.Discard, 10, nil)
 	if len(rows) != 13 {

@@ -514,60 +514,6 @@ func DirectionAblation(w io.Writer, cfg core.Config, scale int, names []string) 
 	return rows
 }
 
-// GraftRow is one matrix's tree-grafting ablation.
-type GraftRow struct {
-	Matrix       string
-	PlainWork    int64 // total SpMV work, Algorithm 2
-	GraftWork    int64 // total SpMV work, tree-grafting variant
-	PlainIters   int
-	GraftIters   int
-	ReleasedRows int
-	ReductionPct float64
-}
-
-// GraftAblation measures the distributed tree-grafting extension (the
-// paper's stated future work, implemented as the bfs-graft engine): total
-// SpMV edge traversals of the plain Algorithm 2 versus the grafted variant,
-// starting from a greedy matching so several augmenting phases run.
-func GraftAblation(w io.Writer, cfg core.Config, scale int, names []string) []GraftRow {
-	if names == nil {
-		names = []string{"road_usa", "delaunay_n24", "amazon-2008", "ljournal-2008"}
-	}
-	var rows []GraftRow
-	for _, name := range names {
-		a := suiteMatrix(name, scale)
-		plain := run(a, core.Config{Procs: cfg.Procs, Init: core.InitGreedy, Permute: true, Seed: 19})
-		graft := run(a, core.Config{Procs: cfg.Procs, Init: core.InitGreedy, Permute: true, Seed: 19,
-			Engine: core.EngineBFSGraft})
-		if plain.Stats.Cardinality != graft.Stats.Cardinality {
-			panic("tree grafting changed the cardinality")
-		}
-		pw := plain.Stats.Meter[core.OpSpMV].Work
-		gw := graft.Stats.Meter[core.OpSpMV].Work
-		red := 0.0
-		if pw > 0 {
-			red = 100 * float64(pw-gw) / float64(pw)
-		}
-		rows = append(rows, GraftRow{
-			Matrix:       name,
-			PlainWork:    pw,
-			GraftWork:    gw,
-			PlainIters:   plain.Stats.Iterations,
-			GraftIters:   graft.Stats.Iterations,
-			ReleasedRows: graft.Stats.GraftReleasedRows,
-			ReductionPct: red,
-		})
-	}
-	tw := newTab(w)
-	fmt.Fprintf(tw, "Tree grafting (p=%d)\tplain-work\tgraft-work\titers plain/graft\treleased\twork-reduction\n", cfg.Procs)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d/%d\t%d\t%.1f%%\n",
-			r.Matrix, r.PlainWork, r.GraftWork, r.PlainIters, r.GraftIters, r.ReleasedRows, r.ReductionPct)
-	}
-	tw.Flush()
-	return rows
-}
-
 // BalanceRow reports per-rank work imbalance with and without the random
 // permutation of Section IV-A.
 type BalanceRow struct {

@@ -116,10 +116,9 @@ type Options struct {
 	// socket); it scales the local-work term of the cost model. 0 means 1.
 	Threads int
 	// Engine names the matching engine: "bfs" (the paper's MCM-DIST, also
-	// the default "" and "auto"), "bfs-ss" (single-source ablation) or
-	// "bfs-graft" (tree grafting). "auto" is bfs, the fastest engine
-	// overall in the engine sweep (docs/ENGINES.md). Stats.Engine reports
-	// the engine that actually ran.
+	// the default "" and "auto") or "bfs-ss" (single-source ablation).
+	// "auto" is bfs, the faster engine overall in the engine sweep
+	// (docs/ENGINES.md). Stats.Engine reports the engine that actually ran.
 	Engine string
 	// Init selects the maximal-matching initializer. The zero value is
 	// NoInit; the paper's recommended setting is DynamicMindegreeInit.

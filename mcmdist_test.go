@@ -279,24 +279,6 @@ func TestTraceOutput(t *testing.T) {
 	}
 }
 
-func TestTreeGraftingPublicAPI(t *testing.T) {
-	g := mustRMAT(t, G500, 9, 4, 27)
-	plain, _, err := MaximumMatching(g, Options{Procs: 4, Init: GreedyInit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	graft, _, err := MaximumMatching(g, Options{Procs: 4, Init: GreedyInit, Engine: "bfs-graft"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Cardinality() != graft.Cardinality() {
-		t.Fatalf("grafting changed |M|: %d vs %d", plain.Cardinality(), graft.Cardinality())
-	}
-	if err := g.VerifyMaximum(graft); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHallViolatorPublicAPI(t *testing.T) {
 	// Power-law graphs are heavily deficient.
 	g, err := TableII("wb-edu", 8)
@@ -419,7 +401,7 @@ func TestSoakAllVariantsAgree(t *testing.T) {
 		want := oracle.Cardinality()
 		for _, opt := range []Options{
 			{Procs: 9, Init: DynamicMindegreeInit, Permute: true},
-			{Procs: 16, Init: GreedyInit, Engine: "bfs-graft"},
+			{Procs: 16, Init: GreedyInit, Engine: "bfs-ss"},
 			{Procs: 4, Init: KarpSipserInit, Direction: "auto"},
 			{Procs: 16, Init: NoInit, Semiring: RandRoot, Augment: LevelParallel},
 		} {
@@ -565,6 +547,7 @@ func TestEntryPointsRejectUnknownOptions(t *testing.T) {
 		{Procs: 4, Init: Initializer(9)},
 		{Procs: 4, Init: GreedyInit, Direction: "pul"},
 		{Procs: 4, Init: GreedyInit, Engine: "graft"},
+		{Procs: 4, Init: GreedyInit, Engine: "bfs-graft"},
 		{Procs: 4, Init: GreedyInit, Semiring: Semiring(9)},
 		{Procs: 4, Init: GreedyInit, Augment: Augmentation(9)},
 		{Procs: 3, Init: GreedyInit},

@@ -103,11 +103,11 @@ func TestRecoverableThenWarmSolve(t *testing.T) {
 		transport string
 	}{
 		{Options{Engine: "bfs", Init: DynamicMindegreeInit, Threads: 2}, crashAt(60), ""},
-		{Options{Engine: "bfs-graft", Init: NoInit}, crashAt(100), ""},
+		{Options{Engine: "bfs-ss", Init: NoInit}, crashAt(100), ""},
 		{Options{Engine: "bfs-ss", Init: GreedyInit}, crashAt(160), ""},
 		{Options{Engine: "bfs-ss", Init: KarpSipserInit}, crashAt(160), ""},
 		{Options{Engine: "bfs", Init: DynamicMindegreeInit, Threads: 2}, crashAt(60), "tcp"},
-		{Options{Engine: "bfs-graft", Init: NoInit}, crashAt(100), "tcp"},
+		{Options{Engine: "bfs-ss", Init: NoInit}, crashAt(100), "tcp"},
 		{Options{Engine: "bfs", Init: NoInit, Augment: PathParallel},
 			FaultSpec{RMAFailRank: 1, RMAFailAt: 40}, "tcp"},
 	} {
@@ -124,9 +124,9 @@ func TestRecoverableThenWarmSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A resumed solve starts its phase state afresh (bfs-graft's trees),
-		// so its recovered matching need not be the clean one: the
-		// reference is the same recoverable solve.
+		// A resumed solve starts its engine state afresh, so its recovered
+		// matching need not be the clean one: the reference is the same
+		// recoverable solve.
 		wantRec, _, _, err := fresh.SolveRecoverable(tc.opts, pol)
 		fresh.Close()
 		if err != nil {

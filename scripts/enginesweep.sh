@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Engine sweep: run every matching engine (bfs, bfs-graft, bfs-ss) through
+# Engine sweep: run every matching engine (bfs and bfs-ss) through
 # cmd/bench -exp enginesweep on every Table II stand-in and on the g500, er
 # and ssca RMAT classes, at scales 10 and 12 and at 4 and 16 ranks, and
 # print each cell's table followed by the sweep's total run time. Every

@@ -71,30 +71,30 @@ cmp "$work/oracle.txt" "$work/rank0c.txt"
 cmp "$work/oracle.txt" "$work/rank3c.txt"
 echo "transport-smoke: compressed+auto 4-process matching is byte-identical to the oracle (scale $scale, $addr2)"
 
-# Third pass: a non-default engine, bfs-graft. The engine name ships to the
+# Third pass: a non-default engine, bfs-ss. The engine name ships to the
 # workers in the job spec, every process resolves it identically, and the
-# 4-process result must be byte-identical to bfs-graft's own in-process
-# oracle (grafting visits different matchings than bfs, so it gets its own
-# oracle file rather than comparing against oracle.txt).
+# 4-process result must be byte-identical to bfs-ss's own in-process oracle
+# (the single-source search finds a different maximum matching than bfs,
+# so it gets its own oracle file rather than comparing against oracle.txt).
 addr3="127.0.0.1:${SMOKE_PORT3:-$((9700 + RANDOM % 200))}"
-"$work/mcm" "${graph[@]}" -engine bfs-graft -out "$work/oracle_graft.txt" >/dev/null
+"$work/mcm" "${graph[@]}" -engine bfs-ss -out "$work/oracle_ss.txt" >/dev/null
 
-"$work/mcm" "${graph[@]}" -engine bfs-graft -transport tcp -addr "$addr3" \
+"$work/mcm" "${graph[@]}" -engine bfs-ss -transport tcp -addr "$addr3" \
   -out "$work/rank0a.txt" >"$work/coorda.log" 2>&1 &
 coord=$!
 "$work/mcmrank" -addr "$addr3" -rank 1 -quiet &
 "$work/mcmrank" -addr "$addr3" -rank 2 -quiet &
 "$work/mcmrank" -addr "$addr3" -rank 3 -quiet -out "$work/rank3a.txt"
 if ! wait "$coord"; then
-  echo "transport-smoke: bfs-graft coordinator failed:" >&2
+  echo "transport-smoke: bfs-ss coordinator failed:" >&2
   cat "$work/coorda.log" >&2
   exit 1
 fi
 wait
 
-cmp "$work/oracle_graft.txt" "$work/rank0a.txt"
-cmp "$work/oracle_graft.txt" "$work/rank3a.txt"
-echo "transport-smoke: bfs-graft 4-process matching is byte-identical to its in-process oracle (scale $scale, $addr3)"
+cmp "$work/oracle_ss.txt" "$work/rank0a.txt"
+cmp "$work/oracle_ss.txt" "$work/rank3a.txt"
+echo "transport-smoke: bfs-ss 4-process matching is byte-identical to its in-process oracle (scale $scale, $addr3)"
 
 # Fourth pass: whole-world observability. The coordinator requests spans
 # and the time-series; the workers enable the same planes from the job

@@ -21,7 +21,7 @@ func TestDistributedGraphReuse(t *testing.T) {
 	// Several solves over the same distribution, varied configurations.
 	for _, opts := range []Options{
 		{Init: DynamicMindegreeInit},
-		{Init: GreedyInit, Engine: "bfs-graft"},
+		{Init: GreedyInit, Engine: "bfs-ss"},
 		{Init: NoInit, Semiring: RandRoot},
 	} {
 		m, st, err := dg.MaximumMatching(opts)
@@ -145,7 +145,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dg.Close()
-	for _, engine := range []string{"bfs", "bfs-ss", "bfs-graft"} {
+	for _, engine := range []string{"bfs", "bfs-ss"} {
 		for _, threads := range []int{1, 3} {
 			for _, observe := range []bool{false, true} {
 				opts := Options{Procs: 4, Engine: engine, Threads: threads, Init: GreedyInit}
