@@ -85,16 +85,15 @@ func (d *dirState) noteDiscovered(n int) { d.visitedRows += n }
 // notePullScan applies the hit-rate feedback after a pull iteration:
 // matching frontiers can be full of structurally deficient columns whose
 // neighborhoods never hit; if the global scan productivity drops below 1/4,
-// fall back to push for the rest of the solve. Collective. A pinned
-// DirectionPull skips the feedback — the caller asked for pull
-// unconditionally.
+// fall back to push for the rest of the solve. Collective: one reduction
+// of {scanned, hits}. A pinned DirectionPull skips the feedback — the
+// caller asked for pull unconditionally.
 func (s *Solver) notePullScan(d *dirState, ps spmv.PullStats) {
 	if s.Cfg.Direction == DirectionPull {
 		return
 	}
-	scanned := s.G.World.Allreduce(mpi.OpSum, int64(ps.Scanned))
-	hits := s.G.World.Allreduce(mpi.OpSum, int64(ps.Hits))
-	if scanned > 0 && hits*4 < scanned {
+	n := s.G.World.AllreduceN(mpi.OpSum, []int64{int64(ps.Scanned), int64(ps.Hits)})
+	if scanned, hits := n[0], n[1]; scanned > 0 && hits*4 < scanned {
 		d.pullDisabled = true
 	}
 }

@@ -15,7 +15,9 @@ import (
 
 	"mcmdist/internal/mpi"
 	"mcmdist/internal/mpi/tcpnet"
+	"mcmdist/internal/obs"
 	"mcmdist/internal/rmat"
+	"mcmdist/internal/spmat"
 	"mcmdist/internal/verify"
 )
 
@@ -91,5 +93,64 @@ func TestDirectionCompressionSweepBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAutoLevelReductionCount pins what the adaptive direction costs in
+// reductions: on top of the same solve pinned to push, an auto solve issues
+// exactly one allreduce for the threshold and one per pull level for the
+// scan feedback. The level's discovered-row count and its new-path count
+// come from one fused reduction, which stands in for the push level's one
+// path count, so levels add nothing. Counted from each rank's allreduce
+// collective spans.
+func TestAutoLevelReductionCount(t *testing.T) {
+	const procs = 4
+	graphs := []struct {
+		name string
+		a    *spmat.CSC
+	}{
+		{"g500-6", rmat.MustGenerate(rmat.G500, 6, 4, 21)},
+		{"er-6", rmat.MustGenerate(rmat.ER, 6, 4, 9)},
+		{"g500-7", rmat.MustGenerate(rmat.G500, 7, 4, 21)},
+	}
+	allreduces := func(col *obs.Collector, r int) int {
+		n := 0
+		for _, sp := range col.Tracer(r).Spans() {
+			if sp.Kind == obs.KindCollective && sp.Name == "allreduce" {
+				n++
+			}
+		}
+		return n
+	}
+	pulled := false
+	for _, g := range graphs {
+		for _, engine := range []string{EngineBFS, EngineBFSSingleSource} {
+			for _, init := range []Init{InitNone, InitDynMinDegree} {
+				t.Run(fmt.Sprintf("%s/%s/%s", g.name, engine, init), func(t *testing.T) {
+					cols := map[Direction]*obs.Collector{}
+					stats := map[Direction]*Stats{}
+					for _, dir := range []Direction{DirectionPush, DirectionAuto} {
+						col := obs.NewCollector(procs, obs.Options{Spans: true})
+						res := mustSolve(t, g.a, Config{Procs: procs, Init: init, Engine: engine, Direction: dir, Obs: col})
+						cols[dir], stats[dir] = col, res.Stats
+					}
+					pulls := stats[DirectionAuto].PullIterations
+					if stats[DirectionAuto].Iterations != stats[DirectionPush].Iterations {
+						t.Fatalf("auto ran %d iterations, push %d", stats[DirectionAuto].Iterations, stats[DirectionPush].Iterations)
+					}
+					pulled = pulled || pulls > 0
+					for r := 0; r < procs; r++ {
+						push, auto := allreduces(cols[DirectionPush], r), allreduces(cols[DirectionAuto], r)
+						if auto-push != 1+pulls {
+							t.Errorf("rank %d: auto issued %d allreduces, push %d: %d more, want 1 + %d pull levels",
+								r, auto, push, auto-push, pulls)
+						}
+					}
+				})
+			}
+		}
+	}
+	if !pulled {
+		t.Fatal("no auto solve took a pull level; the scan feedback went untested")
 	}
 }

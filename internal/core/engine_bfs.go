@@ -122,17 +122,20 @@ func (r *msbfs) searchPhase(fc *dvec.SparseV, firstPath bool) int {
 			pir.ScatterParents(fr)
 			fr.Split(mater, unset, ufr)
 		})
-		if s.adaptiveDirection() {
-			// Track discovered rows for the direction heuristic (the
-			// same frontier-size allreduce real direction-optimizing
-			// BFS implementations perform each level).
-			s.tr.track(OpOther, func() {
-				r.dir.noteDiscovered(fr.Nnz() + ufr.Nnz())
-			})
-		}
-
 		var newPaths int
-		s.tr.track(OpOther, func() { newPaths = ufr.Nnz() })
+		s.tr.track(OpOther, func() {
+			if !s.adaptiveDirection() {
+				newPaths = ufr.Nnz()
+				return
+			}
+			// The direction heuristic also tracks the discovered rows
+			// (the frontier-size reduction real direction-optimizing BFS
+			// implementations perform each level): |f_r| and |uf_r| in
+			// one reduction.
+			n := s.G.World.AllreduceN(mpi.OpSum, []int64{int64(fr.LocalNnz()), int64(ufr.LocalNnz())})
+			newPaths = int(n[1])
+			r.dir.noteDiscovered(int(n[0] + n[1]))
+		})
 		stop := false
 		if newPaths > 0 {
 			// Step 5: store endpoints of newly discovered augmenting

@@ -108,24 +108,24 @@ var goldenTrajectories = map[string]string{
 	"bfs/push/g500/t3":    "mates=4afced5508d98fce card=278 it=26 push=26 pull=0 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=2cfa43a5c3ae9fe2 ops=d2cbf3f25af96d87 series=d4e8d01c79a14cc6",
 	"bfs/pull/g500/t1":    "mates=4afced5508d98fce card=278 it=26 push=0 pull=26 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=2896f946d28e8883 ops=ec7ee353bcc98fd0 series=22d70807d3f70f41",
 	"bfs/pull/g500/t3":    "mates=4afced5508d98fce card=278 it=26 push=0 pull=26 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=2896f946d28e8883 ops=ec7ee353bcc98fd0 series=22d70807d3f70f41",
-	"bfs/auto/g500/t1":    "mates=4afced5508d98fce card=278 it=26 push=25 pull=1 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=f426eaf29587ca9e ops=262ee89fc4227dfa series=1ba5885d435cff0d",
-	"bfs/auto/g500/t3":    "mates=4afced5508d98fce card=278 it=26 push=25 pull=1 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=f426eaf29587ca9e ops=262ee89fc4227dfa series=1ba5885d435cff0d",
+	"bfs/auto/g500/t1":    "mates=4afced5508d98fce card=278 it=26 push=25 pull=1 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=069983b61124cb3e ops=24888b504cfc5fd6 series=414656a352a252a3",
+	"bfs/auto/g500/t3":    "mates=4afced5508d98fce card=278 it=26 push=25 pull=1 ph=3 ap=14 lvl=0 path=3 peak=109@1 rank=069983b61124cb3e ops=24888b504cfc5fd6 series=414656a352a252a3",
 	"bfs-ss/push/g500/t1": "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=0a41c66fe2cf15d3 ops=cdc9acee2807e3d9",
 	"bfs-ss/push/g500/t3": "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=0a41c66fe2cf15d3 ops=cdc9acee2807e3d9",
 	"bfs-ss/pull/g500/t1": "mates=36cc58c74ae50475 card=278 it=486 push=0 pull=486 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=4c9ccdf3c4fd0c02 ops=12db00732fccc20d",
 	"bfs-ss/pull/g500/t3": "mates=36cc58c74ae50475 card=278 it=486 push=0 pull=486 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=4c9ccdf3c4fd0c02 ops=12db00732fccc20d",
-	"bfs-ss/auto/g500/t1": "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=dbf8882a1ad6a6b4 ops=008cfc7a4f530911",
-	"bfs-ss/auto/g500/t3": "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=dbf8882a1ad6a6b4 ops=008cfc7a4f530911",
+	"bfs-ss/auto/g500/t1": "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=e7e3d575f91669df ops=b0c4a7baf32ad2d2",
+	"bfs-ss/auto/g500/t3": "mates=36cc58c74ae50475 card=278 it=486 push=486 pull=0 ph=14 ap=14 lvl=0 path=14 peak=28@273 rank=e7e3d575f91669df ops=b0c4a7baf32ad2d2",
 	"bfs/push/road/t1":    "mates=9f14ca86bae439b3 card=510 it=46 push=46 pull=0 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=aa890475eab09faa ops=b79a530746df7901 series=81c1fac57881449f",
 	"bfs/push/road/t3":    "mates=9f14ca86bae439b3 card=510 it=46 push=46 pull=0 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=aa890475eab09faa ops=b79a530746df7901 series=81c1fac57881449f",
 	"bfs/pull/road/t1":    "mates=9f14ca86bae439b3 card=510 it=46 push=0 pull=46 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=31b8fd619b049bfa ops=0ba61152ac6f8846 series=0dfeeac9e198470c",
 	"bfs/pull/road/t3":    "mates=9f14ca86bae439b3 card=510 it=46 push=0 pull=46 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=31b8fd619b049bfa ops=0ba61152ac6f8846 series=0dfeeac9e198470c",
-	"bfs/auto/road/t1":    "mates=9f14ca86bae439b3 card=510 it=46 push=46 pull=0 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=3029a431570b9744 ops=44d2151e82a8051d series=04215e1bb6ce5af5",
-	"bfs/auto/road/t3":    "mates=9f14ca86bae439b3 card=510 it=46 push=45 pull=1 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=f605dcbb9eba4d08 ops=b1c9f6a9f3fd3657 series=76351e8d5b937c98",
+	"bfs/auto/road/t1":    "mates=9f14ca86bae439b3 card=510 it=46 push=46 pull=0 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=d5727398d0909f27 ops=dcb329048530b0ea series=03ae6f9a5d0a2474",
+	"bfs/auto/road/t3":    "mates=9f14ca86bae439b3 card=510 it=46 push=45 pull=1 ph=2 ap=33 lvl=0 path=2 peak=130@2 rank=45ff66adfe743a13 ops=75a247ad87d10a2a series=51b1031b3e09f9cb",
 	"bfs-ss/push/road/t1": "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=28124040dd1bd040 ops=6f9796de88996653",
 	"bfs-ss/push/road/t3": "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=28124040dd1bd040 ops=6f9796de88996653",
 	"bfs-ss/pull/road/t1": "mates=6f91a2d2b2f2c063 card=510 it=174 push=0 pull=174 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=2a8c82fb9b5ae3ad ops=7ab8c259c0b57020",
 	"bfs-ss/pull/road/t3": "mates=6f91a2d2b2f2c063 card=510 it=174 push=0 pull=174 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=2a8c82fb9b5ae3ad ops=7ab8c259c0b57020",
-	"bfs-ss/auto/road/t1": "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=6561b130284d7aaf ops=691615c00314eb0d",
-	"bfs-ss/auto/road/t3": "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=6561b130284d7aaf ops=691615c00314eb0d",
+	"bfs-ss/auto/road/t1": "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=12952b029511a5c0 ops=192592e298b064bc",
+	"bfs-ss/auto/road/t3": "mates=6f91a2d2b2f2c063 card=510 it=174 push=174 pull=0 ph=33 ap=33 lvl=0 path=33 peak=10@53 rank=12952b029511a5c0 ops=192592e298b064bc",
 }

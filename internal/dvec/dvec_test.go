@@ -54,6 +54,11 @@ func TestLayoutPartitions(t *testing.T) {
 						if rank != g.RankAt(i, j) || local != x-l.RangeAt(i, j).Lo {
 							return fmt.Errorf("Owner(%d) inconsistent", x)
 						}
+						// INVERT's routing table agrees with OwnerCoords.
+						ends, ranks := l.owners(nil)
+						if got := ranks[ownerSlot(ends, int64(x))]; got != int64(rank) {
+							return fmt.Errorf("%v %v n=%d: ownerSlot routes %d to rank %d, want %d", shape, kind, n, x, got, rank)
+						}
 					}
 					return nil
 				})

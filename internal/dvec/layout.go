@@ -10,6 +10,7 @@ package dvec
 
 import (
 	"fmt"
+	"slices"
 
 	"mcmdist/internal/grid"
 	"mcmdist/internal/spmat"
@@ -96,6 +97,41 @@ func (l Layout) OwnerCoords(g int) (i, j int) {
 	slab := l.slabOf(j)
 	i = spmat.OwnerOf(slab.Len(), l.G.PR, g-slab.Lo)
 	return i, j
+}
+
+// owners refills buf with the grid's p ranks in index order and returns
+// its two halves: ends[k] is the exclusive end of the k-th rank's range
+// (an empty range ends where the one before it does) and ranks[k] is that
+// rank's world rank. ownerSlot searches ends, so a caller routing many
+// indices pays the divisions of OwnerCoords once per call, not once per
+// index. ends heads buf, so it is what goes back to an arena.
+func (l Layout) owners(buf []int64) (ends, ranks []int64) {
+	p := l.G.PR * l.G.PC
+	buf = slices.Grow(buf[:0], 2*p)[:2*p]
+	ends, ranks = buf[:p], buf[p:]
+	for k := range p {
+		i, j := k/l.G.PC, k%l.G.PC
+		if l.Kind == ColAligned {
+			i, j = k%l.G.PR, k/l.G.PR
+		}
+		ends[k], ranks[k] = int64(l.RangeAt(i, j).Hi), int64(l.G.RankAt(i, j))
+	}
+	return ends, ranks
+}
+
+// ownerSlot returns the position of the range holding g in ends, the range
+// ends of owners: the first that ends past g. g must lie in [0, N).
+func ownerSlot(ends []int64, g int64) int {
+	lo, hi := 0, len(ends)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ends[mid] > g {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Owner returns the world rank owning global index g and g's local offset

@@ -338,15 +338,17 @@ func invert(l Layout, outL Layout, records []int64, stride int) (*rt.Scratch, in
 	c := l.G.World
 	ctx := l.G.RT
 	parts := ctx.GetParts(c.Size())
+	ends, ranks := outL.owners(ctx.GetInts(2 * c.Size()))
 	for off := 0; off < len(records); off += stride {
-		tgt := int(records[off])
-		if tgt < 0 || tgt >= outL.N {
+		tgt := records[off]
+		if tgt < 0 || tgt >= int64(outL.N) {
 			panic(fmt.Sprintf("dvec: INVERT target %d outside [0,%d)", tgt, outL.N))
 		}
-		rank := outL.G.RankAt(outL.OwnerCoords(tgt))
+		rank := ranks[ownerSlot(ends, tgt)]
 		parts[rank] = append(parts[rank], records[off:off+stride]...)
 	}
 	c.AddWork(len(records) / stride)
+	ctx.PutInts(ends)
 	ctx.PutInts(records)
 	rq := c.IAlltoallvParts(parts)
 	sc, k, n := receive(outL, rq.Next, stride, semiring.MinParent.Combine)

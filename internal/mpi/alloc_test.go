@@ -27,6 +27,12 @@ func TestWarmCollectiveAllocations(t *testing.T) {
 		{"Allreduce", 6, func(c *Comm) func() {
 			return func() { c.Allreduce(OpSum, 1) }
 		}},
+		// send row, the shared payload copy, callback, request, received
+		// row, result: the scalar form's budget
+		{"AllreduceN", 6, func(c *Comm) func() {
+			vals := []int64{1, 2}
+			return func() { c.AllreduceN(OpSum, vals) }
+		}},
 		// send row, callback, handle, request, received row
 		{"AllgathervInto", 5, func(c *Comm) func() {
 			data := []int64{int64(c.Rank()), 7}

@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Barrier blocks until every rank of the communicator has entered it.
 func (c *Comm) Barrier() {
@@ -8,8 +11,8 @@ func (c *Comm) Barrier() {
 }
 
 // fill returns a row that addresses v to every member: the send row of the
-// collectives that post one payload to all (the allgathers, IAllreduce,
-// Split).
+// collectives that post one payload to all (the allgathers, the
+// allreduces, Split).
 func (c *Comm) fill(v []int64) [][]int64 {
 	row := make([][]int64, c.Size())
 	for d := range row {
@@ -170,6 +173,39 @@ func opByCode(code OpCode) (ReduceOp, bool) {
 // every rank. Costed as a binomial reduce-broadcast tree.
 func (c *Comm) Allreduce(op ReduceOp, val int64) int64 {
 	return c.IAllreduce(op, val).Wait()
+}
+
+// AllreduceN reduces k = len(vals) words elementwise across all ranks with
+// op and returns the k results on every rank: one collective, one mailbox
+// generation and one shared row, so a level that needs several global
+// counts pays one reduction's latency, not k. Costed as the scalar form's
+// tree carrying k words per message: 2·ceil(log2 p) messages and
+// 2·ceil(log2 p)·k words (raw size under compression). Every rank must pass
+// the same k.
+func (c *Comm) AllreduceN(op ReduceOp, vals []int64) []int64 {
+	out := make([]int64, len(vals))
+	c.start("allreduce", c.fill(slices.Clone(vals)), false, c.reduced(len(vals)), func(got [][]int64) {
+		for s, in := range got {
+			if len(in) != len(out) {
+				panic(fmt.Sprintf("mpi: AllreduceN of %d words met %d from member %d", len(out), len(in), s))
+			}
+		}
+		copy(out, got[0])
+		for _, in := range got[1:] {
+			for i, v := range in {
+				out[i] = op.Apply(out[i], v)
+			}
+		}
+	}).Wait()
+	return out
+}
+
+// reduced is the tally of an allreduce of k words: a binomial reduce tree
+// then a broadcast tree, one message of k words per level, sent unencoded.
+func (c *Comm) reduced(k int) tally {
+	depth := logTreeDepth(c.Size())
+	words := 2 * depth * int64(k)
+	return tally{kind: KindReduce, msgs: int32(2 * depth), words: words, wordsEnc: c.rawEnc(words)}
 }
 
 // Split partitions the communicator: ranks passing the same color form a new

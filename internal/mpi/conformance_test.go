@@ -130,6 +130,7 @@ func collectiveProgram(size int, rows [][]int64) func(c *mpi.Comm) error {
 		out = append(out, c.Allreduce(mpi.OpSum, r+1))
 		out = append(out, c.Allreduce(mpi.OpMax, 100-r))
 		out = append(out, c.Allreduce(mpi.OpLor, r%2))
+		out = append(out, c.AllreduceN(mpi.OpSum, []int64{r, r * r, -r})...)
 
 		for _, part := range c.Allgatherv([]int64{r, r * r}) {
 			out = append(out, part...)

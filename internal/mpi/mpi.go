@@ -10,7 +10,8 @@
 //   - SPMD launch (Run), communicators, and sub-communicator Split, used for
 //     the 2D process grid's row and column communicators;
 //   - the bulk-synchronous collectives CombBLAS uses: Barrier, Allgatherv,
-//     Alltoallv, Gatherv, Scatterv, Allreduce;
+//     Alltoallv, Gatherv, Scatterv, Allreduce, and AllreduceN, which
+//     reduces k words elementwise in one collective;
 //   - split-phase (nonblocking) collectives, so callers can overlap local
 //     computation with communication (MPI_Iallgatherv & co.): IAllgatherv,
 //     IAlltoallv, IAllreduce and the buffer-lending IAllgathervInto and
@@ -54,7 +55,8 @@
 //   - Gatherv/Scatterv: root counts p-1 messages and the full volume moved;
 //     leaves count 1 message and their own contribution.
 //   - Allreduce (a binomial reduce tree, then a broadcast tree): one
-//     message and one word per tree level, 2·ceil(log2 p) of each.
+//     message and one word per tree level, 2·ceil(log2 p) of each;
+//     AllreduceN of k words: the same messages, k words each.
 //   - RMA Get/Put/FetchAndOp: 1 message per call plus the words moved;
 //     operations on the caller's own window are local and cost nothing.
 //

@@ -192,6 +192,73 @@ func TestAllreduceOps(t *testing.T) {
 	}
 }
 
+// TestAllreduceN: k words reduce elementwise in one collective, metered as
+// the scalar tree carrying k words per message (raw size under
+// compression); at k = 1 the meter is exactly Allreduce's.
+func TestAllreduceN(t *testing.T) {
+	ops := []struct {
+		name string
+		op   ReduceOp
+	}{{"sum", OpSum}, {"min", OpMin}, {"max", OpMax}}
+	// Word i of rank r alternates sign with i, so each word's sum, min and
+	// max come from different ranks.
+	word := func(r, i int) int64 {
+		v := int64((r + 1) * (i + 1))
+		if i%2 == 1 {
+			return -v
+		}
+		return v
+	}
+	for _, p := range []int{1, 2, 3, 4} {
+		for _, k := range []int{1, 2, 3} {
+			for _, compress := range []bool{false, true} {
+				_, err := RunTransport(RunConfig{Compress: compress}, NewInproc(p), func(c *Comm) error {
+					vals := make([]int64, k)
+					for i := range vals {
+						vals[i] = word(c.Rank(), i)
+					}
+					depth := logTreeDepth(p)
+					for _, o := range ops {
+						before, gen := c.MeterSnapshot(), c.nextGen
+						got := c.AllreduceN(o.op, vals)
+						m := c.MeterSnapshot().Sub(before)
+						if c.nextGen-gen != 1 {
+							return fmt.Errorf("%s: %d collectives, want 1", o.name, c.nextGen-gen)
+						}
+						for i := range vals {
+							want := word(0, i)
+							for r := 1; r < p; r++ {
+								want = o.op.Apply(want, word(r, i))
+							}
+							if got[i] != want {
+								return fmt.Errorf("%s word %d = %d, want %d", o.name, i, got[i], want)
+							}
+						}
+						wantEnc := int64(0)
+						if compress {
+							wantEnc = 2 * depth * int64(k)
+						}
+						if want := (Meter{Msgs: 2 * depth, Words: 2 * depth * int64(k), WordsEnc: wantEnc}); m != want {
+							return fmt.Errorf("%s meter %+v, want %+v", o.name, m, want)
+						}
+						if k == 1 {
+							before := c.MeterSnapshot()
+							c.Allreduce(o.op, vals[0])
+							if scalar := c.MeterSnapshot().Sub(before); scalar != m {
+								return fmt.Errorf("%s: AllreduceN meter %+v, Allreduce %+v", o.name, m, scalar)
+							}
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("p=%d k=%d compress=%v: %v", p, k, compress, err)
+				}
+			}
+		}
+	}
+}
+
 func TestSplitGrid(t *testing.T) {
 	// 6 ranks -> 2x3 grid: row comm = ranks with same rank/3, col comm = same rank%3.
 	_, err := Run(6, func(c *Comm) error {

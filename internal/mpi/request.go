@@ -13,11 +13,11 @@ import (
 // already been posted to the mailbox (starting never blocks); it completes
 // in Wait. Completion assembles the result, meters the transfer exactly once
 // with the same counts as the blocking counterpart, and — for collectives
-// whose peers read this rank's send buffer (all of them except Allreduce,
-// Barrier, Split and WinCreate, which post rows of their own) — waits until
-// every peer hosted in this process has finished reading, so the MPI
-// contract "the send buffer may be reused after completion" carries over to
-// recycled arena buffers. Peers in other processes read the copy the
+// whose peers read this rank's send buffer (all of them except the
+// allreduces, Barrier, Split and WinCreate, which post rows of their own)
+// — waits until every peer hosted in this process has finished reading, so
+// the MPI contract "the send buffer may be reused after completion" carries
+// over to recycled arena buffers. Peers in other processes read the copy the
 // transport made at post time.
 //
 // A progressive request (IAllgathervParts, IAlltoallvParts) also hands back
@@ -264,10 +264,8 @@ func (c *Comm) IAlltoallvParts(parts [][]int64) *Request {
 // read — the natural fit for pipelined scalar reductions like the frontier
 // count.
 func (c *Comm) IAllreduce(op ReduceOp, val int64) *Pending[int64] {
-	depth := logTreeDepth(c.Size())
 	q := &Pending[int64]{}
-	q.r = c.start("allreduce", c.fill([]int64{val}), false,
-		tally{kind: KindReduce, msgs: int32(2 * depth), words: 2 * depth, wordsEnc: c.rawEnc(2 * depth)},
+	q.r = c.start("allreduce", c.fill([]int64{val}), false, c.reduced(1),
 		func(got [][]int64) {
 			acc := got[0][0]
 			for _, in := range got[1:] {

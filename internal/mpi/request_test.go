@@ -48,6 +48,7 @@ func driveCollectives(c *Comm, split bool) {
 		c.Alltoallv(parts) // blocking counterpart of the Parts alltoall
 		c.Allgatherv(data) // blocking counterpart of the partly read allgather
 	}
+	c.AllreduceN(OpMax, []int64{int64(c.Rank()), 3})
 	c.Barrier()
 	c.Gatherv(0, data)
 	var sc [][]int64

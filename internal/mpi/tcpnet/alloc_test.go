@@ -51,7 +51,9 @@ func TestPostIntoWarmQueueAllocatesNothing(t *testing.T) {
 
 // TestReadFrameIntoWarmBufferAllocatesNothing: readFrame reads into the
 // connection's own header and body buffer, so once the body buffer has
-// grown to a frame's size, reading that frame again allocates nothing.
+// grown to a frame's size, reading that frame again allocates nothing —
+// straight from the stream, and through the read loop's pooled buffered
+// reader once it is warm.
 func TestReadFrameIntoWarmBufferAllocatesNothing(t *testing.T) {
 	var frame bytes.Buffer
 	var body wire.Writer
@@ -60,19 +62,26 @@ func TestReadFrameIntoWarmBufferAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(frame.Bytes())
+	b := wirePool.Get().(*wireBufs)
+	defer func() { b.rd.Reset(nil); wirePool.Put(b) }()
 	var fb frameIn
-	if _, _, err := readFrame(r, &fb); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		r.Reset(frame.Bytes())
-		typ, got, err := readFrame(r, &fb)
-		if err != nil || typ != framePost || !bytes.Equal(got, body.Buf) {
-			t.Fatalf("re-read: type %d, %d bytes, err %v", typ, len(got), err)
+	for _, buffered := range []bool{false, true} {
+		var src io.Reader = r
+		if buffered {
+			src = b.rd
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocations per frame read into a warm buffer, want 0", allocs)
+		read := func() {
+			r.Reset(frame.Bytes())
+			b.rd.Reset(r)
+			typ, got, err := readFrame(src, &fb)
+			if err != nil || typ != framePost || !bytes.Equal(got, body.Buf) {
+				t.Fatalf("buffered=%v: type %d, %d bytes, err %v", buffered, typ, len(got), err)
+			}
+		}
+		read()
+		if allocs := testing.AllocsPerRun(50, read); allocs != 0 {
+			t.Errorf("buffered=%v: %v allocations per frame read into a warm buffer, want 0", buffered, allocs)
+		}
 	}
 }
 

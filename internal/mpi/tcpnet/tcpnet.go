@@ -21,12 +21,17 @@
 // that buffer in as the queue, writes the old queue outside the lock, and
 // keeps the written buffer as its spare for the next swap, so neither
 // buffer is reallocated once both have grown. Each peer's read loop reads
-// every frame into one body buffer of its own. That buffer can be reused
-// because every body decoder copies out what it keeps. The three buffers
-// outlive the endpoint: Close returns them to a process-wide pool once the
-// peer's flusher and read loop have exited, and Bind hands them to the
-// next endpoint's peers, so a process that opens one world after another
-// writes and reads into the buffers the earlier worlds grew. A POST decodes into
+// the connection through a buffered reader of its own, so a frame's
+// header, its body and the frames queued behind them arrive in one read
+// system call, and reads every frame into one body buffer of its own. That
+// buffer can be reused because every body decoder copies out what it
+// keeps. The buffers outlive the endpoint: Close returns them to a
+// process-wide pool once the peer's flusher and read loop have exited, and
+// Bind hands them to the next endpoint's peers, so a process that opens
+// one world after another writes and reads into the buffers the earlier
+// worlds grew. The bootstrap reads (Join's ROSTER, readHello) stay
+// unbuffered: the connection passes to the read loop afterwards, and bytes
+// a bootstrap reader had buffered past its frame would be lost. A POST decodes into
 // the peer's own envelope (peer.post), whose slices and strings are reused
 // from frame to frame, and its parts into buffers from the bound world's
 // free list (mpi.Payloads). DeliverPost keeps only the parts: the mailbox
@@ -35,6 +40,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -125,9 +131,10 @@ type peer struct {
 	hasOff   atomic.Bool
 	pingN    atomic.Int64
 
-	out  frameOut    // the direct path's header and gather list, under wmu
-	in   frameIn     // the read loop's header and reused frame body
-	post mpi.PostMsg // the read loop's envelope, decoded into per POST
+	out  frameOut      // the direct path's header and gather list, under wmu
+	rd   *bufio.Reader // the read loop's buffered view of conn
+	in   frameIn       // the read loop's header and reused frame body
+	post mpi.PostMsg   // the read loop's envelope, decoded into per POST
 
 	qmu      sync.Mutex
 	qcv      *sync.Cond
@@ -511,6 +518,8 @@ func (n *Net) Bind(w *mpi.World) error {
 		p.qbuf, p.qspare = b.queue, b.spare
 		p.qmu.Unlock()
 		p.in.body = b.body
+		p.rd = b.rd
+		p.rd.Reset(p.conn)
 		n.readers.Add(1)
 		go n.readLoop(p)
 		n.flushers.Add(1)
@@ -1100,22 +1109,31 @@ func (n *Net) Close() error {
 	return nil
 }
 
-// wireBufs is one peer's byte buffers between endpoints: the write queue
-// pair and the read body.
-type wireBufs struct{ queue, spare, body []byte }
+// wireBufs is one peer's buffers between endpoints: the write queue pair,
+// the read body and the buffered reader.
+type wireBufs struct {
+	queue, spare, body []byte
+	rd                 *bufio.Reader
+}
+
+// readBufSize is the read loop's buffer: room for a level's worth of small
+// POST frames (the scalar reductions, the short frontiers) per read, while
+// a frame larger than it is read mostly straight into the body buffer.
+const readBufSize = 16 << 10
 
 // wirePool lends a bound endpoint's peers their buffers; the GC bounds what
 // it keeps.
-var wirePool = sync.Pool{New: func() any { return new(wireBufs) }}
+var wirePool = sync.Pool{New: func() any { return &wireBufs{rd: bufio.NewReaderSize(nil, readBufSize)} }}
 
 // releaseBufs returns the peer's buffers to wirePool. Close calls it once
 // the peer's flusher and read loop have exited; the queue was stopped by
 // drainWrites, so no Post can append to it again.
 func (p *peer) releaseBufs() {
 	p.qmu.Lock()
-	b := &wireBufs{queue: p.qbuf[:0], spare: p.qspare[:0], body: p.in.body[:0]}
-	p.qbuf, p.qspare, p.in.body = nil, nil, nil
+	b := &wireBufs{queue: p.qbuf[:0], spare: p.qspare[:0], body: p.in.body[:0], rd: p.rd}
+	p.qbuf, p.qspare, p.in.body, p.rd = nil, nil, nil, nil
 	p.qmu.Unlock()
+	b.rd.Reset(nil) // drop the closed connection
 	wirePool.Put(b)
 }
 
@@ -1153,7 +1171,7 @@ func (n *Net) readLoop(p *peer) {
 		n.failCalls(p.rank, fmt.Errorf("tcpnet: connection to rank %d drained", p.rank))
 	}()
 	for {
-		typ, body, err := readFrame(p.conn, &p.in)
+		typ, body, err := readFrame(p.rd, &p.in)
 		if err != nil {
 			if n.closed.Load() {
 				return

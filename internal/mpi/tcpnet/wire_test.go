@@ -3,9 +3,11 @@ package tcpnet
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,5 +146,58 @@ func TestReadFrameChunkGuard(t *testing.T) {
 		if c := cap(fb.body); c > max(cap(stale), present+frameReadChunk) {
 			t.Fatalf("body buffer of capacity %d grew to %d on %d body bytes", cap(stale), c, present)
 		}
+	}
+}
+
+// readCounter counts the Read calls made on the connection it wraps.
+type readCounter struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *readCounter) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(b)
+}
+
+// TestReadLoopBatchesFrames: the read loop reads its connection through a
+// buffered reader, so frames that arrive together — a header, its body and
+// the frames queued behind them — cost far fewer reads than frames, not one
+// read for each header and one for each body.
+func TestReadLoopBatchesFrames(t *testing.T) {
+	const frames = 32
+	here, there := net.Pipe()
+	defer there.Close()
+	conn := &readCounter{Conn: here}
+	n := &Net{rank: 0, size: 2, opts: Options{HeartbeatInterval: -1, CloseTimeout: time.Second}.withDefaults(), peers: make([]*peer, 2)}
+	n.peers[1] = newPeer(1, conn)
+	w := goldenWorld(t, false)
+	if err := n.Bind(w); err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	var stream bytes.Buffer
+	var out frameOut
+	for gen := range frames {
+		var body wire.Writer
+		writePost(&body, &mpi.PostMsg{Comm: "world/batch", Ranks: []int{0, 1}, Src: 1, Gen: int64(gen), Op: "allreduce",
+			Parts: [][]int64{{int64(gen)}, {int64(gen)}}}, 0, false)
+		if err := writeFrame(&stream, &out, framePost, body.Buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writeFrame(&stream, &out, frameBye, nil); err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, there) // the endpoint's own BYE on Close
+	if _, err := there.Write(stream.Bytes()); err != nil {
+		t.Fatalf("writing %d frames: %v", frames+1, err)
+	}
+	<-n.peers[1].bye
+	n.Close()
+	if w.Aborted() {
+		t.Fatal("the read loop failed a frame")
+	}
+	if got := conn.reads.Load(); got >= frames {
+		t.Errorf("%d reads for %d POST frames and a BYE written at once, want fewer than %d", got, frames, frames)
 	}
 }
